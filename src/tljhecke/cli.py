@@ -315,7 +315,7 @@ def cmd_coefficients(args) -> int:
             tets[",".join(map(str, t))] = cyc_to_json(tet_at(params, *t))
     sixjs = {}
     for (i, j, k, l, m, n) in product(cs, repeat=6):
-        if all(admissible(r, *v) for v in ((i, j, n), (l, m, n), (i, m, k), (j, l, k))):
+        if all(admissible(r, *v) for v in tet_vertices(i, j, n, l, m, k)):
             sixjs[f"{i},{j},{k},{l},{m},{n}"] = cyc_to_json(sixj_at(params, i, j, k, l, m, n))
     doc = {"level": r,
            "root": {"order": params.root_order, "exponent": params.root_exponent},

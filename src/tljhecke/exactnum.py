@@ -139,7 +139,8 @@ def cyclotomic_poly(N: int) -> IntPolynomial:
     for d in range(1, N):
         if N % d == 0:
             poly, rem = poly.divmod_monic(cyclotomic_poly(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise ArithmeticError(f"Phi_{d} does not divide x^{N} - 1 (bug)")
     return poly
 
 

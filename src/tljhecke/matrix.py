@@ -367,7 +367,8 @@ class CycPoly:
             if math.gcd(m, N) == 1:
                 prod = prod * self.galois(m)
         rc = prod.rational_coeffs()
-        assert rc is not None, "norm polynomial must be rational"
+        if rc is None:
+            raise ArithmeticError("Galois norm polynomial is not rational (bug)")
         return rc
 
     def __repr__(self):
@@ -441,13 +442,6 @@ class SignedSqrtMatrix:
         if not isinstance(other, SignedSqrtMatrix):
             return NotImplemented
         return self.squares == other.squares and self.signs == other.signs
-
-    @staticmethod
-    def from_exact(M: ExactMatrix) -> "SignedSqrtMatrix":
-        """Represent a matrix of real field elements as (square, sign) pairs."""
-        squares = M.map(lambda e: e * e)
-        signs = [[e.real_sign() for e in row] for row in M.rows]
-        return SignedSqrtMatrix(squares, signs)
 
     def entry_exact(self, i: int, j: int) -> CycNumber | None:
         """The entry as a field element when its square root exists in the field."""

@@ -1,15 +1,24 @@
 """Temperley-Lieb-Jones recoupling coefficients at level r.
 
-Every recoupling quantity is computed first in the fraction field of
-Q[A, A^-1] (quantum factorials cancel at the polynomial level) and only
-then specialized to a root of unity; the specialized values are memoized
-per TheoryParams.  Caches are write-once per key and idempotent, so
-concurrent fills are safe.
+Each recoupling formula (quantum integer, theta net, tetrahedral net) is
+written once, as factored terms sign * A^a * prod Phi_m(A)^e, so factorial
+ratios reduce to exponent bookkeeping.  Two evaluators consume the terms:
+
+* the generic path (qint, qfact, theta_net, tet, sixj) materializes them
+  into the fraction field of Q[A, A^-1];
+* the specialized path (qint_at, theta_at, tet_at, sixj_at and the values
+  built on them) evaluates each term at A = zeta_N^k with _factored_value,
+  the one place that decides vanishing and poles at the root, and never
+  builds a Laurent fraction.
+
+exactnum.specialize takes a generic value to the same field element; the
+tests use it as the reference for the specialized path.  Specialized values
+are memoized per TheoryParams.  Caches are write-once per key and
+idempotent, so concurrent fills are safe.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -19,8 +28,8 @@ from .exactnum import (
     LaurentFraction,
     LaurentPoly,
     PoleAtRoot,
+    _eval_at_zeta,
     cyclotomic_poly,
-    specialize,
     sqrt_in_field,
 )
 
@@ -33,16 +42,6 @@ class NotAdmissible(ValueError):
 
 class NotInteger(ArithmeticError):
     """An exact evaluation that must be integral failed to be (bug signal)."""
-
-
-def _cache_size() -> int | None:
-    raw = os.environ.get("TLJHECKE_CACHE")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def check_admissible(r: int, a: Color, b: Color, c: Color) -> None:
 
 
 # --------------------------------------------------------------------------
-# quantum integers in factored form
+# recoupling formulas as factored terms
 #
 # [n] = A^(2-2n) * prod Phi_m(A) over a fixed multiset of m's, so every
 # factorial ratio reduces to cyclotomic exponent bookkeeping and no
@@ -201,25 +200,99 @@ class _Factored:
         return _Factored(-self.sign, self.apow, self.phis)
 
 
+def _qint_factored(n: int) -> _Factored:
+    """[n] = A^(2-2n) * prod_m Phi_m(A), for n >= 1."""
+    phis: dict[int, int] = {}
+    for m in _qint_phi_factors(n):
+        phis[m] = phis.get(m, 0) + 1
+    return _Factored(1, 2 - 2 * n, phis)
+
+
+def _theta_factored(a: Color, b: Color, c: Color) -> _Factored:
+    x = (a + b - c) // 2
+    y = (b + c - a) // 2
+    z = (c + a - b) // 2
+    f = (_Factored.qfact(x + y + z + 1) * _Factored.qfact(x) * _Factored.qfact(y)
+         * _Factored.qfact(z) / (_Factored.qfact(x + y) * _Factored.qfact(y + z)
+                                 * _Factored.qfact(z + x)))
+    return f.negate() if (x + y + z) % 2 else f
+
+
+def tet_vertices(A, B, E, C, D, F):
+    return ((A, B, E), (B, C, F), (C, D, E), (A, D, F))
+
+
+def _tet_terms(A: Color, B: Color, E: Color, C: Color, D: Color, F: Color) -> list[_Factored]:
+    """The Kauffman-Lins state sum of the tetrahedral net, one term per s.
+
+    Vertices: (A,B,E), (B,C,F), (C,D,E), (A,D,F); opposite edge pairs
+    (A,C), (B,D), (E,F).  With vertex half-sums a_i and square half-sums b_j,
+
+        Tet = prod_ij [b_j - a_i]! / prod_edges [x]!
+              * sum_{max a <= s <= min b} (-1)^s [s+1]! / (prod_i [s - a_i]! prod_j [b_j - s]!)
+    """
+    av = ((A + B + E) // 2, (B + C + F) // 2, (C + D + E) // 2, (A + D + F) // 2)
+    bv = ((B + D + E + F) // 2, (A + C + E + F) // 2, (A + B + C + D) // 2)
+    pref = _Factored()
+    for bj in bv:
+        for ai in av:
+            pref = pref * _Factored.qfact(bj - ai)
+    for x in (A, B, E, C, D, F):
+        pref = pref / _Factored.qfact(x)
+    terms = []
+    for s in range(max(av), min(bv) + 1):
+        t = _Factored.qfact(s + 1)
+        if s % 2:
+            t = t.negate()
+        for ai in av:
+            t = t / _Factored.qfact(s - ai)
+        for bj in bv:
+            t = t / _Factored.qfact(bj - s)
+        terms.append(pref * t)
+    return terms
+
+
+# --------------------------------------------------------------------------
+# generic-ring recoupling quantities: terms materialized into Q(A)
+
 @lru_cache(maxsize=None)
 def _phi_poly(m: int) -> LaurentPoly:
     return LaurentPoly.from_int_poly(cyclotomic_poly(m))
 
 
-def _materialize(f: _Factored, extra_num: LaurentPoly | None = None) -> LaurentFraction:
-    """Build the canonical LaurentFraction sign*A^apow*extra*prod Phi^e."""
-    num = LaurentPoly.constant(f.sign).shift(f.apow)
-    if extra_num is not None:
-        num = num * extra_num
+def _materialize(terms: list[_Factored]) -> LaurentFraction:
+    """The sum of factored terms as a canonical LaurentFraction.
+
+    The exponent-wise minimum over the terms is factored out, so every
+    remaining term is a Laurent polynomial and the sum collapses into a
+    single numerator.
+    """
+    all_ms = set()
+    for t in terms:
+        all_ms.update(t.phis)
+    common = _Factored(1, min(t.apow for t in terms),
+                       {m: e for m, e in
+                        ((m, min(t.phis.get(m, 0) for t in terms)) for m in all_ms)
+                        if e != 0})
+    num = LaurentPoly.zero()
+    for t in terms:
+        rest = t / common
+        if any(e < 0 for e in rest.phis.values()):
+            raise ArithmeticError("factored term has a denominator left after "
+                                  "the common factor (bug)")
+        poly = LaurentPoly.constant(rest.sign).shift(rest.apow)
+        for m, e in rest.phis.items():
+            poly = poly * _phi_poly(m) ** e
+        num = num + poly
+    num = num.shift(common.apow)
     den = LaurentPoly.one()
     den_ms: list[tuple[int, int]] = []
-    for m, e in sorted(f.phis.items()):
+    for m, e in sorted(common.phis.items()):
         if e > 0:
             num = num * _phi_poly(m) ** e
         else:
             den_ms.append((m, -e))
     # cancel known cyclotomic factors of the denominator against the numerator
-    reduced = []
     for m, e in den_ms:
         pm = _phi_poly(m)
         while e > 0:
@@ -229,16 +302,12 @@ def _materialize(f: _Factored, extra_num: LaurentPoly | None = None) -> LaurentF
             num = q
             e -= 1
         if e:
-            reduced.append((m, e))
             den = den * pm ** e
     # den is monic with nonzero constant term, and shares no factor with num
     return LaurentFraction._raw(num.shift(-den.low), den.shift(-den.low))
 
 
-# --------------------------------------------------------------------------
-# generic-ring recoupling quantities
-
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def qint(n: int) -> LaurentFraction:
     """The quantum integer [n] = (A^2n - A^-2n)/(A^2 - A^-2)."""
     if n == 0:
@@ -246,15 +315,15 @@ def qint(n: int) -> LaurentFraction:
     if n < 0:
         f = qint(-n)
         return LaurentFraction._raw(-f.num, f.den)
-    return _materialize(_Factored.qfact(n) / _Factored.qfact(n - 1))
+    return _materialize([_qint_factored(n)])
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def qfact(n: int) -> LaurentFraction:
     """The quantum factorial [n]! = [1][2]..[n]."""
     if n < 0:
         raise ValueError("quantum factorial of a negative integer")
-    return _materialize(_Factored.qfact(n))
+    return _materialize([_Factored.qfact(n)])
 
 
 def delta(i: Color) -> LaurentFraction:
@@ -274,19 +343,9 @@ def twist(i: Color, convention: str = "plus") -> LaurentFraction:
     return LaurentFraction.from_poly(LaurentPoly.monomial(e, sign))
 
 
-def _theta_factored(a: Color, b: Color, c: Color) -> _Factored:
-    x = (a + b - c) // 2
-    y = (b + c - a) // 2
-    z = (c + a - b) // 2
-    f = (_Factored.qfact(x + y + z + 1) * _Factored.qfact(x) * _Factored.qfact(y)
-         * _Factored.qfact(z) / (_Factored.qfact(x + y) * _Factored.qfact(y + z)
-                                 * _Factored.qfact(z + x)))
-    return f.negate() if (x + y + z) % 2 else f
-
-
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def _theta_net_cached(a: Color, b: Color, c: Color) -> LaurentFraction:
-    return _materialize(_theta_factored(a, b, c))
+    return _materialize([_theta_factored(a, b, c)])
 
 
 def theta_net(r: int, a: Color, b: Color, c: Color) -> LaurentFraction:
@@ -295,58 +354,9 @@ def theta_net(r: int, a: Color, b: Color, c: Color) -> LaurentFraction:
     return _theta_net_cached(a, b, c)
 
 
-def _tet_data(A: Color, B: Color, E: Color, C: Color, D: Color, F: Color):
-    """Vertex half-sums and square half-sums of the labeled tetrahedron.
-
-    Vertices: (A,B,E), (B,C,F), (C,D,E), (A,D,F); opposite edge pairs
-    (A,C), (B,D), (E,F).
-    """
-    av = ((A + B + E) // 2, (B + C + F) // 2, (C + D + E) // 2, (A + D + F) // 2)
-    bv = ((B + D + E + F) // 2, (A + C + E + F) // 2, (A + B + C + D) // 2)
-    return av, bv
-
-
-def tet_vertices(A, B, E, C, D, F):
-    return ((A, B, E), (B, C, F), (C, D, E), (A, D, F))
-
-
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def _tet_cached(A, B, E, C, D, F) -> LaurentFraction:
-    av, bv = _tet_data(A, B, E, C, D, F)
-    pref = _Factored()
-    for bj in bv:
-        for ai in av:
-            pref = pref * _Factored.qfact(bj - ai)
-    for x in (A, B, E, C, D, F):
-        pref = pref / _Factored.qfact(x)
-    terms = []
-    for s in range(max(av), min(bv) + 1):
-        t = _Factored.qfact(s + 1)
-        if s % 2:
-            t = t.negate()
-        for ai in av:
-            t = t / _Factored.qfact(s - ai)
-        for bj in bv:
-            t = t / _Factored.qfact(bj - s)
-        terms.append(pref * t)
-    # factor out the exponent-wise minimum so each term materializes as a
-    # polynomial and the sum collapses into a single numerator
-    all_ms = set()
-    for t in terms:
-        all_ms.update(t.phis)
-    common = _Factored(1, min(t.apow for t in terms),
-                       {m: e for m, e in
-                        ((m, min(t.phis.get(m, 0) for t in terms)) for m in all_ms)
-                        if e != 0})
-    sum_poly = LaurentPoly.zero()
-    for t in terms:
-        rest = t / common
-        assert all(e >= 0 for e in rest.phis.values())
-        poly = LaurentPoly.constant(rest.sign).shift(rest.apow)
-        for m, e in rest.phis.items():
-            poly = poly * _phi_poly(m) ** e
-        sum_poly = sum_poly + poly
-    return _materialize(common, sum_poly)
+    return _materialize(_tet_terms(A, B, E, C, D, F))
 
 
 def tet(r: int, A: Color, B: Color, E: Color, C: Color, D: Color, F: Color) -> LaurentFraction:
@@ -363,127 +373,94 @@ def sixj(r: int, i: Color, j: Color, k: Color, l: Color, m: Color, n: Color) -> 
     external legs (i, j, l, m) to the tree with internal edge k:
 
         {i j k; l m n} = Delta_k Tet(i,j,n,l,m,k) / (Theta(i,m,k) Theta(j,l,k))
+
+    Its vertices (i,j,n), (l,m,n), (i,m,k), (j,l,k) are those of the Tet,
+    which checks them.
     """
-    for v in ((i, j, n), (l, m, n), (i, m, k), (j, l, k)):
-        check_admissible(r, *v)
-    num = delta(k) * tet(r, i, j, n, l, m, k)
+    num = tet(r, i, j, n, l, m, k) * delta(k)
     return num / (theta_net(r, i, m, k) * theta_net(r, j, l, k))
 
 
 # --------------------------------------------------------------------------
-# specialized values (memoized per TheoryParams)
+# specialized values: terms evaluated at A = zeta_N^k (memoized per TheoryParams)
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def _phi_value(params: TheoryParams, m: int) -> CycNumber:
-    N, k = params.root_order, params.root_exponent
-    out = CycNumber.zero(N)
-    for t, c in enumerate(cyclotomic_poly(m).coeffs):
-        if c:
-            out = out + CycNumber.zeta(N, (k * t) % N) * c
-    return out
+    return _eval_at_zeta(cyclotomic_poly(m).coeffs, params.root_order,
+                         params.root_exponent, 0)
 
 
-def _factored_value(params: TheoryParams, f: _Factored,
-                    extra: LaurentPoly | None = None) -> CycNumber:
-    """Specialize a factored quantity at A = zeta_N^k, with Phi_N bookkeeping."""
+def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
+    """Specialize one factored term at A = zeta_N^k.
+
+    Only Phi_N vanishes at a primitive N-th root: a net positive power of
+    it makes the term zero and a net negative power is a pole.
+    """
     N, k = params.root_order, params.root_exponent
     net = f.phis.get(N, 0)
-    extra_red = extra
-    if extra is not None and net < 0:
-        phi_n = LaurentPoly.from_int_poly(cyclotomic_poly(N))
-        while net < 0:
-            q, rem = extra_red.divmod(phi_n)
-            if not rem.is_zero():
-                break
-            extra_red = q
-            net += 1
     if net < 0:
         raise PoleAtRoot(f"pole at zeta_{N}^{k}")
     if net > 0:
         return CycNumber.zero(N)
     val = CycNumber.from_rational(N, f.sign) * CycNumber.zeta(N, (k * f.apow) % N)
     for m, e in f.phis.items():
-        if m == N:
-            continue
         pv = _phi_value(params, m)
         val = val * (pv ** e if e > 0 else pv.inverse() ** (-e))
-    if extra_red is not None:
-        acc = CycNumber.zero(N)
-        den = 1
-        for c in extra_red.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        for t, c in enumerate(extra_red.coeffs):
-            if c:
-                acc = acc + CycNumber.zeta(N, (k * (extra_red.low + t)) % N) * int(c * den)
-        val = val * acc / den
     return val
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def qint_at(params: TheoryParams, n: int) -> CycNumber:
-    return specialize(qint(n), params.root_order, params.root_exponent)
+    if n == 0:
+        return CycNumber.zero(params.root_order)
+    if n < 0:
+        return -qint_at(params, -n)
+    return _factored_value(params, _qint_factored(n))
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def delta_at(params: TheoryParams, i: Color) -> CycNumber:
     v = qint_at(params, i + 1)
     return -v if i % 2 else v
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def delta_inv_at(params: TheoryParams, i: Color) -> CycNumber:
     return delta_at(params, i).inverse()
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def twist_at(params: TheoryParams, i: Color) -> CycNumber:
     e = i * (i + 2) if params.twist_exponent == "plus" else i * (i - 2)
     v = params.zeta((params.root_exponent * e) % params.root_order)
     return -v if i % 2 else v
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def theta_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
     check_admissible(params.level, a, b, c)
     return _factored_value(params, _theta_factored(a, b, c))
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def theta_inv_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
     return theta_at(params, a, b, c).inverse()
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def tet_at(params: TheoryParams, A, B, E, C, D, F) -> CycNumber:
     for v in tet_vertices(A, B, E, C, D, F):
         check_admissible(params.level, *v)
-    N = params.root_order
-    av, bv = _tet_data(A, B, E, C, D, F)
-    pref = _Factored()
-    for bj in bv:
-        for ai in av:
-            pref = pref * _Factored.qfact(bj - ai)
-    for x in (A, B, E, C, D, F):
-        pref = pref / _Factored.qfact(x)
-    total = CycNumber.zero(N)
-    for s in range(max(av), min(bv) + 1):
-        t = _Factored.qfact(s + 1)
-        if s % 2:
-            t = t.negate()
-        for ai in av:
-            t = t / _Factored.qfact(s - ai)
-        for bj in bv:
-            t = t / _Factored.qfact(bj - s)
-        total = total + _factored_value(params, pref * t)
+    total = CycNumber.zero(params.root_order)
+    for t in _tet_terms(A, B, E, C, D, F):
+        total = total + _factored_value(params, t)
     return total
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def sixj_at(params: TheoryParams, i, j, k, l, m, n) -> CycNumber:
-    r = params.level
-    for v in ((i, j, n), (l, m, n), (i, m, k), (j, l, k)):
-        check_admissible(r, *v)
-    return (delta_at(params, k) * tet_at(params, i, j, n, l, m, k)
+    # tet_at checks the four vertices of the symbol
+    return (tet_at(params, i, j, n, l, m, k) * delta_at(params, k)
             * theta_inv_at(params, i, m, k) * theta_inv_at(params, j, l, k))
 
 
@@ -504,7 +481,7 @@ class GlobalConstants:
     kappa_squared: CycNumber
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def global_constants(params: TheoryParams) -> GlobalConstants:
     """P+- = sum theta_i^{+-1} Delta_i^2, D^2 = sum Delta_i^2, kappa^2 = P+/P-."""
     N = params.root_order

@@ -13,7 +13,6 @@ from .matrix import ExactMatrix, SignedSqrtMatrix
 from .recoupling import (
     GlobalConstants,
     TheoryParams,
-    _cache_size,
     color_set,
     global_constants,
     qint_at,
@@ -32,7 +31,7 @@ class ModularData:
     constants: GlobalConstants
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def s_matrix(params: TheoryParams) -> ExactMatrix:
     """Unnormalized S: entries (-1)^(i+j) [(i+1)(j+1)] (colored Hopf link).
 
@@ -51,7 +50,7 @@ def s_matrix(params: TheoryParams) -> ExactMatrix:
     return ExactMatrix(N, rows)
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def t_matrix(params: TheoryParams) -> ExactMatrix:
     """Diagonal matrix of twist coefficients theta_i over the color set."""
     return ExactMatrix.diagonal(params.root_order,
@@ -67,7 +66,7 @@ def s_unitary(params: TheoryParams) -> SignedSqrtMatrix:
     return SignedSqrtMatrix(squares, signs)
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def modular_data(params: TheoryParams) -> ModularData:
     return ModularData(params, s_matrix(params), t_matrix(params),
                        global_constants(params))

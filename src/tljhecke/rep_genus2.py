@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .exactnum import CycNumber, IntPolynomial, LaurentFraction, is_cyclotomic
@@ -19,7 +19,6 @@ from .matrix import CycPoly, ExactMatrix, SignedSqrtMatrix, char_poly, rational_
 from .recoupling import (
     GlobalConstants,
     TheoryParams,
-    _cache_size,
     admissible,
     color_set,
     delta,
@@ -105,7 +104,7 @@ def coupling_a_bar(params: TheoryParams, i: int, j: int, l: int) -> LaurentFract
     return coupling_a(params, i, j, l).bar()
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
     r = params.level
     N = params.root_order
@@ -121,11 +120,6 @@ def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
     return total
 
 
-def coupling_a_bar_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
-    # a has rational coefficients, so bar(a)(zeta^k) = conj(a(zeta^k))
-    return coupling_a_at(params, i, j, l).conj()
-
-
 # --------------------------------------------------------------------------
 # the representation matrices
 
@@ -139,13 +133,28 @@ class Genus2Rep:
     basis: Genus2Basis
     jtilde: ExactMatrix
     j_field: ExactMatrix
-    junitary: SignedSqrtMatrix | None
     tdiag: ExactMatrix
     constants: GlobalConstants
     positive: bool
 
+    @cached_property
+    def junitary(self) -> SignedSqrtMatrix | None:
+        """The unitary matrix, or None when the form is not positive definite.
 
-@lru_cache(maxsize=_cache_size())
+        Signs come from J' (the basis rescaling is positive), squares from
+        J'_{sm} J'_{ms}; built on first access, since relation checks and
+        traces read only j_field.
+        """
+        if not self.positive:
+            return None
+        jf = self.j_field
+        n = len(self.basis)
+        squares = [[jf[s, m] * jf[m, s] for m in range(n)] for s in range(n)]
+        signs = [[jf[s, m].real_sign() for m in range(n)] for s in range(n)]
+        return SignedSqrtMatrix(ExactMatrix(self.params.root_order, squares), signs)
+
+
+@lru_cache(maxsize=None)
 def jtilde(params: TheoryParams) -> ExactMatrix:
     """The pairing matrix: J~_{sigma,mu} = sum over internal colors l of
     Delta_l^-1 a^{j1,i2}_l abar^{k2,i1}_l Tet(l,i2,i2;j2,k2,k2) Tet(l,j1,j1;k1,i1,i1).
@@ -219,10 +228,9 @@ def _norms_positive(params: TheoryParams) -> bool:
     return True
 
 
-@lru_cache(maxsize=_cache_size())
+@lru_cache(maxsize=None)
 def genus2_rep(params: TheoryParams) -> Genus2Rep:
     r = params.level
-    N = params.root_order
     basis = enumerate_basis(r)
     jt = jtilde(params)
     gc = global_constants(params)
@@ -237,26 +245,8 @@ def genus2_rep(params: TheoryParams) -> Genus2Rep:
         col.append(dprod * th_inv * th_inv * d2_inv)
     j_field = jt.scale_cols(col)
 
-    positive = _norms_positive(params)
-    junitary = None
-    if positive:
-        # unitary entries: sign from J' (the basis rescaling is positive),
-        # square from J'_{sm} J'_{ms}
-        squares = []
-        signs = []
-        n = len(basis)
-        for s in range(n):
-            sq_row = []
-            sg_row = []
-            for m in range(n):
-                sq_row.append(j_field[s, m] * j_field[m, s])
-                sg_row.append(j_field[s, m].real_sign())
-            squares.append(sq_row)
-            signs.append(sg_row)
-        junitary = SignedSqrtMatrix(ExactMatrix(N, squares), signs)
-
-    return Genus2Rep(params, basis, jt, j_field, junitary, t_genus2(params),
-                     gc, positive)
+    return Genus2Rep(params, basis, jt, j_field, t_genus2(params), gc,
+                     _norms_positive(params))
 
 
 def j_unitary(params: TheoryParams) -> SignedSqrtMatrix | ExactMatrix:
@@ -317,7 +307,15 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 # --------------------------------------------------------------------------
 # traces and infinite-image certificates
 
-@lru_cache(maxsize=_cache_size())
+def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
+    rep = genus2_rep(params)
+    n = len(rep.basis)
+    tvals = [rep.tdiag[i, i] for i in range(n)]
+    tinv = [t.inverse() for t in tvals]
+    return rep.j_field.scale_cols(tvals) @ rep.j_field.scale_cols(tinv)
+
+
+@lru_cache(maxsize=None)
 def trace_jtjt(params: TheoryParams) -> CycNumber:
     """tr(J T J T^-1), computed both by the double-sum formula and by an
     honest matrix product; the two must agree exactly."""
@@ -332,10 +330,7 @@ def trace_jtjt(params: TheoryParams) -> CycNumber:
         for m in range(n):
             total = total + tvals[s] * tinv[m] * (jf[s, m] * jf[m, s])
 
-    m1 = jf.scale_cols(tvals)       # J T
-    m2 = jf.scale_cols(tinv)        # J T^-1
-    direct = (m1 @ m2).trace()
-    if direct != total:
+    if _jtjt_matrix(params).trace() != total:
         raise ArithmeticError("double-sum and matrix traces disagree (bug)")
     return total
 
@@ -406,14 +401,6 @@ class InfiniteImageReport:
                 "trace": {"fires": self.trace_fires, "details": self.trace_details},
             },
         }
-
-
-def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
-    rep = genus2_rep(params)
-    n = len(rep.basis)
-    tvals = [rep.tdiag[i, i] for i in range(n)]
-    tinv = [t.inverse() for t in tvals]
-    return rep.j_field.scale_cols(tvals) @ rep.j_field.scale_cols(tinv)
 
 
 # exact characteristic polynomials are O(n^4) field operations; above this

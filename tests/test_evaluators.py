@@ -1,0 +1,100 @@
+"""Both evaluators of each recoupling formula give the same field element:
+the generic value in Q(A), specialized at A = zeta_N^k, equals the value
+the specialized path computes directly, at every unit k mod N for r <= 5."""
+import math
+from functools import lru_cache
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+from tljhecke.exactnum import specialize
+from tljhecke.recoupling import (
+    TheoryParams,
+    admissible,
+    color_set,
+    qint,
+    qint_at,
+    sixj,
+    sixj_at,
+    tet,
+    tet_at,
+    tet_vertices,
+    theta_at,
+    theta_net,
+)
+from tljhecke.rep_genus2 import coupling_a, coupling_a_at
+
+LEVELS = (1, 2, 3, 4, 5)
+
+
+def assert_at_every_root(r, generic, at):
+    P0 = TheoryParams(r)
+    N = P0.root_order
+    for k in range(1, N):
+        if math.gcd(k, N) == 1:
+            P = P0.with_root(k)
+            assert specialize(generic, N, k) == at(P), (r, k)
+
+
+@lru_cache(maxsize=None)
+def theta_labels(r):
+    return [t for t in product(color_set(r), repeat=3) if admissible(r, *t)]
+
+
+@lru_cache(maxsize=None)
+def tet_labels(r):
+    return [t for t in product(color_set(r), repeat=6)
+            if all(admissible(r, *v) for v in tet_vertices(*t))]
+
+
+@lru_cache(maxsize=None)
+def sixj_labels(r):
+    # {i j k; l m n} has the vertices of Tet(i,j,n,l,m,k)
+    return [(i, j, k, l, m, n) for (i, j, n, l, m, k) in tet_labels(r)]
+
+
+@lru_cache(maxsize=None)
+def coupling_labels(r):
+    return list(product(color_set(r), repeat=3))
+
+
+@st.composite
+def labeled(draw, labels):
+    r = draw(st.sampled_from(LEVELS))
+    return r, draw(st.sampled_from(labels(r)))
+
+
+def test_qint_every_n_every_root():
+    # n up to 2p+1 includes p and 2p, where [n] vanishes at the root
+    for r in LEVELS:
+        for n in range(1, 2 * (r + 2) + 2):
+            assert_at_every_root(r, qint(n), lambda P: qint_at(P, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labeled(theta_labels))
+def test_theta_evaluators_agree(case):
+    r, t = case
+    assert_at_every_root(r, theta_net(r, *t), lambda P: theta_at(P, *t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labeled(tet_labels))
+def test_tet_evaluators_agree(case):
+    r, t = case
+    assert_at_every_root(r, tet(r, *t), lambda P: tet_at(P, *t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labeled(sixj_labels))
+def test_sixj_evaluators_agree(case):
+    r, t = case
+    assert_at_every_root(r, sixj(r, *t), lambda P: sixj_at(P, *t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled(coupling_labels))
+def test_coupling_evaluators_agree(case):
+    r, t = case
+    assert_at_every_root(r, coupling_a(TheoryParams(r), *t),
+                         lambda P: coupling_a_at(P, *t))
