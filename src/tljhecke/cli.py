@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit status: 0 on success, 2 on usage errors (argparse), 3 when a requested
-verification fails.  Output formats: json (machine readable, bit-exact
-serialization), csv (tables), pretty (human readable; floats printed at the
-requested precision agree with the exact embedding to 10^-precision).
+Exit status: 0 on success, 2 on usage errors (argparse, invalid levels or
+roots, csv output for a command without a table), 3 when a requested
+verification fails, 4 when an internal invariant fails (an ArithmeticError
+such as NotInteger: a bug, not bad input).  Output formats: json (machine
+readable, bit-exact serialization), csv (tables), pretty (human readable;
+floats printed at the requested precision agree with the exact embedding to
+10^-precision).
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .recoupling import (
     delta_at,
     sixj_at,
     tet_at,
-    tet_vertices,
     theta_at,
     twist_at,
     verlinde_dim,
@@ -45,7 +47,9 @@ from .sl2_hecke import (
 from .spin import NotApplicable, flat_parity, orbit_counts, reducibility_report, spin_dims
 from itertools import product
 
+USAGE_ERROR = 2
 VERIFY_FAILED = 3
+INTERNAL_ERROR = 4
 
 
 def _params(args) -> TheoryParams:
@@ -64,7 +68,6 @@ def _sqrt_matrix_json(M: SignedSqrtMatrix) -> dict:
 
 def _print_float_matrix(M, precision: int, out):
     if isinstance(M, SignedSqrtMatrix):
-        import numpy as np
         arr = M.embed(precision)
         for row in arr:
             out.write("  ".join(f"{x:+.{precision}f}" for x in row) + "\n")
@@ -84,7 +87,7 @@ def _emit(args, doc: dict, pretty_lines: list[str], csv_rows: list[list] | None 
         sys.stdout.write("\n")
     elif fmt == "csv":
         if csv_rows is None:
-            raise SystemExit("csv output not available for this command")
+            raise ValueError("csv output not available for this command")
         w = csv.writer(sys.stdout)
         for row in csv_rows:
             w.writerow(row)
@@ -298,6 +301,19 @@ def cmd_spin_dims(args) -> int:
     return 0
 
 
+def _admissible_tets(r: int) -> list[tuple[int, ...]]:
+    """Labelings (A,B,E,C,D,F) whose four Tet vertices (A,B,E), (B,C,F),
+    (C,D,E), (A,D,F) are admissible, in lexicographic order: each vertex is
+    checked as soon as its last color is chosen."""
+    cs = color_set(r)
+    return [(A, B, E, C, D, F)
+            for A in cs for B in cs
+            for E in cs if admissible(r, A, B, E)
+            for C in cs
+            for D in cs if admissible(r, C, D, E)
+            for F in cs if admissible(r, B, C, F) and admissible(r, A, D, F)]
+
+
 def cmd_coefficients(args) -> int:
     """Dump tables of Delta, theta, Theta, Tet, 6j at one level and root."""
     params = _params(args)
@@ -309,14 +325,12 @@ def cmd_coefficients(args) -> int:
     for t in product(cs, repeat=3):
         if admissible(r, *t):
             thetas[",".join(map(str, t))] = cyc_to_json(theta_at(params, *t))
-    tets = {}
-    for t in product(cs, repeat=6):
-        if all(admissible(r, *v) for v in tet_vertices(*t)):
-            tets[",".join(map(str, t))] = cyc_to_json(tet_at(params, *t))
+    admissible_tets = _admissible_tets(r)
+    tets = {",".join(map(str, t)): cyc_to_json(tet_at(params, *t)) for t in admissible_tets}
+    # {i j k; l m n} is the Tet (i,j,n,l,m,k) times admissible vertex factors
     sixjs = {}
-    for (i, j, k, l, m, n) in product(cs, repeat=6):
-        if all(admissible(r, *v) for v in tet_vertices(i, j, n, l, m, k)):
-            sixjs[f"{i},{j},{k},{l},{m},{n}"] = cyc_to_json(sixj_at(params, i, j, k, l, m, n))
+    for (i, j, k, l, m, n) in sorted((A, B, F, C, D, E) for (A, B, E, C, D, F) in admissible_tets):
+        sixjs[f"{i},{j},{k},{l},{m},{n}"] = cyc_to_json(sixj_at(params, i, j, k, l, m, n))
     doc = {"level": r,
            "root": {"order": params.root_order, "exponent": params.root_exponent},
            "delta": deltas, "twist": twists, "theta": thetas,
@@ -405,9 +419,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return USAGE_ERROR
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -21,12 +21,6 @@ from .exactnum import (
     sqrt_in_field,
 )
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    def mpz(x):
-        return x
-
 
 def _pack_digits(digits: Sequence[int], width: int) -> int:
     acc = 0
@@ -35,12 +29,11 @@ def _pack_digits(digits: Sequence[int], width: int) -> int:
     return acc
 
 
-def _unpack_digits(x, width: int, count: int) -> list[int]:
+def _unpack_digits(x: int, width: int, count: int) -> list[int]:
     """Inverse of _pack_digits for signed digits in (-2**(w-1), 2**(w-1))."""
     out = []
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    x = int(x)
     for _ in range(count):
         d = x & mask
         if d >= half:
@@ -211,9 +204,9 @@ class ExactMatrix:
         inner = self.ncols
         bound = phi * inner * maxa * maxb
         width = bound.bit_length() + 2
-        Ap = [[mpz(_pack_digits(v, width)) for v in row] for row in A]
+        Ap = [[_pack_digits(v, width) for v in row] for row in A]
         # pack the transpose of B for cache-friendly row access
-        Bp = [[mpz(_pack_digits(B[i][j], width)) for i in range(inner)]
+        Bp = [[_pack_digits(B[i][j], width) for i in range(inner)]
               for j in range(other.ncols)]
         N = self.order
         den = dena * denb
@@ -342,9 +335,6 @@ class CycPoly:
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
 
-    def galois(self, m: int) -> "CycPoly":
-        return CycPoly(self.order, [c.galois(m) for c in self.coeffs])
-
     def evaluate(self, x: CycNumber) -> CycNumber:
         v = CycNumber.zero(self.order)
         for c in reversed(self.coeffs):
@@ -358,18 +348,6 @@ class CycPoly:
                 return None
             out.append(c.as_fraction())
         return out
-
-    def galois_norm(self) -> list[Fraction]:
-        """Product over all automorphisms; coefficients are rational."""
-        N = self.order
-        prod = CycPoly.from_int_poly(N, IntPolynomial((1,)))
-        for m in range(1, N):
-            if math.gcd(m, N) == 1:
-                prod = prod * self.galois(m)
-        rc = prod.rational_coeffs()
-        if rc is None:
-            raise ArithmeticError("Galois norm polynomial is not rational (bug)")
-        return rc
 
     def __repr__(self):
         return f"CycPoly(order={self.order}, degree={self.degree})"
@@ -390,20 +368,6 @@ def char_poly(M: ExactMatrix) -> CycPoly:
         ck = -(Mk.trace() / k)
         coeffs.append(ck)
     return CycPoly(N, list(reversed(coeffs)))
-
-
-def rational_poly_divides(d: IntPolynomial, coeffs: Sequence[Fraction]) -> bool:
-    """Exact divisibility of a rational polynomial by a monic integer one."""
-    r = [Fraction(c) for c in coeffs]
-    dd = d.degree
-    if len(r) - 1 < dd:
-        return all(c == 0 for c in r)
-    for i in range(len(r) - dd - 1, -1, -1):
-        c = r[i + dd]
-        if c:
-            for j, x in enumerate(d.coeffs):
-                r[i + j] -= c * x
-    return all(c == 0 for c in r)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .exactnum import CycNumber, IntPolynomial, LaurentFraction, is_cyclotomic
-from .matrix import CycPoly, ExactMatrix, SignedSqrtMatrix, char_poly, rational_poly_divides
+from .exactnum import CycNumber, IntPolynomial, LaurentFraction, cyclotomic_poly, euler_phi
+from .matrix import CycPoly, ExactMatrix, SignedSqrtMatrix, char_poly
 from .recoupling import (
     GlobalConstants,
     TheoryParams,
@@ -317,8 +317,9 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def trace_jtjt(params: TheoryParams) -> CycNumber:
-    """tr(J T J T^-1), computed both by the double-sum formula and by an
-    honest matrix product; the two must agree exactly."""
+    """tr(J T J T^-1) exactly, as the double sum over s, m of
+    t_s t_m^-1 J'_{sm} J'_{ms} (the basis rescaling cancels in the trace);
+    no n x n product is formed.  Tests diff it against _jtjt_matrix."""
     rep = genus2_rep(params)
     n = len(rep.basis)
     jf = rep.j_field
@@ -329,9 +330,6 @@ def trace_jtjt(params: TheoryParams) -> CycNumber:
     for s in range(n):
         for m in range(n):
             total = total + tvals[s] * tinv[m] * (jf[s, m] * jf[m, s])
-
-    if _jtjt_matrix(params).trace() != total:
-        raise ArithmeticError("double-sum and matrix traces disagree (bug)")
     return total
 
 
@@ -352,7 +350,8 @@ class TraceEntry:
 
     @property
     def exceeds_dimension(self) -> bool:
-        return self.approx.real > self.dimension
+        """Exact: the real part of the trace is larger than dim V."""
+        return (self.value - self.dimension).real_sign() > 0
 
 
 def trace_table(levels=(3, 5, 7, 9, 11, 13)) -> list[TraceEntry]:
@@ -366,15 +365,14 @@ def trace_table(levels=(3, 5, 7, 9, 11, 13)) -> list[TraceEntry]:
 
 
 def trace_galois_sweep(r: int) -> list[tuple[int, complex]]:
-    """The trace at every Galois-conjugate root, for the documented sweep."""
+    """The trace at every Galois-conjugate root A = zeta^k, for the documented
+    sweep.  Every entry of J' and T lies in Q(A), so the trace at zeta^k is
+    sigma_k of the trace at zeta: one representation is built, not phi(N)."""
     p0 = trace_params(r)
+    v = trace_jtjt(p0)
     N = p0.root_order
-    out = []
-    for k in range(1, N):
-        if math.gcd(k, N) == 1:
-            v = trace_jtjt(p0.with_root(k))
-            out.append((k, complex(*_mp_embed(v, 40))))
-    return out
+    return [(k, complex(*_mp_embed(v.galois(k), 40)))
+            for k in range(1, N) if math.gcd(k, N) == 1]
 
 
 def _mp_embed(x: CycNumber, dps: int) -> tuple[float, float]:
@@ -410,31 +408,33 @@ MINPOLY_DIM_BUDGET = 60
 
 def minpoly_certificate(params: TheoryParams,
                         quartic: IntPolynomial = INFINITE_ORDER_QUARTIC) -> tuple[bool, str]:
-    """Certificate (a): some eigenvalue of J T J T^-1 has the designated
-    non-cyclotomic quartic as its minimal polynomial over Q.
+    """Certificate (a): J T J T^-1 has an eigenvalue of infinite
+    multiplicative order, a root of the designated polynomial Q.
 
-    Checked exactly: the quartic shares a factor with the characteristic
-    polynomial over Q(zeta_N), divides its Galois norm in Q[x], and is not
-    a cyclotomic polynomial; eigenvalues of infinite multiplicative order
-    follow.  The quartic is the level-3 object, so the route is skipped
-    beyond MINPOLY_DIM_BUDGET where the exact characteristic polynomial is
-    no longer desk-scale.
+    Sound precondition, checked first: Q has no cyclotomic factor Phi_k
+    (phi(k) >= sqrt(k/2), so k <= 2 deg(Q)^2 covers every Phi_k of degree at
+    most deg Q); a Q with such a factor never fires.  Then the certificate fires exactly when gcd(P, Q) over Q(zeta_N) is
+    nontrivial, P the characteristic polynomial: a common root is an
+    eigenvalue that is not a root of unity.  The default Q is the level-3
+    quartic, so the route is skipped beyond MINPOLY_DIM_BUDGET where the
+    exact characteristic polynomial is no longer desk-scale.
     """
+    d = quartic.degree
+    if d < 1:
+        raise ValueError("the designated polynomial must have degree >= 1")
+    for k in range(1, 2 * d * d + 1):
+        if euler_phi(k) <= d and quartic.divmod_monic(cyclotomic_poly(k))[1].is_zero():
+            return False, (f"designated polynomial has the cyclotomic factor Phi_{k}; "
+                           "its roots include roots of unity")
     n = len(enumerate_basis(params.level))
     if n > MINPOLY_DIM_BUDGET:
         return False, (f"skipped: dimension {n} exceeds the exact charpoly "
                        f"budget ({MINPOLY_DIM_BUDGET}); the designated quartic "
                        "targets level 3")
-    M = _jtjt_matrix(params)
-    P = char_poly(M)
-    Q = CycPoly.from_int_poly(params.root_order, quartic)
-    G = P.gcd(Q)
-    if G.is_zero() or G.degree < 1:
+    P = char_poly(_jtjt_matrix(params))
+    G = P.gcd(CycPoly.from_int_poly(params.root_order, quartic))
+    if G.degree < 1:
         return False, "quartic shares no factor with the characteristic polynomial"
-    if not rational_poly_divides(quartic, P.galois_norm()):
-        return False, "quartic does not divide the Galois norm of the characteristic polynomial"
-    if is_cyclotomic(quartic):
-        return False, "designated quartic is cyclotomic"
     terms = []
     for e, c in enumerate(quartic.coeffs):
         if c:
@@ -447,12 +447,16 @@ def minpoly_certificate(params: TheoryParams,
 
 
 def trace_certificate(params: TheoryParams) -> tuple[bool, str]:
-    """Certificate (b): |tr(J T J T^-1)| exceeds dim V, impossible for a
-    finite image of the unitary family."""
+    """Certificate (b): tr(J T J T^-1) is real and exceeds dim V, impossible
+    for a finite image of the unitary family.
+
+    Decided exactly: the trace equals its conjugate in Q(zeta_N) and
+    real_sign(tr - dim) > 0.  The 40-digit embedding only prints the value.
+    """
     v = trace_jtjt(params)
-    re, im = _mp_embed(v, 40)
     d = verlinde_dim(params.level, 2)
-    fires = re > d and abs(im) < 1e-20
+    fires = v.is_real() and (v - d).real_sign() > 0
+    re, im = _mp_embed(v, 40)
     return fires, (f"tr = {re:.4f}{im:+.1e}i vs dim = {d} at root "
                    f"zeta_{params.root_order}^{params.root_exponent}")
 

@@ -59,6 +59,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_invalid_level_is_usage_error(capsys):
+    code, _ = run(capsys, "verify", "--level", "0")
+    assert code == 2
+
+
+def test_csv_without_table_is_usage_error(capsys):
+    code, _ = run(capsys, "--format", "csv", "modular-data", "--level", "2")
+    assert code == 2
+
+
+def test_internal_invariant_failure_exit_code(capsys, monkeypatch):
+    from tljhecke import cli
+
+    def broken(args):
+        raise ArithmeticError("double-sum and matrix traces disagree (bug)")
+    monkeypatch.setattr(cli, "cmd_infinite_image", broken)
+    code = main(["infinite-image", "--level", "3"])
+    assert code == cli.INTERNAL_ERROR == 4
+    assert "(bug)" in capsys.readouterr().err
+
+
 def test_modular_data_json_roundtrip(capsys):
     code, out = run(capsys, "--format", "json", "modular-data", "--level", "2")
     assert code == 0
@@ -139,6 +160,21 @@ def test_coefficients_json(capsys):
     doc = json.loads(out)
     assert cyc_from_json(doc["delta"]["0"]) == 1
     assert set(doc) >= {"delta", "twist", "theta", "tet", "sixj"}
+
+
+def test_admissible_tets_match_scan():
+    # the enumeration against the filter over I_r^6, for Tet and 6j keys
+    from itertools import product
+    from tljhecke.cli import _admissible_tets
+    from tljhecke.recoupling import admissible, color_set, tet_vertices
+    for r in range(1, 7):
+        scan = [t for t in product(color_set(r), repeat=6)
+                if all(admissible(r, *v) for v in tet_vertices(*t))]
+        tets = _admissible_tets(r)
+        assert tets == scan, r
+        sixj_scan = [(i, j, k, l, m, n) for (i, j, k, l, m, n) in product(color_set(r), repeat=6)
+                     if all(admissible(r, *v) for v in tet_vertices(i, j, n, l, m, k))]
+        assert sorted((A, B, F, C, D, E) for (A, B, E, C, D, F) in tets) == sixj_scan, r
 
 
 def test_pretty_precision_agrees_with_embed(capsys):

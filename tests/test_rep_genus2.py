@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tljhecke.exactnum import CycNumber, LaurentFraction
+from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction
 from tljhecke.matrix import ExactMatrix, char_poly
 from tljhecke.recoupling import (
     TheoryParams,
@@ -14,6 +14,7 @@ from tljhecke.recoupling import (
     theta_at,
     verlinde_dim,
 )
+import tljhecke.rep_genus2 as rep_genus2
 from tljhecke.rep_genus2 import (
     INFINITE_ORDER_QUARTIC,
     coupling_a,
@@ -29,6 +30,7 @@ from tljhecke.rep_genus2 import (
     trace_galois_sweep,
     trace_jtjt,
     trace_params,
+    trace_table,
     verify_genus2_relations,
     _jtjt_matrix,
 )
@@ -302,8 +304,7 @@ def test_j_unitary_falls_back_when_not_positive():
 # traces
 
 def test_trace_r3_value():
-    # (3 + sqrt5 - 1) + ... = 4.2361 at the k=1 root; the double-sum and the
-    # matrix trace agree inside trace_jtjt
+    # 2 + sqrt5 = 4.2361 at the k=1 root
     v = trace_jtjt(trace_params(3))
     z = v.embed()
     assert abs(z.imag) < 1e-12
@@ -321,6 +322,42 @@ def test_trace_r7_exceeds_dimension():
     assert v.embed().real > verlinde_dim(7, 2)
 
 
+def _unit_roots(N):
+    return [k for k in range(1, N) if math.gcd(k, N) == 1]
+
+
+def test_trace_double_sum_equals_matrix_trace():
+    # the double sum in trace_jtjt against the trace of the n x n product
+    for r in range(1, 6):
+        P = TheoryParams(r)
+        for k in _unit_roots(P.root_order):
+            Pk = P.with_root(k)
+            assert trace_jtjt(Pk) == _jtjt_matrix(Pk).trace(), (r, k)
+
+
+def test_trace_galois_conjugate_equals_direct_trace():
+    # the sweep applies sigma_k to the k=1 trace; the direct trace at zeta^k
+    # is the reference
+    for r in (3, 5):
+        p0 = trace_params(r)
+        v = trace_jtjt(p0)
+        for k in _unit_roots(p0.root_order):
+            assert v.galois(k) == trace_jtjt(p0.with_root(k)), (r, k)
+
+
+def test_trace_galois_sweep_builds_one_representation():
+    trace_jtjt.cache_clear()
+    genus2_rep.cache_clear()
+    sweep = trace_galois_sweep(7)
+    assert [k for k, _ in sweep] == _unit_roots(18)
+    assert genus2_rep.cache_info().misses == 1
+
+
+def test_exceeds_dimension_matches_float_comparison():
+    for e in trace_table(range(3, 12, 2)):
+        assert e.exceeds_dimension == (e.approx.real > e.dimension), e.level
+
+
 def test_trace_params_rejects_even_levels():
     with pytest.raises(ValueError):
         trace_params(4)
@@ -335,12 +372,35 @@ def test_quartic_certificate_r3():
     assert fires, details
     M = _jtjt_matrix(P)
     cp = char_poly(M)
-    # the quartic's Q(zeta_10)-factor has degree 2 and the quartic divides
-    # the Galois norm of the characteristic polynomial
-    from tljhecke.matrix import CycPoly, rational_poly_divides
+    # the quartic's Q(zeta_10)-factor has degree 2
+    from tljhecke.matrix import CycPoly
     G = cp.gcd(CycPoly.from_int_poly(P.root_order, INFINITE_ORDER_QUARTIC))
     assert G.degree == 2
-    assert rational_poly_divides(INFINITE_ORDER_QUARTIC, cp.galois_norm())
+
+
+def test_minpoly_certificate_rejects_cyclotomic_factor(monkeypatch):
+    # at r=2, (JTJT^-1)^5 = I, so x^5 - 1 shares eigenvalues with the
+    # characteristic polynomial; they are roots of unity and must not fire.
+    # The precondition is decided before any characteristic polynomial.
+    def no_char_poly(M):
+        raise AssertionError("char_poly called before the precondition")
+    monkeypatch.setattr(rep_genus2, "char_poly", no_char_poly)
+    x5m1 = IntPolynomial((-1, 0, 0, 0, 0, 1))
+    fires, details = minpoly_certificate(TheoryParams(2), x5m1)
+    assert not fires
+    assert "Phi_1" in details
+    # (x^2 + 1) * quartic: a cyclotomic factor next to the certifying one
+    mixed = IntPolynomial((1, 0, 1)) * INFINITE_ORDER_QUARTIC
+    fires, details = minpoly_certificate(TheoryParams(3), mixed)
+    assert not fires
+    assert "Phi_4" in details
+
+
+def test_minpoly_certificate_fires_on_quartic_multiple():
+    # no cyclotomic factor: a nontrivial gcd alone certifies
+    q = IntPolynomial((2, 0, 1)) * INFINITE_ORDER_QUARTIC
+    fires, details = minpoly_certificate(TheoryParams(3), q)
+    assert fires, details
 
 
 def test_certificate_eigenvalue_satisfies_quartic():
