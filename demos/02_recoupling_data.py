@@ -7,7 +7,7 @@ Run:  python demos/02_recoupling_data.py [level]
 import sys
 from itertools import product
 
-from tljhecke import CycNumber, TheoryParams, color_set, verlinde_dim
+from tljhecke import CycNumber, TheoryParams, color_set, sqrt_in_field, verlinde_dim
 from tljhecke.recoupling import (
     admissible,
     delta_at,
@@ -55,9 +55,10 @@ for m in ms:
     print("   ", "  ".join(row))
 
 gc = global_constants(params)
+d = sqrt_in_field(gc.d_squared)
 print("\nglobal constants:")
 print(f"  D^2   = {gc.d_squared.embed().real:.6f}"
-      + (f"   (D = {gc.d.embed().real:.6f} exists in the field)" if gc.d else
+      + (f"   (D = {d.embed().real:.6f} exists in the field)" if d else
          "   (D itself lies outside Q(zeta_N); everything downstream uses D^2)"))
 pp = gc.p_plus.embed()
 print(f"  P+    = {pp.real:+.6f}{pp.imag:+.6f}i")

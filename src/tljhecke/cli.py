@@ -54,8 +54,7 @@ INTERNAL_ERROR = 4
 
 def _params(args) -> TheoryParams:
     k = getattr(args, "root", 0) or 0
-    conv = getattr(args, "twist", "plus")
-    return TheoryParams(args.level, root_exponent=k, twist_exponent=conv)
+    return TheoryParams(args.level, root_exponent=k)
 
 
 def _matrix_json(M: ExactMatrix) -> list:
@@ -379,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1, 2, or 0 for both")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--twist", choices=("plus", "minus"), default="plus",
-                   help="twist exponent convention: i(i+2) or i(i-2)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("trace-table", help="traces of JTJT^-1 at A=e^(i pi/(r+2))")

@@ -224,18 +224,6 @@ class ExactMatrix:
             out.append(orow)
         return ExactMatrix(self.order, out)
 
-    def __pow__(self, n: int) -> "ExactMatrix":
-        if n < 0:
-            raise ValueError("negative matrix powers not supported")
-        result = ExactMatrix.identity(self.order, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- numerics
     def embed(self, precision: int = 15):
         import numpy as np

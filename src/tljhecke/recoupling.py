@@ -30,7 +30,6 @@ from .exactnum import (
     PoleAtRoot,
     _eval_at_zeta,
     cyclotomic_poly,
-    sqrt_in_field,
 )
 
 Color = int
@@ -66,20 +65,15 @@ class TheoryParams:
     """Level r, the root order N, and the exponent selecting A = zeta_N^k.
 
     The acceptance suite exercises r = 1 (the one-color theory), so levels
-    down to 1 are accepted.  twist_exponent selects the implemented twist
-    theta_i = (-1)^i A^(i(i+2)) ("plus", default, pinned by the golden
-    matrices) or the variant with exponent i(i-2) ("minus").
+    down to 1 are accepted.
     """
 
     level: int
     root_exponent: int = 0  # 0 means: use the unitary default
-    twist_exponent: str = "plus"
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if self.twist_exponent not in ("plus", "minus"):
-            raise ValueError("twist_exponent must be 'plus' or 'minus'")
         if self.root_exponent == 0:
             object.__setattr__(self, "root_exponent", unitary_root_exponent(self.level))
         if math.gcd(self.root_exponent, self.root_order) != 1:
@@ -107,10 +101,6 @@ class TheoryParams:
 
     def zeta(self, e: int = 1) -> CycNumber:
         return CycNumber.zeta(self.root_order, e)
-
-    def a_value(self) -> CycNumber:
-        """The chosen root A = zeta_N^k as a field element."""
-        return self.zeta(self.root_exponent)
 
 
 def color_set(params_or_level) -> tuple[Color, ...]:
@@ -332,15 +322,11 @@ def delta(i: Color) -> LaurentFraction:
     return LaurentFraction._raw(-f.num, f.den) if i % 2 else f
 
 
-def twist(i: Color, convention: str = "plus") -> LaurentFraction:
-    """Twist coefficient theta_i = (-1)^i A^(i(i+2)).
-
-    The golden matrices pin the exponent i(i+2); passing convention="minus"
-    selects the variant i(i-2).
-    """
-    e = i * (i + 2) if convention == "plus" else i * (i - 2)
+def twist(i: Color) -> LaurentFraction:
+    """Twist coefficient theta_i = (-1)^i A^(i(i+2)); the golden matrices
+    pin the exponent i(i+2)."""
     sign = -1 if i % 2 else 1
-    return LaurentFraction.from_poly(LaurentPoly.monomial(e, sign))
+    return LaurentFraction.from_poly(LaurentPoly.monomial(i * (i + 2), sign))
 
 
 @lru_cache(maxsize=None)
@@ -431,8 +417,7 @@ def delta_inv_at(params: TheoryParams, i: Color) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def twist_at(params: TheoryParams, i: Color) -> CycNumber:
-    e = i * (i + 2) if params.twist_exponent == "plus" else i * (i - 2)
-    v = params.zeta((params.root_exponent * e) % params.root_order)
+    v = params.zeta((params.root_exponent * i * (i + 2)) % params.root_order)
     return -v if i % 2 else v
 
 
@@ -469,15 +454,16 @@ def sixj_at(params: TheoryParams, i, j, k, l, m, n) -> CycNumber:
 
 @dataclass(frozen=True)
 class GlobalConstants:
-    """P+, P-, D^2 and derived quantities; D and kappa only when they exist
-    in Q(zeta_N) (all downstream formulas consume only the squares)."""
+    """P+, P-, D^2 and kappa^2 = P+/P-.
+
+    D enters only as D^2: D need not lie in Q(zeta_N), and every relation is
+    stated so that no square root is taken (kappa = P+/D becomes P+ D^2).
+    """
 
     params: TheoryParams
     p_plus: CycNumber
     p_minus: CycNumber
     d_squared: CycNumber
-    d: CycNumber | None
-    kappa: CycNumber | None
     kappa_squared: CycNumber
 
 
@@ -494,10 +480,7 @@ def global_constants(params: TheoryParams) -> GlobalConstants:
         p_plus = p_plus + th * d2
         p_minus = p_minus + d2 / th
         d_squared = d_squared + d2
-    d = sqrt_in_field(d_squared)
-    kappa = (p_plus / d) if d is not None else None
-    return GlobalConstants(params, p_plus, p_minus, d_squared, d,
-                           kappa, p_plus / p_minus)
+    return GlobalConstants(params, p_plus, p_minus, d_squared, p_plus / p_minus)
 
 
 # --------------------------------------------------------------------------

@@ -86,14 +86,13 @@ def coupling_a(params: TheoryParams, i: int, j: int, l: int) -> LaurentFraction:
     strands.
     """
     r = params.level
-    conv = params.twist_exponent
     total = LaurentFraction.zero()
     if not _coupling_support(r, i, j, l):
         return total
     for k in color_set(r):
         if not admissible(r, i, j, k):
             continue
-        tw = twist(i, conv) * twist(j, conv) / twist(k, conv)
+        tw = twist(i) * twist(j) / twist(k)
         total = total + (delta(k) * tw / theta_net(r, i, j, k)
                          * sixj(r, i, j, l, j, i, k))
     return total
@@ -278,7 +277,7 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     diff = j2.first_difference(ident)
     items.append(ReportItem("J^2 = I", diff is None, diff))
 
-    tj = rep.tdiag @ rep.j_field
+    tj = rep.j_field.scale_rows([rep.tdiag[i, i] for i in range(n)])
     tj2 = tj @ tj
     tj5 = (tj2 @ tj2) @ tj
     scalar = gc.kappa_squared * gc.kappa_squared
@@ -299,7 +298,7 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     items.append(ReportItem("J symmetric (J~ = J~^T)", diff is None, diff))
 
     notes = (f"level={params.level}, dim={n}, root zeta_{N}^{params.root_exponent}",
-             f"twist exponent convention: {'i(i+2)' if params.twist_exponent == 'plus' else 'i(i-2)'}",
+             "twist exponent convention: i(i+2)",
              "normalization pinned by J_(000),(000) = 1/D^2")
     return VerifyReport(f"genus-2 relations at level {params.level}", tuple(items), notes)
 

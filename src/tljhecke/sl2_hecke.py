@@ -40,11 +40,6 @@ class SL2Matrix:
             raise ValueError("determinant must be exactly 1")
 
     @staticmethod
-    def from_rows(rows) -> "SL2Matrix":
-        (a, b), (c, d) = rows
-        return SL2Matrix(a, b, c, d)
-
-    @staticmethod
     def identity(order: int) -> "SL2Matrix":
         one, zero = CycNumber.one(order), CycNumber.zero(order)
         return SL2Matrix(one, zero, zero, one)

@@ -1,10 +1,18 @@
 """Tests for the command-line front end: dispatch, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import tljhecke
+import tljhecke.rep_genus2 as rep_genus2
 from tljhecke.cli import main
 from tljhecke.exactnum import cyc_from_json
+from tljhecke.recoupling import TheoryParams, global_constants
+from tljhecke.rep_genus1 import modular_data
 
 
 def run(capsys, *argv):
@@ -39,12 +47,50 @@ def test_verify_reports_twist_convention(capsys):
     assert "i(i+2)" in out
 
 
-def test_verify_fail_exit_code(capsys):
-    # the alternate twist exponent breaks the relations
-    code, out = run(capsys, "verify", "--genus", "2", "--level", "2",
-                    "--twist", "minus")
+def test_verify_fail_exit_code(capsys, monkeypatch):
+    # negative control: conjugating T breaks (TJ)^5 = (P+/P-)^2 I
+    rep = rep_genus2.genus2_rep(TheoryParams(2))
+    monkeypatch.setattr(rep_genus2, "genus2_rep",
+                        lambda params: replace(rep, tdiag=rep.tdiag.conj()))
+    code, out = run(capsys, "verify", "--genus", "2", "--level", "2")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_relation_checks_take_no_square_root(capsys, monkeypatch):
+    # relations and certificates stay inside Q(zeta_N): with the in-field
+    # square-root search disabled in every module that holds it, they still
+    # run, also at level 14 (phi(N) = 32), where the search takes about a minute
+    def no_sqrt(*args, **kwargs):
+        raise RuntimeError("sqrt_in_field was called")
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "tljhecke" and hasattr(mod, "sqrt_in_field"):
+            monkeypatch.setattr(mod, "sqrt_in_field", no_sqrt)
+    for memo in (global_constants, modular_data, rep_genus2.genus2_rep):
+        memo.cache_clear()
+    for r in range(1, 7):
+        code, out = run(capsys, "verify", "--genus", "0", "--level", str(r))
+        assert code == 0, out
+    verdicts = [rep_genus2.infinite_image_certificate(TheoryParams(r)).verdict
+                for r in (3, 4)]
+    assert verdicts == ["infinite", "inconclusive"]
+    code, out = run(capsys, "--format", "json", "modular-data", "--level", "14")
+    assert code == 0
+    assert len(json.loads(out)["t_diagonal"]) == 15
+
+
+def test_verify_and_certify_do_not_import_numpy():
+    # exact jobs never pay numpy's import (about 12 MB of RSS and 150 ms)
+    prog = ("import sys\n"
+            "from tljhecke.cli import main\n"
+            "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
+            "assert main(['--format', 'json', 'infinite-image', '--level', '3']) == 0\n"
+            "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n")
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
 
 
 def test_verify_both_genera(capsys):

@@ -12,6 +12,7 @@ from tljhecke.exactnum import (
     LaurentFraction,
     LaurentPoly,
     specialize,
+    sqrt_in_field,
 )
 from tljhecke.recoupling import (
     NotAdmissible,
@@ -113,12 +114,6 @@ def test_twist_golden_values():
     z = twist_at(P3, 2).embed()
     assert abs(z - complex(math.cos(4 * math.pi / 5), math.sin(4 * math.pi / 5))) < 1e-12
     assert twist(0) == 1
-
-
-def test_twist_minus_convention_differs():
-    P2 = TheoryParams(2, twist_exponent="minus")
-    z = twist_at(P2, 1).embed()
-    assert abs(z - complex(math.cos(7 * math.pi / 8), math.sin(7 * math.pi / 8))) > 0.5
 
 
 # --------------------------------------------------------------------------
@@ -321,14 +316,13 @@ def test_bar_invariance_of_recoupling_quantities():
 def test_global_constants_r2():
     gc = global_constants(TheoryParams(2))
     assert gc.d_squared == 4
-    assert gc.d == 2
-    assert gc.kappa is not None
+    assert sqrt_in_field(gc.d_squared) == 2
 
 
 def test_global_constants_r3():
     gc = global_constants(TheoryParams(3))
     assert abs(gc.d_squared.embed() - (5 + math.sqrt(5)) / 2) < 1e-12
-    assert gc.d is None  # sqrt(D^2) lies outside Q(zeta_10)
+    assert sqrt_in_field(gc.d_squared) is None  # D lies outside Q(zeta_10)
 
 
 def test_gauss_sum_identity_all_levels():

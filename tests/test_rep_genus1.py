@@ -1,7 +1,11 @@
 """Tests for the genus-1 modular data and its exact relations."""
 import math
 
+from dataclasses import replace
+
+import tljhecke.rep_genus1 as rep_genus1
 from tljhecke.exactnum import CycNumber
+from tljhecke.matrix import ExactMatrix
 from tljhecke.recoupling import TheoryParams, color_set, global_constants
 from tljhecke.rep_genus1 import (
     modular_data,
@@ -69,7 +73,8 @@ def test_t_has_finite_order_dividing_2N():
     for r in (2, 3, 4, 5):
         P = TheoryParams(r)
         t = t_matrix(P)
-        assert (t ** (2 * P.root_order)).is_identity()
+        for i in range(t.nrows):
+            assert t[i, i] ** (2 * P.root_order) == 1, (r, i)
 
 
 def test_relations_all_levels():
@@ -79,8 +84,9 @@ def test_relations_all_levels():
 
 
 def test_s_squared_identity_at_every_primitive_root():
-    # S^2 = I (as S~^2 = D^2 I) at every admissible primitive root
-    for r in (2, 3, 5):
+    # S^2 = I (as S~^2 = D^2 I) at every admissible primitive root, and the
+    # whole genus-1 suite, (TS)^3 = kappa I included, passes there
+    for r in range(1, 11):
         P = TheoryParams(r)
         N = P.root_order
         for k in range(1, N):
@@ -90,8 +96,20 @@ def test_s_squared_identity_at_every_primitive_root():
             st = s_matrix(Pk)
             gc = global_constants(Pk)
             s2 = st @ st
-            from tljhecke.matrix import ExactMatrix
             assert s2 == ExactMatrix.identity(N, st.nrows).scale(gc.d_squared), (r, k)
+            rpt = verify_genus1_relations(Pk)
+            assert rpt.all_pass, f"r={r}, k={k}\n{rpt}"
+
+
+def test_relations_fail_with_conjugated_twist(monkeypatch):
+    # negative control: T -> conj(T) breaks (TS)^3 = kappa I and nothing else
+    P = TheoryParams(2)
+    md = modular_data(P)
+    monkeypatch.setattr(rep_genus1, "modular_data",
+                        lambda params: replace(md, t=md.t.conj()))
+    rpt = verify_genus1_relations(P)
+    assert not rpt.all_pass
+    assert [it.passed for it in rpt.items] == [True, False, True]
 
 
 def test_galois_conjugate_root_relations():

@@ -1,6 +1,7 @@
 """Tests for the genus-2 representation: basis, couplings, the golden
 matrices, relations, traces, and the infinite-image certificates."""
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -269,10 +270,12 @@ def test_relations_small_levels(r):
     assert rpt.all_pass, f"r={r}\n{rpt}"
 
 
-def test_relations_fail_with_minus_twist_exponent():
-    # the i(i-2) variant breaks the defining relations: the golden matrices
-    # pin i(i+2)
-    rpt = verify_genus2_relations(TheoryParams(2, twist_exponent="minus"))
+def test_relations_fail_with_conjugated_twist(monkeypatch):
+    # negative control: T -> conj(T) breaks (TJ)^5 = (P+/P-)^2 I
+    rep = genus2_rep(TheoryParams(2))
+    monkeypatch.setattr(rep_genus2, "genus2_rep",
+                        lambda params: replace(rep, tdiag=rep.tdiag.conj()))
+    rpt = verify_genus2_relations(TheoryParams(2))
     assert not rpt.all_pass
 
 
