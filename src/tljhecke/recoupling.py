@@ -13,8 +13,19 @@ ratios reduce to exponent bookkeeping.  Two evaluators consume the terms:
 
 exactnum.specialize takes a generic value to the same field element; the
 tests use it as the reference for the specialized path.  Specialized values
-are memoized per TheoryParams.  Caches are write-once per key and
-idempotent, so concurrent fills are safe.
+are memoized per TheoryParams, each distinct value once:
+
+* _phi_power holds Phi_m(zeta_N^k)^e, so each Phi_m is inverted once per
+  root (at e = -1);
+* _tet_orbit_at holds one Tet value per _tet_key: the sorted vertex
+  half-sums, square half-sums and edge colors, the only data the state sum
+  reads.  Its classes are the orbits of the tetrahedral symmetry group (145
+  at r=6, 1,087 at r=10).  tet_at keeps a per-labeling memo in front of it
+  and checks admissibility, which the key does not encode.
+
+The generic path memoizes per labeling, so it stays an independent
+reference.  Caches are write-once per key and idempotent, so concurrent
+fills are safe.
 """
 from __future__ import annotations
 
@@ -69,16 +80,15 @@ class TheoryParams:
     """
 
     level: int
-    root_exponent: int = 0  # 0 means: use the unitary default
+    root_exponent: int = 0  # 0 means: use the unitary default; stored mod N
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if self.root_exponent == 0:
-            object.__setattr__(self, "root_exponent", unitary_root_exponent(self.level))
-        if math.gcd(self.root_exponent, self.root_order) != 1:
-            raise ValueError(
-                f"root exponent {self.root_exponent} not coprime to {self.root_order}")
+        k = self.root_exponent or unitary_root_exponent(self.level)
+        if math.gcd(k, self.root_order) != 1:
+            raise ValueError(f"root exponent {k} not coprime to {self.root_order}")
+        object.__setattr__(self, "root_exponent", k % self.root_order)
 
     @property
     def p(self) -> int:
@@ -97,7 +107,10 @@ class TheoryParams:
         return self.root_exponent == unitary_root_exponent(self.level)
 
     def with_root(self, k: int) -> "TheoryParams":
-        return replace(self, root_exponent=k % self.root_order)
+        """The same level at A = zeta_N^k; k must be a unit mod N (0 is not)."""
+        if math.gcd(k, self.root_order) != 1:
+            raise ValueError(f"root exponent {k} not coprime to {self.root_order}")
+        return replace(self, root_exponent=k)
 
     def zeta(self, e: int = 1) -> CycNumber:
         return CycNumber.zeta(self.root_order, e)
@@ -212,22 +225,32 @@ def tet_vertices(A, B, E, C, D, F):
     return ((A, B, E), (B, C, F), (C, D, E), (A, D, F))
 
 
-def _tet_terms(A: Color, B: Color, E: Color, C: Color, D: Color, F: Color) -> list[_Factored]:
-    """The Kauffman-Lins state sum of the tetrahedral net, one term per s.
+def _tet_key(A: Color, B: Color, E: Color, C: Color, D: Color, F: Color) -> tuple:
+    """Everything the state sum of the tetrahedral net reads: the sorted vertex
+    half-sums, the sorted square half-sums and the sorted edge colors.
 
     Vertices: (A,B,E), (B,C,F), (C,D,E), (A,D,F); opposite edge pairs
-    (A,C), (B,D), (E,F).  With vertex half-sums a_i and square half-sums b_j,
+    (A,C), (B,D), (E,F).  The key is invariant under the 24 symmetries of the
+    tetrahedron (Kauffman-Lins 1994), and its classes are the symmetry orbits
+    of admissible labelings.
+    """
+    av = ((A + B + E) // 2, (B + C + F) // 2, (C + D + E) // 2, (A + D + F) // 2)
+    bv = ((B + D + E + F) // 2, (A + C + E + F) // 2, (A + B + C + D) // 2)
+    return tuple(sorted(av)), tuple(sorted(bv)), tuple(sorted((A, B, E, C, D, F)))
+
+
+def _tet_terms(av: tuple, bv: tuple, edges: tuple) -> list[_Factored]:
+    """The Kauffman-Lins state sum of the tetrahedral net, one term per s,
+    from its _tet_key.  With vertex half-sums a_i and square half-sums b_j,
 
         Tet = prod_ij [b_j - a_i]! / prod_edges [x]!
               * sum_{max a <= s <= min b} (-1)^s [s+1]! / (prod_i [s - a_i]! prod_j [b_j - s]!)
     """
-    av = ((A + B + E) // 2, (B + C + F) // 2, (C + D + E) // 2, (A + D + F) // 2)
-    bv = ((B + D + E + F) // 2, (A + C + E + F) // 2, (A + B + C + D) // 2)
     pref = _Factored()
     for bj in bv:
         for ai in av:
             pref = pref * _Factored.qfact(bj - ai)
-    for x in (A, B, E, C, D, F):
+    for x in edges:
         pref = pref / _Factored.qfact(x)
     terms = []
     for s in range(max(av), min(bv) + 1):
@@ -342,7 +365,7 @@ def theta_net(r: int, a: Color, b: Color, c: Color) -> LaurentFraction:
 
 @lru_cache(maxsize=None)
 def _tet_cached(A, B, E, C, D, F) -> LaurentFraction:
-    return _materialize(_tet_terms(A, B, E, C, D, F))
+    return _materialize(_tet_terms(*_tet_key(A, B, E, C, D, F)))
 
 
 def tet(r: int, A: Color, B: Color, E: Color, C: Color, D: Color, F: Color) -> LaurentFraction:
@@ -376,11 +399,22 @@ def _phi_value(params: TheoryParams, m: int) -> CycNumber:
                          params.root_exponent, 0)
 
 
+@lru_cache(maxsize=None)
+def _phi_power(params: TheoryParams, m: int, e: int) -> CycNumber:
+    """Phi_m(zeta_N^k)^e for e != 0; the one inverse per m is taken at e = -1."""
+    if e > 0:
+        return _phi_value(params, m) ** e
+    if e == -1:
+        return _phi_value(params, m).inverse()
+    return _phi_power(params, m, -1) ** -e
+
+
 def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
     """Specialize one factored term at A = zeta_N^k.
 
     Only Phi_N vanishes at a primitive N-th root: a net positive power of
-    it makes the term zero and a net negative power is a pole.
+    it makes the term zero and a net negative power is a pole.  Both are
+    decided before any power of a Phi_m is read.
     """
     N, k = params.root_order, params.root_exponent
     net = f.phis.get(N, 0)
@@ -390,8 +424,7 @@ def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
         return CycNumber.zero(N)
     val = CycNumber.from_rational(N, f.sign) * CycNumber.zeta(N, (k * f.apow) % N)
     for m, e in f.phis.items():
-        pv = _phi_value(params, m)
-        val = val * (pv ** e if e > 0 else pv.inverse() ** (-e))
+        val = val * _phi_power(params, m, e)
     return val
 
 
@@ -434,10 +467,17 @@ def theta_inv_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumbe
 
 @lru_cache(maxsize=None)
 def tet_at(params: TheoryParams, A, B, E, C, D, F) -> CycNumber:
+    # the orbit key does not encode admissibility: check the labeling first
     for v in tet_vertices(A, B, E, C, D, F):
         check_admissible(params.level, *v)
+    return _tet_orbit_at(params, *_tet_key(A, B, E, C, D, F))
+
+
+@lru_cache(maxsize=None)
+def _tet_orbit_at(params: TheoryParams, av: tuple, bv: tuple, edges: tuple) -> CycNumber:
+    """The Tet value shared by every labeling with this _tet_key."""
     total = CycNumber.zero(params.root_order)
-    for t in _tet_terms(A, B, E, C, D, F):
+    for t in _tet_terms(av, bv, edges):
         total = total + _factored_value(params, t)
     return total
 
@@ -478,7 +518,7 @@ def global_constants(params: TheoryParams) -> GlobalConstants:
         d2 = delta_at(params, i) ** 2
         th = twist_at(params, i)
         p_plus = p_plus + th * d2
-        p_minus = p_minus + d2 / th
+        p_minus = p_minus + d2 * th.conj()  # a twist is +-zeta^e
         d_squared = d_squared + d2
     return GlobalConstants(params, p_plus, p_minus, d_squared, p_plus / p_minus)
 

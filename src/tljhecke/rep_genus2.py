@@ -113,7 +113,7 @@ def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
     for k in color_set(r):
         if not admissible(r, i, j, k):
             continue
-        tw = twist_at(params, i) * twist_at(params, j) / twist_at(params, k)
+        tw = twist_at(params, i) * twist_at(params, j) * twist_at(params, k).conj()
         total = total + (delta_at(params, k) * tw * theta_inv_at(params, i, j, k)
                          * sixj_at(params, i, j, l, j, i, k))
     return total
@@ -310,7 +310,7 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
     rep = genus2_rep(params)
     n = len(rep.basis)
     tvals = [rep.tdiag[i, i] for i in range(n)]
-    tinv = [t.inverse() for t in tvals]
+    tinv = [t.conj() for t in tvals]  # each t is +-zeta^e
     return rep.j_field.scale_cols(tvals) @ rep.j_field.scale_cols(tinv)
 
 
@@ -323,7 +323,7 @@ def trace_jtjt(params: TheoryParams) -> CycNumber:
     n = len(rep.basis)
     jf = rep.j_field
     tvals = [rep.tdiag[i, i] for i in range(n)]
-    tinv = [t.inverse() for t in tvals]
+    tinv = [t.conj() for t in tvals]  # each t is +-zeta^e
 
     total = CycNumber.zero(params.root_order)
     for s in range(n):

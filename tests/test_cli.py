@@ -230,3 +230,46 @@ def test_pretty_precision_agrees_with_embed(capsys):
     want = (5 - 5 ** 0.5) / 10
     first = out.splitlines()[2].split()[0]
     assert abs(float(first) - want) < 1e-10
+
+
+def test_verify_root_names_its_residue(capsys):
+    # --root 13 is zeta_10^3, the unitary root at r = 3: the unitarity check runs
+    code, out = run(capsys, "--format", "json", "verify", "--genus", "2", "--level", "3",
+                    "--root", "13")
+    assert code == 0
+    rels = json.loads(out)["reports"][0]["relations"]
+    assert [it["relation"] for it in rels if it["pass"]] == [
+        "J^2 = I", "(TJ)^5 = (P+/P-)^2 I", "J J^dagger = I (unitary root)",
+        "J symmetric (J~ = J~^T)"]
+
+
+def _clear_memos():
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "tljhecke":
+            for obj in list(vars(mod).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize("r", [6, 8])
+def test_coefficients_evaluates_each_tet_orbit_once(capsys, monkeypatch, r):
+    # work counts are deterministic where timings are not: a cold coefficients
+    # run sums the Tet state sum once per symmetry orbit and takes few inverses
+    from tljhecke import recoupling
+    from tljhecke.cli import _admissible_tets
+    from tljhecke.exactnum import CycNumber
+    calls = []
+    inverse = CycNumber.inverse
+
+    def counted(self):
+        calls.append(1)
+        return inverse(self)
+    monkeypatch.setattr(CycNumber, "inverse", counted)
+    _clear_memos()
+    code, _ = run(capsys, "--format", "json", "coefficients", "--level", str(r))
+    assert code == 0
+    orbits = {recoupling._tet_key(*t) for t in _admissible_tets(r)}
+    assert recoupling._tet_orbit_at.cache_info().misses == len(orbits)
+    assert recoupling.tet_at.cache_info().misses == len(_admissible_tets(r))
+    if r == 6:
+        assert len(calls) <= 150, len(calls)

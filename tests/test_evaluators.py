@@ -1,6 +1,7 @@
 """Both evaluators of each recoupling formula give the same field element:
 the generic value in Q(A), specialized at A = zeta_N^k, equals the value
-the specialized path computes directly, at every unit k mod N for r <= 5."""
+the specialized path computes directly, at every unit k mod N for r <= 5.
+Tet is diffed at every admissible labeling, the other formulas at samples."""
 import math
 from functools import lru_cache
 from itertools import product
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from tljhecke.exactnum import specialize
 from tljhecke.recoupling import (
     TheoryParams,
+    _phi_power,
+    _tet_orbit_at,
     admissible,
     color_set,
     qint,
@@ -78,11 +81,14 @@ def test_theta_evaluators_agree(case):
     assert_at_every_root(r, theta_net(r, *t), lambda P: theta_at(P, *t))
 
 
-@settings(max_examples=50, deadline=None)
-@given(labeled(tet_labels))
-def test_tet_evaluators_agree(case):
-    r, t = case
-    assert_at_every_root(r, tet(r, *t), lambda P: tet_at(P, *t))
+def test_tet_evaluators_agree():
+    # exhaustive: tet_at shares one value per symmetry orbit and per root
+    # (_tet_orbit_at over _phi_power), so every labeling is diffed, cold
+    for memo in (tet_at, _tet_orbit_at, _phi_power):
+        memo.cache_clear()
+    for r in LEVELS:
+        for t in tet_labels(r):
+            assert_at_every_root(r, tet(r, *t), lambda P: tet_at(P, *t))
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,6 +17,7 @@ from tljhecke.exactnum import (
 from tljhecke.recoupling import (
     NotAdmissible,
     TheoryParams,
+    _tet_key,
     admissible,
     color_set,
     delta,
@@ -47,6 +48,30 @@ def all_tet_labelings(r):
 def admissible_triples(r):
     cs = color_set(r)
     return [t for t in product(cs, repeat=3) if admissible(r, *t)]
+
+
+# --------------------------------------------------------------------------
+# theory parameters
+
+def test_root_exponent_is_stored_mod_n():
+    # 13 and -7 name zeta_10^3, the unitary root at r = 3
+    P3 = TheoryParams(3)
+    for k in (13, -7, 3):
+        P = TheoryParams(3, root_exponent=k)
+        assert P == P3 and hash(P) == hash(P3)
+        assert P.root_exponent == 3 and P.is_unitary_root
+    assert P3.with_root(23) == P3
+    assert P3.with_root(7) == TheoryParams(3, root_exponent=-3)
+
+
+def test_root_exponent_must_be_a_unit():
+    P3 = TheoryParams(3)
+    for k in (10, 0, 5, -20):
+        with pytest.raises(ValueError):
+            P3.with_root(k)
+    for k in (10, 5, -20):
+        with pytest.raises(ValueError):
+            TheoryParams(3, root_exponent=k)
 
 
 # --------------------------------------------------------------------------
@@ -114,6 +139,14 @@ def test_twist_golden_values():
     z = twist_at(P3, 2).embed()
     assert abs(z - complex(math.cos(4 * math.pi / 5), math.sin(4 * math.pi / 5))) < 1e-12
     assert twist(0) == 1
+    # a twist is +-zeta^e, so conjugation inverts it at every root
+    for r in range(1, 7):
+        P0 = TheoryParams(r)
+        for k in range(1, P0.root_order):
+            if math.gcd(k, P0.root_order) == 1:
+                P = P0.with_root(k)
+                for i in color_set(r):
+                    assert twist_at(P, i) * twist_at(P, i).conj() == 1, (r, k, i)
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +238,20 @@ def test_tet_tetrahedral_symmetry():
                 pargs = perm(*args)
                 if all(admissible(r, *v) for v in tet_vertices(*pargs)):
                     assert tet(r, *pargs) == base, (args, pargs)
+
+
+def test_tet_key_classes_are_symmetry_orbits():
+    # edges as vertex pairs, vertices 0..3 = (A,B,E), (B,C,F), (C,D,E), (A,D,F)
+    edges = ({0, 3}, {0, 1}, {0, 2}, {1, 2}, {2, 3}, {1, 3})
+    moves = [tuple(edges.index({g[v] for v in e}) for e in edges)
+             for g in permutations(range(4))]
+    for r in range(1, 7):
+        orbits = {frozenset(tuple(t[i] for i in mv) for mv in moves)
+                  for t in all_tet_labelings(r)}
+        classes = {}
+        for t in all_tet_labelings(r):
+            classes.setdefault(_tet_key(*t), set()).add(t)
+        assert {frozenset(c) for c in classes.values()} == orbits, r
 
 
 def test_tet_generic_matches_specialized():
