@@ -3,8 +3,6 @@ fractions in the formal variable A, and specialization at roots of unity.
 
 Run:  python demos/01_exact_arithmetic.py
 """
-from fractions import Fraction
-
 from tljhecke import (
     CycNumber,
     IntPolynomial,
@@ -14,7 +12,6 @@ from tljhecke import (
     cyclotomic_poly,
     is_cyclotomic,
     specialize,
-    sqrt_in_field,
 )
 
 print("== cyclotomic polynomials ==")
@@ -33,14 +30,13 @@ print(f"  sqrt(5) as a power-basis vector: {[str(c) for c in sqrt5.coeffs]}")
 print(f"  numerically: {sqrt5.embed().real:.12f}")
 print(f"  conjugation fixes it: {sqrt5.conj() == sqrt5}")
 
-print("\n== square roots inside the field ==")
-for value in (CycNumber.from_rational(16, 2), CycNumber.from_rational(16, Fraction(1, 8))):
-    s = sqrt_in_field(value)
-    print(f"  sqrt({value.as_fraction()}) in Q(zeta_16): "
-          f"{'found, ' + f'{s.embed().real:.6f}' if s else 'not in the field'}")
+print("\n== square roots stay (square, sign) pairs ==")
+# D^2 = (5+sqrt5)/2 at level 3 has no square root in Q(zeta_20); a quantity
+# known through its square is carried as the square and an exact sign
 d2 = (5 + sqrt5) / 2
-print(f"  sqrt((5+sqrt5)/2) in Q(zeta_20): "
-      f"{'found' if sqrt_in_field(d2) else 'not in the field (stays a (square, sign) pair)'}")
+print(f"  D^2 = (5+sqrt5)/2 = {d2.embed().real:.12f}, kept as the square")
+for label, x in (("sqrt5/5", sqrt5 / 5), ("(sqrt5-5)/10", (sqrt5 - 5) / 10)):
+    print(f"  {label}: square {(x * x).embed().real:.12f}, sign {x.real_sign():+d}")
 
 print("\n== Laurent fractions and specialization ==")
 # the quantum integer [3] = (A^6 - A^-6)/(A^2 - A^-2) = A^4 + 1 + A^-4

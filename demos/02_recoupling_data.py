@@ -7,7 +7,7 @@ Run:  python demos/02_recoupling_data.py [level]
 import sys
 from itertools import product
 
-from tljhecke import CycNumber, TheoryParams, color_set, sqrt_in_field, verlinde_dim
+from tljhecke import CycNumber, TheoryParams, color_set, verlinde_dim
 from tljhecke.recoupling import (
     admissible,
     delta_at,
@@ -55,11 +55,9 @@ for m in ms:
     print("   ", "  ".join(row))
 
 gc = global_constants(params)
-d = sqrt_in_field(gc.d_squared)
 print("\nglobal constants:")
-print(f"  D^2   = {gc.d_squared.embed().real:.6f}"
-      + (f"   (D = {d.embed().real:.6f} exists in the field)" if d else
-         "   (D itself lies outside Q(zeta_N); everything downstream uses D^2)"))
+print(f"  D^2   = {gc.d_squared.embed().real:.6f}, sign {gc.d_squared.real_sign():+d}"
+      "   (D enters only through D^2; no square root is taken)")
 pp = gc.p_plus.embed()
 print(f"  P+    = {pp.real:+.6f}{pp.imag:+.6f}i")
 print(f"  P+P- == D^2 exactly: {gc.p_plus * gc.p_minus == gc.d_squared}")

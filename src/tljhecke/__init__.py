@@ -12,11 +12,8 @@ from .exactnum import (
     PoleAtRoot,
     Rational,
     cyclotomic_poly,
-    embed,
-    galois_conj_inv,
     is_cyclotomic,
     specialize,
-    sqrt_in_field,
 )
 from .matrix import CycPoly, ExactMatrix, SignedSqrtMatrix, char_poly
 from .recoupling import (
@@ -42,7 +39,6 @@ from .rep_genus2 import (
     enumerate_basis,
     genus2_rep,
     infinite_image_certificate,
-    j_unitary,
     jtilde,
     t_genus2,
     trace_jtjt,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from typing import Callable
 
 from .exactnum import cyc_to_json
 from .matrix import ExactMatrix, SignedSqrtMatrix
@@ -65,21 +65,23 @@ def _sqrt_matrix_json(M: SignedSqrtMatrix) -> dict:
     return {"squares": _matrix_json(M.squares), "signs": [list(r) for r in M.signs]}
 
 
-def _print_float_matrix(M, precision: int, out):
+def _float_matrix_lines(M, precision: int) -> list[str]:
     if isinstance(M, SignedSqrtMatrix):
-        arr = M.embed(precision)
-        for row in arr:
-            out.write("  ".join(f"{x:+.{precision}f}" for x in row) + "\n")
-        return
+        return ["  ".join(f"{x:+.{precision}f}" for x in row) for row in M.embed(precision)]
+    lines = []
     for row in M.rows:
         cells = []
         for e in row:
             z = e.embed(precision)
             cells.append(f"{z.real:+.{precision}f}{z.imag:+.{precision}f}j")
-        out.write("  ".join(cells) + "\n")
+        lines.append("  ".join(cells))
+    return lines
 
 
-def _emit(args, doc: dict, pretty_lines: list[str], csv_rows: list[list] | None = None) -> None:
+def _emit(args, doc: dict, pretty: Callable[[], list[str]],
+          csv_rows: list[list] | None = None) -> None:
+    """Write doc as json, csv_rows as csv, or the lines pretty() builds; the
+    pretty text, which embeds in floats, is built only when it is printed."""
     fmt = getattr(args, "format", "pretty")
     if fmt == "json":
         json.dump(doc, sys.stdout, indent=2)
@@ -91,7 +93,7 @@ def _emit(args, doc: dict, pretty_lines: list[str], csv_rows: list[list] | None 
         for row in csv_rows:
             w.writerow(row)
     else:
-        for line in pretty_lines:
+        for line in pretty():
             print(line)
 
 
@@ -108,7 +110,7 @@ def cmd_dims(args) -> int:
     doc = {"genus": args.genus,
            "dimensions": [{"level": r, "dim": d} for r, d in zip(levels, dims)]}
     rows = [["level", "dim"]] + [[r, d] for r, d in zip(levels, dims)]
-    _emit(args, doc, [" ".join(str(d) for d in dims)], rows)
+    _emit(args, doc, lambda: [" ".join(str(d) for d in dims)], rows)
     return 0
 
 
@@ -124,20 +126,21 @@ def cmd_modular_data(args) -> int:
         "d_squared": cyc_to_json(gc.d_squared),
         "kappa_squared": cyc_to_json(gc.kappa_squared),
     }
-    lines = [f"modular data at level {params.level}, "
-             f"root zeta_{params.root_order}^{params.root_exponent}",
-             "S~ (unnormalized):"]
-    buf = io.StringIO()
-    _print_float_matrix(md.s_tilde, args.precision, buf)
-    lines += buf.getvalue().splitlines()
-    lines.append("T diagonal:")
-    lines += ["  " + "  ".join(
-        f"{md.t[i, i].embed(args.precision).real:+.{args.precision}f}"
-        f"{md.t[i, i].embed(args.precision).imag:+.{args.precision}f}j"
-        for i in range(md.t.nrows))]
-    z = gc.d_squared.embed(args.precision)
-    lines.append(f"D^2 = {z.real:.{args.precision}f}")
-    _emit(args, doc, lines)
+
+    def pretty():
+        lines = [f"modular data at level {params.level}, "
+                 f"root zeta_{params.root_order}^{params.root_exponent}",
+                 "S~ (unnormalized):"]
+        lines += _float_matrix_lines(md.s_tilde, args.precision)
+        lines.append("T diagonal:")
+        lines += ["  " + "  ".join(
+            f"{md.t[i, i].embed(args.precision).real:+.{args.precision}f}"
+            f"{md.t[i, i].embed(args.precision).imag:+.{args.precision}f}j"
+            for i in range(md.t.nrows))]
+        z = gc.d_squared.embed(args.precision)
+        lines.append(f"D^2 = {z.real:.{args.precision}f}")
+        return lines
+    _emit(args, doc, pretty)
     return 0
 
 
@@ -153,30 +156,33 @@ def cmd_genus2_matrices(args) -> int:
         "kappa_squared": cyc_to_json(rep.constants.kappa_squared),
         "positive_definite": rep.positive,
     }
-    lines = [f"genus-2 matrices at level {params.level}, dim {len(rep.basis)}, "
-             f"root zeta_{params.root_order}^{params.root_exponent}"]
-    if args.raw or not rep.positive:
+    raw = args.raw or not rep.positive
+    if raw:
         doc["jtilde"] = _matrix_json(rep.jtilde)
         doc["j_unnormalized"] = _matrix_json(rep.j_field)
-        lines.append("J~ (pairing matrix):")
-        buf = io.StringIO()
-        _print_float_matrix(rep.jtilde, args.precision, buf)
-        lines += buf.getvalue().splitlines()
+    else:
+        doc["j_unitary"] = _sqrt_matrix_json(rep.junitary)
+
+    def pretty():
+        lines = [f"genus-2 matrices at level {params.level}, dim {len(rep.basis)}, "
+                 f"root zeta_{params.root_order}^{params.root_exponent}"]
+        if raw:
+            lines.append("J~ (pairing matrix):")
+            shown = rep.jtilde
+        else:
+            lines.append("J (unitary, sign * sqrt(square)):")
+            shown = rep.junitary
+        lines += _float_matrix_lines(shown, args.precision)
         if not rep.positive and not args.raw:
             lines.append("(form not positive definite at this root; "
                          "emitting the unnormalized matrices)")
-    else:
-        doc["j_unitary"] = _sqrt_matrix_json(rep.junitary)
-        lines.append("J (unitary, sign * sqrt(square)):")
-        buf = io.StringIO()
-        _print_float_matrix(rep.junitary, args.precision, buf)
-        lines += buf.getvalue().splitlines()
-    lines.append("T diagonal:")
-    lines.append("  " + "  ".join(
-        f"{rep.tdiag[i, i].embed(args.precision).real:+.{args.precision}f}"
-        f"{rep.tdiag[i, i].embed(args.precision).imag:+.{args.precision}f}j"
-        for i in range(len(rep.basis))))
-    _emit(args, doc, lines)
+        lines.append("T diagonal:")
+        lines.append("  " + "  ".join(
+            f"{rep.tdiag[i, i].embed(args.precision).real:+.{args.precision}f}"
+            f"{rep.tdiag[i, i].embed(args.precision).imag:+.{args.precision}f}j"
+            for i in range(len(rep.basis))))
+        return lines
+    _emit(args, doc, pretty)
     return 0
 
 
@@ -187,10 +193,7 @@ def cmd_verify(args) -> int:
     if args.genus in (2, 0):
         reports.append(verify_genus2_relations(_params(args)))
     doc = {"reports": [r.to_json() for r in reports]}
-    lines = []
-    for r in reports:
-        lines += str(r).splitlines()
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [line for r in reports for line in str(r).splitlines()])
     return 0 if all(r.all_pass for r in reports) else VERIFY_FAILED
 
 
@@ -211,7 +214,7 @@ def cmd_trace_table(args) -> int:
         rows.append([e.level, f"{e.approx.real:.4f}", e.dimension, e.exceeds_dimension])
         lines.append(f"  r={e.level:2d}: tr = {e.approx.real:10.4f}   "
                      f"dim = {e.dimension:3d}   tr > dim: {e.exceeds_dimension}")
-    _emit(args, doc, lines, rows)
+    _emit(args, doc, lambda: lines, rows)
     return 0
 
 
@@ -222,7 +225,7 @@ def cmd_infinite_image(args) -> int:
     lines = [f"infinite-image certificates at level {rep.level}: {rep.verdict}",
              f"  minimal-polynomial route: fires={rep.minpoly_fires}  ({rep.minpoly_details})",
              f"  trace route:              fires={rep.trace_fires}  ({rep.trace_details})"]
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: lines)
     return 0
 
 
@@ -239,16 +242,13 @@ def cmd_hecke_sl2(args) -> int:
                  f"  [{emb[0][0]:+.6f} {emb[0][1]:+.6f}]",
                  f"  [{emb[1][0]:+.6f} {emb[1][1]:+.6f}]",
                  f"  trace class: {classify(M)}"]
-        _emit(args, doc, lines)
+        _emit(args, doc, lambda: lines)
         return 0
     reports = [verify_presentation(args.q)]
     if args.hyperelliptic:
         reports.append(hyperelliptic_image_check((args.q - 1) // 2))
     doc = {"reports": [r.to_json() for r in reports]}
-    lines = []
-    for r in reports:
-        lines += str(r).splitlines()
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [line for r in reports for line in str(r).splitlines()])
     return 0 if all(r.all_pass for r in reports) else VERIFY_FAILED
 
 
@@ -268,7 +268,7 @@ def cmd_thurston(args) -> int:
     lines = [f"Perron-Frobenius mu = {rep.mu_float:.12f}  [{kind}]",
              f"T_A -> [[1, {rep.mu_float:.10f}], [0, 1]]",
              f"T_B -> [[1, 0], [{-rep.mu_float:.10f}, 1]]"]
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: lines)
     return 0
 
 
@@ -296,7 +296,7 @@ def cmd_spin_dims(args) -> int:
         doc["reducibility"] = rr.to_json()
         lines.append(f"  invariant summands: {rr.summands} (all positive: "
                      f"{rr.reducible_with_three_summands})")
-    _emit(args, doc, lines, rows)
+    _emit(args, doc, lambda: lines, rows)
     return 0
 
 
@@ -337,7 +337,7 @@ def cmd_coefficients(args) -> int:
     lines = [f"coefficient tables at level {r}: {len(deltas)} deltas, "
              f"{len(thetas)} thetas, {len(tets)} tets, {len(sixjs)} 6j symbols",
              "(use --format json for the full tables)"]
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: lines)
     return 0
 
 

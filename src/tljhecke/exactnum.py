@@ -1,13 +1,16 @@
 """Exact arithmetic kernel: rationals, Laurent polynomials in the formal
 variable A, their fraction field, and cyclotomic fields Q(zeta_N).
 
-Everything here is exact; floats appear only in the embedding helpers.
+Everything here is exact.  Floats appear only in the embeddings and in the
+fast path of real_sign, whose result is bounded or re-decided by interval
+arithmetic, so no result is decided by rounding.  Square roots are never
+taken: a quantity known only through its square (an entry of the unitary
+genus-2 matrix, the global dimension D) is carried as its square and a sign.
 All values are immutable after construction and all operations are pure,
 so the module is safe for unrestricted data-parallel use.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -219,11 +222,6 @@ class LaurentPoly:
     @property
     def high(self) -> int:
         return self.low + len(self.coeffs) - 1
-
-    def coefficient(self, e: int) -> Fraction:
-        if self.is_zero() or not self.low <= e <= self.high:
-            return Fraction(0)
-        return self.coeffs[e - self.low]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -1013,66 +1011,6 @@ def specialize(f: LaurentFraction, N: int, k: int) -> CycNumber:
     return num_val / den_val
 
 
-def galois_conj_inv(x: CycNumber) -> CycNumber:
-    """The field automorphism zeta -> zeta**-1 (complex conjugation)."""
-    return x.conj()
-
-
-def embed(x: CycNumber, precision: int = 15) -> tuple[float, float]:
-    """Real/imaginary pair of the embedding at zeta_N = exp(2*pi*i/N)."""
-    z = x.embed(precision)
-    return (z.real, z.imag)
-
-
-# --------------------------------------------------------------------------
-# square roots inside the field
-
-def sqrt_in_field(x: CycNumber, max_den: int = 10 ** 12) -> CycNumber | None:
-    """A y in Q(zeta_N) with y*y == x and nonnegative real embedding, or None.
-
-    Search is numeric (over the finitely many Galois sign patterns), but any
-    candidate is verified exactly, so a returned value is always correct.
-    """
-    if x.is_zero():
-        return CycNumber.zero(x.order)
-    N = x.order
-    phi = euler_phi(N)
-    units = [k for k in range(1, N) if math.gcd(k, N) == 1]
-    # representatives of conjugate pairs {k, N-k}
-    reps = [k for k in units if k <= N - k]
-    import numpy as np
-
-    A = np.zeros((phi, phi), dtype=complex)
-    targets = {}
-    for row, k in enumerate(units):
-        for j in range(phi):
-            A[row, j] = cmath.exp(2j * cmath.pi * k * j / N)
-    vals = {k: complex(sum((c / x.den) * cmath.exp(2j * cmath.pi * k * j / N)
-                           for j, c in enumerate(x.vec))) for k in units}
-    roots = {k: cmath.sqrt(vals[k]) for k in reps}
-    n_pat = 1 << len(reps)
-    for pat in range(n_pat):
-        b = np.zeros(phi, dtype=complex)
-        for idx, k in enumerate(reps):
-            s = roots[k] if not (pat >> idx) & 1 else -roots[k]
-            b[units.index(k)] = s
-            if N - k != k:
-                b[units.index(N - k)] = s.conjugate()
-        try:
-            sol = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if np.abs(sol.imag).max() > 1e-6:
-            continue
-        cand = [Fraction(v).limit_denominator(max_den) for v in sol.real]
-        y = CycNumber(N, cand)
-        if y * y == x:
-            if y.real_sign() < 0:
-                y = -y
-            return y
-    return None
-
-
 # --------------------------------------------------------------------------
 # serialization
 
@@ -1088,10 +1026,3 @@ def cyc_to_json(x: CycNumber) -> dict:
 def cyc_from_json(d: dict) -> CycNumber:
     return CycNumber(d["order"], [Fraction(n, m) for n, m in d["coeffs"]])
 
-
-def intpoly_to_json(p: IntPolynomial) -> list[int]:
-    return list(p.coeffs)
-
-
-def intpoly_from_json(coeffs: list[int]) -> IntPolynomial:
-    return IntPolynomial(coeffs)

@@ -6,6 +6,10 @@ single big integers (signed digits in base 2**W, W chosen from an a-priori
 bound), so one entry-times-entry product is one machine bignum multiply.
 This keeps the r=8 genus-2 relation checks inside the stated runtime budget
 while remaining exact.
+
+A matrix whose entries are square roots of field elements (the unitary
+genus-2 matrix) is a SignedSqrtMatrix of (square, sign) pairs; no root is
+ever taken, and only its float embedding leaves the field.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from .exactnum import (
     IntPolynomial,
     _fold_int_vec,
     euler_phi,
-    sqrt_in_field,
 )
 
 
@@ -366,7 +369,7 @@ class SignedSqrtMatrix:
 
     Entry (i, j) is sign[i][j] * sqrt(square[i][j]) with the nonnegative real
     root; comparison and serialization work on the (square, sign) pairs, so
-    no field extension is ever required.
+    no field extension is ever required, and embed is for printing only.
     """
 
     __slots__ = ("squares", "signs")
@@ -394,25 +397,6 @@ class SignedSqrtMatrix:
         if not isinstance(other, SignedSqrtMatrix):
             return NotImplemented
         return self.squares == other.squares and self.signs == other.signs
-
-    def entry_exact(self, i: int, j: int) -> CycNumber | None:
-        """The entry as a field element when its square root exists in the field."""
-        y = sqrt_in_field(self.squares[i, j])
-        if y is None:
-            return None
-        return y if self.signs[i][j] >= 0 else -y
-
-    def to_exact(self) -> ExactMatrix | None:
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(self.ncols):
-                e = self.entry_exact(i, j)
-                if e is None:
-                    return None
-                row.append(e)
-            rows.append(row)
-        return ExactMatrix(self.order, rows)
 
     def embed(self, precision: int = 15):
         import numpy as np

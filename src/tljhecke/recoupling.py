@@ -95,10 +95,6 @@ class TheoryParams:
         return self.level + 2
 
     @property
-    def parity(self) -> str:
-        return "even" if self.level % 2 == 0 else "odd"
-
-    @property
     def root_order(self) -> int:
         return 4 * self.p if self.level % 2 == 0 else 2 * self.p
 

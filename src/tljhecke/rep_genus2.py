@@ -248,13 +248,6 @@ def genus2_rep(params: TheoryParams) -> Genus2Rep:
                      _norms_positive(params))
 
 
-def j_unitary(params: TheoryParams) -> SignedSqrtMatrix | ExactMatrix:
-    """The unitary matrix as (square, sign) pairs; falls back to the
-    unnormalized-basis matrix when the form is not positive definite."""
-    rep = genus2_rep(params)
-    return rep.junitary if rep.positive else rep.j_field
-
-
 # --------------------------------------------------------------------------
 # relation verification
 
@@ -463,13 +456,15 @@ def trace_certificate(params: TheoryParams) -> tuple[bool, str]:
 def infinite_image_certificate(params: TheoryParams) -> InfiniteImageReport:
     """Run both certificates; report "infinite" when either fires.
 
-    The minimal-polynomial route runs at the given root; the trace route
-    runs at the documented trace specialization (k = 1) for odd levels and
-    at the given root otherwise.
+    Both run on one representation: at the documented trace specialization
+    (k = 1) for odd levels and at the given root otherwise.  The
+    minimal-polynomial verdict is the same at every root: Q is rational, so
+    sigma_k gcd(P, Q) = gcd(sigma_k P, Q) has the same degree.
     """
     r = params.level
+    if r % 2:
+        params = trace_params(r)
     mp_fires, mp_details = minpoly_certificate(params)
-    tr_params = trace_params(r) if r % 2 else params
-    tr_fires, tr_details = trace_certificate(tr_params)
+    tr_fires, tr_details = trace_certificate(params)
     verdict = "infinite" if (mp_fires or tr_fires) else "inconclusive"
     return InfiniteImageReport(r, verdict, mp_fires, mp_details, tr_fires, tr_details)

@@ -1,6 +1,8 @@
 """Tests for the command-line front end: dispatch, formats, exit codes."""
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -57,15 +59,13 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_relation_checks_take_no_square_root(capsys, monkeypatch):
-    # relations and certificates stay inside Q(zeta_N): with the in-field
-    # square-root search disabled in every module that holds it, they still
-    # run, also at level 14 (phi(N) = 32), where the search takes about a minute
-    def no_sqrt(*args, **kwargs):
-        raise RuntimeError("sqrt_in_field was called")
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "tljhecke" and hasattr(mod, "sqrt_in_field"):
-            monkeypatch.setattr(mod, "sqrt_in_field", no_sqrt)
+def test_relation_checks_take_no_square_root(capsys):
+    # relations and certificates stay inside Q(zeta_N): no module offers an
+    # in-field square-root search, and the checks run, also at level 14
+    # (phi(N) = 32), where such a search took about a minute
+    for info in pkgutil.iter_modules(tljhecke.__path__):
+        mod = importlib.import_module(f"tljhecke.{info.name}")
+        assert not hasattr(mod, "sqrt_in_field"), info.name
     for memo in (global_constants, modular_data, rep_genus2.genus2_rep):
         memo.cache_clear()
     for r in range(1, 7):
@@ -80,11 +80,14 @@ def test_relation_checks_take_no_square_root(capsys, monkeypatch):
 
 
 def test_verify_and_certify_do_not_import_numpy():
-    # exact jobs never pay numpy's import (about 12 MB of RSS and 150 ms)
+    # exact jobs never pay numpy's import (about 12 MB of RSS and 150 ms),
+    # and json output builds no float text
     prog = ("import sys\n"
             "from tljhecke.cli import main\n"
             "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
             "assert main(['--format', 'json', 'infinite-image', '--level', '3']) == 0\n"
+            "assert main(['--format', 'json', 'genus2-matrices', '--level', '3']) == 0\n"
+            "assert main(['--format', 'json', 'coefficients', '--level', '3']) == 0\n"
             "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n")
     src = os.path.dirname(os.path.dirname(tljhecke.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

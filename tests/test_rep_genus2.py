@@ -24,7 +24,6 @@ from tljhecke.rep_genus2 import (
     enumerate_basis,
     genus2_rep,
     infinite_image_certificate,
-    j_unitary,
     jtilde,
     minpoly_certificate,
     t_genus2,
@@ -171,12 +170,13 @@ def golden_j2(N=16):
 def test_golden_j2_exact():
     rep = genus2_rep(TheoryParams(2))
     assert rep.positive
-    exact = rep.junitary.to_exact()
-    assert exact is not None, "all r=2 entries lie in Q(zeta_16)"
+    U = rep.junitary
     golden = golden_j2()
     for i in range(10):
         for j in range(10):
-            assert exact[i, j] == golden[i][j], (i, j)
+            g = golden[i][j]
+            assert U.squares[i, j] == g * g, ("square", i, j)
+            assert U.signs[i][j] == g.real_sign(), ("sign", i, j)
 
 
 def test_golden_t2_exact():
@@ -219,13 +219,6 @@ def test_golden_j3_exact():
             assert U.signs[i][j] == golden_sign[i][j], ("sign", i, j)
 
 
-def test_golden_j3_corner_entries_leave_the_field():
-    # sqrt(10(sqrt5 - 1))/10 is not in Q(zeta_10): entry stays a (square, sign) pair
-    rep = genus2_rep(TheoryParams(3))
-    assert rep.junitary.entry_exact(0, 0) is not None
-    assert rep.junitary.entry_exact(1, 4) is None
-
-
 def test_golden_t3_exact():
     rep = genus2_rep(TheoryParams(3))
     e45 = CycNumber.zeta(10, 4)     # e^(4 pi i/5)
@@ -255,10 +248,8 @@ def test_first_row_law():
 def test_first_row_entry_sqrt5_over_5():
     # r=3, mu=(0,2,2): entry is sqrt5/5
     rep = genus2_rep(TheoryParams(3))
-    v = rep.junitary.entry_exact(0, 1)
-    assert v is not None
-    assert v * v * 25 == 5
-    assert v.real_sign() > 0
+    assert rep.junitary.squares[0, 1] == Fraction(1, 5)
+    assert rep.junitary.signs[0][1] == 1
 
 
 # --------------------------------------------------------------------------
@@ -292,15 +283,15 @@ def test_galois_equivariance_of_genus2_matrices():
 
 
 def test_j_unitary_falls_back_when_not_positive():
-    # at a Galois-conjugate root the loop values are not all positive and
-    # the non-normalized matrix is produced
+    # at a Galois-conjugate root the loop values are not all positive, so
+    # there is no unitary normalization and only j_field is available
     P = TheoryParams(3)
     Pm = P.with_root(7 * P.root_exponent % P.root_order)
     rep = genus2_rep(Pm)
     assert not rep.positive
     assert rep.junitary is None
-    assert isinstance(j_unitary(Pm), ExactMatrix)
-    assert isinstance(j_unitary(P).squares, ExactMatrix)
+    assert isinstance(rep.j_field, ExactMatrix)
+    assert isinstance(genus2_rep(P).junitary.squares, ExactMatrix)
 
 
 # --------------------------------------------------------------------------
@@ -427,6 +418,26 @@ def test_infinite_image_r7_via_trace():
     rep = infinite_image_certificate(TheoryParams(7))
     assert rep.verdict == "infinite"
     assert rep.trace_fires
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_minpoly_certificate_is_the_same_at_every_root(r):
+    # Q is rational, so sigma_k gcd(P, Q) = gcd(sigma_k P, Q): the verdict
+    # and the degree of the common factor do not depend on the root
+    P = TheoryParams(r)
+    want = minpoly_certificate(P)
+    for k in _unit_roots(P.root_order):
+        assert minpoly_certificate(P.with_root(k)) == want, (r, k)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_infinite_image_builds_one_representation(r):
+    # both certificates run at the trace root, so an odd level builds one
+    # genus-2 representation, not one per route
+    genus2_rep.cache_clear()
+    trace_jtjt.cache_clear()
+    infinite_image_certificate(TheoryParams(r))
+    assert genus2_rep.cache_info().misses == 1
 
 
 def test_infinite_image_r2_inconclusive():
