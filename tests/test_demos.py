@@ -1,8 +1,8 @@
 """Smoke test: the narrative demos run to completion against the library.
 
 Demo 04 is left out: it builds the trace table up to level 13 and the
-infinite-image certificates at level 7, about 11 s, while the others take
-about 1.5 s together.  No other test runs the demos, so without this one a
+infinite-image certificates at level 7, over 10 s, while the others take
+about 1 s together.  No other test runs the demos, so without this one a
 library name they use could be deleted without any failure.
 """
 import os
