@@ -31,8 +31,8 @@ print(f"  numerically: {sqrt5.embed().real:.12f}")
 print(f"  conjugation fixes it: {sqrt5.conj() == sqrt5}")
 
 print("\n== square roots stay (square, sign) pairs ==")
-# D^2 = (5+sqrt5)/2 at level 3 has no square root in Q(zeta_20); a quantity
-# known through its square is carried as the square and an exact sign
+# level 3 works in Q(zeta_10), and D = sqrt((5+sqrt5)/2) lies outside it; a
+# quantity known through its square is carried as the square and an exact sign
 d2 = (5 + sqrt5) / 2
 print(f"  D^2 = (5+sqrt5)/2 = {d2.embed().real:.12f}, kept as the square")
 for label, x in (("sqrt5/5", sqrt5 / 5), ("(sqrt5-5)/10", (sqrt5 - 5) / 10)):
