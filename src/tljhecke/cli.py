@@ -366,11 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus2-matrices", help="genus-2 J and T matrices")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--root", type=int, default=0)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--normalized", action="store_true", default=True,
-                   help="emit the unitary normalization (default)")
-    g.add_argument("--raw", action="store_true", default=False,
-                   help="emit J~ and the unnormalized matrix instead")
+    p.add_argument("--raw", action="store_true", default=False,
+                   help="emit J~ and the unnormalized matrix instead of the "
+                        "unitary normalization")
     p.set_defaults(fn=cmd_genus2_matrices)
 
     p = sub.add_parser("verify", help="run the exact relation suites")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 
@@ -925,6 +925,84 @@ class CycNumber:
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
+
+
+# --------------------------------------------------------------------------
+# reduction modulo a split prime
+
+# split primes are searched from here up: large enough that a random
+# nonzero residue is rarely 0, small enough for cheap Python-int products
+SPLIT_PRIME_FLOOR = 2 ** 20
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    return [f for f in range(2, n + 1) if n % f == 0 and _is_prime(f)]
+
+
+class SplitPrime:
+    """A prime p = 1 (mod N) with a primitive N-th root of unity omega mod p.
+
+    zeta_N -> omega is a ring homomorphism from Z[zeta_N][1/d] onto F_p for
+    every d prime to p (Phi_N(omega) = 0 in F_p), so the residue of a sum,
+    product or determinant is the sum, product or determinant of residues,
+    and a nonzero residue proves the field element nonzero.
+    """
+
+    __slots__ = ("order", "p", "omega", "_powers")
+
+    def __init__(self, order: int, p: int):
+        if (p - 1) % order or not _is_prime(p):
+            raise ValueError(f"{p} is not a prime = 1 (mod {order})")
+        qs = _prime_factors(order)
+        a = 2
+        while True:
+            w = pow(a, (p - 1) // order, p)
+            if all(pow(w, order // q, p) != 1 for q in qs):
+                break
+            a += 1
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "_powers",
+                           tuple(pow(w, i, p) for i in range(euler_phi(order))))
+
+    def __setattr__(self, *a):
+        raise AttributeError("SplitPrime is immutable")
+
+    def residue(self, x: CycNumber) -> int:
+        """The image of x in F_p: sum vec_i omega^i times den^-1."""
+        if x.order != self.order:
+            raise ValueError("field order mismatch")
+        if x.den % self.p == 0:
+            raise ValueError(f"{self.p} divides the denominator {x.den}")
+        acc = sum(c * w for c, w in zip(x.vec, self._powers))
+        return acc * pow(x.den, -1, self.p) % self.p
+
+    def __repr__(self):
+        return f"SplitPrime(order={self.order}, p={self.p}, omega={self.omega})"
+
+
+def split_primes(order: int, den: int = 1) -> Iterator[SplitPrime]:
+    """The split primes of Q(zeta_order) above SPLIT_PRIME_FLOOR that do not
+    divide den, in increasing order (an endless, deterministic iterator)."""
+    if den < 1:
+        raise ValueError("den must be a positive integer")
+    p = (SPLIT_PRIME_FLOOR // order + 1) * order + 1
+    while True:
+        if den % p and _is_prime(p):
+            yield SplitPrime(order, p)
+        p += order
 
 
 # --------------------------------------------------------------------------

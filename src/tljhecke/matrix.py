@@ -7,6 +7,13 @@ bound), so one entry-times-entry product is one machine bignum multiply.
 This keeps the r=8 genus-2 relation checks inside the stated runtime budget
 while remaining exact.
 
+Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
+route for questions about eigenvalues.  A question whose answer is "some
+determinant is nonzero" is decided faster modulo a split prime: residue_matrix
+maps a matrix into F_p (exactnum.SplitPrime), and matmul_mod, poly_at_matrix_mod
+and det_mod work on plain lists of ints there.  A nonzero residue is an exact
+proof; a zero residue decides nothing.
+
 A matrix whose entries are square roots of field elements (the unitary
 genus-2 matrix) is a SignedSqrtMatrix of (square, sign) pairs; no root is
 ever taken, and only its float embedding leaves the field.
@@ -14,12 +21,14 @@ ever taken, and only its float embedding leaves the field.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
     CycNumber,
     IntPolynomial,
+    SplitPrime,
     _fold_int_vec,
     euler_phi,
 )
@@ -273,19 +282,6 @@ class CycPoly:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def __add__(self, other: "CycPoly") -> "CycPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = CycNumber.zero(self.order)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return CycPoly(self.order, [x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "CycPoly":
-        return CycPoly(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
-        return self + (-other)
-
     def __mul__(self, other: "CycPoly") -> "CycPoly":
         if self.is_zero() or other.is_zero():
             return CycPoly(self.order, ())
@@ -359,6 +355,57 @@ def char_poly(M: ExactMatrix) -> CycPoly:
         ck = -(Mk.trace() / k)
         coeffs.append(ck)
     return CycPoly(N, list(reversed(coeffs)))
+
+
+# --------------------------------------------------------------------------
+# residues modulo a split prime (matrices over F_p as lists of int rows)
+
+def residue_matrix(M: ExactMatrix, sp: SplitPrime) -> list[list[int]]:
+    """The entrywise image of M in F_p; sp.p must divide no denominator."""
+    return [[sp.residue(e) for e in row] for row in M.rows]
+
+
+def matmul_mod(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],
+               p: int) -> list[list[int]]:
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A]
+
+
+def poly_at_matrix_mod(q: IntPolynomial, A: Sequence[Sequence[int]],
+                       p: int) -> list[list[int]]:
+    """q(A) mod p by Horner's rule, deg q - 1 products (deg q >= 1)."""
+    if q.degree < 1:
+        raise ValueError("the polynomial must have degree >= 1")
+    cs = q.coeffs
+    B = [[cs[-1] * x % p for x in row] for row in A]
+    for k, c in enumerate(reversed(cs[:-1])):
+        if k:
+            B = matmul_mod(B, A, p)
+        for i in range(len(B)):
+            B[i][i] = (B[i][i] + c) % p
+    return B
+
+
+def det_mod(A: Sequence[Sequence[int]], p: int) -> int:
+    """The determinant in F_p, by Gaussian elimination."""
+    a = [list(row) for row in A]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        pc = a[c]
+        det = det * pc[c] % p
+        inv = pow(pc[c], -1, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = a[i][:c] + [(x - f * y) % p for x, y in zip(a[i][c:], pc[c:])]
+    return det % p
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 
-from .exactnum import CycNumber, IntPolynomial, LaurentFraction, cyclotomic_poly, euler_phi
-from .matrix import CycPoly, ExactMatrix, SignedSqrtMatrix, char_poly
+from .exactnum import (
+    CycNumber,
+    IntPolynomial,
+    LaurentFraction,
+    cyclotomic_poly,
+    euler_phi,
+    split_primes,
+)
+from .matrix import (
+    CycPoly,
+    ExactMatrix,
+    SignedSqrtMatrix,
+    char_poly,
+    det_mod,
+    matmul_mod,
+    poly_at_matrix_mod,
+    residue_matrix,
+)
 from .recoupling import (
     GlobalConstants,
     TheoryParams,
@@ -50,9 +66,6 @@ class Genus2Basis:
 
     def __len__(self):
         return len(self.triples)
-
-    def index(self, triple) -> int:
-        return self.triples.index(tuple(triple))
 
 
 @lru_cache(maxsize=None)
@@ -393,9 +406,43 @@ class InfiniteImageReport:
         }
 
 
-# exact characteristic polynomials are O(n^4) field operations; above this
-# dimension the minimal-polynomial route defers to the trace certificate
+# Above this dimension the minimal-polynomial route reports "skipped" and
+# defers to the trace certificate.  The residue test below would decide
+# there too, but its four pure-Python O(n^3) products and one elimination
+# take about 40 s at n = 455 (r = 13; 2-core x86-64 VM, Python 3.11), and
+# lifting the budget changes the printed details at r = 6, 8 and 10..13;
+# both belong to a change of their own.
 MINPOLY_DIM_BUDGET = 60
+
+# split primes tried before the route falls back to the exact characteristic
+# polynomial: every one gives det Q(M) = 0 mod p when det Q(M) = 0 exactly
+# (r = 3); at r = 2, 4, 5, 7 and 9 the first one already gives a nonzero residue
+RESIDUE_PRIMES = 3
+
+
+def _quartic_residue_nonzero(params: TheoryParams, quartic: IntPolynomial) -> bool:
+    """True when det Q(M) is nonzero modulo one of the first RESIDUE_PRIMES
+    split primes prime to the denominators of J', M = J T J T^-1.
+
+    Reduction modulo a split prime is a ring homomorphism, so a nonzero
+    residue proves det Q(M) != 0 exactly: Q has no root in common with the
+    characteristic polynomial of M.  M is formed in F_p only.
+    """
+    rep = genus2_rep(params)
+    jf = rep.j_field
+    n = len(rep.basis)
+    den = math.lcm(*(e.den for row in jf.rows for e in row))
+    for sp in islice(split_primes(params.root_order, den), RESIDUE_PRIMES):
+        p = sp.p
+        J = residue_matrix(jf, sp)
+        t = [sp.residue(rep.tdiag[i, i]) for i in range(n)]
+        tinv = [pow(x, -1, p) for x in t]  # each t is +-omega^e
+        JT = [[x * y % p for x, y in zip(row, t)] for row in J]
+        JTinv = [[x * y % p for x, y in zip(row, tinv)] for row in J]
+        M = matmul_mod(JT, JTinv, p)
+        if det_mod(poly_at_matrix_mod(quartic, M, p), p):
+            return True
+    return False
 
 
 def minpoly_certificate(params: TheoryParams,
@@ -403,13 +450,21 @@ def minpoly_certificate(params: TheoryParams,
     """Certificate (a): J T J T^-1 has an eigenvalue of infinite
     multiplicative order, a root of the designated polynomial Q.
 
-    Sound precondition, checked first: Q has no cyclotomic factor Phi_k
-    (phi(k) >= sqrt(k/2), so k <= 2 deg(Q)^2 covers every Phi_k of degree at
-    most deg Q); a Q with such a factor never fires.  Then the certificate fires exactly when gcd(P, Q) over Q(zeta_N) is
-    nontrivial, P the characteristic polynomial: a common root is an
-    eigenvalue that is not a root of unity.  The default Q is the level-3
-    quartic, so the route is skipped beyond MINPOLY_DIM_BUDGET where the
-    exact characteristic polynomial is no longer desk-scale.
+    The certificate fires exactly when gcd(P, Q) over Q(zeta_N) is
+    nontrivial, P the characteristic polynomial of M = J T J T^-1: a common
+    root is an eigenvalue that is not a root of unity.  It is decided in
+    three steps:
+
+    1. Precondition: Q has no cyclotomic factor Phi_k (phi(k) >= sqrt(k/2),
+       so k <= 2 deg(Q)^2 covers every Phi_k of degree at most deg Q); a Q
+       with such a factor never fires.  The route is skipped beyond
+       MINPOLY_DIM_BUDGET.
+    2. Residue "no": gcd(P, Q) is trivial exactly when det Q(M) != 0, and a
+       nonzero det Q(M) modulo a split prime proves that
+       (_quartic_residue_nonzero); no characteristic polynomial is built.
+    3. Exact gcd: only when every residue is 0 (at r = 3, where the level-3
+       quartic shares a factor with P), char_poly and CycPoly.gcd decide and
+       give the degree of the common factor.
     """
     d = quartic.degree
     if d < 1:
@@ -423,6 +478,8 @@ def minpoly_certificate(params: TheoryParams,
         return False, (f"skipped: dimension {n} exceeds the exact charpoly "
                        f"budget ({MINPOLY_DIM_BUDGET}); the designated quartic "
                        "targets level 3")
+    if _quartic_residue_nonzero(params, quartic):
+        return False, "quartic shares no factor with the characteristic polynomial"
     P = char_poly(_jtjt_matrix(params))
     G = P.gcd(CycPoly.from_int_poly(params.root_order, quartic))
     if G.degree < 1:

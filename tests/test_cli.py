@@ -86,6 +86,7 @@ def test_verify_and_certify_do_not_import_numpy():
             "from tljhecke.cli import main\n"
             "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
             "assert main(['--format', 'json', 'infinite-image', '--level', '3']) == 0\n"
+            "assert main(['--format', 'json', 'infinite-image', '--level', '4']) == 0\n"
             "assert main(['--format', 'json', 'genus2-matrices', '--level', '3']) == 0\n"
             "assert main(['--format', 'json', 'coefficients', '--level', '3']) == 0\n"
             "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n")
@@ -102,9 +103,13 @@ def test_verify_both_genera(capsys):
     assert "genus-1" in out and "genus-2" in out
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv", [
+    ["verify"],                                            # missing --level
+    ["genus2-matrices", "--level", "3", "--normalized"],   # removed: it was the default
+])
+def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify"])   # missing --level
+        main(argv)
     assert exc.value.code == 2
 
 

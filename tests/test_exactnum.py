@@ -12,14 +12,26 @@ from tljhecke.exactnum import (
     LaurentPoly,
     NonMonic,
     PoleAtRoot,
+    SPLIT_PRIME_FLOOR,
+    SplitPrime,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_poly,
     euler_phi,
     is_cyclotomic,
     specialize,
+    split_primes,
 )
-from tljhecke.matrix import ExactMatrix, char_poly, _pack_digits, _unpack_digits
+from tljhecke.matrix import (
+    ExactMatrix,
+    char_poly,
+    det_mod,
+    matmul_mod,
+    poly_at_matrix_mod,
+    residue_matrix,
+    _pack_digits,
+    _unpack_digits,
+)
 
 
 # --------------------------------------------------------------------------
@@ -207,6 +219,89 @@ def test_galois_conj_is_involutive_ring_hom(cx, cy):
     assert x.conj().conj() == x
     assert (x + y).conj() == x.conj() + y.conj()
     assert (x * y).conj() == x.conj() * y.conj()
+
+
+# --------------------------------------------------------------------------
+# reduction modulo a split prime
+
+@pytest.mark.parametrize("N", [1, 2, 10, 14, 16, 22, 24])
+def test_split_primes_are_split_and_deterministic(N):
+    first = [sp.p for sp, _ in zip(split_primes(N), range(3))]
+    assert first == sorted(set(first)) and first[0] > SPLIT_PRIME_FLOOR
+    assert first == [sp.p for sp, _ in zip(split_primes(N), range(3))]
+    # the smallest p = 1 (mod N) above the floor, primes in between skipped
+    below = [q for q in range(SPLIT_PRIME_FLOOR + 1, first[0]) if (q - 1) % N == 0]
+    assert not any(all(q % f for f in range(2, int(q ** 0.5) + 1)) for q in below)
+    for p in first:
+        sp = SplitPrime(N, p)
+        assert (p - 1) % N == 0
+        assert pow(sp.omega, N, p) == 1
+        assert all(pow(sp.omega, e, p) != 1 for e in range(1, N))
+    # a prime dividing den is passed over
+    assert next(split_primes(N, den=6 * first[0])).p == first[1]
+
+
+def test_split_prime_rejects_what_does_not_reduce():
+    with pytest.raises(ValueError):
+        SplitPrime(10, 1048583)          # prime, but not 1 mod 10
+    sp = next(split_primes(10))
+    with pytest.raises(ValueError):
+        sp.residue(CycNumber.from_rational(10, Fraction(1, sp.p)))
+    with pytest.raises(ValueError):
+        sp.residue(CycNumber.one(20))
+    with pytest.raises(ValueError):
+        next(split_primes(10, den=0))
+
+
+def test_det_mod_pivots_and_singular():
+    assert det_mod([[0, 1], [1, 0]], 7) == 6
+    assert det_mod([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7) == 1
+    assert det_mod([[1, 2], [2, 4]], 7) == 0
+    assert det_mod([[2, 3, 1], [0, 0, 5], [4, 6, 3]], 11) == 0
+
+
+@st.composite
+def cyc_pairs(draw):
+    N = draw(st.sampled_from([1, 3, 8, 10, 12, 14, 22, 24]))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    cx, cy = (draw(st.lists(coeff, min_size=euler_phi(N), max_size=euler_phi(N)))
+              for _ in range(2))
+    return CycNumber(N, cx), CycNumber(N, cy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_pairs())
+def test_split_prime_residue_is_a_ring_homomorphism(xy):
+    x, y = xy
+    N = x.order
+    sp = next(split_primes(N))
+    p, res = sp.p, sp.residue
+    assert res(x + y) == (res(x) + res(y)) % p
+    assert res(x * y) == res(x) * res(y) % p
+    assert res(CycNumber.one(N)) == 1
+    assert res(CycNumber.zeta(N)) == sp.omega % p
+    # conj is zeta -> zeta^-1, so its residue is x evaluated at omega^-1
+    winv = pow(sp.omega, -1, p)
+    at_winv = sum(c * pow(winv, i, p) for i, c in enumerate(x.vec)) * pow(x.den, -1, p) % p
+    assert res(x.conj()) == at_winv
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyc_pairs())
+def test_residue_matrix_ops_match_exact(xy):
+    x, y = xy
+    N = x.order
+    A = ExactMatrix(N, [[x, y], [x * y + 1, y - 2]])
+    sp = next(split_primes(N))
+    p = sp.p
+    Am = residue_matrix(A, sp)
+    A2 = A @ A
+    assert matmul_mod(Am, Am, p) == residue_matrix(A2, sp)
+    assert det_mod(Am, p) == sp.residue(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    # Q(A) for the level-3 quartic x^4 - 3x^3 + 3x^2 - 3x + 1
+    q = IntPolynomial((1, -3, 3, -3, 1))
+    qA = (A2 @ A2) - (A2 @ A).scale(3) + A2.scale(3) - A.scale(3) + ExactMatrix.identity(N, 2)
+    assert poly_at_matrix_mod(q, Am, p) == residue_matrix(qA, sp)
 
 
 def test_galois_orbit_products_are_rational():

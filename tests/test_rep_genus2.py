@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction
-from tljhecke.matrix import ExactMatrix, char_poly
+from tljhecke.matrix import CycPoly, ExactMatrix, char_poly
 from tljhecke.recoupling import (
     TheoryParams,
     color_set,
@@ -33,6 +33,7 @@ from tljhecke.rep_genus2 import (
     trace_table,
     verify_genus2_relations,
     _jtjt_matrix,
+    _quartic_residue_nonzero,
 )
 
 
@@ -367,7 +368,6 @@ def test_quartic_certificate_r3():
     M = _jtjt_matrix(P)
     cp = char_poly(M)
     # the quartic's Q(zeta_10)-factor has degree 2
-    from tljhecke.matrix import CycPoly
     G = cp.gcd(CycPoly.from_int_poly(P.root_order, INFINITE_ORDER_QUARTIC))
     assert G.degree == 2
 
@@ -428,6 +428,68 @@ def test_minpoly_certificate_is_the_same_at_every_root(r):
     want = minpoly_certificate(P)
     for k in _unit_roots(P.root_order):
         assert minpoly_certificate(P.with_root(k)) == want, (r, k)
+
+
+def _quartic_divides_char_poly(P):
+    """The reference route: gcd(char_poly(M), Q) over Q(zeta_N) is nontrivial."""
+    cp = char_poly(_jtjt_matrix(P))
+    return cp.gcd(CycPoly.from_int_poly(P.root_order, INFINITE_ORDER_QUARTIC)).degree >= 1
+
+
+@pytest.mark.parametrize("r, every_root", [(2, True), (3, True), (5, True), (4, False)])
+def test_residue_verdict_matches_exact_gcd(r, every_root):
+    # a nonzero residue of det Q(M) is an exact "no"; every residue is 0
+    # exactly where the quartic shares a factor with the characteristic
+    # polynomial (r = 3)
+    P = TheoryParams(r)
+    roots = _unit_roots(P.root_order) if every_root else [P.root_exponent]
+    for k in roots:
+        Pk = P.with_root(k)
+        nonzero = _quartic_residue_nonzero(Pk, INFINITE_ORDER_QUARTIC)
+        assert nonzero == (not _quartic_divides_char_poly(Pk)), (r, k)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7])
+def test_residue_primes_divide_no_denominator(monkeypatch, r):
+    chosen = []
+    search = rep_genus2.split_primes
+
+    def recording(order, den=1):
+        for sp in search(order, den):
+            chosen.append(sp)
+            yield sp
+    monkeypatch.setattr(rep_genus2, "split_primes", recording)
+    P = trace_params(r) if r % 2 else TheoryParams(r)
+    _quartic_residue_nonzero(P, INFINITE_ORDER_QUARTIC)
+    assert 1 <= len(chosen) <= rep_genus2.RESIDUE_PRIMES
+    jf = genus2_rep(P).j_field
+    for sp in chosen:
+        assert (sp.p - 1) % P.root_order == 0
+        assert all(e.den % sp.p for row in jf.rows for e in row), (r, sp)
+
+
+@pytest.mark.parametrize("r", [2, 4, 5, 7])
+def test_quartic_no_builds_no_char_poly(monkeypatch, r):
+    # the residue test answers "no" at these levels: no characteristic
+    # polynomial and no exact J T J T^-1 product is built
+    def forbidden(*args):
+        raise AssertionError("exact route taken on the residue 'no' path")
+    monkeypatch.setattr(rep_genus2, "char_poly", forbidden)
+    monkeypatch.setattr(rep_genus2, "_jtjt_matrix", forbidden)
+    rep = infinite_image_certificate(TheoryParams(r))
+    assert not rep.minpoly_fires
+    assert rep.minpoly_details == "quartic shares no factor with the characteristic polynomial"
+
+
+def test_quartic_r3_reaches_char_poly(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def sentinel(M):
+        raise Reached
+    monkeypatch.setattr(rep_genus2, "char_poly", sentinel)
+    with pytest.raises(Reached):
+        infinite_image_certificate(TheoryParams(3))
 
 
 @pytest.mark.parametrize("r", [3, 5, 7])
