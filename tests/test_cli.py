@@ -103,13 +103,16 @@ def test_verify_both_genera(capsys):
     assert "genus-1" in out and "genus-2" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify"],                                            # missing --level
-    ["genus2-matrices", "--level", "3", "--normalized"],   # removed: it was the default
-])
-def test_usage_error_exit_code(argv):
+def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["verify"])   # missing --level
+    assert exc.value.code == 2
+
+
+def test_genus2_matrices_has_no_normalized_flag():
+    # the unitary normalization is the default output; only --raw selects
+    with pytest.raises(SystemExit) as exc:
+        main(["genus2-matrices", "--level", "3", "--normalized"])
     assert exc.value.code == 2
 
 
