@@ -1,23 +1,27 @@
 """Command-line front end.
 
-Exit status: 0 on success, 2 on usage errors (argparse, invalid levels or
-roots, csv output for a command without a table), 3 when a requested
-verification fails, 4 when an internal invariant fails (an ArithmeticError
-such as NotInteger: a bug, not bad input).  Output formats: json (machine
-readable, bit-exact serialization), csv (tables), pretty (human readable;
-floats printed at the requested precision agree with the exact embedding to
-10^-precision).
+Exit status: 0 on success, 1 when standard output closes before everything
+is written (its reader, say `head`, has exited; no traceback is printed), 2
+on usage errors (argparse, invalid levels or roots, csv output for a command
+without a table), 3 when a requested verification fails, 4 when an internal
+invariant fails (an ArithmeticError such as NotInteger: a bug, not bad
+input).  Output formats: json (machine readable, bit-exact serialization,
+the same text as json.dump with indent=2; it is streamed to stdout as it is
+written, and each distinct cyclotomic value is serialized once), csv
+(tables), pretty (human readable; floats printed at the requested precision
+agree with the exact embedding to 10^-precision).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Callable
 
-from .exactnum import cyc_to_json
-from .matrix import ExactMatrix, SignedSqrtMatrix
+from .exactnum import CycNumber, cyc_to_json
+from .matrix import SignedSqrtMatrix
 from .recoupling import (
     TheoryParams,
     admissible,
@@ -47,6 +51,7 @@ from .sl2_hecke import (
 from .spin import NotApplicable, flat_parity, orbit_counts, reducibility_report, spin_dims
 from itertools import product
 
+OUTPUT_CLOSED = 1
 USAGE_ERROR = 2
 VERIFY_FAILED = 3
 INTERNAL_ERROR = 4
@@ -55,14 +60,6 @@ INTERNAL_ERROR = 4
 def _params(args) -> TheoryParams:
     k = getattr(args, "root", 0) or 0
     return TheoryParams(args.level, root_exponent=k)
-
-
-def _matrix_json(M: ExactMatrix) -> list:
-    return [[cyc_to_json(e) for e in row] for row in M.rows]
-
-
-def _sqrt_matrix_json(M: SignedSqrtMatrix) -> dict:
-    return {"squares": _matrix_json(M.squares), "signs": [list(r) for r in M.signs]}
 
 
 def _float_matrix_lines(M, precision: int) -> list[str]:
@@ -78,13 +75,60 @@ def _float_matrix_lines(M, precision: int) -> list[str]:
     return lines
 
 
+def _write_json(doc, write: Callable[[str], object]) -> None:
+    """Write doc as json.dump(doc, indent=2) would, piece by piece, where a
+    CycNumber leaf stands for cyc_to_json(leaf).  Containers are walked here
+    and scalars go through json.dumps; the text of a leaf is built once per
+    distinct (value, depth) in this call and reused for every repeat."""
+    memo: dict[tuple, str] = {}
+
+    def put(x, depth: int, write) -> None:
+        if isinstance(x, CycNumber):
+            key = (x.order, x.den, x.vec, depth)
+            text = memo.get(key)
+            if text is None:
+                parts: list[str] = []
+                put(cyc_to_json(x), depth, parts.append)
+                text = memo[key] = "".join(parts)
+            write(text)
+        elif isinstance(x, dict):
+            if not x:
+                write("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "{" + inner
+            for k, v in x.items():
+                # a non-str key is coerced to a string as json.dumps does it
+                key = json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+                write(sep + key + ": ")
+                put(v, depth + 1, write)
+                sep = "," + inner
+            write("\n" + "  " * depth + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                write("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "[" + inner
+            for v in x:
+                write(sep)
+                put(v, depth + 1, write)
+                sep = "," + inner
+            write("\n" + "  " * depth + "]")
+        else:
+            write(json.dumps(x))
+
+    put(doc, 0, write)
+
+
 def _emit(args, doc: dict, pretty: Callable[[], list[str]],
           csv_rows: list[list] | None = None) -> None:
-    """Write doc as json, csv_rows as csv, or the lines pretty() builds; the
-    pretty text, which embeds in floats, is built only when it is printed."""
+    """Write doc as json (streamed by _write_json), csv_rows as csv, or the
+    lines pretty() builds; the pretty text, which embeds in floats, is built
+    only when it is printed."""
     fmt = getattr(args, "format", "pretty")
     if fmt == "json":
-        json.dump(doc, sys.stdout, indent=2)
+        _write_json(doc, sys.stdout.write)
         sys.stdout.write("\n")
     elif fmt == "csv":
         if csv_rows is None:
@@ -121,10 +165,10 @@ def cmd_modular_data(args) -> int:
     doc = {
         "level": params.level,
         "root": {"order": params.root_order, "exponent": params.root_exponent},
-        "s_tilde": _matrix_json(md.s_tilde),
-        "t_diagonal": [cyc_to_json(md.t[i, i]) for i in range(md.t.nrows)],
-        "d_squared": cyc_to_json(gc.d_squared),
-        "kappa_squared": cyc_to_json(gc.kappa_squared),
+        "s_tilde": md.s_tilde.rows,
+        "t_diagonal": [md.t[i, i] for i in range(md.t.nrows)],
+        "d_squared": gc.d_squared,
+        "kappa_squared": gc.kappa_squared,
     }
 
     def pretty():
@@ -151,17 +195,18 @@ def cmd_genus2_matrices(args) -> int:
         "level": params.level,
         "root": {"order": params.root_order, "exponent": params.root_exponent},
         "basis": [list(t) for t in rep.basis.triples],
-        "t_diagonal": [cyc_to_json(rep.tdiag[i, i]) for i in range(len(rep.basis))],
-        "d_squared": cyc_to_json(rep.constants.d_squared),
-        "kappa_squared": cyc_to_json(rep.constants.kappa_squared),
+        "t_diagonal": [rep.tdiag[i, i] for i in range(len(rep.basis))],
+        "d_squared": rep.constants.d_squared,
+        "kappa_squared": rep.constants.kappa_squared,
         "positive_definite": rep.positive,
     }
     raw = args.raw or not rep.positive
     if raw:
-        doc["jtilde"] = _matrix_json(rep.jtilde)
-        doc["j_unnormalized"] = _matrix_json(rep.j_field)
+        doc["jtilde"] = rep.jtilde.rows
+        doc["j_unnormalized"] = rep.j_field.rows
     else:
-        doc["j_unitary"] = _sqrt_matrix_json(rep.junitary)
+        doc["j_unitary"] = {"squares": rep.junitary.squares.rows,
+                            "signs": rep.junitary.signs}
 
     def pretty():
         lines = [f"genus-2 matrices at level {params.level}, dim {len(rep.basis)}, "
@@ -203,7 +248,7 @@ def cmd_trace_table(args) -> int:
     doc = {"entries": [{
         "level": e.level,
         "root_exponent": e.root_exponent,
-        "trace": cyc_to_json(e.value),
+        "trace": e.value,
         "trace_float": [e.approx.real, e.approx.imag],
         "dim": e.dimension,
         "exceeds_dim": e.exceeds_dimension,
@@ -233,9 +278,8 @@ def cmd_hecke_sl2(args) -> int:
     if args.word:
         M = eval_word(args.word, args.q)
         doc = {"q": args.q, "word": args.word,
-               "matrix": [[cyc_to_json(e) for e in M.entries()[:2]],
-                          [cyc_to_json(e) for e in M.entries()[2:]]],
-               "trace": cyc_to_json(M.trace()),
+               "matrix": [M.entries()[:2], M.entries()[2:]],
+               "trace": M.trace(),
                "class": classify(M)}
         emb = M.embed()
         lines = [f"word {args.word!r} at q={args.q}:",
@@ -258,7 +302,7 @@ def cmd_thurston(args) -> int:
     rep = thurston_rep(data)
     doc = {
         "mu": rep.mu_float,
-        "mu_exact": cyc_to_json(rep.mu_exact) if rep.mu_exact is not None else None,
+        "mu_exact": rep.mu_exact,
         "residual": rep.residual,
         "ta": [list(r) for r in rep.ta_float],
         "tb": [list(r) for r in rep.tb_float],
@@ -318,18 +362,18 @@ def cmd_coefficients(args) -> int:
     params = _params(args)
     r = params.level
     cs = color_set(r)
-    deltas = {str(i): cyc_to_json(delta_at(params, i)) for i in cs}
-    twists = {str(i): cyc_to_json(twist_at(params, i)) for i in cs}
+    deltas = {str(i): delta_at(params, i) for i in cs}
+    twists = {str(i): twist_at(params, i) for i in cs}
     thetas = {}
     for t in product(cs, repeat=3):
         if admissible(r, *t):
-            thetas[",".join(map(str, t))] = cyc_to_json(theta_at(params, *t))
+            thetas[",".join(map(str, t))] = theta_at(params, *t)
     admissible_tets = _admissible_tets(r)
-    tets = {",".join(map(str, t)): cyc_to_json(tet_at(params, *t)) for t in admissible_tets}
+    tets = {",".join(map(str, t)): tet_at(params, *t) for t in admissible_tets}
     # {i j k; l m n} is the Tet (i,j,n,l,m,k) times admissible vertex factors
     sixjs = {}
     for (i, j, k, l, m, n) in sorted((A, B, F, C, D, E) for (A, B, E, C, D, F) in admissible_tets):
-        sixjs[f"{i},{j},{k},{l},{m},{n}"] = cyc_to_json(sixj_at(params, i, j, k, l, m, n))
+        sixjs[f"{i},{j},{k},{l},{m},{n}"] = sixj_at(params, i, j, k, l, m, n)
     doc = {"level": r,
            "root": {"order": params.root_order, "exponent": params.root_exponent},
            "delta": deltas, "twist": twists, "theta": thetas,
@@ -413,7 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (say `| head -1`): stop without a
+        # traceback, and point stdout at devnull so that the flush at
+        # interpreter shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return OUTPUT_CLOSED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -284,3 +284,123 @@ def test_coefficients_evaluates_each_tet_orbit_once(capsys, monkeypatch, r):
     assert recoupling.tet_at.cache_info().misses == len(_admissible_tets(r))
     if r == 6:
         assert len(calls) <= 150, len(calls)
+
+
+# --------------------------------------------------------------------------
+# JSON output: the streaming writer against json.dumps(indent=2)
+
+def _plain(x):
+    """The document json.dump would be given: every CycNumber as cyc_to_json."""
+    from tljhecke.exactnum import CycNumber, cyc_to_json
+    if isinstance(x, CycNumber):
+        return cyc_to_json(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+def _unit_roots(r):
+    from math import gcd
+    N = TheoryParams(r).root_order
+    return [k for k in range(1, N) if gcd(k, N) == 1]
+
+
+_GRAPH = "2 2\n1 0\n1 1\n1 1\n1 1\n"
+
+_JSON_COMMANDS = (
+    [("coefficients", "--level", str(r), "--root", str(k))
+     for r in range(1, 6) for k in _unit_roots(r)]
+    + [("coefficients", "--level", "6"), ("coefficients", "--level", "6", "--root", "1")]
+    + [("modular-data", "--level", "3"), ("modular-data", "--level", "4", "--root", "1"),
+       ("genus2-matrices", "--level", "3"), ("genus2-matrices", "--level", "3", "--raw"),
+       ("genus2-matrices", "--level", "4", "--root", "1"),
+       ("verify", "--genus", "0", "--level", "2"), ("trace-table", "--levels", "3,5"),
+       ("infinite-image", "--level", "3"), ("hecke-sl2", "--q", "5", "--word", "A B A^-1 J"),
+       ("hecke-sl2", "--q", "7", "--hyperelliptic"), ("spin-dims", "--level", "6", "--genus", "2"),
+       ("dims",), ("dims", "--levels", ","), ("thurston", "--graph", "GRAPH")])
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMANDS, ids=" ".join)
+def test_json_output_matches_json_dump(capsys, monkeypatch, tmp_path, argv):
+    # the streamed text is byte for byte json.dumps(indent=2) of the same
+    # document with cyc_to_json leaves
+    from tljhecke import cli
+    docs = []
+    write_json = cli._write_json
+
+    def recording(doc, write):
+        docs.append(doc)
+        write_json(doc, write)
+    monkeypatch.setattr(cli, "_write_json", recording)
+    graph = tmp_path / "graph.txt"
+    graph.write_text(_GRAPH)
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert len(docs) == 1
+    assert out == json.dumps(_plain(docs[0]), indent=2) + "\n"
+
+
+def test_json_writer_edge_cases():
+    from tljhecke.cli import _write_json
+    from tljhecke.exactnum import CycNumber
+    x = CycNumber(5, [1, -2, 0, 3])
+    doc = {"empty_list": [], "empty_dict": {}, "neg_zero": -0.0, "nan": float("nan"),
+           "inf": [float("inf"), -float("inf")], "text": "Δ θ \"quoted\" \\ tab\t ζ₁₂",
+           "big": 2 ** 200, "neg_big": -(3 ** 150), "flags": [True, False, None],
+           "tuple": (1, (2, ())), 7: "int key", 1.5: "float key", None: "null key",
+           "same": [x, x, {"deeper": x}], "nested": [[[]], [{}], {"a": [{}]}]}
+    parts = []
+    _write_json(doc, parts.append)
+    assert "".join(parts) == json.dumps(_plain(doc), indent=2)
+    for scalar in (0, -0.0, "é", 10 ** 100, None):
+        parts = []
+        _write_json(scalar, parts.append)
+        assert "".join(parts) == json.dumps(scalar, indent=2)
+
+
+def test_coefficients_serializes_each_value_once(capsys, monkeypatch):
+    # a cold coefficients run calls cyc_to_json at most once per distinct
+    # value it writes (3,458 calls, one per labeling, before values were shared)
+    from tljhecke import cli
+    calls = []
+    cyc_to_json = cli.cyc_to_json
+
+    def counted(x):
+        calls.append(1)
+        return cyc_to_json(x)
+    monkeypatch.setattr(cli, "cyc_to_json", counted)
+    _clear_memos()
+    code, out = run(capsys, "--format", "json", "coefficients", "--level", "6")
+    assert code == 0
+    doc = json.loads(out)
+    values = {json.dumps(v, sort_keys=True)
+              for table in ("delta", "twist", "theta", "tet", "sixj")
+              for v in doc[table].values()}
+    assert sum(len(doc[t]) for t in ("delta", "twist", "theta", "tet", "sixj")) == 3458
+    assert len(calls) <= len(values), (len(calls), len(values))
+
+
+def test_closed_stdout_exits_quietly():
+    # `tljhecke --format json coefficients --level 6 | head -1`: the reader
+    # leaves after one line of a 3 MB document; the CLI stops with exit
+    # status 1 and writes nothing to stderr
+    from tljhecke.cli import OUTPUT_CLOSED
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "tljhecke.cli", "--format", "json",
+                             "coefficients", "--level", "6"],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (OUTPUT_CLOSED, b"")
+    assert OUTPUT_CLOSED == 1
