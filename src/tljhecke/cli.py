@@ -467,6 +467,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return OUTPUT_CLOSED
+    except OSError as exc:
+        # an input file that cannot be read (thurston --graph)
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -6,6 +6,13 @@ fast path of real_sign, whose result is bounded or re-decided by interval
 arithmetic, so no result is decided by rounding.  Square roots are never
 taken: a quantity known only through its square (an entry of the unitary
 genus-2 matrix, the global dimension D) is carried as its square and a sign.
+
+Q(zeta_N) arithmetic has one reduction table, _zeta_powers(N) (x^t mod
+Phi_N for t mod N), and one substitution loop over it, _power_sum, which
+folds products and applies the Galois action, lifts and specialization.
+The field inverse is the product of the other Galois conjugates divided by
+the rational norm.
+
 All values are immutable after construction and all operations are pure,
 so the module is safe for unrestricted data-parallel use.
 """
@@ -44,6 +51,18 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         result -= result // m
+    return result
+
+
+def power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply; one is the identity of x's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
     return result
 
 
@@ -147,20 +166,27 @@ def cyclotomic_poly(N: int) -> IntPolynomial:
     return poly
 
 
-def is_cyclotomic(p: IntPolynomial) -> bool:
-    """True iff p equals Phi_n for some n.
+def cyclotomic_factor(p: IntPolynomial) -> int | None:
+    """The smallest k with Phi_k dividing p, or None if there is none.
 
-    Since phi(n) >= sqrt(n/2), only n <= 2 * deg(p)^2 need checking.
+    Since phi(k) >= sqrt(k/2), every Phi_k of degree at most deg(p) has
+    k <= 2 * deg(p)^2, so only that range is searched.
     """
+    d = p.degree
+    for k in range(1, 2 * d * d + 1):
+        if euler_phi(k) <= d and p.divmod_monic(cyclotomic_poly(k))[1].is_zero():
+            return k
+    return None
+
+
+def is_cyclotomic(p: IntPolynomial) -> bool:
+    """True iff p equals Phi_n for some n (Phi_k divides Phi_n only for k = n)."""
     if not p.is_monic():
         raise NonMonic("is_cyclotomic expects a monic polynomial")
-    d = p.degree
-    if d < 1:
+    if p.degree < 1:
         raise NonMonic("is_cyclotomic expects degree >= 1")
-    for n in range(1, 2 * d * d + 1):
-        if euler_phi(n) == d and cyclotomic_poly(n) == p:
-            return True
-    return False
+    k = cyclotomic_factor(p)
+    return k is not None and cyclotomic_poly(k) == p
 
 
 # --------------------------------------------------------------------------
@@ -276,14 +302,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, LaurentPoly.one())
 
     def substitute_inverse(self) -> "LaurentPoly":
         """The image under A -> A**-1."""
@@ -317,12 +336,8 @@ class LaurentPoly:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
         if self.is_zero():
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(math.gcd(*(c.numerator for c in self.coeffs)),
+                        math.lcm(*(c.denominator for c in self.coeffs)))
 
     def primitive_int_coeffs(self) -> tuple[int, ...]:
         c = self.content()
@@ -527,72 +542,39 @@ class LaurentFraction:
 # cyclotomic numbers
 
 @lru_cache(maxsize=None)
-def _phi_fold_rows(N: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors of x^t mod Phi_N in the power basis, t = phi..2*phi-2."""
-    phi = euler_phi(N)
+def _zeta_powers(N: int) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors of x^t mod Phi_N in the power basis, t = 0..N-1.
+
+    Row t is zeta_N^t; since Phi_N divides x^N - 1, row t mod N is also the
+    reduction of x^t for every t, which is how products fold.
+    """
     base = cyclotomic_poly(N).coeffs
-    rows = []
-    cur = [-c for c in base[:phi]]
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        nxt = [0] + cur[:-1]
-        top = cur[-1]
-        if top:
-            first = rows[0]
-            for i in range(phi):
-                nxt[i] += top * first[i]
-        rows.append(tuple(nxt))
-        cur = nxt
+    phi = len(base) - 1
+    rows = [tuple(int(i == t) for i in range(phi)) for t in range(phi)]
+    x_phi = [-c for c in base[:phi]]
+    for _ in range(phi, N):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple(a + top * b for a, b in zip((0,) + prev[:-1], x_phi)))
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _zeta_powers(N: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors of zeta_N^t in the power basis, t = 0..N-1."""
-    phi = euler_phi(N)
-    rows = _phi_fold_rows(N)
-    out = []
-    for t in range(N):
-        if t < phi:
-            v = [0] * phi
-            v[t] = 1
-            out.append(tuple(v))
-        else:
-            # reduce x * previous
-            prev = out[-1]
-            v = [0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                r0 = rows[0]
-                for i in range(phi):
-                    v[i] += top * r0[i]
-            out.append(tuple(v))
-    return tuple(out)
-
-
-def _fold_int_vec(N: int, vec: list[int]) -> list[int]:
-    """Reduce an integer coefficient vector of length <= 2*phi-1 mod Phi_N."""
-    phi = euler_phi(N)
-    if len(vec) <= phi:
-        return vec + [0] * (phi - len(vec))
-    rows = _phi_fold_rows(N)
-    out = list(vec[:phi])
-    for t in range(len(vec) - 1, phi - 1, -1):
-        c = vec[t]
+def _power_sum(N: int, out: list[int], terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Add sum c * x^t mod Phi_N over the (c, t) terms into out (any integer t)."""
+    powers = _zeta_powers(N)
+    for c, t in terms:
         if c:
-            row = rows[t - phi]
-            for i in range(phi):
+            row = powers[t % N]
+            for i in range(len(out)):
                 out[i] += c * row[i]
     return out
 
 
-def _vec_content(vec: Iterable[int]) -> int:
-    g = 0
-    for c in vec:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _fold_int_vec(N: int, vec: list[int]) -> list[int]:
+    """Reduce mod Phi_N the 2*phi-1 coefficients of a product of two reduced
+    vectors."""
+    phi = (len(vec) + 1) // 2
+    return _power_sum(N, vec[:phi], zip(vec[phi:], range(phi, len(vec))))
 
 
 class CycNumber:
@@ -610,9 +592,7 @@ class CycNumber:
             fracs = [Fraction(c) for c in coeffs]
             if len(fracs) != phi:
                 raise ValueError(f"need {phi} coefficients for Q(zeta_{order})")
-            d = 1
-            for f in fracs:
-                d = d * f.denominator // math.gcd(d, f.denominator)
+            d = math.lcm(*(f.denominator for f in fracs))
             vec = [int(f * d) for f in fracs]
         else:
             vec = [int(c) for c in coeffs]
@@ -635,7 +615,7 @@ class CycNumber:
             den, vec = -den, [-c for c in vec]
         if all(c == 0 for c in vec):
             return [0] * len(vec), 1
-        g = math.gcd(_vec_content(vec), den)
+        g = math.gcd(den, *vec)
         if g > 1:
             vec = [c // g for c in vec]
             den //= g
@@ -750,47 +730,21 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Field inverse: the product of the other Galois conjugates divided by
+        the norm, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero CycNumber")
         if self.is_rational():
             return CycNumber.from_rational(self.order, 1 / self.as_fraction())
-        phi_n = cyclotomic_poly(self.order)
-        b = [Fraction(c) for c in phi_n.coeffs]
-        a = [Fraction(c, self.den) for c in self.vec]
-        # extended gcd: find u with u*a == gcd (mod Phi_N)
-        r0, r1 = b, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            d = len(p) - 1
-            while d >= 0 and p[d] == 0:
-                d -= 1
-            return d
-
-        def sub_scaled(p, q, c, shift):
-            out = list(p) + [Fraction(0)] * max(0, deg(q) + shift + 1 - len(p))
-            for i in range(deg(q) + 1):
-                out[i + shift] -= c * q[i]
-            return out
-
-        while deg(r1) > 0:
-            # one full division step r0 = q*r1 + r
-            r = list(r0)
-            s = list(s0)
-            while deg(r) >= deg(r1):
-                c = r[deg(r)] / r1[deg(r1)]
-                sh = deg(r) - deg(r1)
-                r = sub_scaled(r, r1, c, sh)
-                s = sub_scaled(s, s1, c, sh)
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        if deg(r1) < 0:
-            raise ZeroDivisionError("element is a zero divisor (not coprime to Phi_N)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        inv += [Fraction(0)] * (euler_phi(self.order) - len(inv))
-        return CycNumber(self.order, inv[:euler_phi(self.order)])
+        N = self.order
+        others = CycNumber.one(N)
+        for m in range(2, N):
+            if math.gcd(m, N) == 1:
+                others = others * self.galois(m)
+        norm = self * others
+        if not norm.is_rational():
+            raise ArithmeticError(f"norm of {self!r} is not rational (bug)")
+        return others / norm.as_fraction()
 
     def __truediv__(self, other) -> "CycNumber":
         other = self._coerce(other)
@@ -807,14 +761,7 @@ class CycNumber:
     def __pow__(self, n: int) -> "CycNumber":
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycNumber.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, CycNumber.one(self.order))
 
     # -- Galois action
     def galois(self, m: int) -> "CycNumber":
@@ -822,14 +769,8 @@ class CycNumber:
         N = self.order
         if math.gcd(m, N) != 1:
             raise ValueError(f"{m} is not coprime to {N}")
-        powers = _zeta_powers(N)
-        phi = len(self.vec)
-        out = [0] * phi
-        for j, c in enumerate(self.vec):
-            if c:
-                row = powers[(j * m) % N]
-                for i in range(phi):
-                    out[i] += c * row[i]
+        out = _power_sum(N, [0] * len(self.vec),
+                         ((c, j * m) for j, c in enumerate(self.vec)))
         return CycNumber._raw(N, out, self.den)
 
     def conj(self) -> "CycNumber":
@@ -841,14 +782,8 @@ class CycNumber:
         if order % self.order != 0:
             raise ValueError("target order must be a multiple")
         step = order // self.order
-        powers = _zeta_powers(order)
-        phi = euler_phi(order)
-        out = [0] * phi
-        for j, c in enumerate(self.vec):
-            if c:
-                row = powers[(j * step) % order]
-                for i in range(phi):
-                    out[i] += c * row[i]
+        out = _power_sum(order, [0] * euler_phi(order),
+                         ((c, j * step) for j, c in enumerate(self.vec)))
         return CycNumber._raw(order, out, self.den)
 
     # -- embeddings
@@ -864,13 +799,7 @@ class CycNumber:
                     re += c * math.cos(ang)
                     im += c * math.sin(ang)
             return complex(re / self.den, im / self.den)
-        with mpmath.workdps(precision + 10):
-            z = mpmath.mpc(0)
-            for j, c in enumerate(self.vec):
-                if c:
-                    z += c * mpmath.expjpi(mpmath.mpf(2 * j) / self.order)
-            z = z / self.den
-            return complex(z)
+        return complex(self.embed_mp(precision + 10))
 
     def embed_mp(self, dps: int) -> "mpmath.mpc":
         with mpmath.workdps(dps):
@@ -1008,58 +937,26 @@ def split_primes(order: int, den: int = 1) -> Iterator[SplitPrime]:
 # --------------------------------------------------------------------------
 # specialization A -> zeta_N^k
 
-def _laurent_as_fraction_list(p: LaurentPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _phi_multiplicity(coeffs: list[Fraction], N: int) -> tuple[int, list[Fraction]]:
-    """Largest t with Phi_N**t dividing the polynomial; returns (t, quotient)."""
+def _phi_multiplicity(p: LaurentPoly, N: int) -> tuple[int, list[Fraction]]:
+    """Largest t with Phi_N**t dividing the polynomial part of p; returns
+    (t, quotient coefficients)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    cur = IntPolynomial(int(c * den) for c in p.coeffs)
     phi_n = cyclotomic_poly(N)
     t = 0
-    cur = coeffs
-    while True:
-        if len(cur) - 1 < phi_n.degree or all(c == 0 for c in cur):
-            return t, cur
-        q, ok = _divide_by_int_poly(cur, phi_n)
-        if not ok:
-            return t, cur
-        cur = q
-        t += 1
-
-
-def _divide_by_int_poly(coeffs: list[Fraction], d: IntPolynomial) -> tuple[list[Fraction], bool]:
-    r = list(coeffs)
-    dd = d.degree
-    dc = d.coeffs
-    n = len(r) - dd
-    if n <= 0:
-        return [], False
-    q = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        c = r[i + dd]
-        if c:
-            q[i] = c  # monic divisor
-            for j, x in enumerate(dc):
-                r[i + j] -= c * x
-    if any(c != 0 for c in r[:dd]):
-        return [], False
-    return q, True
+    while cur.degree >= phi_n.degree:
+        q, rem = cur.divmod_monic(phi_n)
+        if not rem.is_zero():
+            break
+        cur, t = q, t + 1
+    return t, [Fraction(c, den) for c in cur.coeffs]
 
 
 def _eval_at_zeta(coeffs: Sequence[Fraction], N: int, k: int, shift: int) -> CycNumber:
     """Evaluate sum coeffs[t] * zeta^(k*(t+shift)) as a CycNumber."""
-    powers = _zeta_powers(N)
-    phi = euler_phi(N)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = [0] * phi
-    for t, c in enumerate(coeffs):
-        if c:
-            ci = int(c * den)
-            row = powers[(k * (t + shift)) % N]
-            for i in range(phi):
-                out[i] += ci * row[i]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    out = _power_sum(N, [0] * euler_phi(N),
+                     ((int(c * den), k * (t + shift)) for t, c in enumerate(coeffs)))
     return CycNumber._raw(N, out, den)
 
 
@@ -1075,8 +972,8 @@ def specialize(f: LaurentFraction, N: int, k: int) -> CycNumber:
         raise ValueError(f"root exponent {k} not coprime to {N}")
     if f.is_zero():
         return CycNumber.zero(N)
-    tn, num_c = _phi_multiplicity(_laurent_as_fraction_list(f.num), N)
-    td, den_c = _phi_multiplicity(_laurent_as_fraction_list(f.den), N)
+    tn, num_c = _phi_multiplicity(f.num, N)
+    td, den_c = _phi_multiplicity(f.den, N)
     if td > tn:
         raise PoleAtRoot(f"pole of order {td - tn} at zeta_{N}^{k}")
     if tn > td:

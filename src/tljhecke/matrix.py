@@ -55,10 +55,6 @@ def _unpack_digits(x: int, width: int, count: int) -> list[int]:
     return out
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 class ExactMatrix:
     """Immutable dense matrix with CycNumber entries (all of one field order)."""
 
@@ -188,10 +184,7 @@ class ExactMatrix:
     def _packed(self) -> tuple[list[list], int, int, int]:
         """(packed entries, common denominator, max abs digit, phi)."""
         phi = euler_phi(self.order)
-        den = 1
-        for row in self.rows:
-            for e in row:
-                den = _lcm(den, e.den)
+        den = math.lcm(*(e.den for row in self.rows for e in row))
         maxabs = 1
         scaled = []
         for row in self.rows:

@@ -18,8 +18,7 @@ from .exactnum import (
     CycNumber,
     IntPolynomial,
     LaurentFraction,
-    cyclotomic_poly,
-    euler_phi,
+    cyclotomic_factor,
     split_primes,
 )
 from .matrix import (
@@ -469,10 +468,10 @@ def minpoly_certificate(params: TheoryParams,
     d = quartic.degree
     if d < 1:
         raise ValueError("the designated polynomial must have degree >= 1")
-    for k in range(1, 2 * d * d + 1):
-        if euler_phi(k) <= d and quartic.divmod_monic(cyclotomic_poly(k))[1].is_zero():
-            return False, (f"designated polynomial has the cyclotomic factor Phi_{k}; "
-                           "its roots include roots of unity")
+    k = cyclotomic_factor(quartic)
+    if k is not None:
+        return False, (f"designated polynomial has the cyclotomic factor Phi_{k}; "
+                       "its roots include roots of unity")
     n = len(enumerate_basis(params.level))
     if n > MINPOLY_DIM_BUDGET:
         return False, (f"skipped: dimension {n} exceeds the exact charpoly "

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactnum import CycNumber
+from .exactnum import CycNumber, power
 from .report import ReportItem, VerifyReport
 
 
@@ -72,14 +72,7 @@ class SL2Matrix:
     def __pow__(self, n: int) -> "SL2Matrix":
         if n < 0:
             return self.inverse() ** (-n)
-        result = SL2Matrix.identity(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, SL2Matrix.identity(self.order))
 
     def is_identity(self) -> bool:
         return self == SL2Matrix.identity(self.order)
@@ -320,10 +313,25 @@ def thurston_rep(data: MulticurveData) -> ThurstonRep:
 
 def read_graph_file(text: str) -> MulticurveData:
     """Parse the thurston graph file: first line "n m", then the n x m
-    integer matrix, then the two multiplicity lines."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, m = (int(x) for x in lines[0].split())
-    rows = tuple(tuple(int(x) for x in lines[1 + i].split()) for i in range(n))
-    p = tuple(int(x) for x in lines[1 + n].split())
-    q = tuple(int(x) for x in lines[2 + n].split())
-    return MulticurveData(rows, p, q)
+    integer matrix, then the two multiplicity lines (blank lines are
+    skipped).  A file of another shape raises ValueError naming the line."""
+    lines = []
+    for no, ln in enumerate(text.splitlines(), 1):
+        if ln.strip():
+            try:
+                lines.append((no, tuple(int(x) for x in ln.split())))
+            except ValueError:
+                raise ValueError(f"graph file line {no}: expected integers") from None
+    if not lines or len(lines[0][1]) != 2:
+        raise ValueError('graph file: the first line must be "n m"')
+    n, m = lines[0][1]
+    if n < 1 or m < 1:
+        raise ValueError(f"graph file line {lines[0][0]}: n and m must be positive")
+    if len(lines) != n + 3:
+        raise ValueError(f"graph file: expected {n + 3} non-blank lines "
+                         f"(header, {n} matrix rows, 2 multiplicity lines), found {len(lines)}")
+    for no, row in lines[1:1 + n]:
+        if len(row) != m:
+            raise ValueError(f"graph file line {no}: {len(row)} entries, expected m = {m}")
+    rows = tuple(row for _, row in lines[1:1 + n])
+    return MulticurveData(rows, lines[1 + n][1], lines[2 + n][1])

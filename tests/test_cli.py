@@ -199,6 +199,23 @@ def test_thurston_graph_file(tmp_path, capsys):
     assert "Perron-Frobenius" in out
 
 
+@pytest.mark.parametrize("text, says", [
+    (None, "No such file"),
+    ("", "first line"),
+    ("2 2\n1 0\n", "found 2"),
+    ("2 2\n1 0 1\n1 1\n1 1\n1 1\n", "line 2"),
+    ("2 2\n1 0\n\n1 x\n1 1\n1 1\n", "line 4"),
+], ids=["missing", "empty", "truncated", "row-width", "not-an-integer"])
+def test_thurston_bad_graph_file_is_usage_error(tmp_path, capsys, text, says):
+    f = tmp_path / "graph.txt"
+    if text is not None:
+        f.write_text(text)
+    code = main(["thurston", "--graph", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and says in err
+
+
 def test_spin_dims(capsys):
     code, out = run(capsys, "spin-dims", "--level", "6", "--genus", "2")
     assert code == 0

@@ -16,6 +16,7 @@ from tljhecke.exactnum import (
     SplitPrime,
     cyc_from_json,
     cyc_to_json,
+    cyclotomic_factor,
     cyclotomic_poly,
     euler_phi,
     is_cyclotomic,
@@ -63,6 +64,10 @@ def test_is_cyclotomic():
     assert is_cyclotomic(IntPolynomial((1, 1, 1)))          # Phi_3
     assert is_cyclotomic(IntPolynomial((-1, 1)))            # Phi_1
     assert not is_cyclotomic(IntPolynomial((1, -3, 3, -3, 1)))
+    assert not is_cyclotomic(IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1, 1)))
+    assert cyclotomic_factor(IntPolynomial((-1, 0, 0, 0, 0, 1))) == 1     # x^5 - 1
+    assert cyclotomic_factor(IntPolynomial((1, 0, 1)) * IntPolynomial((1, -3, 3, -3, 1))) == 4
+    assert cyclotomic_factor(IntPolynomial((1, -3, 3, -3, 1))) is None
     with pytest.raises(NonMonic):
         is_cyclotomic(IntPolynomial((1, 2)))
     with pytest.raises(NonMonic):
@@ -219,6 +224,49 @@ def test_galois_conj_is_involutive_ring_hom(cx, cy):
     assert x.conj().conj() == x
     assert (x + y).conj() == x.conj() + y.conj()
     assert (x * y).conj() == x.conj() * y.conj()
+
+
+def _reduced(N, coeffs, den):
+    """Reference for the kernel: sum coeffs[t] x^t / den reduced by polynomial
+    division by Phi_N, with no table of zeta powers."""
+    rem = IntPolynomial(coeffs).divmod_monic(cyclotomic_poly(N))[1].coeffs
+    return CycNumber(N, list(rem) + [0] * (euler_phi(N) - len(rem)), den)
+
+
+def _substituted(vec, step):
+    """The integer coefficients of sum vec[j] x^(j*step)."""
+    out = [0] * ((len(vec) - 1) * step + 1)
+    for j, c in enumerate(vec):
+        out[j * step] += c
+    return out
+
+
+@st.composite
+def kernel_cases(draw):
+    # the odd N have 2*phi - 2 >= N, so products fold through rows t mod N
+    N = draw(st.sampled_from([1, 2, 5, 7, 9, 12, 15, 16, 20, 32]))
+    vec = st.lists(st.integers(-6, 6), min_size=euler_phi(N), max_size=euler_phi(N))
+    x, y = (CycNumber(N, draw(vec), draw(st.integers(1, 12))) for _ in range(2))
+    m = draw(st.sampled_from([k for k in range(1, N + 1) if math.gcd(k, N) == 1]))
+    return x, y, m, draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases())
+def test_cyc_kernel_matches_polynomial_reference(case):
+    x, y, m, step = case
+    N = x.order
+    prod = IntPolynomial(x.vec) * IntPolynomial(y.vec)
+    assert x * y == _reduced(N, prod.coeffs, x.den * y.den)
+    assert x.galois(m) == _reduced(N, _substituted(x.vec, m), x.den)
+    assert x.lift(step * N) == _reduced(step * N, _substituted(x.vec, step), x.den)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x * x.inverse() == 1
+    with pytest.raises(ZeroDivisionError):
+        CycNumber.zero(N).inverse()
 
 
 # --------------------------------------------------------------------------
