@@ -542,11 +542,14 @@ class LaurentFraction:
 # cyclotomic numbers
 
 @lru_cache(maxsize=None)
-def _zeta_powers(N: int) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors of x^t mod Phi_N in the power basis, t = 0..N-1.
+def _zeta_powers(N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^t mod Phi_N in the power basis, t = 0..N-1, as sparse rows: the
+    (i, c) pairs with c != 0 the coefficient of x^i.
 
     Row t is zeta_N^t; since Phi_N divides x^N - 1, row t mod N is also the
-    reduction of x^t for every t, which is how products fold.
+    reduction of x^t for every t, which is how products fold.  Rows are
+    sparse (for t >= phi, 6-50% nonzero at the orders used here, 1 in 16 at
+    N = 32), so folding touches only their nonzero entries.
     """
     base = cyclotomic_poly(N).coeffs
     phi = len(base) - 1
@@ -556,7 +559,7 @@ def _zeta_powers(N: int) -> tuple[tuple[int, ...], ...]:
         prev = rows[-1]
         top = prev[-1]
         rows.append(tuple(a + top * b for a, b in zip((0,) + prev[:-1], x_phi)))
-    return tuple(rows)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
 def _power_sum(N: int, out: list[int], terms: Iterable[tuple[int, int]]) -> list[int]:
@@ -564,9 +567,8 @@ def _power_sum(N: int, out: list[int], terms: Iterable[tuple[int, int]]) -> list
     powers = _zeta_powers(N)
     for c, t in terms:
         if c:
-            row = powers[t % N]
-            for i in range(len(out)):
-                out[i] += c * row[i]
+            for i, v in powers[t % N]:
+                out[i] += c * v
     return out
 
 
@@ -613,7 +615,7 @@ class CycNumber:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             den, vec = -den, [-c for c in vec]
-        if all(c == 0 for c in vec):
+        if not any(vec):
             return [0] * len(vec), 1
         g = math.gcd(den, *vec)
         if g > 1:
@@ -651,7 +653,7 @@ class CycNumber:
     @staticmethod
     def zeta(order: int, e: int = 1) -> "CycNumber":
         """zeta_N ** e, reduced into the power basis."""
-        return CycNumber._raw(order, list(_zeta_powers(order)[e % order]), 1)
+        return CycNumber._raw(order, _power_sum(order, [0] * euler_phi(order), [(1, e)]), 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -659,10 +661,10 @@ class CycNumber:
 
     # -- predicates
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.vec)
+        return not any(self.vec)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.vec[1:])
+        return not any(self.vec[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():

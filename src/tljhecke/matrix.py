@@ -4,8 +4,11 @@ Matrix products run on a packed-integer kernel: the coefficient vectors of
 all entries are scaled to a common integer denominator and encoded into
 single big integers (signed digits in base 2**W, W chosen from an a-priori
 bound), so one entry-times-entry product is one machine bignum multiply.
-This keeps the r=8 genus-2 relation checks inside the stated runtime budget
-while remaining exact.
+Every output entry is a dot product of packed rows (_row_products), unpacked
+and folded once.  A @ B pairs every row of A with every column of B;
+A.sandwich(d) = A diag(d) A, for symmetric A, pairs the rows of A with the
+rows of A diag(d) over the upper triangle only, half a product.  The genus-2
+relation checks are three sandwiches, exact throughout.
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -157,9 +160,6 @@ class ExactMatrix:
             t = t + self.rows[i][i]
         return t
 
-    def is_identity(self) -> bool:
-        return self == ExactMatrix.identity(self.order, self.nrows)
-
     def scalar_multiple_of_identity(self) -> CycNumber | None:
         """The scalar c with self == c*I, if self is scalar; else None."""
         if not self.is_square() or self.nrows == 0:
@@ -180,54 +180,57 @@ class ExactMatrix:
                     return (i, j)
         return None
 
-    # -- packed-integer product
+    # -- packed-integer products
     def _packed(self) -> tuple[list[list], int, int, int]:
         """(packed entries, common denominator, max abs digit, phi)."""
         phi = euler_phi(self.order)
         den = math.lcm(*(e.den for row in self.rows for e in row))
-        maxabs = 1
-        scaled = []
-        for row in self.rows:
-            srow = []
-            for e in row:
-                m = den // e.den
-                v = [c * m for c in e.vec]
-                ma = max((abs(c) for c in v), default=0)
-                if ma > maxabs:
-                    maxabs = ma
-                srow.append(v)
-            scaled.append(srow)
+        scaled = [[[c * (den // e.den) for c in e.vec] for e in row] for row in self.rows]
+        maxabs = max([1] + [max(map(abs, v)) for row in scaled for v in row])
         return scaled, den, maxabs, phi
+
+    def _row_products(self, other: "ExactMatrix",
+                      pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, int], CycNumber]:
+        """The dot products of row i of self with row j of other, for each
+        (i, j) in pairs, on the packed kernel."""
+        A, dena, maxa, phi = self._packed()
+        B, denb, maxb, _ = other._packed()
+        width = (phi * self.ncols * maxa * maxb).bit_length() + 2
+        Ap = [[_pack_digits(v, width) for v in row] for row in A]
+        Bp = [[_pack_digits(v, width) for v in row] for row in B]
+        N = self.order
+        den = dena * denb
+        out = {}
+        for i, j in pairs:
+            acc = sum(map(operator.mul, Ap[i], Bp[j]))
+            digits = _unpack_digits(acc, width, 2 * phi - 1)
+            out[i, j] = CycNumber._raw(N, _fold_int_vec(N, digits), den)
+        return out
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        A, dena, maxa, phi = self._packed()
-        B, denb, maxb, _ = other._packed()
-        inner = self.ncols
-        bound = phi * inner * maxa * maxb
-        width = bound.bit_length() + 2
-        Ap = [[_pack_digits(v, width) for v in row] for row in A]
-        # pack the transpose of B for cache-friendly row access
-        Bp = [[_pack_digits(B[i][j], width) for i in range(inner)]
-              for j in range(other.ncols)]
-        N = self.order
-        den = dena * denb
-        out = []
-        for i in range(self.nrows):
-            arow = Ap[i]
-            orow = []
-            for j in range(other.ncols):
-                bcol = Bp[j]
-                acc = 0
-                for t in range(inner):
-                    acc += arow[t] * bcol[t]
-                digits = _unpack_digits(acc, width, 2 * phi - 1)
-                orow.append(CycNumber._raw(N, _fold_int_vec(N, digits), den))
-            out.append(orow)
-        return ExactMatrix(self.order, out)
+        m, n = self.nrows, other.ncols
+        prods = self._row_products(other.transpose(),
+                                   ((i, j) for i in range(m) for j in range(n)))
+        return ExactMatrix(self.order, [[prods[i, j] for j in range(n)] for i in range(m)])
+
+    def sandwich(self, diag: Sequence[CycNumber]) -> "ExactMatrix":
+        """self @ diag(diag) @ self for a symmetric self.
+
+        The result is symmetric, so only its upper triangle is computed:
+        entry (i, j) is row i of self dotted with row j of self scaled by
+        diag, since column j of self is its row j.
+        """
+        if not self.is_square() or tuple(zip(*self.rows)) != self.rows:
+            raise ValueError("sandwich needs a symmetric matrix")
+        n = self.nrows
+        prods = self._row_products(self.scale_cols(diag),
+                                   ((i, j) for i in range(n) for j in range(i, n)))
+        return ExactMatrix(self.order, [[prods[min(i, j), max(i, j)] for j in range(n)]
+                                        for i in range(n)])
 
     # -- numerics
     def embed(self, precision: int = 15):

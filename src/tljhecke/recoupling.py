@@ -480,9 +480,17 @@ def _tet_orbit_at(params: TheoryParams, av: tuple, bv: tuple, edges: tuple) -> C
 
 @lru_cache(maxsize=None)
 def sixj_at(params: TheoryParams, i, j, k, l, m, n) -> CycNumber:
-    # tet_at checks the four vertices of the symbol
-    return (tet_at(params, i, j, n, l, m, k) * delta_at(params, k)
-            * theta_inv_at(params, i, m, k) * theta_inv_at(params, j, l, k))
+    # tet_at checks the four vertices of the symbol; the weight depends only
+    # on k and the unordered pairs {i, m}, {j, l}, so it is shared across n
+    # and across both orders of each pair
+    p, q = sorted(((min(i, m), max(i, m)), (min(j, l), max(j, l))))
+    return tet_at(params, i, j, n, l, m, k) * _sixj_weight_at(params, k, *p, *q)
+
+
+@lru_cache(maxsize=None)
+def _sixj_weight_at(params: TheoryParams, k, a, b, c, d) -> CycNumber:
+    """Delta_k / (Theta(a,b,k) Theta(c,d,k)), the weight of a 6j symbol."""
+    return delta_at(params, k) * theta_inv_at(params, a, b, k) * theta_inv_at(params, c, d, k)
 
 
 # --------------------------------------------------------------------------

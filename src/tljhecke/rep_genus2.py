@@ -136,17 +136,23 @@ def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
 
 @dataclass(frozen=True)
 class Genus2Rep:
-    """All genus-2 data at one root: J~, the representation matrix in the
-    unnormalized basis (j_field), the unitary normalization as (square, sign)
-    pairs when the form is positive definite, and the diagonal twist matrix."""
+    """All genus-2 data at one root: J~ and the column factors D that make
+    it the representation matrix J' = J~ D in the unnormalized basis
+    (j_field), the unitary normalization as (square, sign) pairs when the
+    form is positive definite, and the diagonal twist matrix."""
 
     params: TheoryParams
     basis: Genus2Basis
     jtilde: ExactMatrix
-    j_field: ExactMatrix
+    jcols: tuple[CycNumber, ...]
     tdiag: ExactMatrix
     constants: GlobalConstants
     positive: bool
+
+    @cached_property
+    def j_field(self) -> ExactMatrix:
+        """J' = J~ D, built on first access: the relation checks read J~ and D."""
+        return self.jtilde.scale_cols(self.jcols)
 
     @cached_property
     def junitary(self) -> SignedSqrtMatrix | None:
@@ -176,19 +182,6 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     cs = color_set(r)
     zero = CycNumber.zero(N)
 
-    # per-l tetrahedral tables; W2 absorbs Delta_l^-1
-    tet1: dict[tuple, CycNumber] = {}
-    tet2: dict[tuple, CycNumber] = {}
-    for l in cs:
-        dinv = None
-        for (i, j, k) in basis.triples:
-            if admissible(r, l, i, i) and admissible(r, l, k, k):
-                tet1[(l, i, j, k)] = tet_at(params, l, i, i, j, k, k)
-            if admissible(r, l, j, j) and admissible(r, l, i, i):
-                if dinv is None:
-                    dinv = delta_inv_at(params, l)
-                tet2[(l, i, j, k)] = tet_at(params, l, j, j, k, i, i) * dinv
-
     a_tab: dict[tuple, CycNumber] = {}
     abar_tab: dict[tuple, CycNumber] = {}
     for x in cs:
@@ -199,21 +192,41 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
                     a_tab[(x, y, l)] = v
                     abar_tab[(x, y, l)] = v.conj()
 
+    # half-terms, so that each l-term is one product:
+    # left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
+    # right[k2, l, sigma] = abar^{k2,i1}_l Tet(l,j1,j1;k1,i1,i1) Delta_l^-1
+    left: dict[tuple, CycNumber] = {}
+    right: dict[tuple, CycNumber] = {}
+    for l in cs:
+        dinv = None
+        for t in basis.triples:
+            i, j, k = t
+            if admissible(r, l, i, i) and admissible(r, l, k, k):
+                tet1 = tet_at(params, l, i, i, j, k, k)
+                for x in cs:
+                    if (x, i, l) in a_tab:
+                        left[x, l, t] = a_tab[x, i, l] * tet1
+            if admissible(r, l, j, j) and admissible(r, l, i, i):
+                if dinv is None:
+                    dinv = delta_inv_at(params, l)
+                tet2 = tet_at(params, l, j, j, k, i, i) * dinv
+                for x in cs:
+                    if (x, i, l) in abar_tab:
+                        right[x, l, t] = abar_tab[x, i, l] * tet2
+
     rows = []
-    for (i1, j1, k1) in basis.triples:
+    for sigma in basis.triples:
+        j1 = sigma[1]
         row = []
-        for (i2, j2, k2) in basis.triples:
+        for mu in basis.triples:
+            k2 = mu[2]
             acc = zero
             for l in cs:
-                key1 = (l, i2, j2, k2)
-                key2 = (l, i1, j1, k1)
-                ka = (j1, i2, l)
-                kb = (k2, i1, l)
-                if key1 in tet1 and key2 in tet2 and ka in a_tab and kb in abar_tab:
-                    term = a_tab[ka] * abar_tab[kb]
-                    term = term * tet1[key1]
-                    term = term * tet2[key2]
-                    acc = acc + term
+                x = left.get((j1, l, mu))
+                if x is not None:
+                    y = right.get((k2, l, sigma))
+                    if y is not None:
+                        acc = acc + x * y
             row.append(acc)
         rows.append(row)
     return ExactMatrix(N, rows)
@@ -247,16 +260,15 @@ def genus2_rep(params: TheoryParams) -> Genus2Rep:
     gc = global_constants(params)
     d2_inv = gc.d_squared.inverse()
 
-    # representation matrix in the unnormalized basis:
+    # column factors of the representation matrix in the unnormalized basis:
     # J'_{sigma,mu} = Delta_{i2} Delta_{j2} Delta_{k2} / (D^2 Theta_mu^2) J~_{sigma,mu}
     col = []
     for (i, j, k) in basis.triples:
         dprod = delta_at(params, i) * delta_at(params, j) * delta_at(params, k)
         th_inv = theta_inv_at(params, i, j, k)
         col.append(dprod * th_inv * th_inv * d2_inv)
-    j_field = jt.scale_cols(col)
 
-    return Genus2Rep(params, basis, jt, j_field, t_genus2(params), gc,
+    return Genus2Rep(params, basis, jt, tuple(col), t_genus2(params), gc,
                      _norms_positive(params))
 
 
@@ -270,42 +282,107 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     (ii)  (TJ)^5 = (P+/P-)^2 I;
     (iii) J J^dagger = I at the unitary root (conjugation is zeta -> zeta^-1);
     (iv)  J symmetric (as J~ = J~^T).
+
+    J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
+    decided from three symmetric sandwiches A diag(e) A
+    (ExactMatrix.sandwich, half a product each; _relations_hold).  Only
+    when that path cannot show that every relation holds are J'^2, (TJ')^5
+    and F bar(F) formed in full (_reference_differences), and the report
+    names the first offending entry of each, as the products give it.
     """
     rep = genus2_rep(params)
+    names = ["J^2 = I", "(TJ)^5 = (P+/P-)^2 I"]
+    if params.is_unitary_root:
+        names.append("J J^dagger = I (unitary root)")
+    names.append("J symmetric (J~ = J~^T)")
+    diffs = [None] * len(names) if _relations_hold(rep) else _reference_differences(rep)
+    items = tuple(ReportItem(name, diff is None, diff) for name, diff in zip(names, diffs))
+    notes = (f"level={params.level}, dim={len(rep.basis)}, "
+             f"root zeta_{params.root_order}^{params.root_exponent}",
+             "twist exponent convention: i(i+2)",
+             "normalization pinned by J_(000),(000) = 1/D^2")
+    return VerifyReport(f"genus-2 relations at level {params.level}", items, notes)
+
+
+def _relations_hold(rep: Genus2Rep) -> bool:
+    """True only when all four relations hold; each step is exact.
+
+    (iv)  J~ = J~^T, which every sandwich below needs.
+    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is diagonal with
+          S0_ii d_i = 1.
+    (ii)  With E = D T, S2 = J~ E J~ and S4 = S2 E S2, one has
+          (TJ')^5 = T S4 E J~ D.  If J'^2 = I and S4 = kappa^4 T^-1 J~ T^-1,
+          then (TJ')^5 = kappa^4 J~ D J~ D = kappa^4 I.  Both sides are
+          symmetric, so the upper triangles are compared.  T^-1 is taken as
+          the conjugate only after t conj(t) = 1 is checked for every t.
+    (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
+          conj(F) = F, which holds when J~, Theta and D are fixed by
+          conjugation, a field automorphism.
+    """
+    params = rep.params
+    jt, d = rep.jtilde, rep.jcols
+    n = jt.nrows
+    if jt.rows != tuple(zip(*jt.rows)):
+        return False
+
+    s0 = jt.sandwich(d)
+    for i in range(n):
+        if s0[i, i] * d[i] != 1 or any(s0[i, j] for j in range(i + 1, n)):
+            return False
+
+    t = [rep.tdiag[i, i] for i in range(n)]
+    tinv = {}
+    for x in set(t):
+        xbar = x.conj()
+        if x * xbar != 1:
+            return False
+        tinv[x] = xbar
+    e = [di * ti for di, ti in zip(d, t)]
+    s4 = jt.sandwich(e).sandwich(e)
+    kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
+    target = {}  # kappa^4 / (t_i t_j), by the pair of twist values
+    for i in range(n):
+        for j in range(i, n):
+            c = target.get((t[i], t[j]))
+            if c is None:
+                c = target[t[i], t[j]] = kappa4 * tinv[t[i]] * tinv[t[j]]
+            if s4[i, j] != c * jt[i, j]:
+                return False
+
+    if params.is_unitary_root:
+        th = [theta_at(params, *b) for b in rep.basis.triples]
+        if not all(x.is_real() for x in th + list(d)):
+            return False
+        if not all(jt[i, j].is_real() for i in range(n) for j in range(i, n)):
+            return False
+    return True
+
+
+def _reference_differences(rep: Genus2Rep) -> list[tuple[int, int] | None]:
+    """The first offending entry of each relation, in verify_genus2_relations
+    order, from J'^2, (TJ')^5 and F bar(F) formed in full."""
+    params = rep.params
     N = params.root_order
     n = len(rep.basis)
-    gc = rep.constants
     ident = ExactMatrix.identity(N, n)
-    items = []
-
-    j2 = rep.j_field @ rep.j_field
-    diff = j2.first_difference(ident)
-    items.append(ReportItem("J^2 = I", diff is None, diff))
+    diffs = [(rep.j_field @ rep.j_field).first_difference(ident)]
 
     tj = rep.j_field.scale_rows([rep.tdiag[i, i] for i in range(n)])
     tj2 = tj @ tj
     tj5 = (tj2 @ tj2) @ tj
-    scalar = gc.kappa_squared * gc.kappa_squared
-    diff = tj5.first_difference(ident.scale(scalar))
-    items.append(ReportItem("(TJ)^5 = (P+/P-)^2 I", diff is None, diff))
+    kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
+    diffs.append(tj5.first_difference(ExactMatrix.diagonal(N, [kappa4] * n)))
 
     if params.is_unitary_root:
         # unitarity in the theta-scaled basis: F = Theta J' Theta^-1 has
         # F bar(F) = I exactly iff the unitary matrix satisfies U U^dag = I
         th = [theta_at(params, *t) for t in rep.basis.triples]
-        th_inv = [theta_inv_at(params, *t) for t in rep.basis.triples]
-        F = rep.j_field.scale_rows(th).scale_cols(th_inv)
-        prod = F @ F.conj()
-        diff = prod.first_difference(ident)
-        items.append(ReportItem("J J^dagger = I (unitary root)", diff is None, diff))
+        cols = [c * theta_inv_at(params, *t) for c, t in zip(rep.jcols, rep.basis.triples)]
+        F = rep.jtilde.scale_cols(cols).scale_rows(th)
+        diffs.append((F @ F.conj()).first_difference(ident))
 
-    diff = rep.jtilde.first_difference(rep.jtilde.transpose())
-    items.append(ReportItem("J symmetric (J~ = J~^T)", diff is None, diff))
-
-    notes = (f"level={params.level}, dim={n}, root zeta_{N}^{params.root_exponent}",
-             "twist exponent convention: i(i+2)",
-             "normalization pinned by J_(000),(000) = 1/D^2")
-    return VerifyReport(f"genus-2 relations at level {params.level}", tuple(items), notes)
+    diffs.append(rep.jtilde.first_difference(rep.jtilde.transpose()))
+    return diffs
 
 
 # --------------------------------------------------------------------------

@@ -8,13 +8,14 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from tljhecke.exactnum import specialize
+from tljhecke.exactnum import CycNumber, specialize
 from tljhecke.recoupling import (
     TheoryParams,
     _phi_power,
     _tet_orbit_at,
     admissible,
     color_set,
+    delta_at,
     qint,
     qint_at,
     sixj,
@@ -23,6 +24,7 @@ from tljhecke.recoupling import (
     tet_at,
     tet_vertices,
     theta_at,
+    theta_inv_at,
     theta_net,
 )
 from tljhecke.rep_genus2 import coupling_a, coupling_a_at
@@ -96,6 +98,25 @@ def test_tet_evaluators_agree():
 def test_sixj_evaluators_agree(case):
     r, t = case
     assert_at_every_root(r, sixj(r, *t), lambda P: sixj_at(P, *t))
+
+
+def test_sixj_at_is_one_product_per_labeling(monkeypatch):
+    # sixj_at = Tet * Delta_k / (Theta(i,m,k) Theta(j,l,k)) at every labeling,
+    # and with Tet and the weight memoized a labeling costs one product
+    for r in LEVELS:
+        P = TheoryParams(r)
+        for (i, j, k, l, m, n) in sixj_labels(r):
+            want = (tet_at(P, i, j, n, l, m, k) * delta_at(P, k)
+                    * theta_inv_at(P, i, m, k) * theta_inv_at(P, j, l, k))
+            assert sixj_at(P, i, j, k, l, m, n) == want, (r, i, j, k, l, m, n)
+        sixj_at.cache_clear()
+        calls = []
+        mul = CycNumber.__mul__
+        with monkeypatch.context() as mp:
+            mp.setattr(CycNumber, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            for t in sixj_labels(r):
+                sixj_at(P, *t)
+        assert len(calls) == len(sixj_labels(r)), r
 
 
 @settings(max_examples=40, deadline=None)

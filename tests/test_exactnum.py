@@ -444,6 +444,41 @@ def test_matmul_matches_entrywise_defn():
             assert C[i, j] == want
 
 
+@st.composite
+def sandwich_cases(draw):
+    N = draw(st.sampled_from([5, 12, 16, 18, 24, 32]))
+    phi = euler_phi(N)
+    entry = st.builds(lambda v, d: CycNumber(N, v, d),
+                      st.lists(st.integers(-9, 9), min_size=phi, max_size=phi),
+                      st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    A = ExactMatrix(N, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    return A, [draw(entry) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sandwich_cases())
+def test_sandwich_matches_product(case):
+    A, d = case
+    n = A.nrows
+    S = A.sandwich(d)
+    assert S == A.scale_cols(d) @ A
+    for i in range(n):
+        for j in range(n):
+            want = CycNumber.zero(A.order)
+            for t in range(n):
+                want = want + A[i, t] * d[t] * A[t, j]
+            assert S[i, j] == want
+
+
+def test_sandwich_rejects_asymmetric_matrix():
+    z = CycNumber.zeta(12)
+    A = ExactMatrix(12, [[z, z + 1], [z - 1, z]])
+    with pytest.raises(ValueError):
+        A.sandwich([z, z])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=9),
        st.integers(22, 64))

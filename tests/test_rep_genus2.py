@@ -271,6 +271,98 @@ def test_relations_fail_with_conjugated_twist(monkeypatch):
     assert not rpt.all_pass
 
 
+def _reference_report(monkeypatch, P):
+    """The report of the full product chain, with the sandwich path off."""
+    with monkeypatch.context() as m:
+        m.setattr(rep_genus2, "_relations_hold", lambda rep: False)
+        return verify_genus2_relations(P)
+
+
+def _fast_vs_reference(monkeypatch, P):
+    rpt = verify_genus2_relations(P)
+    assert rpt == _reference_report(monkeypatch, P), (P, str(rpt))
+    return rpt
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_relations_fast_path_matches_reference_every_root(monkeypatch, r):
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        assert _fast_vs_reference(monkeypatch, P.with_root(k)).all_pass, (r, k)
+
+
+def test_relations_fast_path_matches_reference_r6(monkeypatch):
+    # the unitary root and one other; each root costs about 2 s of products
+    P = TheoryParams(6)
+    for Pk in (P, P.with_root(1)):
+        assert _fast_vs_reference(monkeypatch, Pk).all_pass
+
+
+def _bump(M, cells):
+    rows = [list(row) for row in M.rows]
+    for i, j in cells:
+        rows[i][j] = rows[i][j] + 1
+    return ExactMatrix(M.order, rows)
+
+
+def _tscaled(rep, i):
+    t = [rep.tdiag[m, m] for m in range(rep.tdiag.nrows)]
+    t[i] = t[i] * 2
+    return ExactMatrix.diagonal(rep.tdiag.order, t)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("change", [
+    lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(0, 1), (1, 0)])),
+    lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(1, 2)])),
+    lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(2, 2)])),
+    lambda rep: replace(rep, tdiag=rep.tdiag.conj()),
+    lambda rep: replace(rep, tdiag=_tscaled(rep, 1)),
+], ids=["symmetric", "asymmetric", "diagonal", "conj-T", "T-non-unit"])
+def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
+    # a broken representation falls through to the product chain: the
+    # report, every witness included, is the reference one, and it fails
+    # (at r = 4, conj(T) still satisfies the relations, so r <= 3 here)
+    for P in (TheoryParams(r), TheoryParams(r).with_root(1)):
+        bad = change(genus2_rep(P))
+        with monkeypatch.context() as m:
+            m.setattr(rep_genus2, "genus2_rep", lambda params: bad)
+            assert not _fast_vs_reference(m, P).all_pass, (r, P.root_exponent)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_relations_fast_path_on_phase_conjugated_rep(monkeypatch, r):
+    # J' -> L J' L^-1 with L = diag(zeta^i) keeps J^2 = I and (TJ)^5 but
+    # not unitarity: J~ -> L J~ L and D -> L^-2 D are no longer real
+    P = TheoryParams(r)
+    rep = genus2_rep(P)
+    lam = [CycNumber.zeta(P.root_order, i) for i in range(len(rep.basis))]
+    bad = replace(rep, jtilde=rep.jtilde.scale_rows(lam).scale_cols(lam),
+                  jcols=tuple(c * x.conj() * x.conj() for c, x in zip(rep.jcols, lam)))
+    monkeypatch.setattr(rep_genus2, "genus2_rep", lambda params: bad)
+    rpt = _fast_vs_reference(monkeypatch, P)
+    assert [it.passed for it in rpt.items] == [True, True, False, True]
+
+
+def test_passing_relations_make_no_full_product(monkeypatch):
+    # three half-products (sandwiches) decide a passing check; the product
+    # chain runs only when some relation fails
+    calls = {"matmul": 0, "sandwich": 0}
+    matmul, sandwich = ExactMatrix.__matmul__, ExactMatrix.sandwich
+
+    def counting_matmul(self, other):
+        calls["matmul"] += 1
+        return matmul(self, other)
+
+    def counting_sandwich(self, diag):
+        calls["sandwich"] += 1
+        return sandwich(self, diag)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(ExactMatrix, "sandwich", counting_sandwich)
+    assert verify_genus2_relations(TheoryParams(4)).all_pass
+    assert calls == {"matmul": 0, "sandwich": 3}
+
+
 def test_galois_equivariance_of_genus2_matrices():
     r = 3
     P = TheoryParams(r)
