@@ -160,7 +160,7 @@ class Genus2Rep:
 
         Signs come from J' (the basis rescaling is positive), squares from
         J'_{sm} J'_{ms}; built on first access, since relation checks and
-        traces read only j_field.
+        traces never read it.
         """
         if not self.positive:
             return None
