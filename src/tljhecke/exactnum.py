@@ -572,6 +572,13 @@ def _power_sum(N: int, out: list[int], terms: Iterable[tuple[int, int]]) -> list
     return out
 
 
+@lru_cache(maxsize=None)
+def _zeta_logs(N: int) -> dict[tuple[int, ...], int]:
+    """The power-basis vector of zeta_N^t -> t, for t = 0..N-1."""
+    phi = euler_phi(N)
+    return {tuple(_power_sum(N, [0] * phi, [(1, t)])): t for t in range(N)}
+
+
 def _fold_int_vec(N: int, vec: list[int]) -> list[int]:
     """Reduce mod Phi_N the 2*phi-1 coefficients of a product of two reduced
     vectors."""
@@ -773,6 +780,16 @@ class CycNumber:
             raise ValueError(f"{m} is not coprime to {N}")
         out = _power_sum(N, [0] * len(self.vec),
                          ((c, j * m) for j, c in enumerate(self.vec)))
+        return CycNumber._raw(N, out, self.den)
+
+    def zeta_log(self) -> int | None:
+        """The t in 0..N-1 with self = zeta_N**t, or None if there is none."""
+        return _zeta_logs(self.order).get(self.vec) if self.den == 1 else None
+
+    def times_zeta(self, t: int) -> "CycNumber":
+        """self * zeta_N**t, by shifting the power basis: no product."""
+        N, phi = self.order, len(self.vec)
+        out = _power_sum(N, [0] * phi, zip(self.vec, range(t, t + phi)))
         return CycNumber._raw(N, out, self.den)
 
     def conj(self) -> "CycNumber":

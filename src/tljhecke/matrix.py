@@ -1,14 +1,21 @@
 """Dense matrices over a cyclotomic field, with exact arithmetic.
 
-Matrix products run on a packed-integer kernel: the coefficient vectors of
-all entries are scaled to a common integer denominator and encoded into
-single big integers (signed digits in base 2**W, W chosen from an a-priori
-bound), so one entry-times-entry product is one machine bignum multiply.
-Every output entry is a dot product of packed rows (_row_products), unpacked
-and folded once.  A @ B pairs every row of A with every column of B;
-A.sandwich(d) = A diag(d) A, for symmetric A, pairs the rows of A with the
-rows of A diag(d) over the upper triangle only, half a product.  The genus-2
-relation checks are three sandwiches, exact throughout.
+Matrix products run on one packed-integer kernel (Kronecker substitution):
+the coefficient vectors of all entries are scaled to a common integer
+denominator and encoded into single big integers (signed digits in base
+2**W, W chosen from the exact largest digit), so one entry-times-entry
+product is one bignum multiply.  Every output entry is a dot product of
+packed rows (_dots), unpacked and folded once.  A diagonal factor w is
+applied inside the kernel too (_scale_columns): the packed vectors of
+x^c w mod Phi_N make "entry times w" one dot of the entry's coefficients,
+with no CycNumber product.
+
+ExactMatrix.dots(B, pairs, *diags) is the one entry point: A @ B pairs every
+row of A with every column of B; A.sandwich(d1, d2, ...) = A diag(d1) A,
+then S diag(d2) S on that result S, for symmetric A, over the upper
+triangle only (half a product per step) and with S kept as coefficient
+vectors between steps.  J~ assembly, the trace of J T J T^-1 and the
+genus-2 relation checks (two sandwich calls) all run through it.
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -26,13 +33,16 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
     CycNumber,
     IntPolynomial,
     SplitPrime,
     _fold_int_vec,
+    _power_sum,
     euler_phi,
 )
 
@@ -44,18 +54,85 @@ def _pack_digits(digits: Sequence[int], width: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _digit_offset(width: int, count: int) -> int:
+    return _pack_digits([1 << (width - 1)] * count, width)
+
+
 def _unpack_digits(x: int, width: int, count: int) -> list[int]:
-    """Inverse of _pack_digits for signed digits in (-2**(w-1), 2**(w-1))."""
-    out = []
-    mask = (1 << width) - 1
+    """Inverse of _pack_digits for signed digits in (-2**(w-1), 2**(w-1)).
+
+    Adding 2**(w-1) to every digit makes them all nonnegative, so each one
+    is read off with a mask and a shift, without carries.
+    """
     half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    x += _digit_offset(width, count)
+    out = []
     for _ in range(count):
-        d = x & mask
-        if d >= half:
-            d -= 1 << width
-        out.append(d)
-        x = (x - d) >> width
+        out.append((x & mask) - half)
+        x >>= width
     return out
+
+
+def _check_length(diag: Sequence[CycNumber], n: int) -> None:
+    if len(diag) != n:
+        raise ValueError(f"diagonal of length {len(diag)} where {n} is needed")
+
+
+def _common_den(rows: Iterable[Iterable[CycNumber]]) -> tuple[list[list[list[int]]], int]:
+    """The coefficient vectors of the entries over one common denominator."""
+    rows = [list(row) for row in rows]
+    den = math.lcm(*(e.den for row in rows for e in row))
+    return [[[c * (den // e.den) for c in e.vec] for e in row] for row in rows], den
+
+
+def _max_abs(rows: Sequence[Sequence[Sequence[int]]]) -> int:
+    """The largest absolute coefficient, at least 1."""
+    return max(map(abs, chain.from_iterable(chain.from_iterable(rows))), default=0) or 1
+
+
+def _lowest_terms(vecs: Sequence[list[int]], den: int) -> int:
+    """Divide the vectors (in place) and their common denominator by their
+    content; returns the new denominator."""
+    g = math.gcd(den, *chain.from_iterable(vecs))
+    if g > 1:
+        for v in vecs:
+            v[:] = [c // g for c in v]
+    return den // g
+
+
+def _scale_columns(N: int, phi: int, rows: list[list[list[int]]], den: int,
+                   diag: Sequence[CycNumber]) -> tuple[list[list[list[int]]], int]:
+    """rows diag(diag) as coefficient vectors over a common denominator, in
+    lowest terms.
+
+    Each w = diag[k] becomes the packed vectors of x^c w mod Phi_N, c < phi,
+    so entry (i, k) times w is one dot product of its coefficients with
+    that table, already reduced.  The results are unpacked, which gives
+    _dots their exact size.
+    """
+    (ws,), wden = _common_den([diag])
+    shifted = [[_power_sum(N, [0] * phi, zip(w, range(c, c + phi))) for c in range(phi)]
+               for w in ws]
+    width = (phi * _max_abs(rows) * _max_abs(shifted)).bit_length() + 2
+    tables = [[_pack_digits(v, width) for v in vs] for vs in shifted]
+    out = [[_unpack_digits(sum(map(operator.mul, v, tab)), width, phi)
+            for v, tab in zip(row, tables)] for row in rows]
+    return out, _lowest_terms([v for row in out for v in row], den * wden)
+
+
+def _dots(N: int, phi: int, A: list[list[list[int]]], B: list[list[list[int]]],
+          length: int, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
+    """Row i of A dotted with row j of B (coefficient vectors, rows of the
+    given length), for each (i, j) in pairs, as they are read: a dot product
+    of packed rows, unpacked and folded once per pair."""
+    width = (phi * max(length, 1) * _max_abs(A) * _max_abs(B)).bit_length() + 2
+    Ap = [[_pack_digits(v, width) for v in row] for row in A]
+    Bp = [[_pack_digits(v, width) for v in row] for row in B]
+    return (_fold_int_vec(N, _unpack_digits(sum(map(operator.mul, Ap[i], Bp[j])),
+                                            width, 2 * phi - 1))
+            for i, j in pairs)
 
 
 class ExactMatrix:
@@ -137,10 +214,12 @@ class ExactMatrix:
         return self.map(lambda e: e * c)
 
     def scale_rows(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
+        _check_length(factors, self.nrows)
         return ExactMatrix(self.order, [[factors[i] * e for e in row]
                                         for i, row in enumerate(self.rows)])
 
     def scale_cols(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
+        _check_length(factors, self.ncols)
         return ExactMatrix(self.order, [[e * factors[j] for j, e in enumerate(row)]
                                         for row in self.rows])
 
@@ -181,31 +260,26 @@ class ExactMatrix:
         return None
 
     # -- packed-integer products
-    def _packed(self) -> tuple[list[list], int, int, int]:
-        """(packed entries, common denominator, max abs digit, phi)."""
-        phi = euler_phi(self.order)
-        den = math.lcm(*(e.den for row in self.rows for e in row))
-        scaled = [[[c * (den // e.den) for c in e.vec] for e in row] for row in self.rows]
-        maxabs = max([1] + [max(map(abs, v)) for row in scaled for v in row])
-        return scaled, den, maxabs, phi
-
-    def _row_products(self, other: "ExactMatrix",
-                      pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, int], CycNumber]:
-        """The dot products of row i of self with row j of other, for each
-        (i, j) in pairs, on the packed kernel."""
-        A, dena, maxa, phi = self._packed()
-        B, denb, maxb, _ = other._packed()
-        width = (phi * self.ncols * maxa * maxb).bit_length() + 2
-        Ap = [[_pack_digits(v, width) for v in row] for row in A]
-        Bp = [[_pack_digits(v, width) for v in row] for row in B]
+    def dots(self, other: "ExactMatrix", pairs: Iterable[tuple[int, int]],
+             *diags: Sequence[CycNumber]) -> list[CycNumber]:
+        """Row i of self dotted with row j of other diag(d1) diag(d2) ...,
+        for each (i, j) in pairs, on the packed kernel; each diagonal is
+        applied to the coefficient vectors of other (_scale_columns)."""
+        if self.order != other.order:
+            raise ValueError("field order mismatch")
+        if self.ncols != other.ncols:
+            raise ValueError("row length mismatch")
+        for d in diags:
+            _check_length(d, other.ncols)
         N = self.order
+        phi = euler_phi(N)
+        A, dena = _common_den(self.rows)
+        B, denb = (A, dena) if other is self else _common_den(other.rows)
+        for d in diags:
+            B, denb = _scale_columns(N, phi, B, denb, d)
         den = dena * denb
-        out = {}
-        for i, j in pairs:
-            acc = sum(map(operator.mul, Ap[i], Bp[j]))
-            digits = _unpack_digits(acc, width, 2 * phi - 1)
-            out[i, j] = CycNumber._raw(N, _fold_int_vec(N, digits), den)
-        return out
+        return [CycNumber._raw(N, v, den)
+                for v in _dots(N, phi, A, B, self.ncols, pairs)]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:
@@ -213,24 +287,37 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
         m, n = self.nrows, other.ncols
-        prods = self._row_products(other.transpose(),
-                                   ((i, j) for i in range(m) for j in range(n)))
-        return ExactMatrix(self.order, [[prods[i, j] for j in range(n)] for i in range(m)])
+        prods = iter(self.dots(other.transpose(),
+                               ((i, j) for i in range(m) for j in range(n))))
+        return ExactMatrix(self.order, [[next(prods) for _ in range(n)] for _ in range(m)])
 
-    def sandwich(self, diag: Sequence[CycNumber]) -> "ExactMatrix":
-        """self @ diag(diag) @ self for a symmetric self.
+    def sandwich(self, *diags: Sequence[CycNumber]) -> "ExactMatrix":
+        """S diag(d) S for a symmetric S, for each d of diags in turn:
+        S = self first, then the result of the previous step, so
+        A.sandwich(d1, d2) = (A d1 A) d2 (A d1 A).
 
-        The result is symmetric, so only its upper triangle is computed:
-        entry (i, j) is row i of self dotted with row j of self scaled by
-        diag, since column j of self is its row j.
+        Every S is symmetric, so only its upper triangle is computed: entry
+        (i, j) is row i of S dotted with row j of S diag(d), column j of S
+        being its row j.  Between steps S stays as coefficient vectors over
+        one denominator; only the last is read back as CycNumbers.
         """
         if not self.is_square() or tuple(zip(*self.rows)) != self.rows:
             raise ValueError("sandwich needs a symmetric matrix")
-        n = self.nrows
-        prods = self._row_products(self.scale_cols(diag),
-                                   ((i, j) for i in range(n) for j in range(i, n)))
-        return ExactMatrix(self.order, [[prods[min(i, j), max(i, j)] for j in range(n)]
-                                        for i in range(n)])
+        for d in diags:
+            _check_length(d, self.ncols)
+        N, n = self.order, self.nrows
+        phi = euler_phi(N)
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        S, den = _common_den(self.rows)
+        for d in diags:
+            scaled, dens = _scale_columns(N, phi, S, den, d)
+            prods = list(_dots(N, phi, S, scaled, n, upper))
+            den = _lowest_terms(prods, den * dens)
+            prods = dict(zip(upper, prods))
+            S = [[prods[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        entries = {(i, j): CycNumber._raw(N, S[i][j], den) for i, j in upper}
+        return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)]
+                               for i in range(n)])
 
     # -- numerics
     def embed(self, precision: int = 15):

@@ -151,7 +151,15 @@ class Genus2Rep:
 
     @cached_property
     def j_field(self) -> ExactMatrix:
-        """J' = J~ D, built on first access: the relation checks read J~ and D."""
+        """J' = J~ D, built on first access.
+
+        The relation checks, the trace and the quartic residue read J~ and D
+        (jcols) on the packed kernel and never build it.  Its readers are
+        the `genus2-matrices` output (--raw, or a form that is not positive),
+        junitary, the exact char-poly fallback of the minimal-polynomial
+        certificate (_jtjt_matrix, reached at r = 3) and the report of a
+        failing relation (_reference_differences).
+        """
         return self.jtilde.scale_cols(self.jcols)
 
     @cached_property
@@ -214,22 +222,16 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
                     if (x, i, l) in abar_tab:
                         right[x, l, t] = abar_tab[x, i, l] * tet2
 
-    rows = []
-    for sigma in basis.triples:
-        j1 = sigma[1]
-        row = []
-        for mu in basis.triples:
-            k2 = mu[2]
-            acc = zero
-            for l in cs:
-                x = left.get((j1, l, mu))
-                if x is not None:
-                    y = right.get((k2, l, sigma))
-                    if y is not None:
-                        acc = acc + x * y
-            row.append(acc)
-        rows.append(row)
-    return ExactMatrix(N, rows)
+    # J~_{sigma,mu} = sum over l of left[j1, l, mu] right[k2, l, sigma]: one
+    # packed dot of the row (k2, sigma) of R with the row (j1, mu) of L
+    ts = basis.triples
+    at = {x: i for i, x in enumerate(cs)}
+    L = ExactMatrix(N, [[left.get((x, l, t), zero) for l in cs] for x in cs for t in ts])
+    R = ExactMatrix(N, [[right.get((x, l, t), zero) for l in cs] for x in cs for t in ts])
+    n = len(ts)
+    entries = iter(R.dots(L, ((at[mu[2]] * n + a, at[sigma[1]] * n + b)
+                              for a, sigma in enumerate(ts) for b, mu in enumerate(ts))))
+    return ExactMatrix(N, [[next(entries) for _ in ts] for _ in ts])
 
 
 def t_genus2(params: TheoryParams) -> ExactMatrix:
@@ -284,8 +286,8 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     (iv)  J symmetric (as J~ = J~^T).
 
     J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
-    decided from three symmetric sandwiches A diag(e) A
-    (ExactMatrix.sandwich, half a product each; _relations_hold).  Only
+    decided from three symmetric half-products A diag(e) A in two
+    ExactMatrix.sandwich calls, on J~ and D as given (_relations_hold).  Only
     when that path cannot show that every relation holds are J'^2, (TJ')^5
     and F bar(F) formed in full (_reference_differences), and the report
     names the first offending entry of each, as the products give it.
@@ -308,13 +310,16 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     """True only when all four relations hold; each step is exact.
 
     (iv)  J~ = J~^T, which every sandwich below needs.
-    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is diagonal with
-          S0_ii d_i = 1.
-    (ii)  With E = D T, S2 = J~ E J~ and S4 = S2 E S2, one has
-          (TJ')^5 = T S4 E J~ D.  If J'^2 = I and S4 = kappa^4 T^-1 J~ T^-1,
-          then (TJ')^5 = kappa^4 J~ D J~ D = kappa^4 I.  Both sides are
-          symmetric, so the upper triangles are compared.  T^-1 is taken as
-          the conjugate only after t conj(t) = 1 is checked for every t.
+    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~
+          (jt.sandwich(d)) is diagonal with S0_ii d_i = 1.
+    (ii)  With E = D T, S2 = J~ E J~ and S4 = S2 E S2 (jt.sandwich(e, e)),
+          one has (TJ')^5 = T S4 E J~ D.  If J'^2 = I and
+          S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4 J~ D J~ D =
+          kappa^4 I.  Both sides are symmetric, so the upper triangles are
+          compared.  At the levels in use kappa^4 and every t are powers of
+          zeta (so is -zeta^b: N is even), and kappa^4 / (t_i t_j) J~_ij
+          is J~_ij shifted in the power basis; any other value is left to
+          the reference chain.
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
           conj(F) = F, which holds when J~, Theta and D are fixed by
           conjugation, a field automorphism.
@@ -331,23 +336,16 @@ def _relations_hold(rep: Genus2Rep) -> bool:
             return False
 
     t = [rep.tdiag[i, i] for i in range(n)]
-    tinv = {}
-    for x in set(t):
-        xbar = x.conj()
-        if x * xbar != 1:
-            return False
-        tinv[x] = xbar
-    e = [di * ti for di, ti in zip(d, t)]
-    s4 = jt.sandwich(e).sandwich(e)
     kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
-    target = {}  # kappa^4 / (t_i t_j), by the pair of twist values
-    for i in range(n):
-        for j in range(i, n):
-            c = target.get((t[i], t[j]))
-            if c is None:
-                c = target[t[i], t[j]] = kappa4 * tinv[t[i]] * tinv[t[j]]
-            if s4[i, j] != c * jt[i, j]:
-                return False
+    logs = [x.zeta_log() for x in [kappa4] + t]
+    if None in logs:
+        return False
+    k4, tlog = logs[0], logs[1:]
+    e = [di * ti for di, ti in zip(d, t)]
+    s4 = jt.sandwich(e, e)
+    if any(s4[i, j] != jt[i, j].times_zeta(k4 - tlog[i] - tlog[j])
+           for i in range(n) for j in range(i, n)):
+        return False
 
     if params.is_unitary_root:
         th = [theta_at(params, *b) for b in rep.basis.triples]
@@ -396,22 +394,37 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
     return rep.j_field.scale_cols(tvals) @ rep.j_field.scale_cols(tinv)
 
 
+# rows of J~ per block of the trace: the kernel holds the coefficient vectors
+# of a whole block unpacked, so the block bounds that memory.  With n = 140
+# (r = 13), `trace-table --levels 13` peaks at 34 MB RSS in five blocks and
+# at 51 MB in one (32 MB before the trace ran on the kernel).
+TRACE_BLOCK = 32
+
+
 @lru_cache(maxsize=None)
 def trace_jtjt(params: TheoryParams) -> CycNumber:
-    """tr(J T J T^-1) exactly, as the double sum over s, m of
-    t_s t_m^-1 J'_{sm} J'_{ms} (the basis rescaling cancels in the trace);
-    no n x n product is formed.  Tests diff it against _jtjt_matrix."""
-    rep = genus2_rep(params)
-    n = len(rep.basis)
-    jf = rep.j_field
-    tvals = [rep.tdiag[i, i] for i in range(n)]
-    tinv = [t.conj() for t in tvals]  # each t is +-zeta^e
+    """tr(J T J T^-1) exactly, without J' or any n x n product.
 
-    total = CycNumber.zero(params.root_order)
-    for s in range(n):
-        for m in range(n):
-            total = total + tvals[s] * tinv[m] * (jf[s, m] * jf[m, s])
-    return total
+    With J' = J~ D, e = D T and e' = D T^-1 (each t is +-zeta^b, so
+    T^-1 = conj(T)), tr = sum_s e_s sum_m e'_m J~_sm J~_ms (the basis
+    rescaling cancels in the trace).  The n inner sums are packed dots of
+    row s of J~ with row s of J~^T diag(e'), in blocks of TRACE_BLOCK rows,
+    and the outer sum is one more.  Tests diff it against _jtjt_matrix.
+    """
+    rep = genus2_rep(params)
+    jt, d = rep.jtilde, rep.jcols
+    n = jt.nrows
+    N = params.root_order
+    t = [rep.tdiag[i, i] for i in range(n)]
+    e = [x * y for x, y in zip(d, t)]
+    e_inv = [x * y.conj() for x, y in zip(d, t)]
+    cols = jt.transpose().rows
+    inner = []
+    for a in range(0, n, TRACE_BLOCK):
+        block = ExactMatrix(N, jt.rows[a:a + TRACE_BLOCK])
+        inner += block.dots(ExactMatrix(N, cols[a:a + TRACE_BLOCK]),
+                            [(s, s) for s in range(block.nrows)], e_inv)
+    return ExactMatrix(N, [e]).dots(ExactMatrix(N, [inner]), [(0, 0)])[0]
 
 
 def trace_params(r: int) -> TheoryParams:
@@ -498,23 +511,26 @@ RESIDUE_PRIMES = 3
 
 def _quartic_residue_nonzero(params: TheoryParams, quartic: IntPolynomial) -> bool:
     """True when det Q(M) is nonzero modulo one of the first RESIDUE_PRIMES
-    split primes prime to the denominators of J', M = J T J T^-1.
+    split primes prime to the denominators of J~ and D, M = J T J T^-1.
 
     Reduction modulo a split prime is a ring homomorphism, so a nonzero
     residue proves det Q(M) != 0 exactly: Q has no root in common with the
-    characteristic polynomial of M.  M is formed in F_p only.
+    characteristic polynomial of M.  J~ and D are reduced separately, and
+    J' = J~ D and M are formed in F_p only.
     """
     rep = genus2_rep(params)
-    jf = rep.j_field
+    jt, d = rep.jtilde, rep.jcols
     n = len(rep.basis)
-    den = math.lcm(*(e.den for row in jf.rows for e in row))
+    den = math.lcm(*(e.den for row in jt.rows for e in row), *(x.den for x in d))
     for sp in islice(split_primes(params.root_order, den), RESIDUE_PRIMES):
         p = sp.p
-        J = residue_matrix(jf, sp)
+        J = residue_matrix(jt, sp)
+        dp = [sp.residue(x) for x in d]
         t = [sp.residue(rep.tdiag[i, i]) for i in range(n)]
-        tinv = [pow(x, -1, p) for x in t]  # each t is +-omega^e
-        JT = [[x * y % p for x, y in zip(row, t)] for row in J]
-        JTinv = [[x * y % p for x, y in zip(row, tinv)] for row in J]
+        e = [x * y % p for x, y in zip(dp, t)]
+        e_inv = [x * pow(y, -1, p) % p for x, y in zip(dp, t)]
+        JT = [[x * y % p for x, y in zip(row, e)] for row in J]
+        JTinv = [[x * y % p for x, y in zip(row, e_inv)] for row in J]
         M = matmul_mod(JT, JTinv, p)
         if det_mod(poly_at_matrix_mod(quartic, M, p), p):
             return True

@@ -97,6 +97,20 @@ def test_verify_and_certify_do_not_import_numpy():
     assert res.returncode == 0, res.stderr
 
 
+def test_python_dash_m_runs_the_cli():
+    # `PYTHONPATH=src python -m tljhecke ...` works without an install
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "tljhecke", "dims", "--genus", "2",
+                          "--levels", "3,5"], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip(), res.stderr) == (0, "5 14", "")
+    res = subprocess.run([sys.executable, "-m", "tljhecke", "verify"],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2 and "--level" in res.stderr
+
+
 def test_verify_both_genera(capsys):
     code, out = run(capsys, "verify", "--genus", "0", "--level", "2")
     assert code == 0

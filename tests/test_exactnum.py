@@ -446,21 +446,24 @@ def test_matmul_matches_entrywise_defn():
 
 @st.composite
 def sandwich_cases(draw):
+    # denominators up to 10**6 and diagonals with zero entries, so that the
+    # packed widths and the content reduction between chained steps vary
     N = draw(st.sampled_from([5, 12, 16, 18, 24, 32]))
     phi = euler_phi(N)
     entry = st.builds(lambda v, d: CycNumber(N, v, d),
                       st.lists(st.integers(-9, 9), min_size=phi, max_size=phi),
-                      st.integers(1, 12))
+                      st.integers(1, 10 ** 6))
+    weight = st.one_of(entry, st.just(CycNumber.zero(N)))
     n = draw(st.integers(1, 4))
     upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
     A = ExactMatrix(N, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
-    return A, [draw(entry) for _ in range(n)]
+    return A, [draw(weight) for _ in range(n)], [draw(weight) for _ in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(sandwich_cases())
 def test_sandwich_matches_product(case):
-    A, d = case
+    A, d, _ = case
     n = A.nrows
     S = A.sandwich(d)
     assert S == A.scale_cols(d) @ A
@@ -472,11 +475,55 @@ def test_sandwich_matches_product(case):
             assert S[i, j] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(sandwich_cases())
+def test_chained_sandwich_matches_products(case):
+    A, d1, d2 = case
+    S = A.scale_cols(d1) @ A
+    assert A.sandwich(d1, d2) == S.scale_cols(d2) @ S
+    assert A.sandwich() == A
+
+
+@settings(max_examples=60, deadline=None)
+@given(sandwich_cases())
+def test_dots_with_diagonals_match_products(case):
+    A, d1, d2 = case
+    n = A.nrows
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    want = (A.scale_cols(d1).scale_cols(d2) @ A.transpose())
+    assert A.dots(A, pairs, d1, d2) == [want[i, j] for i, j in pairs]
+    assert A.dots(A, pairs) == [(A @ A.transpose())[i, j] for i, j in pairs]
+
+
 def test_sandwich_rejects_asymmetric_matrix():
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z - 1, z]])
     with pytest.raises(ValueError):
         A.sandwich([z, z])
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_diagonal_length_must_match(length):
+    # a longer diagonal is not truncated and a shorter one is no IndexError:
+    # both are a ValueError that names the two lengths
+    z = CycNumber.zeta(12)
+    A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
+    d = [z] * length
+    for call in (lambda: A.sandwich(d), lambda: A.sandwich([z, z], d),
+                 lambda: A.scale_cols(d), lambda: A.scale_rows(d),
+                 lambda: A.dots(A, [(0, 0)], d)):
+        with pytest.raises(ValueError, match=f"length {length} where 2 "):
+            call()
+
+
+def test_scale_rows_and_cols_check_their_own_length():
+    z = CycNumber.zeta(12)
+    wide = ExactMatrix(12, [[z, z, z], [z, z, z]])
+    assert wide.scale_rows([z, z]) == wide.scale_cols([z, z, z])
+    with pytest.raises(ValueError, match="length 2 where 3 "):
+        wide.scale_cols([z, z])
+    with pytest.raises(ValueError, match="length 3 where 2 "):
+        wide.scale_rows([z, z, z])
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,12 @@ import pytest
 from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction
 from tljhecke.matrix import CycPoly, ExactMatrix, char_poly
 from tljhecke.recoupling import (
+    NotAdmissible,
     TheoryParams,
     color_set,
     delta_at,
+    delta_inv_at,
+    tet_at,
     theta_at,
     verlinde_dim,
 )
@@ -137,6 +140,43 @@ def test_jtilde_symmetric():
     for r in (2, 3, 4, 5, 6):
         jt = jtilde(TheoryParams(r))
         assert jt == jt.transpose(), r
+
+
+def _jtilde_reference(P):
+    """The docstring sum of jtilde, entry by entry: J~_{sigma,mu} = sum over l
+    of Delta_l^-1 a^{j1,i2}_l abar^{k2,i1}_l Tet(l,i2,i2;j2,k2,k2)
+    Tet(l,j1,j1;k1,i1,i1), an inadmissible Tet counting as 0."""
+    N = P.root_order
+
+    def tet(*labels):
+        try:
+            return tet_at(P, *labels)
+        except NotAdmissible:
+            return CycNumber.zero(N)
+    triples = enumerate_basis(P.level).triples
+    rows = []
+    for i1, j1, k1 in triples:
+        row = []
+        for i2, j2, k2 in triples:
+            acc = CycNumber.zero(N)
+            for l in color_set(P.level):
+                a = coupling_a_at(P, j1, i2, l)
+                abar = coupling_a_at(P, k2, i1, l).conj()
+                if a and abar:
+                    acc = acc + (delta_inv_at(P, l) * a * abar
+                                 * tet(l, i2, i2, j2, k2, k2) * tet(l, j1, j1, k1, i1, i1))
+            row.append(acc)
+        rows.append(row)
+    return ExactMatrix(N, rows)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_jtilde_matches_docstring_sum_every_root(r):
+    # the packed dots of jtilde against the sum written out per entry
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        Pk = P.with_root(k)
+        assert jtilde(Pk) == _jtilde_reference(Pk), (r, k)
 
 
 def test_jtilde_real_at_unitary_root():
@@ -345,8 +385,9 @@ def test_relations_fast_path_on_phase_conjugated_rep(monkeypatch, r):
 
 
 def test_passing_relations_make_no_full_product(monkeypatch):
-    # three half-products (sandwiches) decide a passing check; the product
-    # chain runs only when some relation fails
+    # two sandwich calls, S0 = J~ D J~ and the chained S4 (three half-products),
+    # decide a passing check; the product chain runs only when some
+    # relation fails
     calls = {"matmul": 0, "sandwich": 0}
     matmul, sandwich = ExactMatrix.__matmul__, ExactMatrix.sandwich
 
@@ -354,13 +395,55 @@ def test_passing_relations_make_no_full_product(monkeypatch):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    def counting_sandwich(self, diag):
+    def counting_sandwich(self, *diags):
         calls["sandwich"] += 1
-        return sandwich(self, diag)
+        return sandwich(self, *diags)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(ExactMatrix, "sandwich", counting_sandwich)
     assert verify_genus2_relations(TheoryParams(4)).all_pass
-    assert calls == {"matmul": 0, "sandwich": 3}
+    assert calls == {"matmul": 0, "sandwich": 2}
+
+
+def test_passing_relations_make_few_field_products(monkeypatch):
+    # with J~ and D built, a passing check multiplies field elements only
+    # for S0_ii d_i, e = D T and kappa^4: the sandwiches run on packed
+    # integers and the S4 target is a zeta-shift of J~
+    P = TheoryParams(6)
+    rep = genus2_rep(P)
+    n = len(rep.basis)
+    calls = [0]
+    mul = CycNumber.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(CycNumber, "__mul__", counting_mul)
+    assert verify_genus2_relations(P).all_pass
+    assert calls[0] <= 10 * n, calls
+
+
+def _j_field_built(P):
+    return "j_field" in vars(genus2_rep(P))
+
+
+def test_j_field_stays_unbuilt(capsys):
+    # verify, the certificates and the sweep read J~ and D; J' = J~ D is
+    # built only for genus2-matrices, junitary, the r=3 char-poly fallback
+    # and the report of a failing relation
+    from tljhecke.cli import main
+    genus2_rep.cache_clear()
+    trace_jtjt.cache_clear()
+    for r in range(2, 8):
+        assert main(["--format", "json", "verify", "--genus", "0", "--level", str(r)]) == 0
+        assert not _j_field_built(TheoryParams(r)), ("verify", r)
+    for r in (4, 5, 7):
+        infinite_image_certificate(TheoryParams(r))
+        P = trace_params(r) if r % 2 else TheoryParams(r)
+        assert not _j_field_built(P), ("infinite-image", r)
+    for r in (5, 7):
+        trace_galois_sweep(r)
+        assert not _j_field_built(trace_params(r)), ("sweep", r)
+    capsys.readouterr()
 
 
 def test_galois_equivariance_of_genus2_matrices():
@@ -554,10 +637,13 @@ def test_residue_primes_divide_no_denominator(monkeypatch, r):
     P = trace_params(r) if r % 2 else TheoryParams(r)
     _quartic_residue_nonzero(P, INFINITE_ORDER_QUARTIC)
     assert 1 <= len(chosen) <= rep_genus2.RESIDUE_PRIMES
-    jf = genus2_rep(P).j_field
+    rep = genus2_rep(P)
+    dens = [e.den for row in rep.j_field.rows for e in row]
+    dens += [e.den for row in rep.jtilde.rows for e in row]
+    dens += [x.den for x in rep.jcols]
     for sp in chosen:
         assert (sp.p - 1) % P.root_order == 0
-        assert all(e.den % sp.p for row in jf.rows for e in row), (r, sp)
+        assert all(d % sp.p for d in dens), (r, sp)
 
 
 @pytest.mark.parametrize("r", [2, 4, 5, 7])
