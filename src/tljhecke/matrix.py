@@ -81,10 +81,12 @@ def _check_length(diag: Sequence[CycNumber], n: int) -> None:
 
 
 def _common_den(rows: Iterable[Iterable[CycNumber]]) -> tuple[list[list[list[int]]], int]:
-    """The coefficient vectors of the entries over one common denominator."""
+    """The coefficient vectors of the entries over one common denominator
+    (an entry already over it keeps its own vector)."""
     rows = [list(row) for row in rows]
     den = math.lcm(*(e.den for row in rows for e in row))
-    return [[[c * (den // e.den) for c in e.vec] for e in row] for row in rows], den
+    return [[e.vec if e.den == den else [c * (den // e.den) for c in e.vec] for e in row]
+             for row in rows], den
 
 
 def _max_abs(rows: Sequence[Sequence[Sequence[int]]]) -> int:

@@ -225,11 +225,11 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     # J~_{sigma,mu} = sum over l of left[j1, l, mu] right[k2, l, sigma]: one
     # packed dot of the row (k2, sigma) of R with the row (j1, mu) of L
     ts = basis.triples
-    at = {x: i for i, x in enumerate(cs)}
+    pos = {x: i for i, x in enumerate(cs)}
     L = ExactMatrix(N, [[left.get((x, l, t), zero) for l in cs] for x in cs for t in ts])
     R = ExactMatrix(N, [[right.get((x, l, t), zero) for l in cs] for x in cs for t in ts])
     n = len(ts)
-    entries = iter(R.dots(L, ((at[mu[2]] * n + a, at[sigma[1]] * n + b)
+    entries = iter(R.dots(L, ((pos[mu[2]] * n + a, pos[sigma[1]] * n + b)
                               for a, sigma in enumerate(ts) for b, mu in enumerate(ts))))
     return ExactMatrix(N, [[next(entries) for _ in ts] for _ in ts])
 

@@ -226,6 +226,20 @@ def test_galois_conj_is_involutive_ring_hom(cx, cy):
     assert (x * y).conj() == x.conj() * y.conj()
 
 
+@pytest.mark.parametrize("N", [10, 12, 18, 24, 30, 40])
+def test_zeta_log_and_shift(N):
+    # the relation check reads kappa^4 and T as powers of zeta and shifts J~
+    # by them instead of multiplying
+    x = CycNumber(N, range(1, euler_phi(N) + 1), 7)
+    for t in range(-N, 2 * N):
+        z = CycNumber.zeta(N, t)
+        assert z.zeta_log() == t % N
+        assert x.times_zeta(t) == x * z
+    assert (CycNumber.zeta(N) * 2).zeta_log() is None
+    assert CycNumber.zero(N).zeta_log() is None
+    assert (CycNumber.zeta(N) / 3).zeta_log() is None
+
+
 def _reduced(N, coeffs, den):
     """Reference for the kernel: sum coeffs[t] x^t / den reduced by polynomial
     division by Phi_N, with no table of zeta powers."""
