@@ -395,10 +395,12 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
 
 
 # rows of J~ per block of the trace: the kernel holds the coefficient vectors
-# of a whole block unpacked, so the block bounds that memory.  With n = 140
-# (r = 13), `trace-table --levels 13` peaks at 34 MB RSS in five blocks and
-# at 51 MB in one (32 MB before the trace ran on the kernel).
-TRACE_BLOCK = 32
+# of a whole block unpacked, so the block bounds that memory.  Peak RSS of
+# `trace-table --levels 13` (n = 140): 33 MB in blocks of 16 rows and 51 MB
+# in one block; blocks of 32 rows add about 0.2 MB to the r = 4 and r = 7
+# `infinite-image` jobs.  Each block rebuilds the tables of D T^-1 (0.5 ms
+# at r = 4).
+TRACE_BLOCK = 16
 
 
 @lru_cache(maxsize=None)
