@@ -276,7 +276,7 @@ class ExactMatrix:
         N = self.order
         phi = euler_phi(N)
         A, dena = _common_den(self.rows)
-        B, denb = (A, dena) if other is self else _common_den(other.rows)
+        B, denb = _common_den(other.rows)
         for d in diags:
             B, denb = _scale_columns(N, phi, B, denb, d)
         den = dena * denb
