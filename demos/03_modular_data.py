@@ -20,8 +20,8 @@ for i in range(n):
     print("  " + "  ".join(f"{md.s_tilde[i, j].embed().real:+8.4f}" for j in range(n)))
 
 print("\nT diagonal (twists):")
-for i in range(n):
-    z = md.t[i, i].embed()
+for t in md.t:
+    z = t.embed()
     print(f"  theta = {z.real:+.6f}{z.imag:+.6f}i   (angle {math.atan2(z.imag, z.real)/math.pi:+.4f} pi)")
 
 print("\nexact relations (squared where D appears):")

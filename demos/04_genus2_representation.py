@@ -26,7 +26,7 @@ print("entry (0,0) equals 1/D^2 exactly:",
       rep.junitary.squares[0, 0] == (rep.constants.d_squared ** 2).inverse())
 
 print("\nT diagonal:")
-print("  " + "  ".join(f"{rep.tdiag[i, i].embed():+.4f}" for i in range(5)))
+print("  " + "  ".join(f"{t.embed():+.4f}" for t in rep.tdiag))
 
 print("\nexact relations:")
 print(verify_genus2_relations(params))

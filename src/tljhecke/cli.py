@@ -62,17 +62,16 @@ def _params(args) -> TheoryParams:
     return TheoryParams(args.level, root_exponent=k)
 
 
+def _complex_cells(values, precision: int) -> str:
+    """Cyclotomic values as re+imj floats, two spaces apart."""
+    return "  ".join(f"{z.real:+.{precision}f}{z.imag:+.{precision}f}j"
+                     for z in (x.embed(precision) for x in values))
+
+
 def _float_matrix_lines(M, precision: int) -> list[str]:
     if isinstance(M, SignedSqrtMatrix):
         return ["  ".join(f"{x:+.{precision}f}" for x in row) for row in M.embed(precision)]
-    lines = []
-    for row in M.rows:
-        cells = []
-        for e in row:
-            z = e.embed(precision)
-            cells.append(f"{z.real:+.{precision}f}{z.imag:+.{precision}f}j")
-        lines.append("  ".join(cells))
-    return lines
+    return [_complex_cells(row, precision) for row in M.rows]
 
 
 def _write_json(doc, write: Callable[[str], object]) -> None:
@@ -166,7 +165,7 @@ def cmd_modular_data(args) -> int:
         "level": params.level,
         "root": {"order": params.root_order, "exponent": params.root_exponent},
         "s_tilde": md.s_tilde.rows,
-        "t_diagonal": [md.t[i, i] for i in range(md.t.nrows)],
+        "t_diagonal": md.t,
         "d_squared": gc.d_squared,
         "kappa_squared": gc.kappa_squared,
     }
@@ -177,10 +176,7 @@ def cmd_modular_data(args) -> int:
                  "S~ (unnormalized):"]
         lines += _float_matrix_lines(md.s_tilde, args.precision)
         lines.append("T diagonal:")
-        lines += ["  " + "  ".join(
-            f"{md.t[i, i].embed(args.precision).real:+.{args.precision}f}"
-            f"{md.t[i, i].embed(args.precision).imag:+.{args.precision}f}j"
-            for i in range(md.t.nrows))]
+        lines.append("  " + _complex_cells(md.t, args.precision))
         z = gc.d_squared.embed(args.precision)
         lines.append(f"D^2 = {z.real:.{args.precision}f}")
         return lines
@@ -195,7 +191,7 @@ def cmd_genus2_matrices(args) -> int:
         "level": params.level,
         "root": {"order": params.root_order, "exponent": params.root_exponent},
         "basis": [list(t) for t in rep.basis.triples],
-        "t_diagonal": [rep.tdiag[i, i] for i in range(len(rep.basis))],
+        "t_diagonal": rep.tdiag,
         "d_squared": rep.constants.d_squared,
         "kappa_squared": rep.constants.kappa_squared,
         "positive_definite": rep.positive,
@@ -222,10 +218,7 @@ def cmd_genus2_matrices(args) -> int:
             lines.append("(form not positive definite at this root; "
                          "emitting the unnormalized matrices)")
         lines.append("T diagonal:")
-        lines.append("  " + "  ".join(
-            f"{rep.tdiag[i, i].embed(args.precision).real:+.{args.precision}f}"
-            f"{rep.tdiag[i, i].embed(args.precision).imag:+.{args.precision}f}j"
-            for i in range(len(rep.basis))))
+        lines.append("  " + _complex_cells(rep.tdiag, args.precision))
         return lines
     _emit(args, doc, pretty)
     return 0

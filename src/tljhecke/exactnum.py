@@ -100,18 +100,6 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPolynomial(x + y for x, y in zip(a, b))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial(())
@@ -136,12 +124,6 @@ class IntPolynomial:
                 for j, dc in enumerate(d.coeffs):
                     r[i + j] -= c * dc
         return IntPolynomial(q), IntPolynomial(r)
-
-    def evaluate(self, x):
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
 
     def __repr__(self):
         if self.is_zero():
@@ -519,11 +501,6 @@ class LaurentFraction:
             raise ZeroDivisionError("division by zero LaurentFraction")
         return LaurentFraction(self.num * other.den, self.den * other.num)
 
-    def __pow__(self, n: int) -> "LaurentFraction":
-        if n < 0:
-            return LaurentFraction.one() / self ** (-n)
-        return LaurentFraction(self.num ** n, self.den ** n)
-
     def bar(self) -> "LaurentFraction":
         """The image under A -> A**-1."""
         return LaurentFraction(self.num.substitute_inverse(),
@@ -763,9 +740,6 @@ class CycNumber:
                                   [c * f.denominator for c in self.vec],
                                   self.den * f.numerator)
         return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "CycNumber":
-        return self._coerce(other) / self
 
     def __pow__(self, n: int) -> "CycNumber":
         if n < 0:

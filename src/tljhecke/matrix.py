@@ -207,9 +207,6 @@ class ExactMatrix:
         return ExactMatrix(self.order, [[a - b for a, b in zip(r1, r2)]
                                         for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self) -> "ExactMatrix":
-        return self.map(lambda e: -e)
-
     def scale(self, c) -> "ExactMatrix":
         if not isinstance(c, CycNumber):
             c = CycNumber.from_rational(self.order, c)
@@ -320,12 +317,6 @@ class ExactMatrix:
         entries = {(i, j): CycNumber._raw(N, S[i][j], den) for i, j in upper}
         return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)]
                                for i in range(n)])
-
-    # -- numerics
-    def embed(self, precision: int = 15):
-        import numpy as np
-        return np.array([[e.embed(precision) for e in row] for row in self.rows],
-                        dtype=complex)
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"
@@ -514,21 +505,12 @@ class SignedSqrtMatrix:
         raise AttributeError("SignedSqrtMatrix is immutable")
 
     @property
-    def order(self) -> int:
-        return self.squares.order
-
-    @property
     def nrows(self) -> int:
         return self.squares.nrows
 
     @property
     def ncols(self) -> int:
         return self.squares.ncols
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedSqrtMatrix):
-            return NotImplemented
-        return self.squares == other.squares and self.signs == other.signs
 
     def embed(self, precision: int = 15):
         import numpy as np
@@ -540,4 +522,4 @@ class SignedSqrtMatrix:
         return out
 
     def __repr__(self):
-        return f"SignedSqrtMatrix(order={self.order}, {self.nrows}x{self.ncols})"
+        return f"SignedSqrtMatrix(order={self.squares.order}, {self.nrows}x{self.ncols})"

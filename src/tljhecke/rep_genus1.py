@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exactnum import CycNumber
 from .matrix import ExactMatrix, SignedSqrtMatrix
 from .recoupling import (
     GlobalConstants,
@@ -23,11 +24,12 @@ from .report import ReportItem, VerifyReport
 
 @dataclass(frozen=True)
 class ModularData:
-    """Unnormalized S matrix, diagonal T, and the global constants."""
+    """Unnormalized S matrix, the twists (the diagonal of T, as a vector),
+    and the global constants."""
 
     params: TheoryParams
     s_tilde: ExactMatrix
-    t: ExactMatrix
+    t: tuple[CycNumber, ...]
     constants: GlobalConstants
 
 
@@ -51,10 +53,9 @@ def s_matrix(params: TheoryParams) -> ExactMatrix:
 
 
 @lru_cache(maxsize=None)
-def t_matrix(params: TheoryParams) -> ExactMatrix:
-    """Diagonal matrix of twist coefficients theta_i over the color set."""
-    return ExactMatrix.diagonal(params.root_order,
-                                [twist_at(params, i) for i in color_set(params.level)])
+def t_matrix(params: TheoryParams) -> tuple[CycNumber, ...]:
+    """The diagonal of T: the twist coefficients theta_i over the color set."""
+    return tuple(twist_at(params, i) for i in color_set(params.level))
 
 
 def s_unitary(params: TheoryParams) -> SignedSqrtMatrix:
@@ -94,7 +95,7 @@ def verify_genus1_relations(params: TheoryParams) -> VerifyReport:
     diff = s2.first_difference(ident.scale(gc.d_squared))
     items.append(ReportItem("S^2 = I  (as S~^2 = D^2 I)", diff is None, diff))
 
-    ts = st.scale_rows([t[i, i] for i in range(n)])
+    ts = st.scale_rows(t)
     ts3 = (ts @ ts) @ ts
     diff = ts3.first_difference(ident.scale(gc.p_plus * gc.d_squared))
     items.append(ReportItem("(TS)^3 = kappa I  (as (T S~)^3 = P+ D^2 I)",

@@ -138,16 +138,29 @@ def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
 class Genus2Rep:
     """All genus-2 data at one root: J~ and the column factors D that make
     it the representation matrix J' = J~ D in the unnormalized basis
-    (j_field), the unitary normalization as (square, sign) pairs when the
-    form is positive definite, and the diagonal twist matrix."""
+    (j_field), the twists T, the unitary normalization as (square, sign)
+    pairs when the form is positive definite.  D (jcols) and T (tdiag) are
+    diagonals, held as vectors; so are E = D T and E' = D T^-1 (e, e_inv),
+    the two diagonals the relation checks, the trace and the quartic
+    residue read."""
 
     params: TheoryParams
     basis: Genus2Basis
     jtilde: ExactMatrix
     jcols: tuple[CycNumber, ...]
-    tdiag: ExactMatrix
+    tdiag: tuple[CycNumber, ...]
     constants: GlobalConstants
     positive: bool
+
+    @cached_property
+    def e(self) -> tuple[CycNumber, ...]:
+        """E = D T, built on first access."""
+        return tuple(d * t for d, t in zip(self.jcols, self.tdiag))
+
+    @cached_property
+    def e_inv(self) -> tuple[CycNumber, ...]:
+        """E' = D T^-1, as D conj(T): each t is +-zeta^b."""
+        return tuple(d * t.conj() for d, t in zip(self.jcols, self.tdiag))
 
     @cached_property
     def j_field(self) -> ExactMatrix:
@@ -234,12 +247,10 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     return ExactMatrix(N, [[next(entries) for _ in ts] for _ in ts])
 
 
-def t_genus2(params: TheoryParams) -> ExactMatrix:
-    """Diagonal action on u_(i,j,k) by theta_i * theta_j."""
+def t_genus2(params: TheoryParams) -> tuple[CycNumber, ...]:
+    """The diagonal of T: it acts on u_(i,j,k) by theta_i * theta_j."""
     basis = enumerate_basis(params.level)
-    return ExactMatrix.diagonal(
-        params.root_order,
-        [twist_at(params, i) * twist_at(params, j) for (i, j, k) in basis.triples])
+    return tuple(twist_at(params, i) * twist_at(params, j) for (i, j, k) in basis.triples)
 
 
 def _norms_positive(params: TheoryParams) -> bool:
@@ -309,10 +320,11 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 def _relations_hold(rep: Genus2Rep) -> bool:
     """True only when all four relations hold; each step is exact.
 
-    (iv)  J~ = J~^T, which every sandwich below needs.
+    (iv)  J~ = J~^T, which every sandwich below needs: the first one raises
+          ValueError when it does not hold.
     (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~
           (jt.sandwich(d)) is diagonal with S0_ii d_i = 1.
-    (ii)  With E = D T, S2 = J~ E J~ and S4 = S2 E S2 (jt.sandwich(e, e)),
+    (ii)  With E = D T (rep.e), S2 = J~ E J~ and S4 = S2 E S2 (jt.sandwich(e, e)),
           one has (TJ')^5 = T S4 E J~ D.  If J'^2 = I and
           S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4 J~ D J~ D =
           kappa^4 I.  Both sides are symmetric, so the upper triangles are
@@ -327,22 +339,20 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     params = rep.params
     jt, d = rep.jtilde, rep.jcols
     n = jt.nrows
-    if jt.rows != tuple(zip(*jt.rows)):
+    try:
+        s0 = jt.sandwich(d)
+    except ValueError:
         return False
-
-    s0 = jt.sandwich(d)
     for i in range(n):
         if s0[i, i] * d[i] != 1 or any(s0[i, j] for j in range(i + 1, n)):
             return False
 
-    t = [rep.tdiag[i, i] for i in range(n)]
     kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
-    logs = [x.zeta_log() for x in [kappa4] + t]
+    logs = [x.zeta_log() for x in (kappa4, *rep.tdiag)]
     if None in logs:
         return False
     k4, tlog = logs[0], logs[1:]
-    e = [di * ti for di, ti in zip(d, t)]
-    s4 = jt.sandwich(e, e)
+    s4 = jt.sandwich(rep.e, rep.e)
     if any(s4[i, j] != jt[i, j].times_zeta(k4 - tlog[i] - tlog[j])
            for i in range(n) for j in range(i, n)):
         return False
@@ -365,11 +375,11 @@ def _reference_differences(rep: Genus2Rep) -> list[tuple[int, int] | None]:
     ident = ExactMatrix.identity(N, n)
     diffs = [(rep.j_field @ rep.j_field).first_difference(ident)]
 
-    tj = rep.j_field.scale_rows([rep.tdiag[i, i] for i in range(n)])
+    tj = rep.j_field.scale_rows(rep.tdiag)
     tj2 = tj @ tj
     tj5 = (tj2 @ tj2) @ tj
     kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
-    diffs.append(tj5.first_difference(ExactMatrix.diagonal(N, [kappa4] * n)))
+    diffs.append(tj5.first_difference(ident.scale(kappa4)))
 
     if params.is_unitary_root:
         # unitarity in the theta-scaled basis: F = Theta J' Theta^-1 has
@@ -388,18 +398,16 @@ def _reference_differences(rep: Genus2Rep) -> list[tuple[int, int] | None]:
 
 def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
     rep = genus2_rep(params)
-    n = len(rep.basis)
-    tvals = [rep.tdiag[i, i] for i in range(n)]
-    tinv = [t.conj() for t in tvals]  # each t is +-zeta^e
-    return rep.j_field.scale_cols(tvals) @ rep.j_field.scale_cols(tinv)
+    tinv = [t.conj() for t in rep.tdiag]  # each t is +-zeta^b
+    return rep.j_field.scale_cols(rep.tdiag) @ rep.j_field.scale_cols(tinv)
 
 
 # rows of J~ per block of the trace: the kernel holds the coefficient vectors
 # of a whole block unpacked, so the block bounds that memory.  Peak RSS of
 # `trace-table --levels 13` (n = 140): 33 MB in blocks of 16 rows and 51 MB
 # in one block; blocks of 32 rows add about 0.2 MB to the r = 4 and r = 7
-# `infinite-image` jobs.  Each block rebuilds the tables of D T^-1 (0.5 ms
-# at r = 4).
+# `infinite-image` jobs.  Each block rebuilds the tables of E' = D T^-1
+# (0.5 ms at r = 4).
 TRACE_BLOCK = 16
 
 
@@ -407,26 +415,22 @@ TRACE_BLOCK = 16
 def trace_jtjt(params: TheoryParams) -> CycNumber:
     """tr(J T J T^-1) exactly, without J' or any n x n product.
 
-    With J' = J~ D, e = D T and e' = D T^-1 (each t is +-zeta^b, so
-    T^-1 = conj(T)), tr = sum_s e_s sum_m e'_m J~_sm J~_ms (the basis
-    rescaling cancels in the trace).  The n inner sums are packed dots of
+    With J' = J~ D, e = D T and e' = D T^-1 (rep.e and rep.e_inv), tr =
+    sum_s e_s sum_m e'_m J~_sm J~_ms (the basis rescaling cancels in the
+    trace).  The n inner sums are packed dots of
     row s of J~ with row s of J~^T diag(e'), in blocks of TRACE_BLOCK rows,
     and the outer sum is one more.  Tests diff it against _jtjt_matrix.
     """
     rep = genus2_rep(params)
-    jt, d = rep.jtilde, rep.jcols
-    n = jt.nrows
+    jt = rep.jtilde
     N = params.root_order
-    t = [rep.tdiag[i, i] for i in range(n)]
-    e = [x * y for x, y in zip(d, t)]
-    e_inv = [x * y.conj() for x, y in zip(d, t)]
     cols = jt.transpose().rows
     inner = []
-    for a in range(0, n, TRACE_BLOCK):
+    for a in range(0, jt.nrows, TRACE_BLOCK):
         block = ExactMatrix(N, jt.rows[a:a + TRACE_BLOCK])
         inner += block.dots(ExactMatrix(N, cols[a:a + TRACE_BLOCK]),
-                            [(s, s) for s in range(block.nrows)], e_inv)
-    return ExactMatrix(N, [e]).dots(ExactMatrix(N, [inner]), [(0, 0)])[0]
+                            [(s, s) for s in range(block.nrows)], rep.e_inv)
+    return ExactMatrix(N, [rep.e]).dots(ExactMatrix(N, [inner]), [(0, 0)])[0]
 
 
 def trace_params(r: int) -> TheoryParams:
@@ -446,18 +450,20 @@ class TraceEntry:
 
     @property
     def exceeds_dimension(self) -> bool:
-        """Exact: the real part of the trace is larger than dim V."""
-        return (self.value - self.dimension).real_sign() > 0
+        """Exact: the trace is real and larger than dim V."""
+        return self.value.is_real() and (self.value - self.dimension).real_sign() > 0
+
+
+def trace_entry(params: TheoryParams) -> TraceEntry:
+    """tr(J T J T^-1) at one root, exactly and as a 40-digit embedding,
+    beside dim V."""
+    v = trace_jtjt(params)
+    return TraceEntry(params.level, params.root_exponent, v,
+                      complex(*_mp_embed(v, 40)), verlinde_dim(params.level, 2))
 
 
 def trace_table(levels=(3, 5, 7, 9, 11, 13)) -> list[TraceEntry]:
-    out = []
-    for r in levels:
-        p = trace_params(r)
-        v = trace_jtjt(p)
-        z = complex(*_mp_embed(v, 40))
-        out.append(TraceEntry(r, p.root_exponent, v, z, verlinde_dim(r, 2)))
-    return out
+    return [trace_entry(trace_params(r)) for r in levels]
 
 
 def trace_galois_sweep(r: int) -> list[tuple[int, complex]]:
@@ -513,24 +519,22 @@ RESIDUE_PRIMES = 3
 
 def _quartic_residue_nonzero(params: TheoryParams, quartic: IntPolynomial) -> bool:
     """True when det Q(M) is nonzero modulo one of the first RESIDUE_PRIMES
-    split primes prime to the denominators of J~ and D, M = J T J T^-1.
+    split primes prime to the denominators of J~, E and E', M = J T J T^-1.
 
     Reduction modulo a split prime is a ring homomorphism, so a nonzero
     residue proves det Q(M) != 0 exactly: Q has no root in common with the
-    characteristic polynomial of M.  J~ and D are reduced separately, and
-    J' = J~ D and M are formed in F_p only.
+    characteristic polynomial of M = (J~ E)(J~ E').  J~, E = D T and
+    E' = D T^-1 are reduced separately, and M is formed in F_p only.
     """
     rep = genus2_rep(params)
-    jt, d = rep.jtilde, rep.jcols
-    n = len(rep.basis)
-    den = math.lcm(*(e.den for row in jt.rows for e in row), *(x.den for x in d))
+    jt = rep.jtilde
+    den = math.lcm(*(x.den for row in jt.rows for x in row),
+                   *(x.den for x in rep.e + rep.e_inv))
     for sp in islice(split_primes(params.root_order, den), RESIDUE_PRIMES):
         p = sp.p
         J = residue_matrix(jt, sp)
-        dp = [sp.residue(x) for x in d]
-        t = [sp.residue(rep.tdiag[i, i]) for i in range(n)]
-        e = [x * y % p for x, y in zip(dp, t)]
-        e_inv = [x * pow(y, -1, p) % p for x, y in zip(dp, t)]
+        e = [sp.residue(x) for x in rep.e]
+        e_inv = [sp.residue(x) for x in rep.e_inv]
         JT = [[x * y % p for x, y in zip(row, e)] for row in J]
         JTinv = [[x * y % p for x, y in zip(row, e_inv)] for row in J]
         M = matmul_mod(JT, JTinv, p)
@@ -593,15 +597,14 @@ def trace_certificate(params: TheoryParams) -> tuple[bool, str]:
     """Certificate (b): tr(J T J T^-1) is real and exceeds dim V, impossible
     for a finite image of the unitary family.
 
-    Decided exactly: the trace equals its conjugate in Q(zeta_N) and
-    real_sign(tr - dim) > 0.  The 40-digit embedding only prints the value.
+    Decided exactly (TraceEntry.exceeds_dimension): the trace equals its
+    conjugate in Q(zeta_N) and real_sign(tr - dim) > 0.  The 40-digit
+    embedding only prints the value.
     """
-    v = trace_jtjt(params)
-    d = verlinde_dim(params.level, 2)
-    fires = v.is_real() and (v - d).real_sign() > 0
-    re, im = _mp_embed(v, 40)
-    return fires, (f"tr = {re:.4f}{im:+.1e}i vs dim = {d} at root "
-                   f"zeta_{params.root_order}^{params.root_exponent}")
+    e = trace_entry(params)
+    return e.exceeds_dimension, (f"tr = {e.approx.real:.4f}{e.approx.imag:+.1e}i "
+                                 f"vs dim = {e.dimension} at root "
+                                 f"zeta_{params.root_order}^{params.root_exponent}")
 
 
 def infinite_image_certificate(params: TheoryParams) -> InfiniteImageReport:

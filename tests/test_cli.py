@@ -53,7 +53,7 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
     # negative control: conjugating T breaks (TJ)^5 = (P+/P-)^2 I
     rep = rep_genus2.genus2_rep(TheoryParams(2))
     monkeypatch.setattr(rep_genus2, "genus2_rep",
-                        lambda params: replace(rep, tdiag=rep.tdiag.conj()))
+                        lambda params: replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag)))
     code, out = run(capsys, "verify", "--genus", "2", "--level", "2")
     assert code == 3
     assert "FAIL" in out
@@ -159,6 +159,21 @@ def test_modular_data_json_roundtrip(capsys):
     assert s00 == 1
     d2 = cyc_from_json(doc["d_squared"])
     assert d2 == 4
+
+
+def test_modular_data_pretty_text(capsys):
+    # the whole pretty output at r = 2, default root and precision 6
+    code, out = run(capsys, "--precision", "6", "modular-data", "--level", "2")
+    assert code == 0
+    assert out == (
+        "modular data at level 2, root zeta_16^5\n"
+        "S~ (unnormalized):\n"
+        "+1.000000+0.000000j  +1.414214-0.000000j  +1.000000+0.000000j\n"
+        "+1.414214-0.000000j  +0.000000+0.000000j  -1.414214+0.000000j\n"
+        "+1.000000+0.000000j  -1.414214+0.000000j  +1.000000+0.000000j\n"
+        "T diagonal:\n"
+        "  +1.000000+0.000000j  -0.923880+0.382683j  -1.000000+0.000000j\n"
+        "D^2 = 4.000000\n")
 
 
 def test_genus2_matrices_json(capsys):

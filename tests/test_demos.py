@@ -1,9 +1,9 @@
 """Smoke test: the narrative demos run to completion against the library.
 
-Demo 04 is left out: it builds the trace table up to level 13 and the
-infinite-image certificates at level 7, over 10 s, while the others take
-about 1 s together.  No other test runs the demos, so without this one a
-library name they use could be deleted without any failure.
+No other test runs the demos, so without this one a library name they use
+could be deleted without any failure.  Demo 04, which builds the trace
+table up to level 13 and the infinite-image certificates at level 7, is the
+longest (about 2 s).
 """
 import os
 import subprocess
@@ -15,7 +15,8 @@ import tljhecke
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ["01_exact_arithmetic.py", "02_recoupling_data.py", "03_modular_data.py",
-         "05_hecke_and_thurston.py", "06_spin_decomposition.py"]
+         "04_genus2_representation.py", "05_hecke_and_thurston.py",
+         "06_spin_decomposition.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

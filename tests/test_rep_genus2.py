@@ -34,6 +34,7 @@ from tljhecke.rep_genus2 import (
     trace_jtjt,
     trace_params,
     trace_table,
+    TraceEntry,
     verify_genus2_relations,
     _jtjt_matrix,
     _quartic_residue_nonzero,
@@ -227,7 +228,7 @@ def test_golden_t2_exact():
     one = CycNumber.one(16)
     golden = [one, e78, -one, e78, -e34, -e34, -e78, -one, -e78, one]
     for i in range(10):
-        assert rep.tdiag[i, i] == golden[i], i
+        assert rep.tdiag[i] == golden[i], i
 
 
 def test_golden_j3_exact():
@@ -267,12 +268,12 @@ def test_golden_t3_exact():
     one = CycNumber.one(10)
     golden = [one, e45, e45, em25, em25]
     for i in range(5):
-        assert rep.tdiag[i, i] == golden[i], i
+        assert rep.tdiag[i] == golden[i], i
 
 
 def test_t_genus2_identity_triple():
     for r in range(1, 8):
-        assert t_genus2(TheoryParams(r))[0, 0] == 1
+        assert t_genus2(TheoryParams(r))[0] == 1
 
 
 def test_first_row_law():
@@ -306,7 +307,7 @@ def test_relations_fail_with_conjugated_twist(monkeypatch):
     # negative control: T -> conj(T) breaks (TJ)^5 = (P+/P-)^2 I
     rep = genus2_rep(TheoryParams(2))
     monkeypatch.setattr(rep_genus2, "genus2_rep",
-                        lambda params: replace(rep, tdiag=rep.tdiag.conj()))
+                        lambda params: replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag)))
     rpt = verify_genus2_relations(TheoryParams(2))
     assert not rpt.all_pass
 
@@ -346,9 +347,9 @@ def _bump(M, cells):
 
 
 def _tscaled(rep, i):
-    t = [rep.tdiag[m, m] for m in range(rep.tdiag.nrows)]
+    t = list(rep.tdiag)
     t[i] = t[i] * 2
-    return ExactMatrix.diagonal(rep.tdiag.order, t)
+    return tuple(t)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -356,7 +357,7 @@ def _tscaled(rep, i):
     lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(0, 1), (1, 0)])),
     lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(1, 2)])),
     lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(2, 2)])),
-    lambda rep: replace(rep, tdiag=rep.tdiag.conj()),
+    lambda rep: replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag)),
     lambda rep: replace(rep, tdiag=_tscaled(rep, 1)),
 ], ids=["symmetric", "asymmetric", "diagonal", "conj-T", "T-non-unit"])
 def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
@@ -422,6 +423,20 @@ def test_passing_relations_make_few_field_products(monkeypatch):
     assert calls[0] <= 10 * n, calls
 
 
+def test_reference_paths_read_no_e(monkeypatch):
+    # _jtjt_matrix and _reference_differences build on j_field and tdiag
+    # alone, so the tests that diff the fast paths against them do not
+    # share E = D T or E' = D T^-1 with those paths
+    P = TheoryParams(3)
+    rep = replace(genus2_rep(P))
+    monkeypatch.setattr(rep_genus2, "genus2_rep", lambda params: rep)
+    _jtjt_matrix(P)
+    rep_genus2._reference_differences(rep)
+    assert "e" not in vars(rep) and "e_inv" not in vars(rep)
+    assert rep.e == tuple(d * t for d, t in zip(rep.jcols, rep.tdiag))
+    assert rep.e_inv == tuple(d / t for d, t in zip(rep.jcols, rep.tdiag))
+
+
 def _j_field_built(P):
     return "j_field" in vars(genus2_rep(P))
 
@@ -453,7 +468,7 @@ def test_galois_equivariance_of_genus2_matrices():
     assert math.gcd(m, P.root_order) == 1
     Pm = P.with_root(m * P.root_exponent)
     assert jtilde(Pm) == jtilde(P).galois(m)
-    assert t_genus2(Pm) == t_genus2(P).galois(m)
+    assert t_genus2(Pm) == tuple(t.galois(m) for t in t_genus2(P))
     rpt = verify_genus2_relations(Pm)
     assert rpt.all_pass
 
@@ -526,6 +541,19 @@ def test_trace_galois_sweep_builds_one_representation():
 def test_exceeds_dimension_matches_float_comparison():
     for e in trace_table(range(3, 12, 2)):
         assert e.exceeds_dimension == (e.approx.real > e.dimension), e.level
+
+
+def test_exceeds_dimension_needs_a_real_trace():
+    # one decision serves trace-table and the trace certificate: a value
+    # that is not real never exceeds dim V, however large its real part
+    big = CycNumber.from_rational(12, 100)
+    i = CycNumber.zeta(12, 3)
+    assert TraceEntry(3, 1, big, complex(100, 0), 5).exceeds_dimension
+    assert not TraceEntry(3, 1, big + i, complex(100, 1), 5).exceeds_dimension
+    for r in (3, 5, 7):
+        P = trace_params(r)
+        fires, _ = rep_genus2.trace_certificate(P)
+        assert fires == rep_genus2.trace_entry(P).exceeds_dimension, r
 
 
 def test_trace_params_rejects_even_levels():
@@ -698,7 +726,7 @@ def test_r2_generators_have_finite_projective_order():
     c = X.scalar_multiple_of_identity()
     assert c is not None and c == CycNumber.one(P.root_order)
     rep = genus2_rep(P)
-    TJ = rep.tdiag @ rep.j_field
+    TJ = ExactMatrix.diagonal(P.root_order, rep.tdiag) @ rep.j_field
     Y = TJ @ TJ
     Y = Y @ Y
     Y = Y @ TJ         # (TJ)^5
