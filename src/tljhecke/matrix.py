@@ -11,11 +11,20 @@ x^c w mod Phi_N make "entry times w" one dot of the entry's coefficients,
 with no CycNumber product.
 
 ExactMatrix.dots(B, pairs, *diags) is the one entry point: A @ B pairs every
-row of A with every column of B; A.sandwich(d1, d2, ...) = A diag(d1) A,
-then S diag(d2) S on that result S, for symmetric A, over the upper
-triangle only (half a product per step) and with S kept as coefficient
-vectors between steps.  J~ assembly, the trace of J T J T^-1 and the
-genus-2 relation checks (two sandwich calls) all run through it.
+row of A with every column of B.  A symmetric A diag(x) A is a half-product
+(upper triangle only), folded over an involution pi of the indices that
+fixes A (A[pi i, pi j] = A[i, j]; checked, ValueError otherwise): with R the
+pair representatives (i < pi i) and F the fixed points, the rows of A
+become p = A[r, k] + A[r, pi k] and q = A[r, k] - A[r, pi k] on R and
+A[r, k] on F, and A diag(x) A comes from three smaller products of them,
+alpha (|R| + |F| rows), beta (|R| rows) and gamma (only when pi moves x),
+each entry from a sum of the four (_fold, _unfold).  With pi the identity
+this is the plain half-product.  A.fold(pi, x) returns the blocks;
+A.sandwich(pi, d1, d2, ...) = A diag(d1) A, folded over pi, then S diag(d2) S
+on that result S over the identity, with S kept as coefficient vectors
+between steps.  J~ assembly, the trace of J T J T^-1 and the genus-2
+relation checks (one fold and one sandwich over the swap of the theta
+basis) all run through it.
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -35,7 +44,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import (
     CycNumber,
@@ -135,6 +144,126 @@ def _dots(N: int, phi: int, A: list[list[list[int]]], B: list[list[list[int]]],
     return (_fold_int_vec(N, _unpack_digits(sum(map(operator.mul, Ap[i], Bp[j])),
                                             width, 2 * phi - 1))
             for i, j in pairs)
+
+
+def _add(u: list[int], v: list[int]) -> list[int]:
+    return [x + y for x, y in zip(u, v)]
+
+
+def _sub(u: list[int], v: list[int]) -> list[int]:
+    return [x - y for x, y in zip(u, v)]
+
+
+def _fold(N: int, phi: int, S: list[list[list[int]]], den: int, pi: Sequence[int],
+          diag: Sequence[CycNumber]) -> tuple:
+    """S diag(x) S folded over the involution pi, for S (coefficient vectors
+    over den) symmetric and fixed by pi.
+
+    R holds the pair representatives (i < pi i), F the fixed points, and
+    reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on R and
+    S[r][k] on F; row r of Q (r in R) is q_r[k] = S[r][k] - S[r][pi k] on R.
+    Then p_{pi r} = p_r and q_{pi r} = -q_r, and with w = (x_k + x_{pi k})/4,
+    v = (x_k - x_{pi k})/4 on R and w = x_k on F, the blocks
+        alpha = P diag(w) P^T   (reps x reps, upper triangle),
+        beta  = Q diag(w) Q^T   (R x R, upper triangle),
+        gamma = P diag(v) Q^T   (reps x R, row by row; None when v = 0)
+    give every entry of S diag(x) S (ExactMatrix.fold).  They cost
+    n+^3/2 + n-^3/2 + n+ n-^2 multiplications, n+ = |R| + |F| and n- = |R|,
+    against n^3/2 unfolded; with pi the identity, alpha is the half-product.
+    Returns reps, |R|, the three blocks and their denominators.
+    """
+    n = len(S)
+    R = [i for i in range(n) if i < pi[i]]
+    reps = R + [i for i in range(n) if i == pi[i]]
+    m, nr = len(R), len(reps)
+    P = [[_add(row[k], row[pi[k]]) for k in R] + [row[k] for k in reps[m:]]
+         for row in map(S.__getitem__, reps)]
+    w = [(diag[k] + diag[pi[k]]) / 4 for k in R]
+    v = [(diag[k] - diag[pi[k]]) / 4 for k in R]
+
+    def products(A, B, weights, pairs):
+        scaled, dens = _scale_columns(N, phi, B, den, weights)
+        return list(_dots(N, phi, A, scaled, len(weights), pairs)), den * dens
+
+    alpha, da = products(P, P, w + [diag[k] for k in reps[m:]], _upper(nr))
+    beta, db, gamma, dg = [], 1, None, 1
+    if m:
+        Q = [[_sub(row[k], row[pi[k]]) for k in R] for row in map(S.__getitem__, R)]
+        beta, db = products(Q, Q, w, _upper(m))
+        if any(v):
+            gamma, dg = products([row[:m] for row in P], Q, v,
+                                 ((a, b) for a in range(nr) for b in range(m)))
+    return reps, m, alpha, beta, gamma, (da, db, dg)
+
+
+def _upper(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
+            beta: list[list[int]], gamma: list[list[int]] | None,
+            dens: tuple[int, int, int]) -> tuple[list[list[list[int]]], int]:
+    """The n x n coefficient vectors of S diag(x) S, in lowest terms, from
+    the blocks of _fold: for r, c in reps, with a = alpha, b = beta,
+    g = gamma[r, c] and h = gamma[c, r],
+        S[r][c] = a + b + g + h,     S[pi r][pi c] = a + b - g - h,
+        S[r][pi c] = a - b - g + h,  S[pi r][c] = a - b + g - h,
+    where b and g (h) drop out when c (r) is a fixed point."""
+    den = math.lcm(*dens)
+    for block, d in zip((alpha, beta, gamma or ()), dens):
+        if d != den:
+            f = den // d
+            for vec in block:
+                vec[:] = [c * f for c in vec]
+    n, nr = len(pi), len(reps)
+    zero = [0] * len(alpha[0]) if alpha else []
+    S = [[None] * n for _ in range(n)]
+    out = []
+
+    def put(i, j, vec):
+        S[i][j] = S[j][i] = vec
+        out.append(vec)
+
+    ia, ib = iter(alpha), iter(beta)
+    for a, r in enumerate(reps):
+        pr = pi[r]
+        for b in range(a, nr):
+            c, A = reps[b], next(ia)
+            if a >= m:                  # r and c are fixed
+                put(r, c, A)
+                continue
+            H = gamma[b * m + a] if gamma else zero
+            if b >= m:                  # c is fixed
+                put(r, c, _add(A, H))
+                put(pr, c, _sub(A, H))
+                continue
+            B, G, pc = next(ib), gamma[a * m + b] if gamma else zero, pi[c]
+            u, d, g, h = _add(A, B), _sub(A, B), _add(G, H), _sub(G, H)
+            put(r, c, _add(u, g))
+            put(pr, pc, _sub(u, g))
+            put(r, pc, _sub(d, h))
+            put(pr, c, _add(d, h))
+    return S, _lowest_terms(out, den)
+
+
+def _symmetric(N: int, n: int, upper: Sequence[list[int]], den: int) -> "ExactMatrix":
+    """The symmetric n x n matrix with the given upper triangle (row by row)."""
+    it = iter(upper)
+    entries = {(i, j): CycNumber._raw(N, next(it), den) for i, j in _upper(n)}
+    return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)]
+                           for i in range(n)])
+
+
+class Fold(NamedTuple):
+    """The blocks of S = A diag(x) A folded over an involution pi fixing A
+    (ExactMatrix.fold): reps lists the pair representatives R (i < pi i),
+    then the fixed points F; pairs = |R|; alpha is reps x reps, beta R x R,
+    gamma reps x R."""
+    reps: tuple[int, ...]
+    pairs: int
+    alpha: "ExactMatrix"
+    beta: "ExactMatrix"
+    gamma: "ExactMatrix"
 
 
 class ExactMatrix:
@@ -290,33 +419,62 @@ class ExactMatrix:
                                ((i, j) for i in range(m) for j in range(n))))
         return ExactMatrix(self.order, [[next(prods) for _ in range(n)] for _ in range(m)])
 
-    def sandwich(self, *diags: Sequence[CycNumber]) -> "ExactMatrix":
+    def _check_fold(self, pi: Sequence[int]) -> None:
+        """ValueError unless pi is an involution of range(n) and self is
+        symmetric and fixed by pi: self[i, j] = self[j, i] = self[pi i, pi j]."""
+        n, rows = self.nrows, self.rows
+        if sorted(pi) != list(range(n)) or any(pi[pi[i]] != i for i in range(n)):
+            raise ValueError("pi must be an involution of the rows")
+        if not self.is_square() or any(rows[i][j] != rows[j][i] or rows[i][j] != rows[pi[i]][pi[j]]
+                                       for i in range(n) for j in range(i, n)):
+            raise ValueError("folding needs a symmetric matrix fixed by pi")
+
+    def fold(self, pi: Sequence[int], diag: Sequence[CycNumber]) -> "Fold":
+        """The blocks of S = self diag(diag) self folded over the involution
+        pi (_fold), for a symmetric self fixed by pi; no entry of S is formed.
+
+        With reps = R + F as in Fold, S[r, v] = alpha + beta + gamma[r, v] +
+        gamma[v, r], S[pi r, pi v] = alpha + beta - gamma[r, v] - gamma[v, r],
+        S[r, pi v] = alpha - beta - gamma[r, v] + gamma[v, r] and S[pi r, v] =
+        alpha - beta + gamma[r, v] - gamma[v, r] (alpha, beta at (r, v)); beta
+        and gamma read as 0 where an index is a fixed point.
+        """
+        self._check_fold(pi)
+        _check_length(diag, self.ncols)
+        N = self.order
+        S, den = _common_den(self.rows)
+        reps, m, alpha, beta, gamma, dens = _fold(N, euler_phi(N), S, den, pi, diag)
+        nr = len(reps)
+        if gamma is None:
+            gamma = [[CycNumber.zero(N)] * m] * nr
+        else:
+            gamma = [[CycNumber._raw(N, v, dens[2]) for v in gamma[a * m:(a + 1) * m]]
+                     for a in range(nr)]
+        return Fold(tuple(reps), m, _symmetric(N, nr, alpha, dens[0]),
+                    _symmetric(N, m, beta, dens[1]), ExactMatrix(N, gamma))
+
+    def sandwich(self, pi: Sequence[int], *diags: Sequence[CycNumber]) -> "ExactMatrix":
         """S diag(d) S for a symmetric S, for each d of diags in turn:
         S = self first, then the result of the previous step, so
-        A.sandwich(d1, d2) = (A d1 A) d2 (A d1 A).
+        A.sandwich(pi, d1, d2) = (A d1 A) d2 (A d1 A).
 
-        Every S is symmetric, so only its upper triangle is computed: entry
-        (i, j) is row i of S dotted with row j of S diag(d), column j of S
-        being its row j.  Between steps S stays as coefficient vectors over
-        one denominator; only the last is read back as CycNumbers.
+        The first step is folded over the involution pi, which must fix self
+        (_fold, then _unfold); its result is in general not fixed by pi, so
+        later steps fold over the identity, which is the plain half-product:
+        entry (i, j), i <= j, is row i of S dotted with row j of S diag(d).
+        Between steps S stays as coefficient vectors over one denominator;
+        only the last is read back as CycNumbers.
         """
-        if not self.is_square() or tuple(zip(*self.rows)) != self.rows:
-            raise ValueError("sandwich needs a symmetric matrix")
+        self._check_fold(pi)
         for d in diags:
             _check_length(d, self.ncols)
         N, n = self.order, self.nrows
         phi = euler_phi(N)
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
         S, den = _common_den(self.rows)
         for d in diags:
-            scaled, dens = _scale_columns(N, phi, S, den, d)
-            prods = list(_dots(N, phi, S, scaled, n, upper))
-            den = _lowest_terms(prods, den * dens)
-            prods = dict(zip(upper, prods))
-            S = [[prods[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-        entries = {(i, j): CycNumber._raw(N, S[i][j], den) for i, j in upper}
-        return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)]
-                               for i in range(n)])
+            S, den = _unfold(pi, *_fold(N, phi, S, den, pi, d))
+            pi = range(n)
+        return _symmetric(N, n, [S[i][j] for i in range(n) for j in range(i, n)], den)
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"

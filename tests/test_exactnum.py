@@ -479,7 +479,7 @@ def sandwich_cases(draw):
 def test_sandwich_matches_product(case):
     A, d, _ = case
     n = A.nrows
-    S = A.sandwich(d)
+    S = A.sandwich(range(n), d)
     assert S == A.scale_cols(d) @ A
     for i in range(n):
         for j in range(n):
@@ -493,9 +493,10 @@ def test_sandwich_matches_product(case):
 @given(sandwich_cases())
 def test_chained_sandwich_matches_products(case):
     A, d1, d2 = case
+    ident = range(A.nrows)
     S = A.scale_cols(d1) @ A
-    assert A.sandwich(d1, d2) == S.scale_cols(d2) @ S
-    assert A.sandwich() == A
+    assert A.sandwich(ident, d1, d2) == S.scale_cols(d2) @ S
+    assert A.sandwich(ident) == A
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,11 +510,97 @@ def test_dots_with_diagonals_match_products(case):
     assert A.dots(A, pairs) == [(A @ A.transpose())[i, j] for i, j in pairs]
 
 
+@st.composite
+def folded_cases(draw):
+    # a symmetric A fixed by an involution pi with 0-3 swapped pairs and
+    # 0-3 fixed points (so pi may be the identity), a diagonal that pi moves,
+    # one that pi fixes, and a second step's diagonal
+    N = draw(st.sampled_from([5, 12, 16, 24]))
+    phi = euler_phi(N)
+    entry = st.builds(lambda v, d: CycNumber(N, v, d),
+                      st.lists(st.integers(-9, 9), min_size=phi, max_size=phi),
+                      st.integers(1, 10 ** 6))
+    weight = st.one_of(entry, st.just(CycNumber.zero(N)))
+    pairs, fixed = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n = max(2 * pairs + fixed, 1)
+    order = draw(st.permutations(range(n)))
+    pi = list(range(n))
+    for a in range(pairs):
+        i, j = order[2 * a], order[2 * a + 1]
+        pi[i], pi[j] = j, i
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rows[i][j] is None:
+                x = draw(entry)
+                for a, b in ((i, j), (j, i), (pi[i], pi[j]), (pi[j], pi[i])):
+                    rows[a][b] = x
+    moved = [draw(weight) for _ in range(n)]
+    fixed_by_pi = [moved[min(i, pi[i])] for i in range(n)]
+    return ExactMatrix(N, rows), pi, moved, fixed_by_pi, [draw(weight) for _ in range(n)]
+
+
+def _product(A, d):
+    return A.scale_cols(d) @ A
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_cases())
+def test_folded_sandwich_matches_products(case):
+    A, pi, moved, fixed_by_pi, d2 = case
+    ident = range(A.nrows)
+    for d in (moved, fixed_by_pi):
+        S = _product(A, d)
+        assert A.sandwich(pi, d) == S == A.sandwich(ident, d)
+        assert A.sandwich(pi, d, d2) == _product(S, d2) == A.sandwich(ident, d, d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_cases())
+def test_fold_blocks_give_every_entry(case):
+    A, pi, moved, fixed_by_pi, _ = case
+    zero = CycNumber.zero(A.order)
+    for d in (moved, fixed_by_pi):
+        S = _product(A, d)
+        f = A.fold(pi, d)
+        m = f.pairs
+        assert sorted(f.reps) == sorted(i for i in range(A.nrows) if i <= pi[i])
+        assert all(i < pi[i] for i in f.reps[:m]) and all(i == pi[i] for i in f.reps[m:])
+        for a, r in enumerate(f.reps):
+            for b, c in enumerate(f.reps):
+                al = f.alpha[a, b]
+                be = f.beta[a, b] if a < m and b < m else zero
+                g = f.gamma[a, b] if b < m else zero
+                h = f.gamma[b, a] if a < m else zero
+                assert S[r, c] == al + be + g + h
+                assert S[pi[r], pi[c]] == al + be - g - h
+                assert S[r, pi[c]] == al - be - g + h
+                assert S[pi[r], c] == al - be + g - h
+    f = A.fold(pi, fixed_by_pi)
+    assert all(x == zero for row in f.gamma.rows for x in row)
+
+
+def test_fold_rejects_what_pi_does_not_fix():
+    z = CycNumber.zeta(12)
+    one = CycNumber.one(12)
+    A = ExactMatrix(12, [[z, one, z], [one, z, z], [z, z, one]])
+    swap = [1, 0, 2]
+    assert A.fold(swap, [z, one, z]).pairs == 1
+    B = ExactMatrix(12, [[z, one, z], [one, z, one], [z, one, one]])
+    for call in (lambda: B.fold(swap, [z] * 3), lambda: B.sandwich(swap, [z] * 3)):
+        with pytest.raises(ValueError, match="fixed by pi"):
+            call()
+    assert B.sandwich(range(3), [z] * 3) == _product(B, [z] * 3)
+    for bad in ([1, 2, 0], [0, 1], [0, 0, 2]):
+        with pytest.raises(ValueError, match="pi must be"):
+            A.fold(bad, [z] * 3)
+
+
 def test_sandwich_rejects_asymmetric_matrix():
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z - 1, z]])
     with pytest.raises(ValueError):
-        A.sandwich([z, z])
+        A.sandwich(range(2), [z, z])
 
 
 @pytest.mark.parametrize("length", [1, 3])
@@ -523,7 +610,8 @@ def test_diagonal_length_must_match(length):
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
-    for call in (lambda: A.sandwich(d), lambda: A.sandwich([z, z], d),
+    for call in (lambda: A.sandwich(range(2), d), lambda: A.sandwich(range(2), [z, z], d),
+                 lambda: A.fold(range(2), d),
                  lambda: A.scale_cols(d), lambda: A.scale_rows(d),
                  lambda: A.dots(A, [(0, 0)], d)):
         with pytest.raises(ValueError, match=f"length {length} where 2 "):

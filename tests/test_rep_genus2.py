@@ -18,6 +18,7 @@ from tljhecke.recoupling import (
     theta_at,
     verlinde_dim,
 )
+import tljhecke.matrix as matrix
 import tljhecke.rep_genus2 as rep_genus2
 from tljhecke.rep_genus2 import (
     INFINITE_ORDER_QUARTIC,
@@ -141,6 +142,31 @@ def test_jtilde_symmetric():
     for r in (2, 3, 4, 5, 6):
         jt = jtilde(TheoryParams(r))
         assert jt == jt.transpose(), r
+
+
+def test_basis_swap_is_the_strand_involution():
+    for r in (1, 2, 3, 4):
+        ts = enumerate_basis(r).triples
+        pi = enumerate_basis(r).swap
+        assert [ts[p] for p in pi] == [(i, k, j) for i, j, k in ts]
+        assert all(pi[p] == a for a, p in enumerate(pi))
+    assert enumerate_basis(3).swap == (0, 1, 3, 2, 4)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_jtilde_and_d_are_fixed_by_the_swap_every_root(r):
+    # the relation check folds J~ X J~ over (i, j, k) -> (i, k, j); a J~ or D
+    # that the swap moves is still decided, by the product chain, but
+    # several times slower, so the fact the fold rests on is pinned here
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        rep = genus2_rep(P.with_root(k))
+        pi, jt, d = rep.basis.swap, rep.jtilde, rep.jcols
+        n = len(pi)
+        assert all(jt[pi[i], pi[j]] == jt[i, j] for i in range(n) for j in range(n)), (r, k)
+        assert all(d[pi[i]] == d[i] for i in range(n)), (r, k)
+        if r > 1:
+            assert any(rep.tdiag[pi[i]] != rep.tdiag[i] for i in range(n)), (r, k)
 
 
 def _jtilde_reference(P):
@@ -339,11 +365,54 @@ def test_relations_fast_path_matches_reference_r6(monkeypatch):
         assert _fast_vs_reference(monkeypatch, Pk).all_pass
 
 
+def _folded_vs_half_product(rep):
+    # S0 = J~ D J~ and S2 = J~ E J~ folded over the swap against the
+    # unfolded half-product (the identity involution)
+    jt, pi = rep.jtilde, rep.basis.swap
+    ident = range(len(pi))
+    for x in (rep.jcols, rep.e):
+        assert jt.sandwich(pi, x) == jt.sandwich(ident, x), rep.params
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_folded_products_match_half_products_every_root(r):
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        _folded_vs_half_product(genus2_rep(P.with_root(k)))
+
+
+def test_folded_products_match_half_products_r6():
+    P = TheoryParams(6)
+    for Pk in (P, P.with_root(1)):
+        _folded_vs_half_product(genus2_rep(Pk))
+
+
 def _bump(M, cells):
     rows = [list(row) for row in M.rows]
     for i, j in cells:
         rows[i][j] = rows[i][j] + 1
     return ExactMatrix(M.order, rows)
+
+
+def _moved(pi):
+    return next(i for i in range(len(pi)) if i < pi[i])
+
+
+def _swap_bump(rep, keep):
+    # J~ + 1 at (a, b) and (b, a), a moved by the swap and b not in {a, pi a},
+    # and with keep at (pi a, pi b) and (pi b, pi a) too: symmetric either
+    # way, fixed by the swap only with keep
+    pi = rep.basis.swap
+    a = _moved(pi)
+    b = next(j for j in range(len(pi)) if j not in (a, pi[a]))
+    cells = [(a, b), (b, a)] + ([(pi[a], pi[b]), (pi[b], pi[a])] if keep else [])
+    return _bump(rep.jtilde, cells)
+
+
+def _d_moved(rep):
+    d = list(rep.jcols)
+    d[_moved(rep.basis.swap)] *= 2
+    return tuple(d)
 
 
 def _tscaled(rep, i):
@@ -359,7 +428,11 @@ def _tscaled(rep, i):
     lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(2, 2)])),
     lambda rep: replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag)),
     lambda rep: replace(rep, tdiag=_tscaled(rep, 1)),
-], ids=["symmetric", "asymmetric", "diagonal", "conj-T", "T-non-unit"])
+    lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=True)),
+    lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=False)),
+    lambda rep: replace(rep, jcols=_d_moved(rep)),
+], ids=["symmetric", "asymmetric", "diagonal", "conj-T", "T-non-unit",
+        "swap-fixed", "swap-broken", "D-swap-broken"])
 def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
     # a broken representation falls through to the product chain: the
     # report, every witness included, is the reference one, and it fails
@@ -369,6 +442,25 @@ def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
         with monkeypatch.context() as m:
             m.setattr(rep_genus2, "genus2_rep", lambda params: bad)
             assert not _fast_vs_reference(m, P).all_pass, (r, P.root_exponent)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_swap_bumps_take_their_own_paths(monkeypatch, r):
+    # a bump that the swap fixes passes the fold's precondition and the
+    # folded S0 itself rejects it, before any sandwich; one that the swap
+    # does not fix is refused by the fold, so the product chain decides
+    rep = genus2_rep(TheoryParams(r))
+    pi, d = rep.basis.swap, rep.jcols
+    kept = _swap_bump(rep, keep=True)
+    kept.fold(pi, d)
+    with monkeypatch.context() as m:
+        m.setattr(ExactMatrix, "sandwich", lambda *a: pytest.fail("S0 decides"))
+        assert not rep_genus2._relations_hold(replace(rep, jtilde=kept))
+    broken = _swap_bump(rep, keep=False)
+    assert broken == broken.transpose()
+    with pytest.raises(ValueError, match="fixed by pi"):
+        broken.fold(pi, d)
+    assert not rep_genus2._relations_hold(replace(rep, jtilde=broken))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -386,23 +478,62 @@ def test_relations_fast_path_on_phase_conjugated_rep(monkeypatch, r):
 
 
 def test_passing_relations_make_no_full_product(monkeypatch):
-    # two sandwich calls, S0 = J~ D J~ and the chained S4 (three half-products),
-    # decide a passing check; the product chain runs only when some
-    # relation fails
-    calls = {"matmul": 0, "sandwich": 0}
-    matmul, sandwich = ExactMatrix.__matmul__, ExactMatrix.sandwich
+    # one fold (S0 = J~ D J~ as its blocks alpha and beta) and one chained
+    # sandwich (S2 = J~ E J~ folded over the swap, then S4 = S2 E S2 as a
+    # half-product) decide a passing check, and their packed dots make no
+    # more multiplications than n+ = |R| + |F| and n- = |R| imply; the
+    # product chain runs only when some relation fails
+    P = TheoryParams(4)
+    genus2_rep(P)
+    calls = {"matmul": 0, "fold": 0, "sandwich": 0}
+    mults = [0]
+    matmul, fold, sandwich, dots = (ExactMatrix.__matmul__, ExactMatrix.fold,
+                                    ExactMatrix.sandwich, matrix._dots)
 
     def counting_matmul(self, other):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    def counting_sandwich(self, *diags):
+    def counting_fold(self, *args):
+        calls["fold"] += 1
+        return fold(self, *args)
+
+    def counting_sandwich(self, *args):
         calls["sandwich"] += 1
-        return sandwich(self, *diags)
+        return sandwich(self, *args)
+
+    def counting_dots(N, phi, A, B, length, pairs):
+        pairs = list(pairs)
+        mults[0] += length * len(pairs)
+        return dots(N, phi, A, B, length, pairs)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(ExactMatrix, "fold", counting_fold)
     monkeypatch.setattr(ExactMatrix, "sandwich", counting_sandwich)
-    assert verify_genus2_relations(TheoryParams(4)).all_pass
-    assert calls == {"matmul": 0, "sandwich": 2}
+    monkeypatch.setattr(matrix, "_dots", counting_dots)
+    assert verify_genus2_relations(P).all_pass
+    assert calls == {"matmul": 0, "fold": 1, "sandwich": 1}
+
+    pi = enumerate_basis(4).swap
+    n = len(pi)
+    n_plus = sum(i <= p for i, p in enumerate(pi))
+    n_minus = sum(i < p for i, p in enumerate(pi))
+
+    def half(k):  # a symmetric half-product of k x k matrices
+        return k * (k + 1) // 2 * k
+    s0 = half(n_plus) + half(n_minus)
+    s2 = s0 + n_plus * n_minus * n_minus
+    assert (n, n_plus, n_minus) == (35, 22, 13)
+    assert mults[0] <= s0 + s2 + half(n)
+
+
+def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
+    # the (TJ)^5 target kappa^4 I is a diagonal of one value, not I scaled
+    # entry by entry (n^2 products, nearly all 0 * kappa^4); the witnesses
+    # are the ones the scaled identity gave
+    rep = genus2_rep(TheoryParams(2))
+    bad = replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag))
+    monkeypatch.setattr(ExactMatrix, "scale", lambda *a: pytest.fail("scaled"))
+    assert rep_genus2._reference_differences(bad) == [None, (0, 0), None, None]
 
 
 def test_passing_relations_make_few_field_products(monkeypatch):
