@@ -11,20 +11,17 @@ x^c w mod Phi_N make "entry times w" one dot of the entry's coefficients,
 with no CycNumber product.
 
 ExactMatrix.dots(B, pairs, *diags) is the one entry point: A @ B pairs every
-row of A with every column of B.  A symmetric A diag(x) A is a half-product
-(upper triangle only), folded over an involution pi of the indices that
-fixes A (A[pi i, pi j] = A[i, j]; checked, ValueError otherwise): with R the
-pair representatives (i < pi i) and F the fixed points, the rows of A
-become p = A[r, k] + A[r, pi k] and q = A[r, k] - A[r, pi k] on R and
-A[r, k] on F, and A diag(x) A comes from three smaller products of them,
-alpha (|R| + |F| rows), beta (|R| rows) and gamma (only when pi moves x),
-each entry from a sum of the four (_fold, _unfold).  With pi the identity
-this is the plain half-product.  A.fold(pi, x) returns the blocks;
-A.sandwich(pi, d1, d2, ...) = A diag(d1) A, folded over pi, then S diag(d2) S
-on that result S over the identity, with S kept as coefficient vectors
-between steps.  J~ assembly, the trace of J T J T^-1 and the genus-2
-relation checks (one fold and one sandwich over the swap of the theta
-basis) all run through it.
+row of A with every column of B.  A symmetric A diag(x) A is folded over an
+involution pi that fixes A (checked): the rows of A, summed and subtracted
+over the pairs i < pi i, give three products of |R| + |F| and |R| rows (R
+the pairs, F the fixed points), upper triangles only, and each entry of
+A diag(x) A is a sum of four of their entries (_fold, _unfold).  With pi the
+identity this is the plain half-product.  A.fold(pi, x) returns the
+blocks; A.sandwich(pi, d1, d2, ...) = A diag(d1) A, folded over pi, then
+S diag(d2) S on that result S over the identity, with S kept as
+coefficient vectors between steps.  J~ assembly, the trace of J T J T^-1
+and the genus-2 relation checks (one fold and one sandwich over the swap
+of the theta basis) all run through it.
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -432,13 +429,7 @@ class ExactMatrix:
     def fold(self, pi: Sequence[int], diag: Sequence[CycNumber]) -> "Fold":
         """The blocks of S = self diag(diag) self folded over the involution
         pi (_fold), for a symmetric self fixed by pi; no entry of S is formed.
-
-        With reps = R + F as in Fold, S[r, v] = alpha + beta + gamma[r, v] +
-        gamma[v, r], S[pi r, pi v] = alpha + beta - gamma[r, v] - gamma[v, r],
-        S[r, pi v] = alpha - beta - gamma[r, v] + gamma[v, r] and S[pi r, v] =
-        alpha - beta + gamma[r, v] - gamma[v, r] (alpha, beta at (r, v)); beta
-        and gamma read as 0 where an index is a fixed point.
-        """
+        Every entry of S is a sum of four of them (_unfold)."""
         self._check_fold(pi)
         _check_length(diag, self.ncols)
         N = self.order

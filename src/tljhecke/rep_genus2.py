@@ -70,8 +70,9 @@ class Genus2Basis:
     @cached_property
     def swap(self) -> tuple[int, ...]:
         """The involution (i, j, k) -> (i, k, j) of the basis, as indices.
-        J~ and D are fixed by it (J~ is symmetric in the two strands of the
-        pairing); T is not, as it acts by theta_i theta_j."""
+        D is fixed by it (its entries are symmetric in j and k) and so is
+        J~ (the tests pin it for r <= 6 at every root); T is not, as it acts
+        by theta_i theta_j."""
         pos = {t: a for a, t in enumerate(self.triples)}
         return tuple(pos[i, k, j] for i, j, k in self.triples)
 
@@ -307,14 +308,12 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 
     J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
     decided from three symmetric half-products A diag(e) A, on J~ and D as
-    given (_relations_hold).  J~ and D are also fixed by the swap
-    (i, j, k) -> (i, k, j) of the basis, so the two on J~ are folded over it
-    (ExactMatrix.fold): at r = 6 (n = 84, 34 swapped pairs and 16 fixed
-    points) S0 = J~ D J~ takes 84k multiplications and S2 = J~ E J~ 142k,
-    against 300k each unfolded; S4 = S2 E S2 is a plain half-product.
-    Only when that path cannot show that every relation holds (a J~ or D
-    that the swap moves included) are J'^2, (TJ')^5 and F bar(F) formed in
-    full (_reference_differences), and the report names the first offending
+    given (_relations_hold); the two on J~ are folded over the swap
+    (i, j, k) -> (i, k, j) of the basis, which fixes J~ and D (at r = 6,
+    84k and 142k multiplications against 300k each unfolded).  Only when
+    that path cannot show that every relation holds (a J~ or D that the
+    swap moves included) are J'^2, (TJ')^5 and F bar(F) formed in full
+    (_reference_differences), and the report names the first offending
     entry of each, as the products give it.
     """
     rep = genus2_rep(params)
@@ -334,13 +333,11 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 def _relations_hold(rep: Genus2Rep) -> bool:
     """True only when all four relations hold; each step is exact.
 
-    Every product below is folded over the swap pi: (i, j, k) -> (i, k, j)
-    (Genus2Basis.swap, ExactMatrix.fold): J~ and D are fixed by pi, so
-    J~ X J~ comes from half-size blocks over the pair representatives R
-    (j < k) and the fixed points F (j = k), n+ = |R| + |F| and n- = |R|
-    rows wide.  That J~ is symmetric and fixed by pi is checked by each
-    fold; when it is not, or D is not fixed by pi, the reference chain
-    decides.
+    J~ X J~ is folded over the swap pi: (i, j, k) -> (i, k, j)
+    (Genus2Basis.swap, ExactMatrix.fold) into blocks over the pairs R
+    (j < k) and the fixed points F (j = k).  Each fold checks that J~ is
+    symmetric and fixed by pi; when it is not, or D is not fixed by pi, the
+    reference chain decides.
 
     (iv)  J~ = J~^T: ExactMatrix.fold and sandwich raise ValueError when it
           does not hold.
