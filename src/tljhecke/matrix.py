@@ -3,25 +3,35 @@
 Matrix products run on one packed-integer kernel (Kronecker substitution):
 the coefficient vectors of all entries are scaled to a common integer
 denominator and encoded into single big integers (signed digits in base
-2**W, W chosen from the exact largest digit), so one entry-times-entry
-product is one bignum multiply.  Every output entry is a dot product of
-packed rows (_dots), unpacked and folded once.  A diagonal factor w is
-applied inside the kernel too (_scale_columns): the packed vectors of
-x^c w mod Phi_N make "entry times w" one dot of the entry's coefficients,
-with no CycNumber product.
+2**W), so one entry-times-entry product is one bignum multiply.  A packed
+vector is its polynomial evaluated at x = 2**W, so reducing mod Phi_N(x) is
+reducing the packed integer mod M = Phi_N(2**W): every output entry is a
+dot product of packed rows (_dots), taken mod M once, its balanced residue
+unpacked into phi digits.
+
+The width rule makes that residue exact.  With B the bound on the 2 phi - 1
+unfolded digits of a dot product (phi * length * max|a| * max|b|) and g_N =
+1 + the largest column L1 norm of x^t mod Phi_N over phi <= t <= 2 phi - 2
+(_fold_gain: 2-6 at the orders of r <= 13, 28 at N = 105), every folded
+digit is at most g_N B < 2**(W - 2) in absolute value for W = bits(g_N B) + 2.
+So |F(2**W)| < M / 2 for the folded F, checked once per width (_modulus,
+ArithmeticError if not), and the balanced residue is F(2**W) itself.  A
+diagonal factor w is applied the same way (_scale_columns): entry times w
+is one packed product mod M, with no CycNumber product.
 
 ExactMatrix.dots(B, pairs, *diags) is the one entry point: A @ B pairs every
 row of A with every column of B.  A symmetric A diag(x) A is folded over an
-involution pi that fixes A (checked): the rows of A, summed and subtracted
-over the pairs i < pi i, give three products of |R| + |F| and |R| rows (R
-the pairs, F the fixed points), upper triangles only, and each entry of
-A diag(x) A is a sum of four of their entries (_fold, _unfold).  With pi the
-identity this is the plain half-product.  A.fold(pi, x) returns the
-blocks; A.sandwich(pi, d1, d2, ...) = A diag(d1) A, folded over pi, then
-S diag(d2) S on that result S over the identity, with S kept as
-coefficient vectors between steps.  J~ assembly, the trace of J T J T^-1
-and the genus-2 relation checks (one fold and one sandwich over the swap
-of the theta basis) all run through it.
+involution pi that fixes A (checked): A.folding(pi) holds the rows of A,
+summed and subtracted over the pairs i < pi i, once, and gives for each x
+three products of |R| + |F| and |R| rows (R the pairs, F the fixed points),
+upper triangles only; each entry of A diag(x) A is a sum of four of their
+entries (Folding.blocks, _unfold).  With pi the identity this is the plain
+half-product.  A.fold(pi, x) returns the blocks as CycNumbers;
+A.sandwich(pi, d1, d2, ...) = A diag(d1) A, folded over pi, then
+S diag(d2) S on that result S over the identity, with S kept as coefficient
+vectors between steps.  J~ assembly, the trace of J T J T^-1 and the
+genus-2 relation checks (one folding over the swap of the theta basis)
+all run through it.
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -47,8 +57,8 @@ from .exactnum import (
     CycNumber,
     IntPolynomial,
     SplitPrime,
-    _fold_int_vec,
-    _power_sum,
+    _zeta_powers,
+    cyclotomic_poly,
     euler_phi,
 )
 
@@ -110,23 +120,59 @@ def _lowest_terms(vecs: Sequence[list[int]], den: int) -> int:
     return den // g
 
 
+@lru_cache(maxsize=None)
+def _fold_gain(N: int) -> int:
+    """g_N = 1 + the largest column L1 norm of x^t mod Phi_N over
+    phi <= t <= 2 phi - 2: reducing a product of two reduced vectors whose
+    2 phi - 1 digits are at most B in absolute value gives digits at most
+    g_N B."""
+    phi = euler_phi(N)
+    powers = _zeta_powers(N)
+    cols = [0] * phi
+    for t in range(phi, 2 * phi - 1):
+        for i, c in powers[t % N]:
+            cols[i] += abs(c)
+    return 1 + max(cols)
+
+
+def _width(N: int, bound: int) -> int:
+    """W = bits(g_N bound) + 2 for unfolded digits at most bound."""
+    return (_fold_gain(N) * bound).bit_length() + 2
+
+
+@lru_cache(maxsize=None)
+def _modulus(N: int, width: int) -> int:
+    """M = Phi_N(2**width); ArithmeticError unless M exceeds twice every
+    packed vector of phi digits below 2**(width - 2) in absolute value, so
+    that the balanced residue mod M of such a vector is the vector."""
+    M = _pack_digits(cyclotomic_poly(N).coeffs, width)
+    top = ((1 << (width - 2)) - 1) * _pack_digits([1] * euler_phi(N), width)
+    if 2 * top >= M:
+        raise ArithmeticError(f"Phi_{N}(2**{width}) cannot hold the folded digits")
+    return M
+
+
+def _reduce(x: int, M: int, width: int, phi: int) -> list[int]:
+    """The phi digits of the balanced residue of x mod M = Phi_N(2**width)."""
+    x %= M
+    return _unpack_digits(x - M if 2 * x > M else x, width, phi)
+
+
 def _scale_columns(N: int, phi: int, rows: list[list[list[int]]], den: int,
                    diag: Sequence[CycNumber]) -> tuple[list[list[list[int]]], int]:
     """rows diag(diag) as coefficient vectors over a common denominator, in
     lowest terms.
 
-    Each w = diag[k] becomes the packed vectors of x^c w mod Phi_N, c < phi,
-    so entry (i, k) times w is one dot product of its coefficients with
-    that table, already reduced.  The results are unpacked, which gives
-    _dots their exact size.
+    Entry (i, k) times w = diag[k] is one product of the packed vectors,
+    reduced mod Phi_N(2**W).  The results are unpacked, which gives _dots
+    their exact size.
     """
     (ws,), wden = _common_den([diag])
-    shifted = [[_power_sum(N, [0] * phi, zip(w, range(c, c + phi))) for c in range(phi)]
-               for w in ws]
-    width = (phi * _max_abs(rows) * _max_abs(shifted)).bit_length() + 2
-    tables = [[_pack_digits(v, width) for v in vs] for vs in shifted]
-    out = [[_unpack_digits(sum(map(operator.mul, v, tab)), width, phi)
-            for v, tab in zip(row, tables)] for row in rows]
+    width = _width(N, phi * _max_abs(rows) * _max_abs([ws]))
+    M = _modulus(N, width)
+    wp = [_pack_digits(w, width) for w in ws]
+    out = [[_reduce(_pack_digits(v, width) * w, M, width, phi) if any(v) else [0] * phi
+            for v, w in zip(row, wp)] for row in rows]
     return out, _lowest_terms([v for row in out for v in row], den * wden)
 
 
@@ -134,12 +180,12 @@ def _dots(N: int, phi: int, A: list[list[list[int]]], B: list[list[list[int]]],
           length: int, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
     """Row i of A dotted with row j of B (coefficient vectors, rows of the
     given length), for each (i, j) in pairs, as they are read: a dot product
-    of packed rows, unpacked and folded once per pair."""
-    width = (phi * max(length, 1) * _max_abs(A) * _max_abs(B)).bit_length() + 2
+    of packed rows, reduced mod Phi_N(2**W) once per pair."""
+    width = _width(N, phi * max(length, 1) * _max_abs(A) * _max_abs(B))
+    M = _modulus(N, width)
     Ap = [[_pack_digits(v, width) for v in row] for row in A]
     Bp = [[_pack_digits(v, width) for v in row] for row in B]
-    return (_fold_int_vec(N, _unpack_digits(sum(map(operator.mul, Ap[i], Bp[j])),
-                                            width, 2 * phi - 1))
+    return (_reduce(sum(map(operator.mul, Ap[i], Bp[j])), M, width, phi)
             for i, j in pairs)
 
 
@@ -151,46 +197,68 @@ def _sub(u: list[int], v: list[int]) -> list[int]:
     return [x - y for x, y in zip(u, v)]
 
 
-def _fold(N: int, phi: int, S: list[list[list[int]]], den: int, pi: Sequence[int],
-          diag: Sequence[CycNumber]) -> tuple:
-    """S diag(x) S folded over the involution pi, for S (coefficient vectors
-    over den) symmetric and fixed by pi.
+class Folding:
+    """A symmetric S fixed by an involution pi (ExactMatrix.folding checks
+    both; a product S diag(x) S is symmetric by construction, so it folds
+    over the identity unchecked), as coefficient vectors over one
+    denominator, with its rows folded over pi once for any number of
+    products S diag(x) S.
 
     R holds the pair representatives (i < pi i), F the fixed points, and
     reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on R and
     S[r][k] on F; row r of Q (r in R) is q_r[k] = S[r][k] - S[r][pi k] on R.
-    Then p_{pi r} = p_r and q_{pi r} = -q_r, and with w = (x_k + x_{pi k})/4,
-    v = (x_k - x_{pi k})/4 on R and w = x_k on F, the blocks
-        alpha = P diag(w) P^T   (reps x reps, upper triangle),
-        beta  = Q diag(w) Q^T   (R x R, upper triangle),
-        gamma = P diag(v) Q^T   (reps x R, row by row; None when v = 0)
-    give every entry of S diag(x) S (ExactMatrix.fold).  They cost
-    n+^3/2 + n-^3/2 + n+ n-^2 multiplications, n+ = |R| + |F| and n- = |R|,
-    against n^3/2 unfolded; with pi the identity, alpha is the half-product.
-    Returns reps, |R|, the three blocks and their denominators.
+    Then p_{pi r} = p_r and q_{pi r} = -q_r, which is what blocks reads.
     """
-    n = len(S)
-    R = [i for i in range(n) if i < pi[i]]
-    reps = R + [i for i in range(n) if i == pi[i]]
-    m, nr = len(R), len(reps)
-    P = [[_add(row[k], row[pi[k]]) for k in R] + [row[k] for k in reps[m:]]
-         for row in map(S.__getitem__, reps)]
-    w = [(diag[k] + diag[pi[k]]) / 4 for k in R]
-    v = [(diag[k] - diag[pi[k]]) / 4 for k in R]
 
-    def products(A, B, weights, pairs):
-        scaled, dens = _scale_columns(N, phi, B, den, weights)
-        return list(_dots(N, phi, A, scaled, len(weights), pairs)), den * dens
+    __slots__ = ("order", "phi", "pi", "rows", "den", "reps", "pairs", "P", "Q")
 
-    alpha, da = products(P, P, w + [diag[k] for k in reps[m:]], _upper(nr))
-    beta, db, gamma, dg = [], 1, None, 1
-    if m:
-        Q = [[_sub(row[k], row[pi[k]]) for k in R] for row in map(S.__getitem__, R)]
-        beta, db = products(Q, Q, w, _upper(m))
-        if any(v):
-            gamma, dg = products([row[:m] for row in P], Q, v,
-                                 ((a, b) for a in range(nr) for b in range(m)))
-    return reps, m, alpha, beta, gamma, (da, db, dg)
+    def __init__(self, order: int, rows: list[list[list[int]]], den: int,
+                 pi: Sequence[int]):
+        n = len(rows)
+        R = [i for i in range(n) if i < pi[i]]
+        reps = R + [i for i in range(n) if i == pi[i]]
+        m = len(R)
+        self.order, self.phi, self.pi, self.rows, self.den = order, euler_phi(order), pi, rows, den
+        self.reps, self.pairs = reps, m
+        self.P = [[_add(row[k], row[pi[k]]) for k in R] + [row[k] for k in reps[m:]]
+                  for row in map(rows.__getitem__, reps)]
+        self.Q = [[_sub(row[k], row[pi[k]]) for k in R] for row in map(rows.__getitem__, R)]
+
+    def blocks(self, diag: Sequence[CycNumber]) -> tuple:
+        """The blocks of S diag(x) S as coefficient vectors: with
+        w = (x_k + x_{pi k})/4, v = (x_k - x_{pi k})/4 on R and w = x_k on F,
+            alpha = P diag(w) P^T   (reps x reps, upper triangle),
+            beta  = Q diag(w) Q^T   (R x R, upper triangle),
+            gamma = P diag(v) Q^T   (reps x R, row by row; None when v = 0)
+        give every entry of S diag(x) S (_unfold).  They cost
+        n+^3/2 + n-^3/2 + n+ n-^2 multiplications, n+ = |R| + |F| and
+        n- = |R|, against n^3/2 unfolded; with pi the identity, alpha is
+        the half-product.  Returns alpha, beta, gamma and their
+        denominators.
+        """
+        _check_length(diag, len(self.rows))
+        N, phi, pi, den = self.order, self.phi, self.pi, self.den
+        reps, m, P, Q = self.reps, self.pairs, self.P, self.Q
+        nr = len(reps)
+        w = [(diag[k] + diag[pi[k]]) / 4 for k in reps[:m]]
+        v = [(diag[k] - diag[pi[k]]) / 4 for k in reps[:m]]
+
+        def products(A, B, weights, pairs):
+            scaled, dens = _scale_columns(N, phi, B, den, weights)
+            return list(_dots(N, phi, A, scaled, len(weights), pairs)), den * dens
+
+        alpha, da = products(P, P, w + [diag[k] for k in reps[m:]], _upper(nr))
+        beta, db, gamma, dg = [], 1, None, 1
+        if m:
+            beta, db = products(Q, Q, w, _upper(m))
+            if any(v):
+                gamma, dg = products([row[:m] for row in P], Q, v,
+                                     ((a, b) for a in range(nr) for b in range(m)))
+        return alpha, beta, gamma, (da, db, dg)
+
+    def product(self, diag: Sequence[CycNumber]) -> tuple[list[list[list[int]]], int]:
+        """S diag(diag) S, n x n, as coefficient vectors in lowest terms."""
+        return _unfold(self.pi, self.reps, self.pairs, *self.blocks(diag))
 
 
 def _upper(n: int) -> list[tuple[int, int]]:
@@ -201,7 +269,7 @@ def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
             beta: list[list[int]], gamma: list[list[int]] | None,
             dens: tuple[int, int, int]) -> tuple[list[list[list[int]]], int]:
     """The n x n coefficient vectors of S diag(x) S, in lowest terms, from
-    the blocks of _fold: for r, c in reps, with a = alpha, b = beta,
+    the blocks of Folding.blocks: for r, c in reps, with a = alpha, b = beta,
     g = gamma[r, c] and h = gamma[c, r],
         S[r][c] = a + b + g + h,     S[pi r][pi c] = a + b - g - h,
         S[r][pi c] = a - b - g + h,  S[pi r][c] = a - b + g - h,
@@ -426,22 +494,27 @@ class ExactMatrix:
                                        for i in range(n) for j in range(i, n)):
             raise ValueError("folding needs a symmetric matrix fixed by pi")
 
+    def folding(self, pi: Sequence[int]) -> Folding:
+        """self folded over the involution pi, for any number of products
+        self diag(x) self (Folding), after checking that self is symmetric
+        and fixed by pi (_check_fold)."""
+        self._check_fold(pi)
+        return Folding(self.order, *_common_den(self.rows), pi)
+
     def fold(self, pi: Sequence[int], diag: Sequence[CycNumber]) -> "Fold":
         """The blocks of S = self diag(diag) self folded over the involution
-        pi (_fold), for a symmetric self fixed by pi; no entry of S is formed.
-        Every entry of S is a sum of four of them (_unfold)."""
-        self._check_fold(pi)
-        _check_length(diag, self.ncols)
-        N = self.order
-        S, den = _common_den(self.rows)
-        reps, m, alpha, beta, gamma, dens = _fold(N, euler_phi(N), S, den, pi, diag)
-        nr = len(reps)
+        pi (Folding.blocks), for a symmetric self fixed by pi, as
+        CycNumbers; no entry of S is formed.  Every entry of S is a sum of
+        four of them (_unfold)."""
+        f = self.folding(pi)
+        alpha, beta, gamma, dens = f.blocks(diag)
+        N, m, nr = self.order, f.pairs, len(f.reps)
         if gamma is None:
             gamma = [[CycNumber.zero(N)] * m] * nr
         else:
             gamma = [[CycNumber._raw(N, v, dens[2]) for v in gamma[a * m:(a + 1) * m]]
                      for a in range(nr)]
-        return Fold(tuple(reps), m, _symmetric(N, nr, alpha, dens[0]),
+        return Fold(tuple(f.reps), m, _symmetric(N, nr, alpha, dens[0]),
                     _symmetric(N, m, beta, dens[1]), ExactMatrix(N, gamma))
 
     def sandwich(self, pi: Sequence[int], *diags: Sequence[CycNumber]) -> "ExactMatrix":
@@ -449,23 +522,22 @@ class ExactMatrix:
         S = self first, then the result of the previous step, so
         A.sandwich(pi, d1, d2) = (A d1 A) d2 (A d1 A).
 
-        The first step is folded over the involution pi, which must fix self
-        (_fold, then _unfold); its result is in general not fixed by pi, so
-        later steps fold over the identity, which is the plain half-product:
-        entry (i, j), i <= j, is row i of S dotted with row j of S diag(d).
-        Between steps S stays as coefficient vectors over one denominator;
-        only the last is read back as CycNumbers.
+        The first step is folded over the involution pi, which must fix
+        self; its result is in general not fixed by pi, so later steps fold
+        over the identity, which is the plain half-product.  Between steps
+        S stays as coefficient vectors over one denominator; only the last
+        is read back as CycNumbers.
         """
-        self._check_fold(pi)
+        n = self.nrows
         for d in diags:
-            _check_length(d, self.ncols)
-        N, n = self.order, self.nrows
-        phi = euler_phi(N)
-        S, den = _common_den(self.rows)
-        for d in diags:
-            S, den = _unfold(pi, *_fold(N, phi, S, den, pi, d))
-            pi = range(n)
-        return _symmetric(N, n, [S[i][j] for i in range(n) for j in range(i, n)], den)
+            _check_length(d, n)
+        f = self.folding(pi)
+        S, den = f.rows, f.den
+        for k, d in enumerate(diags):
+            if k:
+                f = Folding(self.order, S, den, range(n))
+            S, den = f.product(d)
+        return _symmetric(self.order, n, [S[i][j] for i, j in _upper(n)], den)
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"

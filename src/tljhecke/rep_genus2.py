@@ -19,12 +19,14 @@ from .exactnum import (
     CycNumber,
     IntPolynomial,
     LaurentFraction,
+    _power_sum,
     cyclotomic_factor,
     split_primes,
 )
 from .matrix import (
     CycPoly,
     ExactMatrix,
+    Folding,
     SignedSqrtMatrix,
     char_poly,
     det_mod,
@@ -308,7 +310,7 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 
     J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
     decided from three symmetric half-products A diag(e) A, on J~ and D as
-    given (_relations_hold); the two on J~ are folded over the swap
+    given (_relations_hold); the two on J~ share one folding over the swap
     (i, j, k) -> (i, k, j) of the basis, which fixes J~ and D (at r = 6,
     84k and 142k multiplications against 300k each unfolded).  Only when
     that path cannot show that every relation holds (a J~ or D that the
@@ -333,68 +335,97 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 def _relations_hold(rep: Genus2Rep) -> bool:
     """True only when all four relations hold; each step is exact.
 
-    J~ X J~ is folded over the swap pi: (i, j, k) -> (i, k, j)
-    (Genus2Basis.swap, ExactMatrix.fold) into blocks over the pairs R
-    (j < k) and the fixed points F (j = k).  Each fold checks that J~ is
-    symmetric and fixed by pi; when it is not, or D is not fixed by pi, the
-    reference chain decides.
+    J~ is folded over the swap pi: (i, j, k) -> (i, k, j) once
+    (Genus2Basis.swap, ExactMatrix.folding): one check that J~ is symmetric
+    and fixed by pi, one common denominator and one set of folded rows
+    serve S0 and S2, whose blocks live over the pairs R (j < k) and the
+    fixed points F (j = k).  When J~ or D is not fixed by pi, the reference
+    chain decides.  Everything below stays on coefficient vectors.
 
-    (iv)  J~ = J~^T: ExactMatrix.fold and sandwich raise ValueError when it
-          does not hold.
-    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is D^-1.  D is
-          fixed by pi, so S0 has only the blocks alpha and beta (gamma = 0):
-          S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in
-          R, and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff
-          alpha and beta are diagonal, with alpha_rr d_r = 1/2 (r in R) or
-          1 (r in F) and beta_rr d_r = 1/2; S0 itself is never formed.
-    (ii)  With E = D T (rep.e), S2 = J~ E J~ and S4 = S2 E S2
-          (jt.sandwich(pi, e, e): S2 from alpha, beta and gamma, since E is
-          not fixed by pi, and S4 a plain half-product), one has
-          (TJ')^5 = T S4 E J~ D.  If J'^2 = I and
+    (iv)  J~ = J~^T: ExactMatrix.folding raises ValueError when it does not
+          hold.
+    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is D^-1
+          (_s0_is_d_inverse).
+    (ii)  With E = D T (rep.e), S2 = J~ E J~ and S4 = S2 E S2 (S2 from the
+          blocks alpha, beta and gamma, since E is not fixed by pi; S4 the
+          upper triangle alpha of S2 folded over the identity, a plain
+          half-product), one has (TJ')^5 = T S4 E J~ D.  If J'^2 = I and
           S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4 J~ D J~ D =
           kappa^4 I.  Both sides are symmetric, so the upper triangles are
-          compared.  At the levels in use kappa^4 and every t are powers of
-          zeta (so is -zeta^b: N is even), and kappa^4 / (t_i t_j) J~_ij
-          is J~_ij shifted in the power basis; any other value is left to
-          the reference chain.
+          compared as integer vectors: S4 over its denominator against each
+          J~_ij over its own, shifted by kappa^4 / (t_i t_j) in the power
+          basis, by cross-multiplication.  At the levels in use kappa^4 and
+          every t are powers of zeta (so is -zeta^b: N is even); any other
+          value is left to the reference chain.
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
           conj(F) = F, which holds when J~, Theta and D are fixed by
-          conjugation, a field automorphism.
+          conjugation, a field automorphism.  J~ is symmetric and fixed by
+          pi (checked by the folding), so one entry (i, j), i <= j, of each
+          orbit {(i, j), (pi i, pi j)} is read: n+(n+ + 1)/2 + n-(n- + 1)/2
+          of them, n+ = |R| + |F| and n- = |R|.
     """
     params = rep.params
+    N = params.root_order
     jt, d = rep.jtilde, rep.jcols
     n = jt.nrows
     pi = rep.basis.swap
     if any(d[i] != d[j] for i, j in enumerate(pi)):
         return False
     try:
-        s0 = jt.fold(pi, d)
+        f = jt.folding(pi)
     except ValueError:
         return False
-    m = s0.pairs
-    want = [Fraction(1, 2)] * m + [1] * (len(s0.reps) - m)
-    for blk, diag in ((s0.alpha, want), (s0.beta, want[:m])):
-        for a, x in enumerate(diag):
-            if (blk[a, a] * d[s0.reps[a]] != x
-                    or any(blk[a, b] for b in range(a + 1, len(diag)))):
-                return False
+    if not _s0_is_d_inverse(f, d):
+        return False
 
     kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
     logs = [x.zeta_log() for x in (kappa4, *rep.tdiag)]
     if None in logs:
         return False
     k4, tlog = logs[0], logs[1:]
-    s4 = jt.sandwich(pi, rep.e, rep.e)
-    if any(s4[i, j] != jt[i, j].times_zeta(k4 - tlog[i] - tlog[j])
-           for i in range(n) for j in range(i, n)):
-        return False
+    # S2 from the folded rows of J~, which are then released
+    f = Folding(N, *f.product(rep.e), range(n))
+    s4, _, _, (d4, _, _) = f.blocks(rep.e)
+    s4 = iter(s4)
+    for i, row in enumerate(jt.rows):
+        for j in range(i, n):
+            x = row[j]
+            g = math.gcd(d4, x.den)
+            want = _power_sum(N, [0] * f.phi, ((c * (d4 // g), t) for t, c in
+                                               enumerate(x.vec, k4 - tlog[i] - tlog[j])))
+            if want != [c * (x.den // g) for c in next(s4)]:
+                return False
 
     if params.is_unitary_root:
         th = [theta_at(params, *b) for b in rep.basis.triples]
         if not all(x.is_real() for x in th + list(d)):
             return False
-        if not all(jt[i, j].is_real() for i in range(n) for j in range(i, n)):
+        if not all(jt[i, j].is_real() for i in range(n) for j in range(i, n)
+                   if (i, j) <= tuple(sorted((pi[i], pi[j])))):
             return False
+    return True
+
+
+def _s0_is_d_inverse(f: Folding, d: tuple[CycNumber, ...]) -> bool:
+    """S0 = J~ D J~ = D^-1, decided on the blocks of the folding f of J~.
+
+    D is fixed by pi, so S0 has only the blocks alpha and beta (gamma = 0):
+    S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in R,
+    and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff the
+    off-diagonal vectors of alpha and beta are zero, with alpha_rr d_r = 1/2
+    (r in R) or 1 (r in F) and beta_rr d_r = 1/2; only these n diagonal
+    entries become CycNumbers.
+    """
+    m, reps = f.pairs, f.reps
+    alpha, beta, _, (da, db, _) = f.blocks(d)
+    for blk, den, size in ((alpha, da, len(reps)), (beta, db, m)):
+        it = iter(blk)
+        for a in range(size):
+            diag = next(it)
+            if any(map(any, islice(it, size - a - 1))):
+                return False
+            if CycNumber._raw(f.order, diag, den) * d[reps[a]] != (Fraction(1, 2) if a < m else 1):
+                return False
     return True
 
 

@@ -30,9 +30,15 @@ from tljhecke.matrix import (
     matmul_mod,
     poly_at_matrix_mod,
     residue_matrix,
+    _dots,
+    _fold_gain,
+    _modulus,
     _pack_digits,
+    _scale_columns,
     _unpack_digits,
+    _width,
 )
+from tljhecke import matrix
 
 
 # --------------------------------------------------------------------------
@@ -634,3 +640,84 @@ def test_scale_rows_and_cols_check_their_own_length():
 def test_pack_unpack_roundtrip(digits, width):
     packed = _pack_digits(digits, width)
     assert _unpack_digits(packed, width, len(digits)) == digits
+
+
+# --------------------------------------------------------------------------
+# the packed kernel: products reduced mod Phi_N(2**W)
+
+# the root orders of r = 1..13, powers of two, and N = 105, whose Phi_N has
+# a coefficient -2 and the largest g_N here
+KERNEL_ORDERS = (6, 16, 10, 24, 14, 32, 18, 40, 22, 48, 26, 56, 30,
+                 1, 2, 4, 8, 64, 105)
+
+
+def test_fold_gain_is_one_plus_the_largest_column_sum():
+    # x^t mod Phi_N by polynomial division, not the zeta-power table
+    for N in KERNEL_ORDERS:
+        phi = euler_phi(N)
+        cols = [0] * phi
+        for t in range(phi, 2 * phi - 1):
+            rem = IntPolynomial([0] * t + [1]).divmod_monic(cyclotomic_poly(N))[1]
+            for i, c in enumerate(rem.coeffs):
+                cols[i] += abs(c)
+        assert _fold_gain(N) == 1 + max(cols), N
+    assert max(_fold_gain(N) for N in KERNEL_ORDERS[:13]) == 6
+    assert min(_fold_gain(N) for N in KERNEL_ORDERS[:13]) == 2
+    assert _fold_gain(105) == 28
+
+
+def test_modulus_refuses_a_width_too_small_for_its_digits(monkeypatch):
+    # no Phi_N in use fails the check at any width; a polynomial of large
+    # height in its place does, with a real exception
+    for N in KERNEL_ORDERS:
+        for width in range(2, 12):
+            assert _modulus.__wrapped__(N, width) == _pack_digits(cyclotomic_poly(N).coeffs, width)
+    monkeypatch.setattr(matrix, "cyclotomic_poly", lambda N: IntPolynomial((-7, 1)))
+    with pytest.raises(ArithmeticError, match="cannot hold"):
+        _modulus.__wrapped__(1, 3)
+
+
+@st.composite
+def kernel_cases(draw):
+    # heights from 1 to 2**61 - 1; the extreme draws put every coefficient
+    # at +-height, so the unfolded digits reach the bound B of the width rule
+    N = draw(st.sampled_from(KERNEL_ORDERS))
+    phi = euler_phi(N)
+    h = draw(st.sampled_from([1, 9, 2 ** 20 - 1, 2 ** 61 - 1]))
+    extreme = draw(st.booleans())
+    coeff = st.sampled_from([-h, h]) if extreme else st.integers(-h, h)
+    vec = st.lists(coeff, min_size=phi, max_size=phi)
+    length, na, nb = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    A = [[draw(vec) for _ in range(length)] for _ in range(na)]
+    B = [[draw(vec) for _ in range(length)] for _ in range(nb)]
+    den = draw(st.integers(1, 10 ** 6))
+    w = [CycNumber(N, draw(vec), draw(st.integers(1, 10 ** 6))) for _ in range(length)]
+    return N, A, B, den, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_dots_equal_field_products_and_sums(case):
+    N, A, B, _, _ = case
+    phi = euler_phi(N)
+    pairs = [(i, j) for i in range(len(A)) for j in range(len(B))]
+    got = list(_dots(N, phi, A, B, len(A[0]), pairs))
+    height = [max(abs(c) for row in M for v in row for c in v) or 1 for M in (A, B)]
+    width = _width(N, phi * len(A[0]) * height[0] * height[1])
+    for (i, j), vec in zip(pairs, got):
+        want = CycNumber.zero(N)
+        for a, b in zip(A[i], B[j]):
+            want = want + CycNumber(N, a, 1) * CycNumber(N, b, 1)
+        assert CycNumber(N, vec, 1) == want
+        assert all(abs(c) < 1 << (width - 2) for c in want.vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_scale_columns_equals_field_products(case):
+    N, A, _, den, w = case
+    out, oden = _scale_columns(N, euler_phi(N), A, den, w)
+    assert math.gcd(oden, *(c for row in out for v in row for c in v)) == 1
+    for row, orow in zip(A, out):
+        for v, x, o in zip(row, w, orow):
+            assert CycNumber(N, o, oden) == CycNumber(N, v, den) * x

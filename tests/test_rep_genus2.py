@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction
-from tljhecke.matrix import CycPoly, ExactMatrix, char_poly
+from tljhecke.matrix import CycPoly, ExactMatrix, Folding, char_poly
 from tljhecke.recoupling import (
     NotAdmissible,
     TheoryParams,
@@ -454,7 +454,7 @@ def test_swap_bumps_take_their_own_paths(monkeypatch, r):
     kept = _swap_bump(rep, keep=True)
     kept.fold(pi, d)
     with monkeypatch.context() as m:
-        m.setattr(ExactMatrix, "sandwich", lambda *a: pytest.fail("S0 decides"))
+        m.setattr(Folding, "product", lambda *a: pytest.fail("S0 decides"))
         assert not rep_genus2._relations_hold(replace(rep, jtilde=kept))
     broken = _swap_bump(rep, keep=False)
     assert broken == broken.transpose()
@@ -478,43 +478,57 @@ def test_relations_fast_path_on_phase_conjugated_rep(monkeypatch, r):
 
 
 def test_passing_relations_make_no_full_product(monkeypatch):
-    # one fold (S0 = J~ D J~ as its blocks alpha and beta) and one chained
-    # sandwich (S2 = J~ E J~ folded over the swap, then S4 = S2 E S2 as a
-    # half-product) decide a passing check, and their packed dots make no
-    # more multiplications than n+ = |R| + |F| and n- = |R| imply; the
-    # product chain runs only when some relation fails
+    # one folding of J~ over the swap (one symmetry check, one set of folded
+    # rows) serves S0 = J~ D J~ (its blocks alpha and beta) and S2 = J~ E J~;
+    # S4 = S2 E S2 is the upper triangle of S2 folded over the identity.
+    # Their packed dots make no more multiplications than n+ = |R| + |F|
+    # and n- = |R| imply, and the product chain runs only when some
+    # relation fails
     P = TheoryParams(4)
     genus2_rep(P)
-    calls = {"matmul": 0, "fold": 0, "sandwich": 0}
+    calls = {"matmul": 0, "check": 0, "folding": 0, "blocks": 0}
+    folded_over = []
     mults = [0]
-    matmul, fold, sandwich, dots = (ExactMatrix.__matmul__, ExactMatrix.fold,
-                                    ExactMatrix.sandwich, matrix._dots)
+    matmul, check, folding, init, blocks, dots = (
+        ExactMatrix.__matmul__, ExactMatrix._check_fold, ExactMatrix.folding,
+        Folding.__init__, Folding.blocks, matrix._dots)
 
     def counting_matmul(self, other):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    def counting_fold(self, *args):
-        calls["fold"] += 1
-        return fold(self, *args)
+    def counting_check(self, *args):
+        calls["check"] += 1
+        return check(self, *args)
 
-    def counting_sandwich(self, *args):
-        calls["sandwich"] += 1
-        return sandwich(self, *args)
+    def counting_folding(self, *args):
+        calls["folding"] += 1
+        return folding(self, *args)
+
+    def recording_init(self, order, rows, den, pi):
+        folded_over.append(tuple(pi))
+        return init(self, order, rows, den, pi)
+
+    def counting_blocks(self, *args):
+        calls["blocks"] += 1
+        return blocks(self, *args)
 
     def counting_dots(N, phi, A, B, length, pairs):
         pairs = list(pairs)
         mults[0] += length * len(pairs)
         return dots(N, phi, A, B, length, pairs)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(ExactMatrix, "fold", counting_fold)
-    monkeypatch.setattr(ExactMatrix, "sandwich", counting_sandwich)
+    monkeypatch.setattr(ExactMatrix, "_check_fold", counting_check)
+    monkeypatch.setattr(ExactMatrix, "folding", counting_folding)
+    monkeypatch.setattr(Folding, "__init__", recording_init)
+    monkeypatch.setattr(Folding, "blocks", counting_blocks)
     monkeypatch.setattr(matrix, "_dots", counting_dots)
     assert verify_genus2_relations(P).all_pass
-    assert calls == {"matmul": 0, "fold": 1, "sandwich": 1}
+    assert calls == {"matmul": 0, "check": 1, "folding": 1, "blocks": 3}
 
     pi = enumerate_basis(4).swap
     n = len(pi)
+    assert folded_over == [pi, tuple(range(n))]
     n_plus = sum(i <= p for i, p in enumerate(pi))
     n_minus = sum(i < p for i, p in enumerate(pi))
 
