@@ -424,6 +424,20 @@ def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
     return val
 
 
+def _factored_inverse(params: TheoryParams, f: _Factored) -> CycNumber:
+    """1 / _factored_value(params, f), as the value of f with every exponent
+    negated: only the memoized Phi_m inverses are taken, no Galois norm.  A
+    zero value (a net positive power of Phi_N) raises ZeroDivisionError, as
+    CycNumber.inverse does, and a pole raises PoleAtRoot, as the value does."""
+    net = f.phis.get(params.root_order, 0)
+    if net > 0:
+        raise ZeroDivisionError(f"inverse of zero at zeta_{params.root_order}^"
+                                f"{params.root_exponent}")
+    if net < 0:
+        raise PoleAtRoot(f"pole at zeta_{params.root_order}^{params.root_exponent}")
+    return _factored_value(params, _Factored() / f)
+
+
 @lru_cache(maxsize=None)
 def qint_at(params: TheoryParams, n: int) -> CycNumber:
     if n == 0:
@@ -441,7 +455,12 @@ def delta_at(params: TheoryParams, i: Color) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def delta_inv_at(params: TheoryParams, i: Color) -> CycNumber:
-    return delta_at(params, i).inverse()
+    """1 / Delta_i for a color i >= 0; [i + 1] vanishes at no root of a
+    level with i <= r, as p = r + 2 divides no i + 1 <= r + 1."""
+    if i < 0:
+        raise ValueError(f"color {i} is negative")
+    v = _factored_inverse(params, _qint_factored(i + 1))
+    return -v if i % 2 else v
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +477,8 @@ def theta_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def theta_inv_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
-    return theta_at(params, a, b, c).inverse()
+    check_admissible(params.level, a, b, c)
+    return _factored_inverse(params, _theta_factored(a, b, c))
 
 
 @lru_cache(maxsize=None)

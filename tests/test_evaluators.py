@@ -8,14 +8,20 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from tljhecke.exactnum import CycNumber, specialize
+import pytest
+
+from tljhecke.exactnum import CycNumber, PoleAtRoot, specialize
 from tljhecke.recoupling import (
     TheoryParams,
+    _Factored,
+    _factored_inverse,
     _phi_power,
+    _phi_value,
     _tet_orbit_at,
     admissible,
     color_set,
     delta_at,
+    delta_inv_at,
     qint,
     qint_at,
     sixj,
@@ -125,3 +131,46 @@ def test_coupling_evaluators_agree(case):
     r, t = case
     assert_at_every_root(r, coupling_a(TheoryParams(r), *t),
                          lambda P: coupling_a_at(P, *t))
+
+
+def test_inverses_come_from_the_factored_form(monkeypatch):
+    # theta_inv_at and delta_inv_at negate the exponents of the factored
+    # value: at every root of r <= 5 they invert theta_at and delta_at, and
+    # the only field inverses taken are those of the Phi_m values
+    taken = 0
+    for r in LEVELS:
+        P0 = TheoryParams(r)
+        N = P0.root_order
+        for k in range(1, N):
+            if math.gcd(k, N) != 1:
+                continue
+            P = P0.with_root(k)
+            for memo in (theta_inv_at, delta_inv_at, _phi_power):
+                memo.cache_clear()
+            inverted = []
+            inverse = CycNumber.inverse
+            with monkeypatch.context() as mp:
+                mp.setattr(CycNumber, "inverse",
+                           lambda x: inverted.append(x) or inverse(x))
+                pairs = [(theta_at(P, *t), theta_inv_at(P, *t)) for t in theta_labels(r)]
+                pairs += [(delta_at(P, i), delta_inv_at(P, i)) for i in color_set(r)]
+            assert all(x * y == 1 for x, y in pairs), (r, k)
+            phis = {_phi_value(P, m) for m in range(1, 2 * N + 1)}
+            assert all(x in phis for x in inverted), (r, k)
+            taken += len(inverted)
+    assert taken
+    for memo in (theta_inv_at, delta_inv_at, _phi_power):
+        memo.cache_clear()
+
+
+def test_factored_inverse_of_zero_and_of_a_pole():
+    # a net power of Phi_N is a zero (ZeroDivisionError, as CycNumber.inverse
+    # raises) or a pole (PoleAtRoot, as the value raises); colors give neither
+    P = TheoryParams(2)
+    N = P.root_order
+    with pytest.raises(ZeroDivisionError):
+        _factored_inverse(P, _Factored(1, 0, {N: 1}))
+    with pytest.raises(PoleAtRoot):
+        _factored_inverse(P, _Factored(1, 0, {N: -1}))
+    with pytest.raises(ValueError):
+        delta_inv_at(P, -1)
