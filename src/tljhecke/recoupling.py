@@ -16,7 +16,9 @@ tests use it as the reference for the specialized path.  Specialized values
 are memoized per TheoryParams, each distinct value once:
 
 * _phi_power holds Phi_m(zeta_N^k)^e, so each Phi_m is inverted once per
-  root (at e = -1);
+  root (at e = -1); theta_inv_at and delta_inv_at evaluate the factored
+  form with negated exponents, so these are the only field inverses the
+  specialized values take;
 * _tet_orbit_at holds one Tet value per _tet_key: the sorted vertex
   half-sums, square half-sums and edge colors, the only data the state sum
   reads.  Its classes are the orbits of the tetrahedral symmetry group (145
@@ -30,9 +32,10 @@ fills are safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exactnum import (
     CycNumber,
@@ -418,10 +421,10 @@ def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
         raise PoleAtRoot(f"pole at zeta_{N}^{k}")
     if net > 0:
         return CycNumber.zero(N)
-    val = CycNumber.from_rational(N, f.sign) * CycNumber.zeta(N, (k * f.apow) % N)
-    for m, e in f.phis.items():
-        val = val * _phi_power(params, m, e)
-    return val
+    powers = [_phi_power(params, m, e) for m, e in f.phis.items()]
+    val = reduce(operator.mul, powers) if powers else CycNumber.one(N)
+    val = val.times_zeta(k * f.apow)     # A^apow is a shift, not a product
+    return -val if f.sign < 0 else val
 
 
 def _factored_inverse(params: TheoryParams, f: _Factored) -> CycNumber:
