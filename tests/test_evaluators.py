@@ -6,9 +6,8 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tljhecke.exactnum import CycNumber, PoleAtRoot, specialize
 from tljhecke.recoupling import (
