@@ -20,18 +20,20 @@ diagonal factor w is applied the same way (_scale_columns): entry times w
 is one packed product mod M, with no CycNumber product.
 
 ExactMatrix.dots(B, pairs, *diags) is the one entry point: A @ B pairs every
-row of A with every column of B.  A symmetric A diag(x) A is folded over an
-involution pi that fixes A (checked): A.folding(pi) holds the rows of A,
-summed and subtracted over the pairs i < pi i, once, and gives for each x
-three products of |R| + |F| and |R| rows (R the pairs, F the fixed points),
-upper triangles only; each entry of A diag(x) A is a sum of four of their
-entries (Folding.blocks, _unfold).  With pi the identity this is the plain
-half-product.  A.fold(pi, x) returns the blocks as CycNumbers;
-A.sandwich(pi, d1, d2, ...) = A diag(d1) A, folded over pi, then
-S diag(d2) S on that result S over the identity, with S kept as coefficient
-vectors between steps.  J~ assembly, the trace of J T J T^-1 and the
-genus-2 relation checks (one folding over the swap of the theta basis)
-all run through it.
+row of A with every column of B.  J~ assembly, the trace of J T J T^-1 and
+the genus-2 relation checks all run through it.
+
+A.folding(pi) is the one way to form A diag(x) A.  It checks that A is
+symmetric and fixed by the involution pi, and folds the rows of A, summed
+and subtracted over the pairs i < pi i, once.  For each x, Folding.blocks
+gives three products of |R| + |F| and |R| rows (R the pairs, F the fixed
+points), upper triangles only, and Folding.product sums four of their
+entries into each entry of A diag(x) A (_unfold), as coefficient vectors
+over one denominator.  With pi the identity this is the plain half-product.
+A product S is symmetric but in general not fixed by pi, so a chained step
+folds it over the identity, unchecked: with f = A.folding(pi),
+Folding(N, *f.product(x), range(n)).product(y) is S diag(y) S.  The genus-2
+relation checks fold J~ over the swap of the theta basis this way.
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -51,7 +53,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
     CycNumber,
@@ -198,11 +200,13 @@ def _sub(u: list[int], v: list[int]) -> list[int]:
 
 
 class Folding:
-    """A symmetric S fixed by an involution pi (ExactMatrix.folding checks
-    both; a product S diag(x) S is symmetric by construction, so it folds
-    over the identity unchecked), as coefficient vectors over one
-    denominator, with its rows folded over pi once for any number of
-    products S diag(x) S.
+    """S diag(x) S for a symmetric S fixed by an involution pi, for any
+    number of diagonals x, with the rows of S folded over pi once.
+    S.folding(pi) checks S and builds one; a product S diag(x) S is
+    symmetric by construction, so Folding(N, *f.product(x), range(n)) folds
+    it over the identity, unchecked, for a chained step.  blocks(x) gives
+    the folded blocks and product(x) the n x n result, both as coefficient
+    vectors.
 
     R holds the pair representatives (i < pi i), F the fixed points, and
     reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on R and
@@ -311,26 +315,6 @@ def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
     return S, _lowest_terms(out, den)
 
 
-def _symmetric(N: int, n: int, upper: Sequence[list[int]], den: int) -> "ExactMatrix":
-    """The symmetric n x n matrix with the given upper triangle (row by row)."""
-    it = iter(upper)
-    entries = {(i, j): CycNumber._raw(N, next(it), den) for i, j in _upper(n)}
-    return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)]
-                           for i in range(n)])
-
-
-class Fold(NamedTuple):
-    """The blocks of S = A diag(x) A folded over an involution pi fixing A
-    (ExactMatrix.fold): reps lists the pair representatives R (i < pi i),
-    then the fixed points F; pairs = |R|; alpha is reps x reps, beta R x R,
-    gamma reps x R."""
-    reps: tuple[int, ...]
-    pairs: int
-    alpha: "ExactMatrix"
-    beta: "ExactMatrix"
-    gamma: "ExactMatrix"
-
-
 class ExactMatrix:
     """Immutable dense matrix with CycNumber entries (all of one field order)."""
 
@@ -432,19 +416,6 @@ class ExactMatrix:
             t = t + self.rows[i][i]
         return t
 
-    def scalar_multiple_of_identity(self) -> CycNumber | None:
-        """The scalar c with self == c*I, if self is scalar; else None."""
-        if not self.is_square() or self.nrows == 0:
-            return None
-        c = self.rows[0][0]
-        zero = CycNumber.zero(self.order)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                want = c if i == j else zero
-                if self.rows[i][j] != want:
-                    return None
-        return c
-
     def first_difference(self, other: "ExactMatrix") -> tuple[int, int] | None:
         for i in range(self.nrows):
             for j in range(self.ncols):
@@ -500,44 +471,6 @@ class ExactMatrix:
         and fixed by pi (_check_fold)."""
         self._check_fold(pi)
         return Folding(self.order, *_common_den(self.rows), pi)
-
-    def fold(self, pi: Sequence[int], diag: Sequence[CycNumber]) -> "Fold":
-        """The blocks of S = self diag(diag) self folded over the involution
-        pi (Folding.blocks), for a symmetric self fixed by pi, as
-        CycNumbers; no entry of S is formed.  Every entry of S is a sum of
-        four of them (_unfold)."""
-        f = self.folding(pi)
-        alpha, beta, gamma, dens = f.blocks(diag)
-        N, m, nr = self.order, f.pairs, len(f.reps)
-        if gamma is None:
-            gamma = [[CycNumber.zero(N)] * m] * nr
-        else:
-            gamma = [[CycNumber._raw(N, v, dens[2]) for v in gamma[a * m:(a + 1) * m]]
-                     for a in range(nr)]
-        return Fold(tuple(f.reps), m, _symmetric(N, nr, alpha, dens[0]),
-                    _symmetric(N, m, beta, dens[1]), ExactMatrix(N, gamma))
-
-    def sandwich(self, pi: Sequence[int], *diags: Sequence[CycNumber]) -> "ExactMatrix":
-        """S diag(d) S for a symmetric S, for each d of diags in turn:
-        S = self first, then the result of the previous step, so
-        A.sandwich(pi, d1, d2) = (A d1 A) d2 (A d1 A).
-
-        The first step is folded over the involution pi, which must fix
-        self; its result is in general not fixed by pi, so later steps fold
-        over the identity, which is the plain half-product.  Between steps
-        S stays as coefficient vectors over one denominator; only the last
-        is read back as CycNumbers.
-        """
-        n = self.nrows
-        for d in diags:
-            _check_length(d, n)
-        f = self.folding(pi)
-        S, den = f.rows, f.den
-        for k, d in enumerate(diags):
-            if k:
-                f = Folding(self.order, S, den, range(n))
-            S, den = f.product(d)
-        return _symmetric(self.order, n, [S[i][j] for i, j in _upper(n)], den)
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactnum import CycNumber
-from .matrix import ExactMatrix, SignedSqrtMatrix
+from .matrix import ExactMatrix
 from .recoupling import (
     GlobalConstants,
     TheoryParams,
@@ -56,15 +56,6 @@ def s_matrix(params: TheoryParams) -> ExactMatrix:
 def t_matrix(params: TheoryParams) -> tuple[CycNumber, ...]:
     """The diagonal of T: the twist coefficients theta_i over the color set."""
     return tuple(twist_at(params, i) for i in color_set(params.level))
-
-
-def s_unitary(params: TheoryParams) -> SignedSqrtMatrix:
-    """S = S_tilde / D as (square, sign) pairs: squares are S_tilde^2/D^2."""
-    st = s_matrix(params)
-    d2_inv = global_constants(params).d_squared.inverse()
-    squares = st.map(lambda e: e * e * d2_inv)
-    signs = [[e.real_sign() for e in row] for row in st.rows]
-    return SignedSqrtMatrix(squares, signs)
 
 
 @lru_cache(maxsize=None)

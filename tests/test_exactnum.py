@@ -25,6 +25,7 @@ from tljhecke.exactnum import (
 )
 from tljhecke.matrix import (
     ExactMatrix,
+    Folding,
     char_poly,
     det_mod,
     matmul_mod,
@@ -480,12 +481,36 @@ def sandwich_cases(draw):
     return A, [draw(weight) for _ in range(n)], [draw(weight) for _ in range(n)]
 
 
+def _matrix(N, vecs, den):
+    """Rows of coefficient vectors over one denominator as an ExactMatrix."""
+    return ExactMatrix(N, [[CycNumber(N, v, den) for v in row] for row in vecs])
+
+
+def _symmetric(N, n, upper, den):
+    """The symmetric n x n ExactMatrix whose upper triangle is given row by
+    row, as Folding.blocks gives alpha and beta."""
+    it = iter(upper)
+    entries = {(i, j): CycNumber(N, next(it), den) for i in range(n) for j in range(i, n)}
+    return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+
+
+def _sandwich(A, pi, d, *later):
+    """A diag(d) A folded over pi, then S diag(x) S for each x of later,
+    with S the previous result folded over the identity: the calls that
+    rep_genus2._relations_hold chains."""
+    N, n = A.order, A.nrows
+    S = A.folding(pi).product(d)
+    for x in later:
+        S = Folding(N, *S, range(n)).product(x)
+    return _matrix(N, *S)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sandwich_cases())
 def test_sandwich_matches_product(case):
     A, d, _ = case
     n = A.nrows
-    S = A.sandwich(range(n), d)
+    S = _sandwich(A, range(n), d)
     assert S == A.scale_cols(d) @ A
     for i in range(n):
         for j in range(n):
@@ -499,10 +524,8 @@ def test_sandwich_matches_product(case):
 @given(sandwich_cases())
 def test_chained_sandwich_matches_products(case):
     A, d1, d2 = case
-    ident = range(A.nrows)
     S = A.scale_cols(d1) @ A
-    assert A.sandwich(ident, d1, d2) == S.scale_cols(d2) @ S
-    assert A.sandwich(ident) == A
+    assert _sandwich(A, range(A.nrows), d1, d2) == S.scale_cols(d2) @ S
 
 
 @settings(max_examples=60, deadline=None)
@@ -557,33 +580,53 @@ def test_folded_sandwich_matches_products(case):
     ident = range(A.nrows)
     for d in (moved, fixed_by_pi):
         S = _product(A, d)
-        assert A.sandwich(pi, d) == S == A.sandwich(ident, d)
-        assert A.sandwich(pi, d, d2) == _product(S, d2) == A.sandwich(ident, d, d2)
+        assert _sandwich(A, pi, d) == S == _sandwich(A, ident, d)
+        assert _sandwich(A, pi, d, d2) == _product(S, d2) == _sandwich(A, ident, d, d2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(folded_cases())
 def test_fold_blocks_give_every_entry(case):
     A, pi, moved, fixed_by_pi, _ = case
-    zero = CycNumber.zero(A.order)
+    N, zero = A.order, CycNumber.zero(A.order)
+    f = A.folding(pi)
+    reps, m = f.reps, f.pairs
+    assert sorted(reps) == sorted(i for i in range(A.nrows) if i <= pi[i])
+    assert all(i < pi[i] for i in reps[:m]) and all(i == pi[i] for i in reps[m:])
     for d in (moved, fixed_by_pi):
         S = _product(A, d)
-        f = A.fold(pi, d)
-        m = f.pairs
-        assert sorted(f.reps) == sorted(i for i in range(A.nrows) if i <= pi[i])
-        assert all(i < pi[i] for i in f.reps[:m]) and all(i == pi[i] for i in f.reps[m:])
-        for a, r in enumerate(f.reps):
-            for b, c in enumerate(f.reps):
-                al = f.alpha[a, b]
-                be = f.beta[a, b] if a < m and b < m else zero
-                g = f.gamma[a, b] if b < m else zero
-                h = f.gamma[b, a] if a < m else zero
+        alpha, beta, gamma, (da, db, dg) = f.blocks(d)
+        alpha, beta = _symmetric(N, len(reps), alpha, da), _symmetric(N, m, beta, db)
+        if gamma is not None:
+            gamma = _matrix(N, [gamma[a * m:(a + 1) * m] for a in range(len(reps))], dg)
+        for a, r in enumerate(reps):
+            for b, c in enumerate(reps):
+                al = alpha[a, b]
+                be = beta[a, b] if a < m and b < m else zero
+                g = gamma[a, b] if gamma is not None and b < m else zero
+                h = gamma[b, a] if gamma is not None and a < m else zero
                 assert S[r, c] == al + be + g + h
                 assert S[pi[r], pi[c]] == al + be - g - h
                 assert S[r, pi[c]] == al - be - g + h
                 assert S[pi[r], c] == al - be + g - h
-    f = A.fold(pi, fixed_by_pi)
-    assert all(x == zero for row in f.gamma.rows for x in row)
+    assert f.blocks(fixed_by_pi)[2] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_cases())
+def test_identity_folding_blocks_are_the_upper_triangle(case):
+    # _relations_hold reads S4 = S2 E S2 as the alpha of S2 folded over the
+    # identity, taken in order against the upper triangle of J~: row by row,
+    # j from i to n - 1
+    A, pi, moved, fixed_by_pi, y = case
+    N, n = A.order, A.nrows
+    for d in (moved, fixed_by_pi):
+        f = Folding(N, *A.folding(pi).product(d), range(n))
+        alpha, beta, gamma, (da, _, _) = f.blocks(y)
+        S = _matrix(N, *f.product(y))
+        assert [CycNumber(N, v, da) for v in alpha] == [S[i, j] for i in range(n)
+                                                        for j in range(i, n)]
+        assert beta == [] and gamma is None
 
 
 def test_fold_rejects_what_pi_does_not_fix():
@@ -591,22 +634,22 @@ def test_fold_rejects_what_pi_does_not_fix():
     one = CycNumber.one(12)
     A = ExactMatrix(12, [[z, one, z], [one, z, z], [z, z, one]])
     swap = [1, 0, 2]
-    assert A.fold(swap, [z, one, z]).pairs == 1
+    assert A.folding(swap).pairs == 1
+    assert _sandwich(A, swap, [z, one, z]) == _product(A, [z, one, z])
     B = ExactMatrix(12, [[z, one, z], [one, z, one], [z, one, one]])
-    for call in (lambda: B.fold(swap, [z] * 3), lambda: B.sandwich(swap, [z] * 3)):
-        with pytest.raises(ValueError, match="fixed by pi"):
-            call()
-    assert B.sandwich(range(3), [z] * 3) == _product(B, [z] * 3)
+    with pytest.raises(ValueError, match="fixed by pi"):
+        B.folding(swap)
+    assert _sandwich(B, range(3), [z] * 3) == _product(B, [z] * 3)
     for bad in ([1, 2, 0], [0, 1], [0, 0, 2]):
         with pytest.raises(ValueError, match="pi must be"):
-            A.fold(bad, [z] * 3)
+            A.folding(bad)
 
 
 def test_sandwich_rejects_asymmetric_matrix():
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z - 1, z]])
-    with pytest.raises(ValueError):
-        A.sandwich(range(2), [z, z])
+    with pytest.raises(ValueError, match="symmetric"):
+        A.folding(range(2))
 
 
 @pytest.mark.parametrize("length", [1, 3])
@@ -616,8 +659,10 @@ def test_diagonal_length_must_match(length):
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
-    for call in (lambda: A.sandwich(range(2), d), lambda: A.sandwich(range(2), [z, z], d),
-                 lambda: A.fold(range(2), d),
+    f = A.folding(range(2))
+    chained = Folding(12, *f.product([z, z]), range(2))
+    for call in (lambda: f.product(d), lambda: chained.product(d),
+                 lambda: f.blocks(d), lambda: chained.blocks(d),
                  lambda: A.scale_cols(d), lambda: A.scale_rows(d),
                  lambda: A.dots(A, [(0, 0)], d)):
         with pytest.raises(ValueError, match=f"length {length} where 2 "):

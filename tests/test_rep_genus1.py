@@ -10,7 +10,6 @@ from tljhecke.recoupling import TheoryParams, color_set, global_constants
 from tljhecke.rep_genus1 import (
     modular_data,
     s_matrix,
-    s_unitary,
     t_matrix,
     verify_genus1_relations,
 )
@@ -41,13 +40,6 @@ def test_s_matrix_first_row_is_loop_values():
         st = s_matrix(P)
         for j, c in enumerate(color_set(r)):
             assert st[0, j] == delta_at(P, c)
-
-
-def test_s00_squared_is_inverse_global_dim():
-    for r in range(1, 9):
-        P = TheoryParams(r)
-        su = s_unitary(P)
-        assert su.squares[0, 0] == global_constants(P).d_squared.inverse()
 
 
 def test_t_matrix_entries():

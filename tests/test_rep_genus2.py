@@ -339,7 +339,7 @@ def test_relations_fail_with_conjugated_twist(monkeypatch):
 
 
 def _reference_report(monkeypatch, P):
-    """The report of the full product chain, with the sandwich path off."""
+    """The report of the full product chain, with the folded path off."""
     with monkeypatch.context() as m:
         m.setattr(rep_genus2, "_relations_hold", lambda rep: False)
         return verify_genus2_relations(P)
@@ -370,8 +370,9 @@ def _folded_vs_half_product(rep):
     # unfolded half-product (the identity involution)
     jt, pi = rep.jtilde, rep.basis.swap
     ident = range(len(pi))
+    # (each product is in lowest terms, so equal matrices give equal vectors)
     for x in (rep.jcols, rep.e):
-        assert jt.sandwich(pi, x) == jt.sandwich(ident, x), rep.params
+        assert jt.folding(pi).product(x) == jt.folding(ident).product(x), rep.params
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -447,19 +448,19 @@ def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
 @pytest.mark.parametrize("r", [2, 3])
 def test_swap_bumps_take_their_own_paths(monkeypatch, r):
     # a bump that the swap fixes passes the fold's precondition and the
-    # folded S0 itself rejects it, before any sandwich; one that the swap
+    # folded S0 itself rejects it, before Folding.product; one that the swap
     # does not fix is refused by the fold, so the product chain decides
     rep = genus2_rep(TheoryParams(r))
     pi, d = rep.basis.swap, rep.jcols
     kept = _swap_bump(rep, keep=True)
-    kept.fold(pi, d)
+    kept.folding(pi).blocks(d)
     with monkeypatch.context() as m:
         m.setattr(Folding, "product", lambda *a: pytest.fail("S0 decides"))
         assert not rep_genus2._relations_hold(replace(rep, jtilde=kept))
     broken = _swap_bump(rep, keep=False)
     assert broken == broken.transpose()
     with pytest.raises(ValueError, match="fixed by pi"):
-        broken.fold(pi, d)
+        broken.folding(pi)
     assert not rep_genus2._relations_hold(replace(rep, jtilde=broken))
 
 
@@ -552,7 +553,7 @@ def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
 
 def test_passing_relations_make_few_field_products(monkeypatch):
     # with J~ and D built, a passing check multiplies field elements only
-    # for S0_ii d_i, e = D T and kappa^4: the sandwiches run on packed
+    # for S0_ii d_i, e = D T and kappa^4: the foldings run on packed
     # integers and the S4 target is a zeta-shift of J~
     P = TheoryParams(6)
     rep = genus2_rep(P)
@@ -864,18 +865,19 @@ def test_r2_generators_have_finite_projective_order():
     have finite projective order at r=2 (full group enumeration is far out
     of desk scale, > 3*10^5 elements without closure)."""
     P = TheoryParams(2)
+    N = P.root_order
     M = _jtjt_matrix(P)
+    n = M.nrows
     X = M @ M
     X = X @ X
     X = X @ M          # M^5
-    c = X.scalar_multiple_of_identity()
-    assert c is not None and c == CycNumber.one(P.root_order)
+    assert X.first_difference(ExactMatrix.diagonal(N, [CycNumber.one(N)] * n)) is None
     rep = genus2_rep(P)
-    TJ = ExactMatrix.diagonal(P.root_order, rep.tdiag) @ rep.j_field
+    TJ = ExactMatrix.diagonal(N, rep.tdiag) @ rep.j_field
     Y = TJ @ TJ
     Y = Y @ Y
     Y = Y @ TJ         # (TJ)^5
-    assert Y.scalar_multiple_of_identity() is not None
+    assert Y.first_difference(ExactMatrix.diagonal(N, [Y[0, 0]] * n)) is None
 
 
 def test_trace_galois_sweep_r3():
