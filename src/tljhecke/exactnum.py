@@ -904,12 +904,16 @@ class SplitPrime:
 
     def residue(self, x: CycNumber) -> int:
         """The image of x in F_p: sum vec_i omega^i times den^-1."""
-        if x.order != self.order:
+        return self.residues(x.order, [x.vec], x.den)[0]
+
+    def residues(self, order: int, vecs: Iterable[Sequence[int]], den: int) -> list[int]:
+        """The images in F_p of coefficient vectors over one denominator."""
+        if order != self.order:
             raise ValueError("field order mismatch")
-        if x.den % self.p == 0:
-            raise ValueError(f"{self.p} divides the denominator {x.den}")
-        acc = sum(c * w for c, w in zip(x.vec, self._powers))
-        return acc * pow(x.den, -1, self.p) % self.p
+        if den % self.p == 0:
+            raise ValueError(f"{self.p} divides the denominator {den}")
+        dinv = pow(den, -1, self.p)
+        return [sum(c * w for c, w in zip(v, self._powers)) * dinv % self.p for v in vecs]
 
     def __repr__(self):
         return f"SplitPrime(order={self.order}, p={self.p}, omega={self.omega})"

@@ -1,9 +1,11 @@
 """Dense matrices over a cyclotomic field, with exact arithmetic.
 
-Matrix products run on one packed-integer kernel (Kronecker substitution):
-the coefficient vectors of all entries are scaled to a common integer
-denominator and encoded into single big integers (signed digits in base
-2**W), so one entry-times-entry product is one bignum multiply.  A packed
+An ExactMatrix is held in one form, the integer coefficient vectors of its
+entries over one denominator; every operation reads and returns it, and an
+entry becomes a CycNumber only when read (m[i, j], rows).  Products run on
+one packed-integer kernel (Kronecker substitution): the vectors are encoded
+into single big integers (signed digits in base 2**W), so one
+entry-times-entry product is one bignum multiply.  A packed
 vector is its polynomial evaluated at x = 2**W, so reducing mod Phi_N(x) is
 reducing the packed integer mod M = Phi_N(2**W): every output entry is a
 dot product of packed rows (_dots), taken mod M once, its balanced residue
@@ -19,9 +21,10 @@ ArithmeticError if not), and the balanced residue is F(2**W) itself.  A
 diagonal factor w is applied the same way (_scale_columns): entry times w
 is one packed product mod M, with no CycNumber product.
 
-ExactMatrix.dots(B, pairs, *diags) is the one entry point: A @ B pairs every
-row of A with every column of B.  J~ assembly, the trace of J T J T^-1 and
-the genus-2 relation checks all run through it.
+ExactMatrix.dots(B, pairs, *diags) is the one entry point, returning vectors
+over one denominator: A @ B pairs every row of A with every column of B.  J~
+assembly (its half-terms are dots of rows of length 1), the trace of
+J T J T^-1 and the genus-2 relation checks all run through it.
 
 A.folding(pi) is the one way to form A diag(x) A.  It checks that A is
 symmetric and fixed by the involution pi, and folds the rows of A, summed
@@ -38,9 +41,9 @@ relation checks fold J~ over the swap of the theta basis this way.
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
 determinant is nonzero" is decided faster modulo a split prime: residue_matrix
-maps a matrix into F_p (exactnum.SplitPrime), and matmul_mod, poly_at_matrix_mod
-and det_mod work on plain lists of ints there.  A nonzero residue is an exact
-proof; a zero residue decides nothing.
+maps a matrix into F_p (exactnum.SplitPrime, one inverse of its denominator),
+and matmul_mod, poly_at_matrix_mod and det_mod work on plain lists of ints
+there.  A nonzero residue is an exact proof; a zero residue decides nothing.
 
 A matrix whose entries are square roots of field elements (the unitary
 genus-2 matrix) is a SignedSqrtMatrix of (square, sign) pairs; no root is
@@ -50,15 +53,15 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactnum import (
     CycNumber,
     IntPolynomial,
     SplitPrime,
+    _power_sum,
     _zeta_powers,
     cyclotomic_poly,
     euler_phi,
@@ -96,15 +99,6 @@ def _unpack_digits(x: int, width: int, count: int) -> list[int]:
 def _check_length(diag: Sequence[CycNumber], n: int) -> None:
     if len(diag) != n:
         raise ValueError(f"diagonal of length {len(diag)} where {n} is needed")
-
-
-def _common_den(rows: Iterable[Iterable[CycNumber]]) -> tuple[list[list[list[int]]], int]:
-    """The coefficient vectors of the entries over one common denominator
-    (an entry already over it keeps its own vector)."""
-    rows = [list(row) for row in rows]
-    den = math.lcm(*(e.den for row in rows for e in row))
-    return [[e.vec if e.den == den else [c * (den // e.den) for c in e.vec] for e in row]
-             for row in rows], den
 
 
 def _max_abs(rows: Sequence[Sequence[Sequence[int]]]) -> int:
@@ -161,15 +155,14 @@ def _reduce(x: int, M: int, width: int, phi: int) -> list[int]:
 
 
 def _scale_columns(N: int, phi: int, rows: list[list[list[int]]], den: int,
-                   diag: Sequence[CycNumber]) -> tuple[list[list[list[int]]], int]:
-    """rows diag(diag) as coefficient vectors over a common denominator, in
-    lowest terms.
+                   ws: list[list[int]], wden: int) -> tuple[list[list[list[int]]], int]:
+    """rows diag(w) as coefficient vectors over a common denominator, in
+    lowest terms, for the diagonal w given as the vectors ws over wden.
 
-    Entry (i, k) times w = diag[k] is one product of the packed vectors,
-    reduced mod Phi_N(2**W).  The results are unpacked, which gives _dots
-    their exact size.
+    Entry (i, k) times w_k is one product of the packed vectors, reduced
+    mod Phi_N(2**W).  The results are unpacked, which gives _dots their
+    exact size.
     """
-    (ws,), wden = _common_den([diag])
     width = _width(N, phi * _max_abs(rows) * _max_abs([ws]))
     M = _modulus(N, width)
     wp = [_pack_digits(w, width) for w in ws]
@@ -244,18 +237,20 @@ class Folding:
         N, phi, pi, den = self.order, self.phi, self.pi, self.den
         reps, m, P, Q = self.reps, self.pairs, self.P, self.Q
         nr = len(reps)
-        w = [(diag[k] + diag[pi[k]]) / 4 for k in reps[:m]]
-        v = [(diag[k] - diag[pi[k]]) / 4 for k in reps[:m]]
+        x = ExactMatrix(N, [diag])
+        xs, wden = x.vecs[0], 4 * x.den
+        w = [_add(xs[k], xs[pi[k]]) for k in reps[:m]]
+        v = [_sub(xs[k], xs[pi[k]]) for k in reps[:m]]
 
         def products(A, B, weights, pairs):
-            scaled, dens = _scale_columns(N, phi, B, den, weights)
+            scaled, dens = _scale_columns(N, phi, B, den, weights, wden)
             return list(_dots(N, phi, A, scaled, len(weights), pairs)), den * dens
 
-        alpha, da = products(P, P, w + [diag[k] for k in reps[m:]], _upper(nr))
+        alpha, da = products(P, P, w + [[4 * c for c in xs[k]] for k in reps[m:]], _upper(nr))
         beta, db, gamma, dg = [], 1, None, 1
         if m:
             beta, db = products(Q, Q, w, _upper(m))
-            if any(v):
+            if any(map(any, v)):
                 gamma, dg = products([row[:m] for row in P], Q, v,
                                      ((a, b) for a in range(nr) for b in range(m)))
         return alpha, beta, gamma, (da, db, dg)
@@ -316,32 +311,45 @@ def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
 
 
 class ExactMatrix:
-    """Immutable dense matrix with CycNumber entries (all of one field order)."""
+    """Immutable dense matrix over Q(zeta_N): entry (i, j) is vecs[i][j] / den,
+    integer vectors over one positive den in lowest terms, a unique form (so
+    == compares vectors).  Vectors are shared between matrices, never modified."""
 
-    __slots__ = ("order", "rows")
+    __slots__ = ("order", "vecs", "den")
 
     def __init__(self, order: int, rows: Iterable[Iterable[CycNumber]]):
-        rs = tuple(tuple(r) for r in rows)
-        if rs:
-            w = len(rs[0])
-            if any(len(r) != w for r in rs):
-                raise ValueError("ragged rows")
-        for r in rs:
-            for e in r:
-                if e.order != order:
-                    raise ValueError("entry order mismatch")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rs)
+        rs = [list(r) for r in rows]
+        if any(len(r) != len(rs[0]) for r in rs):
+            raise ValueError("ragged rows")
+        if any(e.order != order for r in rs for e in r):
+            raise ValueError("entry order mismatch")
+        # each entry is in lowest terms, so they are too over the lcm
+        den = math.lcm(*(e.den for r in rs for e in r))
+        self._set(order, [[[c * (den // e.den) for c in e.vec] for e in r] for r in rs], den)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
 
     # -- constructors
+    @classmethod
+    def from_vectors(cls, order: int, vecs: Iterable, den: int) -> "ExactMatrix":
+        """The matrix vecs / den, for rows of coefficient vectors over a
+        positive den, brought to lowest terms without modifying a vector."""
+        vecs = [list(row) for row in vecs]
+        g = math.gcd(den, *chain.from_iterable(chain.from_iterable(vecs)))
+        if g > 1:
+            vecs = [[[c // g for c in v] for v in row] for row in vecs]
+        self = object.__new__(cls)
+        self._set(order, vecs, den // g)
+        return self
+
     @staticmethod
     def identity(order: int, n: int) -> "ExactMatrix":
-        one, zero = CycNumber.one(order), CycNumber.zero(order)
-        return ExactMatrix(order, [[one if i == j else zero for j in range(n)]
-                                   for i in range(n)])
+        return ExactMatrix.diagonal(order, [CycNumber.one(order)] * n)
 
     @staticmethod
     def diagonal(order: int, entries: Sequence[CycNumber]) -> "ExactMatrix":
@@ -352,98 +360,101 @@ class ExactMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.vecs)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.vecs[0]) if self.vecs else 0
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def __getitem__(self, ij) -> CycNumber:
         i, j = ij
-        return self.rows[i][j]
+        return CycNumber._raw(self.order, self.vecs[i][j], self.den)
+
+    @property
+    def rows(self) -> tuple[tuple[CycNumber, ...], ...]:
+        """The entries as CycNumbers, built on each access."""
+        N, den = self.order, self.den
+        return tuple(tuple(CycNumber._raw(N, v, den) for v in row) for row in self.vecs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.order == other.order and self.rows == other.rows
+        return (self.order, self.den, self.vecs) == (other.order, other.den, other.vecs)
 
     def __hash__(self):
-        return hash((self.order, self.rows))
+        return hash((self.order, self.den, tuple(tuple(map(tuple, r)) for r in self.vecs)))
 
-    # -- elementwise operations
-    def map(self, fn: Callable[[CycNumber], CycNumber]) -> "ExactMatrix":
-        return ExactMatrix(self.order, [[fn(e) for e in r] for r in self.rows])
-
+    # -- entrywise operations
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(self.order, [[a + b for a, b in zip(r1, r2)]
-                                        for r1, r2 in zip(self.rows, other.rows)])
+        if self.order != other.order:
+            raise ValueError("field order mismatch")
+        g = math.gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        return ExactMatrix.from_vectors(
+            self.order, [[[x * a + y * b for x, y in zip(u, v)] for u, v in zip(r1, r2)]
+                         for r1, r2 in zip(self.vecs, other.vecs)], self.den * a)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(self.order, [[a - b for a, b in zip(r1, r2)]
-                                        for r1, r2 in zip(self.rows, other.rows)])
+        return self + other.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        if not isinstance(c, CycNumber):
-            c = CycNumber.from_rational(self.order, c)
-        return self.map(lambda e: e * c)
+        c = c if isinstance(c, CycNumber) else CycNumber.from_rational(self.order, c)
+        return self.scale_cols([c] * self.ncols)
 
     def scale_rows(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
-        _check_length(factors, self.nrows)
-        return ExactMatrix(self.order, [[factors[i] * e for e in row]
-                                        for i, row in enumerate(self.rows)])
+        return self.transpose().scale_cols(factors).transpose()
 
     def scale_cols(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
+        """self diag(factors), one packed product per entry (_scale_columns)."""
         _check_length(factors, self.ncols)
-        return ExactMatrix(self.order, [[e * factors[j] for j, e in enumerate(row)]
-                                        for row in self.rows])
+        N = self.order
+        w = ExactMatrix(N, [factors])
+        return ExactMatrix.from_vectors(
+            N, *_scale_columns(N, euler_phi(N), self.vecs, self.den, w.vecs[0], w.den))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.order, list(zip(*self.rows)))
+        return ExactMatrix.from_vectors(self.order, zip(*self.vecs), self.den)
 
     def conj(self) -> "ExactMatrix":
         """Entrywise zeta -> zeta**-1."""
-        return self.map(lambda e: e.conj())
+        return self.galois(self.order - 1)
 
     def galois(self, m: int) -> "ExactMatrix":
-        return self.map(lambda e: e.galois(m))
+        N = self.order
+        if math.gcd(m, N) != 1:
+            raise ValueError(f"{m} is not coprime to {N}")
+        return ExactMatrix.from_vectors(
+            N, [[_power_sum(N, [0] * len(v), ((c, j * m) for j, c in enumerate(v)))
+                 for v in row] for row in self.vecs], self.den)
 
     def trace(self) -> CycNumber:
-        t = CycNumber.zero(self.order)
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        return sum((self[i, i] for i in range(self.nrows)), CycNumber.zero(self.order))
 
     def first_difference(self, other: "ExactMatrix") -> tuple[int, int] | None:
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                if self.rows[i][j] != other.rows[i][j]:
-                    return (i, j)
-        return None
+        a, b = other.den, self.den
+        return next(((i, j) for i, (r1, r2) in enumerate(zip(self.vecs, other.vecs))
+                     for j, (u, v) in enumerate(zip(r1, r2))
+                     if any(x * a != y * b for x, y in zip(u, v))), None)
 
     # -- packed-integer products
     def dots(self, other: "ExactMatrix", pairs: Iterable[tuple[int, int]],
-             *diags: Sequence[CycNumber]) -> list[CycNumber]:
+             *diags: Sequence[CycNumber]) -> tuple[list[list[int]], int]:
         """Row i of self dotted with row j of other diag(d1) diag(d2) ...,
-        for each (i, j) in pairs, on the packed kernel; each diagonal is
-        applied to the coefficient vectors of other (_scale_columns)."""
+        for each (i, j) in pairs, on the packed kernel (each diagonal by
+        scale_cols), as coefficient vectors over one denominator in lowest
+        terms."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.ncols:
             raise ValueError("row length mismatch")
         for d in diags:
-            _check_length(d, other.ncols)
+            other = other.scale_cols(d)
         N = self.order
-        phi = euler_phi(N)
-        A, dena = _common_den(self.rows)
-        B, denb = _common_den(other.rows)
-        for d in diags:
-            B, denb = _scale_columns(N, phi, B, denb, d)
-        den = dena * denb
-        return [CycNumber._raw(N, v, den)
-                for v in _dots(N, phi, A, B, self.ncols, pairs)]
+        out = list(_dots(N, euler_phi(N), self.vecs, other.vecs, self.ncols, pairs))
+        return out, _lowest_terms(out, self.den * other.den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:
@@ -451,14 +462,13 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
         m, n = self.nrows, other.ncols
-        prods = iter(self.dots(other.transpose(),
-                               ((i, j) for i in range(m) for j in range(n))))
-        return ExactMatrix(self.order, [[next(prods) for _ in range(n)] for _ in range(m)])
+        vecs, den = self.dots(other.transpose(), ((i, j) for i in range(m) for j in range(n)))
+        return ExactMatrix.from_vectors(self.order, [vecs[i * n:i * n + n] for i in range(m)], den)
 
     def _check_fold(self, pi: Sequence[int]) -> None:
         """ValueError unless pi is an involution of range(n) and self is
         symmetric and fixed by pi: self[i, j] = self[j, i] = self[pi i, pi j]."""
-        n, rows = self.nrows, self.rows
+        n, rows = self.nrows, self.vecs
         if sorted(pi) != list(range(n)) or any(pi[pi[i]] != i for i in range(n)):
             raise ValueError("pi must be an involution of the rows")
         if not self.is_square() or any(rows[i][j] != rows[j][i] or rows[i][j] != rows[pi[i]][pi[j]]
@@ -470,7 +480,7 @@ class ExactMatrix:
         self diag(x) self (Folding), after checking that self is symmetric
         and fixed by pi (_check_fold)."""
         self._check_fold(pi)
-        return Folding(self.order, *_common_den(self.rows), pi)
+        return Folding(self.order, self.vecs, self.den, pi)
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"
@@ -558,14 +568,6 @@ class CycPoly:
             v = v * x + c
         return v
 
-    def rational_coeffs(self) -> list[Fraction] | None:
-        out = []
-        for c in self.coeffs:
-            if not c.is_rational():
-                return None
-            out.append(c.as_fraction())
-        return out
-
     def __repr__(self):
         return f"CycPoly(order={self.order}, degree={self.degree})"
 
@@ -591,8 +593,8 @@ def char_poly(M: ExactMatrix) -> CycPoly:
 # residues modulo a split prime (matrices over F_p as lists of int rows)
 
 def residue_matrix(M: ExactMatrix, sp: SplitPrime) -> list[list[int]]:
-    """The entrywise image of M in F_p; sp.p must divide no denominator."""
-    return [[sp.residue(e) for e in row] for row in M.rows]
+    """The entrywise image of M in F_p; sp.p must not divide M.den."""
+    return [sp.residues(M.order, row, M.den) for row in M.vecs]
 
 
 def matmul_mod(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],

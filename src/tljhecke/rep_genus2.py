@@ -21,6 +21,7 @@ from .exactnum import (
     LaurentFraction,
     _power_sum,
     cyclotomic_factor,
+    euler_phi,
     split_primes,
 )
 from .matrix import (
@@ -151,10 +152,11 @@ class Genus2Rep:
     """All genus-2 data at one root: J~ and the column factors D that make
     it the representation matrix J' = J~ D in the unnormalized basis
     (j_field), the twists T, the unitary normalization as (square, sign)
-    pairs when the form is positive definite.  D (jcols) and T (tdiag) are
-    diagonals, held as vectors; so are E = D T and E' = D T^-1 (e, e_inv),
-    the two diagonals the relation checks, the trace and the quartic
-    residue read."""
+    pairs when the form is positive definite.  J~ is coefficient vectors
+    over one denominator (ExactMatrix); D (jcols) and T (tdiag) are
+    diagonals, tuples of CycNumbers, and so are E = D T and E' = D T^-1
+    (e, e_inv).  The relation checks, the trace and the quartic residue
+    read J~, E and E' as they are held."""
 
     params: TheoryParams
     basis: Genus2Basis
@@ -176,7 +178,7 @@ class Genus2Rep:
 
     @cached_property
     def j_field(self) -> ExactMatrix:
-        """J' = J~ D, built on first access.
+        """J' = J~ D, built on first access (one packed product per entry).
 
         The relation checks, the trace and the quartic residue read J~ and D
         (jcols) on the packed kernel and never build it.  Its readers are
@@ -197,10 +199,10 @@ class Genus2Rep:
         """
         if not self.positive:
             return None
-        jf = self.j_field
+        jf = self.j_field.rows
         n = len(self.basis)
-        squares = [[jf[s, m] * jf[m, s] for m in range(n)] for s in range(n)]
-        signs = [[jf[s, m].real_sign() for m in range(n)] for s in range(n)]
+        squares = [[jf[s][m] * jf[m][s] for m in range(n)] for s in range(n)]
+        signs = [[jf[s][m].real_sign() for m in range(n)] for s in range(n)]
         return SignedSqrtMatrix(ExactMatrix(self.params.root_order, squares), signs)
 
 
@@ -211,52 +213,43 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     Inadmissible terms vanish silently."""
     r = params.level
     N = params.root_order
-    basis = enumerate_basis(r)
+    ts = enumerate_basis(r).triples
     cs = color_set(r)
-    zero = CycNumber.zero(N)
 
-    a_tab: dict[tuple, CycNumber] = {}
-    abar_tab: dict[tuple, CycNumber] = {}
-    for x in cs:
-        for y in cs:
-            for l in cs:
-                if _coupling_support(r, x, y, l):
-                    v = coupling_a_at(params, x, y, l)
-                    a_tab[(x, y, l)] = v
-                    abar_tab[(x, y, l)] = v.conj()
-
-    # half-terms, so that each l-term is one product:
+    # the coupling coefficients a^{x,y}_l and the Tet values as rows of
+    # length 1, so that each half-term is one packed product (dots):
     # left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
-    # right[k2, l, sigma] = abar^{k2,i1}_l Tet(l,j1,j1;k1,i1,i1) Delta_l^-1
-    left: dict[tuple, CycNumber] = {}
-    right: dict[tuple, CycNumber] = {}
+    # right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1)
+    keys = [(x, y, l) for x in cs for y in cs for l in cs if _coupling_support(r, x, y, l)]
+    row = {key: a for a, key in enumerate(keys)}
+    a = ExactMatrix(N, [[coupling_a_at(params, *key)] for key in keys])
+    abar = a.conj().scale_rows([delta_inv_at(params, l) for _, _, l in keys])
+    tets, cells = [], ([], [])
     for l in cs:
-        dinv = None
-        for t in basis.triples:
+        for t in ts:
             i, j, k = t
-            if admissible(r, l, i, i) and admissible(r, l, k, k):
-                tet1 = tet_at(params, l, i, i, j, k, k)
-                for x in cs:
-                    if (x, i, l) in a_tab:
-                        left[x, l, t] = a_tab[x, i, l] * tet1
-            if admissible(r, l, j, j) and admissible(r, l, i, i):
-                if dinv is None:
-                    dinv = delta_inv_at(params, l)
-                tet2 = tet_at(params, l, j, j, k, i, i) * dinv
-                for x in cs:
-                    if (x, i, l) in abar_tab:
-                        right[x, l, t] = abar_tab[x, i, l] * tet2
+            for side, ends in enumerate(((i, j, k), (j, k, i))):
+                if admissible(r, l, ends[0], ends[0]) and admissible(r, l, ends[2], ends[2]):
+                    tets.append([tet_at(params, l, ends[0], ends[0], ends[1], ends[2], ends[2])])
+                    cells[side].extend(((x, l, t), (row[x, i, l], len(tets) - 1))
+                                       for x in cs if (x, i, l) in row)
+    tets = ExactMatrix(N, tets)
+    zero = [0] * euler_phi(N)
+
+    def halves(m, side):
+        vecs, den = m.dots(tets, [pair for _, pair in cells[side]])
+        at = {cell: v for (cell, _), v in zip(cells[side], vecs)}
+        return ExactMatrix.from_vectors(N, [[at.get((x, l, t), zero) for l in cs]
+                                            for x in cs for t in ts], den)
 
     # J~_{sigma,mu} = sum over l of left[j1, l, mu] right[k2, l, sigma]: one
     # packed dot of the row (k2, sigma) of R with the row (j1, mu) of L
-    ts = basis.triples
     pos = {x: i for i, x in enumerate(cs)}
-    L = ExactMatrix(N, [[left.get((x, l, t), zero) for l in cs] for x in cs for t in ts])
-    R = ExactMatrix(N, [[right.get((x, l, t), zero) for l in cs] for x in cs for t in ts])
     n = len(ts)
-    entries = iter(R.dots(L, ((pos[mu[2]] * n + a, pos[sigma[1]] * n + b)
-                              for a, sigma in enumerate(ts) for b, mu in enumerate(ts))))
-    return ExactMatrix(N, [[next(entries) for _ in ts] for _ in ts])
+    vecs, den = halves(abar, 1).dots(halves(a, 0), (
+        (pos[mu[2]] * n + b, pos[sigma[1]] * n + c)
+        for b, sigma in enumerate(ts) for c, mu in enumerate(ts)))
+    return ExactMatrix.from_vectors(N, [vecs[b * n:(b + 1) * n] for b in range(n)], den)
 
 
 def t_genus2(params: TheoryParams) -> tuple[CycNumber, ...]:
@@ -337,10 +330,10 @@ def _relations_hold(rep: Genus2Rep) -> bool:
 
     J~ is folded over the swap pi: (i, j, k) -> (i, k, j) once
     (Genus2Basis.swap, ExactMatrix.folding): one check that J~ is symmetric
-    and fixed by pi, one common denominator and one set of folded rows
-    serve S0 and S2, whose blocks live over the pairs R (j < k) and the
-    fixed points F (j = k).  When J~ or D is not fixed by pi, the reference
-    chain decides.  Everything below stays on coefficient vectors.
+    and fixed by pi and one set of folded rows serve S0 and S2, whose
+    blocks live over the pairs R (j < k) and the fixed points F (j = k).
+    When J~ or D is not fixed by pi, the reference chain decides.
+    Everything below reads J~'s vectors over its one denominator.
 
     (iv)  J~ = J~^T: ExactMatrix.folding raises ValueError when it does not
           hold.
@@ -353,7 +346,7 @@ def _relations_hold(rep: Genus2Rep) -> bool:
           S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4 J~ D J~ D =
           kappa^4 I.  Both sides are symmetric, so the upper triangles are
           compared as integer vectors: S4 over its denominator against each
-          J~_ij over its own, shifted by kappa^4 / (t_i t_j) in the power
+          J~_ij over J~'s, shifted by kappa^4 / (t_i t_j) in the power
           basis, by cross-multiplication.  At the levels in use kappa^4 and
           every t are powers of zeta (so is -zeta^b: N is even); any other
           value is left to the reference chain.
@@ -387,20 +380,21 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     f = Folding(N, *f.product(rep.e), range(n))
     s4, _, _, (d4, _, _) = f.blocks(rep.e)
     s4 = iter(s4)
-    for i, row in enumerate(jt.rows):
+    g = math.gcd(d4, jt.den)
+    a, b = d4 // g, jt.den // g
+    for i, row in enumerate(jt.vecs):
         for j in range(i, n):
-            x = row[j]
-            g = math.gcd(d4, x.den)
-            want = _power_sum(N, [0] * f.phi, ((c * (d4 // g), t) for t, c in
-                                               enumerate(x.vec, k4 - tlog[i] - tlog[j])))
-            if want != [c * (x.den // g) for c in next(s4)]:
+            want = _power_sum(N, [0] * f.phi, ((c * a, t) for t, c in
+                                               enumerate(row[j], k4 - tlog[i] - tlog[j])))
+            if want != [c * b for c in next(s4)]:
                 return False
 
     if params.is_unitary_root:
         th = [theta_at(params, *b) for b in rep.basis.triples]
         if not all(x.is_real() for x in th + list(d)):
             return False
-        if not all(jt[i, j].is_real() for i in range(n) for j in range(i, n)
+        if not all(_power_sum(N, [0] * f.phi, ((c, -t) for t, c in enumerate(v))) == v
+                   for i, row in enumerate(jt.vecs) for j, v in enumerate(row[i:], i)
                    if (i, j) <= tuple(sorted((pi[i], pi[j])))):
             return False
     return True
@@ -413,19 +407,23 @@ def _s0_is_d_inverse(f: Folding, d: tuple[CycNumber, ...]) -> bool:
     S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in R,
     and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff the
     off-diagonal vectors of alpha and beta are zero, with alpha_rr d_r = 1/2
-    (r in R) or 1 (r in F) and beta_rr d_r = 1/2; only these n diagonal
-    entries become CycNumbers.
+    (r in R) or 1 (r in F) and beta_rr d_r = 1/2: the n diagonal vectors
+    times d, one packed product each, against those values.
     """
-    m, reps = f.pairs, f.reps
+    N, m, reps = f.order, f.pairs, f.reps
     alpha, beta, _, (da, db, _) = f.blocks(d)
     for blk, den, size in ((alpha, da, len(reps)), (beta, db, m)):
         it = iter(blk)
+        diag = []
         for a in range(size):
-            diag = next(it)
+            diag.append(next(it))
             if any(map(any, islice(it, size - a - 1))):
                 return False
-            if CycNumber._raw(f.order, diag, den) * d[reps[a]] != (Fraction(1, 2) if a < m else 1):
-                return False
+        want = ExactMatrix(N, [[CycNumber.from_rational(N, Fraction(1, 2) if a < m else 1)
+                                for a in range(size)]])
+        if ExactMatrix.from_vectors(N, [diag], den).scale_cols(
+                [d[r] for r in reps[:size]]) != want:
+            return False
     return True
 
 
@@ -465,12 +463,8 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
     return rep.j_field.scale_cols(rep.tdiag) @ rep.j_field.scale_cols(tinv)
 
 
-# rows of J~ per block of the trace: the kernel holds the coefficient vectors
-# of a whole block unpacked, so the block bounds that memory.  Peak RSS of
-# `trace-table --levels 13` (n = 140): 33 MB in blocks of 16 rows and 51 MB
-# in one block; blocks of 32 rows add about 0.2 MB to the r = 4 and r = 7
-# `infinite-image` jobs.  Each block rebuilds the tables of E' = D T^-1
-# (0.5 ms at r = 4).
+# rows of J~ per block of the trace, which bounds the scaled copy of J~^T:
+# `trace-table --levels 13` (n = 140) peaks at 36.8 MB, 38.7 MB in one block
 TRACE_BLOCK = 16
 
 
@@ -480,20 +474,21 @@ def trace_jtjt(params: TheoryParams) -> CycNumber:
 
     With J' = J~ D, e = D T and e' = D T^-1 (rep.e and rep.e_inv), tr =
     sum_s e_s sum_m e'_m J~_sm J~_ms (the basis rescaling cancels in the
-    trace).  The n inner sums are packed dots of
-    row s of J~ with row s of J~^T diag(e'), in blocks of TRACE_BLOCK rows,
-    and the outer sum is one more.  Tests diff it against _jtjt_matrix.
+    trace).  The n inner sums are packed dots of row s of J~ with row s of
+    J~^T diag(e'), read from J~'s vectors in blocks of TRACE_BLOCK rows, and
+    each block's outer sum is one more.  Tests diff it against _jtjt_matrix.
     """
     rep = genus2_rep(params)
-    jt = rep.jtilde
-    N = params.root_order
-    cols = jt.transpose().rows
-    inner = []
+    jt, N = rep.jtilde, params.root_order
+    cols, total = jt.transpose().vecs, CycNumber.zero(N)
     for a in range(0, jt.nrows, TRACE_BLOCK):
-        block = ExactMatrix(N, jt.rows[a:a + TRACE_BLOCK])
-        inner += block.dots(ExactMatrix(N, cols[a:a + TRACE_BLOCK]),
-                            [(s, s) for s in range(block.nrows)], rep.e_inv)
-    return ExactMatrix(N, [rep.e]).dots(ExactMatrix(N, [inner]), [(0, 0)])[0]
+        rows, block = (ExactMatrix.from_vectors(N, m[a:a + TRACE_BLOCK], jt.den)
+                       for m in (jt.vecs, cols))
+        vecs, den = rows.dots(block, [(s, s) for s in range(rows.nrows)], rep.e_inv)
+        (vec,), den = ExactMatrix(N, [rep.e[a:a + TRACE_BLOCK]]).dots(
+            ExactMatrix.from_vectors(N, [vecs], den), [(0, 0)])
+        total = total + CycNumber._raw(N, vec, den)
+    return total
 
 
 def trace_params(r: int) -> TheoryParams:
@@ -591,8 +586,7 @@ def _quartic_residue_nonzero(params: TheoryParams, quartic: IntPolynomial) -> bo
     """
     rep = genus2_rep(params)
     jt = rep.jtilde
-    den = math.lcm(*(x.den for row in jt.rows for x in row),
-                   *(x.den for x in rep.e + rep.e_inv))
+    den = math.lcm(jt.den, *(x.den for x in rep.e + rep.e_inv))
     for sp in islice(split_primes(params.root_order, den), RESIDUE_PRIMES):
         p = sp.p
         J = residue_matrix(jt, sp)

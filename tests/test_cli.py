@@ -1,4 +1,5 @@
 """Tests for the command-line front end: dispatch, formats, exit codes."""
+import hashlib
 import importlib
 import json
 import os
@@ -450,3 +451,63 @@ def test_closed_stdout_exits_quietly():
         proc.stderr.close()
     assert (code, err) == (OUTPUT_CLOSED, b"")
     assert OUTPUT_CLOSED == 1
+
+
+# --------------------------------------------------------------------------
+# the sha256 oracle: --format json stdout of the commands that print matrices,
+# relations and certificates, pinned at the commit before the vector-backed
+# ExactMatrix (the digests did not change with it)
+
+_JSON_SHA256 = {
+    "genus2-matrices --level 2":
+        "4b40cec2841d5601e39e6fb1872c008aa853e3b09b5c8475621072dbcb6e2032",
+    "genus2-matrices --level 2 --raw":
+        "6813f9cb22b74326703e9c78c8a5e6ca389013f2b89336b074545557479cc73b",
+    "genus2-matrices --level 3":
+        "d3238a8dd91917dc58d48da747d6aefd115fda2a056bccd5c3bd800cbf2618f6",
+    "genus2-matrices --level 3 --raw":
+        "dcf124cbbe8d2b06b19e505f427e41934df98cabbc981863bb23136ecdba5ae4",
+    "genus2-matrices --level 4":
+        "45d436db33d132627209cf77d5fe7e55eb8d03de9c0bb5c73a16a558cd37a367",
+    "genus2-matrices --level 4 --raw":
+        "0b1a03c3486cca3a50213b70389ee11372a94dec681021f432d5ab463985ec56",
+    "modular-data --level 2":
+        "05a4190f9b3101a5e5e909a8fa62e31ebff7e64547b3509b8965a4b53727c6d6",
+    "modular-data --level 3":
+        "140aaac591943f4187d6a6064f47c787fa488eb87828e24bb03ae71448a01004",
+    "modular-data --level 4":
+        "532398b41ec527ce110a77f0139058b6e2f14cc5a13e0916c38f250ec5fb7933",
+    "modular-data --level 5":
+        "a0ee57065d28b23b1e151361f1fa493fab0731c9fc4b50251dc0584cdeef3d34",
+    "modular-data --level 6":
+        "53a72d8de61ef07bad4dd52ca14f1fca1d984d9afb1be15cd834d1606924f24e",
+    "infinite-image --level 2":
+        "f78c5e885d7c573d385c4d76803b99544cc4d8faa224bf9eb96805182f12ae33",
+    "infinite-image --level 3":
+        "661d34e3830b8968d7bef29cb45dc38f09876c83f0f5bd2ce67b80ac3c12842b",
+    "infinite-image --level 4":
+        "55c8a99d1c926a6195c571bebd36813346fac9944b2d34fb8f17ef6252f9c8a7",
+    "infinite-image --level 5":
+        "67eec5214c304f2fd09da1396241e8178fc48c17c65049c26dd66c36816552bf",
+    "infinite-image --level 6":
+        "61fc5865aedbaf69cbab3e07d161ca61810c390c5530f43a6439f55e4580ec6d",
+    "infinite-image --level 7":
+        "287caea90701c17a20f736a08d3d13b3ff005aa38aff7e5e3e9e08453f56d5db",
+    "verify --genus 0 --level 2":
+        "3536b93d62187726fd45b3349eb985e34ecbd9a9992cc1506fcd001bab3084f3",
+    "verify --genus 0 --level 3":
+        "22f272916084669c7594e26f6aa69f166fd680801e555982db6d6579ef55e328",
+    "verify --genus 0 --level 4":
+        "ab2399cd9ae0e287c56f023e3b88b9a2cf1b4152527ed5db9dd5dc25939561d7",
+    "verify --genus 0 --level 5":
+        "0a83e94aba7d6ddb6524c95323df19ff9432e36f703cb31dd73cfbde609a1865",
+    "verify --genus 0 --level 6":
+        "aa5d9b6cb53480e7645e059c69c02c241440ca175684375a72630deaf2455929",
+}
+
+
+@pytest.mark.parametrize("command", list(_JSON_SHA256))
+def test_json_stdout_sha256_is_pinned(capsys, command):
+    code, out = run(capsys, "--format", "json", *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _JSON_SHA256[command]

@@ -428,7 +428,7 @@ def test_cyc_serialization_roundtrip():
 
 def test_char_poly_identity():
     cp = char_poly(ExactMatrix.identity(20, 2))
-    assert cp.rational_coeffs() == [Fraction(1), Fraction(-2), Fraction(1)]
+    assert cp.coeffs == tuple(CycNumber.from_rational(20, c) for c in (1, -2, 1))
 
 
 def test_char_poly_diagonal():
@@ -535,8 +535,13 @@ def test_dots_with_diagonals_match_products(case):
     n = A.nrows
     pairs = [(i, j) for i in range(n) for j in range(n)]
     want = (A.scale_cols(d1).scale_cols(d2) @ A.transpose())
-    assert A.dots(A, pairs, d1, d2) == [want[i, j] for i, j in pairs]
-    assert A.dots(A, pairs) == [(A @ A.transpose())[i, j] for i, j in pairs]
+    assert _as_cyc(A.order, *A.dots(A, pairs, d1, d2)) == [want[i, j] for i, j in pairs]
+    assert _as_cyc(A.order, *A.dots(A, pairs)) == [(A @ A.transpose())[i, j] for i, j in pairs]
+
+
+def _as_cyc(N, vecs, den):
+    """dots results (coefficient vectors over one denominator) as CycNumbers."""
+    return [CycNumber(N, v, den) for v in vecs]
 
 
 @st.composite
@@ -627,6 +632,36 @@ def test_identity_folding_blocks_are_the_upper_triangle(case):
         assert [CycNumber(N, v, da) for v in alpha] == [S[i, j] for i in range(n)
                                                         for j in range(i, n)]
         assert beta == [] and gamma is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_cases())
+def test_vector_results_match_cycnumber_references(case):
+    # ExactMatrix holds coefficient vectors over one denominator; each result
+    # read back entry by entry against CycNumber arithmetic on the entries
+    A, pi, d, _, y = case
+    N, n = A.order, A.nrows
+    E = [[CycNumber(N, v, A.den) for v in row] for row in A.vecs]
+    assert ExactMatrix(N, E) == A and [list(row) for row in A.rows] == E
+
+    def dot(u, v, *diags):
+        return sum((a * b * math.prod(x[t] for x in diags) for t, (a, b) in enumerate(zip(u, v))),
+                   CycNumber.zero(N))
+    cols = [list(c) for c in zip(*E)]
+    B = A.scale_cols(y)
+    assert _as_cyc(N, *A.dots(A, [(i, j) for i in range(n) for j in range(n)], d, y)) == [
+        dot(E[i], E[j], d, y) for i in range(n) for j in range(n)]
+    assert [[(A @ B)[i, j] for j in range(n)] for i in range(n)] == [
+        [dot(E[i], cols[j]) * y[j] for j in range(n)] for i in range(n)]
+    assert [[B[i, j] for j in range(n)] for i in range(n)] == [
+        [x * y[j] for j, x in enumerate(row)] for row in E]
+    assert A.scale_rows(y).rows == tuple(tuple(y[i] * x for x in row) for i, row in enumerate(E))
+    assert A.transpose().rows == tuple(map(tuple, cols))
+    vecs, den = A.folding(pi).product(d)
+    assert [[CycNumber(N, v, den) for v in row] for row in vecs] == [
+        [dot(E[i], cols[j], d) for j in range(n)] for i in range(n)]
+    sp = next(split_primes(N, A.den))
+    assert residue_matrix(A, sp) == [[sp.residue(x) for x in row] for row in E]
 
 
 def test_fold_rejects_what_pi_does_not_fix():
@@ -761,7 +796,8 @@ def test_dots_equal_field_products_and_sums(case):
 @given(kernel_cases())
 def test_scale_columns_equals_field_products(case):
     N, A, _, den, w = case
-    out, oden = _scale_columns(N, euler_phi(N), A, den, w)
+    x = ExactMatrix(N, [w])
+    out, oden = _scale_columns(N, euler_phi(N), A, den, x.vecs[0], x.den)
     assert math.gcd(oden, *(c for row in out for v in row for c in v)) == 1
     for row, orow in zip(A, out):
         for v, x, o in zip(row, w, orow):

@@ -3,11 +3,12 @@ matrices, relations, traces, and the infinite-image certificates."""
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction
-from tljhecke.matrix import CycPoly, ExactMatrix, Folding, char_poly
+from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction, split_primes
+from tljhecke.matrix import CycPoly, ExactMatrix, Folding, char_poly, residue_matrix
 from tljhecke.recoupling import (
     NotAdmissible,
     TheoryParams,
@@ -194,7 +195,12 @@ def _jtilde_reference(P):
                                  * tet(l, i2, i2, j2, k2, k2) * tet(l, j1, j1, k1, i1, i1))
             row.append(acc)
         rows.append(row)
-    return ExactMatrix(N, rows)
+    return rows
+
+
+def _entries(M):
+    """The entries of an ExactMatrix, read one by one."""
+    return [[M[i, j] for j in range(M.ncols)] for i in range(M.nrows)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -203,7 +209,66 @@ def test_jtilde_matches_docstring_sum_every_root(r):
     P = TheoryParams(r)
     for k in _unit_roots(P.root_order):
         Pk = P.with_root(k)
-        assert jtilde(Pk) == _jtilde_reference(Pk), (r, k)
+        assert _entries(jtilde(Pk)) == _jtilde_reference(Pk), (r, k)
+
+
+def _sum(terms, N):
+    return sum(terms, CycNumber.zero(N))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_genus2_vectors_match_cycnumber_references(r):
+    # J~ is held as coefficient vectors over one denominator; every result
+    # read from them, entry by entry, against CycNumber arithmetic on J~'s
+    # entries (the test above diffs those with the docstring sum).  The n^3
+    # references run on every eighth row (all rows for n <= 14)
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        Pk = P.with_root(k)
+        rep = genus2_rep(Pk)
+        N, n = Pk.root_order, len(rep.basis)
+        jt, d, t = rep.jtilde, rep.jcols, rep.tdiag
+        J = _entries(jt)
+        some = range(0, n, 1 if n <= 14 else 8)
+        assert _entries(jt.transpose()) == [list(col) for col in zip(*J)], (r, k)
+        assert _entries(rep.j_field) == [[x * d[j] for j, x in enumerate(row)]
+                                         for row in J], (r, k)
+        assert _entries(jt.scale_rows(t)) == [[t[i] * x for x in row]
+                                              for i, row in enumerate(J)], (r, k)
+        JD = jt @ rep.j_field
+        S0 = ExactMatrix.from_vectors(N, *jt.folding(rep.basis.swap).product(d))
+        for i in some:
+            Jd = [x * y for x, y in zip(J[i], d)]
+            for j in range(n):
+                assert JD[i, j] == _sum((J[i][m] * J[m][j] for m in range(n)), N) * d[j]
+                assert S0[i, j] == _sum((Jd[m] * J[m][j] for m in range(n)), N), (r, k, i, j)
+        e, e_inv = rep.e, rep.e_inv
+        assert trace_jtjt(Pk) == _sum((e[s] * _sum((e_inv[m] * J[s][m] * J[m][s]
+                                                    for m in range(n)), N)
+                                       for s in range(n)), N), (r, k)
+        for sp in islice(split_primes(N), 2):
+            assert residue_matrix(jt, sp) == [[sp.residue(x) for x in row] for row in J]
+
+
+def test_verify_makes_no_cycnumber_per_jtilde_entry(monkeypatch):
+    # J~ stays coefficient vectors from its packed dots through the relation
+    # check: a cold check (recoupling caches warm) builds fewer CycNumbers
+    # than J~ has entries (2,711 at r = 4 when each entry was one, against
+    # n^2 = 1,225)
+    P = TheoryParams(4)
+    assert verify_genus2_relations(P).all_pass
+    jtilde.cache_clear()
+    genus2_rep.cache_clear()
+    calls = [0]
+    raw = CycNumber._raw.__func__
+
+    def counting(cls, *args):
+        calls[0] += 1
+        return raw(cls, *args)
+    monkeypatch.setattr(CycNumber, "_raw", classmethod(counting))
+    assert verify_genus2_relations(P).all_pass
+    n = len(enumerate_basis(4))
+    assert calls[0] < n * n, calls
 
 
 def test_jtilde_real_at_unitary_root():
