@@ -464,7 +464,7 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
 
 
 # rows of J~ per block of the trace, which bounds the scaled copy of J~^T:
-# `trace-table --levels 13` (n = 140) peaks at 36.8 MB, 38.7 MB in one block
+# `trace-table --levels 13` (n = 140) peaks at 37.2 MB, 38.7 MB in one block
 TRACE_BLOCK = 16
 
 
