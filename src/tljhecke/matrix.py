@@ -11,6 +11,17 @@ reducing the packed integer mod M = Phi_N(2**W): every output entry is a
 dot product of packed rows (_dots), taken mod M once, its balanced residue
 unpacked into phi digits.
 
+The genus-2 matrices have few distinct values (J~ at r = 6: 109 among its
+7,056 entries), so the kernel does its per-entry work once per distinct
+value.  Within one _dots or _scale_columns call the width and M are fixed,
+so equal residues are equal vectors: each distinct residue is unpacked
+once (_unpacker), and every output equal to it is that one list.  Each
+distinct input vector object is packed once (_map_once, keyed by id while
+the rows are alive), so the shared outputs of one call are packed once by
+the next.  Outputs therefore alias, and no function here modifies a
+vector: _lowest_terms and _unfold build new lists, dividing or rescaling
+each distinct object once, so vectors shared before are shared after.
+
 The width rule makes that residue exact.  With B the bound on the 2 phi - 1
 unfolded digits of a dot product (phi * length * max|a| * max|b|) and g_N =
 1 + the largest column L1 norm of x^t mod Phi_N over phi <= t <= 2 phi - 2
@@ -101,19 +112,31 @@ def _check_length(diag: Sequence[CycNumber], n: int) -> None:
         raise ValueError(f"diagonal of length {len(diag)} where {n} is needed")
 
 
-def _max_abs(rows: Sequence[Sequence[Sequence[int]]]) -> int:
-    """The largest absolute coefficient, at least 1."""
-    return max(map(abs, chain.from_iterable(chain.from_iterable(rows))), default=0) or 1
+def _distinct(rows: Iterable[Iterable[list[int]]]) -> dict[int, list[int]]:
+    """The distinct vector objects of rows of vectors, by id."""
+    return {id(v): v for row in rows for v in row}
 
 
-def _lowest_terms(vecs: Sequence[list[int]], den: int) -> int:
-    """Divide the vectors (in place) and their common denominator by their
-    content; returns the new denominator."""
-    g = math.gcd(den, *chain.from_iterable(vecs))
-    if g > 1:
-        for v in vecs:
-            v[:] = [c // g for c in v]
-    return den // g
+def _max_abs(rows: Sequence[Sequence[list[int]]]) -> int:
+    """The largest absolute coefficient, at least 1, read once per distinct
+    vector."""
+    return max(map(abs, chain.from_iterable(_distinct(rows).values())), default=0) or 1
+
+
+def _map_once(f, rows: list[list[list[int]]]) -> list[list]:
+    """rows with f applied to every vector, once per distinct vector object:
+    vectors shared before share their image after."""
+    done = {k: f(v) for k, v in _distinct(rows).items()}
+    return [[done[id(v)] for v in row] for row in rows]
+
+
+def _lowest_terms(rows: list[list[list[int]]], den: int) -> tuple[list[list[list[int]]], int]:
+    """rows / den with their content divided out, as new rows and the new
+    denominator; each distinct vector is divided once, into a new list."""
+    g = math.gcd(den, *chain.from_iterable(_distinct(rows).values()))
+    if g == 1:
+        return rows, den
+    return _map_once(lambda v: [c // g for c in v], rows), den // g
 
 
 @lru_cache(maxsize=None)
@@ -148,10 +171,18 @@ def _modulus(N: int, width: int) -> int:
     return M
 
 
-def _reduce(x: int, M: int, width: int, phi: int) -> list[int]:
-    """The phi digits of the balanced residue of x mod M = Phi_N(2**width)."""
-    x %= M
-    return _unpack_digits(x - M if 2 * x > M else x, width, phi)
+def _unpacker(M: int, width: int, phi: int):
+    """x -> the phi digits of the balanced residue of x mod M = Phi_N(2**width),
+    unpacked once per distinct residue: equal residues give the same list."""
+    done = {}
+
+    def unpack(x: int) -> list[int]:
+        x %= M
+        v = done.get(x)
+        if v is None:
+            v = done[x] = _unpack_digits(x - M if 2 * x > M else x, width, phi)
+        return v
+    return unpack
 
 
 def _scale_columns(N: int, phi: int, rows: list[list[list[int]]], den: int,
@@ -160,28 +191,26 @@ def _scale_columns(N: int, phi: int, rows: list[list[list[int]]], den: int,
     lowest terms, for the diagonal w given as the vectors ws over wden.
 
     Entry (i, k) times w_k is one product of the packed vectors, reduced
-    mod Phi_N(2**W).  The results are unpacked, which gives _dots their
-    exact size.
+    mod Phi_N(2**W).  The results are unpacked, once per distinct residue,
+    which gives _dots their exact size.
     """
     width = _width(N, phi * _max_abs(rows) * _max_abs([ws]))
-    M = _modulus(N, width)
+    unpack = _unpacker(_modulus(N, width), width, phi)
     wp = [_pack_digits(w, width) for w in ws]
-    out = [[_reduce(_pack_digits(v, width) * w, M, width, phi) if any(v) else [0] * phi
-            for v, w in zip(row, wp)] for row in rows]
-    return out, _lowest_terms([v for row in out for v in row], den * wden)
+    rp = _map_once(lambda v: _pack_digits(v, width), rows)
+    return _lowest_terms([[unpack(v * w) for v, w in zip(row, wp)] for row in rp], den * wden)
 
 
 def _dots(N: int, phi: int, A: list[list[list[int]]], B: list[list[list[int]]],
           length: int, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
     """Row i of A dotted with row j of B (coefficient vectors, rows of the
     given length), for each (i, j) in pairs, as they are read: a dot product
-    of packed rows, reduced mod Phi_N(2**W) once per pair."""
+    of packed rows, reduced mod Phi_N(2**W) once per pair and unpacked once
+    per distinct residue (equal outputs are one list)."""
     width = _width(N, phi * max(length, 1) * _max_abs(A) * _max_abs(B))
-    M = _modulus(N, width)
-    Ap = [[_pack_digits(v, width) for v in row] for row in A]
-    Bp = [[_pack_digits(v, width) for v in row] for row in B]
-    return (_reduce(sum(map(operator.mul, Ap[i], Bp[j])), M, width, phi)
-            for i, j in pairs)
+    unpack = _unpacker(_modulus(N, width), width, phi)
+    Ap, Bp = (_map_once(lambda v: _pack_digits(v, width), M) for M in (A, B))
+    return (unpack(sum(map(operator.mul, Ap[i], Bp[j]))) for i, j in pairs)
 
 
 def _add(u: list[int], v: list[int]) -> list[int]:
@@ -272,21 +301,22 @@ def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
     g = gamma[r, c] and h = gamma[c, r],
         S[r][c] = a + b + g + h,     S[pi r][pi c] = a + b - g - h,
         S[r][pi c] = a - b - g + h,  S[pi r][c] = a - b + g - h,
-    where b and g (h) drop out when c (r) is a fixed point."""
+    where b and g (h) drop out when c (r) is a fixed point.  The blocks are
+    not modified: each is brought over the common denominator as new lists,
+    one per distinct vector."""
     den = math.lcm(*dens)
-    for block, d in zip((alpha, beta, gamma or ()), dens):
-        if d != den:
-            f = den // d
-            for vec in block:
-                vec[:] = [c * f for c in vec]
+
+    def over_den(block, d):
+        f = den // d
+        return _map_once(lambda v: [c * f for c in v], [block])[0] if block and f > 1 else block
+
+    alpha, beta, gamma = map(over_den, (alpha, beta, gamma), dens)
     n, nr = len(pi), len(reps)
     zero = [0] * len(alpha[0]) if alpha else []
     S = [[None] * n for _ in range(n)]
-    out = []
 
     def put(i, j, vec):
         S[i][j] = S[j][i] = vec
-        out.append(vec)
 
     ia, ib = iter(alpha), iter(beta)
     for a, r in enumerate(reps):
@@ -307,13 +337,15 @@ def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
             put(pr, pc, _sub(u, g))
             put(r, pc, _sub(d, h))
             put(pr, c, _add(d, h))
-    return S, _lowest_terms(out, den)
+    return _lowest_terms(S, den)
 
 
 class ExactMatrix:
     """Immutable dense matrix over Q(zeta_N): entry (i, j) is vecs[i][j] / den,
     integer vectors over one positive den in lowest terms, a unique form (so
-    == compares vectors).  Vectors are shared between matrices, never modified."""
+    == compares vectors).  Vectors are shared, between matrices and between
+    equal entries of one matrix (the kernel's outputs alias), and never
+    modified, inside the kernel or out."""
 
     __slots__ = ("order", "vecs", "den")
 
@@ -338,13 +370,10 @@ class ExactMatrix:
     @classmethod
     def from_vectors(cls, order: int, vecs: Iterable, den: int) -> "ExactMatrix":
         """The matrix vecs / den, for rows of coefficient vectors over a
-        positive den, brought to lowest terms without modifying a vector."""
-        vecs = [list(row) for row in vecs]
-        g = math.gcd(den, *chain.from_iterable(chain.from_iterable(vecs)))
-        if g > 1:
-            vecs = [[[c // g for c in v] for v in row] for row in vecs]
+        positive den, brought to lowest terms without modifying a vector;
+        vectors shared in vecs stay shared (_lowest_terms)."""
         self = object.__new__(cls)
-        self._set(order, vecs, den // g)
+        self._set(order, *_lowest_terms([list(row) for row in vecs], den))
         return self
 
     @staticmethod
@@ -454,7 +483,8 @@ class ExactMatrix:
             other = other.scale_cols(d)
         N = self.order
         out = list(_dots(N, euler_phi(N), self.vecs, other.vecs, self.ncols, pairs))
-        return out, _lowest_terms(out, self.den * other.den)
+        (out,), den = _lowest_terms([out], self.den * other.den)
+        return out, den
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:

@@ -382,10 +382,14 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     s4 = iter(s4)
     g = math.gcd(d4, jt.den)
     a, b = d4 // g, jt.den // g
+    shifted = {}                        # J~'s equal entries are one list
     for i, row in enumerate(jt.vecs):
         for j in range(i, n):
-            want = _power_sum(N, [0] * f.phi, ((c * a, t) for t, c in
-                                               enumerate(row[j], k4 - tlog[i] - tlog[j])))
+            key = id(row[j]), (k4 - tlog[i] - tlog[j]) % N
+            want = shifted.get(key)
+            if want is None:
+                want = shifted[key] = _power_sum(N, [0] * f.phi, (
+                    (c * a, t) for t, c in enumerate(row[j], key[1])))
             if want != [c * b for c in next(s4)]:
                 return False
 

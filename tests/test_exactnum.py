@@ -1,4 +1,5 @@
 """Tests for the exact arithmetic kernel."""
+import copy
 import math
 from fractions import Fraction
 
@@ -33,9 +34,11 @@ from tljhecke.matrix import (
     residue_matrix,
     _dots,
     _fold_gain,
+    _lowest_terms,
     _modulus,
     _pack_digits,
     _scale_columns,
+    _unfold,
     _unpack_digits,
     _width,
 )
@@ -812,3 +815,88 @@ def test_scale_columns_equals_field_products(case):
     for row, orow in zip(A, out):
         for v, x, o in zip(row, w, orow):
             assert CycNumber(N, o, oden) == CycNumber(N, v, den) * x
+
+
+# --------------------------------------------------------------------------
+# aliasing: the kernel's equal outputs are one list, and no vector is written
+
+
+@st.composite
+def aliased_cases(draw):
+    # a symmetric matrix over a pool of two or three vector objects, the zero
+    # vector among them, whose rows of one kind are equal, and a diagonal over
+    # a pool of two values: rows, products and residues repeat
+    N = draw(st.sampled_from([5, 8, 12]))
+    phi = euler_phi(N)
+    vec = st.lists(st.integers(-4, 4), min_size=phi, max_size=phi)
+    pool = [[0] * phi] + draw(st.lists(vec, min_size=1, max_size=2))
+    n = draw(st.integers(2, 5))
+    kind = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    pick = {}
+    for a in range(2):
+        for b in range(a, 2):
+            pick[a, b] = pick[b, a] = pool[draw(st.integers(0, len(pool) - 1))]
+    rows = [[pick[kind[i], kind[j]] for j in range(n)] for i in range(n)]
+    den = draw(st.integers(1, 12))
+    values = [CycNumber(N, draw(vec), draw(st.integers(1, 6))), CycNumber.zero(N)]
+    diag = [values[draw(st.integers(0, 1))] for _ in range(n)]
+    return N, pool, rows, den, diag
+
+
+@settings(max_examples=40, deadline=None)
+@given(aliased_cases())
+def test_aliased_vectors_give_cycnumber_results(case):
+    N, pool, rows, den, d = case
+    n = len(rows)
+    before = copy.deepcopy(pool)
+    A = ExactMatrix.from_vectors(N, rows, den)
+    vecs = copy.deepcopy(A.vecs)
+    E = [[CycNumber(N, v, den) for v in row] for row in rows]
+
+    def dot(i, j, w):
+        return sum((E[i][t] * w[t] * E[t][j] for t in range(n)), CycNumber.zero(N))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    one = [CycNumber.one(N)] * n
+    for _ in range(2):                  # a second pass reads what the first left
+        out, oden = A.dots(A, pairs, d)
+        assert [CycNumber(N, v, oden) for v in out] == [dot(i, j, d) for i, j in pairs]
+        # equal outputs of one call are one list
+        assert len({id(v) for v in out}) == len({tuple(v) for v in out})
+        B = A.scale_cols(d)
+        assert [[B[i, j] for j in range(n)] for i in range(n)] == [
+            [E[i][j] * d[j] for j in range(n)] for i in range(n)]
+        assert len({id(v) for row in B.vecs for v in row}) == len(
+            {tuple(v) for row in B.vecs for v in row})
+        S = ExactMatrix.from_vectors(N, *A.folding(range(n)).product(d))
+        assert [[S[i, j] for j in range(n)] for i in range(n)] == [
+            [dot(i, j, d) for j in range(n)] for i in range(n)]
+        assert A.dots(B, pairs)[0] == A.dots(A, pairs, d)[0]
+        assert ExactMatrix.from_vectors(N, *A.folding(range(n)).product(one)) == A @ A
+    assert pool == before and A.vecs == vecs
+
+
+def test_lowest_terms_divides_a_shared_list_once():
+    v, u = [6, -12, 18, 3], [3, 0, 0, 9]
+    rows = [[v, v], [u, v]]
+    out, den = _lowest_terms(rows, 6)
+    assert den == 2 and out == [[[2, -4, 6, 1]] * 2, [[1, 0, 0, 3], [2, -4, 6, 1]]]
+    assert out[0][0] is out[0][1] is out[1][1]
+    assert rows == [[v, v], [u, v]] and v == [6, -12, 18, 3] and u == [3, 0, 0, 9]
+    assert _lowest_terms(out, den) == (out, den)
+
+
+def test_unfold_rescales_a_shared_list_once():
+    # pi swaps 0 and 1 and fixes 2 and 3: reps = [0, 2, 3], one pair.  alpha
+    # is the upper triangle over reps, v and u each three times, and its
+    # denominator 1 is brought up to beta's 2: each is doubled once, into one
+    # new list, which the entries between fixed points are
+    v, u, w = [1, 2, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1]
+    alpha, beta = [v, u, u, v, v, u], [w]
+    S, den = _unfold([1, 0, 2, 3], [0, 2, 3], 1, alpha, beta, None, (1, 2, 1))
+    v2, u2 = [2, 4, 0, 0], [0, 2, 0, 0]
+    plus, minus = [3, 4, 0, 1], [1, 4, 0, -1]
+    assert den == 2
+    assert S == [[plus, minus, u2, u2], [minus, plus, u2, u2],
+                 [u2, u2, v2, v2], [u2, u2, v2, u2]]
+    assert S[2][2] is S[2][3] is S[3][2]
+    assert alpha == [v, u, u, v, v, u] and alpha[0] is alpha[3] and v == [1, 2, 0, 0]

@@ -1,5 +1,6 @@
 """Tests for the genus-2 representation: basis, couplings, the golden
 matrices, relations, traces, and the infinite-image certificates."""
+import copy
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -269,6 +270,55 @@ def test_verify_makes_no_cycnumber_per_jtilde_entry(monkeypatch):
     assert verify_genus2_relations(P).all_pass
     n = len(enumerate_basis(4))
     assert calls[0] < n * n, calls
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of a packed-kernel function of tljhecke.matrix."""
+    calls, f = [0], getattr(matrix, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return f(*args)
+    monkeypatch.setattr(matrix, name, counted)
+    return calls
+
+
+def test_kernel_unpacks_each_distinct_residue_once(monkeypatch):
+    # The packed kernel unpacks each distinct residue of a call once and
+    # packs each distinct vector once.  Before it did, a cold jtilde at r = 6
+    # (recoupling caches warm) unpacked 9,082 vectors, one per output and
+    # more than its n^2 = 7,056 entries, and a cold r = 4 relation check,
+    # jtilde included, packed 9,851.  J~ at r = 6 has 109 distinct values,
+    # so its final dots unpack at most 109 of them.
+    for r in (4, 6):
+        assert verify_genus2_relations(TheoryParams(r)).all_pass
+    jtilde.cache_clear()
+    genus2_rep.cache_clear()
+    unpacked = _counting(monkeypatch, "_unpack_digits")
+    jt = jtilde(TheoryParams(6))
+    distinct = {tuple(v) for row in jt.vecs for v in row}
+    assert len(distinct) == 109
+    # equal entries are one list
+    assert len({id(v) for row in jt.vecs for v in row}) == 109
+    assert unpacked[0] < 700, unpacked
+    packed = _counting(monkeypatch, "_pack_digits")
+    assert verify_genus2_relations(TheoryParams(4)).all_pass
+    assert packed[0] < 5000, packed
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_shared_vectors_stay_unchanged(r):
+    # the kernel's outputs alias (J~'s equal entries are one list), so no
+    # step that reads them may write into them
+    P = TheoryParams(r)
+    for k in (P.root_exponent, _unit_roots(P.root_order)[1]):
+        rep = genus2_rep(P.with_root(k))
+        # a CycNumber refuses deepcopy; its (vec, den) are a tuple and an int
+        vecs, e = copy.deepcopy(rep.jtilde.vecs), [(x.vec, x.den) for x in rep.e]
+        assert rep_genus2._relations_hold(rep), (r, k)
+        trace_jtjt.__wrapped__(rep.params)
+        _quartic_residue_nonzero(rep.params, INFINITE_ORDER_QUARTIC)
+        assert rep.jtilde.vecs == vecs and [(x.vec, x.den) for x in rep.e] == e, (r, k)
 
 
 def test_jtilde_real_at_unitary_root():
