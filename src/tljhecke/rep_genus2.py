@@ -352,10 +352,9 @@ def _relations_hold(rep: Genus2Rep) -> bool:
           value is left to the reference chain.
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
           conj(F) = F, which holds when J~, Theta and D are fixed by
-          conjugation, a field automorphism.  J~ is symmetric and fixed by
-          pi (checked by the folding), so one entry (i, j), i <= j, of each
-          orbit {(i, j), (pi i, pi j)} is read: n+(n+ + 1)/2 + n-(n- + 1)/2
-          of them, n+ = |R| + |F| and n- = |R|.
+          conjugation, a field automorphism.  J~'s equal entries are one
+          list (the packed kernel's outputs alias), so each distinct vector
+          is conjugated once: 109 of them at r = 6, against 7,056 entries.
     """
     params = rep.params
     N = params.root_order
@@ -397,9 +396,9 @@ def _relations_hold(rep: Genus2Rep) -> bool:
         th = [theta_at(params, *b) for b in rep.basis.triples]
         if not all(x.is_real() for x in th + list(d)):
             return False
+        distinct = {id(v): v for row in jt.vecs for v in row}.values()
         if not all(_power_sum(N, [0] * f.phi, ((c, -t) for t, c in enumerate(v))) == v
-                   for i, row in enumerate(jt.vecs) for j, v in enumerate(row[i:], i)
-                   if (i, j) <= tuple(sorted((pi[i], pi[j])))):
+                   for v in distinct):
             return False
     return True
 
@@ -468,7 +467,7 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
 
 
 # rows of J~ per block of the trace, which bounds the scaled copy of J~^T:
-# `trace-table --levels 13` (n = 140) peaks at 37.2 MB, 38.7 MB in one block
+# `trace-table --levels 13` (n = 140) peaks at 26.4 MB, 30.7 MB in one block
 TRACE_BLOCK = 16
 
 

@@ -593,6 +593,26 @@ def test_relations_fast_path_on_phase_conjugated_rep(monkeypatch, r):
     assert [it.passed for it in rpt.items] == [True, True, False, True]
 
 
+@pytest.mark.parametrize("r", [2, 4])
+def test_unitarity_reads_every_distinct_jtilde_vector(monkeypatch, r):
+    # J' -> L J' L^-1 with L = i = zeta^(N/4) (r even) on one swap orbit and
+    # 1 elsewhere keeps J^2 = I, (TJ)^5 and the swap, and D -> L^-2 D stays
+    # real, so only the entries i J~_ab of J~ (a in the orbit, b not) break
+    # unitarity
+    P = TheoryParams(r)
+    rep = genus2_rep(P)
+    N, pi = P.root_order, rep.basis.swap
+    a = _moved(pi)
+    lam = [CycNumber.zeta(N, N // 4) if b in (a, pi[a]) else CycNumber.one(N)
+           for b in range(len(pi))]
+    bad = replace(rep, jtilde=rep.jtilde.scale_rows(lam).scale_cols(lam),
+                  jcols=tuple(c * x.conj() * x.conj() for c, x in zip(rep.jcols, lam)))
+    assert all(c.is_real() for c in bad.jcols)
+    monkeypatch.setattr(rep_genus2, "genus2_rep", lambda params: bad)
+    rpt = _fast_vs_reference(monkeypatch, P)
+    assert [it.passed for it in rpt.items] == [True, True, False, True]
+
+
 def test_passing_relations_make_no_full_product(monkeypatch):
     # one folding of J~ over the swap (one symmetry check, one set of folded
     # rows) serves S0 = J~ D J~ (its blocks alpha and beta) and S2 = J~ E J~;
