@@ -24,11 +24,10 @@ from .exactnum import CycNumber, cyc_to_json
 from .matrix import SignedSqrtMatrix
 from .recoupling import (
     TheoryParams,
+    _tet_and_sixj_at,
     admissible,
     color_set,
     delta_at,
-    sixj_at,
-    tet_at,
     theta_at,
     twist_at,
     verlinde_dim,
@@ -361,12 +360,15 @@ def cmd_coefficients(args) -> int:
     for t in product(cs, repeat=3):
         if admissible(r, *t):
             thetas[",".join(map(str, t))] = theta_at(params, *t)
-    admissible_tets = _admissible_tets(r)
-    tets = {",".join(map(str, t)): tet_at(params, *t) for t in admissible_tets}
-    # {i j k; l m n} is the Tet (i,j,n,l,m,k) times admissible vertex factors
-    sixjs = {}
-    for (i, j, k, l, m, n) in sorted((A, B, F, C, D, E) for (A, B, E, C, D, F) in admissible_tets):
-        sixjs[f"{i},{j},{k},{l},{m},{n}"] = sixj_at(params, i, j, k, l, m, n)
+    # one pass: the labeling (A,B,E,C,D,F) gives Tet(A,B,E,C,D,F) and the 6j
+    # symbol {A B F; C D E}, whose Tet it is; the 6j table is printed sorted
+    tets, sixj_by_label = {}, {}
+    for t in _admissible_tets(r):
+        A, B, E, C, D, F = t
+        tet, sixj = _tet_and_sixj_at(params, *t)
+        tets[",".join(map(str, t))] = tet
+        sixj_by_label[A, B, F, C, D, E] = sixj
+    sixjs = {",".join(map(str, s)): sixj_by_label[s] for s in sorted(sixj_by_label)}
     doc = {"level": r,
            "root": {"order": params.root_order, "exponent": params.root_exponent},
            "delta": deltas, "twist": twists, "theta": thetas,

@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-import mpmath
-
 # Rational numbers are the stdlib Fraction: reduced, positive denominator,
 # arbitrary precision.
 Rational = Fraction
@@ -795,6 +793,7 @@ class CycNumber:
         return complex(self.embed_mp(precision + 10))
 
     def embed_mp(self, dps: int) -> "mpmath.mpc":
+        import mpmath  # deferred: most commands never embed past a double
         with mpmath.workdps(dps):
             z = mpmath.mpc(0)
             for j, c in enumerate(self.vec):
@@ -832,6 +831,7 @@ class CycNumber:
                 return 1 if total > 0 else -1
         except OverflowError:
             pass
+        import mpmath  # deferred: the float path above decides almost every sign
         for dps in (30, 60, 120, 300):
             with mpmath.workdps(dps):
                 iv = mpmath.iv.mpf(0)

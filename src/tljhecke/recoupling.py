@@ -2,7 +2,10 @@
 
 Each recoupling formula (quantum integer, theta net, tetrahedral net) is
 written once, as factored terms sign * A^a * prod Phi_m(A)^e, so factorial
-ratios reduce to exponent bookkeeping.  Two evaluators consume the terms:
+ratios reduce to exponent bookkeeping: _qfact_ratio adds up each term's
+A-power and Phi-exponents from the memoized [n]! tables in one dict, and
+_tet_terms, which both evaluators share, is one such ratio per term of the
+state sum.  Two evaluators consume the terms:
 
 * the generic path (qint, qfact, theta_net, tet, sixj) materializes them
   into the fraction field of Q[A, A^-1];
@@ -23,7 +26,15 @@ are memoized per TheoryParams, each distinct value once:
   half-sums, square half-sums and edge colors, the only data the state sum
   reads.  Its classes are the orbits of the tetrahedral symmetry group (145
   at r=6, 1,087 at r=10).  tet_at keeps a per-labeling memo in front of it
-  and checks admissibility, which the key does not encode.
+  and checks admissibility, which the key does not encode;
+* _sixj_pair_at holds one 6j value per (_tet_key, weight key) pair, the
+  weight key being k and the unordered pairs {i, m}, {j, l} that
+  Delta_k / (Theta(i,m,k) Theta(j,l,k)) reads: one product per pair (552
+  pairs for the 1,680 labelings at r=6).  sixj_at checks admissibility
+  through tet_at and keeps a per-labeling memo in front of it, for library
+  callers such as coupling_a_at; the coefficient tables read both memos
+  directly through _tet_and_sixj_at, one labeling at a time, and leave no
+  per-labeling entry.
 
 The generic path memoizes per labeling, so it stays an independent
 reference.  Caches are write-once per key and idempotent, so concurrent
@@ -177,19 +188,6 @@ class _Factored:
         self.apow = apow
         self.phis = dict(phis or {})
 
-    @staticmethod
-    def qfact(n: int) -> "_Factored":
-        apow, phis = _qfact_factored(n)
-        return _Factored(1, apow, phis)
-
-    def __mul__(self, other: "_Factored") -> "_Factored":
-        phis = dict(self.phis)
-        for m, e in other.phis.items():
-            phis[m] = phis.get(m, 0) + e
-            if phis[m] == 0:
-                del phis[m]
-        return _Factored(self.sign * other.sign, self.apow + other.apow, phis)
-
     def __truediv__(self, other: "_Factored") -> "_Factored":
         phis = dict(self.phis)
         for m, e in other.phis.items():
@@ -197,9 +195,6 @@ class _Factored:
             if phis[m] == 0:
                 del phis[m]
         return _Factored(self.sign * other.sign, self.apow - other.apow, phis)
-
-    def negate(self) -> "_Factored":
-        return _Factored(-self.sign, self.apow, self.phis)
 
 
 def _qint_factored(n: int) -> _Factored:
@@ -210,14 +205,26 @@ def _qint_factored(n: int) -> _Factored:
     return _Factored(1, 2 - 2 * n, phis)
 
 
+def _qfact_ratio(sign: int, ups, downs) -> _Factored:
+    """sign * prod_{n in ups} [n]! / prod_{n in downs} [n]!, its A-power and
+    Phi-exponents added up in one dict from the memoized _qfact_factored
+    tables."""
+    apow, phis = 0, {}
+    for ns, sgn in ((ups, 1), (downs, -1)):
+        for n in ns:
+            a, ps = _qfact_factored(n)
+            apow += sgn * a
+            for m, e in ps.items():
+                phis[m] = phis.get(m, 0) + sgn * e
+    return _Factored(sign, apow, {m: e for m, e in phis.items() if e})
+
+
 def _theta_factored(a: Color, b: Color, c: Color) -> _Factored:
     x = (a + b - c) // 2
     y = (b + c - a) // 2
     z = (c + a - b) // 2
-    f = (_Factored.qfact(x + y + z + 1) * _Factored.qfact(x) * _Factored.qfact(y)
-         * _Factored.qfact(z) / (_Factored.qfact(x + y) * _Factored.qfact(y + z)
-                                 * _Factored.qfact(z + x)))
-    return f.negate() if (x + y + z) % 2 else f
+    return _qfact_ratio(-1 if (x + y + z) % 2 else 1,
+                        (x + y + z + 1, x, y, z), (x + y, y + z, z + x))
 
 
 def tet_vertices(A, B, E, C, D, F):
@@ -244,24 +251,13 @@ def _tet_terms(av: tuple, bv: tuple, edges: tuple) -> list[_Factored]:
 
         Tet = prod_ij [b_j - a_i]! / prod_edges [x]!
               * sum_{max a <= s <= min b} (-1)^s [s+1]! / (prod_i [s - a_i]! prod_j [b_j - s]!)
+
+    Each term is one _qfact_ratio of these factorials.
     """
-    pref = _Factored()
-    for bj in bv:
-        for ai in av:
-            pref = pref * _Factored.qfact(bj - ai)
-    for x in edges:
-        pref = pref / _Factored.qfact(x)
-    terms = []
-    for s in range(max(av), min(bv) + 1):
-        t = _Factored.qfact(s + 1)
-        if s % 2:
-            t = t.negate()
-        for ai in av:
-            t = t / _Factored.qfact(s - ai)
-        for bj in bv:
-            t = t / _Factored.qfact(bj - s)
-        terms.append(pref * t)
-    return terms
+    ups = [bj - ai for bj in bv for ai in av]
+    return [_qfact_ratio(-1 if s % 2 else 1, ups + [s + 1],
+                         list(edges) + [s - ai for ai in av] + [bj - s for bj in bv])
+            for s in range(max(av), min(bv) + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +331,7 @@ def qfact(n: int) -> LaurentFraction:
     """The quantum factorial [n]! = [1][2]..[n]."""
     if n < 0:
         raise ValueError("quantum factorial of a negative integer")
-    return _materialize([_Factored.qfact(n)])
+    return _materialize([_qfact_ratio(1, (n,), ())])
 
 
 def delta(i: Color) -> LaurentFraction:
@@ -501,19 +497,41 @@ def _tet_orbit_at(params: TheoryParams, av: tuple, bv: tuple, edges: tuple) -> C
     return total
 
 
+def _sixj_weight_key(k, i, j, l, m) -> tuple:
+    """k and the sorted unordered pairs {i, m}, {j, l}: all that the weight of
+    the 6j symbol {i j k; l m n} reads, so it is shared across n and across
+    both orders of each pair."""
+    p, q = sorted(((min(i, m), max(i, m)), (min(j, l), max(j, l))))
+    return (k, *p, *q)
+
+
 @lru_cache(maxsize=None)
 def sixj_at(params: TheoryParams, i, j, k, l, m, n) -> CycNumber:
-    # tet_at checks the four vertices of the symbol; the weight depends only
-    # on k and the unordered pairs {i, m}, {j, l}, so it is shared across n
-    # and across both orders of each pair
-    p, q = sorted(((min(i, m), max(i, m)), (min(j, l), max(j, l))))
-    return tet_at(params, i, j, n, l, m, k) * _sixj_weight_at(params, k, *p, *q)
+    tet_at(params, i, j, n, l, m, k)  # checks the four vertices of the symbol
+    return _sixj_pair_at(params, _tet_key(i, j, n, l, m, k),
+                         _sixj_weight_key(k, i, j, l, m))
+
+
+@lru_cache(maxsize=None)
+def _sixj_pair_at(params: TheoryParams, tkey: tuple, wkey: tuple) -> CycNumber:
+    """The 6j value shared by every labeling with this Tet orbit and weight."""
+    return _tet_orbit_at(params, *tkey) * _sixj_weight_at(params, *wkey)
 
 
 @lru_cache(maxsize=None)
 def _sixj_weight_at(params: TheoryParams, k, a, b, c, d) -> CycNumber:
     """Delta_k / (Theta(a,b,k) Theta(c,d,k)), the weight of a 6j symbol."""
     return delta_at(params, k) * theta_inv_at(params, a, b, k) * theta_inv_at(params, c, d, k)
+
+
+def _tet_and_sixj_at(params: TheoryParams, A, B, E, C, D, F) -> tuple[CycNumber, CycNumber]:
+    """Tet(A,B,E,C,D,F) and the 6j symbol {A B F; C D E}, whose Tet it is, for
+    a labeling whose four vertices the caller has checked.  Both are read from
+    the orbit and pair memos, so a table of every labeling adds no
+    per-labeling memo entry."""
+    tkey = _tet_key(A, B, E, C, D, F)
+    return (_tet_orbit_at(params, *tkey),
+            _sixj_pair_at(params, tkey, _sixj_weight_key(F, A, B, C, D)))
 
 
 # --------------------------------------------------------------------------

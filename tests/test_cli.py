@@ -98,6 +98,21 @@ def test_verify_and_certify_do_not_import_numpy():
     assert res.returncode == 0, res.stderr
 
 
+def test_verify_and_coefficients_do_not_import_mpmath():
+    # mpmath is imported at the first embedding past double precision or the
+    # first sign that the float path cannot decide; these jobs reach neither
+    prog = ("import sys\n"
+            "from tljhecke.cli import main\n"
+            "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
+            "assert main(['--format', 'json', 'coefficients', '--level', '3']) == 0\n"
+            "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)\n")
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
 def test_python_dash_m_runs_the_cli():
     # `PYTHONPATH=src python -m tljhecke ...` works without an install
     src = os.path.dirname(os.path.dirname(tljhecke.__file__))
@@ -313,24 +328,35 @@ def _clear_memos():
 def test_coefficients_evaluates_each_tet_orbit_once(capsys, monkeypatch, r):
     # work counts are deterministic where timings are not: a cold coefficients
     # run sums the Tet state sum once per symmetry orbit and takes few inverses
+    # and products (at r = 6, 2,497 products; 3,625 with one 6j product per
+    # labeling)
     from tljhecke import recoupling
     from tljhecke.cli import _admissible_tets
     from tljhecke.exactnum import CycNumber
-    calls = []
-    inverse = CycNumber.inverse
+    calls, products = [], []
+    inverse, mul = CycNumber.inverse, CycNumber.__mul__
 
     def counted(self):
         calls.append(1)
         return inverse(self)
     monkeypatch.setattr(CycNumber, "inverse", counted)
+    monkeypatch.setattr(CycNumber, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     _clear_memos()
     code, _ = run(capsys, "--format", "json", "coefficients", "--level", str(r))
     assert code == 0
     orbits = {recoupling._tet_key(*t) for t in _admissible_tets(r)}
     assert recoupling._tet_orbit_at.cache_info().misses == len(orbits)
-    assert recoupling.tet_at.cache_info().misses == len(_admissible_tets(r))
+    # each 6j symbol {A B F; C D E} is taken once per (Tet orbit, weight) pair,
+    # and the tables make no per-labeling tet_at or sixj_at memo entry
+    pairs = {(recoupling._tet_key(A, B, E, C, D, F), F,
+              tuple(sorted((tuple(sorted((A, D))), tuple(sorted((B, C)))))))
+             for (A, B, E, C, D, F) in _admissible_tets(r)}
+    assert recoupling._sixj_pair_at.cache_info().misses == len(pairs)
+    assert recoupling.tet_at.cache_info().misses == 0
+    assert recoupling.sixj_at.cache_info().misses == 0
     if r == 6:
         assert len(calls) <= 150, len(calls)
+        assert len(products) <= 2600, len(products)
 
 
 # --------------------------------------------------------------------------
@@ -456,7 +482,9 @@ def test_closed_stdout_exits_quietly():
 # --------------------------------------------------------------------------
 # the sha256 oracle: --format json stdout of the commands that print matrices,
 # relations and certificates, pinned at the commit before the vector-backed
-# ExactMatrix (the digests did not change with it)
+# ExactMatrix (the digests did not change with it), and of the coefficient
+# tables at r = 2..7, pinned before the 6j symbols were shared per (Tet orbit,
+# weight) pair
 
 _JSON_SHA256 = {
     "genus2-matrices --level 2":
@@ -503,6 +531,30 @@ _JSON_SHA256 = {
         "0a83e94aba7d6ddb6524c95323df19ff9432e36f703cb31dd73cfbde609a1865",
     "verify --genus 0 --level 6":
         "aa5d9b6cb53480e7645e059c69c02c241440ca175684375a72630deaf2455929",
+    "coefficients --level 2":
+        "978a618675aa6835e5c61df4b8440ed29299d67d6fa7d317e0d684de43d23d61",
+    "coefficients --level 2 --root 1":
+        "3707c5e23f1892214cce9095295ab98802d1444fc875c91e9ca7a6a9ef3f693e",
+    "coefficients --level 3":
+        "1171a7ad3f1a15b83d8f844e56d367c44b666eee422456f17c4c09270d91a79a",
+    "coefficients --level 3 --root 1":
+        "2cf0265f3f01782e22894421044b59c524d110ed2058afd9a53211a3f49d397f",
+    "coefficients --level 4":
+        "c71381cedb59568eaf5e743e02d96e01af2626de9804c3a77b6c255b744e2a66",
+    "coefficients --level 4 --root 1":
+        "1e42eaf1f25b557d16aabfab6f38c2b9815c19a6e6fdd3f1051679385bd1c363",
+    "coefficients --level 5":
+        "22efbfa8d50918d36c351d1f3b0edede1ace9608ee5b5137327d1f83bfd8316d",
+    "coefficients --level 5 --root 1":
+        "e7552f1bf7df74de95c88a8c5f53d9d32f58ab43dc17b15647f09d77cb8948dc",
+    "coefficients --level 6":
+        "77c63ab632f6146cdf9f5c6d45e969f4d8f2cce514dcdbb21032280e514c7218",
+    "coefficients --level 6 --root 1":
+        "42e992c5807b00c0511b0e88df258f9cfc88959984121075340a0aa1276a19ad",
+    "coefficients --level 7":
+        "bfc3e0653139578a7e64ad68e8e6e879287f2ff794506b3f730ee73db6c32f5d",
+    "coefficients --level 7 --root 1":
+        "072b9d8f0bd682d988e9b47e19ea244fd14d2335de320df4bd49c64ba6a6a65d",
 }
 
 

@@ -16,6 +16,8 @@ from tljhecke.recoupling import (
     _factored_inverse,
     _phi_power,
     _phi_value,
+    _sixj_pair_at,
+    _tet_key,
     _tet_orbit_at,
     admissible,
     color_set,
@@ -107,7 +109,9 @@ def test_sixj_evaluators_agree(case):
 
 def test_sixj_at_is_one_product_per_labeling(monkeypatch):
     # sixj_at = Tet * Delta_k / (Theta(i,m,k) Theta(j,l,k)) at every labeling,
-    # and with Tet and the weight memoized a labeling costs one product
+    # and with Tet and the weight memoized the product is taken once per
+    # distinct (Tet orbit, weight) pair: the weight reads only k and the
+    # unordered pairs {i, m}, {j, l}, so there are fewer pairs than labelings
     for r in LEVELS:
         P = TheoryParams(r)
         for (i, j, k, l, m, n) in sixj_labels(r):
@@ -115,13 +119,18 @@ def test_sixj_at_is_one_product_per_labeling(monkeypatch):
                     * theta_inv_at(P, i, m, k) * theta_inv_at(P, j, l, k))
             assert sixj_at(P, i, j, k, l, m, n) == want, (r, i, j, k, l, m, n)
         sixj_at.cache_clear()
+        _sixj_pair_at.cache_clear()
         calls = []
         mul = CycNumber.__mul__
         with monkeypatch.context() as mp:
             mp.setattr(CycNumber, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
             for t in sixj_labels(r):
                 sixj_at(P, *t)
-        assert len(calls) == len(sixj_labels(r)), r
+        pairs = {(_tet_key(i, j, n, l, m, k), k, tuple(sorted((tuple(sorted((i, m))),
+                                                              tuple(sorted((j, l)))))))
+                 for (i, j, k, l, m, n) in sixj_labels(r)}
+        assert len(calls) == len(pairs), r
+        assert len(pairs) < len(sixj_labels(r)) or r == 1, r
 
 
 @settings(max_examples=40, deadline=None)
