@@ -266,6 +266,12 @@ def test_tet_generic_matches_specialized():
 def test_tet_inadmissible_raises():
     with pytest.raises(NotAdmissible):
         tet(2, 2, 2, 2, 2, 2, 2)
+    with pytest.raises(NotAdmissible):
+        tet_at(TheoryParams(2), 2, 2, 2, 2, 2, 2)
+    # {1 1 0; 1 1 1}: both thetas of its weight are admissible, but its Tet
+    # vertex (1,1,1) is not, and neither memo key encodes admissibility
+    with pytest.raises(NotAdmissible):
+        sixj_at(TheoryParams(2), 1, 1, 0, 1, 1, 1)
 
 
 # --------------------------------------------------------------------------
