@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .exactnum import CycNumber, cyc_to_json
@@ -75,13 +76,18 @@ def _float_matrix_lines(M, precision: int) -> list[str]:
 
 def _write_json(doc, write: Callable[[str], object]) -> None:
     """Write doc as json.dump(doc, indent=2) would, piece by piece, where a
-    CycNumber leaf stands for cyc_to_json(leaf).  Containers are walked here
-    and scalars go through json.dumps; the text of a leaf is built once per
-    distinct (value, depth) in this call and reused for every repeat."""
+    CycNumber leaf stands for cyc_to_json(leaf).  Containers are walked here.
+    A str key and a leaf of exact type int are written by the calls json.dumps
+    makes for them (encode_basestring_ascii, int.__repr__); every other
+    scalar goes through json.dumps.  The text of a CycNumber leaf is built
+    once per distinct (value, depth) in this call and reused for every
+    repeat."""
     memo: dict[tuple, str] = {}
 
     def put(x, depth: int, write) -> None:
-        if isinstance(x, CycNumber):
+        if type(x) is int:
+            write(int.__repr__(x))
+        elif isinstance(x, CycNumber):
             key = (x.order, x.den, x.vec, depth)
             text = memo.get(key)
             if text is None:
@@ -97,7 +103,8 @@ def _write_json(doc, write: Callable[[str], object]) -> None:
             sep = "{" + inner
             for k, v in x.items():
                 # a non-str key is coerced to a string as json.dumps does it
-                key = json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+                key = (encode_basestring_ascii(k) if isinstance(k, str)
+                       else json.dumps({k: 0})[1:-4])
                 write(sep + key + ": ")
                 put(v, depth + 1, write)
                 sep = "," + inner
@@ -382,13 +389,25 @@ def cmd_coefficients(args) -> int:
 
 # --------------------------------------------------------------------------
 
+def _precision(raw: str) -> int:
+    """--precision: a digit count, so a usage error names the option when it
+    is below 0 (a format spec such as .-1f would fail only at printing)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tljhecke",
         description="Exact recoupling data and Hecke-group representations "
                     "on TQFT spaces of genus 1 and 2.")
     ap.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    ap.add_argument("--precision", type=int, default=6,
+    ap.add_argument("--precision", type=_precision, default=6,
                     help="digits for pretty float output")
     sub = ap.add_subparsers(dest="command", required=True)
 

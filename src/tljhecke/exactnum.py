@@ -8,10 +8,12 @@ taken: a quantity known only through its square (an entry of the unitary
 genus-2 matrix, the global dimension D) is carried as its square and a sign.
 
 Q(zeta_N) arithmetic has one reduction table, _zeta_powers(N) (x^t mod
-Phi_N for t mod N), and one substitution loop over it, _power_sum, which
-folds products and applies the Galois action, lifts and specialization.
-The field inverse is the product of the other Galois conjugates divided by
-the rational norm.
+Phi_N for t mod N).  One substitution loop over it, _power_sum, applies the
+Galois action, shifts, lifts and specialization.  A product reads the table
+itself: it multiplies only the nonzero coefficient pairs of its operands and
+folds each product into its reduced slot as it is formed, so no unreduced
+convolution is built.  The field inverse is the product of the other Galois
+conjugates divided by the rational norm.
 
 All values are immutable after construction and all operations are pure,
 so the module is safe for unrestricted data-parallel use.
@@ -554,13 +556,6 @@ def _zeta_logs(N: int) -> dict[tuple[int, ...], int]:
     return {tuple(_power_sum(N, [0] * phi, [(1, t)])): t for t in range(N)}
 
 
-def _fold_int_vec(N: int, vec: list[int]) -> list[int]:
-    """Reduce mod Phi_N the 2*phi-1 coefficients of a product of two reduced
-    vectors."""
-    phi = (len(vec) + 1) // 2
-    return _power_sum(N, vec[:phi], zip(vec[phi:], range(phi, len(vec))))
-
-
 class CycNumber:
     """Element of Q(zeta_N) as a rational vector in the power basis mod Phi_N.
 
@@ -701,15 +696,26 @@ class CycNumber:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "CycNumber":
+        # only nonzero coefficient pairs are multiplied (about a quarter of
+        # the coefficients are nonzero in the recoupling values), and each
+        # product goes straight into its reduced slot: x^t for t >= phi is
+        # row t mod N of the table (t reaches N for odd N)
         other = self._coerce(other)
-        n = len(self.vec)
-        conv = [0] * (2 * n - 1)
+        N, phi = self.order, len(self.vec)
+        powers = _zeta_powers(N)
+        out = [0] * phi
+        bs = [(j, b) for j, b in enumerate(other.vec) if b]
         for i, a in enumerate(self.vec):
             if a:
-                for j, b in enumerate(other.vec):
-                    conv[i + j] += a * b
-        vec = _fold_int_vec(self.order, conv)
-        return CycNumber._raw(self.order, vec, self.den * other.den)
+                for j, b in bs:
+                    t = i + j
+                    if t < phi:
+                        out[t] += a * b
+                    else:
+                        c = a * b
+                        for k, v in powers[t % N]:
+                            out[k] += c * v
+        return CycNumber._raw(N, out, self.den * other.den)
 
     __rmul__ = __mul__
 

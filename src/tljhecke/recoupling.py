@@ -103,6 +103,12 @@ class TheoryParams:
         if math.gcd(k, self.root_order) != 1:
             raise ValueError(f"root exponent {k} not coprime to {self.root_order}")
         object.__setattr__(self, "root_exponent", k % self.root_order)
+        # every *_at memo hashes its params on each lookup; the value is the
+        # one the dataclass would compute, kept outside the fields
+        object.__setattr__(self, "_hash", hash((self.level, self.root_exponent)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def p(self) -> int:

@@ -7,13 +7,15 @@ import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tljhecke
 import tljhecke.rep_genus2 as rep_genus2
 from tljhecke.cli import main
-from tljhecke.exactnum import cyc_from_json
+from tljhecke.exactnum import CycNumber, cyc_from_json
 from tljhecke.recoupling import TheoryParams, global_constants
 from tljhecke.rep_genus1 import modular_data
 
@@ -144,6 +146,18 @@ def test_genus2_matrices_has_no_normalized_flag():
     with pytest.raises(SystemExit) as exc:
         main(["genus2-matrices", "--level", "3", "--normalized"])
     assert exc.value.code == 2
+
+
+def test_negative_precision_is_usage_error(capsys):
+    # a negative digit count failed only at printing, as "error: Format
+    # specifier missing precision"; the usage error names the option
+    for bad in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", bad, "modular-data", "--level", "2"])
+        assert exc.value.code == 2
+        assert "argument --precision" in capsys.readouterr().err
+    code, out = run(capsys, "--precision", "0", "modular-data", "--level", "2")
+    assert code == 0 and "D^2 = 4" in out
 
 
 def test_invalid_level_is_usage_error(capsys):
@@ -432,6 +446,39 @@ def test_json_writer_edge_cases():
         parts = []
         _write_json(scalar, parts.append)
         assert "".join(parts) == json.dumps(scalar, indent=2)
+
+
+class _Flag(IntEnum):
+    OFF = 0
+    HUGE = 2 ** 70
+
+
+# text with quotes, backslashes, control characters and non-ASCII
+_json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7fé\u2028ζ\U0001d11e'),
+                               st.characters()), max_size=8)
+_json_leaves = st.one_of(
+    st.booleans(), st.none(), st.integers(), st.integers(min_value=2 ** 64),
+    st.integers(max_value=-1), st.sampled_from(_Flag), st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]), _json_text,
+    st.sampled_from([CycNumber(5, [1, -2, 0, 3]), CycNumber.zeta(12, 5)]))
+_json_keys = st.one_of(_json_text, st.integers(), st.floats(), st.booleans(), st.none(),
+                       st.sampled_from(_Flag))
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_docs)
+def test_json_writer_matches_json_dumps(doc):
+    # the keys and int leaves written without json.dumps are byte for byte
+    # what json.dumps writes for them
+    from tljhecke.cli import _write_json
+    parts = []
+    _write_json(doc, parts.append)
+    assert "".join(parts) == json.dumps(_plain(doc), indent=2)
 
 
 def test_coefficients_serializes_each_value_once(capsys, monkeypatch):

@@ -266,16 +266,37 @@ def _substituted(vec, step):
 
 
 @st.composite
+def kernel_operand(draw, N):
+    """A dense vector, a sparse one (at most a quarter of its coefficients
+    nonzero, as in the recoupling values), +-zeta^b or a rational."""
+    phi = euler_phi(N)
+    kind = draw(st.sampled_from(["dense", "sparse", "sparse", "monomial", "rational"]))
+    if kind == "monomial":
+        z = CycNumber.zeta(N, draw(st.integers(0, 2 * N)))
+        return z if draw(st.booleans()) else -z
+    if kind == "rational":
+        return CycNumber.from_rational(N, draw(st.fractions(-6, 6, max_denominator=12)))
+    if kind == "dense":
+        vec = draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi))
+    else:
+        vec = [0] * phi
+        for i in draw(st.sets(st.integers(0, phi - 1), max_size=max(1, phi // 4))):
+            vec[i] = draw(st.integers(-6, 6).filter(bool))
+    return CycNumber(N, vec, draw(st.integers(1, 12)))
+
+
+@st.composite
 def kernel_cases(draw):
     # the odd N have 2*phi - 2 >= N, so products fold through rows t mod N
-    N = draw(st.sampled_from([1, 2, 5, 7, 9, 12, 15, 16, 20, 32]))
-    vec = st.lists(st.integers(-6, 6), min_size=euler_phi(N), max_size=euler_phi(N))
-    x, y = (CycNumber(N, draw(vec), draw(st.integers(1, 12))) for _ in range(2))
+    # (at N = 5 a product reaches x^6); 18, 24, 36 and 40 are root orders of
+    # levels r <= 8
+    N = draw(st.sampled_from([1, 2, 5, 7, 9, 12, 15, 16, 18, 20, 24, 32, 36, 40]))
+    x, y = draw(kernel_operand(N)), draw(kernel_operand(N))
     m = draw(st.sampled_from([k for k in range(1, N + 1) if math.gcd(k, N) == 1]))
     return x, y, m, draw(st.integers(1, 3))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_cyc_kernel_matches_polynomial_reference(case):
     x, y, m, step = case

@@ -1,7 +1,10 @@
 """Tests for the recoupling coefficients: quantum integers, loop values,
 twists, theta and tetrahedral nets, 6j symbols, global constants, and the
 dimension formula."""
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from itertools import permutations, product
 
@@ -61,6 +64,27 @@ def test_root_exponent_is_stored_mod_n():
         assert P.root_exponent == 3 and P.is_unitary_root
     assert P3.with_root(23) == P3
     assert P3.with_root(7) == TheoryParams(3, root_exponent=-3)
+
+
+def test_equal_params_hash_equal_and_share_memos():
+    # the hash is computed once, in __post_init__; every way of making an
+    # equal value must give the same hash, or the *_at memos would miss
+    P = TheoryParams(6)
+    equal = [TheoryParams(6, root_exponent=P.root_exponent),
+             TheoryParams(6).with_root(P.root_exponent + P.root_order),
+             dataclasses.replace(P), dataclasses.replace(P, root_exponent=-7).with_root(9),
+             copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))]
+    assert hash(P) == hash((6, P.root_exponent))
+    theta_at(P, 2, 2, 2)
+    for Q in equal:
+        assert Q == P and hash(Q) == hash(P)
+        hits = theta_at.cache_info().hits
+        theta_at(Q, 2, 2, 2)
+        assert theta_at.cache_info().hits == hits + 1
+    other = P.with_root(1)
+    assert other != P and hash(other) == hash((6, 1))
+    m = pow(P.root_exponent, -1, P.root_order)
+    assert theta_at(other, 2, 2, 2) == theta_at(P, 2, 2, 2).galois(m)
 
 
 def test_root_exponent_must_be_a_unit():
