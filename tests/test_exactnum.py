@@ -288,8 +288,8 @@ def kernel_operand(draw, N):
 @st.composite
 def kernel_cases(draw):
     # the odd N have 2*phi - 2 >= N, so products fold through rows t mod N
-    # (at N = 5 a product reaches x^6); 18, 24, 36 and 40 are root orders of
-    # levels r <= 8
+    # (at N = 5 a product reaches x^6); 18, 24 and 40 are the root orders at
+    # r = 7, 4 and 8, and 36 is one more even order
     N = draw(st.sampled_from([1, 2, 5, 7, 9, 12, 15, 16, 18, 20, 24, 32, 36, 40]))
     x, y = draw(kernel_operand(N)), draw(kernel_operand(N))
     m = draw(st.sampled_from([k for k in range(1, N + 1) if math.gcd(k, N) == 1]))
