@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -62,15 +64,54 @@ def _params(args) -> TheoryParams:
     return TheoryParams(args.level, root_exponent=k)
 
 
+def _printable(err: float, precision: int) -> bool:
+    """True when a double within err of a value prints it, rounded to
+    precision digits, within 10**-precision."""
+    return 2 * err < 10.0 ** -precision
+
+
+def _decimal(x) -> Decimal:
+    """The mpf x = man 2**exp as a Decimal of the same value, exactly."""
+    man, exp = x.man_exp
+    d = Decimal(man << exp) if exp >= 0 else Decimal(f"{man * 5 ** -exp}e{exp}")
+    return d.copy_negate() if x < 0 else d
+
+
+def _parts(x: CycNumber, precision: int) -> tuple:
+    """The real and imaginary parts of x's embedding, close enough to print
+    at the precision: doubles where embed_error allows, else Decimals of
+    embed_mp(precision + 10) (mpmath is imported only then)."""
+    z = x.embed()
+    if _printable(x.embed_error(), precision):
+        return z.real, z.imag
+    z = x.embed_mp(precision + 10)
+    return _decimal(z.real), _decimal(z.imag)
+
+
+def _root(square: CycNumber, precision: int):
+    """sqrt |Re square|, close enough to print at the precision, as _parts."""
+    s, err = abs(square.embed().real), square.embed_error()
+    # |sqrt a - sqrt b| <= min(sqrt |a - b|, |a - b| / sqrt b), and the
+    # double square root rounds once
+    off = min(err ** 0.5, err / s ** 0.5) if s else err ** 0.5
+    if _printable(off + s ** 0.5 / 2 ** 52, precision):
+        return math.sqrt(s)
+    import mpmath
+    with mpmath.workdps(precision + 10):
+        return _decimal(mpmath.sqrt(abs(square.embed_mp(precision + 10).real)))
+
+
 def _complex_cells(values, precision: int) -> str:
-    """Cyclotomic values as re+imj floats, two spaces apart."""
-    return "  ".join(f"{z.real:+.{precision}f}{z.imag:+.{precision}f}j"
-                     for z in (x.embed(precision) for x in values))
+    """Cyclotomic values as re+imj numbers, two spaces apart."""
+    return "  ".join(f"{re:+.{precision}f}{im:+.{precision}f}j"
+                     for re, im in (_parts(x, precision) for x in values))
 
 
 def _float_matrix_lines(M, precision: int) -> list[str]:
     if isinstance(M, SignedSqrtMatrix):
-        return ["  ".join(f"{x:+.{precision}f}" for x in row) for row in M.embed(precision)]
+        return ["  ".join(f"{sign * _root(M.squares[i, j], precision):+.{precision}f}"
+                          for j, sign in enumerate(signs))
+                for i, signs in enumerate(M.signs)]
     return [_complex_cells(row, precision) for row in M.rows]
 
 
@@ -183,8 +224,8 @@ def cmd_modular_data(args) -> int:
         lines += _float_matrix_lines(md.s_tilde, args.precision)
         lines.append("T diagonal:")
         lines.append("  " + _complex_cells(md.t, args.precision))
-        z = gc.d_squared.embed(args.precision)
-        lines.append(f"D^2 = {z.real:.{args.precision}f}")
+        d2 = _parts(gc.d_squared, args.precision)[0]
+        lines.append(f"D^2 = {d2:.{args.precision}f}")
         return lines
     _emit(args, doc, pretty)
     return 0
@@ -346,14 +387,17 @@ def cmd_spin_dims(args) -> int:
 def _admissible_tets(r: int) -> list[tuple[int, ...]]:
     """Labelings (A,B,E,C,D,F) whose four Tet vertices (A,B,E), (B,C,F),
     (C,D,E), (A,D,F) are admissible, in lexicographic order: each vertex is
-    checked as soon as its last color is chosen."""
+    checked as soon as its last color is chosen, and F runs only over the
+    colors that the vertices (B,C,F) and (A,D,F) admit, those of the parity
+    of B + C from max(|B-C|, |A-D|) to min(B+C, A+D, 2r-B-C, 2r-A-D)."""
     cs = color_set(r)
     return [(A, B, E, C, D, F)
             for A in cs for B in cs
             for E in cs if admissible(r, A, B, E)
             for C in cs
-            for D in cs if admissible(r, C, D, E)
-            for F in cs if admissible(r, B, C, F) and admissible(r, A, D, F)]
+            for D in cs if admissible(r, C, D, E) and (A + D - B - C) % 2 == 0
+            for F in range(max(abs(B - C), abs(A - D)),
+                           min(B + C, A + D, 2 * r - B - C, 2 * r - A - D) + 1, 2)]
 
 
 def cmd_coefficients(args) -> int:

@@ -785,7 +785,9 @@ class CycNumber:
 
     # -- embeddings
     def embed(self, precision: int = 15) -> complex:
-        """Numerical value with zeta_N = exp(2*pi*i/N), error < 10**-precision."""
+        """Numerical value with zeta_N = exp(2*pi*i/N), as a complex double:
+        each part is within embed_error() of the exact one, and within
+        10**-precision when a double can hold that many digits."""
         if precision <= 15 and abs(self.den) < 2 ** 52 and all(
                 abs(c) < 2 ** 52 for c in self.vec):
             N = self.order
@@ -797,6 +799,13 @@ class CycNumber:
                     im += c * math.sin(ang)
             return complex(re / self.den, im / self.den)
         return complex(self.embed_mp(precision + 10))
+
+    def embed_error(self) -> float:
+        """A bound on the error of each part of embed(): with S = sum |c| / den,
+        each angle, cosine and sine is within 22 units of 2**-53, and the
+        phi products and sums add one unit each, so (phi + 32) S 2**-53
+        bounds it.  It bounds the double rounding of the mpmath path too."""
+        return (len(self.vec) + 32) * sum(map(abs, self.vec)) / self.den / 2 ** 53
 
     def embed_mp(self, dps: int) -> "mpmath.mpc":
         import mpmath  # deferred: most commands never embed past a double

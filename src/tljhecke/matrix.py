@@ -52,9 +52,16 @@ relation checks fold J~ over the swap of the theta basis this way.
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
 determinant is nonzero" is decided faster modulo a split prime: residue_matrix
-maps a matrix into F_p (exactnum.SplitPrime, one inverse of its denominator),
-and matmul_mod, poly_at_matrix_mod and det_mod work on plain lists of ints
-there.  A nonzero residue is an exact proof; a zero residue decides nothing.
+maps a matrix into F_p (exactnum.SplitPrime, one inverse of its denominator,
+one residue per distinct vector object), and matmul_mod, poly_at_matrix_mod
+and det_mod compute there on Kronecker-packed rows, as the MeatAxe does: a
+row of residues in [0, p) is one integer of nonnegative whole-byte digits,
+wide enough for a sum of n products below (p - 1)^2.  A row of A B is
+sum_k a_ik B_k, one small-times-big multiply per term, unpacked once; Horner's
+rule packs A once for all its products; elimination adds multiples of the
+reduced pivot row to the packed rows, whose digits stay below
+(n + 1)(p - 1)^2, so no carry crosses a digit.  A nonzero residue is an
+exact proof; a zero residue decides nothing.
 
 A matrix whose entries are square roots of field elements (the unitary
 genus-2 matrix) is a SignedSqrtMatrix of (square, sign) pairs; no root is
@@ -620,53 +627,97 @@ def char_poly(M: ExactMatrix) -> CycPoly:
 
 
 # --------------------------------------------------------------------------
-# residues modulo a split prime (matrices over F_p as lists of int rows)
+# residues modulo a split prime: matrices over F_p, held as lists of int rows
+# and computed on Kronecker-packed rows
 
 def residue_matrix(M: ExactMatrix, sp: SplitPrime) -> list[list[int]]:
-    """The entrywise image of M in F_p; sp.p must not divide M.den."""
-    return [sp.residues(M.order, row, M.den) for row in M.vecs]
+    """The entrywise image of M in F_p; sp.p must not divide M.den.  Each
+    distinct vector object is reduced once (equal entries of J~ are one
+    list)."""
+    vecs = _distinct(M.vecs)
+    res = dict(zip(vecs, sp.residues(M.order, vecs.values(), M.den)))
+    return [[res[id(v)] for v in row] for row in M.vecs]
+
+
+def _digit_bytes(terms: int, p: int) -> int:
+    """Bytes per packed digit that hold any sum of `terms` products of two
+    residues in [0, p).  The digits are nonnegative, so whole bytes make
+    packing and unpacking one int.to_bytes / int.from_bytes each."""
+    return (terms * (p - 1) ** 2).bit_length() // 8 + 1
+
+
+def _pack_mod(rows: Iterable[Sequence[int]], p: int, nb: int) -> list[int]:
+    return [int.from_bytes(b"".join([(x % p).to_bytes(nb, "little") for x in row]), "little")
+            for row in rows]
+
+
+def _unpack_mod(x: int, nb: int, n: int, p: int) -> list[int]:
+    """The n digits of x, nb bytes each, reduced mod p."""
+    b = x.to_bytes(nb * n, "little")
+    return [int.from_bytes(b[i:i + nb], "little") % p for i in range(0, nb * n, nb)]
+
+
+def _times_packed(A: Iterable[Sequence[int]], Bp: list[int], nb: int, n: int,
+                  p: int) -> list[list[int]]:
+    """A B mod p for B given as its packed rows Bp (n residues each): row i
+    is sum_k a_ik B_k, one small-times-big multiply per (i, k), unpacked
+    once."""
+    return [_unpack_mod(sum(map(operator.mul, [a % p for a in row], Bp)), nb, n, p)
+            for row in A]
 
 
 def matmul_mod(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],
                p: int) -> list[list[int]]:
-    cols = list(zip(*B))
-    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in A]
+    """A B mod p, each row of B packed once."""
+    nb = _digit_bytes(len(B), p)
+    return _times_packed(A, _pack_mod(B, p, nb), nb, len(B[0]) if B else 0, p)
 
 
 def poly_at_matrix_mod(q: IntPolynomial, A: Sequence[Sequence[int]],
                        p: int) -> list[list[int]]:
-    """q(A) mod p by Horner's rule, deg q - 1 products (deg q >= 1)."""
+    """q(A) mod p by Horner's rule, deg q - 1 products (deg q >= 1), with A
+    packed once for all of them."""
     if q.degree < 1:
         raise ValueError("the polynomial must have degree >= 1")
-    cs = q.coeffs
+    n, cs = len(A), q.coeffs
+    nb = _digit_bytes(n, p)
+    Ap = _pack_mod(A, p, nb)
     B = [[cs[-1] * x % p for x in row] for row in A]
     for k, c in enumerate(reversed(cs[:-1])):
         if k:
-            B = matmul_mod(B, A, p)
-        for i in range(len(B)):
+            B = _times_packed(B, Ap, nb, n, p)
+        for i in range(n):
             B[i][i] = (B[i][i] + c) % p
     return B
 
 
 def det_mod(A: Sequence[Sequence[int]], p: int) -> int:
-    """The determinant in F_p, by Gaussian elimination."""
-    a = [list(row) for row in A]
-    n = len(a)
+    """The determinant in F_p (p prime), by Gaussian elimination on packed
+    rows.
+
+    Each row left is one integer of its digits from the current column on,
+    that column lowest.  Eliminating adds (p - f) times the pivot row, which
+    alone is unpacked, reduced to [0, p) and repacked, so every digit stays
+    nonnegative and below (n + 1)(p - 1)^2: no carry crosses a digit, and a
+    shift by one digit drops the column just cleared.
+    """
+    n = len(A)
+    nb = _digit_bytes(n + 1, p)
+    width, mask = 8 * nb, (1 << 8 * nb) - 1
+    rest = _pack_mod(A, p, nb)
     det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
+    for c in range(n, 0, -1):
+        piv = next((i for i, row in enumerate(rest) if (row & mask) % p), None)
         if piv is None:
             return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
+        if piv:
+            rest[0], rest[piv] = rest[piv], rest[0]
             det = -det
-        pc = a[c]
-        det = det * pc[c] % p
-        inv = pow(pc[c], -1, p)
-        for i in range(c + 1, n):
-            f = a[i][c] * inv % p
-            if f:
-                a[i] = a[i][:c] + [(x - f * y) % p for x, y in zip(a[i][c:], pc[c:])]
+        pivot = _unpack_mod(rest[0], nb, c, p)
+        det = det * pivot[0] % p
+        inv = pow(pivot[0], -1, p)
+        (prow,) = _pack_mod([pivot], p, nb)
+        rest = [(row + -(row & mask) * inv % p * prow) >> width for row in rest[1:]]
     return det % p
 
 

@@ -29,6 +29,8 @@ from .matrix import (
     ExactMatrix,
     Folding,
     SignedSqrtMatrix,
+    _dots,
+    _scale_columns,
     char_poly,
     det_mod,
     matmul_mod,
@@ -478,19 +480,23 @@ def trace_jtjt(params: TheoryParams) -> CycNumber:
     With J' = J~ D, e = D T and e' = D T^-1 (rep.e and rep.e_inv), tr =
     sum_s e_s sum_m e'_m J~_sm J~_ms (the basis rescaling cancels in the
     trace).  The n inner sums are packed dots of row s of J~ with row s of
-    J~^T diag(e'), read from J~'s vectors in blocks of TRACE_BLOCK rows, and
-    each block's outer sum is one more.  Tests diff it against _jtjt_matrix.
+    J~^T diag(e'), both read from J~'s vectors as held (J~^T is their raw
+    transpose; J~'s symmetry is not assumed), in blocks of TRACE_BLOCK rows,
+    and each block's outer sum is one more.  Tests diff it against
+    _jtjt_matrix.
     """
     rep = genus2_rep(params)
     jt, N = rep.jtilde, params.root_order
-    cols, total = jt.transpose().vecs, CycNumber.zero(N)
-    for a in range(0, jt.nrows, TRACE_BLOCK):
-        rows, block = (ExactMatrix.from_vectors(N, m[a:a + TRACE_BLOCK], jt.den)
-                       for m in (jt.vecs, cols))
-        vecs, den = rows.dots(block, [(s, s) for s in range(rows.nrows)], rep.e_inv)
-        (vec,), den = ExactMatrix(N, [rep.e[a:a + TRACE_BLOCK]]).dots(
-            ExactMatrix.from_vectors(N, [vecs], den), [(0, 0)])
-        total = total + CycNumber._raw(N, vec, den)
+    phi, n = euler_phi(N), jt.nrows
+    diags = ExactMatrix(N, [rep.e_inv, rep.e])
+    (e_inv, e), dden = diags.vecs, diags.den
+    cols, total = list(zip(*jt.vecs)), CycNumber.zero(N)
+    for a in range(0, n, TRACE_BLOCK):
+        block, den = _scale_columns(N, phi, cols[a:a + TRACE_BLOCK], jt.den, e_inv, dden)
+        inner = list(_dots(N, phi, jt.vecs[a:a + TRACE_BLOCK], block, n,
+                           [(s, s) for s in range(len(block))]))
+        (vec,) = _dots(N, phi, [e[a:a + TRACE_BLOCK]], [inner], len(inner), [(0, 0)])
+        total = total + CycNumber._raw(N, vec, dden * jt.den * den)
     return total
 
 
@@ -566,10 +572,11 @@ class InfiniteImageReport:
 
 # Above this dimension the minimal-polynomial route reports "skipped" and
 # defers to the trace certificate.  The residue test below would decide
-# there too, but its four pure-Python O(n^3) products and one elimination
-# take about 40 s at n = 455 (r = 13; 2-core x86-64 VM, Python 3.11), and
-# lifting the budget changes the printed details at r = 6, 8 and 10..13;
-# both belong to a change of their own.
+# there too: at n = 455 (r = 12; 2-core x86-64 VM, Python 3.11) it takes
+# 2.4 s on the packed F_p kernel (four products 1.7 s, the elimination
+# 0.3 s; one list-based product took 5.3 s).  Lifting the budget changes
+# the printed details at r = 6, 8 and 10..13, so it needs a change of its
+# own.
 MINPOLY_DIM_BUDGET = 60
 
 # split primes tried before the route falls back to the exact characteristic

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -317,6 +318,64 @@ def test_pretty_precision_agrees_with_embed(capsys):
     want = (5 - 5 ** 0.5) / 10
     first = out.splitlines()[2].split()[0]
     assert abs(float(first) - want) < 1e-10
+
+
+def _printed_numbers(out: str) -> list[str]:
+    # every fixed-point number of a pretty output; headers carry none
+    return re.findall(r"[+-]?\d+\.\d+", out)
+
+
+@pytest.mark.parametrize("precision", [14, 15, 20])
+def test_pretty_digits_match_a_50_digit_embedding(capsys, precision):
+    # each printed number is the exact embedding rounded to the precision
+    # (a double cannot carry 15 or 20 decimals of these values)
+    import mpmath
+    from tljhecke.rep_genus2 import genus2_rep
+    with mpmath.workdps(50):
+        tol = mpmath.mpf(10) ** -precision / 2 + mpmath.mpf(10) ** -(precision + 8)
+
+        def parts(xs):
+            return [p for x in xs for z in [x.embed_mp(50)] for p in (z.real, z.imag)]
+
+        def check(argv, want):
+            code, out = run(capsys, "--precision", str(precision), *argv)
+            got = _printed_numbers(out)
+            assert code == 0 and len(got) == len(want), argv
+            for text, value in zip(got, want):
+                assert abs(mpmath.mpf(text) - value) <= tol, (argv, text, value)
+
+        for r in range(1, 7):
+            md = modular_data(TheoryParams(r))
+            check(["modular-data", "--level", str(r)],
+                  parts(x for row in md.s_tilde.rows for x in row) + parts(md.t)
+                  + parts([md.constants.d_squared])[:1])
+        for r in range(1, 5):
+            rep = genus2_rep(TheoryParams(r))
+            assert rep.positive
+            u = rep.junitary
+            check(["genus2-matrices", "--level", str(r)],
+                  [sign * mpmath.sqrt(abs(x.embed_mp(50).real))
+                   for row, signs in zip(u.squares.rows, u.signs) for x, sign in zip(row, signs)]
+                  + parts(rep.tdiag))
+            check(["genus2-matrices", "--level", str(r), "--raw"],
+                  parts(x for row in rep.jtilde.rows for x in row) + parts(rep.tdiag))
+
+
+def test_pretty_output_at_default_precision_does_not_import_mpmath():
+    # doubles meet 10^-6 for every value these commands print
+    prog = ("import sys\n"
+            "from tljhecke.cli import main\n"
+            "for r in range(1, 7):\n"
+            "    assert main(['modular-data', '--level', str(r)]) == 0\n"
+            "for r in range(1, 5):\n"
+            "    assert main(['genus2-matrices', '--level', str(r)]) == 0\n"
+            "    assert main(['genus2-matrices', '--level', str(r), '--raw']) == 0\n"
+            "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)\n")
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
 
 
 def test_verify_root_names_its_residue(capsys):

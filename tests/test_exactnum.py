@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic kernel."""
 import copy
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,109 @@ def test_det_mod_pivots_and_singular():
     assert det_mod([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 7) == 1
     assert det_mod([[1, 2], [2, 4]], 7) == 0
     assert det_mod([[2, 3, 1], [0, 0, 5], [4, 6, 3]], 11) == 0
+
+
+# plain list-of-ints versions of the F_p helpers: the oracle of the packed ones
+
+def _matmul_ref(A, B, p):
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A]
+
+
+def _poly_at_matrix_ref(q, A, p):
+    cs = q.coeffs
+    B = [[cs[-1] * x % p for x in row] for row in A]
+    for k, c in enumerate(reversed(cs[:-1])):
+        if k:
+            B = _matmul_ref(B, A, p)
+        for i in range(len(B)):
+            B[i][i] = (B[i][i] + c) % p
+    return B
+
+
+def _det_ref(A, p):
+    a = [[x % p for x in row] for row in A]
+    n, det = len(a), 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
+
+
+# 7, 11, the split prime of the r = 4 quartic residue (the first one above
+# 2**20 for N = 24) and 2**31 - 1
+FP_PRIMES = (7, 11, next(split_primes(24)).p, 2 ** 31 - 1)
+
+
+@st.composite
+def fp_matrix(draw, p, rows, cols):
+    """A rows x cols matrix of residues mod p: dense or sparse, sometimes
+    with entries outside [0, p), a zero first column down to some row, or
+    a row that combines two others (singular when square)."""
+    # entries from one drawn seed: a Hypothesis choice per entry would make
+    # a failing case of 3 x 625 entries very slow to shrink
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from((0.0, 0.15, 0.5, 1.0)))
+    lo, hi = draw(st.sampled_from(((0, p), (-p, 2 * p))))
+    A = [[rnd.randrange(lo, hi) if rnd.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if draw(st.booleans()):
+        for row in A[:draw(st.integers(1, rows))]:
+            row[0] = 0
+    if rows >= 3 and draw(st.booleans()):
+        i, j, k = rnd.sample(range(rows), 3)
+        c = rnd.randrange(p)
+        A[k] = [(x + c * y) % p for x, y in zip(A[i], A[j])]
+    return A
+
+
+@st.composite
+def fp_cases(draw):
+    p = draw(st.sampled_from(FP_PRIMES))
+    m, k, n = (draw(st.integers(1, 25)) for _ in range(3))
+    q = IntPolynomial(draw(st.lists(st.integers(-p, p), min_size=1, max_size=5))
+                      + [draw(st.integers(1, p - 1))])
+    return (p, draw(fp_matrix(p, m, k)), draw(fp_matrix(p, k, n)), draw(fp_matrix(p, n, n)), q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fp_cases())
+def test_packed_fp_kernel_matches_list_reference(case):
+    p, A, B, S, q = case
+    assert matmul_mod(A, B, p) == _matmul_ref(A, B, p)
+    assert poly_at_matrix_mod(q, S, p) == _poly_at_matrix_ref(q, S, p)
+    assert det_mod(S, p) == _det_ref(S, p)
+
+
+def test_residue_matrix_reduces_each_distinct_vector_once(monkeypatch):
+    # J~'s equal entries are one list, so the r = 4 matrix (n = 35) needs
+    # one residue per distinct vector object, not one per entry
+    from tljhecke.recoupling import TheoryParams
+    from tljhecke.rep_genus2 import genus2_rep
+    jt = genus2_rep(TheoryParams(4)).jtilde
+    sp = next(split_primes(jt.order))
+    reduced = []
+    plain = SplitPrime.residues
+
+    def counted(self, order, vecs, den):
+        vecs = list(vecs)
+        reduced.extend(map(id, vecs))
+        return plain(self, order, vecs, den)
+    monkeypatch.setattr(SplitPrime, "residues", counted)
+    J = residue_matrix(jt, sp)
+    distinct = {id(v) for row in jt.vecs for v in row}
+    assert sorted(reduced) == sorted(distinct) and len(distinct) < jt.nrows ** 2
+    monkeypatch.undo()
+    assert J == [sp.residues(jt.order, row, jt.den) for row in jt.vecs]
 
 
 @st.composite
