@@ -19,7 +19,7 @@ rep = genus2_rep(params)
 print(f"basis (dictionary order): {list(rep.basis.triples)}")
 
 print("\nunitary J (entries are sign * sqrt of a field element):")
-U = rep.junitary.embed(10)
+U = rep.junitary.embed()
 for row in U:
     print("  " + "  ".join(f"{x:+.6f}" for x in row))
 print("entry (0,0) equals 1/D^2 exactly:",

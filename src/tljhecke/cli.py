@@ -70,22 +70,31 @@ def _printable(err: float, precision: int) -> bool:
     return 2 * err < 10.0 ** -precision
 
 
-def _decimal(x) -> Decimal:
-    """The mpf x = man 2**exp as a Decimal of the same value, exactly."""
-    man, exp = x.man_exp
-    d = Decimal(man << exp) if exp >= 0 else Decimal(f"{man * 5 ** -exp}e{exp}")
-    return d.copy_negate() if x < 0 else d
+def _fixed(x: CycNumber, digits: int) -> tuple[int, int, int]:
+    """x.fixed_parts at enough bits (a multiple of 64, so that the tables
+    are shared) that each part over the returned scale is within
+    10**-digits / 2 of the exact one."""
+    bound = 2 * sum(map(abs, x.vec)) * 10 ** digits // x.den
+    bits = 64 * max(1, -(-bound.bit_length() // 64))
+    re, im, _ = x.fixed_parts(bits)
+    return re, im, x.den << bits
+
+
+def _decimal(num: int, scale: int, digits: int) -> Decimal:
+    """num / scale rounded to digits decimals, exactly as a Decimal."""
+    return Decimal(f"{(2 * num * 10 ** digits + scale) // (2 * scale)}E-{digits}")
 
 
 def _parts(x: CycNumber, precision: int) -> tuple:
     """The real and imaginary parts of x's embedding, close enough to print
     at the precision: doubles where embed_error allows, else Decimals of
-    embed_mp(precision + 10) (mpmath is imported only then)."""
+    precision + 10 digits from the scaled ints of fixed_parts."""
     z = x.embed()
     if _printable(x.embed_error(), precision):
         return z.real, z.imag
-    z = x.embed_mp(precision + 10)
-    return _decimal(z.real), _decimal(z.imag)
+    digits = precision + 10
+    re, im, scale = _fixed(x, digits)
+    return _decimal(re, scale, digits), _decimal(im, scale, digits)
 
 
 def _root(square: CycNumber, precision: int):
@@ -96,9 +105,11 @@ def _root(square: CycNumber, precision: int):
     off = min(err ** 0.5, err / s ** 0.5) if s else err ** 0.5
     if _printable(off + s ** 0.5 / 2 ** 52, precision):
         return math.sqrt(s)
-    import mpmath
-    with mpmath.workdps(precision + 10):
-        return _decimal(mpmath.sqrt(abs(square.embed_mp(precision + 10).real)))
+    # |Re square| within 10**-(2 digits) gives its root within 10**-digits,
+    # and the integer square root floors once more
+    digits = precision + 10
+    re, _, scale = _fixed(square, 2 * digits)
+    return Decimal(f"{math.isqrt(abs(re) * 10 ** (2 * digits) // scale)}E-{digits}")
 
 
 def _complex_cells(values, precision: int) -> str:

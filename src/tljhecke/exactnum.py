@@ -21,6 +21,7 @@ so the module is safe for unrestricted data-parallel use.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -556,6 +557,84 @@ def _zeta_logs(N: int) -> dict[tuple[int, ...], int]:
     return {tuple(_power_sum(N, [0] * phi, [(1, t)])): t for t in range(N)}
 
 
+# --------------------------------------------------------------------------
+# fixed-point embedding: cos and sin of 2 pi j / N on Python ints
+
+def _atan_inv(x: int, w: int) -> tuple[int, int]:
+    """atan(1/x) * 2**w for an integer x >= 2, and a bound on its error in
+    units of 2**-w.  p is floor(2**w / x**(2k+1)) exactly (nested floors
+    are one floor), so each of the k terms is within one unit, and the tail
+    after the first zero p is below one unit."""
+    x2, p, total, k = x * x, (1 << w) // x, 0, 0
+    while p:
+        t = p // (2 * k + 1)
+        total += -t if k & 1 else t
+        p //= x2
+        k += 1
+    return total, k + 1
+
+
+def _expi(t: int, et: int, w: int) -> tuple[int, int, int]:
+    """cos and sin of theta times 2**w, for 0 <= theta < 1 given as t within
+    et units of theta * 2**w, and a bound on the error of each.  Term k of
+    the series of exp(i theta) is theta**k / k! * 2**w within d units: d
+    grows by the errors of the previous term and of t, and by one floor.
+    The tail after the first zero term is at most that term, so below d."""
+    one = 1 << w
+    parts, term, d, err, k = [one, 0], one, 0, 0, 0
+    while term:
+        k += 1
+        d = -(-(d * (t + et) + (term + d) * et) // (one * k)) + 1
+        term = term * t // (one * k)
+        parts[k & 1] += -term if k & 2 else term
+        err += d
+    return parts[0], parts[1], err + d
+
+
+# the bits at which embed_nearest and real_sign first evaluate, doubled
+# until they decide: one table per order serves both
+FIRST_BITS = 128
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(N: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """cos and sin of 2 pi j / N times 2**bits for j < phi(N), each within
+    one unit of the exact value.
+
+    The work is done at w = bits + g bits: pi by Machin's formula
+    16 atan(1/5) - 4 atan(1/239), z = exp(2 pi i / (m N)) by its Taylor
+    series (m = 7 when N < 7 keeps the angle below 1), and the powers
+    z**(m j) by rotation, each adding the error of z and two floors to the
+    modulus of the error.  The bounds are tracked as integers, and g grows
+    until they are below 2**(g-1) units, so that rounding to bits leaves
+    every entry within 1/2 + 1/2 unit.
+    """
+    m = 1 if N >= 7 else 7
+    phi = euler_phi(N)
+    g = 16 + N.bit_length() + bits.bit_length()
+    while True:
+        w = bits + g
+        one = 1 << w
+        a, ea = _atan_inv(5, w)
+        b, eb = _atan_inv(239, w)
+        t = 2 * (16 * a - 4 * b) // (m * N)
+        et = 2 * (16 * ea + 4 * eb) // (m * N) + 2
+        zr, zi, ez = _expi(t, et, w)
+        ez *= 2                         # the modulus, from the two parts
+        xr, xi, e = one, 0, 0
+        roots = []
+        for s in range(m * (phi - 1) + 1):
+            if s % m == 0:
+                roots.append((xr, xi))
+            xr, xi = (xr * zr - xi * zi) >> w, (xr * zi + xi * zr) >> w
+            e += -(-(one + e) * ez // one) + 2
+        if e <= 1 << (g - 1):
+            half = 1 << (g - 1)
+            return (tuple((x + half) >> g for x, _ in roots),
+                    tuple((y + half) >> g for _, y in roots))
+        g += 16
+
+
 class CycNumber:
     """Element of Q(zeta_N) as a rational vector in the power basis mod Phi_N.
 
@@ -784,12 +863,12 @@ class CycNumber:
         return CycNumber._raw(order, out, self.den)
 
     # -- embeddings
-    def embed(self, precision: int = 15) -> complex:
-        """Numerical value with zeta_N = exp(2*pi*i/N), as a complex double:
-        each part is within embed_error() of the exact one, and within
-        10**-precision when a double can hold that many digits."""
-        if precision <= 15 and abs(self.den) < 2 ** 52 and all(
-                abs(c) < 2 ** 52 for c in self.vec):
+    def embed(self) -> complex:
+        """Numerical value with zeta_N = exp(2*pi*i/N), as a complex double,
+        each part within embed_error() of the exact one: float sums when the
+        coefficients and the denominator fit a double's mantissa, else
+        embed_nearest().  More digits come from fixed_parts."""
+        if abs(self.den) < 2 ** 52 and all(abs(c) < 2 ** 52 for c in self.vec):
             N = self.order
             re = im = 0.0
             for j, c in enumerate(self.vec):
@@ -798,67 +877,82 @@ class CycNumber:
                     re += c * math.cos(ang)
                     im += c * math.sin(ang)
             return complex(re / self.den, im / self.den)
-        return complex(self.embed_mp(precision + 10))
+        return self.embed_nearest()
 
     def embed_error(self) -> float:
         """A bound on the error of each part of embed(): with S = sum |c| / den,
         each angle, cosine and sine is within 22 units of 2**-53, and the
         phi products and sums add one unit each, so (phi + 32) S 2**-53
-        bounds it.  It bounds the double rounding of the mpmath path too."""
+        bounds it.  Half a unit of the last place of a part, the error of
+        embed_nearest, is at most S 2**-53."""
         return (len(self.vec) + 32) * sum(map(abs, self.vec)) / self.den / 2 ** 53
 
-    def embed_mp(self, dps: int) -> "mpmath.mpc":
-        import mpmath  # deferred: most commands never embed past a double
-        with mpmath.workdps(dps):
-            z = mpmath.mpc(0)
-            for j, c in enumerate(self.vec):
-                if c:
-                    z += c * mpmath.expjpi(mpmath.mpf(2 * j) / self.order)
-            return z / self.den
+    def fixed_parts(self, bits: int) -> tuple[int, int, int]:
+        """(re, im, err): the real and imaginary parts of the embedding times
+        den * 2**bits, each within err = sum |c_j| of the exact one, since
+        every entry of the table _unit_roots(N, bits) is within one unit."""
+        cos, sin = _unit_roots(self.order, bits)
+        return (sum(map(operator.mul, self.vec, cos)), sum(map(operator.mul, self.vec, sin)),
+                sum(map(abs, self.vec)))
+
+    def embed_nearest(self) -> complex:
+        """The embedding with each part the double nearest to the exact one
+        (an imaginary part is exactly 0.0 when is_real() holds)."""
+        return complex(self._nearest_part(0), self._nearest_part(1))
+
+    def _nearest_part(self, part: int) -> float:
+        # fixed_parts at doubling bits until both ends of the error interval
+        # round to one double, which is then the nearest; a part with an
+        # exact rational value (0 included) is read from it, so the loop
+        # ends: an irrational part is no midpoint between two doubles
+        bits = FIRST_BITS
+        while True:
+            fixed = self.fixed_parts(bits)
+            scale = self.den << bits
+            lo = (fixed[part] - fixed[2]) / scale
+            if lo == (fixed[part] + fixed[2]) / scale:
+                return lo
+            if bits == FIRST_BITS:
+                exact = self._rational_part(part)
+                if exact is not None:
+                    return float(exact)
+            bits *= 2
+
+    def _rational_part(self, part: int) -> Fraction | None:
+        """The real (part 0) or imaginary (part 1) part as a Fraction when it
+        is rational, else None: 2 Re x = x + conj(x), and 2 Im x =
+        (conj(x) - x) i, which lies in the field when 4 | N (i = zeta^(N/4));
+        otherwise a nonzero imaginary part is not rational."""
+        c = self.conj()
+        if part == 0:
+            y = self + c
+        elif c == self:
+            return Fraction(0)
+        elif self.order % 4 == 0:
+            y = (c - self).times_zeta(self.order // 4)
+        else:
+            return None
+        return y.as_fraction() / 2 if y.is_rational() else None
 
     def real_sign(self) -> int:
         """Exact sign of the real part of the embedding.
 
-        Fast path: double-precision evaluation with a conservative error
-        bound; near-zero cases escalate to rigorous interval arithmetic.
+        The real part is x / 2 for the real field element x = self +
+        conj(self).  A rational x is read exactly; otherwise x != 0 is
+        evaluated by fixed_parts at FIRST_BITS, twice that, ... bits until
+        the value exceeds its error bound, which it does since x is not 0.
         """
-        if self.is_zero():
-            return 0
         if self.is_rational():
-            f = self.as_fraction()
-            return 0 if f == 0 else (1 if f > 0 else -1)
-        x = self + self.conj()  # 2*Re(self), real and exact
-        if x.is_zero():
-            return 0
+            return (self.vec[0] > 0) - (self.vec[0] < 0)
+        x = self + self.conj()
         if x.is_rational():
-            f = x.as_fraction()
-            return 1 if f > 0 else -1
-        try:
-            total = 0.0
-            scale = 0.0
-            for j, c in enumerate(x.vec):
-                if c:
-                    cf = float(c)
-                    total += cf * math.cos(2.0 * math.pi * j / x.order)
-                    scale += abs(cf)
-            # per-term error is a few ulp; 1e-12 * scale is a generous bound
-            if abs(total) > 1e-12 * scale:
-                return 1 if total > 0 else -1
-        except OverflowError:
-            pass
-        import mpmath  # deferred: the float path above decides almost every sign
-        for dps in (30, 60, 120, 300):
-            with mpmath.workdps(dps):
-                iv = mpmath.iv.mpf(0)
-                for j, c in enumerate(x.vec):
-                    if c:
-                        ang = 2 * mpmath.iv.pi * j / x.order
-                        iv += c * mpmath.iv.cos(ang)
-                if iv > 0:
-                    return 1
-                if iv < 0:
-                    return -1
-        raise ArithmeticError("could not certify sign; increase precision ladder")
+            return (x.vec[0] > 0) - (x.vec[0] < 0)
+        bits = FIRST_BITS
+        while True:
+            re, _, err = x.fixed_parts(bits)
+            if abs(re) > err:
+                return 1 if re > 0 else -1
+            bits *= 2
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"

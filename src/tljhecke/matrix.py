@@ -749,12 +749,14 @@ class SignedSqrtMatrix:
     def ncols(self) -> int:
         return self.squares.ncols
 
-    def embed(self, precision: int = 15):
+    def embed(self):
+        """The entries as doubles, each the root of a double within
+        embed_error() of its square."""
         import numpy as np
         out = np.zeros((self.nrows, self.ncols), dtype=float)
         for i in range(self.nrows):
             for j in range(self.ncols):
-                s = self.squares[i, j].embed(precision)
+                s = self.squares[i, j].embed()
                 out[i, j] = self.signs[i][j] * math.sqrt(abs(s.real))
         return out
 

@@ -32,9 +32,9 @@ are memoized per TheoryParams, each distinct value once:
   Delta_k / (Theta(i,m,k) Theta(j,l,k)) reads: one product per pair (552
   pairs for the 1,680 labelings at r=6).  sixj_at checks admissibility
   through tet_at and keeps a per-labeling memo in front of it, for library
-  callers such as coupling_a_at; the coefficient tables read both memos
-  directly through _tet_and_sixj_at, one labeling at a time, and leave no
-  per-labeling entry.
+  callers; coupling_a_at reads the orbit and weight memos, and the
+  coefficient tables read both memos directly through _tet_and_sixj_at,
+  one labeling at a time, and leave no per-labeling entry.
 
 The generic path memoizes per labeling, so it stays an independent
 reference.  Caches are write-once per key and idempotent, so concurrent
@@ -445,10 +445,17 @@ def _factored_inverse(params: TheoryParams, f: _Factored) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def qint_at(params: TheoryParams, n: int) -> CycNumber:
-    if n == 0:
-        return CycNumber.zero(params.root_order)
+    """[n] at the root.  [n + p] = A^(2p) [n], and A^(2p) is 1 when N = 2p
+    (odd r) and -1 when N = 4p (even r, k odd), so only 0 < n < p reads
+    Phi_m values (m <= 4n), and [p] = 0."""
     if n < 0:
         return -qint_at(params, -n)
+    p = params.p
+    if n >= p:
+        v = qint_at(params, n % p)
+        return -v if (n // p) % 2 and params.level % 2 == 0 else v
+    if n == 0:
+        return CycNumber.zero(params.root_order)
     return _factored_value(params, _qint_factored(n))
 
 
@@ -468,10 +475,16 @@ def delta_inv_at(params: TheoryParams, i: Color) -> CycNumber:
     return -v if i % 2 else v
 
 
+def twist_log(params: TheoryParams, i: Color) -> int:
+    """The t in 0..N-1 with theta_i = (-1)^i A^(i(i+2)) = zeta_N^t; N is even,
+    so -1 = zeta_N^(N/2)."""
+    N = params.root_order
+    return (params.root_exponent * i * (i + 2) + N // 2 * (i % 2)) % N
+
+
 @lru_cache(maxsize=None)
 def twist_at(params: TheoryParams, i: Color) -> CycNumber:
-    v = params.zeta((params.root_exponent * i * (i + 2)) % params.root_order)
-    return -v if i % 2 else v
+    return params.zeta(twist_log(params, i))
 
 
 @lru_cache(maxsize=None)

@@ -46,15 +46,17 @@ from .recoupling import (
     delta_at,
     delta_inv_at,
     global_constants,
+    _sixj_weight_at,
+    _sixj_weight_key,
+    _tet_key,
+    _tet_orbit_at,
     sixj,
-    sixj_at,
     tet_at,
     theta_at,
     theta_inv_at,
     theta_net,
     twist,
-    twist_at,
-    verlinde_dim,
+    twist_log,
 )
 from .report import ReportItem, VerifyReport
 
@@ -131,19 +133,30 @@ def coupling_a_bar(params: TheoryParams, i: int, j: int, l: int) -> LaurentFract
 
 
 @lru_cache(maxsize=None)
+def _channel_at(params: TheoryParams, i: int, j: int, k: int) -> CycNumber:
+    """Delta_k theta_k^-1 Theta(i,j,k)^-1: the factor of channel k of
+    a^{i,j}_l that does not depend on l (theta_k^-1 is a shift)."""
+    return (delta_at(params, k) * theta_inv_at(params, i, j, k)).times_zeta(
+        -twist_log(params, k))
+
+
+@lru_cache(maxsize=None)
 def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
+    """a^{i,j}_l at the root, as coupling_a with the factors hoisted: the 6j
+    symbol {i j l; j i k} is Tet(i,j,k,j,i,l) times the weight
+    Delta_l / (Theta(i,i,l) Theta(j,j,l)), which no channel k changes, and
+    theta_i theta_j is one shift of the sum."""
     r = params.level
     N = params.root_order
     total = CycNumber.zero(N)
     if not _coupling_support(r, i, j, l):
         return total
     for k in color_set(r):
-        if not admissible(r, i, j, k):
-            continue
-        tw = twist_at(params, i) * twist_at(params, j) * twist_at(params, k).conj()
-        total = total + (delta_at(params, k) * tw * theta_inv_at(params, i, j, k)
-                         * sixj_at(params, i, j, l, j, i, k))
-    return total
+        if admissible(r, i, j, k):
+            total = total + _channel_at(params, i, j, k) * _tet_orbit_at(
+                params, *_tet_key(i, j, k, j, i, l))
+    weight = _sixj_weight_at(params, *_sixj_weight_key(l, i, j, j, i))
+    return (total * weight).times_zeta(twist_log(params, i) + twist_log(params, j))
 
 
 # --------------------------------------------------------------------------
@@ -171,12 +184,12 @@ class Genus2Rep:
     @cached_property
     def e(self) -> tuple[CycNumber, ...]:
         """E = D T, built on first access."""
-        return tuple(d * t for d, t in zip(self.jcols, self.tdiag))
+        return tuple(_times_power(d, t, 1) for d, t in zip(self.jcols, self.tdiag))
 
     @cached_property
     def e_inv(self) -> tuple[CycNumber, ...]:
-        """E' = D T^-1, as D conj(T): each t is +-zeta^b."""
-        return tuple(d * t.conj() for d, t in zip(self.jcols, self.tdiag))
+        """E' = D T^-1."""
+        return tuple(_times_power(d, t, -1) for d, t in zip(self.jcols, self.tdiag))
 
     @cached_property
     def j_field(self) -> ExactMatrix:
@@ -254,10 +267,20 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     return ExactMatrix.from_vectors(N, [vecs[b * n:(b + 1) * n] for b in range(n)], den)
 
 
+def _times_power(d: CycNumber, t: CycNumber, sign: int) -> CycNumber:
+    """d t^sign for a twist product t, which is a power of zeta (as built),
+    so a shift; any other t is multiplied."""
+    b = t.zeta_log()
+    if b is None:
+        return d * (t if sign > 0 else t.inverse())
+    return d.times_zeta(sign * b)
+
+
 def t_genus2(params: TheoryParams) -> tuple[CycNumber, ...]:
-    """The diagonal of T: it acts on u_(i,j,k) by theta_i * theta_j."""
-    basis = enumerate_basis(params.level)
-    return tuple(twist_at(params, i) * twist_at(params, j) for (i, j, k) in basis.triples)
+    """The diagonal of T: it acts on u_(i,j,k) by theta_i * theta_j, the
+    power zeta^(t_i + t_j)."""
+    return tuple(params.zeta(twist_log(params, i) + twist_log(params, j))
+                 for (i, j, k) in enumerate_basis(params.level).triples)
 
 
 def _norms_positive(params: TheoryParams) -> bool:
@@ -282,13 +305,16 @@ def genus2_rep(params: TheoryParams) -> Genus2Rep:
 
     # column factors of the representation matrix in the unnormalized basis:
     # J'_{sigma,mu} = Delta_{i2} Delta_{j2} Delta_{k2} / (D^2 Theta_mu^2) J~_{sigma,mu}
-    col = []
-    for (i, j, k) in basis.triples:
-        dprod = delta_at(params, i) * delta_at(params, j) * delta_at(params, k)
-        th_inv = theta_inv_at(params, i, j, k)
-        col.append(dprod * th_inv * th_inv * d2_inv)
+    # (symmetric in i, j, k: one value per multiset)
+    col = {}
+    for key in map(tuple, map(sorted, basis.triples)):
+        if key not in col:
+            th_inv = theta_inv_at(params, *key)
+            i, j, k = (delta_at(params, c) for c in key)
+            col[key] = i * j * k * th_inv * th_inv * d2_inv
+    jcols = tuple(col[tuple(sorted(t))] for t in basis.triples)
 
-    return Genus2Rep(params, basis, jt, tuple(col), t_genus2(params), gc,
+    return Genus2Rep(params, basis, jt, jcols, t_genus2(params), gc,
                      _norms_positive(params))
 
 
@@ -522,11 +548,11 @@ class TraceEntry:
 
 
 def trace_entry(params: TheoryParams) -> TraceEntry:
-    """tr(J T J T^-1) at one root, exactly and as a 40-digit embedding,
-    beside dim V."""
+    """tr(J T J T^-1) at one root, exactly and as the nearest doubles
+    (CycNumber.embed_nearest), beside dim V, the size of the basis."""
     v = trace_jtjt(params)
-    return TraceEntry(params.level, params.root_exponent, v,
-                      complex(*_mp_embed(v, 40)), verlinde_dim(params.level, 2))
+    return TraceEntry(params.level, params.root_exponent, v, v.embed_nearest(),
+                      len(enumerate_basis(params.level)))
 
 
 def trace_table(levels=(3, 5, 7, 9, 11, 13)) -> list[TraceEntry]:
@@ -535,18 +561,13 @@ def trace_table(levels=(3, 5, 7, 9, 11, 13)) -> list[TraceEntry]:
 
 def trace_galois_sweep(r: int) -> list[tuple[int, complex]]:
     """The trace at every Galois-conjugate root A = zeta^k, for the documented
-    sweep.  Every entry of J' and T lies in Q(A), so the trace at zeta^k is
-    sigma_k of the trace at zeta: one representation is built, not phi(N)."""
+    sweep, as the nearest doubles.  Every entry of J' and T lies in Q(A), so
+    the trace at zeta^k is sigma_k of the trace at zeta: one representation
+    is built, not phi(N)."""
     p0 = trace_params(r)
     v = trace_jtjt(p0)
     N = p0.root_order
-    return [(k, complex(*_mp_embed(v.galois(k), 40)))
-            for k in range(1, N) if math.gcd(k, N) == 1]
-
-
-def _mp_embed(x: CycNumber, dps: int) -> tuple[float, float]:
-    z = x.embed_mp(dps)
-    return (float(z.real), float(z.imag))
+    return [(k, v.galois(k).embed_nearest()) for k in range(1, N) if math.gcd(k, N) == 1]
 
 
 @dataclass(frozen=True)
@@ -665,8 +686,8 @@ def trace_certificate(params: TheoryParams) -> tuple[bool, str]:
     for a finite image of the unitary family.
 
     Decided exactly (TraceEntry.exceeds_dimension): the trace equals its
-    conjugate in Q(zeta_N) and real_sign(tr - dim) > 0.  The 40-digit
-    embedding only prints the value.
+    conjugate in Q(zeta_N) and real_sign(tr - dim) > 0.  The nearest
+    doubles only print the value.
     """
     e = trace_entry(params)
     return e.exceeds_dimension, (f"tr = {e.approx.real:.4f}{e.approx.imag:+.1e}i "

@@ -101,13 +101,30 @@ def test_verify_and_certify_do_not_import_numpy():
     assert res.returncode == 0, res.stderr
 
 
-def test_verify_and_coefficients_do_not_import_mpmath():
-    # mpmath is imported at the first embedding past double precision or the
-    # first sign that the float path cannot decide; these jobs reach neither
+def test_no_command_imports_mpmath(tmp_path):
+    # the package evaluates every embedding on Python ints: each command at
+    # r <= 4 (modular-data up to r = 6), in json and in pretty output (at 20
+    # digits too), and the trace sweep leave mpmath unimported
+    graph = tmp_path / "graph.txt"
+    graph.write_text("2 2\n1 0\n1 1\n1 1\n1 1\n")
+    argvs = [["dims"], ["dims", "--genus", "3", "--levels", "2,3,4"],
+             ["trace-table", "--levels", "3"], ["spin-dims", "--level", "2", "--genus", "2"],
+             ["hecke-sl2", "--q", "5", "--word", "A B A^-1 J"],
+             ["hecke-sl2", "--q", "5", "--hyperelliptic"], ["thurston", "--graph", str(graph)],
+             ["modular-data", "--level", "5"], ["modular-data", "--level", "6"]]
+    for r in range(1, 5):
+        for cmd in ("modular-data", "genus2-matrices", "verify", "infinite-image",
+                    "coefficients"):
+            argvs.append([cmd, "--level", str(r)])
+        argvs.append(["genus2-matrices", "--level", str(r), "--raw"])
+    runs = [[*fmt, *argv] for argv in argvs
+            for fmt in (["--format", "json"], [], ["--precision", "20"])]
     prog = ("import sys\n"
             "from tljhecke.cli import main\n"
-            "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
-            "assert main(['--format', 'json', 'coefficients', '--level', '3']) == 0\n"
+            "from tljhecke.rep_genus2 import trace_galois_sweep\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert len(trace_galois_sweep(5)) == 6\n"
             "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)\n")
     src = os.path.dirname(os.path.dirname(tljhecke.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -326,7 +343,7 @@ def _printed_numbers(out: str) -> list[str]:
 
 
 @pytest.mark.parametrize("precision", [14, 15, 20])
-def test_pretty_digits_match_a_50_digit_embedding(capsys, precision):
+def test_pretty_digits_match_a_50_digit_embedding(capsys, precision, mp_embed):
     # each printed number is the exact embedding rounded to the precision
     # (a double cannot carry 15 or 20 decimals of these values)
     import mpmath
@@ -335,7 +352,7 @@ def test_pretty_digits_match_a_50_digit_embedding(capsys, precision):
         tol = mpmath.mpf(10) ** -precision / 2 + mpmath.mpf(10) ** -(precision + 8)
 
         def parts(xs):
-            return [p for x in xs for z in [x.embed_mp(50)] for p in (z.real, z.imag)]
+            return [p for x in xs for z in [mp_embed(x, 50)] for p in (z.real, z.imag)]
 
         def check(argv, want):
             code, out = run(capsys, "--precision", str(precision), *argv)
@@ -354,28 +371,11 @@ def test_pretty_digits_match_a_50_digit_embedding(capsys, precision):
             assert rep.positive
             u = rep.junitary
             check(["genus2-matrices", "--level", str(r)],
-                  [sign * mpmath.sqrt(abs(x.embed_mp(50).real))
+                  [sign * mpmath.sqrt(abs(mp_embed(x, 50).real))
                    for row, signs in zip(u.squares.rows, u.signs) for x, sign in zip(row, signs)]
                   + parts(rep.tdiag))
             check(["genus2-matrices", "--level", str(r), "--raw"],
                   parts(x for row in rep.jtilde.rows for x in row) + parts(rep.tdiag))
-
-
-def test_pretty_output_at_default_precision_does_not_import_mpmath():
-    # doubles meet 10^-6 for every value these commands print
-    prog = ("import sys\n"
-            "from tljhecke.cli import main\n"
-            "for r in range(1, 7):\n"
-            "    assert main(['modular-data', '--level', str(r)]) == 0\n"
-            "for r in range(1, 5):\n"
-            "    assert main(['genus2-matrices', '--level', str(r)]) == 0\n"
-            "    assert main(['genus2-matrices', '--level', str(r), '--raw']) == 0\n"
-            "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)\n")
-    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
 
 
 def test_verify_root_names_its_residue(capsys):
@@ -590,7 +590,9 @@ def test_closed_stdout_exits_quietly():
 # relations and certificates, pinned at the commit before the vector-backed
 # ExactMatrix (the digests did not change with it), and of the coefficient
 # tables at r = 2..7, pinned before the 6j symbols were shared per (Tet orbit,
-# weight) pair
+# weight) pair.  infinite-image --level 5 was pinned again when the printed
+# trace took its parts from the nearest doubles: its trace is real, and its
+# imaginary part reads +0.0e+00 where a 40-digit evaluation left -4.6e-41
 
 _JSON_SHA256 = {
     "genus2-matrices --level 2":
@@ -622,7 +624,7 @@ _JSON_SHA256 = {
     "infinite-image --level 4":
         "55c8a99d1c926a6195c571bebd36813346fac9944b2d34fb8f17ef6252f9c8a7",
     "infinite-image --level 5":
-        "67eec5214c304f2fd09da1396241e8178fc48c17c65049c26dd66c36816552bf",
+        "3dd0c01365372d694874badde67748c2b86fdb1f8eae801adf94feb029f006f7",
     "infinite-image --level 6":
         "61fc5865aedbaf69cbab3e07d161ca61810c390c5530f43a6439f55e4580ec6d",
     "infinite-image --level 7":

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tljhecke.exactnum import (
+    FIRST_BITS,
     CycNumber,
     IntPolynomial,
     LaurentFraction,
@@ -519,7 +520,7 @@ def test_embed_examples():
     z = CycNumber.zeta(20, 4)
     sqrt5 = 1 + 2 * (z + z.conj())
     val = (CycNumber.from_rational(20, 5) - sqrt5) / 10
-    w = val.embed(7)
+    w = val.embed()
     assert abs(w.real - (5 - math.sqrt(5)) / 10) < 1e-7
     assert abs(w.imag) < 1e-7
 
@@ -530,6 +531,102 @@ def test_real_sign():
     assert sqrt5.real_sign() == 1
     assert (-sqrt5).real_sign() == -1
     assert CycNumber.zero(20).real_sign() == 0
+
+
+# --------------------------------------------------------------------------
+# the fixed-point evaluator, against mpmath at 60 digits
+
+_ORDERS = st.integers(1, 64)
+
+
+@st.composite
+def _cyc_numbers(draw, big=2 ** 200):
+    N = draw(_ORDERS)
+    coeff = st.integers(-big, big) | st.integers(-9, 9)
+    vec = draw(st.lists(coeff, min_size=euler_phi(N), max_size=euler_phi(N)))
+    return CycNumber(N, vec, draw(st.integers(1, 2 ** 100) | st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=_ORDERS, bits=st.sampled_from([1, 16, 53, 64, 128, 150]))
+def test_unit_root_table_is_within_one_unit(mp_embed, N, bits):
+    import mpmath
+    from tljhecke.exactnum import _unit_roots
+    cos, sin = _unit_roots(N, bits)
+    assert len(cos) == len(sin) == euler_phi(N)
+    with mpmath.workdps(60):
+        for j, (c, s) in enumerate(zip(cos, sin)):
+            z = mpmath.expjpi(mpmath.mpf(2 * j) / N) * 2 ** bits
+            assert abs(c - z.real) <= 1 and abs(s - z.imag) <= 1, (N, bits, j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_cyc_numbers(), bits=st.sampled_from([16, 64, 128, 150]))
+def test_fixed_parts_are_within_their_bound(mp_embed, x, bits):
+    import mpmath
+    re, im, err = x.fixed_parts(bits)
+    assert err == sum(map(abs, x.vec))
+    with mpmath.workdps(60):
+        z = mp_embed(x, 60) * x.den * 2 ** bits
+        # mpmath's own error, 60 digits of the sum of |c| 2**bits, is far
+        # below one unit of 2**-bits at these sizes, and is allowed for
+        slack = err * 2 ** bits * mpmath.mpf(10) ** -58
+        assert abs(re - z.real) <= err + slack
+        assert abs(im - z.imag) <= err + slack
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_cyc_numbers())
+def test_embed_nearest_is_the_nearest_double(mp_embed, x):
+    z = mp_embed(x, 60)
+    assert x.embed_nearest() == complex(float(z.real), float(z.imag))
+    # embed() stays within embed_error() on every path, the evaluator's too
+    w, bound = x.embed(), x.embed_error()
+    assert abs(w.real - float(z.real)) <= bound and abs(w.imag - float(z.imag)) <= bound
+
+
+def test_embed_nearest_reads_rational_parts_exactly():
+    # a part that is rational is not bracketed by any error interval: it is
+    # read from the field, zero and a midpoint between two doubles included
+    tie = Fraction(2 ** 53 + 1, 2 ** 53)
+    i = CycNumber.zeta(4)
+    for x, want in [(CycNumber.zero(5), 0j),
+                    (CycNumber.from_rational(7, tie), complex(float(tie), 0.0)),
+                    (i * tie + 3, complex(3.0, float(tie))),
+                    (CycNumber.zeta(20, 3) + CycNumber.zeta(20, 17), None)]:
+        z = x.embed_nearest()
+        if want is not None:
+            assert z == want and math.copysign(1, z.imag) == 1
+        else:
+            assert z.imag == 0.0 and abs(z.real - 2 * math.cos(3 * math.pi / 10)) < 1e-15
+
+
+def _fib_residual(N, n):
+    # F_{n+1} - F_n phi = (-1)^n phi^-n, with phi = 1 + zeta_5 + zeta_5^-1
+    # lifted to Q(zeta_N): a real number about 0.62^n whose coefficients
+    # are about phi^n
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    z = CycNumber.zeta(N, N // 5)
+    return CycNumber.from_rational(N, b) - (1 + z + z.conj()) * a
+
+
+@pytest.mark.parametrize("N, n", [(5, 120), (10, 151), (20, 200), (40, 333)])
+def test_real_sign_escalates_on_near_zero_reals(monkeypatch, N, n):
+    seen = []
+    fixed_parts = CycNumber.fixed_parts
+    monkeypatch.setattr(CycNumber, "fixed_parts",
+                        lambda x, bits: seen.append(bits) or fixed_parts(x, bits))
+    x = _fib_residual(N, n)
+    assert x.real_sign() == (-1) ** n
+    assert (-x).real_sign() == -(-1) ** n
+    # an imaginary part does not change the sign of the real part
+    if N % 4 == 0:
+        assert (x + CycNumber.zeta(N, N // 4) * 10 ** 40).real_sign() == (-1) ** n
+    # the value is below its error bound at the first bits, so they doubled
+    assert seen[0] == FIRST_BITS and max(seen) > FIRST_BITS, seen
+    assert abs(x.embed_nearest().real) < 0.62 ** n
 
 
 def test_lift_preserves_value():

@@ -33,6 +33,7 @@ from tljhecke.rep_genus2 import (
     jtilde,
     minpoly_certificate,
     t_genus2,
+    trace_entry,
     trace_galois_sweep,
     trace_jtjt,
     trace_params,
@@ -786,6 +787,22 @@ def test_trace_is_real_at_trace_root():
 def test_trace_r7_exceeds_dimension():
     v = trace_jtjt(trace_params(7))
     assert v.embed().real > verlinde_dim(7, 2)
+
+
+def test_sweep_real_parts_match_40_digit_doubles(mp_embed):
+    # the sweep's real parts are the doubles that a 40-digit mpmath
+    # evaluation rounds to, and its imaginary parts are exactly 0: the trace
+    # is real at k = 1, and so is every Galois conjugate of it
+    for r in range(3, 14, 2):
+        v = trace_jtjt(trace_params(r))
+        assert v.is_real(), r
+        for k, z in trace_galois_sweep(r):
+            assert z == complex(float(mp_embed(v.galois(k), 40).real), 0.0), (r, k)
+
+
+def test_trace_entry_dimension_is_the_verlinde_dimension():
+    for r in (1, 2, 3, 4, 5):
+        assert trace_entry(TheoryParams(r)).dimension == verlinde_dim(r, 2), r
 
 
 def _unit_roots(N):
