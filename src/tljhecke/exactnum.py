@@ -1,9 +1,10 @@
 """Exact arithmetic kernel: rationals, Laurent polynomials in the formal
 variable A, their fraction field, and cyclotomic fields Q(zeta_N).
 
-Everything here is exact.  Floats appear only in the embeddings and in the
-fast path of real_sign, whose result is bounded or re-decided by interval
-arithmetic, so no result is decided by rounding.  Square roots are never
+Everything here is exact.  Floats appear only in the embeddings; real_sign
+decides on Python ints, from a fixed-point table of cos and sin(2 pi j / N)
+with a proven error bound (_unit_roots), so no result is decided by
+rounding.  Square roots are never
 taken: a quantity known only through its square (an entry of the unitary
 genus-2 matrix, the global dimension D) is carried as its square and a sign.
 

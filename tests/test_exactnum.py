@@ -549,7 +549,7 @@ def _cyc_numbers(draw, big=2 ** 200):
 
 @settings(max_examples=60, deadline=None)
 @given(N=_ORDERS, bits=st.sampled_from([1, 16, 53, 64, 128, 150]))
-def test_unit_root_table_is_within_one_unit(mp_embed, N, bits):
+def test_unit_root_table_is_within_one_unit(N, bits):
     import mpmath
     from tljhecke.exactnum import _unit_roots
     cos, sin = _unit_roots(N, bits)

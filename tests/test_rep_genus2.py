@@ -33,7 +33,6 @@ from tljhecke.rep_genus2 import (
     jtilde,
     minpoly_certificate,
     t_genus2,
-    trace_entry,
     trace_galois_sweep,
     trace_jtjt,
     trace_params,
@@ -798,11 +797,6 @@ def test_sweep_real_parts_match_40_digit_doubles(mp_embed):
         assert v.is_real(), r
         for k, z in trace_galois_sweep(r):
             assert z == complex(float(mp_embed(v.galois(k), 40).real), 0.0), (r, k)
-
-
-def test_trace_entry_dimension_is_the_verlinde_dimension():
-    for r in (1, 2, 3, 4, 5):
-        assert trace_entry(TheoryParams(r)).dimension == verlinde_dim(r, 2), r
 
 
 def _unit_roots(N):
