@@ -133,6 +133,38 @@ def test_no_command_imports_mpmath(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_verify_and_coefficients_do_not_import_mpmath():
+    # relation checks and coefficient tables run on exact field elements and
+    # integer embeddings only
+    prog = ("import sys\n"
+            "from tljhecke.cli import main\n"
+            "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
+            "assert main(['--format', 'json', 'coefficients', '--level', '3']) == 0\n"
+            "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)\n")
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+def test_pretty_output_at_default_precision_does_not_import_mpmath():
+    # the fixed-point integer embedding prints every value at 10^-6
+    prog = ("import sys\n"
+            "from tljhecke.cli import main\n"
+            "for r in range(1, 7):\n"
+            "    assert main(['modular-data', '--level', str(r)]) == 0\n"
+            "for r in range(1, 5):\n"
+            "    assert main(['genus2-matrices', '--level', str(r)]) == 0\n"
+            "    assert main(['genus2-matrices', '--level', str(r), '--raw']) == 0\n"
+            "sys.exit('mpmath imported' if 'mpmath' in sys.modules else 0)\n")
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
 def test_python_dash_m_runs_the_cli():
     # `PYTHONPATH=src python -m tljhecke ...` works without an install
     src = os.path.dirname(os.path.dirname(tljhecke.__file__))
