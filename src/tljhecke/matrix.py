@@ -1,26 +1,26 @@
 """Dense matrices over a cyclotomic field, with exact arithmetic.
 
-An ExactMatrix is held in one form, the integer coefficient vectors of its
-entries over one denominator; every operation reads and returns it, and an
-entry becomes a CycNumber only when read (m[i, j], rows).  Products run on
-one packed-integer kernel (Kronecker substitution): the vectors are encoded
-into single big integers (signed digits in base 2**W), so one
-entry-times-entry product is one bignum multiply.  A packed
-vector is its polynomial evaluated at x = 2**W, so reducing mod Phi_N(x) is
-reducing the packed integer mod M = Phi_N(2**W): every output entry is a
-dot product of packed rows (_dots), taken mod M once, its balanced residue
-unpacked into phi digits.
+An ExactMatrix is held in one form: a table of the distinct integer
+coefficient vectors of its entries, a matrix of indices into it, and one
+denominator.  The table lists each value once, in the order it first
+appears in row-major order, over a denominator in lowest terms, so the form
+is unique: == and hash compare values, and equal entries are equal indices.
+Table and index are tuples, so no step can write into a vector.  An entry
+becomes a CycNumber only when read (m[i, j], rows).
 
-The genus-2 matrices have few distinct values (J~ at r = 6: 109 among its
-7,056 entries), so the kernel does its per-entry work once per distinct
-value.  Within one _dots or _scale_columns call the width and M are fixed,
+Products run on one packed-integer kernel (Kronecker substitution): a
+vector is packed into one big integer, its polynomial at x = 2**W (signed
+digits in base 2**W), so reducing mod Phi_N(x) is reducing mod
+M = Phi_N(2**W).  Every output entry is a dot product of packed rows
+(_dots), taken mod M once, its balanced residue unpacked into phi digits;
+a diagonal factor is one packed product per entry (_scale_columns).  Each
+table entry is packed once, and within one call the width and M are fixed,
 so equal residues are equal vectors: each distinct residue is unpacked
-once (_unpacker), and every output equal to it is that one list.  Each
-distinct input vector object is packed once (_map_once, keyed by id while
-the rows are alive), so the shared outputs of one call are packed once by
-the next.  Outputs therefore alias, and no function here modifies a
-vector: _lowest_terms and _unfold build new lists, dividing or rescaling
-each distinct object once, so vectors shared before are shared after.
+once, into the output table (_unpacker).  Sums (ExactMatrix addition,
+_unfold) are interned by their coefficient tuples, and content is divided
+out over the table (_lowest_terms).  The genus-2 matrices have few distinct
+values (J~ at r = 6: 109 among its 7,056 entries), so this work is done
+once per value, not per entry.
 
 The width rule makes that residue exact.  With B the bound on the 2 phi - 1
 unfolded digits of a dot product (phi * length * max|a| * max|b|) and g_N =
@@ -28,32 +28,18 @@ unfolded digits of a dot product (phi * length * max|a| * max|b|) and g_N =
 (_fold_gain: 2-6 at the orders of r <= 13, 28 at N = 105), every folded
 digit is at most g_N B < 2**(W - 2) in absolute value for W = bits(g_N B) + 2.
 So |F(2**W)| < M / 2 for the folded F, checked once per width (_modulus,
-ArithmeticError if not), and the balanced residue is F(2**W) itself.  A
-diagonal factor w is applied the same way (_scale_columns): entry times w
-is one packed product mod M, with no CycNumber product.
+ArithmeticError if not), and the balanced residue is F(2**W) itself.
 
-ExactMatrix.dots(B, pairs, *diags) is the one entry point, returning vectors
-over one denominator: A @ B pairs every row of A with every column of B.  J~
-assembly (its half-terms are dots of rows of length 1), the trace of
-J T J T^-1 and the genus-2 relation checks all run through it.
-
-A.folding(pi) is the one way to form A diag(x) A.  It checks that A is
-symmetric and fixed by the involution pi, and folds the rows of A, summed
-and subtracted over the pairs i < pi i, once.  For each x, Folding.blocks
-gives three products of |R| + |F| and |R| rows (R the pairs, F the fixed
-points), upper triangles only, and Folding.product sums four of their
-entries into each entry of A diag(x) A (_unfold), as coefficient vectors
-over one denominator.  With pi the identity this is the plain half-product.
-A product S is symmetric but in general not fixed by pi, so a chained step
-folds it over the identity, unchecked: with f = A.folding(pi),
-Folding(N, *f.product(x), range(n)).product(y) is S diag(y) S.  The genus-2
-relation checks fold J~ over the swap of the theta basis this way.
+ExactMatrix.dots(B, pairs, *diags) is the one entry point, returning one
+row of dot products; A @ B, J~ assembly, the trace of J T J T^-1 and the
+genus-2 relation checks all run through it.  A.folding(pi) is the one way
+to form A diag(x) A for a symmetric A fixed by an involution pi (Folding).
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
 determinant is nonzero" is decided faster modulo a split prime: residue_matrix
 maps a matrix into F_p (exactnum.SplitPrime, one inverse of its denominator,
-one residue per distinct vector object), and matmul_mod, poly_at_matrix_mod
+one residue per table entry), and matmul_mod, poly_at_matrix_mod
 and det_mod compute there on Kronecker-packed rows, as the MeatAxe does: a
 row of residues in [0, p) is one integer of nonnegative whole-byte digits,
 wide enough for a sum of n products below (p - 1)^2.  A row of A B is
@@ -72,8 +58,8 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, product
+from typing import Iterable, Sequence
 
 from .exactnum import (
     CycNumber,
@@ -84,7 +70,6 @@ from .exactnum import (
     cyclotomic_poly,
     euler_phi,
 )
-
 
 def _pack_digits(digits: Sequence[int], width: int) -> int:
     acc = 0
@@ -119,31 +104,37 @@ def _check_length(diag: Sequence[CycNumber], n: int) -> None:
         raise ValueError(f"diagonal of length {len(diag)} where {n} is needed")
 
 
-def _distinct(rows: Iterable[Iterable[list[int]]]) -> dict[int, list[int]]:
-    """The distinct vector objects of rows of vectors, by id."""
-    return {id(v): v for row in rows for v in row}
+def _max_abs(table: Sequence) -> int:
+    """The largest absolute coefficient of a table, at least 1."""
+    return max(map(abs, chain.from_iterable(table)), default=0) or 1
 
 
-def _max_abs(rows: Sequence[Sequence[list[int]]]) -> int:
-    """The largest absolute coefficient, at least 1, read once per distinct
-    vector."""
-    return max(map(abs, chain.from_iterable(_distinct(rows).values())), default=0) or 1
+def _intern(table: Sequence, index: Iterable[Iterable[int]]) -> tuple[tuple, tuple]:
+    """(table, index) in the unique form: equal values merged, numbered in
+    the order they first appear in row-major order, unused ones dropped."""
+    index = tuple(map(tuple, index))
+    seen, new = {}, {}
+    for k in dict.fromkeys(chain.from_iterable(index)):
+        new[k] = seen.setdefault(tuple(table[k]), len(seen))
+    if len(seen) == len(table) and list(new) == list(range(len(table))):
+        return tuple(seen), index
+    return tuple(seen), tuple(tuple(map(new.__getitem__, row)) for row in index)
 
 
-def _map_once(f, rows: list[list[list[int]]]) -> list[list]:
-    """rows with f applied to every vector, once per distinct vector object:
-    vectors shared before share their image after."""
-    done = {k: f(v) for k, v in _distinct(rows).items()}
-    return [[done[id(v)] for v in row] for row in rows]
+def _tabulate(rows: Iterable[Iterable]) -> tuple[tuple, list[list[int]]]:
+    """The distinct items of rows, in row-major order, and an index."""
+    seen = {}
+    index = [[seen.setdefault(x, len(seen)) for x in row] for row in rows]
+    return tuple(seen), index
 
 
-def _lowest_terms(rows: list[list[list[int]]], den: int) -> tuple[list[list[list[int]]], int]:
-    """rows / den with their content divided out, as new rows and the new
-    denominator; each distinct vector is divided once, into a new list."""
-    g = math.gcd(den, *chain.from_iterable(_distinct(rows).values()))
+def _lowest_terms(table: Sequence, den: int) -> tuple[tuple, int]:
+    """table / den with the content divided out: the new table and
+    denominator.  Division is injective, so the entries stay distinct."""
+    g = math.gcd(den, *chain.from_iterable(table))
     if g == 1:
-        return rows, den
-    return _map_once(lambda v: [c // g for c in v], rows), den // g
+        return tuple(table), den
+    return tuple(tuple(c // g for c in v) for v in table), den // g
 
 
 @lru_cache(maxsize=None)
@@ -179,120 +170,102 @@ def _modulus(N: int, width: int) -> int:
 
 
 def _unpacker(M: int, width: int, phi: int):
-    """x -> the phi digits of the balanced residue of x mod M = Phi_N(2**width),
-    unpacked once per distinct residue: equal residues give the same list."""
-    done = {}
+    """An output table, and x -> the index in it of the balanced residue of
+    x mod M = Phi_N(2**width), unpacked into phi digits once per residue."""
+    table, done = [], {}
 
-    def unpack(x: int) -> list[int]:
+    def unpack(x: int) -> int:
         x %= M
-        v = done.get(x)
-        if v is None:
-            v = done[x] = _unpack_digits(x - M if 2 * x > M else x, width, phi)
-        return v
-    return unpack
+        k = done.get(x)
+        if k is None:
+            k = done[x] = len(table)
+            table.append(tuple(_unpack_digits(x - M if 2 * x > M else x, width, phi)))
+        return k
+    return table, unpack
 
 
-def _scale_columns(N: int, phi: int, rows: list[list[list[int]]], den: int,
-                   ws: list[list[int]], wden: int) -> tuple[list[list[list[int]]], int]:
-    """rows diag(w) as coefficient vectors over a common denominator, in
-    lowest terms, for the diagonal w given as the vectors ws over wden.
-
-    Entry (i, k) times w_k is one product of the packed vectors, reduced
-    mod Phi_N(2**W).  The results are unpacked, once per distinct residue,
-    which gives _dots their exact size.
-    """
-    width = _width(N, phi * _max_abs(rows) * _max_abs([ws]))
-    unpack = _unpacker(_modulus(N, width), width, phi)
-    wp = [_pack_digits(w, width) for w in ws]
-    rp = _map_once(lambda v: _pack_digits(v, width), rows)
-    return _lowest_terms([[unpack(v * w) for v, w in zip(row, wp)] for row in rp], den * wden)
+def _packed_rows(table: Sequence, index: Sequence, width: int) -> list[list[int]]:
+    """The rows of index as packed integers, each table entry packed once."""
+    packed = [_pack_digits(v, width) for v in table]
+    return [list(map(packed.__getitem__, row)) for row in index]
 
 
-def _dots(N: int, phi: int, A: list[list[list[int]]], B: list[list[list[int]]],
-          length: int, pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
-    """Row i of A dotted with row j of B (coefficient vectors, rows of the
-    given length), for each (i, j) in pairs, as they are read: a dot product
-    of packed rows, reduced mod Phi_N(2**W) once per pair and unpacked once
-    per distinct residue (equal outputs are one list)."""
-    width = _width(N, phi * max(length, 1) * _max_abs(A) * _max_abs(B))
-    unpack = _unpacker(_modulus(N, width), width, phi)
-    Ap, Bp = (_map_once(lambda v: _pack_digits(v, width), M) for M in (A, B))
-    return (unpack(sum(map(operator.mul, Ap[i], Bp[j]))) for i, j in pairs)
+def _scale_columns(N: int, phi: int, table: Sequence, index: Sequence, wtable: Sequence,
+                   windex: Sequence[int]) -> tuple[list, list[list[int]]]:
+    """Entry (i, k) times w_k = wtable[windex[k]], one packed product mod
+    Phi_N(2**W) each, as an output table and index."""
+    width = _width(N, phi * _max_abs(table) * _max_abs(wtable))
+    out, unpack = _unpacker(_modulus(N, width), width, phi)
+    (w,) = _packed_rows(wtable, [windex], width)
+    return out, [[unpack(v * x) for v, x in zip(row, w)]
+                 for row in _packed_rows(table, index, width)]
 
 
-def _add(u: list[int], v: list[int]) -> list[int]:
-    return [x + y for x, y in zip(u, v)]
-
-
-def _sub(u: list[int], v: list[int]) -> list[int]:
-    return [x - y for x, y in zip(u, v)]
+def _dots(N: int, phi: int, A: tuple, B: tuple,
+          length: int, pairs: Iterable[tuple[int, int]]) -> tuple[list, list[int]]:
+    """Row i of A dotted with row j of B, A and B given as (table, index),
+    for each (i, j) in pairs: a dot product of packed rows reduced mod
+    Phi_N(2**W) once, as an output table and one index per pair."""
+    width = _width(N, phi * max(length, 1) * _max_abs(A[0]) * _max_abs(B[0]))
+    out, unpack = _unpacker(_modulus(N, width), width, phi)
+    Ap, Bp = (_packed_rows(*M, width) for M in (A, B))
+    return out, [unpack(sum(map(operator.mul, Ap[i], Bp[j]))) for i, j in pairs]
 
 
 class Folding:
     """S diag(x) S for a symmetric S fixed by an involution pi, for any
     number of diagonals x, with the rows of S folded over pi once.
-    S.folding(pi) checks S and builds one; a product S diag(x) S is
-    symmetric by construction, so Folding(N, *f.product(x), range(n)) folds
-    it over the identity, unchecked, for a chained step.  blocks(x) gives
-    the folded blocks and product(x) the n x n result, both as coefficient
-    vectors.
+    S.folding(pi) checks S and builds one.  A product S diag(x) S is
+    symmetric, so Folding(f.product(x), range(n)).product(y) folds it over
+    the identity, unchecked, for a chained step (with pi the identity the
+    fold is the plain half-product).  The genus-2 relation checks fold J~
+    over the swap of the theta basis this way.
 
     R holds the pair representatives (i < pi i), F the fixed points, and
-    reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on R and
-    S[r][k] on F; row r of Q (r in R) is q_r[k] = S[r][k] - S[r][pi k] on R.
-    Then p_{pi r} = p_r and q_{pi r} = -q_r, which is what blocks reads.
+    reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on reps (so
+    2 S[r][k] on F); row r of Q (r in R) is q_r[k] = S[r][k] - S[r][pi k] on
+    R.  Then p_{pi r} = p_r and q_{pi r} = -q_r, which is what blocks reads.
     """
 
-    __slots__ = ("order", "phi", "pi", "rows", "den", "reps", "pairs", "P", "Q")
+    __slots__ = ("pi", "reps", "pairs", "P", "Q")
 
-    def __init__(self, order: int, rows: list[list[list[int]]], den: int,
-                 pi: Sequence[int]):
-        n = len(rows)
+    def __init__(self, S: "ExactMatrix", pi: Sequence[int]):
+        n = S.nrows
         R = [i for i in range(n) if i < pi[i]]
         reps = R + [i for i in range(n) if i == pi[i]]
+        images = [pi[k] for k in reps]
         m = len(R)
-        self.order, self.phi, self.pi, self.rows, self.den = order, euler_phi(order), pi, rows, den
-        self.reps, self.pairs = reps, m
-        self.P = [[_add(row[k], row[pi[k]]) for k in R] + [row[k] for k in reps[m:]]
-                  for row in map(rows.__getitem__, reps)]
-        self.Q = [[_sub(row[k], row[pi[k]]) for k in R] for row in map(rows.__getitem__, R)]
+        self.pi, self.reps, self.pairs = pi, reps, m
+        self.P = S.submatrix(reps, reps) + S.submatrix(reps, images)
+        self.Q = S.submatrix(R, R) - S.submatrix(R, images[:m])
 
     def blocks(self, diag: Sequence[CycNumber]) -> tuple:
-        """The blocks of S diag(x) S as coefficient vectors: with
-        w = (x_k + x_{pi k})/4, v = (x_k - x_{pi k})/4 on R and w = x_k on F,
+        """The blocks of S diag(x) S, each one row of an ExactMatrix: with
+        w = (x_k + x_{pi k})/4, v = (x_k - x_{pi k})/4 on R and w = x_k/4 on F,
             alpha = P diag(w) P^T   (reps x reps, upper triangle),
-            beta  = Q diag(w) Q^T   (R x R, upper triangle),
+            beta  = Q diag(w) Q^T   (R x R, upper triangle; None when R is empty),
             gamma = P diag(v) Q^T   (reps x R, row by row; None when v = 0)
         give every entry of S diag(x) S (_unfold).  They cost
         n+^3/2 + n-^3/2 + n+ n-^2 multiplications, n+ = |R| + |F| and
         n- = |R|, against n^3/2 unfolded; with pi the identity, alpha is
-        the half-product.  Returns alpha, beta, gamma and their
-        denominators.
+        the half-product.
         """
-        _check_length(diag, len(self.rows))
-        N, phi, pi, den = self.order, self.phi, self.pi, self.den
-        reps, m, P, Q = self.reps, self.pairs, self.P, self.Q
+        pi, reps, m, P = self.pi, self.reps, self.pairs, self.P
+        _check_length(diag, len(pi))
         nr = len(reps)
-        x = ExactMatrix(N, [diag])
-        xs, wden = x.vecs[0], 4 * x.den
-        w = [_add(xs[k], xs[pi[k]]) for k in reps[:m]]
-        v = [_sub(xs[k], xs[pi[k]]) for k in reps[:m]]
+        w = [(diag[k] + diag[pi[k]]) / (4 if a < m else 8) for a, k in enumerate(reps)]
+        v = [(diag[k] - diag[pi[k]]) / 4 for k in reps[:m]]
+        alpha = P.dots(P, _upper(nr), w)
+        if not m:
+            return alpha, None, None
+        beta = self.Q.dots(self.Q, _upper(m), w[:m])
+        gamma = None
+        if any(v):
+            gamma = P.submatrix(range(nr), range(m)).dots(self.Q, product(range(nr), range(m)), v)
+        return alpha, beta, gamma
 
-        def products(A, B, weights, pairs):
-            scaled, dens = _scale_columns(N, phi, B, den, weights, wden)
-            return list(_dots(N, phi, A, scaled, len(weights), pairs)), den * dens
-
-        alpha, da = products(P, P, w + [[4 * c for c in xs[k]] for k in reps[m:]], _upper(nr))
-        beta, db, gamma, dg = [], 1, None, 1
-        if m:
-            beta, db = products(Q, Q, w, _upper(m))
-            if any(map(any, v)):
-                gamma, dg = products([row[:m] for row in P], Q, v,
-                                     ((a, b) for a in range(nr) for b in range(m)))
-        return alpha, beta, gamma, (da, db, dg)
-
-    def product(self, diag: Sequence[CycNumber]) -> tuple[list[list[list[int]]], int]:
-        """S diag(diag) S, n x n, as coefficient vectors in lowest terms."""
+    def product(self, diag: Sequence[CycNumber]) -> "ExactMatrix":
+        """S diag(diag) S, n x n."""
         return _unfold(self.pi, self.reps, self.pairs, *self.blocks(diag))
 
 
@@ -300,32 +273,34 @@ def _upper(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
-            beta: list[list[int]], gamma: list[list[int]] | None,
-            dens: tuple[int, int, int]) -> tuple[list[list[list[int]]], int]:
-    """The n x n coefficient vectors of S diag(x) S, in lowest terms, from
-    the blocks of Folding.blocks: for r, c in reps, with a = alpha, b = beta,
-    g = gamma[r, c] and h = gamma[c, r],
+def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: "ExactMatrix",
+            beta: "ExactMatrix | None", gamma: "ExactMatrix | None") -> "ExactMatrix":
+    """S diag(x) S from the blocks of Folding.blocks: for r, c in reps, with
+    a = alpha, b = beta, g = gamma[r, c] and h = gamma[c, r],
         S[r][c] = a + b + g + h,     S[pi r][pi c] = a + b - g - h,
         S[r][pi c] = a - b - g + h,  S[pi r][c] = a - b + g - h,
-    where b and g (h) drop out when c (r) is a fixed point.  The blocks are
-    not modified: each is brought over the common denominator as new lists,
-    one per distinct vector."""
-    den = math.lcm(*dens)
+    where b and g (h) drop out when c (r) is a fixed point.  Each block's
+    table is brought over the common denominator once, and each sum is
+    interned by its coefficient tuple."""
+    blocks = [b for b in (alpha, beta, gamma) if b is not None]
+    den = math.lcm(*(b.den for b in blocks))
 
-    def over_den(block, d):
-        f = den // d
-        return _map_once(lambda v: [c * f for c in v], [block])[0] if block and f > 1 else block
+    def entries(block):
+        if block is not None:
+            f = den // block.den
+            table = [tuple(c * f for c in v) for v in block.table]
+            return list(map(table.__getitem__, block.index[0]))
 
-    alpha, beta, gamma = map(over_den, (alpha, beta, gamma), dens)
+    alpha, beta, gamma = map(entries, (alpha, beta, gamma))
     n, nr = len(pi), len(reps)
-    zero = [0] * len(alpha[0]) if alpha else []
-    S = [[None] * n for _ in range(n)]
+    zero = (0,) * euler_phi(blocks[0].order)
+    S = [[0] * n for _ in range(n)]
+    seen = {}
 
     def put(i, j, vec):
-        S[i][j] = S[j][i] = vec
+        S[i][j] = S[j][i] = seen.setdefault(vec, len(seen))
 
-    ia, ib = iter(alpha), iter(beta)
+    ia, ib = iter(alpha), iter(beta or ())
     for a, r in enumerate(reps):
         pr = pi[r]
         for b in range(a, nr):
@@ -344,17 +319,26 @@ def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: list[list[int]],
             put(pr, pc, _sub(u, g))
             put(r, pc, _sub(d, h))
             put(pr, c, _add(d, h))
-    return _lowest_terms(S, den)
+    return ExactMatrix._of(blocks[0].order, tuple(seen), S, den)
+
+
+def _add(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(operator.add, u, v))
+
+
+def _sub(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(operator.sub, u, v))
 
 
 class ExactMatrix:
-    """Immutable dense matrix over Q(zeta_N): entry (i, j) is vecs[i][j] / den,
-    integer vectors over one positive den in lowest terms, a unique form (so
-    == compares vectors).  Vectors are shared, between matrices and between
-    equal entries of one matrix (the kernel's outputs alias), and never
-    modified, inside the kernel or out."""
+    """Immutable dense matrix over Q(zeta_N): entry (i, j) is
+    table[index[i][j]] / den.  The table holds each distinct integer
+    coefficient vector once, in the order it first appears in row-major
+    order, over one positive den in lowest terms: a unique form, so ==
+    and hash compare values, and equal entries have equal indices.  Table,
+    vectors and index are tuples."""
 
-    __slots__ = ("order", "vecs", "den")
+    __slots__ = ("order", "table", "index", "den")
 
     def __init__(self, order: int, rows: Iterable[Iterable[CycNumber]]):
         rs = [list(r) for r in rows]
@@ -363,8 +347,10 @@ class ExactMatrix:
         if any(e.order != order for r in rs for e in r):
             raise ValueError("entry order mismatch")
         # each entry is in lowest terms, so they are too over the lcm
-        den = math.lcm(*(e.den for r in rs for e in r))
-        self._set(order, [[[c * (den // e.den) for c in e.vec] for e in r] for r in rs], den)
+        cells, index = _tabulate(rs)
+        den = math.lcm(*(e.den for e in cells))
+        self._set(order, tuple(tuple(c * (den // e.den) for c in e.vec) for e in cells),
+                  tuple(map(tuple, index)), den)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -375,13 +361,21 @@ class ExactMatrix:
 
     # -- constructors
     @classmethod
+    def _of(cls, order: int, table: Sequence, index: Iterable[Iterable[int]],
+            den: int) -> "ExactMatrix":
+        """The matrix table[index] / den over a positive den, brought to the
+        unique form (_intern, _lowest_terms)."""
+        self = object.__new__(cls)
+        table, index = _intern(table, index)
+        table, den = _lowest_terms(table, den)
+        self._set(order, table, index, den)
+        return self
+
+    @classmethod
     def from_vectors(cls, order: int, vecs: Iterable, den: int) -> "ExactMatrix":
         """The matrix vecs / den, for rows of coefficient vectors over a
-        positive den, brought to lowest terms without modifying a vector;
-        vectors shared in vecs stay shared (_lowest_terms)."""
-        self = object.__new__(cls)
-        self._set(order, *_lowest_terms([list(row) for row in vecs], den))
-        return self
+        positive den, in the unique form."""
+        return cls._of(order, *_tabulate(map(tuple, row) for row in vecs), den)
 
     @staticmethod
     def identity(order: int, n: int) -> "ExactMatrix":
@@ -396,45 +390,62 @@ class ExactMatrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.vecs)
+        return len(self.index)
 
     @property
     def ncols(self) -> int:
-        return len(self.vecs[0]) if self.vecs else 0
+        return len(self.index[0]) if self.index else 0
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    @property
+    def vecs(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The coefficient vectors of the entries, row by row, over den: a
+        read-only view of the table through the index."""
+        return tuple(tuple(map(self.table.__getitem__, row)) for row in self.index)
+
     def __getitem__(self, ij) -> CycNumber:
         i, j = ij
-        return CycNumber._raw(self.order, self.vecs[i][j], self.den)
+        return CycNumber._raw(self.order, self.table[self.index[i][j]], self.den)
 
     @property
     def rows(self) -> tuple[tuple[CycNumber, ...], ...]:
-        """The entries as CycNumbers, built on each access."""
+        """The entries as CycNumbers, one per table entry, on each access."""
         N, den = self.order, self.den
-        return tuple(tuple(CycNumber._raw(N, v, den) for v in row) for row in self.vecs)
+        cells = [CycNumber._raw(N, v, den) for v in self.table]
+        return tuple(tuple(map(cells.__getitem__, row)) for row in self.index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.order, self.den, self.vecs) == (other.order, other.den, other.vecs)
+        return ((self.order, self.den, self.table, self.index)
+                == (other.order, other.den, other.table, other.index))
 
     def __hash__(self):
-        return hash((self.order, self.den, tuple(tuple(map(tuple, r)) for r in self.vecs)))
+        return hash((self.order, self.den, self.table, self.index))
 
     # -- entrywise operations
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign * other, one sum per distinct pair of table entries."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch: {self!r} and {other!r}")
         g = math.gcd(self.den, other.den)
-        a, b = other.den // g, self.den // g
-        return ExactMatrix.from_vectors(
-            self.order, [[[x * a + y * b for x, y in zip(u, v)] for u, v in zip(r1, r2)]
-                         for r1, r2 in zip(self.vecs, other.vecs)], self.den * a)
+        a, b = other.den // g, sign * (self.den // g)
+        pairs = {}
+        index = [[pairs.setdefault(xy, len(pairs)) for xy in zip(r1, r2)]
+                 for r1, r2 in zip(self.index, other.index)]
+        t1, t2 = self.table, other.table
+        table = [tuple(x * a + y * b for x, y in zip(t1[i], t2[j])) for i, j in pairs]
+        return ExactMatrix._of(self.order, table, index, self.den * (other.den // g))
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "ExactMatrix":
         c = c if isinstance(c, CycNumber) else CycNumber.from_rational(self.order, c)
@@ -448,40 +459,56 @@ class ExactMatrix:
         _check_length(factors, self.ncols)
         N = self.order
         w = ExactMatrix(N, [factors])
-        return ExactMatrix.from_vectors(
-            N, *_scale_columns(N, euler_phi(N), self.vecs, self.den, w.vecs[0], w.den))
+        return ExactMatrix._of(N, *_scale_columns(N, euler_phi(N), self.table, self.index,
+                                                  w.table, w.index[0]),
+                               self.den * w.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_vectors(self.order, zip(*self.vecs), self.den)
+        return ExactMatrix._of(self.order, self.table, zip(*self.index), self.den)
+
+    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
+        """The entries (i, j) for i in rows and j in cols, in that order."""
+        cols = list(cols)
+        return ExactMatrix._of(self.order, self.table,
+                               [[self.index[i][j] for j in cols] for i in rows], self.den)
+
+    def reshape(self, nrows: int, ncols: int) -> "ExactMatrix":
+        """The entries in row-major order as nrows rows of ncols."""
+        flat = list(chain.from_iterable(self.index))
+        if len(flat) != nrows * ncols:
+            raise ValueError(f"cannot reshape {self!r} into {nrows}x{ncols}")
+        return ExactMatrix._of(self.order, self.table,
+                               [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], self.den)
 
     def conj(self) -> "ExactMatrix":
         """Entrywise zeta -> zeta**-1."""
         return self.galois(self.order - 1)
 
     def galois(self, m: int) -> "ExactMatrix":
+        """Entrywise zeta -> zeta**m, once per table entry."""
         N = self.order
         if math.gcd(m, N) != 1:
             raise ValueError(f"{m} is not coprime to {N}")
-        return ExactMatrix.from_vectors(
-            N, [[_power_sum(N, [0] * len(v), ((c, j * m) for j, c in enumerate(v)))
-                 for v in row] for row in self.vecs], self.den)
+        return ExactMatrix._of(N, [_power_sum(N, [0] * len(v), ((c, j * m) for j, c in enumerate(v)))
+                                   for v in self.table], self.index, self.den)
 
     def trace(self) -> CycNumber:
+        if not self.is_square():
+            raise ValueError(f"trace of a non-square {self!r}")
         return sum((self[i, i] for i in range(self.nrows)), CycNumber.zero(self.order))
 
     def first_difference(self, other: "ExactMatrix") -> tuple[int, int] | None:
-        a, b = other.den, self.den
-        return next(((i, j) for i, (r1, r2) in enumerate(zip(self.vecs, other.vecs))
-                     for j, (u, v) in enumerate(zip(r1, r2))
-                     if any(x * a != y * b for x, y in zip(u, v))), None)
+        """The first entry, in row-major order, where self and other differ."""
+        diff = self - other
+        return next(((i, j) for i, row in enumerate(diff.index) for j, k in enumerate(row)
+                     if any(diff.table[k])), None)
 
     # -- packed-integer products
     def dots(self, other: "ExactMatrix", pairs: Iterable[tuple[int, int]],
-             *diags: Sequence[CycNumber]) -> tuple[list[list[int]], int]:
+             *diags: Sequence[CycNumber]) -> "ExactMatrix":
         """Row i of self dotted with row j of other diag(d1) diag(d2) ...,
         for each (i, j) in pairs, on the packed kernel (each diagonal by
-        scale_cols), as coefficient vectors over one denominator in lowest
-        terms."""
+        scale_cols), as one row."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.ncols:
@@ -489,9 +516,9 @@ class ExactMatrix:
         for d in diags:
             other = other.scale_cols(d)
         N = self.order
-        out = list(_dots(N, euler_phi(N), self.vecs, other.vecs, self.ncols, pairs))
-        (out,), den = _lowest_terms([out], self.den * other.den)
-        return out, den
+        table, out = _dots(N, euler_phi(N), (self.table, self.index),
+                           (other.table, other.index), self.ncols, pairs)
+        return ExactMatrix._of(N, table, [out], self.den * other.den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:
@@ -499,16 +526,16 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
         m, n = self.nrows, other.ncols
-        vecs, den = self.dots(other.transpose(), ((i, j) for i in range(m) for j in range(n)))
-        return ExactMatrix.from_vectors(self.order, [vecs[i * n:i * n + n] for i in range(m)], den)
+        return self.dots(other.transpose(), product(range(m), range(n))).reshape(m, n)
 
     def _check_fold(self, pi: Sequence[int]) -> None:
         """ValueError unless pi is an involution of range(n) and self is
-        symmetric and fixed by pi: self[i, j] = self[j, i] = self[pi i, pi j]."""
-        n, rows = self.nrows, self.vecs
+        symmetric and fixed by pi: self[i, j] = self[j, i] = self[pi i, pi j],
+        compared as table indices."""
+        n, idx = self.nrows, self.index
         if sorted(pi) != list(range(n)) or any(pi[pi[i]] != i for i in range(n)):
             raise ValueError("pi must be an involution of the rows")
-        if not self.is_square() or any(rows[i][j] != rows[j][i] or rows[i][j] != rows[pi[i]][pi[j]]
+        if not self.is_square() or any(idx[i][j] != idx[j][i] or idx[i][j] != idx[pi[i]][pi[j]]
                                        for i in range(n) for j in range(i, n)):
             raise ValueError("folding needs a symmetric matrix fixed by pi")
 
@@ -517,7 +544,7 @@ class ExactMatrix:
         self diag(x) self (Folding), after checking that self is symmetric
         and fixed by pi (_check_fold)."""
         self._check_fold(pi)
-        return Folding(self.order, self.vecs, self.den, pi)
+        return Folding(self, pi)
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"
@@ -632,11 +659,9 @@ def char_poly(M: ExactMatrix) -> CycPoly:
 
 def residue_matrix(M: ExactMatrix, sp: SplitPrime) -> list[list[int]]:
     """The entrywise image of M in F_p; sp.p must not divide M.den.  Each
-    distinct vector object is reduced once (equal entries of J~ are one
-    list)."""
-    vecs = _distinct(M.vecs)
-    res = dict(zip(vecs, sp.residues(M.order, vecs.values(), M.den)))
-    return [[res[id(v)] for v in row] for row in M.vecs]
+    table entry is reduced once."""
+    res = sp.residues(M.order, M.table, M.den)
+    return [list(map(res.__getitem__, row)) for row in M.index]
 
 
 def _digit_bytes(terms: int, p: int) -> int:
@@ -749,16 +774,11 @@ class SignedSqrtMatrix:
     def ncols(self) -> int:
         return self.squares.ncols
 
-    def embed(self):
-        """The entries as doubles, each the root of a double within
+    def embed(self) -> list[list[float]]:
+        """The entries as rows of doubles, each the root of a double within
         embed_error() of its square."""
-        import numpy as np
-        out = np.zeros((self.nrows, self.ncols), dtype=float)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                s = self.squares[i, j].embed()
-                out[i, j] = self.signs[i][j] * math.sqrt(abs(s.real))
-        return out
+        return [[sign * math.sqrt(abs(s.embed().real)) for s, sign in zip(row, signs)]
+                for row, signs in zip(self.squares.rows, self.signs)]
 
     def __repr__(self):
         return f"SignedSqrtMatrix(order={self.squares.order}, {self.nrows}x{self.ncols})"

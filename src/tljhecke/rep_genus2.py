@@ -29,8 +29,6 @@ from .matrix import (
     ExactMatrix,
     Folding,
     SignedSqrtMatrix,
-    _dots,
-    _scale_columns,
     char_poly,
     det_mod,
     matmul_mod,
@@ -167,11 +165,11 @@ class Genus2Rep:
     """All genus-2 data at one root: J~ and the column factors D that make
     it the representation matrix J' = J~ D in the unnormalized basis
     (j_field), the twists T, the unitary normalization as (square, sign)
-    pairs when the form is positive definite.  J~ is coefficient vectors
-    over one denominator (ExactMatrix); D (jcols) and T (tdiag) are
-    diagonals, tuples of CycNumbers, and so are E = D T and E' = D T^-1
-    (e, e_inv).  The relation checks, the trace and the quartic residue
-    read J~, E and E' as they are held."""
+    pairs when the form is positive definite.  J~ is an ExactMatrix (a
+    table of distinct values, an index, a denominator); D (jcols) and T
+    (tdiag) are diagonals, tuples of CycNumbers, and so are E = D T and
+    E' = D T^-1 (e, e_inv).  The relation checks, the trace and the
+    quartic residue read J~, E and E' as they are held."""
 
     params: TheoryParams
     basis: Genus2Basis
@@ -193,15 +191,8 @@ class Genus2Rep:
 
     @cached_property
     def j_field(self) -> ExactMatrix:
-        """J' = J~ D, built on first access (one packed product per entry).
-
-        The relation checks, the trace and the quartic residue read J~ and D
-        (jcols) on the packed kernel and never build it.  Its readers are
-        the `genus2-matrices` output (--raw, or a form that is not positive),
-        junitary, the exact char-poly fallback of the minimal-polynomial
-        certificate (_jtjt_matrix, reached at r = 3) and the report of a
-        failing relation (_reference_differences).
-        """
+        """J' = J~ D, built on first access.  The relation checks, the trace
+        and the quartic residue read J~ and D (jcols) and never build it."""
         return self.jtilde.scale_cols(self.jcols)
 
     @cached_property
@@ -249,22 +240,21 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
                     cells[side].extend(((x, l, t), (row[x, i, l], len(tets) - 1))
                                        for x in cs if (x, i, l) in row)
     tets = ExactMatrix(N, tets)
-    zero = [0] * euler_phi(N)
+    zero = (0,) * euler_phi(N)
 
     def halves(m, side):
-        vecs, den = m.dots(tets, [pair for _, pair in cells[side]])
-        at = {cell: v for (cell, _), v in zip(cells[side], vecs)}
+        row = m.dots(tets, [pair for _, pair in cells[side]])
+        at = {cell: v for (cell, _), v in zip(cells[side], row.vecs[0])}
         return ExactMatrix.from_vectors(N, [[at.get((x, l, t), zero) for l in cs]
-                                            for x in cs for t in ts], den)
+                                            for x in cs for t in ts], row.den)
 
     # J~_{sigma,mu} = sum over l of left[j1, l, mu] right[k2, l, sigma]: one
     # packed dot of the row (k2, sigma) of R with the row (j1, mu) of L
     pos = {x: i for i, x in enumerate(cs)}
     n = len(ts)
-    vecs, den = halves(abar, 1).dots(halves(a, 0), (
+    return halves(abar, 1).dots(halves(a, 0), (
         (pos[mu[2]] * n + b, pos[sigma[1]] * n + c)
-        for b, sigma in enumerate(ts) for c, mu in enumerate(ts)))
-    return ExactMatrix.from_vectors(N, [vecs[b * n:(b + 1) * n] for b in range(n)], den)
+        for b, sigma in enumerate(ts) for c, mu in enumerate(ts))).reshape(n, n)
 
 
 def _times_power(d: CycNumber, t: CycNumber, sign: int) -> CycNumber:
@@ -375,14 +365,15 @@ def _relations_hold(rep: Genus2Rep) -> bool:
           kappa^4 I.  Both sides are symmetric, so the upper triangles are
           compared as integer vectors: S4 over its denominator against each
           J~_ij over J~'s, shifted by kappa^4 / (t_i t_j) in the power
-          basis, by cross-multiplication.  At the levels in use kappa^4 and
-          every t are powers of zeta (so is -zeta^b: N is even); any other
-          value is left to the reference chain.
+          basis, by cross-multiplication.  Each (J~ table index, shift)
+          pair is shifted once.  At the levels in use kappa^4 and every t
+          are powers of zeta (so is -zeta^b: N is even); any other value is
+          left to the reference chain.
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
           conj(F) = F, which holds when J~, Theta and D are fixed by
-          conjugation, a field automorphism.  J~'s equal entries are one
-          list (the packed kernel's outputs alias), so each distinct vector
-          is conjugated once: 109 of them at r = 6, against 7,056 entries.
+          conjugation, a field automorphism.  ExactMatrix.conj conjugates
+          each table entry once: 109 of them at r = 6, against 7,056
+          entries.
     """
     params = rep.params
     N = params.root_order
@@ -404,29 +395,26 @@ def _relations_hold(rep: Genus2Rep) -> bool:
         return False
     k4, tlog = logs[0], logs[1:]
     # S2 from the folded rows of J~, which are then released
-    f = Folding(N, *f.product(rep.e), range(n))
-    s4, _, _, (d4, _, _) = f.blocks(rep.e)
-    s4 = iter(s4)
-    g = math.gcd(d4, jt.den)
-    a, b = d4 // g, jt.den // g
-    shifted = {}                        # J~'s equal entries are one list
-    for i, row in enumerate(jt.vecs):
+    f = Folding(f.product(rep.e), range(n))
+    s4 = f.blocks(rep.e)[0]
+    g = math.gcd(s4.den, jt.den)
+    a, b = s4.den // g, jt.den // g
+    got = [[c * b for c in v] for v in s4.table]
+    upper = iter(s4.index[0])
+    phi, shifted = euler_phi(N), {}
+    for i, row in enumerate(jt.index):
         for j in range(i, n):
-            key = id(row[j]), (k4 - tlog[i] - tlog[j]) % N
+            key = row[j], (k4 - tlog[i] - tlog[j]) % N
             want = shifted.get(key)
             if want is None:
-                want = shifted[key] = _power_sum(N, [0] * f.phi, (
-                    (c * a, t) for t, c in enumerate(row[j], key[1])))
-            if want != [c * b for c in next(s4)]:
+                want = shifted[key] = _power_sum(N, [0] * phi, (
+                    (c * a, t) for t, c in enumerate(jt.table[key[0]], key[1])))
+            if want != got[next(upper)]:
                 return False
 
     if params.is_unitary_root:
         th = [theta_at(params, *b) for b in rep.basis.triples]
-        if not all(x.is_real() for x in th + list(d)):
-            return False
-        distinct = {id(v): v for row in jt.vecs for v in row}.values()
-        if not all(_power_sum(N, [0] * f.phi, ((c, -t) for t, c in enumerate(v))) == v
-                   for v in distinct):
+        if not all(x.is_real() for x in th + list(d)) or jt.conj() != jt:
             return False
     return True
 
@@ -437,24 +425,19 @@ def _s0_is_d_inverse(f: Folding, d: tuple[CycNumber, ...]) -> bool:
     D is fixed by pi, so S0 has only the blocks alpha and beta (gamma = 0):
     S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in R,
     and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff the
-    off-diagonal vectors of alpha and beta are zero, with alpha_rr d_r = 1/2
-    (r in R) or 1 (r in F) and beta_rr d_r = 1/2: the n diagonal vectors
-    times d, one packed product each, against those values.
+    off-diagonal entries of alpha and beta are zero, with alpha_rr d_r = 1/2
+    (r in R) or 1 (r in F) and beta_rr d_r = 1/2: the n diagonal entries
+    times d against those values.
     """
-    N, m, reps = f.order, f.pairs, f.reps
-    alpha, beta, _, (da, db, _) = f.blocks(d)
-    for blk, den, size in ((alpha, da, len(reps)), (beta, db, m)):
-        it = iter(blk)
-        diag = []
+    m, reps = f.pairs, f.reps
+    half = Fraction(1, 2)
+    for blk, size in zip(f.blocks(d)[:2], (len(reps), m)):
+        at = 0                          # the position of (a, a) in the upper triangle
         for a in range(size):
-            diag.append(next(it))
-            if any(map(any, islice(it, size - a - 1))):
+            if (blk[0, at] * d[reps[a]] != (half if a < m else 1)
+                    or any(any(blk.table[k]) for k in blk.index[0][at + 1:at + size - a])):
                 return False
-        want = ExactMatrix(N, [[CycNumber.from_rational(N, Fraction(1, 2) if a < m else 1)
-                                for a in range(size)]])
-        if ExactMatrix.from_vectors(N, [diag], den).scale_cols(
-                [d[r] for r in reps[:size]]) != want:
-            return False
+            at += size - a
     return True
 
 
@@ -505,24 +488,20 @@ def trace_jtjt(params: TheoryParams) -> CycNumber:
 
     With J' = J~ D, e = D T and e' = D T^-1 (rep.e and rep.e_inv), tr =
     sum_s e_s sum_m e'_m J~_sm J~_ms (the basis rescaling cancels in the
-    trace).  The n inner sums are packed dots of row s of J~ with row s of
-    J~^T diag(e'), both read from J~'s vectors as held (J~^T is their raw
-    transpose; J~'s symmetry is not assumed), in blocks of TRACE_BLOCK rows,
-    and each block's outer sum is one more.  Tests diff it against
-    _jtjt_matrix.
+    trace).  The n inner sums are packed dots (ExactMatrix.dots) of row s of
+    J~ with row s of J~^T diag(e') (J~^T is the transpose as held; J~'s
+    symmetry is not assumed), in blocks of TRACE_BLOCK rows, and each
+    block's outer sum is one more.  Tests diff it against _jtjt_matrix.
     """
     rep = genus2_rep(params)
     jt, N = rep.jtilde, params.root_order
-    phi, n = euler_phi(N), jt.nrows
-    diags = ExactMatrix(N, [rep.e_inv, rep.e])
-    (e_inv, e), dden = diags.vecs, diags.den
-    cols, total = list(zip(*jt.vecs)), CycNumber.zero(N)
+    n = jt.nrows
+    cols, total = jt.transpose(), CycNumber.zero(N)
     for a in range(0, n, TRACE_BLOCK):
-        block, den = _scale_columns(N, phi, cols[a:a + TRACE_BLOCK], jt.den, e_inv, dden)
-        inner = list(_dots(N, phi, jt.vecs[a:a + TRACE_BLOCK], block, n,
-                           [(s, s) for s in range(len(block))]))
-        (vec,) = _dots(N, phi, [e[a:a + TRACE_BLOCK]], [inner], len(inner), [(0, 0)])
-        total = total + CycNumber._raw(N, vec, dden * jt.den * den)
+        rows = range(a, min(a + TRACE_BLOCK, n))
+        inner = jt.submatrix(rows, range(n)).dots(cols.submatrix(rows, range(n)),
+                                                  [(s, s) for s in range(len(rows))], rep.e_inv)
+        total = total + ExactMatrix(N, [rep.e[a:a + TRACE_BLOCK]]).dots(inner, [(0, 0)])[0, 0]
     return total
 
 

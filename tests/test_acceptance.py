@@ -238,7 +238,7 @@ def test_criterion_6_unitarity():
     worst = 0.0
     for r in range(2, 10):
         rep = genus2_rep(TheoryParams(r))
-        U = rep.junitary.embed()
+        U = np.array(rep.junitary.embed())
         err = float(np.abs(U @ U.T - np.eye(U.shape[0])).max())
         worst = max(worst, err)
     ok = ok and worst < 1e-10

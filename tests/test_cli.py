@@ -84,15 +84,23 @@ def test_relation_checks_take_no_square_root(capsys):
 
 
 def test_verify_and_certify_do_not_import_numpy():
-    # exact jobs never pay numpy's import (about 12 MB of RSS and 150 ms),
-    # and json output builds no float text
+    # exact jobs never pay numpy's import (about 12 MB of RSS and 150 ms):
+    # every command but thurston (the one float eigen-solver) at r <= 4, in
+    # json and in pretty output, leaves numpy unimported
+    argvs = [["dims"], ["dims", "--genus", "3", "--levels", "2,3,4"],
+             ["trace-table", "--levels", "3"], ["spin-dims", "--level", "2", "--genus", "2"],
+             ["hecke-sl2", "--q", "5", "--word", "A B A^-1 J"],
+             ["hecke-sl2", "--q", "5", "--hyperelliptic"]]
+    for r in range(1, 5):
+        for cmd in ("modular-data", "genus2-matrices", "verify", "infinite-image",
+                    "coefficients"):
+            argvs.append([cmd, "--level", str(r)])
+        argvs.append(["genus2-matrices", "--level", str(r), "--raw"])
+    runs = [[*fmt, *argv] for argv in argvs for fmt in (["--format", "json"], [])]
     prog = ("import sys\n"
             "from tljhecke.cli import main\n"
-            "assert main(['--format', 'json', 'verify', '--genus', '0', '--level', '3']) == 0\n"
-            "assert main(['--format', 'json', 'infinite-image', '--level', '3']) == 0\n"
-            "assert main(['--format', 'json', 'infinite-image', '--level', '4']) == 0\n"
-            "assert main(['--format', 'json', 'genus2-matrices', '--level', '3']) == 0\n"
-            "assert main(['--format', 'json', 'coefficients', '--level', '3']) == 0\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
             "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n")
     src = os.path.dirname(os.path.dirname(tljhecke.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -40,6 +40,7 @@ from tljhecke.matrix import (
     _modulus,
     _pack_digits,
     _scale_columns,
+    _tabulate,
     _unfold,
     _unpack_digits,
     _width,
@@ -437,8 +438,8 @@ def test_packed_fp_kernel_matches_list_reference(case):
 
 
 def test_residue_matrix_reduces_each_distinct_vector_once(monkeypatch):
-    # J~'s equal entries are one list, so the r = 4 matrix (n = 35) needs
-    # one residue per distinct vector object, not one per entry
+    # J~'s equal entries are one table entry, so the r = 4 matrix (n = 35)
+    # needs one residue per distinct value, not one per entry
     from tljhecke.recoupling import TheoryParams
     from tljhecke.rep_genus2 import genus2_rep
     jt = genus2_rep(TheoryParams(4)).jtilde
@@ -448,12 +449,12 @@ def test_residue_matrix_reduces_each_distinct_vector_once(monkeypatch):
 
     def counted(self, order, vecs, den):
         vecs = list(vecs)
-        reduced.extend(map(id, vecs))
+        reduced.extend(vecs)
         return plain(self, order, vecs, den)
     monkeypatch.setattr(SplitPrime, "residues", counted)
     J = residue_matrix(jt, sp)
-    distinct = {id(v) for row in jt.vecs for v in row}
-    assert sorted(reduced) == sorted(distinct) and len(distinct) < jt.nrows ** 2
+    distinct = {v for row in jt.vecs for v in row}
+    assert reduced == list(jt.table) and len(reduced) == len(distinct) < jt.nrows ** 2
     monkeypatch.undo()
     assert J == [sp.residues(jt.order, row, jt.den) for row in jt.vecs]
 
@@ -706,16 +707,12 @@ def sandwich_cases(draw):
     return A, [draw(weight) for _ in range(n)], [draw(weight) for _ in range(n)]
 
 
-def _matrix(N, vecs, den):
-    """Rows of coefficient vectors over one denominator as an ExactMatrix."""
-    return ExactMatrix(N, [[CycNumber(N, v, den) for v in row] for row in vecs])
-
-
-def _symmetric(N, n, upper, den):
-    """The symmetric n x n ExactMatrix whose upper triangle is given row by
-    row, as Folding.blocks gives alpha and beta."""
-    it = iter(upper)
-    entries = {(i, j): CycNumber(N, next(it), den) for i in range(n) for j in range(i, n)}
+def _symmetric(N, n, upper):
+    """The symmetric n x n ExactMatrix whose upper triangle is the one row
+    upper, row by row, as Folding.blocks gives alpha and beta (None when
+    n = 0)."""
+    it = iter(upper.rows[0] if upper is not None else ())
+    entries = {(i, j): next(it) for i in range(n) for j in range(i, n)}
     return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
 
 
@@ -723,11 +720,10 @@ def _sandwich(A, pi, d, *later):
     """A diag(d) A folded over pi, then S diag(x) S for each x of later,
     with S the previous result folded over the identity: the calls that
     rep_genus2._relations_hold chains."""
-    N, n = A.order, A.nrows
     S = A.folding(pi).product(d)
     for x in later:
-        S = Folding(N, *S, range(n)).product(x)
-    return _matrix(N, *S)
+        S = Folding(S, range(A.nrows)).product(x)
+    return S
 
 
 @settings(max_examples=60, deadline=None)
@@ -760,13 +756,13 @@ def test_dots_with_diagonals_match_products(case):
     n = A.nrows
     pairs = [(i, j) for i in range(n) for j in range(n)]
     want = (A.scale_cols(d1).scale_cols(d2) @ A.transpose())
-    assert _as_cyc(A.order, *A.dots(A, pairs, d1, d2)) == [want[i, j] for i, j in pairs]
-    assert _as_cyc(A.order, *A.dots(A, pairs)) == [(A @ A.transpose())[i, j] for i, j in pairs]
+    assert _as_cyc(A.dots(A, pairs, d1, d2)) == [want[i, j] for i, j in pairs]
+    assert _as_cyc(A.dots(A, pairs)) == [(A @ A.transpose())[i, j] for i, j in pairs]
 
 
-def _as_cyc(N, vecs, den):
-    """dots results (coefficient vectors over one denominator) as CycNumbers."""
-    return [CycNumber(N, v, den) for v in vecs]
+def _as_cyc(row):
+    """The entries of a one-row result of dots as CycNumbers."""
+    return list(row.rows[0])
 
 
 @st.composite
@@ -825,10 +821,10 @@ def test_fold_blocks_give_every_entry(case):
     assert all(i < pi[i] for i in reps[:m]) and all(i == pi[i] for i in reps[m:])
     for d in (moved, fixed_by_pi):
         S = _product(A, d)
-        alpha, beta, gamma, (da, db, dg) = f.blocks(d)
-        alpha, beta = _symmetric(N, len(reps), alpha, da), _symmetric(N, m, beta, db)
+        alpha, beta, gamma = f.blocks(d)
+        alpha, beta = _symmetric(N, len(reps), alpha), _symmetric(N, m, beta)
         if gamma is not None:
-            gamma = _matrix(N, [gamma[a * m:(a + 1) * m] for a in range(len(reps))], dg)
+            gamma = gamma.reshape(len(reps), m)
         for a, r in enumerate(reps):
             for b, c in enumerate(reps):
                 al = alpha[a, b]
@@ -851,12 +847,11 @@ def test_identity_folding_blocks_are_the_upper_triangle(case):
     A, pi, moved, fixed_by_pi, y = case
     N, n = A.order, A.nrows
     for d in (moved, fixed_by_pi):
-        f = Folding(N, *A.folding(pi).product(d), range(n))
-        alpha, beta, gamma, (da, _, _) = f.blocks(y)
-        S = _matrix(N, *f.product(y))
-        assert [CycNumber(N, v, da) for v in alpha] == [S[i, j] for i in range(n)
-                                                        for j in range(i, n)]
-        assert beta == [] and gamma is None
+        f = Folding(A.folding(pi).product(d), range(n))
+        alpha, beta, gamma = f.blocks(y)
+        S = f.product(y)
+        assert _as_cyc(alpha) == [S[i, j] for i in range(n) for j in range(i, n)]
+        assert beta is None and gamma is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -887,13 +882,13 @@ def test_vector_results_match_cycnumber_references(case):
     # equal entries over different denominators are equal
     C = ExactMatrix(N, E[:-1] + [E[-1][:-1] + [E[-1][-1] + Fraction(1, 7)]])
     assert A.first_difference(C) == (n - 1, n - 1)
-    assert _as_cyc(N, *A.dots(A, [(i, j) for i in range(n) for j in range(n)], d, y)) == [
+    assert _as_cyc(A.dots(A, [(i, j) for i in range(n) for j in range(n)], d, y)) == [
         dot(E[i], Eyd[j]) for i in range(n) for j in range(n)]
     yc = [list(c) for c in zip(*Ey)]
     assert [[(A @ B)[i, j] for j in range(n)] for i in range(n)] == [
         [dot(E[i], yc[j]) for j in range(n)] for i in range(n)]
-    vecs, den = A.folding(pi).product(d)
-    assert [[CycNumber(N, v, den) for v in row] for row in vecs] == [
+    S = A.folding(pi).product(d)
+    assert [list(row) for row in S.rows] == [
         [dot(Ed[i], cols[j]) for j in range(n)] for i in range(n)]
     sp = next(split_primes(N, A.den))
     assert residue_matrix(A, sp) == [[sp.residue(x) for x in row] for row in E]
@@ -930,7 +925,7 @@ def test_diagonal_length_must_match(length):
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
     f = A.folding(range(2))
-    chained = Folding(12, *f.product([z, z]), range(2))
+    chained = Folding(f.product([z, z]), range(2))
     for call in (lambda: f.product(d), lambda: chained.product(d),
                  lambda: f.blocks(d), lambda: chained.blocks(d),
                  lambda: A.scale_cols(d), lambda: A.scale_rows(d),
@@ -1010,16 +1005,23 @@ def kernel_cases(draw):
     return N, A, B, den, w
 
 
+def _table_form(rows):
+    """Rows of coefficient lists as the kernel reads them: (table, index)."""
+    return _tabulate([map(tuple, row) for row in rows])
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_dots_equal_field_products_and_sums(case):
     N, A, B, _, _ = case
     phi = euler_phi(N)
     pairs = [(i, j) for i in range(len(A)) for j in range(len(B))]
-    got = list(_dots(N, phi, A, B, len(A[0]), pairs))
+    table, got = _dots(N, phi, _table_form(A), _table_form(B), len(A[0]), pairs)
+    assert len(set(table)) == len(table)
     height = [max(abs(c) for row in M for v in row for c in v) or 1 for M in (A, B)]
     width = _width(N, phi * len(A[0]) * height[0] * height[1])
-    for (i, j), vec in zip(pairs, got):
+    for (i, j), k in zip(pairs, got):
+        vec = table[k]
         want = CycNumber.zero(N)
         for a, b in zip(A[i], B[j]):
             want = want + CycNumber(N, a, 1) * CycNumber(N, b, 1)
@@ -1032,15 +1034,18 @@ def test_dots_equal_field_products_and_sums(case):
 def test_scale_columns_equals_field_products(case):
     N, A, _, den, w = case
     x = ExactMatrix(N, [w])
-    out, oden = _scale_columns(N, euler_phi(N), A, den, x.vecs[0], x.den)
-    assert math.gcd(oden, *(c for row in out for v in row for c in v)) == 1
-    for row, orow in zip(A, out):
-        for v, x, o in zip(row, w, orow):
-            assert CycNumber(N, o, oden) == CycNumber(N, v, den) * x
+    table, index = _scale_columns(N, euler_phi(N), *_table_form(A), x.table, x.index[0])
+    assert len(set(table)) == len(table)
+    for row, orow in zip(A, index):
+        for v, y, k in zip(row, w, orow):
+            assert CycNumber(N, table[k], den * x.den) == CycNumber(N, v, den) * y
+    B = ExactMatrix.from_vectors(N, A, den).scale_cols(w)
+    assert math.gcd(B.den, *(c for v in B.table for c in v)) == 1
 
 
 # --------------------------------------------------------------------------
-# aliasing: the kernel's equal outputs are one list, and no vector is written
+# the table form: each distinct value is one table entry, and equal matrices
+# are one form
 
 
 @st.composite
@@ -1080,45 +1085,111 @@ def test_aliased_vectors_give_cycnumber_results(case):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     one = [CycNumber.one(N)] * n
     for _ in range(2):                  # a second pass reads what the first left
-        out, oden = A.dots(A, pairs, d)
-        assert [CycNumber(N, v, oden) for v in out] == [dot(i, j, d) for i, j in pairs]
-        # equal outputs of one call are one list
-        assert len({id(v) for v in out}) == len({tuple(v) for v in out})
+        out = A.dots(A, pairs, d)
+        assert _as_cyc(out) == [dot(i, j, d) for i, j in pairs]
+        # equal outputs of one call are one table entry
+        assert len(out.table) == len(set(out.vecs[0]))
         B = A.scale_cols(d)
         assert [[B[i, j] for j in range(n)] for i in range(n)] == [
             [E[i][j] * d[j] for j in range(n)] for i in range(n)]
-        assert len({id(v) for row in B.vecs for v in row}) == len(
-            {tuple(v) for row in B.vecs for v in row})
-        S = ExactMatrix.from_vectors(N, *A.folding(range(n)).product(d))
+        assert len(B.table) == len({v for row in B.vecs for v in row})
+        S = A.folding(range(n)).product(d)
         assert [[S[i, j] for j in range(n)] for i in range(n)] == [
             [dot(i, j, d) for j in range(n)] for i in range(n)]
-        assert A.dots(B, pairs)[0] == A.dots(A, pairs, d)[0]
-        assert ExactMatrix.from_vectors(N, *A.folding(range(n)).product(one)) == A @ A
+        assert A.dots(B, pairs) == A.dots(A, pairs, d)
+        assert A.folding(range(n)).product(one) == A @ A
     assert pool == before and A.vecs == vecs
 
 
 def test_lowest_terms_divides_a_shared_list_once():
-    v, u = [6, -12, 18, 3], [3, 0, 0, 9]
-    rows = [[v, v], [u, v]]
-    out, den = _lowest_terms(rows, 6)
-    assert den == 2 and out == [[[2, -4, 6, 1]] * 2, [[1, 0, 0, 3], [2, -4, 6, 1]]]
-    assert out[0][0] is out[0][1] is out[1][1]
-    assert rows == [[v, v], [u, v]] and v == [6, -12, 18, 3] and u == [3, 0, 0, 9]
+    # a value that three entries share is one table entry, divided once
+    v, u = (6, -12, 18, 3), (3, 0, 0, 9)
+    out, den = _lowest_terms((v, u), 6)
+    assert den == 2 and out == ((2, -4, 6, 1), (1, 0, 0, 3))
     assert _lowest_terms(out, den) == (out, den)
+    M = ExactMatrix.from_vectors(8, [[v, v], [u, list(v)]], 6)
+    assert M.den == 2 and M.table == out and M.index == ((0, 0), (1, 0))
 
 
 def test_unfold_rescales_a_shared_list_once():
     # pi swaps 0 and 1 and fixes 2 and 3: reps = [0, 2, 3], one pair.  alpha
     # is the upper triangle over reps, v and u each three times, and its
-    # denominator 1 is brought up to beta's 2: each is doubled once, into one
-    # new list, which the entries between fixed points are
-    v, u, w = [1, 2, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1]
-    alpha, beta = [v, u, u, v, v, u], [w]
-    S, den = _unfold([1, 0, 2, 3], [0, 2, 3], 1, alpha, beta, None, (1, 2, 1))
-    v2, u2 = [2, 4, 0, 0], [0, 2, 0, 0]
-    plus, minus = [3, 4, 0, 1], [1, 4, 0, -1]
-    assert den == 2
-    assert S == [[plus, minus, u2, u2], [minus, plus, u2, u2],
-                 [u2, u2, v2, v2], [u2, u2, v2, u2]]
-    assert S[2][2] is S[2][3] is S[3][2]
-    assert alpha == [v, u, u, v, v, u] and alpha[0] is alpha[3] and v == [1, 2, 0, 0]
+    # denominator 1 is brought up to beta's 2: each table entry is doubled
+    # once.  The sums are interned by value, so S has four table entries for
+    # its sixteen entries, numbered in row-major order
+    v, u, w = (1, 2, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1)
+    alpha = ExactMatrix.from_vectors(8, [[v, u, u, v, v, u]], 1)
+    beta = ExactMatrix.from_vectors(8, [[w]], 2)
+    S = _unfold([1, 0, 2, 3], [0, 2, 3], 1, alpha, beta, None)
+    v2, u2 = (2, 4, 0, 0), (0, 2, 0, 0)
+    plus, minus = (3, 4, 0, 1), (1, 4, 0, -1)
+    assert S.den == 2 and S.table == (plus, minus, u2, v2)
+    assert S.vecs == ((plus, minus, u2, u2), (minus, plus, u2, u2),
+                      (u2, u2, v2, v2), (u2, u2, v2, u2))
+    assert S.index[2][2] == S.index[2][3] == S.index[3][2]
+    assert alpha.table == (v, u) and alpha.den == 1
+
+
+def _unique_form(X):
+    """X's table lists each value of its entries once, in row-major order of
+    first appearance, over a denominator in lowest terms."""
+    return (X.table == tuple(dict.fromkeys(v for row in X.vecs for v in row))
+            and math.gcd(X.den, *(c for v in X.table for c in v)) == 1)
+
+
+@st.composite
+def pooled_cases(draw):
+    # a symmetric n x n matrix and an n x m one over a pool of two or three
+    # values, zero among them, and a diagonal over the same pool
+    N = draw(st.sampled_from([5, 8, 12]))
+    phi = euler_phi(N)
+    value = st.builds(lambda v, d: CycNumber(N, v, d),
+                      st.lists(st.integers(-4, 4), min_size=phi, max_size=phi),
+                      st.integers(1, 6))
+    pool = [CycNumber.zero(N)] + draw(st.lists(value, min_size=1, max_size=2))
+    pick = st.sampled_from(pool)
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    upper = {(i, j): draw(pick) for i in range(n) for j in range(i, n)}
+    sym = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    wide = [[draw(pick) for _ in range(m)] for _ in range(n)]
+    return N, sym, wide, [draw(pick) for _ in range(n)], draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_cases())
+def test_equal_matrices_have_one_form(case):
+    # equal matrices built by different paths are one form, so they compare
+    # and hash equal; and no kernel output lists a value twice
+    N, sym, wide, d, k = case
+    for E in (sym, wide):
+        A = ExactMatrix(N, E)
+        den = math.lcm(*(e.den for row in E for e in row)) * k
+        one_list = {e: [c * (den // e.den) for c in e.vec] for row in E for e in row}
+        aliased = ExactMatrix.from_vectors(N, [[one_list[e] for e in row] for row in E], den)
+        copied = ExactMatrix.from_vectors(N, [[list(one_list[e]) for e in row] for row in E], den)
+        ident = ExactMatrix.identity(N, A.ncols)
+        for B in (aliased, copied, A.transpose().transpose(), A @ ident):
+            assert B == A and hash(B) == hash(A) and _unique_form(B)
+        assert [list(row) for row in A.rows] == E
+        x = d[:A.ncols] + d[:1] * (A.ncols - len(d))
+        pairs = [(i, j) for i in range(A.nrows) for j in range(A.nrows)]
+        for X in (A.dots(A, pairs, x), A.scale_cols(x), A.galois(N - 1), A + A.scale_cols(x),
+                  A - A, A.transpose()):
+            assert _unique_form(X)
+    S = ExactMatrix(N, sym)
+    assert _unique_form(S.folding(range(len(sym))).product(d))
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda a, b: a + b, "2x2.*3x3"),
+    (lambda a, b: a - b, "2x2.*3x3"),
+    (lambda a, b: a.first_difference(b), "2x2.*3x3"),
+    (lambda a, b: b.first_difference(a), "3x3.*2x2"),
+    (lambda a, b: ExactMatrix(12, [[CycNumber.one(12)] * 3]).trace(), "1x3"),
+    (lambda a, b: a.reshape(1, 3), "2x2.*1x3"),
+], ids=["add", "sub", "first_difference", "first_difference_swapped", "trace", "reshape"])
+def test_shape_mismatch_is_a_value_error(call, shapes):
+    # entrywise operations must not zip rows and truncate, or the 2 x 2
+    # identity would compare "equal" to the 3 x 3 one and their sum be 2 x 2
+    with pytest.raises(ValueError, match=shapes):
+        call(ExactMatrix.identity(12, 2), ExactMatrix.identity(12, 3))

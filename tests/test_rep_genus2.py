@@ -237,7 +237,7 @@ def test_genus2_vectors_match_cycnumber_references(r):
         assert _entries(jt.scale_rows(t)) == [[t[i] * x for x in row]
                                               for i, row in enumerate(J)], (r, k)
         JD = jt @ rep.j_field
-        S0 = ExactMatrix.from_vectors(N, *jt.folding(rep.basis.swap).product(d))
+        S0 = jt.folding(rep.basis.swap).product(d)
         for i in some:
             Jd = [x * y for x, y in zip(J[i], d)]
             for j in range(n):
@@ -285,31 +285,35 @@ def _counting(monkeypatch, name):
 
 def test_kernel_unpacks_each_distinct_residue_once(monkeypatch):
     # The packed kernel unpacks each distinct residue of a call once and
-    # packs each distinct vector once.  Before it did, a cold jtilde at r = 6
+    # packs each table entry once.  Before it did, a cold jtilde at r = 6
     # (recoupling caches warm) unpacked 9,082 vectors, one per output and
     # more than its n^2 = 7,056 entries, and a cold r = 4 relation check,
-    # jtilde included, packed 9,851.  J~ at r = 6 has 109 distinct values,
-    # so its final dots unpack at most 109 of them.
+    # jtilde included, packed 9,851; with one pack per vector object it
+    # packed 4,826, and with one per value 1,486.  J~ at r = 6 has 109
+    # distinct values, so its final dots unpack at most 109 of them, and
+    # S2 = J~ E J~ has 692, each one table entry.
     for r in (4, 6):
         assert verify_genus2_relations(TheoryParams(r)).all_pass
+    rep = genus2_rep(TheoryParams(6))
+    assert len(rep.jtilde.folding(rep.basis.swap).product(rep.e).table) == 692
     jtilde.cache_clear()
     genus2_rep.cache_clear()
     unpacked = _counting(monkeypatch, "_unpack_digits")
     jt = jtilde(TheoryParams(6))
     distinct = {tuple(v) for row in jt.vecs for v in row}
     assert len(distinct) == 109
-    # equal entries are one list
-    assert len({id(v) for row in jt.vecs for v in row}) == 109
+    # equal entries are one table entry
+    assert len(jt.table) == 109
     assert unpacked[0] < 700, unpacked
     packed = _counting(monkeypatch, "_pack_digits")
     assert verify_genus2_relations(TheoryParams(4)).all_pass
-    assert packed[0] < 5000, packed
+    assert packed[0] < 1500, packed
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
 def test_shared_vectors_stay_unchanged(r):
-    # the kernel's outputs alias (J~'s equal entries are one list), so no
-    # step that reads them may write into them
+    # J~'s equal entries are one table entry, so no step that reads them may
+    # write into them (the table's vectors are tuples)
     P = TheoryParams(r)
     for k in (P.root_exponent, _unit_roots(P.root_order)[1]):
         rep = genus2_rep(P.with_root(k))
@@ -641,9 +645,9 @@ def test_passing_relations_make_no_full_product(monkeypatch):
         calls["folding"] += 1
         return folding(self, *args)
 
-    def recording_init(self, order, rows, den, pi):
+    def recording_init(self, S, pi):
         folded_over.append(tuple(pi))
-        return init(self, order, rows, den, pi)
+        return init(self, S, pi)
 
     def counting_blocks(self, *args):
         calls["blocks"] += 1
