@@ -10,9 +10,10 @@ genus-2 matrix, the global dimension D) is carried as its square and a sign.
 
 Q(zeta_N) arithmetic has one reduction table, _zeta_powers(N) (x^t mod
 Phi_N for t mod N).  One substitution loop over it, _power_sum, applies the
-Galois action, shifts, lifts and specialization.  A product reads the table
-itself: it multiplies only the nonzero coefficient pairs of its operands and
-folds each product into its reduced slot as it is formed, so no unreduced
+Galois action, shifts, lifts and specialization; descend, the inverse of a
+lift, only reads slots (descent_step).  A product reads the table itself:
+it multiplies only the nonzero coefficient pairs of its operands and folds
+each product into its reduced slot as it is formed, so no unreduced
 convolution is built.  The field inverse is the product of the other Galois
 conjugates divided by the rational norm.
 
@@ -551,6 +552,31 @@ def _power_sum(N: int, out: list[int], terms: Iterable[tuple[int, int]]) -> list
     return out
 
 
+def shift_vector(N: int, vec: Sequence[int], t: int) -> tuple[int, ...]:
+    """The power-basis coefficients of zeta_N**t x, x given by its
+    coefficients vec: a shift, no product."""
+    if t % N == 0:
+        return tuple(vec)
+    return tuple(_power_sum(N, [0] * len(vec), zip(vec, range(t, t + len(vec)))))
+
+
+@lru_cache(maxsize=None)
+def descent_step(N: int, order: int) -> int:
+    """s = N / order, when Phi_N(x) = Phi_order(x**s): order divides N and
+    every prime factor of s divides order.  Then Q(zeta_order) is the span
+    of the power-basis slots of Q(zeta_N) divisible by s, and zeta_N**c
+    Q(zeta_order) (c < s) the slots congruent to c.  ValueError otherwise."""
+    if order < 1 or N % order or euler_phi(N) != N // order * euler_phi(order):
+        raise ValueError(f"Q(zeta_{order}) is not spanned by power-basis slots of Q(zeta_{N})")
+    return N // order
+
+
+def square_subfield_order(N: int) -> int:
+    """The order M of Q(zeta_N**2) = Q(zeta_M) that descent_step accepts:
+    N / 2 when 4 divides N, else N (Q(zeta_N**2) is then all of Q(zeta_N))."""
+    return N // 2 if N % 4 == 0 else N
+
+
 @lru_cache(maxsize=None)
 def _zeta_logs(N: int) -> dict[tuple[int, ...], int]:
     """The power-basis vector of zeta_N^t -> t, for t = 0..N-1."""
@@ -846,9 +872,7 @@ class CycNumber:
 
     def times_zeta(self, t: int) -> "CycNumber":
         """self * zeta_N**t, by shifting the power basis: no product."""
-        N, phi = self.order, len(self.vec)
-        out = _power_sum(N, [0] * phi, zip(self.vec, range(t, t + phi)))
-        return CycNumber._raw(N, out, self.den)
+        return CycNumber._raw(self.order, list(shift_vector(self.order, self.vec, t)), self.den)
 
     def conj(self) -> "CycNumber":
         """zeta -> zeta**-1; complex conjugation on the unit circle."""
@@ -862,6 +886,21 @@ class CycNumber:
         out = _power_sum(order, [0] * euler_phi(order),
                          ((c, j * step) for j, c in enumerate(self.vec)))
         return CycNumber._raw(order, out, self.den)
+
+    def components(self, order: int) -> tuple["CycNumber", ...]:
+        """The x_c in Q(zeta_order), c < s = N / order, with self = sum over
+        c of zeta_N**c x_c, for an order that descent_step accepts: slot
+        c + s i of self is slot i of x_c."""
+        s = descent_step(self.order, order)
+        return tuple(CycNumber._raw(order, list(self.vec[c::s]), self.den) for c in range(s))
+
+    def descend(self, order: int) -> "CycNumber":
+        """The inverse of lift: self in Q(zeta_order), for an order that
+        descent_step accepts; ValueError when a slot outside it is nonzero."""
+        x, *rest = self.components(order)
+        if any(rest):
+            raise ValueError(f"{self!r} does not lie in Q(zeta_{order})")
+        return x
 
     # -- embeddings
     def embed(self) -> complex:

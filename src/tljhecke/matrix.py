@@ -32,8 +32,11 @@ ArithmeticError if not), and the balanced residue is F(2**W) itself.
 
 ExactMatrix.dots(B, pairs, *diags) is the one entry point, returning one
 row of dot products; A @ B, J~ assembly, the trace of J T J T^-1 and the
-genus-2 relation checks all run through it.  A.folding(pi) is the one way
-to form A diag(x) A for a symmetric A fixed by an involution pi (Folding).
+genus-2 relation checks all run through it.  A column where a diagonal is 0
+drops out of its dots.  A.folding(pi) is the one way to form A diag(x) A
+for a symmetric A fixed by an involution pi (Folding).  A.descend(M) moves
+a matrix into the subfield Q(zeta_M), where its products run on phi(M)
+digits (exactnum.descent_step).
 
 Characteristic polynomials (Faddeev-LeVerrier) and CycPoly are the exact
 route for questions about eigenvalues.  A question whose answer is "some
@@ -68,6 +71,7 @@ from .exactnum import (
     _power_sum,
     _zeta_powers,
     cyclotomic_poly,
+    descent_step,
     euler_phi,
 )
 
@@ -215,11 +219,8 @@ def _dots(N: int, phi: int, A: tuple, B: tuple,
 class Folding:
     """S diag(x) S for a symmetric S fixed by an involution pi, for any
     number of diagonals x, with the rows of S folded over pi once.
-    S.folding(pi) checks S and builds one.  A product S diag(x) S is
-    symmetric, so Folding(f.product(x), range(n)).product(y) folds it over
-    the identity, unchecked, for a chained step (with pi the identity the
-    fold is the plain half-product).  The genus-2 relation checks fold J~
-    over the swap of the theta basis this way.
+    S.folding(pi) checks S and builds one.  The genus-2 relation checks
+    fold J~ over the swap of the theta basis this way.
 
     R holds the pair representatives (i < pi i), F the fixed points, and
     reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on reps (so
@@ -480,6 +481,16 @@ class ExactMatrix:
         return ExactMatrix._of(self.order, self.table,
                                [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], self.den)
 
+    def descend(self, order: int) -> "ExactMatrix":
+        """Entrywise CycNumber.descend, once per table entry: self over
+        Q(zeta_order), or ValueError when some entry is not in it."""
+        s = descent_step(self.order, order)
+        if s == 1:
+            return self
+        if any(any(v[c::s]) for v in self.table for c in range(1, s)):
+            raise ValueError(f"{self!r} does not lie in Q(zeta_{order})")
+        return ExactMatrix._of(order, [v[::s] for v in self.table], self.index, self.den)
+
     def conj(self) -> "ExactMatrix":
         """Entrywise zeta -> zeta**-1."""
         return self.galois(self.order - 1)
@@ -508,11 +519,18 @@ class ExactMatrix:
              *diags: Sequence[CycNumber]) -> "ExactMatrix":
         """Row i of self dotted with row j of other diag(d1) diag(d2) ...,
         for each (i, j) in pairs, on the packed kernel (each diagonal by
-        scale_cols), as one row."""
+        scale_cols), as one row.  A column where some diagonal is 0 drops
+        out of every dot."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.ncols:
             raise ValueError("row length mismatch")
+        for d in diags:
+            _check_length(d, self.ncols)
+        keep = [k for k in range(self.ncols) if all(d[k] for d in diags)]
+        if len(keep) < self.ncols:
+            self, other = (m.submatrix(range(m.nrows), keep) for m in (self, other))
+            diags = [[d[k] for k in keep] for d in diags]
         for d in diags:
             other = other.scale_cols(d)
         N = self.order

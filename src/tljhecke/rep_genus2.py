@@ -13,16 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .exactnum import (
     CycNumber,
     IntPolynomial,
     LaurentFraction,
-    _power_sum,
     cyclotomic_factor,
     euler_phi,
+    shift_vector,
     split_primes,
+    square_subfield_order,
 )
 from .matrix import (
     CycPoly,
@@ -199,17 +200,25 @@ class Genus2Rep:
     def junitary(self) -> SignedSqrtMatrix | None:
         """The unitary matrix, or None when the form is not positive definite.
 
-        Signs come from J' (the basis rescaling is positive), squares from
-        J'_{sm} J'_{ms}; built on first access, since relation checks and
-        traces never read it.
+        Signs come from J' (the basis rescaling is positive), one per J'
+        table entry, and squares from J'_{sm} J'_{ms}, one product per
+        distinct pair of table entries (522 products and 139 signs at r = 6,
+        against 7,056 entries); built on first access, since relation checks
+        and traces never read it.
         """
         if not self.positive:
             return None
-        jf = self.j_field.rows
-        n = len(self.basis)
-        squares = [[jf[s][m] * jf[m][s] for m in range(n)] for s in range(n)]
-        signs = [[jf[s][m].real_sign() for m in range(n)] for s in range(n)]
-        return SignedSqrtMatrix(ExactMatrix(self.params.root_order, squares), signs)
+        jf = self.j_field
+        cells = [CycNumber(jf.order, v, jf.den) for v in jf.table]
+        signs = [x.real_sign() for x in cells]
+        pairs = [list(zip(row, col)) for row, col in zip(jf.index, zip(*jf.index))]
+        squares = {}
+        for a, b in chain.from_iterable(pairs):
+            if (a, b) not in squares:
+                squares[a, b] = cells[a] * cells[b]
+        return SignedSqrtMatrix(ExactMatrix(jf.order, [map(squares.__getitem__, row)
+                                                       for row in pairs]),
+                                [[signs[k] for k in row] for row in jf.index])
 
 
 @lru_cache(maxsize=None)
@@ -320,14 +329,17 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     (iv)  J symmetric (as J~ = J~^T).
 
     J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
-    decided from three symmetric half-products A diag(e) A, on J~ and D as
-    given (_relations_hold); the two on J~ share one folding over the swap
-    (i, j, k) -> (i, k, j) of the basis, which fixes J~ and D (at r = 6,
-    84k and 142k multiplications against 300k each unfolded).  Only when
-    that path cannot show that every relation holds (a J~ or D that the
-    swap moves included) are J'^2, (TJ')^5 and F bar(F) formed in full
-    (_reference_differences), and the report names the first offending
-    entry of each, as the products give it.
+    decided from symmetric half-products A diag(e) A over K = Q(A^2), the
+    subfield that holds J~ and D (_relations_hold): at even r its vectors
+    have phi/2 coefficients.  S0 = J~ D J~ and the two parts of S2 =
+    J~ E J~ share one folding of J~ over the swap (i, j, k) -> (i, k, j),
+    which fixes J~ and D, and S4 = S2 E S2 is two half-products, one per
+    twist parity (at r = 6: 84k, 202k and 300k multiplications, all on 8
+    coefficients, against 300k on 16 for each unfolded product).  Only
+    when that path cannot show that every relation holds (a J~ or D that
+    the swap moves, or one outside K, included) are J'^2, (TJ')^5 and
+    F bar(F) formed in full (_reference_differences), and the report names
+    the first offending entry of each, as the products give it.
     """
     rep = genus2_rep(params)
     names = ["J^2 = I", "(TJ)^5 = (P+/P-)^2 I"]
@@ -346,29 +358,38 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
 def _relations_hold(rep: Genus2Rep) -> bool:
     """True only when all four relations hold; each step is exact.
 
-    J~ is folded over the swap pi: (i, j, k) -> (i, k, j) once
-    (Genus2Basis.swap, ExactMatrix.folding): one check that J~ is symmetric
-    and fixed by pi and one set of folded rows serve S0 and S2, whose
-    blocks live over the pairs R (j < k) and the fixed points F (j = k).
-    When J~ or D is not fixed by pi, the reference chain decides.
-    Everything below reads J~'s vectors over its one denominator.
+    Every recoupling value lies in K = Q(A^2) = Q(zeta_M)
+    (square_subfield_order): M = N/2 when 4 | N (even r), whose power basis
+    is the even slots of Q(zeta_N)'s, as Phi_N(x) = Phi_M(x^2); M = N at
+    odd r, where K is the whole field.  With s = N/M, Q(zeta_N) is the sum
+    of the zeta^c K, c < s (CycNumber.components).  J~ and D are moved into
+    K (descend) and every product below runs on vectors of phi(M) = phi/s
+    coefficients.  J~ is folded over the swap pi: (i, j, k) -> (i, k, j)
+    once (Genus2Basis.swap, ExactMatrix.folding): one check that J~ is
+    symmetric and fixed by pi and one set of folded rows serve S0 and S2.
+    When J~ or D is not in K or not fixed by pi, a twist or kappa^4 is not
+    a power of zeta, or S2 is not graded as below, the reference chain
+    decides.
 
     (iv)  J~ = J~^T: ExactMatrix.folding raises ValueError when it does not
           hold.
     (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is D^-1
           (_s0_is_d_inverse).
-    (ii)  With E = D T (rep.e), S2 = J~ E J~ and S4 = S2 E S2 (S2 from the
-          blocks alpha, beta and gamma, since E is not fixed by pi; S4 the
-          upper triangle alpha of S2 folded over the identity, a plain
-          half-product), one has (TJ')^5 = T S4 E J~ D.  If J'^2 = I and
-          S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4 J~ D J~ D =
-          kappa^4 I.  Both sides are symmetric, so the upper triangles are
-          compared as integer vectors: S4 over its denominator against each
-          J~_ij over J~'s, shifted by kappa^4 / (t_i t_j) in the power
-          basis, by cross-multiplication.  Each (J~ table index, shift)
-          pair is shifted once.  At the levels in use kappa^4 and every t
-          are powers of zeta (so is -zeta^b: N is even); any other value is
-          left to the reference chain.
+    (ii)  With E = D T (rep.e) = sum_c zeta^c E_c, S2 = J~ E J~ is the sum
+          of zeta^c J~ E_c J~, one folded product per c.  S2 is graded by
+          the middle label: S2_ab lies in zeta^(g_a + g_b) K, g = j mod s,
+          which _regrade checks on those s tables as it forms X = G^-1 S2
+          G^-1 over K, G = diag(zeta^g).  Then S4 = S2 E S2 = G (sum_c
+          zeta^c X W_c X) G with W = G E G = sum_c zeta^c W_c, and X W_c X
+          is a half-product over the columns where W_c is nonzero, the
+          basis vectors of one twist parity.  (TJ')^5 = T S4 E J~ D, so if
+          J'^2 = I and S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4
+          J~ D J~ D = kappa^4 I.  With kappa^4 = zeta^k and t_a =
+          zeta^tau_a, that is sum_c zeta^c (X W_c X)_ab = zeta^u J~_ab for
+          u = k - tau_a - tau_b - g_a - g_b: the upper triangle of X W_c X
+          is J~ shifted by floor(u/s) in K where c = u mod s and 0 elsewhere,
+          one ExactMatrix equality per c.  Each (J~ table index, shift)
+          pair is shifted once.
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
           conj(F) = F, which holds when J~, Theta and D are fixed by
           conjugation, a field automorphism.  ExactMatrix.conj conjugates
@@ -377,49 +398,82 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     """
     params = rep.params
     N = params.root_order
-    jt, d = rep.jtilde, rep.jcols
-    n = jt.nrows
+    M = square_subfield_order(N)
+    s = N // M
     pi = rep.basis.swap
-    if any(d[i] != d[j] for i, j in enumerate(pi)):
+    n = len(pi)
+    kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
+    logs = [x.zeta_log() for x in (kappa4, *rep.tdiag)]
+    if None in logs or any(rep.jcols[i] != rep.jcols[j] for i, j in enumerate(pi)):
         return False
+    k4, tlog = logs[0], logs[1:]
     try:
+        jt = rep.jtilde.descend(M)
+        d = [x.descend(M) for x in rep.jcols]
         f = jt.folding(pi)
     except ValueError:
         return False
     if not _s0_is_d_inverse(f, d):
         return False
 
-    kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
-    logs = [x.zeta_log() for x in (kappa4, *rep.tdiag)]
-    if None in logs:
+    grade = [j % s for _, j, _ in rep.basis.triples]
+    e_parts = zip(*(y.components(M) for y in rep.e))
+    x = _regrade([f.product(ec) for ec in e_parts], grade)
+    if x is None:
         return False
-    k4, tlog = logs[0], logs[1:]
-    # S2 from the folded rows of J~, which are then released
-    f = Folding(f.product(rep.e), range(n))
-    s4 = f.blocks(rep.e)[0]
-    g = math.gcd(s4.den, jt.den)
-    a, b = s4.den // g, jt.den // g
-    got = [[c * b for c in v] for v in s4.table]
-    upper = iter(s4.index[0])
-    phi, shifted = euler_phi(N), {}
-    for i, row in enumerate(jt.index):
-        for j in range(i, n):
-            key = row[j], (k4 - tlog[i] - tlog[j]) % N
-            want = shifted.get(key)
-            if want is None:
-                want = shifted[key] = _power_sum(N, [0] * phi, (
-                    (c * a, t) for t, c in enumerate(jt.table[key[0]], key[1])))
-            if want != got[next(upper)]:
-                return False
+    w_parts = zip(*(y.times_zeta(2 * g).components(M) for y, g in zip(rep.e, grade)))
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    halves = [x.dots(x, upper, wc) for wc in w_parts]
+
+    zero, shifted = (0,) * euler_phi(M), {}
+    want = [[] for _ in range(s)]
+    for a, b in upper:
+        u = (k4 - tlog[a] - tlog[b] - grade[a] - grade[b]) % N
+        key = jt.index[a][b], u // s
+        v = shifted.get(key)
+        if v is None:
+            v = shifted[key] = shift_vector(M, jt.table[key[0]], key[1])
+        for c in range(s):
+            want[c].append(v if c == u % s else zero)
+    if any(h != ExactMatrix.from_vectors(M, [t], jt.den) for h, t in zip(halves, want)):
+        return False
 
     if params.is_unitary_root:
         th = [theta_at(params, *b) for b in rep.basis.triples]
-        if not all(x.is_real() for x in th + list(d)) or jt.conj() != jt:
+        if not all(y.is_real() for y in th + d) or jt.conj() != jt:
             return False
     return True
 
 
-def _s0_is_d_inverse(f: Folding, d: tuple[CycNumber, ...]) -> bool:
+def _regrade(parts: list[ExactMatrix], grade: list[int]) -> ExactMatrix | None:
+    """X = G^-1 S G^-1 over K for the symmetric S = sum_c zeta^c parts[c]
+    (s symmetric parts over K = Q(zeta_M)) and G = diag(zeta^g), when S_ab
+    lies in zeta^(g_a + g_b) K for every a, b; else None.  That holds iff
+    parts[c]_ab = 0 for every c other than (g_a + g_b) mod s, and then X_ab
+    is parts[c]_ab times zeta^(c - g_a - g_b), a power of zeta^s = zeta_M:
+    one shift per distinct (c, table entry, shift)."""
+    s, M, n = len(parts), parts[0].order, len(grade)
+    if s == 1:                          # K is the whole field: G = I
+        return parts[0]
+    den = math.lcm(*(p.den for p in parts))
+    nonzero = [{k for k, v in enumerate(p.table) if any(v)} for p in parts]
+    shifted, rows = {}, [[None] * n for _ in range(n)]
+    for a, ga in enumerate(grade):
+        for b in range(a, n):
+            gb = grade[b]
+            c = (ga + gb) % s
+            if any(p.index[a][b] in nz for k, (p, nz) in enumerate(zip(parts, nonzero)) if k != c):
+                return None
+            key = c, parts[c].index[a][b], (c - ga - gb) // s
+            v = shifted.get(key)
+            if v is None:
+                f = den // parts[c].den
+                v = shifted[key] = shift_vector(M, [y * f for y in parts[c].table[key[1]]], key[2])
+            rows[a][b] = rows[b][a] = v
+    return ExactMatrix.from_vectors(M, rows, den)
+
+
+def _s0_is_d_inverse(f: Folding, d: list[CycNumber]) -> bool:
     """S0 = J~ D J~ = D^-1, decided on the blocks of the folding f of J~.
 
     D is fixed by pi, so S0 has only the blocks alpha and beta (gamma = 0):

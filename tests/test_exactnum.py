@@ -21,10 +21,13 @@ from tljhecke.exactnum import (
     cyc_to_json,
     cyclotomic_factor,
     cyclotomic_poly,
+    descent_step,
     euler_phi,
     is_cyclotomic,
+    shift_vector,
     specialize,
     split_primes,
+    square_subfield_order,
 )
 from tljhecke.matrix import (
     ExactMatrix,
@@ -638,6 +641,50 @@ def test_lift_preserves_value():
     assert y == CycNumber.zeta(20, 2) + 3
 
 
+@st.composite
+def descent_cases(draw):
+    """(x in Q(zeta_N), M) for an M that descent_step accepts, s = N / M."""
+    N, M = draw(st.sampled_from([(8, 4), (16, 8), (24, 12), (20, 10), (40, 20), (36, 12),
+                                 (14, 14), (10, 10)]))
+    phi = euler_phi(N)
+    vec = draw(st.lists(st.integers(-9, 9), min_size=phi, max_size=phi))
+    return CycNumber(N, vec, draw(st.integers(1, 50))), M
+
+
+@settings(max_examples=60, deadline=None)
+@given(descent_cases())
+def test_descend_inverts_lift_and_components_sum_back(case):
+    x, M = case
+    N = x.order
+    parts = x.components(M)
+    assert len(parts) == N // M and all(p.order == M for p in parts)
+    total = CycNumber.zero(N)
+    for c, p in enumerate(parts):
+        total = total + p.lift(N).times_zeta(c)
+    assert total == x
+    assert parts[0].lift(N).descend(M) == parts[0]
+    A = ExactMatrix(N, [[x, parts[0].lift(N)]])
+    if any(parts[1:]):
+        for call in (lambda: x.descend(M), lambda: A.descend(M)):
+            with pytest.raises(ValueError, match=rf"does not lie in Q\(zeta_{M}\)"):
+                call()
+    else:
+        assert x.descend(M) == parts[0]
+        assert A.descend(M) == ExactMatrix(M, [[parts[0], parts[0]]])
+    for t in (0, 3, -1):
+        assert CycNumber(N, shift_vector(N, x.vec, t), x.den) == x.times_zeta(t)
+
+
+def test_descent_step_needs_the_same_primes():
+    # Phi_10(x) = Phi_5(-x), not Phi_5(x^2): Q(zeta_5) = Q(zeta_10) is not
+    # the even slots of Q(zeta_10)'s power basis
+    assert [descent_step(N, M) for N, M in ((32, 16), (24, 12), (24, 6), (14, 14))] == [2, 2, 4, 1]
+    for N, M in ((10, 5), (12, 4), (16, 3), (16, 0)):
+        with pytest.raises(ValueError, match="not spanned"):
+            descent_step(N, M)
+    assert [square_subfield_order(N) for N in (16, 24, 10, 14, 9)] == [8, 12, 10, 14, 9]
+
+
 # --------------------------------------------------------------------------
 # serialization
 
@@ -718,8 +765,7 @@ def _symmetric(N, n, upper):
 
 def _sandwich(A, pi, d, *later):
     """A diag(d) A folded over pi, then S diag(x) S for each x of later,
-    with S the previous result folded over the identity: the calls that
-    rep_genus2._relations_hold chains."""
+    with S the previous result folded over the identity."""
     S = A.folding(pi).product(d)
     for x in later:
         S = Folding(S, range(A.nrows)).product(x)
@@ -841,9 +887,9 @@ def test_fold_blocks_give_every_entry(case):
 @settings(max_examples=60, deadline=None)
 @given(folded_cases())
 def test_identity_folding_blocks_are_the_upper_triangle(case):
-    # _relations_hold reads S4 = S2 E S2 as the alpha of S2 folded over the
-    # identity, taken in order against the upper triangle of J~: row by row,
-    # j from i to n - 1
+    # folded over the identity, alpha is the upper triangle of the
+    # half-product, row by row, j from i to n - 1, and beta and gamma are
+    # None
     A, pi, moved, fixed_by_pi, y = case
     N, n = A.order, A.nrows
     for d in (moved, fixed_by_pi):

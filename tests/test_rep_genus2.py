@@ -2,13 +2,20 @@
 matrices, relations, traces, and the infinite-image certificates."""
 import copy
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from tljhecke.exactnum import CycNumber, IntPolynomial, LaurentFraction, split_primes
+from tljhecke.exactnum import (
+    CycNumber,
+    IntPolynomial,
+    LaurentFraction,
+    shift_vector,
+    split_primes,
+)
 from tljhecke.matrix import CycPoly, ExactMatrix, Folding, char_poly, residue_matrix
 from tljhecke.recoupling import (
     NotAdmissible,
@@ -283,15 +290,29 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_digits(monkeypatch):
+    """Count the digits that matrix._pack_digits packs: a pack of a vector
+    over Q(zeta_M) weighs phi(M)."""
+    digits, f = [0], matrix._pack_digits
+
+    def counted(vec, width):
+        digits[0] += len(vec)
+        return f(vec, width)
+    monkeypatch.setattr(matrix, "_pack_digits", counted)
+    return digits
+
+
 def test_kernel_unpacks_each_distinct_residue_once(monkeypatch):
     # The packed kernel unpacks each distinct residue of a call once and
     # packs each table entry once.  Before it did, a cold jtilde at r = 6
     # (recoupling caches warm) unpacked 9,082 vectors, one per output and
     # more than its n^2 = 7,056 entries, and a cold r = 4 relation check,
     # jtilde included, packed 9,851; with one pack per vector object it
-    # packed 4,826, and with one per value 1,486.  J~ at r = 6 has 109
-    # distinct values, so its final dots unpack at most 109 of them, and
-    # S2 = J~ E J~ has 692, each one table entry.
+    # packed 4,826, and with one per value 1,486, all of phi = 8 digits
+    # (11,888 digits).  J~ at r = 6 has 109 distinct values, so its final
+    # dots unpack at most 109 of them, and S2 = J~ E J~ has 692, each one
+    # table entry.  The relation check packs over K = Q(A^2), phi/2 = 4
+    # digits a vector at r = 4: 7,900 digits in 1,837 packs.
     for r in (4, 6):
         assert verify_genus2_relations(TheoryParams(r)).all_pass
     rep = genus2_rep(TheoryParams(6))
@@ -305,9 +326,9 @@ def test_kernel_unpacks_each_distinct_residue_once(monkeypatch):
     # equal entries are one table entry
     assert len(jt.table) == 109
     assert unpacked[0] < 700, unpacked
-    packed = _counting(monkeypatch, "_pack_digits")
+    packed = _counting_digits(monkeypatch)
     assert verify_genus2_relations(TheoryParams(4)).all_pass
-    assert packed[0] < 1500, packed
+    assert packed[0] < 8500, packed
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
@@ -617,18 +638,105 @@ def test_unitarity_reads_every_distinct_jtilde_vector(monkeypatch, r):
     assert [it.passed for it in rpt.items] == [True, True, False, True]
 
 
+def _kappa_times_zeta(rep):
+    gc = rep.constants
+    return replace(rep, constants=replace(gc, kappa_squared=gc.kappa_squared.times_zeta(1)))
+
+
+def _t_swapped(rep, rng):
+    # None when T is scalar (r = 1)
+    t = list(rep.tdiag)
+    pairs = [(a, b) for a in range(len(t)) for b in range(a) if t[a] != t[b]]
+    if pairs:
+        a, b = rng.choice(pairs)
+        t[a], t[b] = t[b], t[a]
+        return replace(rep, tdiag=tuple(t))
+
+
+def _table_entry_scaled(rep, rng):
+    # every entry of J~ holding one value scaled by 2, -1 or zeta: J~ stays
+    # symmetric and fixed by the swap
+    jt = rep.jtilde
+    k = rng.randrange(len(jt.table))
+    f = rng.choice([lambda v: [2 * c for c in v], lambda v: [-c for c in v],
+                    lambda v: shift_vector(jt.order, v, 1)])
+    table = [f(v) if i == k else v for i, v in enumerate(jt.table)]
+    return replace(rep, jtilde=ExactMatrix.from_vectors(
+        jt.order, [[table[i] for i in row] for row in jt.index], jt.den))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_fast_path_holds_exactly_when_the_reference_finds_nothing(r):
+    # at every unit root, on the representation and on three perturbed
+    # copies, each chosen from a generator seeded by (r, k): kappa^2 times
+    # zeta, two unequal T entries swapped, one J~ table entry scaled.
+    # (kappa^2 -> -kappa^2 is no perturbation: kappa^4 does not change.)
+    # A swap of T entries can keep the relations (r = 1, 3), so the test
+    # asks only that some perturbed copy fails at each level
+    P = TheoryParams(r)
+    failed = set()
+    for k in _unit_roots(P.root_order):
+        rep = genus2_rep(P.with_root(k))
+        rng = random.Random(f"{r}:{k}")
+        for name, m in (("rep", rep), ("kappa", _kappa_times_zeta(rep)),
+                        ("T", _t_swapped(rep, rng)), ("J~", _table_entry_scaled(rep, rng))):
+            if m is None:
+                continue
+            nothing = all(d is None for d in rep_genus2._reference_differences(m))
+            assert rep_genus2._relations_hold(m) == nothing, (r, k, name)
+            if not nothing:
+                failed.add(name)
+    assert "rep" not in failed and failed, r
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 8])
+def test_fast_path_decides_at_every_root(monkeypatch, r):
+    # J~ and D lie in K = Q(A^2), J~ and D are fixed by the swap and S2 is
+    # graded by the middle label at every unit root for r <= 7 and at the
+    # default root for r = 8, so verify never reaches the product chain
+    # there; odd levels (K the whole field) run the same function
+    P = TheoryParams(r)
+    monkeypatch.setattr(rep_genus2, "_reference_differences",
+                        lambda rep: pytest.fail("the product chain ran"))
+    for k in _unit_roots(P.root_order) if r < 8 else [P.root_exponent]:
+        assert verify_genus2_relations(P.with_root(k)).all_pass, (r, k)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_regrade_checks_the_grading(r):
+    # X = G^-1 S2 G^-1 over K from the two parts of S2 = J~ E J~, and None
+    # once a part is nonzero where the grading by the middle label puts 0
+    rep = genus2_rep(TheoryParams(r))
+    N, pi = rep.params.root_order, rep.basis.swap
+    M, n = N // 2, len(pi)
+    grade = [j % 2 for _, j, _ in rep.basis.triples]
+    f = rep.jtilde.descend(M).folding(pi)
+    parts = [f.product(e) for e in zip(*(y.components(M) for y in rep.e))]
+    x = rep_genus2._regrade(parts, grade)
+    s2 = rep.jtilde.folding(pi).product(rep.e)
+    assert all(x[a, b].lift(N).times_zeta(grade[a] + grade[b]) == s2[a, b]
+               for a in range(n) for b in range(n))
+    a, b = next((a, b) for a in range(n) for b in range(a + 1, n) if grade[a] == grade[b])
+    bumped = [parts[0], _bump(parts[1], [(a, b), (b, a)])]
+    assert rep_genus2._regrade(bumped, grade) is None
+
+
 def test_passing_relations_make_no_full_product(monkeypatch):
+    # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24), and
     # one folding of J~ over the swap (one symmetry check, one set of folded
-    # rows) serves S0 = J~ D J~ (its blocks alpha and beta) and S2 = J~ E J~;
-    # S4 = S2 E S2 is the upper triangle of S2 folded over the identity.
-    # Their packed dots make no more multiplications than n+ = |R| + |F|
-    # and n- = |R| imply, and the product chain runs only when some
-    # relation fails
+    # rows) serves S0 = J~ D J~ (its blocks alpha and beta) and the two
+    # parts J~ E_c J~ of S2; S4 is two half-products of X = G^-1 S2 G^-1,
+    # over the columns of each twist parity.  Every packed dot runs on
+    # phi(12) = 4 digits, and the phi-weighted multiplications are at most
+    # what n+ = |R| + |F| and n- = |R| imply for S0, two S2 folds and one
+    # n x n half-product, below S0, one S2 fold and one half-product on
+    # phi(24) = 8 digits.  The product chain runs only when some relation
+    # fails
     P = TheoryParams(4)
     genus2_rep(P)
     calls = {"matmul": 0, "check": 0, "folding": 0, "blocks": 0}
     folded_over = []
-    mults = [0]
+    digits, work = set(), [0]
     matmul, check, folding, init, blocks, dots = (
         ExactMatrix.__matmul__, ExactMatrix._check_fold, ExactMatrix.folding,
         Folding.__init__, Folding.blocks, matrix._dots)
@@ -655,7 +763,8 @@ def test_passing_relations_make_no_full_product(monkeypatch):
 
     def counting_dots(N, phi, A, B, length, pairs):
         pairs = list(pairs)
-        mults[0] += length * len(pairs)
+        digits.add(phi)
+        work[0] += phi * length * len(pairs)
         return dots(N, phi, A, B, length, pairs)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(ExactMatrix, "_check_fold", counting_check)
@@ -668,7 +777,8 @@ def test_passing_relations_make_no_full_product(monkeypatch):
 
     pi = enumerate_basis(4).swap
     n = len(pi)
-    assert folded_over == [pi, tuple(range(n))]
+    assert folded_over == [pi]
+    assert digits == {4}
     n_plus = sum(i <= p for i, p in enumerate(pi))
     n_minus = sum(i < p for i, p in enumerate(pi))
 
@@ -677,7 +787,7 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     s0 = half(n_plus) + half(n_minus)
     s2 = s0 + n_plus * n_minus * n_minus
     assert (n, n_plus, n_minus) == (35, 22, 13)
-    assert mults[0] <= s0 + s2 + half(n)
+    assert work[0] <= 4 * (s0 + 2 * s2 + half(n)) < 8 * (s0 + s2 + half(n))
 
 
 def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
