@@ -198,15 +198,11 @@ def _emit(args, doc: dict, pretty: Callable[[], list[str]],
             print(line)
 
 
-def _levels_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.split(",") if x.strip()]
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 def cmd_dims(args) -> int:
-    levels = _levels_list(args.levels)
+    levels = args.levels
     dims = [verlinde_dim(r, args.genus) for r in levels]
     doc = {"genus": args.genus,
            "dimensions": [{"level": r, "dim": d} for r, d in zip(levels, dims)]}
@@ -294,7 +290,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace_table(args) -> int:
-    levels = _levels_list(args.levels)
+    levels = args.levels
     entries = trace_table(levels)
     doc = {"entries": [{
         "level": e.level,
@@ -456,6 +452,15 @@ def _precision(raw: str) -> int:
     return value
 
 
+def _levels_list(raw: str) -> list[int]:
+    """--levels: comma-separated integers, empty items skipped (so "," is no
+    level), and a usage error that names the option for any other item."""
+    try:
+        return [int(x) for x in raw.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tljhecke",
@@ -468,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="Verlinde dimensions")
     p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--levels", default="3,5,7,9,11,13")
+    p.add_argument("--levels", type=_levels_list, default="3,5,7,9,11,13")
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("modular-data", help="genus-1 S and T matrices")
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("trace-table", help="traces of JTJT^-1 at A=e^(i pi/(r+2))")
-    p.add_argument("--levels", default="3,5,7,9,11,13")
+    p.add_argument("--levels", type=_levels_list, default="3,5,7,9,11,13")
     p.set_defaults(fn=cmd_trace_table)
 
     p = sub.add_parser("infinite-image", help="infinite-image certificates")

@@ -19,9 +19,9 @@ tests use it as the reference for the specialized path.  Specialized values
 are memoized per TheoryParams, each distinct value once:
 
 * _phi_power holds Phi_m(zeta_N^k)^e, so each Phi_m is inverted once per
-  root (at e = -1); theta_inv_at and delta_inv_at evaluate the factored
-  form with negated exponents, so these are the only field inverses the
-  specialized values take;
+  root (at e = -1), from the factors zeta^d - 1 of Phi_m and no Galois
+  norm; theta_inv_at (once per sorted triple) and delta_inv_at evaluate the
+  factored form with negated exponents, so neither takes CycNumber.inverse;
 * _tet_orbit_at holds one Tet value per _tet_key: the sorted vertex
   half-sums, square half-sums and edge colors, the only data the state sum
   reads.  Its classes are the orbits of the tetrahedral symmetry group (145
@@ -47,6 +47,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 
 from .exactnum import (
     CycNumber,
@@ -54,7 +55,10 @@ from .exactnum import (
     LaurentPoly,
     PoleAtRoot,
     _eval_at_zeta,
+    _power_sum,
+    _prime_factors,
     cyclotomic_poly,
+    euler_phi,
 )
 
 Color = int
@@ -402,12 +406,32 @@ def _phi_value(params: TheoryParams, m: int) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def _phi_power(params: TheoryParams, m: int, e: int) -> CycNumber:
-    """Phi_m(zeta_N^k)^e for e != 0; the one inverse per m is taken at e = -1."""
+    """Phi_m(zeta_N^k)^e for e != 0; the one inverse per m is taken at e = -1.
+
+    The inverse takes no Galois norm.  Phi_m(x) is the product of
+    (x^d - 1)^mu(m/d) over the d = m/q for squarefree q | m, and for N not
+    dividing m no zeta^d is 1: with u = zeta^(kd) of order o > 1,
+    1/(u - 1) = (1/o) sum_{j<o} j u^j, and u - 1 is a shift.  That is one
+    vector per squarefree divisor and 2^omega(m) - 1 products.  When N
+    divides m, some u is 1 and ArithmeticError is raised.
+    """
     if e > 0:
         return _phi_value(params, m) ** e
-    if e == -1:
-        return _phi_value(params, m).inverse()
-    return _phi_power(params, m, -1) ** -e
+    if e < -1:
+        return _phi_power(params, m, -1) ** -e
+    N, k = params.root_order, params.root_exponent
+    if m % N == 0:
+        raise ArithmeticError(f"Phi_{m} at zeta_{N}^{k}: {N} divides {m}")
+    primes, factors = _prime_factors(m), []
+    for used in product((0, 1), repeat=len(primes)):
+        d = m // math.prod(p for p, u in zip(primes, used) if u)
+        if sum(used) % 2:               # mu(m/d) = -1: the factor u - 1
+            o, terms = 1, ((1, k * d), (-1, 0))
+        else:                           # mu(m/d) = 1: the factor 1/(u - 1)
+            o = N // math.gcd(N, d)
+            terms = ((j, k * d * j) for j in range(1, o))
+        factors.append(CycNumber._raw(N, _power_sum(N, [0] * euler_phi(N), terms), o))
+    return reduce(operator.mul, factors)
 
 
 def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
@@ -495,6 +519,9 @@ def theta_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def theta_inv_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
+    """1 / Theta(a, b, c), symmetric in a, b, c: computed once per sorted triple."""
+    if not a <= b <= c:
+        return theta_inv_at(params, *sorted((a, b, c)))
     check_admissible(params.level, a, b, c)
     return _factored_inverse(params, _theta_factored(a, b, c))
 

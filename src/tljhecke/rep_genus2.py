@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from .exactnum import (
     CycNumber,
@@ -144,7 +144,11 @@ def coupling_a_at(params: TheoryParams, i: int, j: int, l: int) -> CycNumber:
     """a^{i,j}_l at the root, as coupling_a with the factors hoisted: the 6j
     symbol {i j l; j i k} is Tet(i,j,k,j,i,l) times the weight
     Delta_l / (Theta(i,i,l) Theta(j,j,l)), which no channel k changes, and
-    theta_i theta_j is one shift of the sum."""
+    theta_i theta_j is one shift of the sum.  a^{i,j}_l = a^{j,i}_l, since
+    the 6j symbol is unchanged when its first two columns swap and Theta and
+    theta_i theta_j are symmetric, so each unordered pair is computed once."""
+    if i > j:
+        return coupling_a_at(params, j, i, l)
     r = params.level
     N = params.root_order
     total = CycNumber.zero(N)
@@ -201,23 +205,16 @@ class Genus2Rep:
         """The unitary matrix, or None when the form is not positive definite.
 
         Signs come from J' (the basis rescaling is positive), one per J'
-        table entry, and squares from J'_{sm} J'_{ms}, one product per
-        distinct pair of table entries (522 products and 139 signs at r = 6,
-        against 7,056 entries); built on first access, since relation checks
-        and traces never read it.
+        table entry, and squares from J'_{sm} J'_{ms} (ExactMatrix.hadamard,
+        one product per distinct pair of table entries: 522 products and 139
+        signs at r = 6, against 7,056 entries); built on first access, since
+        relation checks and traces never read it.
         """
         if not self.positive:
             return None
         jf = self.j_field
-        cells = [CycNumber(jf.order, v, jf.den) for v in jf.table]
-        signs = [x.real_sign() for x in cells]
-        pairs = [list(zip(row, col)) for row, col in zip(jf.index, zip(*jf.index))]
-        squares = {}
-        for a, b in chain.from_iterable(pairs):
-            if (a, b) not in squares:
-                squares[a, b] = cells[a] * cells[b]
-        return SignedSqrtMatrix(ExactMatrix(jf.order, [map(squares.__getitem__, row)
-                                                       for row in pairs]),
+        signs = [CycNumber(jf.order, v, jf.den).real_sign() for v in jf.table]
+        return SignedSqrtMatrix(jf.hadamard(jf.transpose()),
                                 [[signs[k] for k in row] for row in jf.index])
 
 
@@ -531,32 +528,26 @@ def _jtjt_matrix(params: TheoryParams) -> ExactMatrix:
     return rep.j_field.scale_cols(rep.tdiag) @ rep.j_field.scale_cols(tinv)
 
 
-# rows of J~ per block of the trace, which bounds the scaled copy of J~^T:
-# `trace-table --levels 13` (n = 140) peaks at 26.4 MB, 30.7 MB in one block
-TRACE_BLOCK = 16
-
-
 @lru_cache(maxsize=None)
 def trace_jtjt(params: TheoryParams) -> CycNumber:
-    """tr(J T J T^-1) exactly, without J' or any n x n product.
+    """tr(J T J T^-1) exactly, without J' or any n x n product (_trace)."""
+    return _trace(genus2_rep(params))
+
+
+def _trace(rep: Genus2Rep) -> CycNumber:
+    """tr(J T J T^-1) of rep as one bilinear form.
 
     With J' = J~ D, e = D T and e' = D T^-1 (rep.e and rep.e_inv), tr =
-    sum_s e_s sum_m e'_m J~_sm J~_ms (the basis rescaling cancels in the
-    trace).  The n inner sums are packed dots (ExactMatrix.dots) of row s of
-    J~ with row s of J~^T diag(e') (J~^T is the transpose as held; J~'s
-    symmetry is not assumed), in blocks of TRACE_BLOCK rows, and each
-    block's outer sum is one more.  Tests diff it against _jtjt_matrix.
+    sum_sm e'_s P_sm e_m for P_sm = J~_sm J~_ms (the basis rescaling cancels
+    in the trace).  P is one product per distinct pair (J~_sm, J~_ms) of
+    table entries (ExactMatrix.hadamard: 80 at r = 7, 109 at r = 6, as J~
+    is symmetric, which is not assumed), u = P e is n packed dots and tr =
+    e' . u one more.  Tests diff it against _jtjt_matrix.
     """
-    rep = genus2_rep(params)
-    jt, N = rep.jtilde, params.root_order
-    n = jt.nrows
-    cols, total = jt.transpose(), CycNumber.zero(N)
-    for a in range(0, n, TRACE_BLOCK):
-        rows = range(a, min(a + TRACE_BLOCK, n))
-        inner = jt.submatrix(rows, range(n)).dots(cols.submatrix(rows, range(n)),
-                                                  [(s, s) for s in range(len(rows))], rep.e_inv)
-        total = total + ExactMatrix(N, [rep.e[a:a + TRACE_BLOCK]]).dots(inner, [(0, 0)])[0, 0]
-    return total
+    jt, N = rep.jtilde, rep.params.root_order
+    P = jt.hadamard(jt.transpose())
+    u = ExactMatrix(N, [rep.e]).dots(P, [(0, s) for s in range(P.nrows)])
+    return ExactMatrix(N, [rep.e_inv]).dots(u, [(0, 0)])[0, 0]
 
 
 def trace_params(r: int) -> TheoryParams:

@@ -218,6 +218,22 @@ def test_negative_precision_is_usage_error(capsys):
     assert code == 0 and "D^2 = 4" in out
 
 
+def test_bad_levels_is_usage_error_naming_the_option(capsys):
+    # an item that is not an integer failed with int()'s "invalid literal
+    # for int() with base 10", which names no option; "," stays no level
+    for cmd in ("dims", "trace-table"):
+        for bad in ("x", "3,x", "3;5"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--levels", bad])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --levels" in err and "invalid literal" not in err, (cmd, bad)
+    code, out = run(capsys, "--format", "json", "dims", "--levels", ",")
+    assert code == 0 and json.loads(out)["dimensions"] == []
+    code, out = run(capsys, "dims", "--levels", " 3, 5 ")
+    assert code == 0 and out.split() == ["5", "14"]
+
+
 def test_invalid_level_is_usage_error(capsys):
     code, _ = run(capsys, "verify", "--level", "0")
     assert code == 2

@@ -926,6 +926,23 @@ def test_trace_double_sum_equals_matrix_trace():
             assert trace_jtjt(Pk) == _jtjt_matrix(Pk).trace(), (r, k)
 
 
+def test_trace_does_not_assume_a_symmetric_jtilde():
+    # the bilinear form reads J~_sm J~_ms once per distinct pair of table
+    # entries, not once per entry of J~: with one off-diagonal entry of J~
+    # replaced, J~ is not symmetric, and the trace still equals the trace of
+    # the full product J'T J'T^-1
+    for r in (3, 4, 5):
+        rep = genus2_rep(TheoryParams(r))
+        rows = [list(row) for row in rep.jtilde.rows]
+        rows[0][1] = rows[0][1] + CycNumber.zeta(rep.jtilde.order) / 3
+        bent = replace(rep, jtilde=ExactMatrix(rep.jtilde.order, rows))
+        assert bent.jtilde != bent.jtilde.transpose(), r
+        tinv = [t.conj() for t in bent.tdiag]
+        full = bent.j_field.scale_cols(bent.tdiag) @ bent.j_field.scale_cols(tinv)
+        assert rep_genus2._trace(bent) == full.trace(), r
+        assert rep_genus2._trace(bent) != rep_genus2._trace(rep), r
+
+
 def test_trace_galois_conjugate_equals_direct_trace():
     # the sweep applies sigma_k to the k=1 trace; the direct trace at zeta^k
     # is the reference
