@@ -32,10 +32,11 @@ ArithmeticError if not), and the balanced residue is F(2**W) itself.
 
 ExactMatrix.dots(B, pairs, *diags) is the one entry point, returning one
 row of dot products; A @ B, J~ assembly, the trace of J T J T^-1 and the
-genus-2 relation checks all run through it, and ExactMatrix.hadamard is a
-dot of length 1 per distinct pair of table entries.  A column where a
-diagonal is 0 drops out of its dots.  A.folding(pi) is the one way to form
-A diag(x) A for a symmetric A fixed by an involution pi (Folding).
+genus-2 relation checks all run through it, and
+ExactMatrix.hadamard_transpose is a dot of length 1 per distinct pair of
+table entries.  A column where a diagonal is 0 drops out of its dots.
+A.folding(pi) is the one way to form A diag(x) A for a symmetric A fixed
+by an involution pi (Folding).
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -428,9 +429,8 @@ class ExactMatrix:
         return hash((self.order, self.den, self.table, self.index))
 
     # -- entrywise operations
-    def _pairs(self, other: "ExactMatrix") -> tuple[dict, list[list[int]]]:
-        """The distinct (self, other) pairs of table indices of an entrywise
-        operation, numbered in row-major order, and an index into them."""
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign * other, one sum per distinct pair of table entries."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -438,27 +438,29 @@ class ExactMatrix:
         pairs = {}
         index = [[pairs.setdefault(xy, len(pairs)) for xy in zip(r1, r2)]
                  for r1, r2 in zip(self.index, other.index)]
-        return pairs, index
-
-    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        """self + sign * other, one sum per distinct pair of table entries."""
-        pairs, index = self._pairs(other)
         g = math.gcd(self.den, other.den)
         a, b = other.den // g, sign * (self.den // g)
         t1, t2 = self.table, other.table
         table = [tuple(x * a + y * b for x, y in zip(t1[i], t2[j])) for i, j in pairs]
         return ExactMatrix._of(self.order, table, index, self.den * (other.den // g))
 
-    def hadamard(self, other: "ExactMatrix") -> "ExactMatrix":
-        """The entrywise product, one packed product per distinct pair of
-        table entries (a dot of length 1, _dots): the products J~_sm J~_ms
-        of the 900 entries of J~ at r = 7 are 80, one per table entry."""
-        pairs, index = self._pairs(other)
+    def hadamard_transpose(self) -> "ExactMatrix":
+        """The entrywise product of a square self and its transpose, entry
+        (s, m) self_sm self_ms: one packed product per distinct pair of
+        table entries (a dot of length 1, _dots), 80 for the 900 entries of
+        J~ at r = 7.  index[m][s] is read in place and the pairs are
+        numbered in one dict, so no index is built beside the output's."""
+        if not self.is_square():
+            raise ValueError(f"hadamard_transpose of a non-square {self!r}")
+        idx, pairs = self.index, {}
+        for s, row in enumerate(idx):
+            for m, a in enumerate(row):
+                pairs.setdefault((a, idx[m][s]), len(pairs))
         N = self.order
-        table, out = _dots(N, euler_phi(N), *((m.table, [[k] for k in range(len(m.table))])
-                                             for m in (self, other)), 1, pairs)
-        return ExactMatrix._of(N, table, (map(out.__getitem__, row) for row in index),
-                               self.den * other.den)
+        single = (self.table, [[k] for k in range(len(self.table))])
+        table, out = _dots(N, euler_phi(N), single, single, 1, pairs)
+        return ExactMatrix._of(N, table, ((out[pairs[a, idx[m][s]]] for m, a in enumerate(row))
+                                          for s, row in enumerate(idx)), self.den * self.den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, 1)

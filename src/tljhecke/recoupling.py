@@ -1,27 +1,34 @@
 """Temperley-Lieb-Jones recoupling coefficients at level r.
 
 Each recoupling formula (quantum integer, theta net, tetrahedral net) is
-written once, as factored terms sign * A^a * prod Phi_m(A)^e, so factorial
-ratios reduce to exponent bookkeeping: _qfact_ratio adds up each term's
-A-power and Phi-exponents from the memoized [n]! tables in one dict, and
+written once, as a ratio of quantum factorials sign * A^a * prod [n]!^e
+(_Factored, with [n]! = A^(n-n^2) {n}!), so a ratio is bookkeeping on the
+n's: _qfact_ratio adds up the A-power and counts the factorials, and
 _tet_terms, which both evaluators share, is one such ratio per term of the
-state sum.  Two evaluators consume the terms:
+state sum (Kauffman-Lins 1994).  Two evaluators consume the terms:
 
-* the generic path (qint, qfact, theta_net, tet, sixj) materializes them
+* the generic path (qint, qfact, theta_net, tet, sixj) expands each [n]!
+  into Phi_m(A) exponents (_qfact_factored) and materializes the terms
   into the fraction field of Q[A, A^-1];
 * the specialized path (qint_at, theta_at, tet_at, sixj_at and the values
-  built on them) evaluates each term at A = zeta_N^k with _factored_value,
-  the one place that decides vanishing and poles at the root, and never
-  builds a Laurent fraction.
+  built on them) evaluates each term at A = zeta_N^k with _factored_value
+  and _factored_inverse, which decide vanishing and poles at the root from
+  the net count of vanishing factors (_vanishing), and never builds a
+  Laurent fraction.
 
 exactnum.specialize takes a generic value to the same field element; the
 tests use it as the reference for the specialized path.  Specialized values
 are memoized per TheoryParams, each distinct value once:
 
-* _phi_power holds Phi_m(zeta_N^k)^e, so each Phi_m is inverted once per
-  root (at e = -1), from the factors zeta^d - 1 of Phi_m and no Galois
-  norm; theta_inv_at (once per sorted triple) and delta_inv_at evaluate the
-  factored form with negated exponents, so neither takes CycNumber.inverse;
+* at the root A^4t - 1 is the cyclotomic unit u_c = zeta^c - 1 for
+  c = 4kt mod N (Washington, Introduction to Cyclotomic Fields, ch. 8), so
+  a ratio is sign * zeta^s * q * prod u_c^e over at most floor(p/2) units,
+  q rational.  _qfact_units holds {n}! in that form, one step from {n-1}!,
+  and _unit_power holds u_c^e: each u_c is inverted once per root, as
+  (1/o) sum_{j<o} j zeta^(cj), with no Galois norm.  A value costs one
+  product per unit present; theta_inv_at (once per sorted triple) and
+  delta_inv_at read the inverse powers, so neither takes
+  CycNumber.inverse, and neither does global_constants;
 * _tet_orbit_at holds one Tet value per _tet_key: the sorted vertex
   half-sums, square half-sums and edge colors, the only data the state sum
   reads.  Its classes are the orbits of the tetrahedral symmetry group (145
@@ -47,18 +54,16 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
 
 from .exactnum import (
     CycNumber,
     LaurentFraction,
     LaurentPoly,
     PoleAtRoot,
-    _eval_at_zeta,
     _power_sum,
-    _prime_factors,
     cyclotomic_poly,
     euler_phi,
+    shift_vector,
 )
 
 Color = int
@@ -159,9 +164,10 @@ def check_admissible(r: int, a: Color, b: Color, c: Color) -> None:
 # --------------------------------------------------------------------------
 # recoupling formulas as factored terms
 #
-# [n] = A^(2-2n) * prod Phi_m(A) over a fixed multiset of m's, so every
-# factorial ratio reduces to cyclotomic exponent bookkeeping and no
-# polynomial gcd is ever required on recoupling quantities.
+# [n] = A^(2-2n) (A^4n - 1)/(A^4 - 1), so [n]! is A^(n-n^2) times
+# {n}! = prod_{t<=n} (A^4t - 1)/(A^4 - 1).  Every formula is written as
+# sign * A^a * prod {n}!^e: a factorial ratio is bookkeeping on the n's,
+# and no polynomial gcd is ever required on recoupling quantities.
 
 @lru_cache(maxsize=None)
 def _qint_phi_factors(n: int) -> tuple[int, ...]:
@@ -177,56 +183,42 @@ def _qint_phi_factors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _qfact_factored(n: int) -> tuple[int, dict]:
-    """(A-power, {m: exponent}) for [n]! in fully factored form."""
+def _qfact_factored(n: int) -> dict:
+    """{m: exponent} with {n}! = prod Phi_m(A)^exponent."""
     if n == 0:
-        return 0, {}
-    apow, phis = _qfact_factored(n - 1)
-    phis = dict(phis)
+        return {}
+    phis = dict(_qfact_factored(n - 1))
     for m in _qint_phi_factors(n):
         phis[m] = phis.get(m, 0) + 1
-    return apow + 2 - 2 * n, phis
+    return phis
 
 
 class _Factored:
-    """sign * A^apow * prod Phi_m(A)^e, the working form of factorial ratios."""
+    """sign * A^apow * prod_n {n}!^e over facts = {n: e}, the working form
+    of every recoupling formula."""
 
-    __slots__ = ("sign", "apow", "phis")
+    __slots__ = ("sign", "apow", "facts")
 
-    def __init__(self, sign=1, apow=0, phis=None):
+    def __init__(self, sign: int, apow: int, facts: dict):
         self.sign = sign
         self.apow = apow
-        self.phis = dict(phis or {})
-
-    def __truediv__(self, other: "_Factored") -> "_Factored":
-        phis = dict(self.phis)
-        for m, e in other.phis.items():
-            phis[m] = phis.get(m, 0) - e
-            if phis[m] == 0:
-                del phis[m]
-        return _Factored(self.sign * other.sign, self.apow - other.apow, phis)
+        self.facts = facts
 
 
 def _qint_factored(n: int) -> _Factored:
-    """[n] = A^(2-2n) * prod_m Phi_m(A), for n >= 1."""
-    phis: dict[int, int] = {}
-    for m in _qint_phi_factors(n):
-        phis[m] = phis.get(m, 0) + 1
-    return _Factored(1, 2 - 2 * n, phis)
+    """[n] = A^(2-2n) {n}! / {n-1}!, for n >= 1."""
+    return _Factored(1, 2 - 2 * n, {n: 1, n - 1: -1})
 
 
 def _qfact_ratio(sign: int, ups, downs) -> _Factored:
-    """sign * prod_{n in ups} [n]! / prod_{n in downs} [n]!, its A-power and
-    Phi-exponents added up in one dict from the memoized _qfact_factored
-    tables."""
-    apow, phis = 0, {}
+    """sign * prod_{n in ups} [n]! / prod_{n in downs} [n]!: the A-powers
+    n - n^2 are added up and the factorials counted in one dict."""
+    apow, facts = 0, {}
     for ns, sgn in ((ups, 1), (downs, -1)):
         for n in ns:
-            a, ps = _qfact_factored(n)
-            apow += sgn * a
-            for m, e in ps.items():
-                phis[m] = phis.get(m, 0) + sgn * e
-    return _Factored(sign, apow, {m: e for m, e in phis.items() if e})
+            apow += sgn * (n - n * n)
+            facts[n] = facts.get(n, 0) + sgn
+    return _Factored(sign, apow, {n: e for n, e in facts.items() if e})
 
 
 def _theta_factored(a: Color, b: Color, c: Color) -> _Factored:
@@ -281,31 +273,31 @@ def _phi_poly(m: int) -> LaurentPoly:
 def _materialize(terms: list[_Factored]) -> LaurentFraction:
     """The sum of factored terms as a canonical LaurentFraction.
 
-    The exponent-wise minimum over the terms is factored out, so every
-    remaining term is a Laurent polynomial and the sum collapses into a
-    single numerator.
+    Each term's factorials are expanded into Phi_m exponents
+    (_qfact_factored), and the exponent-wise minimum over the terms is
+    factored out, so every remaining term is a Laurent polynomial and the
+    sum collapses into a single numerator.
     """
-    all_ms = set()
+    phis = []
     for t in terms:
-        all_ms.update(t.phis)
-    common = _Factored(1, min(t.apow for t in terms),
-                       {m: e for m, e in
-                        ((m, min(t.phis.get(m, 0) for t in terms)) for m in all_ms)
-                        if e != 0})
+        ps: dict[int, int] = {}
+        for n, e in t.facts.items():
+            for m, x in _qfact_factored(n).items():
+                ps[m] = ps.get(m, 0) + e * x
+        phis.append(ps)
+    low = min(t.apow for t in terms)
+    common = {m: min(ps.get(m, 0) for ps in phis) for m in set().union(*phis)}
     num = LaurentPoly.zero()
-    for t in terms:
-        rest = t / common
-        if any(e < 0 for e in rest.phis.values()):
-            raise ArithmeticError("factored term has a denominator left after "
-                                  "the common factor (bug)")
-        poly = LaurentPoly.constant(rest.sign).shift(rest.apow)
-        for m, e in rest.phis.items():
-            poly = poly * _phi_poly(m) ** e
+    for t, ps in zip(terms, phis):
+        poly = LaurentPoly.constant(t.sign).shift(t.apow - low)
+        for m, e in common.items():
+            if ps.get(m, 0) > e:
+                poly = poly * _phi_poly(m) ** (ps.get(m, 0) - e)
         num = num + poly
-    num = num.shift(common.apow)
+    num = num.shift(low)
     den = LaurentPoly.one()
     den_ms: list[tuple[int, int]] = []
-    for m, e in sorted(common.phis.items()):
+    for m, e in sorted(common.items()):
         if e > 0:
             num = num * _phi_poly(m) ** e
         else:
@@ -399,72 +391,112 @@ def sixj(r: int, i: Color, j: Color, k: Color, l: Color, m: Color, n: Color) -> 
 # specialized values: terms evaluated at A = zeta_N^k (memoized per TheoryParams)
 
 @lru_cache(maxsize=None)
-def _phi_value(params: TheoryParams, m: int) -> CycNumber:
-    return _eval_at_zeta(cyclotomic_poly(m).coeffs, params.root_order,
-                         params.root_exponent, 0)
+def _qfact_units(params: TheoryParams, n: int) -> tuple:
+    """{n}! at the root as (sign, shift, q, units): sign * zeta^shift * q *
+    prod u_c^e over units = {c: e}, u_c = zeta_N^c - 1 with 0 < c <= N/2,
+    q rational, its vanishing factors left out (_vanishing counts them).
+
+    {n}! = {n-1}! (A^4n - 1)/(A^4 - 1), and A^4t - 1 is u_c for c = 4kt
+    mod N, folded into 0 < c <= N/2 by u_(N-c) = -zeta^(N-c) u_c.  A^4 has
+    order p, so A^4t - 1 vanishes exactly when p | t; near the root it is
+    then (t/p)(A^4p - 1), which leaves t/p in q.
+    """
+    if n <= 1:
+        return 1, 0, Fraction(1), {}
+    sign, shift, q, units = _qfact_units(params, n - 1)
+    units = dict(units)
+    N, k, p = params.root_order, params.root_exponent, params.p
+    factors = ((n, 1), (1, -1))
+    if n % p == 0:
+        q, factors = q * Fraction(n, p), factors[1:]
+    for t, e in factors:
+        c = 4 * k * t % N
+        if 2 * c > N:
+            sign, shift, c = -sign, (shift + e * c) % N, N - c
+        units[c] = units.get(c, 0) + e
+        if not units[c]:
+            del units[c]
+    return sign, shift, q, units
 
 
 @lru_cache(maxsize=None)
-def _phi_power(params: TheoryParams, m: int, e: int) -> CycNumber:
-    """Phi_m(zeta_N^k)^e for e != 0; the one inverse per m is taken at e = -1.
-
-    The inverse takes no Galois norm.  Phi_m(x) is the product of
-    (x^d - 1)^mu(m/d) over the d = m/q for squarefree q | m, and for N not
-    dividing m no zeta^d is 1: with u = zeta^(kd) of order o > 1,
-    1/(u - 1) = (1/o) sum_{j<o} j u^j, and u - 1 is a shift.  That is one
-    vector per squarefree divisor and 2^omega(m) - 1 products.  When N
-    divides m, some u is 1 and ArithmeticError is raised.
-    """
+def _unit_power(params: TheoryParams, c: int, e: int) -> CycNumber:
+    """u_c^e = (zeta_N^c - 1)^e for e != 0, each power one or two products
+    from the powers below it.  The inverse takes no Galois norm:
+    with zeta^c of order o, 1/(zeta^c - 1) = (1/o) sum_{j<o} j zeta^(cj)."""
+    if abs(e) > 1:
+        s = 1 if e > 0 else -1
+        half = _unit_power(params, c, s * (abs(e) // 2))
+        v = half * half
+        return v * _unit_power(params, c, s) if e % 2 else v
+    N = params.root_order
     if e > 0:
-        return _phi_value(params, m) ** e
-    if e < -1:
-        return _phi_power(params, m, -1) ** -e
-    N, k = params.root_order, params.root_exponent
-    if m % N == 0:
-        raise ArithmeticError(f"Phi_{m} at zeta_{N}^{k}: {N} divides {m}")
-    primes, factors = _prime_factors(m), []
-    for used in product((0, 1), repeat=len(primes)):
-        d = m // math.prod(p for p, u in zip(primes, used) if u)
-        if sum(used) % 2:               # mu(m/d) = -1: the factor u - 1
-            o, terms = 1, ((1, k * d), (-1, 0))
-        else:                           # mu(m/d) = 1: the factor 1/(u - 1)
-            o = N // math.gcd(N, d)
-            terms = ((j, k * d * j) for j in range(1, o))
-        factors.append(CycNumber._raw(N, _power_sum(N, [0] * euler_phi(N), terms), o))
-    return reduce(operator.mul, factors)
+        o, terms = 1, ((1, c), (-1, 0))
+    else:
+        o = N // math.gcd(N, c)
+        if o == 1:
+            raise ZeroDivisionError(f"inverse of u_{c} = 0 in Q(zeta_{N})")
+        terms = ((j, c * j) for j in range(1, o))
+    return CycNumber._raw(N, _power_sum(N, [0] * euler_phi(N), terms), o)
+
+
+def _vanishing(params: TheoryParams, f: _Factored) -> int:
+    """The net power of A^4p - 1 in f: {n}! holds floor(n/p) factors that
+    vanish at the root.  Phi_N divides A^4t - 1 exactly when p | t, and
+    once, so this is also the net power of Phi_N."""
+    p = params.p
+    return sum(e * (n // p) for n, e in f.facts.items())
+
+
+def _units_value(params: TheoryParams, f: _Factored, s: int) -> CycNumber:
+    """f^s at A = zeta_N^k for s = 1 or -1, f with no net vanishing factor:
+    the unit exponents of its factorials (_qfact_units) are added up, one
+    memoized power is read per unit present (_unit_power), and sign, q and
+    the powers of zeta are one scaled shift of their product."""
+    N = params.root_order
+    sign, shift, q, units = f.sign, params.root_exponent * f.apow, Fraction(1), {}
+    for n, e in f.facts.items():
+        sn, zn, qn, un = _qfact_units(params, n)
+        if sn < 0 and e % 2:
+            sign = -sign
+        shift += zn * e
+        if qn != 1:
+            q *= qn ** e
+        for c, x in un.items():
+            units[c] = units.get(c, 0) + e * x
+    powers = [_unit_power(params, c, s * x) for c, x in units.items() if x]
+    val = reduce(operator.mul, powers) if powers else CycNumber.one(N)
+    q = sign * q ** s
+    return CycNumber._raw(N, list(shift_vector(N, [c * q.numerator for c in val.vec], s * shift)),
+                          val.den * q.denominator)
 
 
 def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
     """Specialize one factored term at A = zeta_N^k.
 
-    Only Phi_N vanishes at a primitive N-th root: a net positive power of
-    it makes the term zero and a net negative power is a pole.  Both are
-    decided before any power of a Phi_m is read.
+    A net vanishing factor (_vanishing) makes the term zero, and a net
+    negative one is a pole; both are decided before any power is read.
     """
-    N, k = params.root_order, params.root_exponent
-    net = f.phis.get(N, 0)
+    net = _vanishing(params, f)
     if net < 0:
-        raise PoleAtRoot(f"pole at zeta_{N}^{k}")
+        raise PoleAtRoot(f"pole at zeta_{params.root_order}^{params.root_exponent}")
     if net > 0:
-        return CycNumber.zero(N)
-    powers = [_phi_power(params, m, e) for m, e in f.phis.items()]
-    val = reduce(operator.mul, powers) if powers else CycNumber.one(N)
-    val = val.times_zeta(k * f.apow)     # A^apow is a shift, not a product
-    return -val if f.sign < 0 else val
+        return CycNumber.zero(params.root_order)
+    return _units_value(params, f, 1)
 
 
 def _factored_inverse(params: TheoryParams, f: _Factored) -> CycNumber:
-    """1 / _factored_value(params, f), as the value of f with every exponent
-    negated: only the memoized Phi_m inverses are taken, no Galois norm.  A
-    zero value (a net positive power of Phi_N) raises ZeroDivisionError, as
-    CycNumber.inverse does, and a pole raises PoleAtRoot, as the value does."""
-    net = f.phis.get(params.root_order, 0)
+    """1 / _factored_value(params, f), from the inverse unit powers: no
+    Galois norm.  A zero value raises ZeroDivisionError, as
+    CycNumber.inverse does, and a pole raises PoleAtRoot, as the value
+    does."""
+    net = _vanishing(params, f)
     if net > 0:
         raise ZeroDivisionError(f"inverse of zero at zeta_{params.root_order}^"
                                 f"{params.root_exponent}")
     if net < 0:
         raise PoleAtRoot(f"pole at zeta_{params.root_order}^{params.root_exponent}")
-    return _factored_value(params, _Factored() / f)
+    return _units_value(params, f, -1)
 
 
 @lru_cache(maxsize=None)
@@ -585,7 +617,7 @@ def _tet_and_sixj_at(params: TheoryParams, A, B, E, C, D, F) -> tuple[CycNumber,
 
 @dataclass(frozen=True)
 class GlobalConstants:
-    """P+, P-, D^2 and kappa^2 = P+/P-.
+    """P+, P-, D^2, 1/D^2 and kappa^2 = P+/P-.
 
     D enters only as D^2: D need not lie in Q(zeta_N), and every relation is
     stated so that no square root is taken (kappa = P+/D becomes P+ D^2).
@@ -595,23 +627,32 @@ class GlobalConstants:
     p_plus: CycNumber
     p_minus: CycNumber
     d_squared: CycNumber
+    d_squared_inv: CycNumber
     kappa_squared: CycNumber
 
 
 @lru_cache(maxsize=None)
 def global_constants(params: TheoryParams) -> GlobalConstants:
-    """P+- = sum theta_i^{+-1} Delta_i^2, D^2 = sum Delta_i^2, kappa^2 = P+/P-."""
+    """P+- = sum theta_i^{+-1} Delta_i^2 and D^2 = sum Delta_i^2, with no
+    field inverse: 1/D^2 = -(A^2 - A^-2)^2 / (2p) at even r and
+    -(A^2 - A^-2)^2 / p at odd r, and kappa^2 = P+/P- = P+^2 / D^2, as
+    P+ P- = D^2.  Both identities are checked exactly on each call."""
     N = params.root_order
-    p_plus = CycNumber.zero(N)
-    p_minus = CycNumber.zero(N)
-    d_squared = CycNumber.zero(N)
+    p_plus = p_minus = d_squared = CycNumber.zero(N)
     for i in color_set(params.level):
-        d2 = delta_at(params, i) ** 2
-        th = twist_at(params, i)
-        p_plus = p_plus + th * d2
-        p_minus = p_minus + d2 * th.conj()  # a twist is +-zeta^e
+        d = delta_at(params, i)
+        d2 = d * d
+        t = twist_log(params, i)     # a twist is a power of zeta: a shift
+        p_plus = p_plus + d2.times_zeta(t)
+        p_minus = p_minus + d2.times_zeta(-t)
         d_squared = d_squared + d2
-    return GlobalConstants(params, p_plus, p_minus, d_squared, p_plus / p_minus)
+    x = params.zeta(2 * params.root_exponent) - params.zeta(-2 * params.root_exponent)
+    d_squared_inv = -(x * x) / (params.p if params.level % 2 else 2 * params.p)
+    if d_squared * d_squared_inv != 1 or p_plus * p_minus != d_squared:
+        raise ArithmeticError(f"1/D^2 or P+ P- = D^2 fails at zeta_{N}^"
+                              f"{params.root_exponent} (bug)")
+    return GlobalConstants(params, p_plus, p_minus, d_squared, d_squared_inv,
+                           p_plus * p_plus * d_squared_inv)
 
 
 # --------------------------------------------------------------------------

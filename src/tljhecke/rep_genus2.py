@@ -205,16 +205,17 @@ class Genus2Rep:
         """The unitary matrix, or None when the form is not positive definite.
 
         Signs come from J' (the basis rescaling is positive), one per J'
-        table entry, and squares from J'_{sm} J'_{ms} (ExactMatrix.hadamard,
-        one product per distinct pair of table entries: 522 products and 139
-        signs at r = 6, against 7,056 entries); built on first access, since
-        relation checks and traces never read it.
+        table entry, and squares from J'_{sm} J'_{ms}
+        (ExactMatrix.hadamard_transpose, one product per distinct pair of
+        table entries: 522 products and 139 signs at r = 6, against 7,056
+        entries); built on first access, since relation checks and traces
+        never read it.
         """
         if not self.positive:
             return None
         jf = self.j_field
         signs = [CycNumber(jf.order, v, jf.den).real_sign() for v in jf.table]
-        return SignedSqrtMatrix(jf.hadamard(jf.transpose()),
+        return SignedSqrtMatrix(jf.hadamard_transpose(),
                                 [[signs[k] for k in row] for row in jf.index])
 
 
@@ -297,7 +298,7 @@ def genus2_rep(params: TheoryParams) -> Genus2Rep:
     basis = enumerate_basis(r)
     jt = jtilde(params)
     gc = global_constants(params)
-    d2_inv = gc.d_squared.inverse()
+    d2_inv = gc.d_squared_inv
 
     # column factors of the representation matrix in the unnormalized basis:
     # J'_{sigma,mu} = Delta_{i2} Delta_{j2} Delta_{k2} / (D^2 Theta_mu^2) J~_{sigma,mu}
@@ -540,12 +541,12 @@ def _trace(rep: Genus2Rep) -> CycNumber:
     With J' = J~ D, e = D T and e' = D T^-1 (rep.e and rep.e_inv), tr =
     sum_sm e'_s P_sm e_m for P_sm = J~_sm J~_ms (the basis rescaling cancels
     in the trace).  P is one product per distinct pair (J~_sm, J~_ms) of
-    table entries (ExactMatrix.hadamard: 80 at r = 7, 109 at r = 6, as J~
-    is symmetric, which is not assumed), u = P e is n packed dots and tr =
-    e' . u one more.  Tests diff it against _jtjt_matrix.
+    table entries (ExactMatrix.hadamard_transpose: 80 at r = 7, 109 at
+    r = 6, as J~ is symmetric, which is not assumed), u = P e is n packed
+    dots and tr = e' . u one more.  Tests diff it against _jtjt_matrix.
     """
     jt, N = rep.jtilde, rep.params.root_order
-    P = jt.hadamard(jt.transpose())
+    P = jt.hadamard_transpose()
     u = ExactMatrix(N, [rep.e]).dots(P, [(0, s) for s in range(P.nrows)])
     return ExactMatrix(N, [rep.e_inv]).dots(u, [(0, 0)])[0, 0]
 

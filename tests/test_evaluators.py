@@ -10,16 +10,18 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tljhecke.exactnum import CycNumber, PoleAtRoot, specialize
+from tljhecke.exactnum import CycNumber, LaurentFraction, LaurentPoly, PoleAtRoot, specialize
 from tljhecke.recoupling import (
     TheoryParams,
     _Factored,
     _factored_inverse,
-    _phi_power,
-    _phi_value,
+    _factored_value,
+    _qfact_ratio,
+    _qfact_units,
     _sixj_pair_at,
     _tet_key,
     _tet_orbit_at,
+    _unit_power,
     admissible,
     color_set,
     delta_at,
@@ -93,8 +95,9 @@ def test_theta_evaluators_agree(case):
 
 def test_tet_evaluators_agree():
     # exhaustive: tet_at shares one value per symmetry orbit and per root
-    # (_tet_orbit_at over _phi_power), so every labeling is diffed, cold
-    for memo in (tet_at, _tet_orbit_at, _phi_power):
+    # (_tet_orbit_at over _qfact_units and _unit_power), so every labeling
+    # is diffed, cold
+    for memo in (tet_at, _tet_orbit_at, _qfact_units, _unit_power):
         memo.cache_clear()
     for r in LEVELS:
         for t in tet_labels(r):
@@ -146,36 +149,92 @@ def test_coupling_evaluators_agree(case):
 
 
 class _Root(NamedTuple):
-    """The two fields of TheoryParams that _phi_value and _phi_power read,
+    """The field of TheoryParams that _unit_power reads, and the exponent,
     for root orders no level has (N = 5, 8)."""
     root_order: int
     root_exponent: int
 
 
-def test_phi_inverse_without_galois_norm():
-    # Phi_m(zeta)^-1 from the factors zeta^d - 1 is the field inverse, for
-    # every m < 2N that N does not divide, at every unit root; when N | m
-    # some zeta^d is 1 and the formula refuses
+def test_unit_inverse_without_galois_norm():
+    # (zeta^c - 1)^-1 from (1/o) sum_{j<o} j zeta^(cj) is the field inverse,
+    # for every c != 0 mod N, at every unit root; u_N = 0 has none
     for N in (5, 8, 10, 12, 14, 16, 18, 24, 32, 40):
         for k in range(1, N):
             if math.gcd(k, N) != 1:
                 continue
             P = _Root(N, k)
-            for m in range(1, 2 * N):
-                if m % N == 0:
-                    with pytest.raises(ArithmeticError):
-                        _phi_power(P, m, -1)
-                    continue
-                inv, value = _phi_power(P, m, -1), _phi_value(P, m)
-                assert inv * value == 1, (N, k, m)
-                assert inv == value.inverse(), (N, k, m)
+            for c in range(1, N):
+                inv, value = _unit_power(P, c, -1), _unit_power(P, c, 1)
+                assert value == CycNumber.zeta(N, c) - 1, (N, k, c)
+                assert inv * value == 1, (N, k, c)
+                assert inv == value.inverse(), (N, k, c)
+            with pytest.raises(ZeroDivisionError):
+                _unit_power(P, N, -1)
+        _unit_power.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def generic_factorial_ratios(nmax):
+    """{(ups, downs): generic value} for [n]! and the quantum binomials
+    [n]!/([m]! [n-m]!), n <= nmax: the factorials as products of
+    quantum integers, the binomials from the q-Pascal rule [n, m] =
+    A^(2m) [n-1, m] + A^(2m-2n) [n-1, m-1], so no factored form enters."""
+    fact, binoms, cases = LaurentPoly.one(), {(0, 0): LaurentPoly.one()}, {}
+    zero = LaurentPoly.zero()
+    for n in range(nmax + 1):
+        if n:
+            fact = fact * qint(n).num
+            for m in range(n + 1):
+                binoms[n, m] = (binoms.get((n - 1, m), zero).shift(2 * m)
+                                + binoms.get((n - 1, m - 1), zero).shift(2 * m - 2 * n))
+        cases[(n,), ()] = LaurentFraction.from_poly(fact)
+        for m in range(n // 2 + 1):
+            cases[(n,), (m, n - m)] = LaurentFraction.from_poly(binoms[n, m])
+    return cases
+
+
+def test_factorials_and_binomials_at_every_root():
+    # [n]!^(+-1) and [n]!/([m]! [n-m]!) for n <= 3p: from n = p on the
+    # factorials vanish at the root, so [n]!^-1 is a pole (PoleAtRoot), and
+    # from _factored_inverse [n]! is the inverse of zero (ZeroDivisionError);
+    # a binomial whose vanishing factors cancel keeps a rational limit (t/p)^e
+    def at(f, *args):
+        try:
+            return f(*args)
+        except (PoleAtRoot, ZeroDivisionError) as exc:
+            return type(exc)
+
+    for r in range(1, 7):
+        p = r + 2
+        P0 = TheoryParams(r)
+        N = P0.root_order
+        # the generic values have rational coefficients, so the value at
+        # zeta^k is the Galois conjugate of the value at zeta
+        cases = {key: specialize(g, N, 1)
+                 for key, g in generic_factorial_ratios(3 * 8).items()
+                 if max(key[0] + key[1]) <= 3 * p}
+        for k in range(1, N):
+            if math.gcd(k, N) != 1:
+                continue
+            P = P0.with_root(k)
+            for (ups, downs), at_zeta in cases.items():
+                f = _qfact_ratio(1, ups, downs)
+                want = at_zeta.galois(k)
+                assert _factored_value(P, f) == want, (r, k, ups, downs)
+                inv = at(_factored_inverse, P, f)
+                if want == 0:
+                    assert inv is ZeroDivisionError, (r, k, ups, downs)
+                    assert at(_factored_value, P, _qfact_ratio(1, downs, ups)) is PoleAtRoot
+                else:
+                    assert inv * want == 1, (r, k, ups, downs)
+                    assert _factored_value(P, _qfact_ratio(1, downs, ups)) == inv
 
 
 def test_inverses_come_from_the_factored_form(monkeypatch):
     # theta_inv_at and delta_inv_at negate the exponents of the factored
     # value: at every root of r <= 5 they invert theta_at and delta_at, and
-    # no field inverse is taken (each Phi_m inverse is a product of the
-    # inverses of its factors zeta^d - 1, _phi_power)
+    # no field inverse is taken (the inverse of each unit zeta^c - 1 is a
+    # sum of powers of zeta, _unit_power)
     for r in LEVELS:
         P0 = TheoryParams(r)
         N = P0.root_order
@@ -183,7 +242,7 @@ def test_inverses_come_from_the_factored_form(monkeypatch):
             if math.gcd(k, N) != 1:
                 continue
             P = P0.with_root(k)
-            for memo in (theta_inv_at, delta_inv_at, _phi_power):
+            for memo in (theta_inv_at, delta_inv_at, _qfact_units, _unit_power):
                 memo.cache_clear()
             inverted = []
             inverse = CycNumber.inverse
@@ -194,18 +253,18 @@ def test_inverses_come_from_the_factored_form(monkeypatch):
                 pairs += [(delta_at(P, i), delta_inv_at(P, i)) for i in color_set(r)]
             assert all(x * y == 1 for x, y in pairs), (r, k)
             assert not inverted, (r, k)
-    for memo in (theta_inv_at, delta_inv_at, _phi_power):
+    for memo in (theta_inv_at, delta_inv_at, _qfact_units, _unit_power):
         memo.cache_clear()
 
 
 def test_factored_inverse_of_zero_and_of_a_pole():
-    # a net power of Phi_N is a zero (ZeroDivisionError, as CycNumber.inverse
-    # raises) or a pole (PoleAtRoot, as the value raises); colors give neither
+    # [p]! vanishes at the root: {p: 1} is a zero (ZeroDivisionError, as
+    # CycNumber.inverse raises) and {p: -1} a pole (PoleAtRoot, as the value
+    # raises); colors give neither
     P = TheoryParams(2)
-    N = P.root_order
     with pytest.raises(ZeroDivisionError):
-        _factored_inverse(P, _Factored(1, 0, {N: 1}))
+        _factored_inverse(P, _Factored(1, 0, {P.p: 1}))
     with pytest.raises(PoleAtRoot):
-        _factored_inverse(P, _Factored(1, 0, {N: -1}))
+        _factored_inverse(P, _Factored(1, 0, {P.p: -1}))
     with pytest.raises(ValueError):
         delta_inv_at(P, -1)

@@ -961,6 +961,26 @@ def test_trace_galois_sweep_builds_one_representation():
     assert genus2_rep.cache_info().misses == 1
 
 
+def test_cold_representation_takes_few_products_and_no_inverse(monkeypatch):
+    # work counts are deterministic where timings are not: the recoupling
+    # values are products of memoized unit powers and the global constants
+    # take no field inverse (a cold r = 7 build made 655 products and 2
+    # inverses with one power of each Phi_m(zeta) per value)
+    import sys
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "tljhecke":
+            for obj in list(vars(mod).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    products, inverses = [], []
+    mul, inverse = CycNumber.__mul__, CycNumber.inverse
+    monkeypatch.setattr(CycNumber, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(CycNumber, "inverse", lambda a: inverses.append(1) or inverse(a))
+    genus2_rep(trace_params(7))
+    assert len(products) <= 330, len(products)
+    assert not inverses
+
+
 def test_exceeds_dimension_matches_float_comparison():
     for e in trace_table(range(3, 12, 2)):
         assert e.exceeds_dimension == (e.approx.real > e.dimension), e.level
