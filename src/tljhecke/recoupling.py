@@ -63,7 +63,6 @@ from .exactnum import (
     _power_sum,
     cyclotomic_poly,
     euler_phi,
-    shift_vector,
 )
 
 Color = int
@@ -392,18 +391,18 @@ def sixj(r: int, i: Color, j: Color, k: Color, l: Color, m: Color, n: Color) -> 
 
 @lru_cache(maxsize=None)
 def _qfact_units(params: TheoryParams, n: int) -> tuple:
-    """{n}! at the root as (sign, shift, q, units): sign * zeta^shift * q *
-    prod u_c^e over units = {c: e}, u_c = zeta_N^c - 1 with 0 < c <= N/2,
-    q rational, its vanishing factors left out (_vanishing counts them).
+    """{n}! at the root as (shift, q, units): zeta^shift * q * prod u_c^e
+    over units = {c: e}, u_c = zeta_N^c - 1 with 0 < c <= N/2, q rational,
+    its vanishing factors left out (_vanishing counts them).
 
     {n}! = {n-1}! (A^4n - 1)/(A^4 - 1), and A^4t - 1 is u_c for c = 4kt
-    mod N, folded into 0 < c <= N/2 by u_(N-c) = -zeta^(N-c) u_c.  A^4 has
-    order p, so A^4t - 1 vanishes exactly when p | t; near the root it is
-    then (t/p)(A^4p - 1), which leaves t/p in q.
+    mod N, folded into 0 < c <= N/2 by u_c = -zeta^c u_(N-c), where
+    -1 = zeta^(N/2).  A^4 has order p, so A^4t - 1 vanishes exactly when
+    p | t; near the root it is then (t/p)(A^4p - 1), which leaves t/p in q.
     """
     if n <= 1:
-        return 1, 0, Fraction(1), {}
-    sign, shift, q, units = _qfact_units(params, n - 1)
+        return 0, Fraction(1), {}
+    shift, q, units = _qfact_units(params, n - 1)
     units = dict(units)
     N, k, p = params.root_order, params.root_exponent, params.p
     factors = ((n, 1), (1, -1))
@@ -412,11 +411,11 @@ def _qfact_units(params: TheoryParams, n: int) -> tuple:
     for t, e in factors:
         c = 4 * k * t % N
         if 2 * c > N:
-            sign, shift, c = -sign, (shift + e * c) % N, N - c
+            shift, c = (shift + e * (c + N // 2)) % N, N - c
         units[c] = units.get(c, 0) + e
         if not units[c]:
             del units[c]
-    return sign, shift, q, units
+    return shift, q, units
 
 
 @lru_cache(maxsize=None)
@@ -451,14 +450,14 @@ def _vanishing(params: TheoryParams, f: _Factored) -> int:
 def _units_value(params: TheoryParams, f: _Factored, s: int) -> CycNumber:
     """f^s at A = zeta_N^k for s = 1 or -1, f with no net vanishing factor:
     the unit exponents of its factorials (_qfact_units) are added up, one
-    memoized power is read per unit present (_unit_power), and sign, q and
-    the powers of zeta are one scaled shift of their product."""
+    memoized power is read per unit present (_unit_power), and the sign
+    (-1 = zeta^(N/2)) and the powers of zeta are one shift of their
+    product, which q scales."""
     N = params.root_order
-    sign, shift, q, units = f.sign, params.root_exponent * f.apow, Fraction(1), {}
+    shift = params.root_exponent * f.apow + (N // 2 if f.sign < 0 else 0)
+    q, units = 1, {}
     for n, e in f.facts.items():
-        sn, zn, qn, un = _qfact_units(params, n)
-        if sn < 0 and e % 2:
-            sign = -sign
+        zn, qn, un = _qfact_units(params, n)
         shift += zn * e
         if qn != 1:
             q *= qn ** e
@@ -466,9 +465,8 @@ def _units_value(params: TheoryParams, f: _Factored, s: int) -> CycNumber:
             units[c] = units.get(c, 0) + e * x
     powers = [_unit_power(params, c, s * x) for c, x in units.items() if x]
     val = reduce(operator.mul, powers) if powers else CycNumber.one(N)
-    q = sign * q ** s
-    return CycNumber._raw(N, list(shift_vector(N, [c * q.numerator for c in val.vec], s * shift)),
-                          val.den * q.denominator)
+    val = val.times_zeta(s * shift)
+    return val if q == 1 else val / q ** -s
 
 
 def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
