@@ -1006,19 +1006,49 @@ class CycNumber:
 SPLIT_PRIME_FLOOR = 2 ** 20
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality of every n below
+# this bound (Sorenson and Webster 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below _MILLER_RABIN_BOUND;
+    ValueError above it, where these bases no longer decide."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin bound")
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
 def _prime_factors(n: int) -> list[int]:
-    return [f for f in range(2, n + 1) if n % f == 0 and _is_prime(f)]
+    """The distinct prime factors of n >= 1, in increasing order, by trial
+    division up to sqrt(n)."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 class SplitPrime:

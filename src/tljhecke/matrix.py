@@ -46,8 +46,10 @@ determinant is nonzero" is decided faster modulo a split prime: residue_matrix
 maps a matrix into F_p (exactnum.SplitPrime, one inverse of its denominator,
 one residue per table entry), and matmul_mod, poly_at_matrix_mod
 and det_mod compute there on Kronecker-packed rows, as the MeatAxe does: a
-row of residues in [0, p) is one integer of nonnegative whole-byte digits,
-wide enough for a sum of n products below (p - 1)^2.  A row of A B is
+row of residues in [0, p) is one integer of nonnegative digits of whole
+64-bit words, one word whenever a sum of n products below (p - 1)^2 fits in
+it (every split prime the certificates use), more above that bound; a row
+is packed and unpacked by one struct call.  A row of A B is
 sum_k a_ik B_k, one small-times-big multiply per term, unpacked once; Horner's
 rule packs A once for all its products; elimination adds multiples of the
 reduced pivot row to the packed rows, whose digits stay below
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from functools import lru_cache
 from itertools import chain, product
 from typing import Iterable, Sequence
@@ -132,6 +135,18 @@ def _tabulate(rows: Iterable[Iterable]) -> tuple[tuple, list[list[int]]]:
     seen = {}
     index = [[seen.setdefault(x, len(seen)) for x in row] for row in rows]
     return tuple(seen), index
+
+
+def _over_lcm(cells: Sequence[CycNumber]) -> tuple[tuple, int]:
+    """The coefficient vectors of cells over the lcm of their denominators,
+    and that lcm; each cell is in lowest terms, so they are too."""
+    den = math.lcm(*(e.den for e in cells))
+    return tuple(tuple(c * (den // e.den) for c in e.vec) for e in cells), den
+
+
+def _galois_table(N: int, table: Sequence, m: int) -> list[list[int]]:
+    """zeta -> zeta**m applied to each coefficient vector of table."""
+    return [_power_sum(N, [0] * len(v), ((c, j * m) for j, c in enumerate(v))) for v in table]
 
 
 def _lowest_terms(table: Sequence, den: int) -> tuple[tuple, int]:
@@ -349,11 +364,9 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         if any(e.order != order for r in rs for e in r):
             raise ValueError("entry order mismatch")
-        # each entry is in lowest terms, so they are too over the lcm
         cells, index = _tabulate(rs)
-        den = math.lcm(*(e.den for e in cells))
-        self._set(order, tuple(tuple(c * (den // e.den) for c in e.vec) for e in cells),
-                  tuple(map(tuple, index)), den)
+        table, den = _over_lcm(cells)
+        self._set(order, table, tuple(map(tuple, index)), den)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -520,8 +533,7 @@ class ExactMatrix:
         N = self.order
         if math.gcd(m, N) != 1:
             raise ValueError(f"{m} is not coprime to {N}")
-        return ExactMatrix._of(N, [_power_sum(N, [0] * len(v), ((c, j * m) for j, c in enumerate(v)))
-                                   for v in self.table], self.index, self.den)
+        return ExactMatrix._of(N, _galois_table(N, self.table, m), self.index, self.den)
 
     def trace(self) -> CycNumber:
         if not self.is_square():
@@ -702,38 +714,54 @@ def residue_matrix(M: ExactMatrix, sp: SplitPrime) -> list[list[int]]:
     return [list(map(res.__getitem__, row)) for row in M.index]
 
 
-def _digit_bytes(terms: int, p: int) -> int:
-    """Bytes per packed digit that hold any sum of `terms` products of two
-    residues in [0, p).  The digits are nonnegative, so whole bytes make
-    packing and unpacking one int.to_bytes / int.from_bytes each."""
-    return (terms * (p - 1) ** 2).bit_length() // 8 + 1
+def _digit_words(terms: int, p: int) -> int:
+    """64-bit words per packed digit that hold any sum of `terms` products
+    of two residues in [0, p): one whenever terms (p - 1)^2 < 2**64, which
+    holds for every split prime above SPLIT_PRIME_FLOOR at the sizes the
+    certificates reach."""
+    return max(1, -(-(terms * (p - 1) ** 2).bit_length() // 64))
 
 
-def _pack_mod(rows: Iterable[Sequence[int]], p: int, nb: int) -> list[int]:
-    return [int.from_bytes(b"".join([(x % p).to_bytes(nb, "little") for x in row]), "little")
-            for row in rows]
+@lru_cache(maxsize=None)
+def _words(count: int) -> struct.Struct:
+    """count unsigned 64-bit words, little-endian whatever the machine's
+    byte order, so that word i is bits 64 i .. 64 i + 63 of the int."""
+    return struct.Struct(f"<{count}Q")
 
 
-def _unpack_mod(x: int, nb: int, n: int, p: int) -> list[int]:
-    """The n digits of x, nb bytes each, reduced mod p."""
-    b = x.to_bytes(nb * n, "little")
-    return [int.from_bytes(b[i:i + nb], "little") % p for i in range(0, nb * n, nb)]
+def _pack_mod(rows: Iterable[Sequence[int]], p: int, k: int) -> list[int]:
+    """Each row reduced mod p as one integer of digits of k words."""
+    out = []
+    for row in rows:
+        res = [x % p for x in row]
+        if k > 1:
+            res = [(r >> s) & 0xFFFFFFFFFFFFFFFF for r in res for s in range(0, 64 * k, 64)]
+        out.append(int.from_bytes(_words(len(res)).pack(*res), "little"))
+    return out
 
 
-def _times_packed(A: Iterable[Sequence[int]], Bp: list[int], nb: int, n: int,
+def _unpack_mod(x: int, k: int, n: int, p: int) -> list[int]:
+    """The n digits of x, k words each, reduced mod p."""
+    w = _words(n * k).unpack(x.to_bytes(8 * n * k, "little"))
+    if k == 1:
+        return [d % p for d in w]
+    return [sum(d << 64 * j for j, d in enumerate(w[i:i + k])) % p for i in range(0, n * k, k)]
+
+
+def _times_packed(A: Iterable[Sequence[int]], Bp: list[int], k: int, n: int,
                   p: int) -> list[list[int]]:
     """A B mod p for B given as its packed rows Bp (n residues each): row i
-    is sum_k a_ik B_k, one small-times-big multiply per (i, k), unpacked
+    is sum_j a_ij B_j, one small-times-big multiply per (i, j), unpacked
     once."""
-    return [_unpack_mod(sum(map(operator.mul, [a % p for a in row], Bp)), nb, n, p)
+    return [_unpack_mod(sum(map(operator.mul, [a % p for a in row], Bp)), k, n, p)
             for row in A]
 
 
 def matmul_mod(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]],
                p: int) -> list[list[int]]:
     """A B mod p, each row of B packed once."""
-    nb = _digit_bytes(len(B), p)
-    return _times_packed(A, _pack_mod(B, p, nb), nb, len(B[0]) if B else 0, p)
+    k = _digit_words(len(B), p)
+    return _times_packed(A, _pack_mod(B, p, k), k, len(B[0]) if B else 0, p)
 
 
 def poly_at_matrix_mod(q: IntPolynomial, A: Sequence[Sequence[int]],
@@ -743,12 +771,12 @@ def poly_at_matrix_mod(q: IntPolynomial, A: Sequence[Sequence[int]],
     if q.degree < 1:
         raise ValueError("the polynomial must have degree >= 1")
     n, cs = len(A), q.coeffs
-    nb = _digit_bytes(n, p)
-    Ap = _pack_mod(A, p, nb)
+    k = _digit_words(n, p)
+    Ap = _pack_mod(A, p, k)
     B = [[cs[-1] * x % p for x in row] for row in A]
-    for k, c in enumerate(reversed(cs[:-1])):
-        if k:
-            B = _times_packed(B, Ap, nb, n, p)
+    for step, c in enumerate(reversed(cs[:-1])):
+        if step:
+            B = _times_packed(B, Ap, k, n, p)
         for i in range(n):
             B[i][i] = (B[i][i] + c) % p
     return B
@@ -765,9 +793,9 @@ def det_mod(A: Sequence[Sequence[int]], p: int) -> int:
     shift by one digit drops the column just cleared.
     """
     n = len(A)
-    nb = _digit_bytes(n + 1, p)
-    width, mask = 8 * nb, (1 << 8 * nb) - 1
-    rest = _pack_mod(A, p, nb)
+    k = _digit_words(n + 1, p)
+    width, mask = 64 * k, (1 << 64 * k) - 1
+    rest = _pack_mod(A, p, k)
     det = 1
     for c in range(n, 0, -1):
         piv = next((i for i, row in enumerate(rest) if (row & mask) % p), None)
@@ -776,10 +804,10 @@ def det_mod(A: Sequence[Sequence[int]], p: int) -> int:
         if piv:
             rest[0], rest[piv] = rest[piv], rest[0]
             det = -det
-        pivot = _unpack_mod(rest[0], nb, c, p)
+        pivot = _unpack_mod(rest[0], k, c, p)
         det = det * pivot[0] % p
         inv = pow(pivot[0], -1, p)
-        (prow,) = _pack_mod([pivot], p, nb)
+        (prow,) = _pack_mod([pivot], p, k)
         rest = [(row + -(row & mask) * inv % p * prow) >> width for row in rest[1:]]
     return det % p
 

@@ -30,6 +30,10 @@ from .matrix import (
     ExactMatrix,
     Folding,
     SignedSqrtMatrix,
+    _dots,
+    _galois_table,
+    _over_lcm,
+    _tabulate,
     char_poly,
     det_mod,
     matmul_mod,
@@ -50,7 +54,6 @@ from .recoupling import (
     _tet_key,
     _tet_orbit_at,
     sixj,
-    tet_at,
     theta_at,
     theta_inv_at,
     theta_net,
@@ -223,45 +226,71 @@ class Genus2Rep:
 def jtilde(params: TheoryParams) -> ExactMatrix:
     """The pairing matrix: J~_{sigma,mu} = sum over internal colors l of
     Delta_l^-1 a^{j1,i2}_l abar^{k2,i1}_l Tet(l,i2,i2;j2,k2,k2) Tet(l,j1,j1;k1,i1,i1).
-    Inadmissible terms vanish silently."""
+    Inadmissible terms vanish silently.
+
+    Three passes of packed dots (matrix._dots) over (table, index) pairs
+    read straight from the recoupling memos; only J~ itself is brought to
+    the unique form.  Each half-term is one dot of length 1:
+    left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
+    right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1),
+    and J~_{sigma,mu} is the dot of the row (k2, sigma) of right with the
+    row (j1, mu) of left over l."""
     r = params.level
     N = params.root_order
+    phi = euler_phi(N)
     ts = enumerate_basis(r).triples
     cs = color_set(r)
+    n, pos = len(ts), {x: c for c, x in enumerate(cs)}
 
-    # the coupling coefficients a^{x,y}_l and the Tet values as rows of
-    # length 1, so that each half-term is one packed product (dots):
-    # left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
-    # right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1)
+    # 1. the coupling column a^{x,y}_l, and abar^{x,y}_l Delta_l^-1 with each
+    # distinct a conjugated once: one dot per key
     keys = [(x, y, l) for x in cs for y in cs for l in cs if _coupling_support(r, x, y, l)]
-    row = {key: a for a, key in enumerate(keys)}
-    a = ExactMatrix(N, [[coupling_a_at(params, *key)] for key in keys])
-    abar = a.conj().scale_rows([delta_inv_at(params, l) for _, _, l in keys])
-    tets, cells = [], ([], [])
+    row = {key: q for q, key in enumerate(keys)}
+    a_cells, (a_index,) = _tabulate([[coupling_a_at(params, *key) for key in keys]])
+    a_table, a_den = _over_lcm(a_cells)
+    d_table, d_den = _over_lcm([delta_inv_at(params, l) for l in cs])
+    abar_table, abar_index = _dots(
+        N, phi, (_galois_table(N, a_table, N - 1), _singles(len(a_table))),
+        (d_table, _singles(len(cs))), 1,
+        [(a, pos[l]) for a, (_, _, l) in zip(a_index, keys)])
+
+    # 2. the half-term rows (x, t) over the columns l: one dot per cell, the
+    # empty cells one shared zero entry.  Every vertex of Tet(l,e0,e0;e1,e2,e2)
+    # is checked here or by the basis, so the orbit memo is read directly.
+    tet_row, pairs, cells = {}, ([], []), ([], [])
     for l in cs:
-        for t in ts:
-            i, j, k = t
-            for side, ends in enumerate(((i, j, k), (j, k, i))):
-                if admissible(r, l, ends[0], ends[0]) and admissible(r, l, ends[2], ends[2]):
-                    tets.append([tet_at(params, l, ends[0], ends[0], ends[1], ends[2], ends[2])])
-                    cells[side].extend(((x, l, t), (row[x, i, l], len(tets) - 1))
-                                       for x in cs if (x, i, l) in row)
-    tets = ExactMatrix(N, tets)
-    zero = (0,) * euler_phi(N)
+        for b, (i, j, k) in enumerate(ts):
+            for side, (e0, e1, e2) in enumerate(((i, j, k), (j, k, i))):
+                if admissible(r, l, e0, e0) and admissible(r, l, e2, e2):
+                    tk = tet_row.setdefault(_tet_key(l, e0, e0, e1, e2, e2), len(tet_row))
+                    for x in cs:
+                        if (x, i, l) in row:
+                            pairs[side].append((row[x, i, l], tk))
+                            cells[side].append((pos[x] * n + b, pos[l]))
+    t_table, t_den = _over_lcm([_tet_orbit_at(params, *key) for key in tet_row])
+    tets = (t_table, _singles(len(t_table)))
 
-    def halves(m, side):
-        row = m.dots(tets, [pair for _, pair in cells[side]])
-        at = {cell: v for (cell, _), v in zip(cells[side], row.vecs[0])}
-        return ExactMatrix.from_vectors(N, [[at.get((x, l, t), zero) for l in cs]
-                                            for x in cs for t in ts], row.den)
+    def half(side, table, index, den):
+        out, values = _dots(N, phi, (table, [[a] for a in index]), tets, 1, pairs[side])
+        rows = [[len(out)] * len(cs) for _ in range(len(cs) * n)]
+        out.append((0,) * phi)
+        for (u, c), v in zip(cells[side], values):
+            rows[u][c] = v
+        return (out, rows), den * t_den
 
-    # J~_{sigma,mu} = sum over l of left[j1, l, mu] right[k2, l, sigma]: one
-    # packed dot of the row (k2, sigma) of R with the row (j1, mu) of L
-    pos = {x: i for i, x in enumerate(cs)}
-    n = len(ts)
-    return halves(abar, 1).dots(halves(a, 0), (
+    # 3. the n^2 dots of J~, row sigma of the output taking n of them
+    left, left_den = half(0, a_table, a_index, a_den)
+    right, right_den = half(1, abar_table, abar_index, a_den * d_den)
+    table, flat = _dots(N, phi, right, left, len(cs), (
         (pos[mu[2]] * n + b, pos[sigma[1]] * n + c)
-        for b, sigma in enumerate(ts) for c, mu in enumerate(ts))).reshape(n, n)
+        for b, sigma in enumerate(ts) for c, mu in enumerate(ts)))
+    return ExactMatrix._of(N, table, (flat[b * n:(b + 1) * n] for b in range(n)),
+                           right_den * left_den)
+
+
+def _singles(count: int) -> list[list[int]]:
+    """The index of a column of count rows, row q reading table entry q."""
+    return [[q] for q in range(count)]
 
 
 def _times_power(d: CycNumber, t: CycNumber, sign: int) -> CycNumber:

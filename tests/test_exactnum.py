@@ -17,6 +17,8 @@ from tljhecke.exactnum import (
     PoleAtRoot,
     SPLIT_PRIME_FLOOR,
     SplitPrime,
+    _is_prime,
+    _prime_factors,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_factor,
@@ -40,8 +42,10 @@ from tljhecke.matrix import (
     _dots,
     _fold_gain,
     _lowest_terms,
+    _digit_words,
     _modulus,
     _pack_digits,
+    _pack_mod,
     _scale_columns,
     _tabulate,
     _unfold,
@@ -340,6 +344,54 @@ def test_split_primes_are_split_and_deterministic(N):
     assert next(split_primes(N, den=6 * first[0])).p == first[1]
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # deterministic Miller-Rabin against the definition: every n below
+    # 2 * 10**5, the Carmichael numbers (Fermat liars to every coprime base),
+    # squares of primes and strong pseudoprimes to base 2
+    assert [n for n in range(200_000) if _is_prime(n) != _trial_division(n)] == []
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161)
+    squares = [q * q for q in (2, 3, 1009, 65521, 1048573, 2 ** 31 - 1)]
+    spsp2 = (2047, 3277, 4033, 4681, 8321, 3215031751, 2152302898747, 3474749660383)
+    for n in carmichael + tuple(squares) + spsp2:
+        assert not _is_prime(n), n
+    for q in (1048609, 2 ** 31 - 1, 2 ** 61 - 1):
+        assert _is_prime(q) and not _is_prime(q * 1048609), q
+    # the bases 2..41 decide no further: the bound itself is a strong
+    # pseudoprime to all of them
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)
+
+
+def test_prime_factors_match_trial_division():
+    for n in range(1, 3000):
+        assert _prime_factors(n) == [f for f in range(2, n + 1)
+                                     if n % f == 0 and _trial_division(f)], n
+    assert _prime_factors(2 ** 10 * 3 ** 4 * 1048573) == [2, 3, 1048573]
+
+
+# the first four split primes and their roots of unity, as found by trial
+# division before the search used Miller-Rabin
+SPLIT_PRIME_PINS = {
+    10: ((1048601, 1048661, 1048681, 1048721), (368814, 185483, 426779, 77401)),
+    14: ((1048601, 1048783, 1048867, 1048909), (215224, 603990, 602983, 536831)),
+    18: ((1048609, 1048627, 1048681, 1048717), (5082, 983990, 355833, 291794)),
+    24: ((1048609, 1048633, 1048681, 1048897), (727903, 851465, 103974, 109233)),
+    32: ((1048609, 1048897, 1049057, 1049089), (415330, 642751, 32273, 263354)),
+    40: ((1048601, 1048681, 1048721, 1049201), (750598, 1038593, 624328, 970857)),
+}
+
+
+@pytest.mark.parametrize("N", sorted(SPLIT_PRIME_PINS))
+def test_split_primes_are_pinned(N):
+    sps = [sp for sp, _ in zip(split_primes(N), range(4))]
+    assert (tuple(sp.p for sp in sps), tuple(sp.omega for sp in sps)) == SPLIT_PRIME_PINS[N]
+
+
 def test_split_prime_rejects_what_does_not_reduce():
     with pytest.raises(ValueError):
         SplitPrime(10, 1048583)          # prime, but not 1 mod 10
@@ -438,6 +490,43 @@ def test_packed_fp_kernel_matches_list_reference(case):
     assert matmul_mod(A, B, p) == _matmul_ref(A, B, p)
     assert poly_at_matrix_mod(q, S, p) == _poly_at_matrix_ref(q, S, p)
     assert det_mod(S, p) == _det_ref(S, p)
+
+
+# n = 30 terms either side of the one-word bound: 30 (p - 1)^2 is just
+# below 2**64 for the first prime and just above it for the second
+ONE_WORD_EDGE = (784150127, 784150187)
+
+
+@pytest.mark.parametrize("p, words", [(ONE_WORD_EDGE[0], 1), (ONE_WORD_EDGE[1], 2),
+                                      (2 ** 31 - 1, 2)])
+def test_packed_fp_kernel_at_the_word_bound(p, words):
+    # matmul_mod of 30 x 30, poly_at_matrix_mod at n = 30 and det_mod at
+    # n = 29 each sum 30 products below (p - 1)^2 in a digit; matrices of
+    # p - 1 fill every digit to its bound, random ones and ones outside
+    # [0, p) check the reduction
+    lo, hi = ONE_WORD_EDGE
+    assert 30 * (lo - 1) ** 2 < 2 ** 64 <= 30 * (hi - 1) ** 2
+    assert not any(map(_trial_division, range(lo + 1, hi)))
+    assert _digit_words(30, p) == words
+    rnd = random.Random(p)
+    q = IntPolynomial((1, -3, 3, -3, 1))
+    full = [[p - 1] * 30 for _ in range(30)]
+    mixed = [[rnd.randrange(-p, 2 * p) for _ in range(30)] for _ in range(30)]
+    for A, B in ((full, full), (mixed, full), (mixed, [row[::-1] for row in mixed])):
+        assert matmul_mod(A, B, p) == _matmul_ref(A, B, p)
+        assert poly_at_matrix_mod(q, B, p) == _poly_at_matrix_ref(q, B, p)
+    for A in (full, mixed, [[p - 1 if i == j else rnd.randrange(p) for j in range(29)]
+                            for i in range(29)]):
+        A = [row[:29] for row in A[:29]]
+        assert det_mod(A, p) == _det_ref(A, p)
+
+
+def test_packed_fp_rows_are_little_endian_words():
+    # digit i of a packed row is bits 64 k i .. 64 k (i + 1) - 1 of the int,
+    # whatever the machine's byte order
+    p = 2 ** 31 - 1
+    assert _pack_mod([[1, 2, p + 3]], p, 1) == [1 + (2 << 64) + (3 << 128)]
+    assert _pack_mod([[1, p - 1]], p, 2) == [1 + ((p - 1) << 128)]
 
 
 def test_residue_matrix_reduces_each_distinct_vector_once(monkeypatch):

@@ -961,17 +961,22 @@ def test_trace_galois_sweep_builds_one_representation():
     assert genus2_rep.cache_info().misses == 1
 
 
-def test_cold_representation_takes_few_products_and_no_inverse(monkeypatch):
-    # work counts are deterministic where timings are not: the recoupling
-    # values are products of memoized unit powers and the global constants
-    # take no field inverse (a cold r = 7 build made 655 products and 2
-    # inverses with one power of each Phi_m(zeta) per value)
+def _clear_tljhecke_caches():
+    """Empty every memo of the package, as in a fresh process."""
     import sys
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "tljhecke":
             for obj in list(vars(mod).values()):
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+def test_cold_representation_takes_few_products_and_no_inverse(monkeypatch):
+    # work counts are deterministic where timings are not: the recoupling
+    # values are products of memoized unit powers and the global constants
+    # take no field inverse (a cold r = 7 build made 655 products and 2
+    # inverses with one power of each Phi_m(zeta) per value)
+    _clear_tljhecke_caches()
     products, inverses = [], []
     mul, inverse = CycNumber.__mul__, CycNumber.inverse
     monkeypatch.setattr(CycNumber, "__mul__", lambda a, b: products.append(1) or mul(a, b))
@@ -979,6 +984,24 @@ def test_cold_representation_takes_few_products_and_no_inverse(monkeypatch):
     genus2_rep(trace_params(7))
     assert len(products) <= 330, len(products)
     assert not inverses
+
+
+def test_cold_jtilde_forms_one_matrix_and_reads_the_tet_orbits(monkeypatch):
+    # J~ is assembled from (table, index) pairs read from the recoupling
+    # memos: only J~ itself is brought to the unique form, and its Tet values
+    # come from the orbit memo, since jtilde has checked every vertex itself
+    from tljhecke import recoupling
+    _clear_tljhecke_caches()
+    made = []
+    of = ExactMatrix._of.__func__
+    monkeypatch.setattr(ExactMatrix, "_of", classmethod(
+        lambda cls, *args: made.append(args[0]) or of(cls, *args)))
+    P = trace_params(7)
+    jt = jtilde(P)
+    assert made == [P.root_order]
+    assert recoupling.tet_at.cache_info().currsize == 0
+    assert recoupling._tet_orbit_at.cache_info().currsize > 0
+    assert jt.nrows == len(enumerate_basis(7))
 
 
 def test_exceeds_dimension_matches_float_comparison():
