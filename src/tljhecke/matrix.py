@@ -137,6 +137,11 @@ def _tabulate(rows: Iterable[Iterable]) -> tuple[tuple, list[list[int]]]:
     return tuple(seen), index
 
 
+def _column(table: Sequence) -> tuple[Sequence, list[list[int]]]:
+    """(table, index) of the column whose row k is table entry k."""
+    return table, [[k] for k in range(len(table))]
+
+
 def _over_lcm(cells: Sequence[CycNumber]) -> tuple[tuple, int]:
     """The coefficient vectors of cells over the lcm of their denominators,
     and that lcm; each cell is in lowest terms, so they are too."""
@@ -470,7 +475,7 @@ class ExactMatrix:
             for m, a in enumerate(row):
                 pairs.setdefault((a, idx[m][s]), len(pairs))
         N = self.order
-        single = (self.table, [[k] for k in range(len(self.table))])
+        single = _column(self.table)
         table, out = _dots(N, euler_phi(N), single, single, 1, pairs)
         return ExactMatrix._of(N, table, ((out[pairs[a, idx[m][s]]] for m, a in enumerate(row))
                                           for s, row in enumerate(idx)), self.den * self.den)

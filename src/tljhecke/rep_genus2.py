@@ -30,6 +30,7 @@ from .matrix import (
     ExactMatrix,
     Folding,
     SignedSqrtMatrix,
+    _column,
     _dots,
     _galois_table,
     _over_lcm,
@@ -228,13 +229,8 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     Delta_l^-1 a^{j1,i2}_l abar^{k2,i1}_l Tet(l,i2,i2;j2,k2,k2) Tet(l,j1,j1;k1,i1,i1).
     Inadmissible terms vanish silently.
 
-    Three passes of packed dots (matrix._dots) over (table, index) pairs
-    read straight from the recoupling memos; only J~ itself is brought to
-    the unique form.  Each half-term is one dot of length 1:
-    left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
-    right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1),
-    and J~_{sigma,mu} is the dot of the row (k2, sigma) of right with the
-    row (j1, mu) of left over l."""
+    Three passes of packed dots (matrix._dots) over tables read from the
+    recoupling memos; only J~ is brought to the unique form."""
     r = params.level
     N = params.root_order
     phi = euler_phi(N)
@@ -242,21 +238,22 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     cs = color_set(r)
     n, pos = len(ts), {x: c for c, x in enumerate(cs)}
 
-    # 1. the coupling column a^{x,y}_l, and abar^{x,y}_l Delta_l^-1 with each
-    # distinct a conjugated once: one dot per key
+    # 1. the coupling column a^{x,y}_l, and abar^{x,y}_l Delta_l^-1 from each
+    # distinct a conjugated once: one dot of length 1 per key
     keys = [(x, y, l) for x in cs for y in cs for l in cs if _coupling_support(r, x, y, l)]
     row = {key: q for q, key in enumerate(keys)}
-    a_cells, (a_index,) = _tabulate([[coupling_a_at(params, *key) for key in keys]])
-    a_table, a_den = _over_lcm(a_cells)
+    cells, (a_index,) = _tabulate([[coupling_a_at(params, *key) for key in keys]])
+    a_table, a_den = _over_lcm(cells)
     d_table, d_den = _over_lcm([delta_inv_at(params, l) for l in cs])
-    abar_table, abar_index = _dots(
-        N, phi, (_galois_table(N, a_table, N - 1), _singles(len(a_table))),
-        (d_table, _singles(len(cs))), 1,
-        [(a, pos[l]) for a, (_, _, l) in zip(a_index, keys)])
+    abar_table, abar_index = _dots(N, phi, _column(_galois_table(N, a_table, N - 1)),
+                                   _column(d_table), 1,
+                                   [(a, pos[l]) for a, (_, _, l) in zip(a_index, keys)])
 
-    # 2. the half-term rows (x, t) over the columns l: one dot per cell, the
-    # empty cells one shared zero entry.  Every vertex of Tet(l,e0,e0;e1,e2,e2)
-    # is checked here or by the basis, so the orbit memo is read directly.
+    # 2. the half-terms left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
+    # right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1),
+    # one dot of length 1 each, as rows (x, t) over the columns l whose empty
+    # cells share one zero entry.  The vertices of each Tet are checked here
+    # or are a basis triple, so its orbit memo is read directly.
     tet_row, pairs, cells = {}, ([], []), ([], [])
     for l in cs:
         for b, (i, j, k) in enumerate(ts):
@@ -268,17 +265,18 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
                             pairs[side].append((row[x, i, l], tk))
                             cells[side].append((pos[x] * n + b, pos[l]))
     t_table, t_den = _over_lcm([_tet_orbit_at(params, *key) for key in tet_row])
-    tets = (t_table, _singles(len(t_table)))
 
     def half(side, table, index, den):
-        out, values = _dots(N, phi, (table, [[a] for a in index]), tets, 1, pairs[side])
+        out, values = _dots(N, phi, (table, [[a] for a in index]), _column(t_table), 1,
+                            pairs[side])
         rows = [[len(out)] * len(cs) for _ in range(len(cs) * n)]
         out.append((0,) * phi)
         for (u, c), v in zip(cells[side], values):
             rows[u][c] = v
         return (out, rows), den * t_den
 
-    # 3. the n^2 dots of J~, row sigma of the output taking n of them
+    # 3. J~_{sigma,mu}: the dot over l of the row (k2, sigma) of right with
+    # the row (j1, mu) of left, n dots to a row of J~
     left, left_den = half(0, a_table, a_index, a_den)
     right, right_den = half(1, abar_table, abar_index, a_den * d_den)
     table, flat = _dots(N, phi, right, left, len(cs), (
@@ -286,11 +284,6 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
         for b, sigma in enumerate(ts) for c, mu in enumerate(ts)))
     return ExactMatrix._of(N, table, (flat[b * n:(b + 1) * n] for b in range(n)),
                            right_den * left_den)
-
-
-def _singles(count: int) -> list[list[int]]:
-    """The index of a column of count rows, row q reading table entry q."""
-    return [[q] for q in range(count)]
 
 
 def _times_power(d: CycNumber, t: CycNumber, sign: int) -> CycNumber:
