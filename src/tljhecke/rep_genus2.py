@@ -55,6 +55,7 @@ from .recoupling import (
     _tet_key,
     _tet_orbit_at,
     sixj,
+    tet_at,  # not called here; bench/selftest.py reads rep_genus2.tet_at
     theta_at,
     theta_inv_at,
     theta_net,
