@@ -240,15 +240,17 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     n, pos = len(ts), {x: c for c, x in enumerate(cs)}
 
     # 1. the coupling column a^{x,y}_l, and abar^{x,y}_l Delta_l^-1 from each
-    # distinct a conjugated once: one dot of length 1 per key
+    # distinct a conjugated once: one dot of length 1 per key, Delta_l^-1
+    # read only for the channels l that some key carries
     keys = [(x, y, l) for x in cs for y in cs for l in cs if _coupling_support(r, x, y, l)]
     row = {key: q for q, key in enumerate(keys)}
-    cells, (a_index,) = _tabulate([[coupling_a_at(params, *key) for key in keys]])
-    a_table, a_den = _over_lcm(cells)
-    d_table, d_den = _over_lcm([delta_inv_at(params, l) for l in cs])
+    a_cells, (a_index,) = _tabulate([[coupling_a_at(params, *key) for key in keys]])
+    a_table, a_den = _over_lcm(a_cells)
+    ls = {l: q for q, l in enumerate(dict.fromkeys(l for _, _, l in keys))}
+    d_table, d_den = _over_lcm([delta_inv_at(params, l) for l in ls])
     abar_table, abar_index = _dots(N, phi, _column(_galois_table(N, a_table, N - 1)),
                                    _column(d_table), 1,
-                                   [(a, pos[l]) for a, (_, _, l) in zip(a_index, keys)])
+                                   [(a, ls[l]) for a, (_, _, l) in zip(a_index, keys)])
 
     # 2. the half-terms left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
     # right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1),
