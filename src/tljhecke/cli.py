@@ -8,8 +8,9 @@ invariant fails (an ArithmeticError such as NotInteger: a bug, not bad
 input).  Output formats: json (machine readable, bit-exact serialization,
 the same text as json.dump with indent=2; it is streamed to stdout as it is
 written, and each distinct cyclotomic value is serialized once), csv
-(tables), pretty (human readable; floats printed at the requested precision
-agree with the exact embedding to 10^-precision).
+(tables), pretty (human readable; each printed number is the exact value
+rounded to the requested precision, from a fixed-point evaluation on Python
+ints).
 """
 from __future__ import annotations
 
@@ -64,12 +65,6 @@ def _params(args) -> TheoryParams:
     return TheoryParams(args.level, root_exponent=k)
 
 
-def _printable(err: float, precision: int) -> bool:
-    """True when a double within err of a value prints it, rounded to
-    precision digits, within 10**-precision."""
-    return 2 * err < 10.0 ** -precision
-
-
 def _fixed(x: CycNumber, digits: int) -> tuple[int, int, int]:
     """x.fixed_parts at enough bits (a multiple of 64, so that the tables
     are shared) that each part over the returned scale is within
@@ -85,45 +80,46 @@ def _decimal(num: int, scale: int, digits: int) -> Decimal:
     return Decimal(f"{(2 * num * 10 ** digits + scale) // (2 * scale)}E-{digits}")
 
 
-def _parts(x: CycNumber, precision: int) -> tuple:
-    """The real and imaginary parts of x's embedding, close enough to print
-    at the precision: doubles where embed_error allows, else Decimals of
-    precision + 10 digits from the scaled ints of fixed_parts."""
-    z = x.embed()
-    if _printable(x.embed_error(), precision):
-        return z.real, z.imag
+def _parts(x: CycNumber, precision: int) -> tuple[Decimal, Decimal]:
+    """The real and imaginary parts of x's embedding as Decimals of
+    precision + 10 digits, from the scaled ints of fixed_parts."""
     digits = precision + 10
     re, im, scale = _fixed(x, digits)
     return _decimal(re, scale, digits), _decimal(im, scale, digits)
 
 
-def _root(square: CycNumber, precision: int):
-    """sqrt |Re square|, close enough to print at the precision, as _parts."""
-    s, err = abs(square.embed().real), square.embed_error()
-    # |sqrt a - sqrt b| <= min(sqrt |a - b|, |a - b| / sqrt b), and the
-    # double square root rounds once
-    off = min(err ** 0.5, err / s ** 0.5) if s else err ** 0.5
-    if _printable(off + s ** 0.5 / 2 ** 52, precision):
-        return math.sqrt(s)
-    # |Re square| within 10**-(2 digits) gives its root within 10**-digits,
-    # and the integer square root floors once more
+def _root(square: CycNumber, precision: int) -> Decimal:
+    """sqrt |Re square| as a Decimal of precision + 10 digits: |Re square|
+    within 10**-(2 digits) gives its root within 10**-digits, and the
+    integer square root floors once more."""
     digits = precision + 10
     re, _, scale = _fixed(square, 2 * digits)
     return Decimal(f"{math.isqrt(abs(re) * 10 ** (2 * digits) // scale)}E-{digits}")
 
 
+def _complex_cell(x: CycNumber, precision: int) -> str:
+    """x as an re+imj number at the precision."""
+    re, im = _parts(x, precision)
+    return f"{re:+.{precision}f}{im:+.{precision}f}j"
+
+
 def _complex_cells(values, precision: int) -> str:
     """Cyclotomic values as re+imj numbers, two spaces apart."""
-    return "  ".join(f"{re:+.{precision}f}{im:+.{precision}f}j"
-                     for re, im in (_parts(x, precision) for x in values))
+    return "  ".join(_complex_cell(x, precision) for x in values)
 
 
 def _float_matrix_lines(M, precision: int) -> list[str]:
+    """The rows of M, entries two spaces apart, with each table entry of the
+    matrix formatted once: a SignedSqrtMatrix entry as its sign and the root
+    of its square, any other as re+imj."""
     if isinstance(M, SignedSqrtMatrix):
-        return ["  ".join(f"{sign * _root(M.squares[i, j], precision):+.{precision}f}"
-                          for j, sign in enumerate(signs))
-                for i, signs in enumerate(M.signs)]
-    return [_complex_cells(row, precision) for row in M.rows]
+        sq = M.squares
+        roots = [f"{_root(CycNumber(sq.order, v, sq.den), precision):.{precision}f}"
+                 for v in sq.table]
+        return ["  ".join(("-" if sign < 0 else "+") + roots[t] for t, sign in zip(row, signs))
+                for row, signs in zip(sq.index, M.signs)]
+    cells = [_complex_cell(CycNumber(M.order, v, M.den), precision) for v in M.table]
+    return ["  ".join(map(cells.__getitem__, row)) for row in M.index]
 
 
 def _write_json(doc, write: Callable[[str], object]) -> None:
@@ -181,8 +177,8 @@ def _write_json(doc, write: Callable[[str], object]) -> None:
 def _emit(args, doc: dict, pretty: Callable[[], list[str]],
           csv_rows: list[list] | None = None) -> None:
     """Write doc as json (streamed by _write_json), csv_rows as csv, or the
-    lines pretty() builds; the pretty text, which embeds in floats, is built
-    only when it is printed."""
+    lines pretty() builds; the pretty text, which evaluates embeddings, is
+    built only when it is printed."""
     fmt = getattr(args, "format", "pretty")
     if fmt == "json":
         _write_json(doc, sys.stdout.write)
@@ -502,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infinite-image", help="infinite-image certificates")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--root", type=int, default=0)
+    p.add_argument("--root", type=int, default=0,
+                   help="Galois exponent at even levels; ignored at odd levels, "
+                        "where the certificates run at the trace root (exponent 1)")
     p.set_defaults(fn=cmd_infinite_image)
 
     p = sub.add_parser("hecke-sl2", help="Hecke group word evaluation / presentation checks")

@@ -1,7 +1,7 @@
 """Exact arithmetic kernel: rationals, Laurent polynomials in the formal
 variable A, their fraction field, and cyclotomic fields Q(zeta_N).
 
-Everything here is exact.  Floats appear only in the embeddings; real_sign
+Everything here is exact.  Floats appear only in the embedding; real_sign
 decides on Python ints, from a fixed-point table of cos and sin(2 pi j / N)
 with a proven error bound (_unit_roots), so no result is decided by
 rounding.  Square roots are never
@@ -618,7 +618,7 @@ def _expi(t: int, et: int, w: int) -> tuple[int, int, int]:
     return parts[0], parts[1], err + d
 
 
-# the bits at which embed_nearest and real_sign first evaluate, doubled
+# the bits at which embed and real_sign first evaluate, doubled
 # until they decide: one table per order serves both
 FIRST_BITS = 128
 
@@ -904,28 +904,30 @@ class CycNumber:
 
     # -- embeddings
     def embed(self) -> complex:
-        """Numerical value with zeta_N = exp(2*pi*i/N), as a complex double,
-        each part within embed_error() of the exact one: float sums when the
-        coefficients and the denominator fit a double's mantissa, else
-        embed_nearest().  More digits come from fixed_parts."""
-        if abs(self.den) < 2 ** 52 and all(abs(c) < 2 ** 52 for c in self.vec):
-            N = self.order
-            re = im = 0.0
-            for j, c in enumerate(self.vec):
-                if c:
-                    ang = 2.0 * math.pi * j / N
-                    re += c * math.cos(ang)
-                    im += c * math.sin(ang)
-            return complex(re / self.den, im / self.den)
-        return self.embed_nearest()
-
-    def embed_error(self) -> float:
-        """A bound on the error of each part of embed(): with S = sum |c| / den,
-        each angle, cosine and sine is within 22 units of 2**-53, and the
-        phi products and sums add one unit each, so (phi + 32) S 2**-53
-        bounds it.  Half a unit of the last place of a part, the error of
-        embed_nearest, is at most S 2**-53."""
-        return (len(self.vec) + 32) * sum(map(abs, self.vec)) / self.den / 2 ** 53
+        """The embedding with zeta_N = exp(2*pi*i/N), each part the double
+        nearest to the exact one (an imaginary part is exactly 0.0 when
+        is_real() holds).  More digits come from fixed_parts."""
+        # fixed_parts at doubling bits until both ends of a part's error
+        # interval round to one double, which is then the nearest; a part with
+        # an exact rational value (0 included) is read from it, so the loop
+        # ends: an irrational part is no midpoint between two doubles
+        parts: list[float | None] = [None, None]
+        bits = FIRST_BITS
+        while True:
+            *fixed, err = self.fixed_parts(bits)
+            scale = self.den << bits
+            for part, v in enumerate(fixed):
+                if parts[part] is None:
+                    lo = (v - err) / scale
+                    if lo == (v + err) / scale:
+                        parts[part] = lo
+                    elif bits == FIRST_BITS:
+                        exact = self._rational_part(part)
+                        if exact is not None:
+                            parts[part] = float(exact)
+            if None not in parts:
+                return complex(*parts)
+            bits *= 2
 
     def fixed_parts(self, bits: int) -> tuple[int, int, int]:
         """(re, im, err): the real and imaginary parts of the embedding times
@@ -934,29 +936,6 @@ class CycNumber:
         cos, sin = _unit_roots(self.order, bits)
         return (sum(map(operator.mul, self.vec, cos)), sum(map(operator.mul, self.vec, sin)),
                 sum(map(abs, self.vec)))
-
-    def embed_nearest(self) -> complex:
-        """The embedding with each part the double nearest to the exact one
-        (an imaginary part is exactly 0.0 when is_real() holds)."""
-        return complex(self._nearest_part(0), self._nearest_part(1))
-
-    def _nearest_part(self, part: int) -> float:
-        # fixed_parts at doubling bits until both ends of the error interval
-        # round to one double, which is then the nearest; a part with an
-        # exact rational value (0 included) is read from it, so the loop
-        # ends: an irrational part is no midpoint between two doubles
-        bits = FIRST_BITS
-        while True:
-            fixed = self.fixed_parts(bits)
-            scale = self.den << bits
-            lo = (fixed[part] - fixed[2]) / scale
-            if lo == (fixed[part] + fixed[2]) / scale:
-                return lo
-            if bits == FIRST_BITS:
-                exact = self._rational_part(part)
-                if exact is not None:
-                    return float(exact)
-            bits *= 2
 
     def _rational_part(self, part: int) -> Fraction | None:
         """The real (part 0) or imaginary (part 1) part as a Fraction when it
@@ -1166,10 +1145,12 @@ def specialize(f: LaurentFraction, N: int, k: int) -> CycNumber:
 # serialization
 
 def cyc_to_json(x: CycNumber) -> dict:
-    z = x.embed()
+    """{order, coeffs, approx}: each coefficient as [numerator, denominator]
+    in lowest terms, and the nearest doubles of the embedding."""
+    z, den = x.embed(), x.den
     return {
         "order": x.order,
-        "coeffs": [[c.numerator, c.denominator] for c in x.coeffs],
+        "coeffs": [[c // g, den // g] for c in x.vec for g in [math.gcd(c, den)]],
         "approx": [z.real, z.imag],
     }
 

@@ -846,8 +846,9 @@ class SignedSqrtMatrix:
         return self.squares.ncols
 
     def embed(self) -> list[list[float]]:
-        """The entries as rows of doubles, each the root of a double within
-        embed_error() of its square."""
+        """The entries as rows of doubles: each the sign times the double
+        root of the nearest double to its square, within a relative
+        2**-52 of the exact entry."""
         return [[sign * math.sqrt(abs(s.embed().real)) for s, sign in zip(row, signs)]
                 for row, signs in zip(self.squares.rows, self.signs)]
 

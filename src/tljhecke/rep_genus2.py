@@ -599,9 +599,9 @@ class TraceEntry:
 
 def trace_entry(params: TheoryParams) -> TraceEntry:
     """tr(J T J T^-1) at one root, exactly and as the nearest doubles
-    (CycNumber.embed_nearest), beside dim V, the size of the basis."""
+    (CycNumber.embed), beside dim V, the size of the basis."""
     v = trace_jtjt(params)
-    return TraceEntry(params.level, params.root_exponent, v, v.embed_nearest(),
+    return TraceEntry(params.level, params.root_exponent, v, v.embed(),
                       len(enumerate_basis(params.level)))
 
 
@@ -617,7 +617,7 @@ def trace_galois_sweep(r: int) -> list[tuple[int, complex]]:
     p0 = trace_params(r)
     v = trace_jtjt(p0)
     N = p0.root_order
-    return [(k, v.galois(k).embed_nearest()) for k in range(1, N) if math.gcd(k, N) == 1]
+    return [(k, v.galois(k).embed()) for k in range(1, N) if math.gcd(k, N) == 1]
 
 
 @dataclass(frozen=True)

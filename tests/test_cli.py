@@ -2,6 +2,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -266,14 +267,16 @@ def test_modular_data_json_roundtrip(capsys):
 
 
 def test_modular_data_pretty_text(capsys):
-    # the whole pretty output at r = 2, default root and precision 6
+    # the whole pretty output at r = 2, default root and precision 6; the
+    # entries sqrt2 are real, so each imaginary part is the exact 0 rounded,
+    # +0.000000
     code, out = run(capsys, "--precision", "6", "modular-data", "--level", "2")
     assert code == 0
     assert out == (
         "modular data at level 2, root zeta_16^5\n"
         "S~ (unnormalized):\n"
-        "+1.000000+0.000000j  +1.414214-0.000000j  +1.000000+0.000000j\n"
-        "+1.414214-0.000000j  +0.000000+0.000000j  -1.414214+0.000000j\n"
+        "+1.000000+0.000000j  +1.414214+0.000000j  +1.000000+0.000000j\n"
+        "+1.414214+0.000000j  +0.000000+0.000000j  -1.414214+0.000000j\n"
         "+1.000000+0.000000j  -1.414214+0.000000j  +1.000000+0.000000j\n"
         "T diagonal:\n"
         "  +1.000000+0.000000j  -0.923880+0.382683j  -1.000000+0.000000j\n"
@@ -398,10 +401,11 @@ def _printed_numbers(out: str) -> list[str]:
     return re.findall(r"[+-]?\d+\.\d+", out)
 
 
-@pytest.mark.parametrize("precision", [14, 15, 20])
+@pytest.mark.parametrize("precision", [6, 10, 14, 15, 20])
 def test_pretty_digits_match_a_50_digit_embedding(capsys, precision, mp_embed):
-    # each printed number is the exact embedding rounded to the precision
-    # (a double cannot carry 15 or 20 decimals of these values)
+    # each printed number is the exact embedding rounded to the precision,
+    # by one path at every precision (a double cannot carry 15 or 20
+    # decimals of these values)
     import mpmath
     from tljhecke.rep_genus2 import genus2_rep
     with mpmath.workdps(50):
@@ -432,6 +436,46 @@ def test_pretty_digits_match_a_50_digit_embedding(capsys, precision, mp_embed):
                   + parts(rep.tdiag))
             check(["genus2-matrices", "--level", str(r), "--raw"],
                   parts(x for row in rep.jtilde.rows for x in row) + parts(rep.tdiag))
+
+
+def _cyc_leaves(doc):
+    # every serialized cyclotomic value of a json document
+    if isinstance(doc, dict):
+        if "approx" in doc:
+            yield doc
+        else:
+            for v in doc.values():
+                yield from _cyc_leaves(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _cyc_leaves(v)
+
+
+def test_json_approx_is_the_nearest_double(capsys, mp_embed):
+    # each approx is the pair of doubles nearest to the exact value its
+    # coeffs give, and a real value's imaginary part is +0.0
+    seen = 0
+    for argv in (["coefficients", "--level", "3", "--root", "1"],
+                 ["modular-data", "--level", "4"], ["genus2-matrices", "--level", "2"],
+                 ["genus2-matrices", "--level", "2", "--raw"]):
+        code, out = run(capsys, "--format", "json", *argv)
+        assert code == 0
+        for leaf in _cyc_leaves(json.loads(out)):
+            x = cyc_from_json(leaf)
+            z = mp_embed(x, 60)
+            assert leaf["approx"] == [float(z.real), float(z.imag)], (argv, leaf)
+            if x.is_real():
+                assert math.copysign(1, leaf["approx"][1]) == 1, (argv, leaf)
+            seen += 1
+    assert seen > 100
+
+
+def test_infinite_image_root_is_ignored_at_odd_levels(capsys):
+    # at odd levels the certificates run at the trace root (exponent 1),
+    # whatever --root says
+    _, drawn = run(capsys, "--format", "json", "infinite-image", "--level", "5", "--root", "3")
+    _, default = run(capsys, "--format", "json", "infinite-image", "--level", "5")
+    assert drawn == default and json.loads(drawn)["level"] == 5
 
 
 def test_verify_root_names_its_residue(capsys):
@@ -648,31 +692,35 @@ def test_closed_stdout_exits_quietly():
 # tables at r = 2..7, pinned before the 6j symbols were shared per (Tet orbit,
 # weight) pair.  infinite-image --level 5 was pinned again when the printed
 # trace took its parts from the nearest doubles: its trace is real, and its
-# imaginary part reads +0.0e+00 where a 40-digit evaluation left -4.6e-41
+# imaginary part reads +0.0e+00 where a 40-digit evaluation left -4.6e-41.
+# The genus2-matrices, modular-data and coefficients digests were pinned
+# again when every approx became the nearest doubles of the exact value
+# (CycNumber.embed) in place of a float sum of cosines: the exact fields
+# are unchanged, and test_json_approx_is_the_nearest_double checks the rest
 
 _JSON_SHA256 = {
     "genus2-matrices --level 2":
-        "4b40cec2841d5601e39e6fb1872c008aa853e3b09b5c8475621072dbcb6e2032",
+        "01160ca6737a9f8ab8c7e4b7bfee0672b8be675f244f7720db836a2dd56a8971",
     "genus2-matrices --level 2 --raw":
-        "6813f9cb22b74326703e9c78c8a5e6ca389013f2b89336b074545557479cc73b",
+        "3d2b4838f8f2b54e2146079af154cc5241080c8aa537c17b53e2bd8e0407bf57",
     "genus2-matrices --level 3":
-        "d3238a8dd91917dc58d48da747d6aefd115fda2a056bccd5c3bd800cbf2618f6",
+        "3fc4c182713c2f587ab9d442ca39879ee8c2397fee9649752e051b9a3992f9b8",
     "genus2-matrices --level 3 --raw":
-        "dcf124cbbe8d2b06b19e505f427e41934df98cabbc981863bb23136ecdba5ae4",
+        "d0f419b324faeb5835cea0f773e77dbf24db427b2500abb0e4236515b7d6479c",
     "genus2-matrices --level 4":
-        "45d436db33d132627209cf77d5fe7e55eb8d03de9c0bb5c73a16a558cd37a367",
+        "de20b071e2df8322bb4a04a728253c72c6c757169abe6a9b43f759b2ba58fc8a",
     "genus2-matrices --level 4 --raw":
-        "0b1a03c3486cca3a50213b70389ee11372a94dec681021f432d5ab463985ec56",
+        "232bafade5c25d2e0882486ded9aaa7d2e0d5e6a6ecf6c84ca66f873f2923769",
     "modular-data --level 2":
-        "05a4190f9b3101a5e5e909a8fa62e31ebff7e64547b3509b8965a4b53727c6d6",
+        "90550b9eb0ec7fef8fd9ce384cb80f219444995919bcd023637a655936f23ec6",
     "modular-data --level 3":
-        "140aaac591943f4187d6a6064f47c787fa488eb87828e24bb03ae71448a01004",
+        "c76675db74224bc468e73e0968797938f340f5b88f437297dbd94324322ec7ec",
     "modular-data --level 4":
-        "532398b41ec527ce110a77f0139058b6e2f14cc5a13e0916c38f250ec5fb7933",
+        "df177ac1fef70d6140cbdbe626ff5b4131dc6c70afdab079daca36c855cdac12",
     "modular-data --level 5":
-        "a0ee57065d28b23b1e151361f1fa493fab0731c9fc4b50251dc0584cdeef3d34",
+        "60bd2b517bf771af86c5218e546089b3a392d2f76c3bae3f1e9f6bbc75f8ce3d",
     "modular-data --level 6":
-        "53a72d8de61ef07bad4dd52ca14f1fca1d984d9afb1be15cd834d1606924f24e",
+        "a5f58c1d613c5041841980c9736f56d4ce2ea3cf7859afed333a5b6eb9e31896",
     "infinite-image --level 2":
         "f78c5e885d7c573d385c4d76803b99544cc4d8faa224bf9eb96805182f12ae33",
     "infinite-image --level 3":
@@ -696,29 +744,29 @@ _JSON_SHA256 = {
     "verify --genus 0 --level 6":
         "aa5d9b6cb53480e7645e059c69c02c241440ca175684375a72630deaf2455929",
     "coefficients --level 2":
-        "978a618675aa6835e5c61df4b8440ed29299d67d6fa7d317e0d684de43d23d61",
+        "47cb3e6004fbae5358e5c99521e7d8bc8d248362b99529877d30c1153c26ed09",
     "coefficients --level 2 --root 1":
-        "3707c5e23f1892214cce9095295ab98802d1444fc875c91e9ca7a6a9ef3f693e",
+        "bffd3c38ff48ed7ed6466480ff0fdc870ee1dbfe83b2b9fa1209a54d6b3bd777",
     "coefficients --level 3":
-        "1171a7ad3f1a15b83d8f844e56d367c44b666eee422456f17c4c09270d91a79a",
+        "0ad27d2331b7d93bb65e7bae77d6ac685889dbb7a4e97287a4c7dad90c401627",
     "coefficients --level 3 --root 1":
-        "2cf0265f3f01782e22894421044b59c524d110ed2058afd9a53211a3f49d397f",
+        "23d18246f254a7f30bf41603dd7c41e39ae2bda0b3ba18629e831e3d2a7afa05",
     "coefficients --level 4":
-        "c71381cedb59568eaf5e743e02d96e01af2626de9804c3a77b6c255b744e2a66",
+        "5492649c26241a48df1ed7b7a2b499609414410e893eab344cd703eead820436",
     "coefficients --level 4 --root 1":
-        "1e42eaf1f25b557d16aabfab6f38c2b9815c19a6e6fdd3f1051679385bd1c363",
+        "7fb37d180c912d1d1215dc3e3473bc26949b71dc7fe74941e230ee4be9ed1f4b",
     "coefficients --level 5":
-        "22efbfa8d50918d36c351d1f3b0edede1ace9608ee5b5137327d1f83bfd8316d",
+        "666fc210583ed3a620e35d44a85d69b17a322746703aae8c9a8a42eab6c13cd9",
     "coefficients --level 5 --root 1":
-        "e7552f1bf7df74de95c88a8c5f53d9d32f58ab43dc17b15647f09d77cb8948dc",
+        "470c6d1d9837486a24b5b9e4738c70807b52e9c62a8fb91cb4cb1ea546f92906",
     "coefficients --level 6":
-        "77c63ab632f6146cdf9f5c6d45e969f4d8f2cce514dcdbb21032280e514c7218",
+        "6a1e973066e95440b660e3c0b24562566dc8001eded68807e6e33cda2efd82ac",
     "coefficients --level 6 --root 1":
-        "42e992c5807b00c0511b0e88df258f9cfc88959984121075340a0aa1276a19ad",
+        "12a09baae2b68fe5475720883ab2e39fc5318150d9a624dc9709132385e3d582",
     "coefficients --level 7":
-        "bfc3e0653139578a7e64ad68e8e6e879287f2ff794506b3f730ee73db6c32f5d",
+        "43366628429d508a24977e64cdc0ed29ab4c9aa42bf99cdf99f3ddfa8b35a6f7",
     "coefficients --level 7 --root 1":
-        "072b9d8f0bd682d988e9b47e19ea244fd14d2335de320df4bd49c64ba6a6a65d",
+        "aa3023a18ed551d34a1dc0de1369047d4dc699cd0f58ef810d453c490b2e51ea",
 }
 
 

@@ -670,15 +670,12 @@ def test_fixed_parts_are_within_their_bound(mp_embed, x, bits):
 
 @settings(max_examples=80, deadline=None)
 @given(x=_cyc_numbers())
-def test_embed_nearest_is_the_nearest_double(mp_embed, x):
+def test_embed_is_the_nearest_double(mp_embed, x):
     z = mp_embed(x, 60)
-    assert x.embed_nearest() == complex(float(z.real), float(z.imag))
-    # embed() stays within embed_error() on every path, the evaluator's too
-    w, bound = x.embed(), x.embed_error()
-    assert abs(w.real - float(z.real)) <= bound and abs(w.imag - float(z.imag)) <= bound
+    assert x.embed() == complex(float(z.real), float(z.imag))
 
 
-def test_embed_nearest_reads_rational_parts_exactly():
+def test_embed_reads_rational_parts_exactly():
     # a part that is rational is not bracketed by any error interval: it is
     # read from the field, zero and a midpoint between two doubles included
     tie = Fraction(2 ** 53 + 1, 2 ** 53)
@@ -687,7 +684,7 @@ def test_embed_nearest_reads_rational_parts_exactly():
                     (CycNumber.from_rational(7, tie), complex(float(tie), 0.0)),
                     (i * tie + 3, complex(3.0, float(tie))),
                     (CycNumber.zeta(20, 3) + CycNumber.zeta(20, 17), None)]:
-        z = x.embed_nearest()
+        z = x.embed()
         if want is not None:
             assert z == want and math.copysign(1, z.imag) == 1
         else:
@@ -719,7 +716,7 @@ def test_real_sign_escalates_on_near_zero_reals(monkeypatch, N, n):
         assert (x + CycNumber.zeta(N, N // 4) * 10 ** 40).real_sign() == (-1) ** n
     # the value is below its error bound at the first bits, so they doubled
     assert seen[0] == FIRST_BITS and max(seen) > FIRST_BITS, seen
-    assert abs(x.embed_nearest().real) < 0.62 ** n
+    assert abs(x.embed().real) < 0.62 ** n
 
 
 def test_lift_preserves_value():
