@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -75,9 +75,14 @@ def _fixed(x: CycNumber, digits: int) -> tuple[int, int, int]:
     return re, im, x.den << bits
 
 
+# scaleb in this context never rounds; a Decimal built from an int, unlike
+# one built from its str, has no digit limit
+_EXACT = Context(prec=MAX_PREC)
+
+
 def _decimal(num: int, scale: int, digits: int) -> Decimal:
     """num / scale rounded to digits decimals, exactly as a Decimal."""
-    return Decimal(f"{(2 * num * 10 ** digits + scale) // (2 * scale)}E-{digits}")
+    return Decimal((2 * num * 10 ** digits + scale) // (2 * scale)).scaleb(-digits, _EXACT)
 
 
 def _parts(x: CycNumber, precision: int) -> tuple[Decimal, Decimal]:
@@ -94,7 +99,7 @@ def _root(square: CycNumber, precision: int) -> Decimal:
     integer square root floors once more."""
     digits = precision + 10
     re, _, scale = _fixed(square, 2 * digits)
-    return Decimal(f"{math.isqrt(abs(re) * 10 ** (2 * digits) // scale)}E-{digits}")
+    return Decimal(math.isqrt(abs(re) * 10 ** (2 * digits) // scale)).scaleb(-digits, _EXACT)
 
 
 def _complex_cell(x: CycNumber, precision: int) -> str:

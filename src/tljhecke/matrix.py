@@ -12,15 +12,17 @@ Products run on one packed-integer kernel (Kronecker substitution): a
 vector is packed into one big integer, its polynomial at x = 2**W (signed
 digits in base 2**W), so reducing mod Phi_N(x) is reducing mod
 M = Phi_N(2**W).  Every output entry is a dot product of packed rows
-(_dots), taken mod M once, its balanced residue unpacked into phi digits;
-a diagonal factor is one packed product per entry (_scale_columns).  Each
-table entry is packed once, and within one call the width and M are fixed,
-so equal residues are equal vectors: each distinct residue is unpacked
-once, into the output table (_unpacker).  Sums (ExactMatrix addition,
-_unfold) are interned by their coefficient tuples, and content is divided
-out over the table (_lowest_terms).  The genus-2 matrices have few distinct
-values (J~ at r = 6: 109 among its 7,056 entries), so this work is done
-once per value, not per entry.
+(_dots), taken mod M once, its balanced residue unpacked into phi digits.
+An entrywise product of two tables (a diagonal factor, scale_cols and
+scale_rows; hadamard_transpose; J~ assembly) is a dot of length 1 per
+distinct pair of table entries (_products).  Each table entry is packed
+once, and within one call the width and M are fixed, so equal residues
+are equal vectors: each distinct residue is unpacked once, into the
+output table (_unpacker).  Sums (ExactMatrix addition, _unfold) are
+interned by their coefficient tuples, and content is divided out over the
+table (_lowest_terms).  The genus-2 matrices have few distinct values (J~
+at r = 6: 109 among its 7,056 entries), so this work is done once per
+value, not per entry.
 
 The width rule makes that residue exact.  With B the bound on the 2 phi - 1
 unfolded digits of a dot product (phi * length * max|a| * max|b|) and g_N =
@@ -30,11 +32,10 @@ digit is at most g_N B < 2**(W - 2) in absolute value for W = bits(g_N B) + 2.
 So |F(2**W)| < M / 2 for the folded F, checked once per width (_modulus,
 ArithmeticError if not), and the balanced residue is F(2**W) itself.
 
-ExactMatrix.dots(B, pairs, *diags) is the one entry point, returning one
-row of dot products; A @ B, J~ assembly, the trace of J T J T^-1 and the
-genus-2 relation checks all run through it, and
-ExactMatrix.hadamard_transpose is a dot of length 1 per distinct pair of
-table entries.  A column where a diagonal is 0 drops out of its dots.
+ExactMatrix.dots(B, pairs, diag) is the one entry point for dot products
+of rows, returning one row; A @ B slices _dots' output into rows, and J~
+assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
+the same kernel.  A column where the diagonal is 0 drops out of its dots.
 A.folding(pi) is the one way to form A diag(x) A for a symmetric A fixed
 by an involution pi (Folding).
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
@@ -66,7 +67,7 @@ import math
 import operator
 import struct
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -216,26 +217,41 @@ def _packed_rows(table: Sequence, index: Sequence, width: int) -> list[list[int]
     return [list(map(packed.__getitem__, row)) for row in index]
 
 
-def _scale_columns(N: int, phi: int, table: Sequence, index: Sequence, wtable: Sequence,
-                   windex: Sequence[int]) -> tuple[list, list[list[int]]]:
-    """Entry (i, k) times w_k = wtable[windex[k]], one packed product mod
-    Phi_N(2**W) each, as an output table and index."""
-    width = _width(N, phi * _max_abs(table) * _max_abs(wtable))
-    out, unpack = _unpacker(_modulus(N, width), width, phi)
-    (w,) = _packed_rows(wtable, [windex], width)
-    return out, [[unpack(v * x) for v, x in zip(row, w)]
-                 for row in _packed_rows(table, index, width)]
+def _number_pairs(grid: Iterable[Iterable[tuple]]) -> tuple[list, list[list[int]]]:
+    """The distinct pairs of grid, in the order they first appear in
+    row-major order, and the rows of grid as positions in that list."""
+    pairs = {}
+    rows = [[pairs.setdefault(ab, len(pairs)) for ab in row] for row in grid]
+    return list(pairs), rows
 
 
 def _dots(N: int, phi: int, A: tuple, B: tuple,
           length: int, pairs: Iterable[tuple[int, int]]) -> tuple[list, list[int]]:
     """Row i of A dotted with row j of B, A and B given as (table, index),
     for each (i, j) in pairs: a dot product of packed rows reduced mod
-    Phi_N(2**W) once, as an output table and one index per pair."""
+    Phi_N(2**W) once, as an output table and one index per pair.  B given
+    as the same object as A is packed once."""
     width = _width(N, phi * max(length, 1) * _max_abs(A[0]) * _max_abs(B[0]))
     out, unpack = _unpacker(_modulus(N, width), width, phi)
-    Ap, Bp = (_packed_rows(*M, width) for M in (A, B))
+    Ap = _packed_rows(*A, width)
+    Bp = Ap if B is A else _packed_rows(*B, width)
+    if length == 1:                     # one product a pair (_products): no sum to form
+        return out, [unpack(Ap[i][0] * Bp[j][0]) for i, j in pairs]
     return out, [unpack(sum(map(operator.mul, Ap[i], Bp[j]))) for i, j in pairs]
+
+
+def _products(N: int, t1: Sequence, t2: Sequence,
+              grid: Iterable[Iterable[tuple[int, int]]]) -> tuple[list, list[tuple[int, ...]]]:
+    """t1[a] t2[b] for each pair (a, b) of each row of grid: one packed
+    product (a dot of length 1, _dots) per distinct pair, as an output
+    table and rows of indices into it.  Each row of pair numbers is
+    replaced in place by its row of indices, so no second index is held."""
+    pairs, rows = _number_pairs(grid)
+    A = _column(t1)
+    out, values = _dots(N, euler_phi(N), A, A if t2 is t1 else _column(t2), 1, pairs)
+    for i, row in enumerate(rows):
+        rows[i] = tuple(map(values.__getitem__, row))
+    return out, rows
 
 
 class Folding:
@@ -453,9 +469,7 @@ class ExactMatrix:
             raise ValueError("field order mismatch")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch: {self!r} and {other!r}")
-        pairs = {}
-        index = [[pairs.setdefault(xy, len(pairs)) for xy in zip(r1, r2)]
-                 for r1, r2 in zip(self.index, other.index)]
+        pairs, index = _number_pairs(map(zip, self.index, other.index))
         g = math.gcd(self.den, other.den)
         a, b = other.den // g, sign * (self.den // g)
         t1, t2 = self.table, other.table
@@ -465,20 +479,15 @@ class ExactMatrix:
     def hadamard_transpose(self) -> "ExactMatrix":
         """The entrywise product of a square self and its transpose, entry
         (s, m) self_sm self_ms: one packed product per distinct pair of
-        table entries (a dot of length 1, _dots), 80 for the 900 entries of
-        J~ at r = 7.  index[m][s] is read in place and the pairs are
-        numbered in one dict, so no index is built beside the output's."""
+        table entries (_products), 80 for the 900 entries of J~ at r = 7.
+        index[m][s] is read in place, so no index is built beside the
+        output's."""
         if not self.is_square():
             raise ValueError(f"hadamard_transpose of a non-square {self!r}")
-        idx, pairs = self.index, {}
-        for s, row in enumerate(idx):
-            for m, a in enumerate(row):
-                pairs.setdefault((a, idx[m][s]), len(pairs))
-        N = self.order
-        single = _column(self.table)
-        table, out = _dots(N, euler_phi(N), single, single, 1, pairs)
-        return ExactMatrix._of(N, table, ((out[pairs[a, idx[m][s]]] for m, a in enumerate(row))
-                                          for s, row in enumerate(idx)), self.den * self.den)
+        N, idx = self.order, self.index
+        grid = (((a, idx[m][s]) for m, a in enumerate(row)) for s, row in enumerate(idx))
+        return ExactMatrix._of(N, *_products(N, self.table, self.table, grid),
+                               self.den * self.den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, 1)
@@ -491,16 +500,25 @@ class ExactMatrix:
         return self.scale_cols([c] * self.ncols)
 
     def scale_rows(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
-        return self.transpose().scale_cols(factors).transpose()
+        """diag(factors) self, one packed product per distinct (entry, factor)
+        pair (_products)."""
+        _check_length(factors, self.nrows)
+        N, w = self.order, ExactMatrix(self.order, [factors])
+        grid = map(zip, self.index, map(repeat, w.index[0]))
+        return ExactMatrix._of(N, *_products(N, self.table, w.table, grid), self.den * w.den)
 
     def scale_cols(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
-        """self diag(factors), one packed product per entry (_scale_columns)."""
+        """self diag(factors) (_scaled_cols) in the unique form."""
+        return ExactMatrix._of(self.order, *self._scaled_cols(factors))
+
+    def _scaled_cols(self, factors: Sequence[CycNumber]) -> tuple[list, list, int]:
+        """self diag(factors) as an output table, rows of indices and a
+        denominator, one packed product per distinct (entry, factor) pair
+        (_products); dots reads them as they are."""
         _check_length(factors, self.ncols)
-        N = self.order
-        w = ExactMatrix(N, [factors])
-        return ExactMatrix._of(N, *_scale_columns(N, euler_phi(N), self.table, self.index,
-                                                  w.table, w.index[0]),
-                               self.den * w.den)
+        N, w = self.order, ExactMatrix(self.order, [factors])
+        grid = map(zip, self.index, repeat(w.index[0]))
+        return (*_products(N, self.table, w.table, grid), self.den * w.den)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.order, self.table, zip(*self.index), self.den)
@@ -510,14 +528,6 @@ class ExactMatrix:
         cols = list(cols)
         return ExactMatrix._of(self.order, self.table,
                                [[self.index[i][j] for j in cols] for i in rows], self.den)
-
-    def reshape(self, nrows: int, ncols: int) -> "ExactMatrix":
-        """The entries in row-major order as nrows rows of ncols."""
-        flat = list(chain.from_iterable(self.index))
-        if len(flat) != nrows * ncols:
-            raise ValueError(f"cannot reshape {self!r} into {nrows}x{ncols}")
-        return ExactMatrix._of(self.order, self.table,
-                               [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)], self.den)
 
     def descend(self, order: int) -> "ExactMatrix":
         """Entrywise CycNumber.descend, once per table entry: self over
@@ -553,35 +563,39 @@ class ExactMatrix:
 
     # -- packed-integer products
     def dots(self, other: "ExactMatrix", pairs: Iterable[tuple[int, int]],
-             *diags: Sequence[CycNumber]) -> "ExactMatrix":
-        """Row i of self dotted with row j of other diag(d1) diag(d2) ...,
-        for each (i, j) in pairs, on the packed kernel (each diagonal by
-        scale_cols), as one row.  A column where some diagonal is 0 drops
-        out of every dot."""
+             diag: Sequence[CycNumber] | None = None) -> "ExactMatrix":
+        """Row i of self dotted with row j of other diag(diag) (of other when
+        diag is None), for each (i, j) in pairs, on the packed kernel (the
+        diagonal by _scaled_cols), as one row.  A column where the diagonal
+        is 0 drops out of every dot."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.ncols:
             raise ValueError("row length mismatch")
-        for d in diags:
-            _check_length(d, self.ncols)
-        keep = [k for k in range(self.ncols) if all(d[k] for d in diags)]
-        if len(keep) < self.ncols:
-            self, other = (m.submatrix(range(m.nrows), keep) for m in (self, other))
-            diags = [[d[k] for k in keep] for d in diags]
-        for d in diags:
-            other = other.scale_cols(d)
+        if diag is not None:
+            _check_length(diag, self.ncols)
+            keep = [k for k in range(self.ncols) if diag[k]]
+            if len(keep) < self.ncols:
+                self, other = (m.submatrix(range(m.nrows), keep) for m in (self, other))
+                diag = [diag[k] for k in keep]
+            *B, den = other._scaled_cols(diag)
+        else:
+            B, den = (other.table, other.index), other.den
         N = self.order
-        table, out = _dots(N, euler_phi(N), (self.table, self.index),
-                           (other.table, other.index), self.ncols, pairs)
-        return ExactMatrix._of(N, table, [out], self.den * other.den)
+        table, out = _dots(N, euler_phi(N), (self.table, self.index), B, self.ncols, pairs)
+        return ExactMatrix._of(N, table, [out], self.den * den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.nrows:
-            raise ValueError("inner dimension mismatch")
-        m, n = self.nrows, other.ncols
-        return self.dots(other.transpose(), product(range(m), range(n))).reshape(m, n)
+            raise ValueError(f"inner dimension mismatch: {self!r} and {other!r}")
+        N, m, n = self.order, self.nrows, other.ncols
+        table, flat = _dots(N, euler_phi(N), (self.table, self.index),
+                            (other.table, tuple(zip(*other.index))), self.ncols,
+                            product(range(m), range(n)))
+        return ExactMatrix._of(N, table, (flat[i * n:(i + 1) * n] for i in range(m)),
+                               self.den * other.den)
 
     def _check_fold(self, pi: Sequence[int]) -> None:
         """ValueError unless pi is an involution of range(n) and self is

@@ -30,10 +30,10 @@ from .matrix import (
     ExactMatrix,
     Folding,
     SignedSqrtMatrix,
-    _column,
     _dots,
     _galois_table,
     _over_lcm,
+    _products,
     _tabulate,
     char_poly,
     det_mod,
@@ -230,8 +230,9 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     Delta_l^-1 a^{j1,i2}_l abar^{k2,i1}_l Tet(l,i2,i2;j2,k2,k2) Tet(l,j1,j1;k1,i1,i1).
     Inadmissible terms vanish silently.
 
-    Three passes of packed dots (matrix._dots) over tables read from the
-    recoupling memos; only J~ is brought to the unique form."""
+    Three packed passes over tables read from the recoupling memos: two of
+    products, one per distinct pair of values (matrix._products), and one of
+    dots (matrix._dots); only J~ is brought to the unique form."""
     r = params.level
     N = params.root_order
     phi = euler_phi(N)
@@ -240,23 +241,22 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     n, pos = len(ts), {x: c for c, x in enumerate(cs)}
 
     # 1. the coupling column a^{x,y}_l, and abar^{x,y}_l Delta_l^-1 from each
-    # distinct a conjugated once: one dot of length 1 per key, Delta_l^-1
-    # read only for the channels l that some key carries
+    # distinct a conjugated once: one product per distinct pair of values,
+    # Delta_l^-1 read only for the channels l that some key carries
     keys = [(x, y, l) for x in cs for y in cs for l in cs if _coupling_support(r, x, y, l)]
-    row = {key: q for q, key in enumerate(keys)}
     a_cells, (a_index,) = _tabulate([[coupling_a_at(params, *key) for key in keys]])
+    d_cells, (d_index,) = _tabulate([[delta_inv_at(params, l) for _, _, l in keys]])
     a_table, a_den = _over_lcm(a_cells)
-    ls = {l: q for q, l in enumerate(dict.fromkeys(l for _, _, l in keys))}
-    d_table, d_den = _over_lcm([delta_inv_at(params, l) for l in ls])
-    abar_table, abar_index = _dots(N, phi, _column(_galois_table(N, a_table, N - 1)),
-                                   _column(d_table), 1,
-                                   [(a, ls[l]) for a, (_, _, l) in zip(a_index, keys)])
+    d_table, d_den = _over_lcm(d_cells)
+    abar_table, (abar_index,) = _products(N, _galois_table(N, a_table, N - 1), d_table,
+                                          [zip(a_index, d_index)])
+    row, index = {key: q for q, key in enumerate(keys)}, (a_index, abar_index)
 
     # 2. the half-terms left[j1, l, mu] = a^{j1,i2}_l Tet(l,i2,i2;j2,k2,k2) and
     # right[k2, l, sigma] = abar^{k2,i1}_l Delta_l^-1 Tet(l,j1,j1;k1,i1,i1),
-    # one dot of length 1 each, as rows (x, t) over the columns l whose empty
-    # cells share one zero entry.  The vertices of each Tet are checked here
-    # or are a basis triple, so its orbit memo is read directly.
+    # one product per distinct pair of values, as rows (x, t) over the columns
+    # l whose empty cells share one zero entry.  The vertices of each Tet are
+    # checked here or are a basis triple, so its orbit memo is read directly.
     tet_row, pairs, cells = {}, ([], []), ([], [])
     for l in cs:
         for b, (i, j, k) in enumerate(ts):
@@ -265,13 +265,13 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
                     tk = tet_row.setdefault(_tet_key(l, e0, e0, e1, e2, e2), len(tet_row))
                     for x in cs:
                         if (x, i, l) in row:
-                            pairs[side].append((row[x, i, l], tk))
+                            pairs[side].append((index[side][row[x, i, l]], tk))
                             cells[side].append((pos[x] * n + b, pos[l]))
-    t_table, t_den = _over_lcm([_tet_orbit_at(params, *key) for key in tet_row])
+    t_cells, (t_index,) = _tabulate([[_tet_orbit_at(params, *key) for key in tet_row]])
+    t_table, t_den = _over_lcm(t_cells)
 
-    def half(side, table, index, den):
-        out, values = _dots(N, phi, (table, [[a] for a in index]), _column(t_table), 1,
-                            pairs[side])
+    def half(side, table, den):
+        out, (values,) = _products(N, table, t_table, [[(a, t_index[t]) for a, t in pairs[side]]])
         rows = [[len(out)] * len(cs) for _ in range(len(cs) * n)]
         out.append((0,) * phi)
         for (u, c), v in zip(cells[side], values):
@@ -280,8 +280,9 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
 
     # 3. J~_{sigma,mu}: the dot over l of the row (k2, sigma) of right with
     # the row (j1, mu) of left, n dots to a row of J~
-    left, left_den = half(0, a_table, a_index, a_den)
-    right, right_den = half(1, abar_table, abar_index, a_den * d_den)
+    left, left_den = half(0, a_table, a_den)
+    right, right_den = half(1, abar_table, a_den * d_den)
+    del pairs, cells                    # freed before the n^2 dots of pass 3
     table, flat = _dots(N, phi, right, left, len(cs), (
         (pos[mu[2]] * n + b, pos[sigma[1]] * n + c)
         for b, sigma in enumerate(ts) for c, mu in enumerate(ts)))

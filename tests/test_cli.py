@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import MAX_PREC, Context
 from enum import IntEnum
 
 import pytest
@@ -394,6 +395,23 @@ def test_pretty_precision_agrees_with_embed(capsys):
     want = (5 - 5 ** 0.5) / 10
     first = out.splitlines()[2].split()[0]
     assert abs(float(first) - want) < 1e-10
+
+
+def test_pretty_output_has_no_digit_limit(capsys):
+    # each Decimal is built from an int, not from the str of one, so a
+    # precision past Python's 4,300-digit str limit prints in full.  _root
+    # builds its Decimal as _decimal does; its fixed-point square at this
+    # precision takes seconds, so _decimal is checked directly, and exactly:
+    # n / 10**4410 keeps every digit of n
+    from tljhecke.cli import _decimal
+    code, out = run(capsys, "--precision", "4400", "modular-data", "--level", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "D^2 = 1." + "0" * 4400
+    n = math.isqrt(2 * 10 ** 8820)
+    x = _decimal(n, 10 ** 4410, 4410)
+    assert x.as_tuple().exponent == -4410 and x.scaleb(4410, Context(prec=MAX_PREC)) == n
+    text = f"{x:.4400f}"
+    assert text.startswith("1.4142135623730950488") and len(text) == 4402
 
 
 def _printed_numbers(out: str) -> list[str]:

@@ -1004,6 +1004,30 @@ def test_cold_jtilde_forms_one_matrix_and_reads_the_tet_orbits(monkeypatch):
     assert jt.nrows == len(enumerate_basis(7))
 
 
+@pytest.mark.parametrize("r", [4, 7])
+def test_cold_jtilde_multiplies_each_distinct_pair_of_values_once(monkeypatch, r):
+    # passes 1 and 2 of jtilde are entrywise products (matrix._products), a
+    # dot of length 1 per distinct pair of values: a Delta_l^-1 or Tet value
+    # that two channels or two Tet keys share is one table entry, so no two
+    # pairs multiply the same two vectors (at r = 4: 13 + 67 + 67 products
+    # for 35 keys and 235 cells a side).  Pass 3's dots are longer
+    _clear_tljhecke_caches()
+    singles = []
+    dots = matrix._dots
+
+    def recording_dots(N, phi, A, B, length, pairs):
+        pairs = list(pairs)
+        if length == 1:
+            singles.append({(tuple(A[0][A[1][a][0]]), tuple(B[0][B[1][b][0]])) for a, b in pairs})
+            assert len(singles[-1]) == len(pairs)
+        return dots(N, phi, A, B, length, pairs)
+    monkeypatch.setattr(matrix, "_dots", recording_dots)
+    P = trace_params(r) if r % 2 else TheoryParams(r)
+    jt = jtilde(P)
+    assert len(singles) == 3
+    assert _entries(jt) == _jtilde_reference(P)
+
+
 def test_exceeds_dimension_matches_float_comparison():
     for e in trace_table(range(3, 12, 2)):
         assert e.exceeds_dimension == (e.approx.real > e.dimension), e.level
