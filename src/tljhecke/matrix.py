@@ -18,9 +18,9 @@ scale_rows; hadamard_transpose; J~ assembly) is a dot of length 1 per
 distinct pair of table entries (_products).  Each table entry is packed
 once, and within one call the width and M are fixed, so equal residues
 are equal vectors: each distinct residue is unpacked once, into the
-output table (_unpacker).  Sums (ExactMatrix addition, _unfold) are
-interned by their coefficient tuples, and content is divided out over the
-table (_lowest_terms).  The genus-2 matrices have few distinct values (J~
+output table (_unpacker).  Sums (ExactMatrix addition) are interned by
+their coefficient tuples, and content is divided out over the table
+(_lowest_terms).  The genus-2 matrices have few distinct values (J~
 at r = 6: 109 among its 7,056 entries), so this work is done once per
 value, not per entry.
 
@@ -36,8 +36,9 @@ ExactMatrix.dots(B, pairs, diag) is the one entry point for dot products
 of rows, returning one row; A @ B slices _dots' output into rows, and J~
 assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
 the same kernel.  A column where the diagonal is 0 drops out of its dots.
-A.folding(pi) is the one way to form A diag(x) A for a symmetric A fixed
-by an involution pi (Folding).
+A.folding(pi) folds a symmetric A fixed by an involution pi, so that
+A diag(x) A, for a diagonal x that pi fixes, is two half-products of
+about half the size (Folding.blocks).
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -256,14 +257,15 @@ def _products(N: int, t1: Sequence, t2: Sequence,
 
 class Folding:
     """S diag(x) S for a symmetric S fixed by an involution pi, for any
-    number of diagonals x, with the rows of S folded over pi once.
-    S.folding(pi) checks S and builds one.  The genus-2 relation checks
-    fold J~ over the swap of the theta basis this way.
+    number of diagonals x that pi fixes, with the rows of S folded over pi
+    once.  S.folding(pi) checks S and builds one.  The genus-2 relation
+    check folds J~ over the swap of the theta basis this way for
+    S0 = J~ D J~.
 
     R holds the pair representatives (i < pi i), F the fixed points, and
     reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on reps (so
     2 S[r][k] on F); row r of Q (r in R) is q_r[k] = S[r][k] - S[r][pi k] on
-    R.  Then p_{pi r} = p_r and q_{pi r} = -q_r, which is what blocks reads.
+    R.
     """
 
     __slots__ = ("pi", "reps", "pairs", "P", "Q")
@@ -279,94 +281,31 @@ class Folding:
         self.Q = S.submatrix(R, R) - S.submatrix(R, images[:m])
 
     def blocks(self, diag: Sequence[CycNumber]) -> tuple:
-        """The blocks of S diag(x) S, each one row of an ExactMatrix: with
-        w = (x_k + x_{pi k})/4, v = (x_k - x_{pi k})/4 on R and w = x_k/4 on F,
+        """The blocks of S diag(x) S for a diagonal x that pi fixes, each
+        one row of an ExactMatrix: with w = x_k/2 on R and x_k/4 on F,
             alpha = P diag(w) P^T   (reps x reps, upper triangle),
-            beta  = Q diag(w) Q^T   (R x R, upper triangle; None when R is empty),
-            gamma = P diag(v) Q^T   (reps x R, row by row; None when v = 0)
-        give every entry of S diag(x) S (_unfold).  They cost
-        n+^3/2 + n-^3/2 + n+ n-^2 multiplications, n+ = |R| + |F| and
-        n- = |R|, against n^3/2 unfolded; with pi the identity, alpha is
-        the half-product.
+            beta  = Q diag(w) Q^T   (R x R, upper triangle; None when R is empty).
+        For r, c in reps, S[r][c] = S[pi r][pi c] = alpha + beta and
+        S[r][pi c] = S[pi r][c] = alpha - beta, where beta drops out when r
+        or c is a fixed point.  They cost n+^3/2 + n-^3/2 multiplications,
+        n+ = |R| + |F| and n- = |R|, against n^3/2 unfolded; with pi the
+        identity, alpha is the half-product.  ValueError when pi moves x:
+        S diag(x) S then has a third block, which alpha and beta do not give.
         """
         pi, reps, m, P = self.pi, self.reps, self.pairs, self.P
         _check_length(diag, len(pi))
-        nr = len(reps)
-        w = [(diag[k] + diag[pi[k]]) / (4 if a < m else 8) for a, k in enumerate(reps)]
-        v = [(diag[k] - diag[pi[k]]) / 4 for k in reps[:m]]
-        alpha = P.dots(P, _upper(nr), w)
+        if any(diag[k] != diag[pi[k]] for k in reps[:m]):
+            raise ValueError("the diagonal must be fixed by pi")
+        w = [diag[k] / (2 if a < m else 4) for a, k in enumerate(reps)]
+        alpha = P.dots(P, _upper(len(reps)), w)
         if not m:
-            return alpha, None, None
-        beta = self.Q.dots(self.Q, _upper(m), w[:m])
-        gamma = None
-        if any(v):
-            gamma = P.submatrix(range(nr), range(m)).dots(self.Q, product(range(nr), range(m)), v)
-        return alpha, beta, gamma
-
-    def product(self, diag: Sequence[CycNumber]) -> "ExactMatrix":
-        """S diag(diag) S, n x n."""
-        return _unfold(self.pi, self.reps, self.pairs, *self.blocks(diag))
+            return alpha, None
+        return alpha, self.Q.dots(self.Q, _upper(m), w[:m])
 
 
 def _upper(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i <= j < n, row by row: an upper triangle."""
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _unfold(pi: Sequence[int], reps: list[int], m: int, alpha: "ExactMatrix",
-            beta: "ExactMatrix | None", gamma: "ExactMatrix | None") -> "ExactMatrix":
-    """S diag(x) S from the blocks of Folding.blocks: for r, c in reps, with
-    a = alpha, b = beta, g = gamma[r, c] and h = gamma[c, r],
-        S[r][c] = a + b + g + h,     S[pi r][pi c] = a + b - g - h,
-        S[r][pi c] = a - b - g + h,  S[pi r][c] = a - b + g - h,
-    where b and g (h) drop out when c (r) is a fixed point.  Each block's
-    table is brought over the common denominator once, and each sum is
-    interned by its coefficient tuple."""
-    blocks = [b for b in (alpha, beta, gamma) if b is not None]
-    den = math.lcm(*(b.den for b in blocks))
-
-    def entries(block):
-        if block is not None:
-            f = den // block.den
-            table = [tuple(c * f for c in v) for v in block.table]
-            return list(map(table.__getitem__, block.index[0]))
-
-    alpha, beta, gamma = map(entries, (alpha, beta, gamma))
-    n, nr = len(pi), len(reps)
-    zero = (0,) * euler_phi(blocks[0].order)
-    S = [[0] * n for _ in range(n)]
-    seen = {}
-
-    def put(i, j, vec):
-        S[i][j] = S[j][i] = seen.setdefault(vec, len(seen))
-
-    ia, ib = iter(alpha), iter(beta or ())
-    for a, r in enumerate(reps):
-        pr = pi[r]
-        for b in range(a, nr):
-            c, A = reps[b], next(ia)
-            if a >= m:                  # r and c are fixed
-                put(r, c, A)
-                continue
-            H = gamma[b * m + a] if gamma else zero
-            if b >= m:                  # c is fixed
-                put(r, c, _add(A, H))
-                put(pr, c, _sub(A, H))
-                continue
-            B, G, pc = next(ib), gamma[a * m + b] if gamma else zero, pi[c]
-            u, d, g, h = _add(A, B), _sub(A, B), _add(G, H), _sub(G, H)
-            put(r, c, _add(u, g))
-            put(pr, pc, _sub(u, g))
-            put(r, pc, _sub(d, h))
-            put(pr, c, _add(d, h))
-    return ExactMatrix._of(blocks[0].order, tuple(seen), S, den)
-
-
-def _add(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(operator.add, u, v))
-
-
-def _sub(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(operator.sub, u, v))
 
 
 class ExactMatrix:
@@ -567,7 +506,7 @@ class ExactMatrix:
         """Row i of self dotted with row j of other diag(diag) (of other when
         diag is None), for each (i, j) in pairs, on the packed kernel (the
         diagonal by _scaled_cols), as one row.  A column where the diagonal
-        is 0 drops out of every dot."""
+        is 0 drops out of every dot (one submatrix when other is self)."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.ncols:
@@ -576,7 +515,9 @@ class ExactMatrix:
             _check_length(diag, self.ncols)
             keep = [k for k in range(self.ncols) if diag[k]]
             if len(keep) < self.ncols:
-                self, other = (m.submatrix(range(m.nrows), keep) for m in (self, other))
+                cut = self.submatrix(range(self.nrows), keep)
+                other = cut if other is self else other.submatrix(range(other.nrows), keep)
+                self = cut
                 diag = [diag[k] for k in keep]
             *B, den = other._scaled_cols(diag)
         else:
@@ -610,8 +551,8 @@ class ExactMatrix:
 
     def folding(self, pi: Sequence[int]) -> Folding:
         """self folded over the involution pi, for any number of products
-        self diag(x) self (Folding), after checking that self is symmetric
-        and fixed by pi (_check_fold)."""
+        self diag(x) self with x fixed by pi (Folding), after checking that
+        self is symmetric and fixed by pi (_check_fold)."""
         self._check_fold(pi)
         return Folding(self, pi)
 

@@ -35,6 +35,7 @@ from .matrix import (
     _over_lcm,
     _products,
     _tabulate,
+    _upper,
     char_poly,
     det_mod,
     matmul_mod,
@@ -355,15 +356,15 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
     decided from symmetric half-products A diag(e) A over K = Q(A^2), the
     subfield that holds J~ and D (_relations_hold): at even r its vectors
-    have phi/2 coefficients.  S0 = J~ D J~ and the two parts of S2 =
-    J~ E J~ share one folding of J~ over the swap (i, j, k) -> (i, k, j),
-    which fixes J~ and D, and S4 = S2 E S2 is two half-products, one per
-    twist parity (at r = 6: 84k, 202k and 300k multiplications, all on 8
-    coefficients, against 300k on 16 for each unfolded product).  Only
-    when that path cannot show that every relation holds (a J~ or D that
-    the swap moves, or one outside K, included) are J'^2, (TJ')^5 and
-    F bar(F) formed in full (_reference_differences), and the report names
-    the first offending entry of each, as the products give it.
+    have phi/2 coefficients.  S0 = J~ D J~ is folded over the swap
+    (i, j, k) -> (i, k, j), which fixes J~ and D; S2 = J~ E J~ and
+    S4 = S2 E S2 are two half-products each, one per twist parity (at
+    r = 6: 84k, 300k and 300k multiplications, all on 8 coefficients,
+    against 300k on 16 for each unfolded product).  Only when that path
+    cannot show that every relation holds (a J~ or D that the swap moves,
+    or one outside K, included) are J'^2, (TJ')^5 and F bar(F) formed in
+    full (_reference_differences), and the report names the first
+    offending entry of each, as the products give it.
     """
     rep = genus2_rep(params)
     names = ["J^2 = I", "(TJ)^5 = (P+/P-)^2 I"]
@@ -388,22 +389,23 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     odd r, where K is the whole field.  With s = N/M, Q(zeta_N) is the sum
     of the zeta^c K, c < s (CycNumber.components).  J~ and D are moved into
     K (descend) and every product below runs on vectors of phi(M) = phi/s
-    coefficients.  J~ is folded over the swap pi: (i, j, k) -> (i, k, j)
-    once (Genus2Basis.swap, ExactMatrix.folding): one check that J~ is
-    symmetric and fixed by pi and one set of folded rows serve S0 and S2.
-    When J~ or D is not in K or not fixed by pi, a twist or kappa^4 is not
-    a power of zeta, or S2 is not graded as below, the reference chain
+    coefficients.  When J~ or D is not in K or not fixed by the swap pi:
+    (i, j, k) -> (i, k, j) (Genus2Basis.swap), a twist or kappa^4 is not a
+    power of zeta, or S2 is not graded as below, the reference chain
     decides.
 
-    (iv)  J~ = J~^T: ExactMatrix.folding raises ValueError when it does not
-          hold.
+    (iv)  J~ = J~^T: ExactMatrix.folding, which folds J~ over pi for S0,
+          raises ValueError when it does not hold, or when pi moves J~.
     (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is D^-1
-          (_s0_is_d_inverse).
+          (_s0_is_d_inverse, on the two blocks of the folding; ValueError
+          when pi moves D).  The folding is dropped once S0 is decided.
     (ii)  With E = D T (rep.e) = sum_c zeta^c E_c, S2 = J~ E J~ is the sum
-          of zeta^c J~ E_c J~, one folded product per c.  S2 is graded by
-          the middle label: S2_ab lies in zeta^(g_a + g_b) K, g = j mod s,
-          which _regrade checks on those s tables as it forms X = G^-1 S2
-          G^-1 over K, G = diag(zeta^g).  Then S4 = S2 E S2 = G (sum_c
+          of zeta^c J~ E_c J~, one half-product per c (its upper triangle,
+          over the columns where E_c is nonzero), as S4's are below.  S2
+          is graded by the middle label: S2_ab lies in zeta^(g_a + g_b) K,
+          g = j mod s, which _regrade checks on those s upper triangles as
+          it forms X = G^-1 S2 G^-1 over K, G = diag(zeta^g).  At odd r
+          (s = 1) X is S2.  Then S4 = S2 E S2 = G (sum_c
           zeta^c X W_c X) G with W = G E G = sum_c zeta^c W_c, and X W_c X
           is a half-product over the columns where W_c is nonzero, the
           basis vectors of one twist parity.  (TJ')^5 = T S4 E J~ D, so if
@@ -424,29 +426,27 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     N = params.root_order
     M = square_subfield_order(N)
     s = N // M
-    pi = rep.basis.swap
-    n = len(pi)
+    n = len(rep.basis)
     kappa4 = rep.constants.kappa_squared * rep.constants.kappa_squared
     logs = [x.zeta_log() for x in (kappa4, *rep.tdiag)]
-    if None in logs or any(rep.jcols[i] != rep.jcols[j] for i, j in enumerate(pi)):
+    if None in logs:
         return False
     k4, tlog = logs[0], logs[1:]
     try:
         jt = rep.jtilde.descend(M)
         d = [x.descend(M) for x in rep.jcols]
-        f = jt.folding(pi)
+        if not _s0_is_d_inverse(jt.folding(rep.basis.swap), d):
+            return False
     except ValueError:
-        return False
-    if not _s0_is_d_inverse(f, d):
         return False
 
     grade = [j % s for _, j, _ in rep.basis.triples]
+    upper = _upper(n)
     e_parts = zip(*(y.components(M) for y in rep.e))
-    x = _regrade([f.product(ec) for ec in e_parts], grade)
+    x = _regrade([jt.dots(jt, upper, ec) for ec in e_parts], upper, grade)
     if x is None:
         return False
     w_parts = zip(*(y.times_zeta(2 * g).components(M) for y, g in zip(rep.e, grade)))
-    upper = [(a, b) for a in range(n) for b in range(a, n)]
     halves = [x.dots(x, upper, wc) for wc in w_parts]
 
     zero, shifted = (0,) * euler_phi(M), {}
@@ -469,38 +469,39 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     return True
 
 
-def _regrade(parts: list[ExactMatrix], grade: list[int]) -> ExactMatrix | None:
-    """X = G^-1 S G^-1 over K for the symmetric S = sum_c zeta^c parts[c]
-    (s symmetric parts over K = Q(zeta_M)) and G = diag(zeta^g), when S_ab
-    lies in zeta^(g_a + g_b) K for every a, b; else None.  That holds iff
-    parts[c]_ab = 0 for every c other than (g_a + g_b) mod s, and then X_ab
-    is parts[c]_ab times zeta^(c - g_a - g_b), a power of zeta^s = zeta_M:
-    one shift per distinct (c, table entry, shift)."""
+def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],
+             grade: list[int]) -> ExactMatrix | None:
+    """X = G^-1 S G^-1 over K for the symmetric S = sum_c zeta^c S_c, given
+    as the upper triangles of its s parts S_c over K = Q(zeta_M) (parts[c],
+    one row, entry t at the position upper[t]), and G = diag(zeta^g), when
+    S_ab lies in zeta^(g_a + g_b) K for every a, b; else None.  That holds
+    iff S_c,ab = 0 for every c other than (g_a + g_b) mod s, and then X_ab
+    is S_c,ab times zeta^(c - g_a - g_b), a power of zeta^s = zeta_M: one
+    shift per distinct (c, table entry, shift).  With s = 1 (K the whole
+    field, g = 0) X is S."""
     s, M, n = len(parts), parts[0].order, len(grade)
-    if s == 1:                          # K is the whole field: G = I
-        return parts[0]
     den = math.lcm(*(p.den for p in parts))
+    index = [p.index[0] for p in parts]
     nonzero = [{k for k, v in enumerate(p.table) if any(v)} for p in parts]
     shifted, rows = {}, [[None] * n for _ in range(n)]
-    for a, ga in enumerate(grade):
-        for b in range(a, n):
-            gb = grade[b]
-            c = (ga + gb) % s
-            if any(p.index[a][b] in nz for k, (p, nz) in enumerate(zip(parts, nonzero)) if k != c):
-                return None
-            key = c, parts[c].index[a][b], (c - ga - gb) // s
-            v = shifted.get(key)
-            if v is None:
-                f = den // parts[c].den
-                v = shifted[key] = shift_vector(M, [y * f for y in parts[c].table[key[1]]], key[2])
-            rows[a][b] = rows[b][a] = v
+    for t, (a, b) in enumerate(upper):
+        ga, gb = grade[a], grade[b]
+        c = (ga + gb) % s
+        if any(ix[t] in nz for k, (ix, nz) in enumerate(zip(index, nonzero)) if k != c):
+            return None
+        key = c, index[c][t], (c - ga - gb) // s
+        v = shifted.get(key)
+        if v is None:
+            f = den // parts[c].den
+            v = shifted[key] = shift_vector(M, [y * f for y in parts[c].table[key[1]]], key[2])
+        rows[a][b] = rows[b][a] = v
     return ExactMatrix.from_vectors(M, rows, den)
 
 
 def _s0_is_d_inverse(f: Folding, d: list[CycNumber]) -> bool:
-    """S0 = J~ D J~ = D^-1, decided on the blocks of the folding f of J~.
+    """S0 = J~ D J~ = D^-1, decided on the blocks of the folding f of J~;
+    ValueError (Folding.blocks) when pi moves D.
 
-    D is fixed by pi, so S0 has only the blocks alpha and beta (gamma = 0):
     S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in R,
     and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff the
     off-diagonal entries of alpha and beta are zero, with alpha_rr d_r = 1/2
@@ -509,7 +510,7 @@ def _s0_is_d_inverse(f: Folding, d: list[CycNumber]) -> bool:
     """
     m, reps = f.pairs, f.reps
     half = Fraction(1, 2)
-    for blk, size in zip(f.blocks(d)[:2], (len(reps), m)):
+    for blk, size in zip(f.blocks(d), (len(reps), m)):
         at = 0                          # the position of (a, a) in the upper triangle
         for a in range(size):
             if (blk[0, at] * d[reps[a]] != (half if a < m else 1)

@@ -48,7 +48,6 @@ from tljhecke.matrix import (
     _pack_mod,
     _products,
     _tabulate,
-    _unfold,
     _unpack_digits,
     _width,
 )
@@ -862,12 +861,29 @@ def _symmetric(N, n, upper):
     return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
 
 
+def _unfolded(f, x):
+    """S diag(x) S for the S that the folding f holds, read from its blocks
+    entry by entry: S[r, c] = S[pi r, pi c] = alpha + beta and S[r, pi c] =
+    S[pi r, c] = alpha - beta for r, c in reps, beta 0 unless both are in
+    R."""
+    pi, reps, m, N = f.pi, f.reps, f.pairs, f.P.order
+    alpha, beta = (_symmetric(N, k, b) for k, b in zip((len(reps), m), f.blocks(x)))
+    rows = [[None] * len(pi) for _ in pi]
+    for a, r in enumerate(reps):
+        for b, c in enumerate(reps):
+            al, be = alpha[a, b], beta[a, b] if a < m and b < m else 0
+            rows[r][c] = rows[pi[r]][pi[c]] = al + be
+            rows[r][pi[c]] = rows[pi[r]][c] = al - be
+    return ExactMatrix(N, rows)
+
+
 def _sandwich(A, pi, d, *later):
-    """A diag(d) A folded over pi, then S diag(x) S for each x of later,
-    with S the previous result folded over the identity."""
-    S = A.folding(pi).product(d)
+    """A diag(d) A from the blocks of A folded over pi, then S diag(x) S
+    for each x of later, with S the previous result folded over the
+    identity."""
+    S = _unfolded(A.folding(pi), d)
     for x in later:
-        S = Folding(S, range(A.nrows)).product(x)
+        S = _unfolded(Folding(S, range(A.nrows)), x)
     return S
 
 
@@ -904,6 +920,27 @@ def test_dots_with_diagonals_match_products(case):
     d12 = [x * y for x, y in zip(d1, d2)]
     assert _as_cyc(A.dots(A, pairs, d12)) == [want[i, j] for i, j in pairs]
     assert _as_cyc(A.dots(A, pairs)) == [(A @ A.transpose())[i, j] for i, j in pairs]
+
+
+def test_dots_cut_zero_columns_once_when_other_is_self(monkeypatch):
+    # a column where the diagonal is 0 drops out of both operands; when
+    # they are one matrix, that is one submatrix, not two
+    z, one, zero = CycNumber.zeta(12), CycNumber.one(12), CycNumber.zero(12)
+    A = ExactMatrix(12, [[z, one, z + 1], [one, z, one], [z + 1, one, z]])
+    d = [z, zero, z - 1]
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    want = A.scale_cols(d) @ A.transpose()
+    calls, submatrix = [0], ExactMatrix.submatrix
+
+    def counting(self, *args):
+        calls[0] += 1
+        return submatrix(self, *args)
+    monkeypatch.setattr(ExactMatrix, "submatrix", counting)
+    assert _as_cyc(A.dots(A, pairs, d)) == [want[i, j] for i, j in pairs]
+    assert calls == [1]
+    copied = ExactMatrix(12, A.rows)
+    assert A.dots(copied, pairs, d) == A.dots(A, pairs, d)
+    assert calls == [4]
 
 
 def _as_cyc(row):
@@ -948,56 +985,49 @@ def _product(A, d):
 @settings(max_examples=60, deadline=None)
 @given(folded_cases())
 def test_folded_sandwich_matches_products(case):
+    # over pi for the diagonal that pi fixes, and over the identity (which
+    # fixes every diagonal) for both
     A, pi, moved, fixed_by_pi, d2 = case
     ident = range(A.nrows)
     for d in (moved, fixed_by_pi):
         S = _product(A, d)
-        assert _sandwich(A, pi, d) == S == _sandwich(A, ident, d)
-        assert _sandwich(A, pi, d, d2) == _product(S, d2) == _sandwich(A, ident, d, d2)
+        assert S == _sandwich(A, ident, d)
+        assert _product(S, d2) == _sandwich(A, ident, d, d2)
+    S = _product(A, fixed_by_pi)
+    assert _sandwich(A, pi, fixed_by_pi) == S
+    assert _sandwich(A, pi, fixed_by_pi, d2) == _product(S, d2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(folded_cases())
 def test_fold_blocks_give_every_entry(case):
+    # alpha and beta give every entry of A diag(x) A for a diagonal that pi
+    # fixes (_unfolded); a diagonal that pi moves is a ValueError
     A, pi, moved, fixed_by_pi, _ = case
-    N, zero = A.order, CycNumber.zero(A.order)
     f = A.folding(pi)
     reps, m = f.reps, f.pairs
     assert sorted(reps) == sorted(i for i in range(A.nrows) if i <= pi[i])
     assert all(i < pi[i] for i in reps[:m]) and all(i == pi[i] for i in reps[m:])
-    for d in (moved, fixed_by_pi):
-        S = _product(A, d)
-        alpha, beta, gamma = f.blocks(d)
-        alpha, beta = _symmetric(N, len(reps), alpha), _symmetric(N, m, beta)
-        if gamma is not None:               # one row, reps x R in row-major order
-            gamma = [gamma.rows[0][a * m:(a + 1) * m] for a in range(len(reps))]
-        for a, r in enumerate(reps):
-            for b, c in enumerate(reps):
-                al = alpha[a, b]
-                be = beta[a, b] if a < m and b < m else zero
-                g = gamma[a][b] if gamma is not None and b < m else zero
-                h = gamma[b][a] if gamma is not None and a < m else zero
-                assert S[r, c] == al + be + g + h
-                assert S[pi[r], pi[c]] == al + be - g - h
-                assert S[r, pi[c]] == al - be - g + h
-                assert S[pi[r], c] == al - be + g - h
-    assert f.blocks(fixed_by_pi)[2] is None
+    assert (f.blocks(fixed_by_pi)[1] is None) == (m == 0)
+    assert _unfolded(f, fixed_by_pi) == _product(A, fixed_by_pi)
+    if any(moved[k] != moved[pi[k]] for k in range(A.nrows)):
+        with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
+            f.blocks(moved)
 
 
 @settings(max_examples=60, deadline=None)
 @given(folded_cases())
 def test_identity_folding_blocks_are_the_upper_triangle(case):
     # folded over the identity, alpha is the upper triangle of the
-    # half-product, row by row, j from i to n - 1, and beta and gamma are
-    # None
+    # half-product, row by row, j from i to n - 1, and beta is None
     A, pi, moved, fixed_by_pi, y = case
-    N, n = A.order, A.nrows
+    n = A.nrows
     for d in (moved, fixed_by_pi):
-        f = Folding(A.folding(pi).product(d), range(n))
-        alpha, beta, gamma = f.blocks(y)
-        S = f.product(y)
-        assert _as_cyc(alpha) == [S[i, j] for i in range(n) for j in range(i, n)]
-        assert beta is None and gamma is None
+        S = _product(A, d)
+        alpha, beta = Folding(S, range(n)).blocks(y)
+        Sy = _product(S, y)
+        assert _as_cyc(alpha) == [Sy[i, j] for i in range(n) for j in range(i, n)]
+        assert beta is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -1005,7 +1035,7 @@ def test_identity_folding_blocks_are_the_upper_triangle(case):
 def test_vector_results_match_cycnumber_references(case):
     # ExactMatrix holds coefficient vectors over one denominator; each result
     # read back entry by entry against CycNumber arithmetic on the entries
-    A, pi, d, _, y = case
+    A, pi, d, fixed, y = case
     N, n = A.order, A.nrows
     E = [[CycNumber(N, v, A.den) for v in row] for row in A.vecs]
     assert ExactMatrix(N, E) == A and [list(row) for row in A.rows] == E
@@ -1016,7 +1046,7 @@ def test_vector_results_match_cycnumber_references(case):
     def scaled(rows, x):
         return [[e * x[t] for t, e in enumerate(row)] for row in rows]
     cols, Ey = [list(c) for c in zip(*E)], scaled(E, y)
-    Eyd, Ed = scaled(Ey, d), scaled(E, d)
+    Eyd, Ef = scaled(Ey, d), scaled(E, fixed)
     B = A.scale_cols(y)
     assert [[B[i, j] for j in range(n)] for i in range(n)] == Ey
     assert A.scale_rows(y).rows == tuple(tuple(y[i] * x for x in row) for i, row in enumerate(E))
@@ -1034,9 +1064,9 @@ def test_vector_results_match_cycnumber_references(case):
     yc = [list(c) for c in zip(*Ey)]
     assert [[(A @ B)[i, j] for j in range(n)] for i in range(n)] == [
         [dot(E[i], yc[j]) for j in range(n)] for i in range(n)]
-    S = A.folding(pi).product(d)
+    S = _sandwich(A, pi, fixed)
     assert [list(row) for row in S.rows] == [
-        [dot(Ed[i], cols[j]) for j in range(n)] for i in range(n)]
+        [dot(Ef[i], cols[j]) for j in range(n)] for i in range(n)]
     sp = next(split_primes(N, A.den))
     assert residue_matrix(A, sp) == [[sp.residue(x) for x in row] for row in E]
 
@@ -1047,7 +1077,9 @@ def test_fold_rejects_what_pi_does_not_fix():
     A = ExactMatrix(12, [[z, one, z], [one, z, z], [z, z, one]])
     swap = [1, 0, 2]
     assert A.folding(swap).pairs == 1
-    assert _sandwich(A, swap, [z, one, z]) == _product(A, [z, one, z])
+    assert _sandwich(A, swap, [z, z, one]) == _product(A, [z, z, one])
+    with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
+        A.folding(swap).blocks([z, one, z])
     B = ExactMatrix(12, [[z, one, z], [one, z, one], [z, one, one]])
     with pytest.raises(ValueError, match="fixed by pi"):
         B.folding(swap)
@@ -1072,9 +1104,8 @@ def test_diagonal_length_must_match(length):
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
     f = A.folding(range(2))
-    chained = Folding(f.product([z, z]), range(2))
-    for call in (lambda: f.product(d), lambda: chained.product(d),
-                 lambda: f.blocks(d), lambda: chained.blocks(d),
+    chained = Folding(_sandwich(A, range(2), [z, z]), range(2))
+    for call in (lambda: f.blocks(d), lambda: chained.blocks(d),
                  lambda: A.scale_cols(d), lambda: A.scale_rows(d),
                  lambda: A.dots(A, [(0, 0)], d)):
         with pytest.raises(ValueError, match=f"length {length} where 2 "):
@@ -1250,11 +1281,11 @@ def test_aliased_vectors_give_cycnumber_results(case):
         assert [[B[i, j] for j in range(n)] for i in range(n)] == [
             [E[i][j] * d[j] for j in range(n)] for i in range(n)]
         assert len(B.table) == len({v for row in B.vecs for v in row})
-        S = A.folding(range(n)).product(d)
+        S = _sandwich(A, range(n), d)
         assert [[S[i, j] for j in range(n)] for i in range(n)] == [
             [dot(i, j, d) for j in range(n)] for i in range(n)]
         assert A.dots(B, pairs) == A.dots(A, pairs, d)
-        assert A.folding(range(n)).product(one) == A @ A
+        assert _sandwich(A, range(n), one) == A @ A
     assert pool == before and A.vecs == vecs
 
 
@@ -1266,25 +1297,6 @@ def test_lowest_terms_divides_a_shared_list_once():
     assert _lowest_terms(out, den) == (out, den)
     M = ExactMatrix.from_vectors(8, [[v, v], [u, list(v)]], 6)
     assert M.den == 2 and M.table == out and M.index == ((0, 0), (1, 0))
-
-
-def test_unfold_rescales_a_shared_list_once():
-    # pi swaps 0 and 1 and fixes 2 and 3: reps = [0, 2, 3], one pair.  alpha
-    # is the upper triangle over reps, v and u each three times, and its
-    # denominator 1 is brought up to beta's 2: each table entry is doubled
-    # once.  The sums are interned by value, so S has four table entries for
-    # its sixteen entries, numbered in row-major order
-    v, u, w = (1, 2, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1)
-    alpha = ExactMatrix.from_vectors(8, [[v, u, u, v, v, u]], 1)
-    beta = ExactMatrix.from_vectors(8, [[w]], 2)
-    S = _unfold([1, 0, 2, 3], [0, 2, 3], 1, alpha, beta, None)
-    v2, u2 = (2, 4, 0, 0), (0, 2, 0, 0)
-    plus, minus = (3, 4, 0, 1), (1, 4, 0, -1)
-    assert S.den == 2 and S.table == (plus, minus, u2, v2)
-    assert S.vecs == ((plus, minus, u2, u2), (minus, plus, u2, u2),
-                      (u2, u2, v2, v2), (u2, u2, v2, u2))
-    assert S.index[2][2] == S.index[2][3] == S.index[3][2]
-    assert alpha.table == (v, u) and alpha.den == 1
 
 
 def _unique_form(X):
@@ -1334,7 +1346,7 @@ def test_equal_matrices_have_one_form(case):
                   A - A, A.transpose()):
             assert _unique_form(X)
     S = ExactMatrix(N, sym)
-    assert _unique_form(S.folding(range(len(sym))).product(d))
+    assert _unique_form(S.folding(range(len(sym))).blocks(d)[0])
 
 
 @settings(max_examples=40, deadline=None)

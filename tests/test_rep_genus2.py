@@ -15,6 +15,7 @@ from tljhecke.exactnum import (
     LaurentFraction,
     shift_vector,
     split_primes,
+    square_subfield_order,
 )
 from tljhecke.matrix import CycPoly, ExactMatrix, Folding, char_poly, residue_matrix
 from tljhecke.recoupling import (
@@ -244,7 +245,8 @@ def test_genus2_vectors_match_cycnumber_references(r):
         assert _entries(jt.scale_rows(t)) == [[t[i] * x for x in row]
                                               for i, row in enumerate(J)], (r, k)
         JD = jt @ rep.j_field
-        S0 = jt.folding(rep.basis.swap).product(d)
+        pairs = [(i, j) for i in some for j in range(n)]
+        S0 = dict(zip(pairs, jt.dots(jt, pairs, d).rows[0]))
         for i in some:
             Jd = [x * y for x, y in zip(J[i], d)]
             for j in range(n):
@@ -316,7 +318,7 @@ def test_kernel_unpacks_each_distinct_residue_once(monkeypatch):
     for r in (4, 6):
         assert verify_genus2_relations(TheoryParams(r)).all_pass
     rep = genus2_rep(TheoryParams(6))
-    assert len(rep.jtilde.folding(rep.basis.swap).product(rep.e).table) == 692
+    assert len((rep.jtilde.scale_cols(rep.e) @ rep.jtilde).table) == 692
     jtilde.cache_clear()
     genus2_rep.cache_clear()
     unpacked = _counting(monkeypatch, "_unpack_digits")
@@ -506,13 +508,32 @@ def test_relations_fast_path_matches_reference_r6(monkeypatch):
 
 
 def _folded_vs_half_product(rep):
-    # S0 = J~ D J~ and S2 = J~ E J~ folded over the swap against the
-    # unfolded half-product (the identity involution)
-    jt, pi = rep.jtilde, rep.basis.swap
-    ident = range(len(pi))
-    # (each product is in lowest terms, so equal matrices give equal vectors)
-    for x in (rep.jcols, rep.e):
-        assert jt.folding(pi).product(x) == jt.folding(ident).product(x), rep.params
+    # over K = Q(zeta_M), as _relations_hold forms them: the blocks of S0 =
+    # J~ D J~ folded over the swap against its half-product (alpha is the
+    # mean of S0[r, c] and S0[r, pi c], beta half their difference), and X
+    # regraded from the half-products J~ E_c J~ against S2 = J~ E J~ formed
+    # in full over Q(zeta_N), times G^-1 = diag(zeta^-g) on both sides
+    N = rep.params.root_order
+    M = square_subfield_order(N)
+    jt, pi = rep.jtilde.descend(M), rep.basis.swap
+    n = len(pi)
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    d = [x.descend(M) for x in rep.jcols]
+    s0 = dict(zip(upper, jt.dots(jt, upper, d).rows[0]))
+    s0.update({(b, a): v for (a, b), v in s0.items()})
+    f = jt.folding(pi)
+    alpha, beta = f.blocks(d)
+    reps, R = f.reps, f.reps[:f.pairs]
+    assert list(alpha.rows[0]) == [(s0[r, c] + s0[r, pi[c]]) / 2
+                                   for a, r in enumerate(reps) for c in reps[a:]], rep.params
+    assert list(beta.rows[0] if R else ()) == [(s0[r, c] - s0[r, pi[c]]) / 2
+                                               for a, r in enumerate(R) for c in R[a:]]
+    grade = [j % (N // M) for _, j, _ in rep.basis.triples]
+    parts = [jt.dots(jt, upper, e) for e in zip(*(y.components(M) for y in rep.e))]
+    x = rep_genus2._regrade(parts, upper, grade)
+    g_inv = [CycNumber.zeta(N, -g) for g in grade]
+    s2 = rep.jtilde.scale_cols(rep.e) @ rep.jtilde
+    assert x == s2.scale_rows(g_inv).scale_cols(g_inv).descend(M), rep.params
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -588,20 +609,24 @@ def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
 @pytest.mark.parametrize("r", [2, 3])
 def test_swap_bumps_take_their_own_paths(monkeypatch, r):
     # a bump that the swap fixes passes the fold's precondition and the
-    # folded S0 itself rejects it, before Folding.product; one that the swap
-    # does not fix is refused by the fold, so the product chain decides
+    # folded S0 itself rejects it, before S2 is formed; one that the swap
+    # does not fix is refused by the fold, and so is a D that the swap
+    # moves (Folding.blocks), so the product chain decides
     rep = genus2_rep(TheoryParams(r))
     pi, d = rep.basis.swap, rep.jcols
     kept = _swap_bump(rep, keep=True)
     kept.folding(pi).blocks(d)
     with monkeypatch.context() as m:
-        m.setattr(Folding, "product", lambda *a: pytest.fail("S0 decides"))
+        m.setattr(rep_genus2, "_regrade", lambda *a: pytest.fail("S0 decides"))
         assert not rep_genus2._relations_hold(replace(rep, jtilde=kept))
     broken = _swap_bump(rep, keep=False)
     assert broken == broken.transpose()
     with pytest.raises(ValueError, match="fixed by pi"):
         broken.folding(pi)
     assert not rep_genus2._relations_hold(replace(rep, jtilde=broken))
+    with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
+        rep.jtilde.folding(pi).blocks(_d_moved(rep))
+    assert not rep_genus2._relations_hold(replace(rep, jcols=_d_moved(rep)))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -704,36 +729,36 @@ def test_fast_path_decides_at_every_root(monkeypatch, r):
 
 @pytest.mark.parametrize("r", [2, 4])
 def test_regrade_checks_the_grading(r):
-    # X = G^-1 S2 G^-1 over K from the two parts of S2 = J~ E J~, and None
+    # X = G^-1 S2 G^-1 over K from the upper triangles of the two parts
+    # J~ E_c J~ of S2 (_folded_vs_half_product diffs it with S2), and None
     # once a part is nonzero where the grading by the middle label puts 0
     rep = genus2_rep(TheoryParams(r))
-    N, pi = rep.params.root_order, rep.basis.swap
-    M, n = N // 2, len(pi)
+    N, n = rep.params.root_order, len(rep.basis)
+    M = N // 2
+    jt = rep.jtilde.descend(M)
     grade = [j % 2 for _, j, _ in rep.basis.triples]
-    f = rep.jtilde.descend(M).folding(pi)
-    parts = [f.product(e) for e in zip(*(y.components(M) for y in rep.e))]
-    x = rep_genus2._regrade(parts, grade)
-    s2 = rep.jtilde.folding(pi).product(rep.e)
-    assert all(x[a, b].lift(N).times_zeta(grade[a] + grade[b]) == s2[a, b]
-               for a in range(n) for b in range(n))
-    a, b = next((a, b) for a in range(n) for b in range(a + 1, n) if grade[a] == grade[b])
-    bumped = [parts[0], _bump(parts[1], [(a, b), (b, a)])]
-    assert rep_genus2._regrade(bumped, grade) is None
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    parts = [jt.dots(jt, upper, e) for e in zip(*(y.components(M) for y in rep.e))]
+    assert rep_genus2._regrade(parts, upper, grade) is not None
+    t = next(t for t, (a, b) in enumerate(upper) if a < b and grade[a] == grade[b])
+    assert not parts[1][0, t]
+    bumped = [parts[0], _bump(parts[1], [(0, t)])]
+    assert rep_genus2._regrade(bumped, upper, grade) is None
 
 
 def test_passing_relations_make_no_full_product(monkeypatch):
-    # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24), and
-    # one folding of J~ over the swap (one symmetry check, one set of folded
-    # rows) serves S0 = J~ D J~ (its blocks alpha and beta) and the two
-    # parts J~ E_c J~ of S2; S4 is two half-products of X = G^-1 S2 G^-1,
-    # over the columns of each twist parity.  Every packed dot runs on
-    # phi(12) = 4 digits, and the phi-weighted multiplications are at most
-    # what n+ = |R| + |F| and n- = |R| imply for S0, two S2 folds and one
-    # n x n half-product, below S0, one S2 fold and one half-product on
-    # phi(24) = 8 digits.  The product chain runs only when some relation
-    # fails
+    # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24);
+    # one folding of J~ over the swap (one symmetry check, one call of
+    # blocks) decides S0 = J~ D J~, and S2 and S4 are half-products, one
+    # per part E_c and one per part W_c, over the columns where that part
+    # is nonzero.  Every packed dot runs on phi(12) = 4 digits, and the
+    # phi-weighted multiplications are at most those of the two S0 blocks
+    # (n+ = |R| + |F| and n- = |R|) and of n(n+1)/2 dots over the kept
+    # columns of each half-product, with the products that scale the
+    # columns of each right operand.  The product chain runs only when
+    # some relation fails
     P = TheoryParams(4)
-    genus2_rep(P)
+    rep = genus2_rep(P)
     calls = {"matmul": 0, "check": 0, "folding": 0, "blocks": 0}
     folded_over = []
     digits, work = set(), [0]
@@ -773,7 +798,7 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     monkeypatch.setattr(Folding, "blocks", counting_blocks)
     monkeypatch.setattr(matrix, "_dots", counting_dots)
     assert verify_genus2_relations(P).all_pass
-    assert calls == {"matmul": 0, "check": 1, "folding": 1, "blocks": 3}
+    assert calls == {"matmul": 0, "check": 1, "folding": 1, "blocks": 1}
 
     pi = enumerate_basis(4).swap
     n = len(pi)
@@ -781,13 +806,17 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     assert digits == {4}
     n_plus = sum(i <= p for i, p in enumerate(pi))
     n_minus = sum(i < p for i, p in enumerate(pi))
+    assert (n, n_plus, n_minus) == (35, 22, 13)
+    grade = [j % 2 for _, j, _ in rep.basis.triples]
+    e_parts = zip(*(y.components(12) for y in rep.e))
+    w_parts = zip(*(y.times_zeta(2 * g).components(12) for y, g in zip(rep.e, grade)))
+    kept = [sum(map(bool, part)) for part in (*e_parts, *w_parts)]
+    assert kept == [19, 16, 19, 16]
 
     def half(k):  # a symmetric half-product of k x k matrices
         return k * (k + 1) // 2 * k
-    s0 = half(n_plus) + half(n_minus)
-    s2 = s0 + n_plus * n_minus * n_minus
-    assert (n, n_plus, n_minus) == (35, 22, 13)
-    assert work[0] <= 4 * (s0 + 2 * s2 + half(n)) < 8 * (s0 + s2 + half(n))
+    s0 = half(n_plus) + half(n_minus) + n_plus ** 2 + n_minus ** 2
+    assert work[0] <= 4 * (s0 + (n * (n + 1) // 2 + n) * sum(kept))
 
 
 def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
@@ -802,8 +831,8 @@ def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
 
 def test_passing_relations_make_few_field_products(monkeypatch):
     # with J~ and D built, a passing check multiplies field elements only
-    # for S0_ii d_i, e = D T and kappa^4: the foldings run on packed
-    # integers and the S4 target is a zeta-shift of J~
+    # for S0_ii d_i, e = D T and kappa^4: the fold and the half-products
+    # run on packed integers and the S4 target is a zeta-shift of J~
     P = TheoryParams(6)
     rep = genus2_rep(P)
     n = len(rep.basis)
