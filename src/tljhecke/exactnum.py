@@ -932,7 +932,11 @@ class CycNumber:
     def fixed_parts(self, bits: int) -> tuple[int, int, int]:
         """(re, im, err): the real and imaginary parts of the embedding times
         den * 2**bits, each within err = sum |c_j| of the exact one, since
-        every entry of the table _unit_roots(N, bits) is within one unit."""
+        every entry of the table _unit_roots(N, bits) is within one unit.
+        A rational value reads only the table's j = 0 entry, which is
+        exactly (2**bits, 0), so it builds no table."""
+        if self.is_rational():
+            return self.vec[0] << bits, 0, abs(self.vec[0])
         cos, sin = _unit_roots(self.order, bits)
         return (sum(map(operator.mul, self.vec, cos)), sum(map(operator.mul, self.vec, sin)),
                 sum(map(abs, self.vec)))

@@ -32,6 +32,15 @@ digit is at most g_N B < 2**(W - 2) in absolute value for W = bits(g_N B) + 2.
 So |F(2**W)| < M / 2 for the folded F, checked once per width (_modulus,
 ArithmeticError if not), and the balanced residue is F(2**W) itself.
 
+A call of _dots whose work, pairs * length * phi, is above SPLIT_WORK is
+cut into contiguous slices of its pairs, at most one per usable CPU.  Forked
+workers compute every slice but the first and send back their residues mod
+M (marshal, through a pipe); this process unpacks all of them in pair
+order, as it unpacks its own, so the output table and index do not depend
+on the split.  A slice whose worker fails is computed here.  With one
+usable CPU, without os.fork, or with a second thread running, nothing
+forks; no option selects the path.
+
 ExactMatrix.dots(B, pairs, diag) is the one entry point for dot products
 of rows, returning one row; A @ B slices _dots' output into rows, and J~
 assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
@@ -64,11 +73,15 @@ ever taken, and only its float embedding leaves the field.
 """
 from __future__ import annotations
 
+import marshal
 import math
 import operator
+import os
+import signal
 import struct
+import threading
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -226,16 +239,129 @@ def _number_pairs(grid: Iterable[Iterable[tuple]]) -> tuple[list, list[list[int]
     return list(pairs), rows
 
 
-def _dots(N: int, phi: int, A: tuple, B: tuple,
-          length: int, pairs: Iterable[tuple[int, int]]) -> tuple[list, list[int]]:
+# pairs x length x phi above which one call of _dots is cut across the usable
+# CPUs: a fork costs about 2 ms at this process size, which the smaller calls
+# do not win back (every call of the r = 6 relation check is above it, every
+# call of the certificates and the r <= 5 and r = 7 checks below)
+SPLIT_WORK = 150_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _slices(count: int, cost: int) -> int:
+    """How many contiguous slices a call of _dots of count pairs, each of
+    cost length * phi, is cut into: one per SPLIT_WORK of work begun, at
+    most one per usable CPU and one per pair; one when the work is at most
+    SPLIT_WORK, without os.fork, or once a thread is running, since a forked
+    child of a threaded process may hang on a lock another thread held."""
+    work = count * cost
+    if work <= SPLIT_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), -(-work // SPLIT_WORK), count)
+
+
+def _fork(residues, chunk) -> tuple[int, int] | None:
+    """(pid, fd) of a forked worker that writes marshal.dumps(residues(chunk))
+    to the pipe fd and leaves by os._exit, so it flushes none of the parent's
+    buffers, runs no atexit handler and never returns into the caller's
+    stack; None when the pipe or the fork fails."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        try:
+            os.close(rfd)
+            data = memoryview(marshal.dumps(residues(chunk)))
+            while data:
+                data = data[os.write(wfd, data):]
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    return pid, rfd
+
+
+def _collect(fd: int, size: int) -> list[int] | None:
+    """The residues a worker wrote to fd, or None unless it wrote all size."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        part = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError):
+        return None
+    return part if type(part) is list and len(part) == size else None
+
+
+def _split(residues, unpack, pairs: Iterable, count: int, k: int) -> list[int]:
+    """[unpack(x) for x in residues(pairs)] for count pairs, cut into k
+    contiguous slices.  Forked workers compute slices 2..k, each from its
+    own copy of the pairs iterator, while this process computes and unpacks
+    slice 1; it then unpacks each worker's residues in pair order, or
+    computes a slice itself when its worker failed, and kills and reaps
+    every worker whatever happens.  The unpacked output is that of one
+    process."""
+    it = iter(pairs)
+    cuts = [count * s // k for s in range(k + 1)]
+    workers = []
+    try:
+        for s in range(1, k):
+            worker = _fork(residues, islice(it, cuts[s], cuts[s + 1]))
+            if worker is None:
+                break
+            workers.append(worker)
+        values = list(map(unpack, residues(islice(it, cuts[1]))))
+        done = cuts[1]
+        for s in range(1, k):
+            part = _collect(workers[s - 1][1], cuts[s + 1] - cuts[s]) if s <= len(workers) else None
+            if part is None:
+                part = residues(islice(it, cuts[s] - done, cuts[s + 1] - done))
+                done = cuts[s + 1]
+            values += map(unpack, part)
+        return values
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)    # one that wrote its slice is exiting anyway
+            os.waitpid(pid, 0)
+
+
+def _dots(N: int, phi: int, A: tuple, B: tuple, length: int,
+          pairs: Iterable[tuple[int, int]], count: int | None = None) -> tuple[list, list[int]]:
     """Row i of A dotted with row j of B, A and B given as (table, index),
     for each (i, j) in pairs: a dot product of packed rows reduced mod
     Phi_N(2**W) once, as an output table and one index per pair.  B given
-    as the same object as A is packed once."""
+    as the same object as A is packed once.  count is the number of pairs
+    (len(pairs) when None).
+
+    A call whose work, count * length * phi, is above SPLIT_WORK is cut into
+    contiguous slices of pairs, one per usable CPU at most, of which forked
+    workers compute all but the first (_split).  The residues come back to
+    this process and are unpacked in pair order, as one process unpacks
+    them, so the table and index are those of the unsplit call."""
     width = _width(N, phi * max(length, 1) * _max_abs(A[0]) * _max_abs(B[0]))
-    out, unpack = _unpacker(_modulus(N, width), width, phi)
+    M = _modulus(N, width)
+    out, unpack = _unpacker(M, width, phi)
     Ap = _packed_rows(*A, width)
     Bp = Ap if B is A else _packed_rows(*B, width)
+    count = len(pairs) if count is None else count
+    k = _slices(count, max(length, 1) * phi)
+    if k > 1:
+        def residues(chunk):
+            return [sum(map(operator.mul, Ap[i], Bp[j])) % M for i, j in chunk]
+        return out, _split(residues, unpack, pairs, count, k)
     if length == 1:                     # one product a pair (_products): no sum to form
         return out, [unpack(Ap[i][0] * Bp[j][0]) for i, j in pairs]
     return out, [unpack(sum(map(operator.mul, Ap[i], Bp[j]))) for i, j in pairs]
@@ -534,7 +660,7 @@ class ExactMatrix:
         N, m, n = self.order, self.nrows, other.ncols
         table, flat = _dots(N, euler_phi(N), (self.table, self.index),
                             (other.table, tuple(zip(*other.index))), self.ncols,
-                            product(range(m), range(n)))
+                            product(range(m), range(n)), m * n)
         return ExactMatrix._of(N, table, (flat[i * n:(i + 1) * n] for i in range(m)),
                                self.den * other.den)
 

@@ -286,7 +286,7 @@ def jtilde(params: TheoryParams) -> ExactMatrix:
     del pairs, cells                    # freed before the n^2 dots of pass 3
     table, flat = _dots(N, phi, right, left, len(cs), (
         (pos[mu[2]] * n + b, pos[sigma[1]] * n + c)
-        for b, sigma in enumerate(ts) for c, mu in enumerate(ts)))
+        for b, sigma in enumerate(ts) for c, mu in enumerate(ts)), n * n)
     return ExactMatrix._of(N, table, (flat[b * n:(b + 1) * n] for b in range(n)),
                            right_den * left_den)
 

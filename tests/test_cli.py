@@ -8,8 +8,9 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
-from decimal import MAX_PREC, Context
+from decimal import MAX_PREC, Context, Decimal
 from enum import IntEnum
 
 import pytest
@@ -400,8 +401,9 @@ def test_pretty_precision_agrees_with_embed(capsys):
 def test_pretty_output_has_no_digit_limit(capsys):
     # each Decimal is built from an int, not from the str of one, so a
     # precision past Python's 4,300-digit str limit prints in full.  _root
-    # builds its Decimal as _decimal does; its fixed-point square at this
-    # precision takes seconds, so _decimal is checked directly, and exactly:
+    # builds its Decimal as _decimal does; the fixed-point value of an
+    # irrational square at this precision takes seconds (a rational one is
+    # checked below), so _decimal is checked directly, and exactly:
     # n / 10**4410 keeps every digit of n
     from tljhecke.cli import _decimal
     code, out = run(capsys, "--precision", "4400", "modular-data", "--level", "1")
@@ -412,6 +414,35 @@ def test_pretty_output_has_no_digit_limit(capsys):
     assert x.as_tuple().exponent == -4410 and x.scaleb(4410, Context(prec=MAX_PREC)) == n
     text = f"{x:.4400f}"
     assert text.startswith("1.4142135623730950488") and len(text) == 4402
+
+
+def test_root_of_a_rational_square_builds_no_table():
+    # sqrt 2 at 4,400 digits: a rational square reads no unit-root table
+    # (3.6 s to build at these 29,000 bits), and its digits are isqrt's
+    from tljhecke.cli import _root
+    t0 = time.perf_counter()
+    x = _root(CycNumber.from_rational(1, 2), 4400)
+    assert time.perf_counter() - t0 < 0.5
+    assert x == Decimal(math.isqrt(2 * 10 ** 8820)).scaleb(-4410, Context(prec=MAX_PREC))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_verify_output_does_not_depend_on_the_usable_cpus():
+    # at r = 6 the large dot batches are cut across forked workers when
+    # more than one CPU is usable, and nothing forks on one CPU: both
+    # print the same bytes, one JSON document each
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cpu = min(os.sched_getaffinity(0))
+    outs = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        res = subprocess.run([sys.executable, "-m", "tljhecke", "--format", "json", "verify",
+                              "--level", "6"], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, timeout=300, preexec_fn=pin)
+        assert (res.returncode, res.stderr) == (0, b"")
+        json.loads(res.stdout)
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
 
 
 def _printed_numbers(out: str) -> list[str]:

@@ -1,7 +1,11 @@
 """Tests for the exact arithmetic kernel."""
 import copy
+import marshal
 import math
+import operator
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -667,6 +671,20 @@ def test_fixed_parts_are_within_their_bound(mp_embed, x, bits):
         assert abs(im - z.imag) <= err + slack
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 12, 20])
+def test_rational_fixed_parts_build_no_table(monkeypatch, N):
+    # a rational value reads only the table's j = 0 entry, exactly
+    # (2**bits, 0): the same (re, im, err) as the table path, without it
+    from tljhecke import exactnum
+    cases = [(CycNumber.from_rational(N, q), bits)
+             for q in (0, Fraction(-7, 3), Fraction(2 ** 70 + 1, 5)) for bits in (1, 64, 150)]
+    want = [(sum(map(operator.mul, x.vec, cos)), sum(map(operator.mul, x.vec, sin)),
+             sum(map(abs, x.vec)))
+            for x, bits in cases for cos, sin in [exactnum._unit_roots(N, bits)]]
+    monkeypatch.setattr(exactnum, "_unit_roots", None)
+    assert [x.fixed_parts(bits) for x, bits in cases] == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(x=_cyc_numbers())
 def test_embed_is_the_nearest_double(mp_embed, x):
@@ -1229,6 +1247,139 @@ def test_scaling_and_products_equal_field_products(case):
     assert len(set(table)) == len(table)
     assert [[CycNumber(N, table[k], 1) for k in row] for row in rows] == [
         [CycNumber(N, v, 1) * CycNumber(N, y.vec, 1) for v, y in zip(row, w)] for row in A]
+
+
+# --------------------------------------------------------------------------
+# large dot batches cut across forked workers: the output is that of one
+# process, whatever the CPU count, the slices or the workers do
+
+
+def _split_operands(seed, n=24, length=40, N=17):
+    # 24 x 24 pairs of 40 terms at phi = 16: 368,640 of work, above
+    # SPLIT_WORK; rows drawn from a small pool, so residues repeat
+    rng = random.Random(seed)
+    phi = euler_phi(N)
+    pool = [[rng.randint(-2 ** 20, 2 ** 20) for _ in range(phi)] for _ in range(12)]
+    A, B = ([[rng.choice(pool) for _ in range(length)] for _ in range(n)] for _ in "AB")
+    return N, phi, _table_form(A), _table_form(B), length
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The count of os.fork calls; afterwards, this process has no child."""
+    count, fork = [0], os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield count
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _dots_on(monkeypatch, cpus, *args):
+    monkeypatch.setattr(matrix, "_usable_cpus", lambda: cpus)
+    return _dots(*args)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_dots_equal_one_process(monkeypatch, forks, cpus):
+    N, phi, A, B, length = _split_operands(cpus)
+    pairs = [(i, j) for i in range(24) for j in range(24)]
+    want = _dots_on(monkeypatch, 1, N, phi, A, B, length, pairs)
+    assert forks[0] == 0
+    assert _dots_on(monkeypatch, cpus, N, phi, A, B, length, pairs) == want
+    assert forks[0] == cpus - 1
+    # pairs as an iterator with their count, as A @ B and J~ pass them
+    assert _dots_on(monkeypatch, cpus, N, phi, A, B, length, iter(pairs), len(pairs)) == want
+    assert forks[0] == 2 * (cpus - 1)
+
+
+def test_split_matmul_equals_one_process(monkeypatch, forks):
+    # A @ B passes _dots a product of ranges and its count
+    N, _, A, B, _ = _split_operands(7)
+    A, B = (ExactMatrix.from_vectors(N, [[t[k] for k in row] for row in index], 3)
+            for t, index in (A, B))
+    B = B.transpose()
+    monkeypatch.setattr(matrix, "_usable_cpus", lambda: 1)
+    want = A @ B
+    monkeypatch.setattr(matrix, "_usable_cpus", lambda: 2)
+    got = A @ B
+    assert forks[0] == 1
+    assert (got.table, got.index, got.den) == (want.table, want.index, want.den)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 7])
+def test_split_slices_of_odd_and_single_pairs(monkeypatch, forks, count):
+    # SPLIT_WORK at 1 cuts even these into min(3, count) slices: 7 pairs
+    # into 2 + 2 + 3, 3 pairs into one pair each
+    N, phi, A, B, length = _split_operands(count)
+    pairs = [((5 * p) % 24, (7 * p + 3) % 24) for p in range(count)]
+    want = _dots_on(monkeypatch, 1, N, phi, A, B, length, pairs)
+    monkeypatch.setattr(matrix, "SPLIT_WORK", 1)
+    assert _dots_on(monkeypatch, 3, N, phi, A, B, length, pairs) == want
+    assert forks[0] == min(3, count) - 1
+
+
+def test_split_without_a_fork_is_computed_here(monkeypatch, forks):
+    N, phi, A, B, length = _split_operands(11)
+    pairs = [(i, j) for i in range(24) for j in range(24)]
+    want = _dots_on(monkeypatch, 1, N, phi, A, B, length, pairs)
+
+    def failing_fork():
+        forks[0] += 1
+        raise OSError("no fork")
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert _dots_on(monkeypatch, 3, N, phi, A, B, length, pairs) == want
+    assert forks[0] == 1                # the first failure stops the forking
+    monkeypatch.delattr(os, "fork")
+    assert matrix._slices(len(pairs), length * phi) == 1
+
+
+@pytest.mark.parametrize("bad", ["exit", "truncated", "short"])
+@pytest.mark.parametrize("failing", [2, 3])
+def test_split_recomputes_what_a_worker_did_not_send(monkeypatch, forks, bad, failing):
+    # 7 pairs in slices of 2, 2 and 3: the worker of the slice of size
+    # failing exits without writing, writes a truncated slice, or writes a
+    # slice one residue short; the other worker's slice is used
+    N, phi, A, B, length = _split_operands(13)
+    pairs = [(p, 23 - 2 * p) for p in range(7)]
+    want = _dots_on(monkeypatch, 1, N, phi, A, B, length, pairs)
+    dumps = marshal.dumps
+
+    def worker_dumps(part):
+        if len(part) != failing:
+            return dumps(part)
+        if bad == "exit":
+            os._exit(0)
+        return dumps(part)[:-3] if bad == "truncated" else dumps(part[:-1])
+    monkeypatch.setattr(marshal, "dumps", worker_dumps)
+    monkeypatch.setattr(matrix, "SPLIT_WORK", 1)
+    assert _dots_on(monkeypatch, 3, N, phi, A, B, length, pairs) == want
+    assert forks[0] == 2
+
+
+def test_split_needs_a_lone_thread(monkeypatch, forks):
+    N, phi, A, B, length = _split_operands(17)
+    pairs = [(i, j) for i in range(24) for j in range(24)]
+    want = _dots_on(monkeypatch, 1, N, phi, A, B, length, pairs)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _dots_on(monkeypatch, 2, N, phi, A, B, length, pairs) == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks[0] == 0
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert matrix._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert matrix._usable_cpus() == (os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------------
