@@ -297,7 +297,6 @@ def cmd_trace_table(args) -> int:
         "level": e.level,
         "root_exponent": e.root_exponent,
         "trace": e.value,
-        "trace_float": [e.approx.real, e.approx.imag],
         "dim": e.dimension,
         "exceeds_dim": e.exceeds_dimension,
     } for e in entries]}

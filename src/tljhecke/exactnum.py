@@ -69,6 +69,43 @@ def power(x, n: int, one):
     return result
 
 
+def _trim(cs: list) -> list:
+    """cs without its trailing zero coefficients, trimmed in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _convolve(a: Sequence, b: Sequence, zero) -> list:
+    """The coefficients of the product of two dense polynomials, constant
+    term first (schoolbook; a zero coefficient of a is skipped); [] when
+    either is empty."""
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] = out[i + j] + c * d
+    return out
+
+
+def _long_divide(num: Sequence, den: Sequence, over_lead, zero) -> tuple[list, list]:
+    """Quotient and remainder coefficients (untrimmed) of num by den, whose
+    last coefficient is nonzero (Knuth, TAOCP 4.6.1, Algorithm D).
+    over_lead(c) is c divided by that leading coefficient."""
+    r = list(num)
+    dd = len(den) - 1
+    q = [zero] * max(len(r) - dd, 0)
+    for i in range(len(r) - dd - 1, -1, -1):
+        c = r[i + dd]
+        if c:
+            c = q[i] = over_lead(c)
+            for j, x in enumerate(den):
+                r[i + j] = r[i + j] - c * x
+    return q, r
+
+
 class IntPolynomial:
     """Polynomial with integer coefficients, constant term first.
 
@@ -79,10 +116,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in _trim(list(coeffs))))
 
     def __setattr__(self, *a):
         raise AttributeError("IntPolynomial is immutable")
@@ -104,28 +138,13 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPolynomial(out)
+        return IntPolynomial(_convolve(self.coeffs, other.coeffs, 0))
 
     def divmod_monic(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Quotient and remainder by a monic divisor (stays in Z[x])."""
         if not d.is_monic():
             raise NonMonic("divisor must be monic")
-        r = list(self.coeffs)
-        dd = d.degree
-        q = [0] * max(len(r) - dd, 0)
-        for i in range(len(r) - dd - 1, -1, -1):
-            c = r[i + dd]
-            if c:
-                q[i] = c
-                for j, dc in enumerate(d.coeffs):
-                    r[i + j] -= c * dc
+        q, r = _long_divide(self.coeffs, d.coeffs, lambda c: c, 0)
         return IntPolynomial(q), IntPolynomial(r)
 
     def __repr__(self):
@@ -188,19 +207,10 @@ class LaurentPoly:
     __slots__ = ("low", "coeffs")
 
     def __init__(self, low: int, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
-        start = 0
-        while start < len(cs) and cs[start] == 0:
-            start += 1
-        end = len(cs)
-        while end > start and cs[end - 1] == 0:
-            end -= 1
-        if start == end:
-            object.__setattr__(self, "low", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "low", low + start)
-            object.__setattr__(self, "coeffs", tuple(cs[start:end]))
+        cs = _trim([Fraction(c) for c in coeffs])
+        start = next((i for i, c in enumerate(cs) if c), 0)
+        object.__setattr__(self, "low", low + start if cs else 0)
+        object.__setattr__(self, "coeffs", tuple(cs[start:]))
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -265,14 +275,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return LaurentPoly(self.low + other.low, out)
+        return LaurentPoly(self.low + other.low, _convolve(self.coeffs, other.coeffs, Fraction(0)))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -297,19 +300,9 @@ class LaurentPoly:
         """Division as ordinary polynomials (after clearing the lows)."""
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        r = list(self.coeffs)
-        dc = d.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        q = [Fraction(0)] * max(len(r) - dd, 0)
-        for i in range(len(r) - dd - 1, -1, -1):
-            c = r[i + dd]
-            if c:
-                c = c / lead
-                q[i] = c
-                for j, x in enumerate(dc):
-                    r[i + j] -= c * x
-        return (LaurentPoly(self.low - d.low, q), LaurentPoly(self.low, r))
+        lead = d.coeffs[-1]
+        q, r = _long_divide(self.coeffs, d.coeffs, lambda c: c / lead, Fraction(0))
+        return LaurentPoly(self.low - d.low, q), LaurentPoly(self.low, r)
 
     def exact_div(self, d: "LaurentPoly") -> "LaurentPoly":
         q, r = self.divmod(d)
@@ -355,13 +348,7 @@ def _int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
             return list(p)
         return [c // g for c in p]
 
-    def trim(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(a), trim(b)
+    a, b = _trim(list(a)), _trim(list(b))
     if not a:
         return prim(b)
     if not b:
@@ -383,7 +370,7 @@ def _int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
             r = [x * lead for x in r]
             for j, bc in enumerate(b):
                 r[shift_e + j] -= c * bc
-            r = trim(r)
+            r = _trim(r)
         a, b = b, prim(r)
     g = prim(a)
     if g and g[-1] < 0:

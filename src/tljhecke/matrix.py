@@ -45,9 +45,9 @@ ExactMatrix.dots(B, pairs, diag) is the one entry point for dot products
 of rows, returning one row; A @ B slices _dots' output into rows, and J~
 assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
 the same kernel.  A column where the diagonal is 0 drops out of its dots.
-A.folding(pi) folds a symmetric A fixed by an involution pi, so that
-A diag(x) A, for a diagonal x that pi fixes, is two half-products of
-about half the size (Folding.blocks).
+A.fold_blocks(pi, x) folds a symmetric A fixed by an involution pi, so
+that A diag(x) A, for a diagonal x that pi fixes, is two half-products of
+about half the size.
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -88,7 +88,10 @@ from .exactnum import (
     CycNumber,
     IntPolynomial,
     SplitPrime,
+    _convolve,
+    _long_divide,
     _power_sum,
+    _trim,
     _zeta_powers,
     cyclotomic_poly,
     descent_step,
@@ -231,14 +234,6 @@ def _packed_rows(table: Sequence, index: Sequence, width: int) -> list[list[int]
     return [list(map(packed.__getitem__, row)) for row in index]
 
 
-def _number_pairs(grid: Iterable[Iterable[tuple]]) -> tuple[list, list[list[int]]]:
-    """The distinct pairs of grid, in the order they first appear in
-    row-major order, and the rows of grid as positions in that list."""
-    pairs = {}
-    rows = [[pairs.setdefault(ab, len(pairs)) for ab in row] for row in grid]
-    return list(pairs), rows
-
-
 # pairs x length x phi above which one call of _dots is cut across the usable
 # CPUs: a fork costs about 2 ms at this process size, which the smaller calls
 # do not win back (every call of the r = 6 relation check is above it, every
@@ -373,60 +368,12 @@ def _products(N: int, t1: Sequence, t2: Sequence,
     product (a dot of length 1, _dots) per distinct pair, as an output
     table and rows of indices into it.  Each row of pair numbers is
     replaced in place by its row of indices, so no second index is held."""
-    pairs, rows = _number_pairs(grid)
+    pairs, rows = _tabulate(grid)
     A = _column(t1)
     out, values = _dots(N, euler_phi(N), A, A if t2 is t1 else _column(t2), 1, pairs)
     for i, row in enumerate(rows):
         rows[i] = tuple(map(values.__getitem__, row))
     return out, rows
-
-
-class Folding:
-    """S diag(x) S for a symmetric S fixed by an involution pi, for any
-    number of diagonals x that pi fixes, with the rows of S folded over pi
-    once.  S.folding(pi) checks S and builds one.  The genus-2 relation
-    check folds J~ over the swap of the theta basis this way for
-    S0 = J~ D J~.
-
-    R holds the pair representatives (i < pi i), F the fixed points, and
-    reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on reps (so
-    2 S[r][k] on F); row r of Q (r in R) is q_r[k] = S[r][k] - S[r][pi k] on
-    R.
-    """
-
-    __slots__ = ("pi", "reps", "pairs", "P", "Q")
-
-    def __init__(self, S: "ExactMatrix", pi: Sequence[int]):
-        n = S.nrows
-        R = [i for i in range(n) if i < pi[i]]
-        reps = R + [i for i in range(n) if i == pi[i]]
-        images = [pi[k] for k in reps]
-        m = len(R)
-        self.pi, self.reps, self.pairs = pi, reps, m
-        self.P = S.submatrix(reps, reps) + S.submatrix(reps, images)
-        self.Q = S.submatrix(R, R) - S.submatrix(R, images[:m])
-
-    def blocks(self, diag: Sequence[CycNumber]) -> tuple:
-        """The blocks of S diag(x) S for a diagonal x that pi fixes, each
-        one row of an ExactMatrix: with w = x_k/2 on R and x_k/4 on F,
-            alpha = P diag(w) P^T   (reps x reps, upper triangle),
-            beta  = Q diag(w) Q^T   (R x R, upper triangle; None when R is empty).
-        For r, c in reps, S[r][c] = S[pi r][pi c] = alpha + beta and
-        S[r][pi c] = S[pi r][c] = alpha - beta, where beta drops out when r
-        or c is a fixed point.  They cost n+^3/2 + n-^3/2 multiplications,
-        n+ = |R| + |F| and n- = |R|, against n^3/2 unfolded; with pi the
-        identity, alpha is the half-product.  ValueError when pi moves x:
-        S diag(x) S then has a third block, which alpha and beta do not give.
-        """
-        pi, reps, m, P = self.pi, self.reps, self.pairs, self.P
-        _check_length(diag, len(pi))
-        if any(diag[k] != diag[pi[k]] for k in reps[:m]):
-            raise ValueError("the diagonal must be fixed by pi")
-        w = [diag[k] / (2 if a < m else 4) for a, k in enumerate(reps)]
-        alpha = P.dots(P, _upper(len(reps)), w)
-        if not m:
-            return alpha, None
-        return alpha, self.Q.dots(self.Q, _upper(m), w[:m])
 
 
 def _upper(n: int) -> list[tuple[int, int]]:
@@ -534,7 +481,7 @@ class ExactMatrix:
             raise ValueError("field order mismatch")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch: {self!r} and {other!r}")
-        pairs, index = _number_pairs(map(zip, self.index, other.index))
+        pairs, index = _tabulate(map(zip, self.index, other.index))
         g = math.gcd(self.den, other.den)
         a, b = other.den // g, sign * (self.den // g)
         t1, t2 = self.table, other.table
@@ -664,23 +611,48 @@ class ExactMatrix:
         return ExactMatrix._of(N, table, (flat[i * n:(i + 1) * n] for i in range(m)),
                                self.den * other.den)
 
-    def _check_fold(self, pi: Sequence[int]) -> None:
-        """ValueError unless pi is an involution of range(n) and self is
-        symmetric and fixed by pi: self[i, j] = self[j, i] = self[pi i, pi j],
-        compared as table indices."""
+    def fold_blocks(self, pi: Sequence[int], diag: Sequence[CycNumber]) -> tuple:
+        """The blocks of S diag(x) S for S = self, symmetric and fixed by an
+        involution pi, and a diagonal x that pi fixes, with the rows of S
+        folded over pi: (alpha, beta, reps, m).
+
+        R holds the m pair representatives (i < pi i), F the fixed points,
+        and reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on
+        reps (so 2 S[r][k] on F); row r of Q (r in R) is q_r[k] = S[r][k] -
+        S[r][pi k] on R.  With w = x_k/2 on R and x_k/4 on F, each block is
+        one row of an ExactMatrix:
+            alpha = P diag(w) P^T   (reps x reps, upper triangle),
+            beta  = Q diag(w) Q^T   (R x R, upper triangle; None when R is empty).
+        For r, c in reps, S[r][c] = S[pi r][pi c] = alpha + beta and
+        S[r][pi c] = S[pi r][c] = alpha - beta, where beta drops out when r
+        or c is a fixed point.  They cost n+^3/2 + n-^3/2 multiplications,
+        n+ = |R| + |F| and n- = |R|, against n^3/2 unfolded; with pi the
+        identity, alpha is the half-product.  ValueError unless pi is an
+        involution of range(n) and S is symmetric and fixed by pi
+        (S[i, j] = S[j, i] = S[pi i, pi j], compared as table indices), and
+        when pi moves x: S diag(x) S then has a third block, which alpha and
+        beta do not give.
+        """
         n, idx = self.nrows, self.index
         if sorted(pi) != list(range(n)) or any(pi[pi[i]] != i for i in range(n)):
             raise ValueError("pi must be an involution of the rows")
         if not self.is_square() or any(idx[i][j] != idx[j][i] or idx[i][j] != idx[pi[i]][pi[j]]
                                        for i in range(n) for j in range(i, n)):
             raise ValueError("folding needs a symmetric matrix fixed by pi")
-
-    def folding(self, pi: Sequence[int]) -> Folding:
-        """self folded over the involution pi, for any number of products
-        self diag(x) self with x fixed by pi (Folding), after checking that
-        self is symmetric and fixed by pi (_check_fold)."""
-        self._check_fold(pi)
-        return Folding(self, pi)
+        _check_length(diag, n)
+        R = [i for i in range(n) if i < pi[i]]
+        if any(diag[k] != diag[pi[k]] for k in R):
+            raise ValueError("the diagonal must be fixed by pi")
+        reps = R + [i for i in range(n) if i == pi[i]]
+        images = [pi[k] for k in reps]
+        m = len(R)
+        P = self.submatrix(reps, reps) + self.submatrix(reps, images)
+        w = [diag[k] / (2 if a < m else 4) for a, k in enumerate(reps)]
+        alpha = P.dots(P, _upper(len(reps)), w)
+        if not m:
+            return alpha, None, reps, m
+        Q = self.submatrix(R, R) - self.submatrix(R, images[:m])
+        return alpha, Q.dots(Q, _upper(m), w[:m]), reps, m
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"
@@ -695,11 +667,8 @@ class CycPoly:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[CycNumber]):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim(list(coeffs))))
 
     def __setattr__(self, *a):
         raise AttributeError("CycPoly is immutable")
@@ -723,31 +692,14 @@ class CycPoly:
         return hash((self.order, self.coeffs))
 
     def __mul__(self, other: "CycPoly") -> "CycPoly":
-        if self.is_zero() or other.is_zero():
-            return CycPoly(self.order, ())
-        zero = CycNumber.zero(self.order)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + c * d
-        return CycPoly(self.order, out)
+        return CycPoly(self.order, _convolve(self.coeffs, other.coeffs, CycNumber.zero(self.order)))
 
     def divmod(self, d: "CycPoly") -> tuple["CycPoly", "CycPoly"]:
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        zero = CycNumber.zero(self.order)
-        r = list(self.coeffs)
-        dd = d.degree
         lead_inv = d.coeffs[-1].inverse()
-        q = [zero] * max(len(r) - dd, 0)
-        for i in range(len(r) - dd - 1, -1, -1):
-            c = r[i + dd]
-            if not c.is_zero():
-                c = c * lead_inv
-                q[i] = c
-                for j, x in enumerate(d.coeffs):
-                    r[i + j] = r[i + j] - c * x
+        q, r = _long_divide(self.coeffs, d.coeffs, lambda c: c * lead_inv,
+                            CycNumber.zero(self.order))
         return CycPoly(self.order, q), CycPoly(self.order, r)
 
     def monic(self) -> "CycPoly":

@@ -28,7 +28,6 @@ from .exactnum import (
 from .matrix import (
     CycPoly,
     ExactMatrix,
-    Folding,
     SignedSqrtMatrix,
     _dots,
     _galois_table,
@@ -394,11 +393,11 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     power of zeta, or S2 is not graded as below, the reference chain
     decides.
 
-    (iv)  J~ = J~^T: ExactMatrix.folding, which folds J~ over pi for S0,
-          raises ValueError when it does not hold, or when pi moves J~.
+    (iv)  J~ = J~^T: ExactMatrix.fold_blocks, which folds J~ over pi for
+          S0, raises ValueError when it does not hold, or when pi moves J~.
     (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is D^-1
-          (_s0_is_d_inverse, on the two blocks of the folding; ValueError
-          when pi moves D).  The folding is dropped once S0 is decided.
+          (_s0_is_d_inverse, on the two blocks of the fold; ValueError
+          when pi moves D).
     (ii)  With E = D T (rep.e) = sum_c zeta^c E_c, S2 = J~ E J~ is the sum
           of zeta^c J~ E_c J~, one half-product per c (its upper triangle,
           over the columns where E_c is nonzero), as S4's are below.  S2
@@ -435,7 +434,7 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     try:
         jt = rep.jtilde.descend(M)
         d = [x.descend(M) for x in rep.jcols]
-        if not _s0_is_d_inverse(jt.folding(rep.basis.swap), d):
+        if not _s0_is_d_inverse(jt, rep.basis.swap, d):
             return False
     except ValueError:
         return False
@@ -498,9 +497,10 @@ def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],
     return ExactMatrix.from_vectors(M, rows, den)
 
 
-def _s0_is_d_inverse(f: Folding, d: list[CycNumber]) -> bool:
-    """S0 = J~ D J~ = D^-1, decided on the blocks of the folding f of J~;
-    ValueError (Folding.blocks) when pi moves D.
+def _s0_is_d_inverse(jt: ExactMatrix, pi: tuple[int, ...], d: list[CycNumber]) -> bool:
+    """S0 = J~ D J~ = D^-1, decided on the blocks of J~ folded over pi;
+    ValueError (ExactMatrix.fold_blocks) when J~ is not symmetric and fixed
+    by pi, or when pi moves D.
 
     S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in R,
     and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff the
@@ -508,9 +508,9 @@ def _s0_is_d_inverse(f: Folding, d: list[CycNumber]) -> bool:
     (r in R) or 1 (r in F) and beta_rr d_r = 1/2: the n diagonal entries
     times d against those values.
     """
-    m, reps = f.pairs, f.reps
+    *blocks, reps, m = jt.fold_blocks(pi, d)
     half = Fraction(1, 2)
-    for blk, size in zip(f.blocks(d), (len(reps), m)):
+    for blk, size in zip(blocks, (len(reps), m)):
         at = 0                          # the position of (a, a) in the upper triangle
         for a in range(size):
             if (blk[0, at] * d[reps[a]] != (half if a < m else 1)

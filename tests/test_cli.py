@@ -308,6 +308,16 @@ def test_trace_table(capsys):
     code, out = run(capsys, "trace-table", "--levels", "3,5")
     assert code == 0
     assert "4.2361" in out and "10.5429" in out
+    # the JSON holds each trace's doubles once, in trace.approx: the values
+    # the table prints
+    code, js = run(capsys, "--format", "json", "trace-table", "--levels", "3,5")
+    assert code == 0
+    entries = json.loads(js)["entries"]
+    assert [e["level"] for e in entries] == [3, 5]
+    for e in entries:
+        assert "trace_float" not in e
+        assert e["trace"]["approx"][1] == 0.0
+        assert f"tr = {e['trace']['approx'][0]:10.4f}" in out
 
 
 def test_infinite_image_r3(capsys):

@@ -37,7 +37,6 @@ from tljhecke.exactnum import (
 )
 from tljhecke.matrix import (
     ExactMatrix,
-    Folding,
     char_poly,
     det_mod,
     matmul_mod,
@@ -872,20 +871,20 @@ def sandwich_cases(draw):
 
 def _symmetric(N, n, upper):
     """The symmetric n x n ExactMatrix whose upper triangle is the one row
-    upper, row by row, as Folding.blocks gives alpha and beta (None when
-    n = 0)."""
+    upper, row by row, as ExactMatrix.fold_blocks gives alpha and beta
+    (None when n = 0)."""
     it = iter(upper.rows[0] if upper is not None else ())
     entries = {(i, j): next(it) for i in range(n) for j in range(i, n)}
     return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
 
 
-def _unfolded(f, x):
-    """S diag(x) S for the S that the folding f holds, read from its blocks
-    entry by entry: S[r, c] = S[pi r, pi c] = alpha + beta and S[r, pi c] =
-    S[pi r, c] = alpha - beta for r, c in reps, beta 0 unless both are in
-    R."""
-    pi, reps, m, N = f.pi, f.reps, f.pairs, f.P.order
-    alpha, beta = (_symmetric(N, k, b) for k, b in zip((len(reps), m), f.blocks(x)))
+def _unfolded(S, pi, x):
+    """S diag(x) S read from the blocks of S folded over pi, entry by entry:
+    S[r, c] = S[pi r, pi c] = alpha + beta and S[r, pi c] = S[pi r, c] =
+    alpha - beta for r, c in reps, beta 0 unless both are in R."""
+    *blocks, reps, m = S.fold_blocks(pi, x)
+    N = S.order
+    alpha, beta = (_symmetric(N, k, b) for k, b in zip((len(reps), m), blocks))
     rows = [[None] * len(pi) for _ in pi]
     for a, r in enumerate(reps):
         for b, c in enumerate(reps):
@@ -899,9 +898,9 @@ def _sandwich(A, pi, d, *later):
     """A diag(d) A from the blocks of A folded over pi, then S diag(x) S
     for each x of later, with S the previous result folded over the
     identity."""
-    S = _unfolded(A.folding(pi), d)
+    S = _unfolded(A, pi, d)
     for x in later:
-        S = _unfolded(Folding(S, range(A.nrows)), x)
+        S = _unfolded(S, range(A.nrows), x)
     return S
 
 
@@ -1022,15 +1021,14 @@ def test_fold_blocks_give_every_entry(case):
     # alpha and beta give every entry of A diag(x) A for a diagonal that pi
     # fixes (_unfolded); a diagonal that pi moves is a ValueError
     A, pi, moved, fixed_by_pi, _ = case
-    f = A.folding(pi)
-    reps, m = f.reps, f.pairs
+    _, beta, reps, m = A.fold_blocks(pi, fixed_by_pi)
     assert sorted(reps) == sorted(i for i in range(A.nrows) if i <= pi[i])
     assert all(i < pi[i] for i in reps[:m]) and all(i == pi[i] for i in reps[m:])
-    assert (f.blocks(fixed_by_pi)[1] is None) == (m == 0)
-    assert _unfolded(f, fixed_by_pi) == _product(A, fixed_by_pi)
+    assert (beta is None) == (m == 0)
+    assert _unfolded(A, pi, fixed_by_pi) == _product(A, fixed_by_pi)
     if any(moved[k] != moved[pi[k]] for k in range(A.nrows)):
         with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
-            f.blocks(moved)
+            A.fold_blocks(pi, moved)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1042,7 +1040,8 @@ def test_identity_folding_blocks_are_the_upper_triangle(case):
     n = A.nrows
     for d in (moved, fixed_by_pi):
         S = _product(A, d)
-        alpha, beta = Folding(S, range(n)).blocks(y)
+        alpha, beta, reps, m = S.fold_blocks(range(n), y)
+        assert (reps, m) == (list(range(n)), 0)
         Sy = _product(S, y)
         assert _as_cyc(alpha) == [Sy[i, j] for i in range(n) for j in range(i, n)]
         assert beta is None
@@ -1094,24 +1093,24 @@ def test_fold_rejects_what_pi_does_not_fix():
     one = CycNumber.one(12)
     A = ExactMatrix(12, [[z, one, z], [one, z, z], [z, z, one]])
     swap = [1, 0, 2]
-    assert A.folding(swap).pairs == 1
+    assert A.fold_blocks(swap, [z, z, one])[3] == 1
     assert _sandwich(A, swap, [z, z, one]) == _product(A, [z, z, one])
     with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
-        A.folding(swap).blocks([z, one, z])
+        A.fold_blocks(swap, [z, one, z])
     B = ExactMatrix(12, [[z, one, z], [one, z, one], [z, one, one]])
-    with pytest.raises(ValueError, match="fixed by pi"):
-        B.folding(swap)
+    with pytest.raises(ValueError, match="symmetric matrix fixed by pi"):
+        B.fold_blocks(swap, [z, z, one])
     assert _sandwich(B, range(3), [z] * 3) == _product(B, [z] * 3)
     for bad in ([1, 2, 0], [0, 1], [0, 0, 2]):
         with pytest.raises(ValueError, match="pi must be"):
-            A.folding(bad)
+            A.fold_blocks(bad, [z, z, one])
 
 
 def test_sandwich_rejects_asymmetric_matrix():
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z - 1, z]])
     with pytest.raises(ValueError, match="symmetric"):
-        A.folding(range(2))
+        A.fold_blocks(range(2), [z, z])
 
 
 @pytest.mark.parametrize("length", [1, 3])
@@ -1121,9 +1120,8 @@ def test_diagonal_length_must_match(length):
     z = CycNumber.zeta(12)
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
-    f = A.folding(range(2))
-    chained = Folding(_sandwich(A, range(2), [z, z]), range(2))
-    for call in (lambda: f.blocks(d), lambda: chained.blocks(d),
+    chained = _sandwich(A, range(2), [z, z])
+    for call in (lambda: A.fold_blocks(range(2), d), lambda: chained.fold_blocks(range(2), d),
                  lambda: A.scale_cols(d), lambda: A.scale_rows(d),
                  lambda: A.dots(A, [(0, 0)], d)):
         with pytest.raises(ValueError, match=f"length {length} where 2 "):
@@ -1497,7 +1495,7 @@ def test_equal_matrices_have_one_form(case):
                   A - A, A.transpose()):
             assert _unique_form(X)
     S = ExactMatrix(N, sym)
-    assert _unique_form(S.folding(range(len(sym))).blocks(d)[0])
+    assert _unique_form(S.fold_blocks(range(len(sym)), d)[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from tljhecke.exactnum import (
     split_primes,
     square_subfield_order,
 )
-from tljhecke.matrix import CycPoly, ExactMatrix, Folding, char_poly, residue_matrix
+from tljhecke.matrix import CycPoly, ExactMatrix, char_poly, residue_matrix
 from tljhecke.recoupling import (
     NotAdmissible,
     TheoryParams,
@@ -480,6 +480,22 @@ def test_relations_fail_with_conjugated_twist(monkeypatch):
     assert not rpt.all_pass
 
 
+@pytest.mark.parametrize("r, k", [(1, 7), (4, 5), (7, 7)])
+def test_relations_fail_with_jtilde_times_a_cube_root_of_unity(monkeypatch, r, k):
+    # J~ -> omega J~, omega = zeta^(N/3), at a root that is not unitary:
+    # J'^2 = omega^2 I, yet S4 still matches (omega^4 = omega), J~ and D
+    # stay in K and fixed by the swap, and no conjugation check runs off
+    # the unitary root, so only the diagonal values of S0 = J~ D J~ tell
+    P = TheoryParams(r).with_root(k)
+    N = P.root_order
+    assert N % 3 == 0 and not P.is_unitary_root
+    rep = genus2_rep(P)
+    bad = replace(rep, jtilde=rep.jtilde.scale(CycNumber.zeta(N, N // 3)))
+    monkeypatch.setattr(rep_genus2, "genus2_rep", lambda params: bad)
+    rpt = _fast_vs_reference(monkeypatch, P)
+    assert [it.passed for it in rpt.items] == [False, False, True]
+
+
 def _reference_report(monkeypatch, P):
     """The report of the full product chain, with the folded path off."""
     with monkeypatch.context() as m:
@@ -521,9 +537,8 @@ def _folded_vs_half_product(rep):
     d = [x.descend(M) for x in rep.jcols]
     s0 = dict(zip(upper, jt.dots(jt, upper, d).rows[0]))
     s0.update({(b, a): v for (a, b), v in s0.items()})
-    f = jt.folding(pi)
-    alpha, beta = f.blocks(d)
-    reps, R = f.reps, f.reps[:f.pairs]
+    alpha, beta, reps, m = jt.fold_blocks(pi, d)
+    R = reps[:m]
     assert list(alpha.rows[0]) == [(s0[r, c] + s0[r, pi[c]]) / 2
                                    for a, r in enumerate(reps) for c in reps[a:]], rep.params
     assert list(beta.rows[0] if R else ()) == [(s0[r, c] - s0[r, pi[c]]) / 2
@@ -611,21 +626,21 @@ def test_swap_bumps_take_their_own_paths(monkeypatch, r):
     # a bump that the swap fixes passes the fold's precondition and the
     # folded S0 itself rejects it, before S2 is formed; one that the swap
     # does not fix is refused by the fold, and so is a D that the swap
-    # moves (Folding.blocks), so the product chain decides
+    # moves (ExactMatrix.fold_blocks), so the product chain decides
     rep = genus2_rep(TheoryParams(r))
     pi, d = rep.basis.swap, rep.jcols
     kept = _swap_bump(rep, keep=True)
-    kept.folding(pi).blocks(d)
+    kept.fold_blocks(pi, d)
     with monkeypatch.context() as m:
         m.setattr(rep_genus2, "_regrade", lambda *a: pytest.fail("S0 decides"))
         assert not rep_genus2._relations_hold(replace(rep, jtilde=kept))
     broken = _swap_bump(rep, keep=False)
     assert broken == broken.transpose()
-    with pytest.raises(ValueError, match="fixed by pi"):
-        broken.folding(pi)
+    with pytest.raises(ValueError, match="symmetric matrix fixed by pi"):
+        broken.fold_blocks(pi, d)
     assert not rep_genus2._relations_hold(replace(rep, jtilde=broken))
     with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
-        rep.jtilde.folding(pi).blocks(_d_moved(rep))
+        rep.jtilde.fold_blocks(pi, _d_moved(rep))
     assert not rep_genus2._relations_hold(replace(rep, jcols=_d_moved(rep)))
 
 
@@ -748,43 +763,29 @@ def test_regrade_checks_the_grading(r):
 
 def test_passing_relations_make_no_full_product(monkeypatch):
     # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24);
-    # one folding of J~ over the swap (one symmetry check, one call of
-    # blocks) decides S0 = J~ D J~, and S2 and S4 are half-products, one
-    # per part E_c and one per part W_c, over the columns where that part
-    # is nonzero.  Every packed dot runs on phi(12) = 4 digits, and the
-    # phi-weighted multiplications are at most those of the two S0 blocks
-    # (n+ = |R| + |F| and n- = |R|) and of n(n+1)/2 dots over the kept
-    # columns of each half-product, with the products that scale the
-    # columns of each right operand.  The product chain runs only when
-    # some relation fails
+    # one fold of J~ over the swap (one call of fold_blocks, which checks
+    # the symmetry once) decides S0 = J~ D J~, and S2 and S4 are
+    # half-products, one per part E_c and one per part W_c, over the
+    # columns where that part is nonzero.  Every packed dot runs on
+    # phi(12) = 4 digits, and the phi-weighted multiplications are at most
+    # those of the two S0 blocks (n+ = |R| + |F| and n- = |R|) and of
+    # n(n+1)/2 dots over the kept columns of each half-product, with the
+    # products that scale the columns of each right operand.  The product
+    # chain runs only when some relation fails
     P = TheoryParams(4)
     rep = genus2_rep(P)
-    calls = {"matmul": 0, "check": 0, "folding": 0, "blocks": 0}
+    calls = {"matmul": 0}
     folded_over = []
     digits, work = set(), [0]
-    matmul, check, folding, init, blocks, dots = (
-        ExactMatrix.__matmul__, ExactMatrix._check_fold, ExactMatrix.folding,
-        Folding.__init__, Folding.blocks, matrix._dots)
+    matmul, fold_blocks, dots = ExactMatrix.__matmul__, ExactMatrix.fold_blocks, matrix._dots
 
     def counting_matmul(self, other):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    def counting_check(self, *args):
-        calls["check"] += 1
-        return check(self, *args)
-
-    def counting_folding(self, *args):
-        calls["folding"] += 1
-        return folding(self, *args)
-
-    def recording_init(self, S, pi):
+    def recording_fold_blocks(self, pi, diag):
         folded_over.append(tuple(pi))
-        return init(self, S, pi)
-
-    def counting_blocks(self, *args):
-        calls["blocks"] += 1
-        return blocks(self, *args)
+        return fold_blocks(self, pi, diag)
 
     def counting_dots(N, phi, A, B, length, pairs):
         pairs = list(pairs)
@@ -792,13 +793,10 @@ def test_passing_relations_make_no_full_product(monkeypatch):
         work[0] += phi * length * len(pairs)
         return dots(N, phi, A, B, length, pairs)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(ExactMatrix, "_check_fold", counting_check)
-    monkeypatch.setattr(ExactMatrix, "folding", counting_folding)
-    monkeypatch.setattr(Folding, "__init__", recording_init)
-    monkeypatch.setattr(Folding, "blocks", counting_blocks)
+    monkeypatch.setattr(ExactMatrix, "fold_blocks", recording_fold_blocks)
     monkeypatch.setattr(matrix, "_dots", counting_dots)
     assert verify_genus2_relations(P).all_pass
-    assert calls == {"matmul": 0, "check": 1, "folding": 1, "blocks": 1}
+    assert calls == {"matmul": 0}
 
     pi = enumerate_basis(4).swap
     n = len(pi)
