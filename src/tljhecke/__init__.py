@@ -1,6 +1,13 @@
 """Exact Temperley-Lieb-Jones recoupling data, modular data, and the
 genus-1/genus-2 projective Hecke-group representations, with exact
 cyclotomic arithmetic throughout.
+
+The names of `sl2_hecke` (Hecke-group words, presentation checks,
+Thurston's construction) and `spin` (spin structures and the r = 4l+2
+decomposition), and the two modules themselves, load on first use:
+`tljhecke.thurston_rep` or `from tljhecke import spin_dims` imports the
+module then, so that importing the package, or `tljhecke.cli`, does not
+pay for them.
 """
 
 from .exactnum import (
@@ -45,25 +52,29 @@ from .rep_genus2 import (
     trace_table,
     verify_genus2_relations,
 )
-from .sl2_hecke import (
-    MulticurveData,
-    NotPrimitive,
-    SL2Matrix,
-    classify,
-    eval_word,
-    hecke_generators,
-    hyperelliptic_image_check,
-    thurston_rep,
-    verify_presentation,
-)
-from .spin import (
-    NotApplicable,
-    QuadraticForm,
-    arf,
-    flat_spin_parity,
-    orbit_counts,
-    reducibility_report,
-    spin_dims,
-)
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it (or is it), imported on first use
+_ON_DEMAND = {
+    **dict.fromkeys(("sl2_hecke", "MulticurveData", "NotPrimitive", "SL2Matrix", "classify",
+                     "eval_word", "hecke_generators", "hyperelliptic_image_check",
+                     "thurston_rep", "verify_presentation"), "sl2_hecke"),
+    **dict.fromkeys(("spin", "NotApplicable", "QuadraticForm", "arf", "flat_spin_parity",
+                     "orbit_counts", "reducibility_report", "spin_dims"), "spin"),
+}
+
+
+def __getattr__(name):
+    module = _ON_DEMAND.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_ON_DEMAND})

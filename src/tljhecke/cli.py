@@ -15,7 +15,6 @@ ints).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -43,15 +42,6 @@ from .rep_genus2 import (
     trace_table,
     verify_genus2_relations,
 )
-from .sl2_hecke import (
-    eval_word,
-    classify,
-    hyperelliptic_image_check,
-    read_graph_file,
-    thurston_rep,
-    verify_presentation,
-)
-from .spin import NotApplicable, flat_parity, orbit_counts, reducibility_report, spin_dims
 from itertools import product
 
 OUTPUT_CLOSED = 1
@@ -191,6 +181,7 @@ def _emit(args, doc: dict, pretty: Callable[[], list[str]],
     elif fmt == "csv":
         if csv_rows is None:
             raise ValueError("csv output not available for this command")
+        import csv
         w = csv.writer(sys.stdout)
         for row in csv_rows:
             w.writerow(row)
@@ -322,6 +313,7 @@ def cmd_infinite_image(args) -> int:
 
 
 def cmd_hecke_sl2(args) -> int:
+    from .sl2_hecke import classify, eval_word, hyperelliptic_image_check, verify_presentation
     if args.word:
         M = eval_word(args.word, args.q)
         doc = {"q": args.q, "word": args.word,
@@ -344,6 +336,7 @@ def cmd_hecke_sl2(args) -> int:
 
 
 def cmd_thurston(args) -> int:
+    from .sl2_hecke import read_graph_file, thurston_rep
     with open(args.graph) as fh:
         data = read_graph_file(fh.read())
     rep = thurston_rep(data)
@@ -364,6 +357,7 @@ def cmd_thurston(args) -> int:
 
 
 def cmd_spin_dims(args) -> int:
+    from .spin import NotApplicable, flat_parity, orbit_counts, reducibility_report, spin_dims
     r, g = args.level, args.genus
     d0 = spin_dims(r, g, 0)
     d1 = spin_dims(r, g, 1)

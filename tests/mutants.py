@@ -24,9 +24,11 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXACTNUM = "src/tljhecke/exactnum.py"
 MATRIX = "src/tljhecke/matrix.py"
 GENUS2 = "src/tljhecke/rep_genus2.py"
 TESTS = "tests/test_rep_genus2.py::"
+PERTURBED = TESTS + "test_relations_fast_path_on_perturbed_reps"
 
 # the S0 check of _s0_is_d_inverse: the diagonal values, then the zeros off
 # the diagonal, of each block of the fold
@@ -34,6 +36,10 @@ S0_CHECK = ("            if (blk[0, at] * d[reps[a]] != (half if a < m else 1)\n
             "                    or any(")
 S0_BOTH = S0_CHECK + "any(blk.table[k]) for k in blk.index[0][at + 1:at + size - a])):"
 CUBE_ROOT = TESTS + "test_relations_fail_with_jtilde_times_a_cube_root_of_unity"
+# the descents of J~ and D into K, inside the try of _relations_hold
+DESCENDS = ("    try:\n"
+            "        jt = rep.jtilde.descend(M)\n"
+            "        d = [x.descend(M) for x in rep.jcols]\n")
 
 MUTANTS = [
     # ExactMatrix.fold_blocks: J~ symmetric and fixed by the swap
@@ -73,6 +79,33 @@ MUTANTS = [
      "    k = cyclotomic_factor(quartic)",
      "    k = None",
      TESTS + "test_minpoly_certificate_rejects_cyclotomic_factor"),
+    # _relations_hold: kappa^4, then each twist, a power of zeta
+    (GENUS2, "    if None in logs:", "    if None in logs[1:]:", PERTURBED + "[kappa-non-unit-2]"),
+    (GENUS2, "    if None in logs:", "    if None in logs[:1]:", PERTURBED + "[T-non-unit-3]"),
+    # _relations_hold: J~, then D, descends to K
+    (GENUS2, DESCENDS,
+     "    jt = rep.jtilde.descend(M)\n"
+     "    try:\n"
+     "        d = [x.descend(M) for x in rep.jcols]\n",
+     PERTURBED + "[jtilde-not-in-K-2]"),
+    (GENUS2, DESCENDS,
+     "    d = [x.descend(M) for x in rep.jcols]\n"
+     "    try:\n"
+     "        jt = rep.jtilde.descend(M)\n",
+     PERTURBED + "[D-not-in-K-2]"),
+    # CycNumber.real_sign: doubles the bits until the value exceeds its error
+    (EXACTNUM,
+     "            if abs(re) > err:\n"
+     "                return 1 if re > 0 else -1\n"
+     "            bits *= 2\n",
+     "            return 1 if re > 0 else -1\n",
+     "tests/test_exactnum.py::test_real_sign_escalates_on_near_zero_reals[5-120]"),
+    # _split: a slice whose worker sent no complete slice is computed here
+    (MATRIX,
+     "                part = residues(islice(it, cuts[s] - done, cuts[s + 1] - done))\n"
+     "                done = cuts[s + 1]\n",
+     "                part = []\n",
+     "tests/test_exactnum.py::test_split_recomputes_what_a_worker_did_not_send[2-exit]"),
 ]
 
 

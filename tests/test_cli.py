@@ -89,7 +89,9 @@ def test_relation_checks_take_no_square_root(capsys):
 def test_verify_and_certify_do_not_import_numpy():
     # exact jobs never pay numpy's import (about 12 MB of RSS and 150 ms):
     # every command but thurston (the one float eigen-solver) at r <= 4, in
-    # json and in pretty output, leaves numpy unimported
+    # json and in pretty output, leaves numpy unimported.  Importing the cli
+    # loads neither sl2_hecke, spin nor csv; hecke-sl2, spin-dims and the csv
+    # run then import them on demand
     argvs = [["dims"], ["dims", "--genus", "3", "--levels", "2,3,4"],
              ["trace-table", "--levels", "3"], ["spin-dims", "--level", "2", "--genus", "2"],
              ["hecke-sl2", "--q", "5", "--word", "A B A^-1 J"],
@@ -100,8 +102,12 @@ def test_verify_and_certify_do_not_import_numpy():
             argvs.append([cmd, "--level", str(r)])
         argvs.append(["genus2-matrices", "--level", str(r), "--raw"])
     runs = [[*fmt, *argv] for argv in argvs for fmt in (["--format", "json"], [])]
+    runs.append(["--format", "csv", "dims", "--levels", "3,5"])
     prog = ("import sys\n"
             "from tljhecke.cli import main\n"
+            "early = [m for m in ('tljhecke.sl2_hecke', 'tljhecke.spin', 'csv') if m in sys.modules]\n"
+            "if early:\n"
+            "    sys.exit(f'imported with tljhecke.cli: {early}')\n"
             f"for argv in {runs!r}:\n"
             "    assert main(argv) == 0, argv\n"
             "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n")
@@ -109,6 +115,57 @@ def test_verify_and_certify_do_not_import_numpy():
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+# the public names of the package, by the module that defines each
+_PUBLIC_API = {
+    "exactnum": "CycNumber IntPolynomial LaurentFraction LaurentPoly NonMonic PoleAtRoot "
+                "Rational cyclotomic_poly is_cyclotomic specialize",
+    "matrix": "CycPoly ExactMatrix SignedSqrtMatrix char_poly",
+    "recoupling": "NotAdmissible NotInteger TheoryParams admissible color_set delta "
+                  "global_constants qfact qint sixj tet theta_net twist verlinde_dim",
+    "rep_genus1": "modular_data s_matrix t_matrix verify_genus1_relations",
+    "rep_genus2": "coupling_a coupling_a_bar enumerate_basis genus2_rep "
+                  "infinite_image_certificate jtilde t_genus2 trace_jtjt trace_table "
+                  "verify_genus2_relations",
+    "report": "",
+    "sl2_hecke": "MulticurveData NotPrimitive SL2Matrix classify eval_word hecke_generators "
+                 "hyperelliptic_image_check thurston_rep verify_presentation",
+    "spin": "NotApplicable QuadraticForm arf flat_spin_parity orbit_counts "
+            "reducibility_report spin_dims",
+}
+
+
+def test_public_api_resolves_on_demand():
+    # in a fresh process, where importing the package has loaded neither
+    # sl2_hecke nor spin: each module and each public name resolves as an
+    # attribute and through from-import (which loads sl2_hecke and spin on
+    # first use), is the module's own object and is listed by dir; an
+    # unknown name raises an AttributeError that names it
+    prog = ("import importlib, sys\n"
+            "import tljhecke\n"
+            "early = [m for m in ('tljhecke.sl2_hecke', 'tljhecke.spin') if m in sys.modules]\n"
+            "assert not early, early\n"
+            f"for module, names in {_PUBLIC_API!r}.items():\n"
+            "    for name in [module, *names.split()]:\n"
+            "        ns = {}\n"
+            "        exec(f'from tljhecke import {name}', ns)\n"
+            "        want = importlib.import_module(f'tljhecke.{module}')\n"
+            "        if name != module:\n"
+            "            want = getattr(want, name)\n"
+            "        assert ns[name] is want and getattr(tljhecke, name) is want, name\n"
+            "        assert name in dir(tljhecke), name\n"
+            "try:\n"
+            "    tljhecke.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('tljhecke.no_such_name resolved')\n")
+    src = os.path.dirname(os.path.dirname(tljhecke.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", prog], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
 
 

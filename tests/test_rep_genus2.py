@@ -598,6 +598,11 @@ def _tscaled(rep, i):
     return tuple(t)
 
 
+def _kappa_doubled(rep):
+    gc = rep.constants
+    return replace(rep, constants=replace(gc, kappa_squared=gc.kappa_squared * 2))
+
+
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("change", [
     lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(0, 1), (1, 0)])),
@@ -608,12 +613,19 @@ def _tscaled(rep, i):
     lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=True)),
     lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=False)),
     lambda rep: replace(rep, jcols=_d_moved(rep)),
+    _kappa_doubled,
+    lambda rep: replace(rep, jtilde=rep.jtilde.scale(CycNumber.zeta(rep.params.root_order))),
+    lambda rep: replace(rep, jcols=tuple(c.times_zeta(1) for c in rep.jcols)),
 ], ids=["symmetric", "asymmetric", "diagonal", "conj-T", "T-non-unit",
-        "swap-fixed", "swap-broken", "D-swap-broken"])
+        "swap-fixed", "swap-broken", "D-swap-broken", "kappa-non-unit",
+        "jtilde-not-in-K", "D-not-in-K"])
 def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
     # a broken representation falls through to the product chain: the
     # report, every witness included, is the reference one, and it fails
-    # (at r = 4, conj(T) still satisfies the relations, so r <= 3 here)
+    # (at r = 4, conj(T) still satisfies the relations, so r <= 3 here).
+    # _relations_hold refuses kappa^4 or a twist that is not a power of
+    # zeta before any product, and so, at even r, J~ or D times zeta, which
+    # lies outside K = Q(A^2)
     for P in (TheoryParams(r), TheoryParams(r).with_root(1)):
         bad = change(genus2_rep(P))
         with monkeypatch.context() as m:
