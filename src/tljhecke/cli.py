@@ -1,27 +1,33 @@
 """Command-line front end.
 
+The options and subcommands are declared once, in COMMANDS and
+GLOBAL_OPTIONS.  A command line is read straight from that table; argparse
+is imported, and its parser built from the same table, only for help and for
+a command line the table reading defers (a usage error, or a spelling such
+as an abbreviated option), so help and usage-error texts are argparse's.
+
 Exit status: 0 on success, 1 when standard output closes before everything
 is written (its reader, say `head`, has exited; no traceback is printed), 2
-on usage errors (argparse, invalid levels or roots, csv output for a command
-without a table), 3 when a requested verification fails, 4 when an internal
-invariant fails (an ArithmeticError such as NotInteger: a bug, not bad
-input).  Output formats: json (machine readable, bit-exact serialization,
-the same text as json.dump with indent=2; it is streamed to stdout as it is
-written, and each distinct cyclotomic value is serialized once), csv
-(tables), pretty (human readable; each printed number is the exact value
-rounded to the requested precision, from a fixed-point evaluation on Python
-ints).
+on usage errors (bad arguments, invalid levels or roots, csv output for a
+command without a table, refused before any work), 3 when a requested
+verification fails, 4 when an internal invariant fails (an ArithmeticError
+such as NotInteger: a bug, not bad input).  Output formats: json (machine
+readable, bit-exact serialization, the same text as json.dump with indent=2;
+it is streamed to stdout as it is written, and each distinct cyclotomic
+value is serialized once), csv (tables), pretty (human readable; each
+printed number is the exact value rounded to the requested precision, from
+a fixed-point evaluation on Python ints).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from decimal import MAX_PREC, Context, Decimal
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .exactnum import CycNumber, cyc_to_json
 from .matrix import SignedSqrtMatrix
@@ -43,6 +49,9 @@ from .rep_genus2 import (
     verify_genus2_relations,
 )
 from itertools import product
+
+if TYPE_CHECKING:
+    import argparse
 
 OUTPUT_CLOSED = 1
 USAGE_ERROR = 2
@@ -171,16 +180,15 @@ def _write_json(doc, write: Callable[[str], object]) -> None:
 
 def _emit(args, doc: dict, pretty: Callable[[], list[str]],
           csv_rows: list[list] | None = None) -> None:
-    """Write doc as json (streamed by _write_json), csv_rows as csv, or the
-    lines pretty() builds; the pretty text, which evaluates embeddings, is
-    built only when it is printed."""
+    """Write doc as json (streamed by _write_json), csv_rows as csv (main
+    has refused --format csv for a command without them), or the lines
+    pretty() builds; the pretty text, which evaluates embeddings, is built
+    only when it is printed."""
     fmt = getattr(args, "format", "pretty")
     if fmt == "json":
         _write_json(doc, sys.stdout.write)
         sys.stdout.write("\n")
     elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output not available for this command")
         import csv
         w = csv.writer(sys.stdout)
         for row in csv_rows:
@@ -433,6 +441,15 @@ def cmd_coefficients(args) -> int:
 
 
 # --------------------------------------------------------------------------
+# the command table: build_parser() builds argparse from it for help and
+# usage errors, and _match() reads every other command line from it
+
+def _type_error(message: str) -> Exception:
+    """argparse's ArgumentTypeError, so that the usage error names the
+    option; argparse is imported only on that path and in build_parser."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
 
 def _precision(raw: str) -> int:
     """--precision: a digit count, so a usage error names the option when it
@@ -440,9 +457,9 @@ def _precision(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        raise _type_error(f"invalid int value: {raw!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+        raise _type_error(f"must be at least 0, not {value}")
     return value
 
 
@@ -452,80 +469,157 @@ def _levels_list(raw: str) -> list[int]:
     try:
         return [int(x) for x in raw.split(",") if x.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {raw!r}") from None
+        raise _type_error(f"invalid comma-separated int list: {raw!r}") from None
+
+
+class _Option(NamedTuple):
+    """One option: a store_true flag, or one value converted by type (a str
+    default too, as argparse converts it) and checked against choices."""
+
+    name: str
+    type: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    flag: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """A subcommand, its options, and whether --format csv has a table for it."""
+
+    name: str
+    help: str
+    options: tuple[_Option, ...]
+    csv: bool = False
+
+    @property
+    def handler(self) -> Callable:
+        """cmd_<name>, hyphens as underscores, looked up when called."""
+        return globals()["cmd_" + self.name.replace("-", "_")]
+
+
+_LEVEL = _Option("--level", int, required=True)
+_ROOT = _Option("--root", int, 0)
+_LEVELS = _Option("--levels", _levels_list, "3,5,7,9,11,13")
+
+GLOBAL_OPTIONS = (
+    _Option("--format", default="pretty", choices=("json", "csv", "pretty")),
+    _Option("--precision", _precision, 6, help="digits for pretty float output"),
+)
+
+COMMANDS = (
+    _Command("dims", "Verlinde dimensions", (_Option("--genus", int, 2), _LEVELS), csv=True),
+    _Command("modular-data", "genus-1 S and T matrices",
+             (_LEVEL, _ROOT._replace(help="Galois exponent (default unitary)"))),
+    _Command("genus2-matrices", "genus-2 J and T matrices",
+             (_LEVEL, _ROOT,
+              _Option("--raw", default=False, flag=True,
+                      help="emit J~ and the unnormalized matrix instead of the "
+                           "unitary normalization"))),
+    _Command("verify", "run the exact relation suites",
+             (_Option("--genus", int, 0, choices=(0, 1, 2), help="1, 2, or 0 for both"),
+              _LEVEL, _ROOT)),
+    _Command("trace-table", "traces of JTJT^-1 at A=e^(i pi/(r+2))", (_LEVELS,), csv=True),
+    _Command("infinite-image", "infinite-image certificates",
+             (_LEVEL,
+              _ROOT._replace(help="Galois exponent at even levels; ignored at odd levels, "
+                                  "where the certificates run at the trace root (exponent 1)"))),
+    _Command("hecke-sl2", "Hecke group word evaluation / presentation checks",
+             (_Option("--q", int, required=True), _Option("--word", help='e.g. "A B A^-1 J"'),
+              _Option("--hyperelliptic", default=False, flag=True))),
+    _Command("thurston", "Perron-Frobenius data of a multicurve graph file",
+             (_Option("--graph", required=True),)),
+    _Command("spin-dims", "spin-structure dimension decomposition",
+             (_LEVEL, _Option("--genus", int, required=True)), csv=True),
+    _Command("coefficients", "dump Delta/theta/Theta/Tet/6j tables", (_LEVEL, _ROOT)),
+)
+
+_BY_NAME = {c.name: c for c in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    def add(parser, options) -> None:
+        for o in options:
+            if o.flag:
+                parser.add_argument(o.name, action="store_true", help=o.help)
+            else:
+                parser.add_argument(o.name, type=o.type, default=o.default,
+                                    required=o.required, choices=o.choices, help=o.help)
+
     ap = argparse.ArgumentParser(
         prog="tljhecke",
         description="Exact recoupling data and Hecke-group representations "
                     "on TQFT spaces of genus 1 and 2.")
-    ap.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    ap.add_argument("--precision", type=_precision, default=6,
-                    help="digits for pretty float output")
+    add(ap, GLOBAL_OPTIONS)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="Verlinde dimensions")
-    p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--levels", type=_levels_list, default="3,5,7,9,11,13")
-    p.set_defaults(fn=cmd_dims)
-
-    p = sub.add_parser("modular-data", help="genus-1 S and T matrices")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--root", type=int, default=0, help="Galois exponent (default unitary)")
-    p.set_defaults(fn=cmd_modular_data)
-
-    p = sub.add_parser("genus2-matrices", help="genus-2 J and T matrices")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--root", type=int, default=0)
-    p.add_argument("--raw", action="store_true", default=False,
-                   help="emit J~ and the unnormalized matrix instead of the "
-                        "unitary normalization")
-    p.set_defaults(fn=cmd_genus2_matrices)
-
-    p = sub.add_parser("verify", help="run the exact relation suites")
-    p.add_argument("--genus", type=int, choices=(0, 1, 2), default=0,
-                   help="1, 2, or 0 for both")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--root", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("trace-table", help="traces of JTJT^-1 at A=e^(i pi/(r+2))")
-    p.add_argument("--levels", type=_levels_list, default="3,5,7,9,11,13")
-    p.set_defaults(fn=cmd_trace_table)
-
-    p = sub.add_parser("infinite-image", help="infinite-image certificates")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--root", type=int, default=0,
-                   help="Galois exponent at even levels; ignored at odd levels, "
-                        "where the certificates run at the trace root (exponent 1)")
-    p.set_defaults(fn=cmd_infinite_image)
-
-    p = sub.add_parser("hecke-sl2", help="Hecke group word evaluation / presentation checks")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--word", default=None, help='e.g. "A B A^-1 J"')
-    p.add_argument("--hyperelliptic", action="store_true")
-    p.set_defaults(fn=cmd_hecke_sl2)
-
-    p = sub.add_parser("thurston", help="Perron-Frobenius data of a multicurve graph file")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(fn=cmd_thurston)
-
-    p = sub.add_parser("spin-dims", help="spin-structure dimension decomposition")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.set_defaults(fn=cmd_spin_dims)
-
-    p = sub.add_parser("coefficients", help="dump Delta/theta/Theta/Tet/6j tables")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--root", type=int, default=0)
-    p.set_defaults(fn=cmd_coefficients)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        add(p, cmd.options)
+        p.set_defaults(fn=cmd.handler)
     return ap
 
 
+def _read(options: tuple[_Option, ...], argv: list[str], i: int, ns: dict) -> int | None:
+    """Store in ns each of options given in argv from index i on, up to the
+    first token that is none of them, and the default of each one not given;
+    return that token's index.  None where argparse must decide: a repeated
+    option, a value that is missing or starts with "-", a failed conversion
+    or choice, or a required option not given."""
+    left = {o.name: o for o in options}
+    while i < len(argv) and argv[i] in left:
+        o = left.pop(argv[i])
+        i += 1
+        if o.flag:
+            ns[o.dest] = True
+            continue
+        if i == len(argv) or argv[i].startswith("-"):
+            return None
+        try:
+            value = o.type(argv[i]) if o.type else argv[i]
+        except Exception:
+            # argparse calls the type again and reports the failure
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        ns[o.dest] = value
+        i += 1
+    for o in left.values():
+        if o.required:
+            return None
+        ns[o.dest] = o.type(o.default) if o.type and isinstance(o.default, str) else o.default
+    return i
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read from the
+    command table without argparse; None for help, for any usage error, and
+    for the spellings argparse also reads but this does not: an abbreviated
+    option, --opt=value, --, or a global option after the command."""
+    ns: dict = {}
+    i = _read(GLOBAL_OPTIONS, argv, 0, ns)
+    if i is None or i == len(argv) or argv[i] not in _BY_NAME:
+        return None
+    cmd = _BY_NAME[argv[i]]
+    if _read(cmd.options, argv, i + 1, ns) != len(argv):
+        return None
+    return SimpleNamespace(**ns, command=cmd.name, fn=cmd.handler)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    if args.format == "csv" and not _BY_NAME[args.command].csv:
+        print("error: csv output not available for this command", file=sys.stderr)
+        return USAGE_ERROR
     try:
         code = args.fn(args)
         sys.stdout.flush()

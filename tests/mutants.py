@@ -27,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXACTNUM = "src/tljhecke/exactnum.py"
 MATRIX = "src/tljhecke/matrix.py"
 GENUS2 = "src/tljhecke/rep_genus2.py"
+CLI = "src/tljhecke/cli.py"
 TESTS = "tests/test_rep_genus2.py::"
 PERTURBED = TESTS + "test_relations_fast_path_on_perturbed_reps"
 
@@ -106,6 +107,29 @@ MUTANTS = [
      "                done = cuts[s + 1]\n",
      "                part = []\n",
      "tests/test_exactnum.py::test_split_recomputes_what_a_worker_did_not_send[2-exit]"),
+    # _modulus: Phi_N(2**width) exceeds twice every packed vector of its digits
+    (MATRIX, "    if 2 * top >= M:", "    if False:",
+     "tests/test_exactnum.py::test_modulus_refuses_a_width_too_small_for_its_digits"),
+    # TraceEntry.exceeds_dimension: only a real trace is compared with dim V
+    (GENUS2,
+     "        return self.value.is_real() and (self.value - self.dimension).real_sign() > 0",
+     "        return (self.value - self.dimension).real_sign() > 0",
+     TESTS + "test_exceeds_dimension_needs_a_real_trace"),
+    # cli._read: a value its type refuses is left to argparse's usage error
+    (CLI,
+     "        except Exception:\n"
+     "            # argparse calls the type again and reports the failure\n"
+     "            return None\n",
+     "        except Exception:\n"
+     "            value = argv[i]\n",
+     "tests/test_cli.py::test_negative_precision_is_usage_error"),
+    # cli._read: a required option not given is left to argparse's usage error
+    (CLI,
+     "        if o.required:\n"
+     "            return None\n",
+     "        if False:\n"
+     "            return None\n",
+     "tests/test_cli.py::test_usage_error_exit_code"),
 ]
 
 

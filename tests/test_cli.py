@@ -1,6 +1,8 @@
 """Tests for the command-line front end: dispatch, formats, exit codes."""
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from decimal import MAX_PREC, Context, Decimal
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tljhecke
 import tljhecke.rep_genus2 as rep_genus2
@@ -91,7 +93,9 @@ def test_verify_and_certify_do_not_import_numpy():
     # every command but thurston (the one float eigen-solver) at r <= 4, in
     # json and in pretty output, leaves numpy unimported.  Importing the cli
     # loads neither sl2_hecke, spin nor csv; hecke-sl2, spin-dims and the csv
-    # run then import them on demand
+    # run then import them on demand.  Every command line here is read from
+    # the command table, so argparse (and the gettext and locale it loads)
+    # is never imported
     argvs = [["dims"], ["dims", "--genus", "3", "--levels", "2,3,4"],
              ["trace-table", "--levels", "3"], ["spin-dims", "--level", "2", "--genus", "2"],
              ["hecke-sl2", "--q", "5", "--word", "A B A^-1 J"],
@@ -110,6 +114,9 @@ def test_verify_and_certify_do_not_import_numpy():
             "    sys.exit(f'imported with tljhecke.cli: {early}')\n"
             f"for argv in {runs!r}:\n"
             "    assert main(argv) == 0, argv\n"
+            "parser = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "if parser:\n"
+            "    sys.exit(f'imported on the happy path: {parser}')\n"
             "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n")
     src = os.path.dirname(os.path.dirname(tljhecke.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -294,14 +301,110 @@ def test_bad_levels_is_usage_error_naming_the_option(capsys):
     assert code == 0 and out.split() == ["5", "14"]
 
 
+def _parsed_by_argparse(argv):
+    """vars() of build_parser().parse_args(argv), or None where argparse
+    exits (help or a usage error)."""
+    from tljhecke.cli import build_parser
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _valid_value(option):
+    from tljhecke import cli
+    if option.choices is not None:
+        return st.sampled_from([str(c) for c in option.choices])
+    return {int: st.integers(0, 30).map(str), cli._precision: st.integers(0, 30).map(str),
+            cli._levels_list: st.sampled_from(["3,5", ",", " 3, 5 ", "7"]),
+            None: st.sampled_from(["graph.txt", "A B A^-1 J", ""])}[option.type]
+
+
+# tokens that make a command line argparse refuses or reads in a spelling
+# the command table does not
+_DEFECT_TOKENS = ["x", "-1", "3.5", "xml", "5", "-h", "--help", "--lev", "--level=3", "--",
+                  "--format", "--level", "--raw", "--genus", "verify", "dims", "-", ""]
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, valid): a command line of the table's options in any order,
+    valid before up to two defects: a token inserted, replaced or deleted,
+    an option repeated, or a global option after the command."""
+    from tljhecke.cli import COMMANDS, GLOBAL_OPTIONS
+
+    def options(table):
+        argv = []
+        for o in draw(st.permutations([o for o in table if o.required or draw(st.booleans())])):
+            argv += [o.name] if o.flag else [o.name, draw(_valid_value(o))]
+        return argv
+    cmd = draw(st.sampled_from(COMMANDS))
+    argv = options(GLOBAL_OPTIONS) + [cmd.name] + options(cmd.options)
+    defects = draw(st.lists(st.sampled_from(["insert", "replace", "delete", "repeat", "global"]),
+                            max_size=2))
+    for defect in defects:
+        i = draw(st.integers(0, len(argv)))
+        if defect == "insert":
+            argv.insert(i, draw(st.sampled_from(_DEFECT_TOKENS)))
+        elif defect == "replace" and i < len(argv):
+            argv[i] = draw(st.sampled_from(_DEFECT_TOKENS))
+        elif defect == "delete" and i < len(argv):
+            del argv[i]
+        elif defect == "repeat":
+            names = [k for k, a in enumerate(argv) if a.startswith("--")]
+            if names:
+                k = draw(st.sampled_from(names))
+                argv += argv[k:k + 2]
+        elif defect == "global":
+            argv += draw(st.sampled_from([["--format", "json"], ["--precision", "3"]]))
+    return argv, not defects
+
+
+@example((["--format", "json", "verify", "--genus", "0", "--level", "6", "--root", "5"], True))
+@example((["verify", "--lev", "3"], False))
+@example((["verify", "--level=3"], False))
+@example((["verify", "--level", "2", "--level", "3"], False))
+@example((["verify", "--level", "2", "--format", "json"], False))
+@example((["verify", "--genus", "5", "--level", "2"], False))
+@example((["--precision", "x", "dims"], False))
+@example((["verify", "--level"], False))
+@example((["thurston", "--graph", "-h"], False))
+@example((["hecke-sl2", "--q", "5", "--word", "--hyperelliptic"], False))
+@example((["verify"], False))
+@example((["-h"], False))
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_table_reading_agrees_with_argparse(case):
+    # a command line read without argparse gives exactly argparse's
+    # namespace; wherever argparse exits (help, a usage error) the table
+    # reading defers to it, and it reads every valid line it generates
+    from tljhecke.cli import _match
+    argv, valid = case
+    got = _match(argv)
+    if valid:
+        assert got is not None, argv
+    if got is not None:
+        assert vars(got) == _parsed_by_argparse(argv), argv
+
+
 def test_invalid_level_is_usage_error(capsys):
     code, _ = run(capsys, "verify", "--level", "0")
     assert code == 2
 
 
-def test_csv_without_table_is_usage_error(capsys):
+def test_csv_without_table_is_usage_error(capsys, tmp_path):
     code, _ = run(capsys, "--format", "csv", "modular-data", "--level", "2")
     assert code == 2
+    # the refusal comes before any work (the relation checks of --level 10
+    # take seconds) and before a missing thurston graph file is opened
+    start = time.perf_counter()
+    code = main(["--format", "csv", "verify", "--level", "10"])
+    assert time.perf_counter() - start < 1.0
+    refusal = "error: csv output not available for this command\n"
+    assert (code, *capsys.readouterr()) == (2, "", refusal)
+    code = main(["--format", "csv", "thurston", "--graph", str(tmp_path / "none.txt")])
+    assert (code, *capsys.readouterr()) == (2, "", refusal)
 
 
 def test_internal_invariant_failure_exit_code(capsys, monkeypatch):
