@@ -33,7 +33,7 @@ from .exactnum import CycNumber, cyc_to_json
 from .matrix import SignedSqrtMatrix
 from .recoupling import (
     TheoryParams,
-    _tet_and_sixj_at,
+    _tet_and_sixj_tables,
     admissible,
     color_set,
     delta_at,
@@ -133,20 +133,23 @@ def _write_json(doc, write: Callable[[str], object]) -> None:
     makes for them (encode_basestring_ascii, int.__repr__); every other
     scalar goes through json.dumps.  The text of a CycNumber leaf is built
     once per distinct (value, depth) in this call and reused for every
-    repeat."""
+    repeat; a dict writes such a value without a call of put."""
     memo: dict[tuple, str] = {}
+
+    def leaf(x: CycNumber, depth: int) -> str:
+        key = (x.order, x.den, x.vec, depth)
+        text = memo.get(key)
+        if text is None:
+            parts: list[str] = []
+            put(cyc_to_json(x), depth, parts.append)
+            text = memo[key] = "".join(parts)
+        return text
 
     def put(x, depth: int, write) -> None:
         if type(x) is int:
             write(int.__repr__(x))
         elif isinstance(x, CycNumber):
-            key = (x.order, x.den, x.vec, depth)
-            text = memo.get(key)
-            if text is None:
-                parts: list[str] = []
-                put(cyc_to_json(x), depth, parts.append)
-                text = memo[key] = "".join(parts)
-            write(text)
+            write(leaf(x, depth))
         elif isinstance(x, dict):
             if not x:
                 write("{}")
@@ -157,8 +160,13 @@ def _write_json(doc, write: Callable[[str], object]) -> None:
                 # a non-str key is coerced to a string as json.dumps does it
                 key = (encode_basestring_ascii(k) if isinstance(k, str)
                        else json.dumps({k: 0})[1:-4])
+                # key and value are two writes: one string of both would be
+                # built anew for every entry
                 write(sep + key + ": ")
-                put(v, depth + 1, write)
+                if isinstance(v, CycNumber):
+                    write(leaf(v, depth + 1))
+                else:
+                    put(v, depth + 1, write)
                 sep = "," + inner
             write("\n" + "  " * depth + "}")
         elif isinstance(x, (list, tuple)):
@@ -410,7 +418,9 @@ def _admissible_tets(r: int) -> list[tuple[int, ...]]:
 
 
 def cmd_coefficients(args) -> int:
-    """Dump tables of Delta, theta, Theta, Tet, 6j at one level and root."""
+    """Dump tables of Delta, theta, Theta, Tet, 6j at one level and root; the
+    Tet and 6j tables of the admissible labelings are packed passes over
+    distinct values (recoupling._tet_and_sixj_tables)."""
     params = _params(args)
     r = params.level
     cs = color_set(r)
@@ -420,15 +430,7 @@ def cmd_coefficients(args) -> int:
     for t in product(cs, repeat=3):
         if admissible(r, *t):
             thetas[",".join(map(str, t))] = theta_at(params, *t)
-    # one pass: the labeling (A,B,E,C,D,F) gives Tet(A,B,E,C,D,F) and the 6j
-    # symbol {A B F; C D E}, whose Tet it is; the 6j table is printed sorted
-    tets, sixj_by_label = {}, {}
-    for t in _admissible_tets(r):
-        A, B, E, C, D, F = t
-        tet, sixj = _tet_and_sixj_at(params, *t)
-        tets[",".join(map(str, t))] = tet
-        sixj_by_label[A, B, F, C, D, E] = sixj
-    sixjs = {",".join(map(str, s)): sixj_by_label[s] for s in sorted(sixj_by_label)}
+    tets, sixjs = _tet_and_sixj_tables(params, _admissible_tets(r))
     doc = {"level": r,
            "root": {"order": params.root_order, "exponent": params.root_exponent},
            "delta": deltas, "twist": twists, "theta": thetas,

@@ -157,17 +157,29 @@ class IntPolynomial:
 def cyclotomic_poly(N: int) -> IntPolynomial:
     """The N-th cyclotomic polynomial Phi_N, monic of degree phi(N).
 
-    Computed by dividing x^N - 1 by Phi_d for every proper divisor d | N.
+    Computed in closed form as the Moebius product
+    prod_{k | rad N} (x^(N/k) - 1)^mu(k): one multiplication by each binomial
+    with mu(k) = 1, then one exact division by each with mu(k) = -1, each
+    linear in the degree.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    poly = IntPolynomial([-1] + [0] * (N - 1) + [1])
-    for d in range(1, N):
-        if N % d == 0:
-            poly, rem = poly.divmod_monic(cyclotomic_poly(d))
-            if not rem.is_zero():
-                raise ArithmeticError(f"Phi_{d} does not divide x^{N} - 1 (bug)")
-    return poly
+    primes = _prime_factors(N)
+    ups, downs = [], []
+    for mask in range(1 << len(primes)):
+        k = math.prod(q for i, q in enumerate(primes) if mask >> i & 1)
+        (downs if mask.bit_count() % 2 else ups).append(N // k)
+    cs = [1]
+    for m in ups:                       # cs (x^m - 1)
+        cs = [0] * m + cs
+        for i in range(len(cs) - m):
+            cs[i] -= cs[i + m]
+    for m in downs:                     # cs / (x^m - 1): q_i = q_(i-m) - c_i
+        q = cs[:len(cs) - m]
+        for i in range(len(q)):
+            q[i] = (q[i - m] if i >= m else 0) - q[i]
+        cs = q
+    return IntPolynomial(cs)
 
 
 def cyclotomic_factor(p: IntPolynomial) -> int | None:

@@ -36,12 +36,14 @@ are memoized per TheoryParams, each distinct value once:
   and checks admissibility, which the key does not encode;
 * _sixj_pair_at holds one 6j value per (_tet_key, weight key) pair, the
   weight key being k and the unordered pairs {i, m}, {j, l} that
-  Delta_k / (Theta(i,m,k) Theta(j,l,k)) reads: one product per pair (552
-  pairs for the 1,680 labelings at r=6).  sixj_at checks admissibility
-  through tet_at and keeps a per-labeling memo in front of it, for library
-  callers; coupling_a_at reads the orbit and weight memos, and the
-  coefficient tables read both memos directly through _tet_and_sixj_at,
-  one labeling at a time, and leave no per-labeling entry.
+  Delta_k / (Theta(i,m,k) Theta(j,l,k)) reads (_sixj_weight_key).  sixj_at
+  checks admissibility through tet_at and keeps a per-labeling memo in
+  front of it, for library callers; coupling_a_at reads the orbit and
+  weight memos.  The coefficient tables (_tet_and_sixj_tables) read only
+  the orbit memo and the Delta and 1/Theta values, and form the weights
+  and 6j symbols in packed passes over distinct value pairs
+  (matrix._products): at r=6, 295 distinct (Tet value, weight value) pairs
+  for the 1,680 labelings.
 
 The generic path memoizes per labeling, so it stays an independent
 reference.  Caches are write-once per key and idempotent, so concurrent
@@ -64,6 +66,7 @@ from .exactnum import (
     cyclotomic_poly,
     euler_phi,
 )
+from .matrix import _over_lcm, _products, _tabulate
 
 Color = int
 
@@ -600,14 +603,47 @@ def _sixj_weight_at(params: TheoryParams, k, a, b, c, d) -> CycNumber:
     return delta_at(params, k) * theta_inv_at(params, a, b, k) * theta_inv_at(params, c, d, k)
 
 
-def _tet_and_sixj_at(params: TheoryParams, A, B, E, C, D, F) -> tuple[CycNumber, CycNumber]:
-    """Tet(A,B,E,C,D,F) and the 6j symbol {A B F; C D E}, whose Tet it is, for
-    a labeling whose four vertices the caller has checked.  Both are read from
-    the orbit and pair memos, so a table of every labeling adds no
-    per-labeling memo entry."""
-    tkey = _tet_key(A, B, E, C, D, F)
-    return (_tet_orbit_at(params, *tkey),
-            _sixj_pair_at(params, tkey, _sixj_weight_key(F, A, B, C, D)))
+def _tet_and_sixj_tables(params: TheoryParams, labelings) -> tuple[dict, dict]:
+    """The Tet table of labelings (A,B,E,C,D,F) whose four vertices the
+    caller has checked, keyed "A,B,E,C,D,F", and the table of the 6j symbols
+    {A B F; C D E}, whose Tet each one is, keyed "A,B,F,C,D,E" in sorted
+    order: packed passes over distinct values, as J~ assembly is.
+
+    One pass over the labelings numbers each one's Tet orbit and weight key,
+    in the order first seen, and forms both keys from strings made once per
+    color.  The weights Delta_k / (Theta(a,b,k) Theta(c,d,k)) are two
+    matrix._products passes, over distinct (Delta, 1/Theta) and then
+    (partial, 1/Theta) value pairs; the 6j table is one pass over distinct
+    (Tet value, weight value) pairs, and each distinct 6j value becomes a
+    CycNumber once.  No per-labeling memo entry is made."""
+    N = params.root_order
+    name = {i: str(i) for i in color_set(params.level)}
+    tet_names, labels, orbits, weights = [], [], {}, {}
+    for t in labelings:
+        A, B, E, C, D, F = t
+        a, b, e, c, d, f = map(name.__getitem__, t)
+        o = orbits.setdefault(_tet_key(*t), len(orbits))
+        tet_names.append((f"{a},{b},{e},{c},{d},{f}", o))
+        labels.append(((A, B, F, C, D, E), f"{a},{b},{f},{c},{d},{e}", o,
+                       weights.setdefault(_sixj_weight_key(F, A, B, C, D), len(weights))))
+    tet_values = [_tet_orbit_at(params, *key) for key in orbits]
+    t_cells, (t_index,) = _tabulate([tet_values])
+    d_cells, (d_index,) = _tabulate([[delta_at(params, k) for k, *_ in weights]])
+    th_cells, (th_ab, th_cd) = _tabulate([
+        [theta_inv_at(params, a, b, k) for k, a, b, _, _ in weights],
+        [theta_inv_at(params, c, d, k) for k, _, _, c, d in weights]])
+    t_table, t_den = _over_lcm(t_cells)
+    d_table, d_den = _over_lcm(d_cells)
+    th_table, th_den = _over_lcm(th_cells)
+    part, (p_index,) = _products(N, d_table, th_table, [zip(d_index, th_ab)])
+    w_table, (w_index,) = _products(N, part, th_table, [zip(p_index, th_cd)])
+    labels.sort()
+    s_table, (s_index,) = _products(N, t_table, w_table,
+                                    [[(t_index[o], w_index[w]) for *_, o, w in labels]])
+    den = t_den * d_den * th_den * th_den
+    s_cells = [CycNumber(N, v, den) for v in s_table]
+    return ({key: tet_values[o] for key, o in tet_names},
+            {key: s_cells[v] for (_, key, _, _), v in zip(labels, s_index)})
 
 
 # --------------------------------------------------------------------------

@@ -608,7 +608,9 @@ def trace_entry(params: TheoryParams) -> TraceEntry:
 
 
 def trace_table(levels=(3, 5, 7, 9, 11, 13)) -> list[TraceEntry]:
-    return [trace_entry(trace_params(r)) for r in levels]
+    """One entry per level; every level is checked before any is computed."""
+    params = [trace_params(r) for r in levels]
+    return [trace_entry(p) for p in params]
 
 
 def trace_galois_sweep(r: int) -> list[tuple[int, complex]]:

@@ -115,6 +115,9 @@ MUTANTS = [
      "        return self.value.is_real() and (self.value - self.dimension).real_sign() > 0",
      "        return (self.value - self.dimension).real_sign() > 0",
      TESTS + "test_exceeds_dimension_needs_a_real_trace"),
+    # split_primes: a prime dividing the denominator is passed over
+    (EXACTNUM, "        if den % p and _is_prime(p):", "        if _is_prime(p):",
+     "tests/test_exactnum.py::test_split_primes_skip_a_prime_of_the_denominator[10]"),
     # cli._read: a value its type refuses is left to argparse's usage error
     (CLI,
      "        except Exception:\n"

@@ -480,6 +480,16 @@ def test_trace_table(capsys):
         assert f"tr = {e['trace']['approx'][0]:10.4f}" in out
 
 
+def test_trace_table_refuses_an_even_level_before_any_entry(capsys):
+    # the r = 17 entry takes seconds: the even level after it is refused
+    # before that entry is computed
+    start = time.perf_counter()
+    code = main(["trace-table", "--levels", "17,4"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: the trace table is defined for odd levels\n")
+
+
 def test_infinite_image_r3(capsys):
     code, out = run(capsys, "infinite-image", "--level", "3")
     assert code == 0
@@ -542,6 +552,22 @@ def test_coefficients_json(capsys):
     doc = json.loads(out)
     assert cyc_from_json(doc["delta"]["0"]) == 1
     assert set(doc) >= {"delta", "twist", "theta", "tet", "sixj"}
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_coefficient_tables_match_the_library_evaluators(capsys, r):
+    # the packed passes against tet_at and sixj_at, one labeling at a time,
+    # at every unit root
+    from tljhecke.recoupling import sixj_at, tet_at
+    for k in _unit_roots(r):
+        code, out = run(capsys, "--format", "json", "coefficients", "--level", str(r),
+                        "--root", str(k))
+        assert code == 0
+        doc, P = json.loads(out), TheoryParams(r, root_exponent=k)
+        for table, at in (("tet", tet_at), ("sixj", sixj_at)):
+            for key, value in doc[table].items():
+                labels = map(int, key.split(","))
+                assert cyc_from_json(value) == at(P, *labels), (table, key, k)
 
 
 def test_admissible_tets_match_scan():
@@ -719,36 +745,52 @@ def _clear_memos():
 @pytest.mark.parametrize("r", [6, 8])
 def test_coefficients_evaluates_each_tet_orbit_once(capsys, monkeypatch, r):
     # work counts are deterministic where timings are not: a cold coefficients
-    # run sums the Tet state sum once per symmetry orbit and takes few inverses
-    # and products (at r = 6, 2,497 products; 3,625 with one 6j product per
-    # labeling)
-    from tljhecke import recoupling
+    # run sums the Tet state sum once per symmetry orbit, takes few inverses
+    # and field products (at r = 6, 362; 1,346 with one product per (Tet
+    # orbit, weight) pair), and makes one packed product per distinct pair
+    # of values in each of its three passes: (Delta, 1/Theta), (partial,
+    # 1/Theta), and (Tet value, weight value) for the 6j table
+    from tljhecke import matrix, recoupling
     from tljhecke.cli import _admissible_tets
     from tljhecke.exactnum import CycNumber
-    calls, products = [], []
-    inverse, mul = CycNumber.inverse, CycNumber.__mul__
+    calls, products, passes = [], [], []
+    inverse, mul, dots = CycNumber.inverse, CycNumber.__mul__, matrix._dots
 
     def counted(self):
         calls.append(1)
         return inverse(self)
+
+    def packed(N, phi, A, B, length, pairs, count=None):
+        passes.append((length, len(pairs)))
+        return dots(N, phi, A, B, length, pairs, count)
     monkeypatch.setattr(CycNumber, "inverse", counted)
     monkeypatch.setattr(CycNumber, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(matrix, "_dots", packed)
     _clear_memos()
     code, _ = run(capsys, "--format", "json", "coefficients", "--level", str(r))
     assert code == 0
-    orbits = {recoupling._tet_key(*t) for t in _admissible_tets(r)}
+    labelings = _admissible_tets(r)
+    orbits = {recoupling._tet_key(*t) for t in labelings}
     assert recoupling._tet_orbit_at.cache_info().misses == len(orbits)
-    # each 6j symbol {A B F; C D E} is taken once per (Tet orbit, weight) pair,
-    # and the tables make no per-labeling tet_at or sixj_at memo entry
-    pairs = {(recoupling._tet_key(A, B, E, C, D, F), F,
-              tuple(sorted((tuple(sorted((A, D))), tuple(sorted((B, C)))))))
-             for (A, B, E, C, D, F) in _admissible_tets(r)}
-    assert recoupling._sixj_pair_at.cache_info().misses == len(pairs)
+    # the tables make no per-labeling tet_at or sixj_at memo entry, and no
+    # per-(orbit, weight) one
     assert recoupling.tet_at.cache_info().misses == 0
     assert recoupling.sixj_at.cache_info().misses == 0
+    assert recoupling._sixj_pair_at.cache_info().misses == 0
     if r == 6:
         assert len(calls) <= 150, len(calls)
-        assert len(products) <= 2600, len(products)
+        assert len(products) <= 400, len(products)
+    params = TheoryParams(r)
+    weights = {recoupling._sixj_weight_key(F, A, B, C, D) for A, B, E, C, D, F in labelings}
+    ab = {w: (recoupling.delta_at(params, w[0]), recoupling.theta_inv_at(params, *w[1:3], w[0]))
+          for w in weights}
+    cd = {w: (ab[w][0] * ab[w][1], recoupling.theta_inv_at(params, *w[3:], w[0]))
+          for w in weights}
+    tv = {(recoupling._tet_orbit_at(params, *recoupling._tet_key(A, B, E, C, D, F)),
+           recoupling._sixj_weight_at(params, *recoupling._sixj_weight_key(F, A, B, C, D)))
+          for A, B, E, C, D, F in labelings}
+    assert passes == [(1, len(set(ab.values()))), (1, len(set(cd.values()))), (1, len(tv))]
+    assert len(tv) == {6: 295, 8: 1138}[r]
 
 
 # --------------------------------------------------------------------------
@@ -915,7 +957,10 @@ def test_closed_stdout_exits_quietly():
 # The genus2-matrices, modular-data and coefficients digests were pinned
 # again when every approx became the nearest doubles of the exact value
 # (CycNumber.embed) in place of a float sum of cosines: the exact fields
-# are unchanged, and test_json_approx_is_the_nearest_double checks the rest
+# are unchanged, and test_json_approx_is_the_nearest_double checks the rest.
+# The coefficient tables at r = 8, where the weights take more distinct
+# values than at r <= 7, were pinned before the tables became packed passes
+# over distinct values
 
 _JSON_SHA256 = {
     "genus2-matrices --level 2":
@@ -986,6 +1031,10 @@ _JSON_SHA256 = {
         "43366628429d508a24977e64cdc0ed29ab4c9aa42bf99cdf99f3ddfa8b35a6f7",
     "coefficients --level 7 --root 1":
         "aa3023a18ed551d34a1dc0de1369047d4dc699cd0f58ef810d453c490b2e51ea",
+    "coefficients --level 8":
+        "b183481851896683de468bc775a1937d35549f00bdf597a5622f5a77b6577089",
+    "coefficients --level 8 --root 3":
+        "7f83faa3ef12d240915de2ebe05d837bef52b8417a5d220334394407e14ffaf8",
 }
 
 

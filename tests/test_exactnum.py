@@ -82,6 +82,20 @@ def test_cyclotomic_product_is_x_pow_n_minus_one():
         assert prod == want, n
 
 
+def test_cyclotomic_poly_matches_the_division_definition():
+    # the closed-form Moebius product against Phi_N = (x^N - 1) / prod of
+    # Phi_d over the proper divisors d of N, by long division, for N < 400
+    ref = {}
+    for n in range(1, 400):
+        poly = IntPolynomial([-1] + [0] * (n - 1) + [1])
+        for d in range(1, n):
+            if n % d == 0:
+                poly, rem = poly.divmod_monic(ref[d])
+                assert rem.is_zero(), (n, d)
+        ref[n] = poly
+        assert cyclotomic_poly(n) == poly, n
+
+
 def test_is_cyclotomic():
     assert is_cyclotomic(IntPolynomial((1, 1, 1)))          # Phi_3
     assert is_cyclotomic(IntPolynomial((-1, 1)))            # Phi_1
@@ -344,6 +358,15 @@ def test_split_primes_are_split_and_deterministic(N):
         assert all(pow(sp.omega, e, p) != 1 for e in range(1, N))
     # a prime dividing den is passed over
     assert next(split_primes(N, den=6 * first[0])).p == first[1]
+
+
+@pytest.mark.parametrize("N", [10, 16, 24])
+def test_split_primes_skip_a_prime_of_the_denominator(N):
+    # a value over den has no residue mod a prime dividing den, so the
+    # search passes that prime over, even when den is the prime itself
+    first, second = (sp.p for sp, _ in zip(split_primes(N), range(2)))
+    assert next(split_primes(N, den=first)).p == second
+    assert next(split_primes(N, den=first * second)).p not in (first, second)
 
 
 def _trial_division(n):
