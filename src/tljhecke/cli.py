@@ -13,10 +13,10 @@ command without a table, refused before any work), 3 when a requested
 verification fails, 4 when an internal invariant fails (an ArithmeticError
 such as NotInteger: a bug, not bad input).  Output formats: json (machine
 readable, bit-exact serialization, the same text as json.dump with indent=2;
-it is streamed to stdout as it is written, and each distinct cyclotomic
-value is serialized once), csv (tables), pretty (human readable; each
-printed number is the exact value rounded to the requested precision, from
-a fixed-point evaluation on Python ints).
+it is streamed to stdout as it is written, and the text of each distinct
+cyclotomic value is built once, in one piece), csv (tables), pretty (human
+readable; each printed number is the exact value rounded to the requested
+precision, from a fixed-point evaluation on Python ints).
 """
 from __future__ import annotations
 
@@ -129,20 +129,25 @@ def _float_matrix_lines(M, precision: int) -> list[str]:
 def _write_json(doc, write: Callable[[str], object]) -> None:
     """Write doc as json.dump(doc, indent=2) would, piece by piece, where a
     CycNumber leaf stands for cyc_to_json(leaf).  Containers are walked here.
-    A str key and a leaf of exact type int are written by the calls json.dumps
-    makes for them (encode_basestring_ascii, int.__repr__); every other
-    scalar goes through json.dumps.  The text of a CycNumber leaf is built
-    once per distinct (value, depth) in this call and reused for every
-    repeat; a dict writes such a value without a call of put."""
+    A str key, a leaf of exact type int, and the ints and two finite doubles
+    of cyc_to_json are written by the calls json.dumps makes for them
+    (encode_basestring_ascii, int.__repr__, float.__repr__); every other
+    scalar goes through json.dumps.  The text of a CycNumber leaf is built in
+    one piece, once per distinct (value, depth) in this call, and reused for
+    every repeat."""
     memo: dict[tuple, str] = {}
 
     def leaf(x: CycNumber, depth: int) -> str:
         key = (x.order, x.den, x.vec, depth)
         text = memo.get(key)
         if text is None:
-            parts: list[str] = []
-            put(cyc_to_json(x), depth, parts.append)
-            text = memo[key] = "".join(parts)
+            d = cyc_to_json(x)
+            i1 = "\n" + "  " * (depth + 1)
+            i2, i3 = i1 + "  ", i1 + "    "
+            coeffs = ("," + i2).join(f"[{i3}{n!r},{i3}{m!r}{i2}]" for n, m in d["coeffs"])
+            re, im = d["approx"]
+            text = memo[key] = (f'{{{i1}"order": {d["order"]!r},{i1}"coeffs": [{i2}{coeffs}{i1}],'
+                                f'{i1}"approx": [{i2}{re!r},{i2}{im!r}{i1}]\n{"  " * depth}}}')
         return text
 
     def put(x, depth: int, write) -> None:

@@ -26,9 +26,10 @@ are memoized per TheoryParams, each distinct value once:
   q rational.  _qfact_units holds {n}! in that form, one step from {n-1}!,
   and _unit_power holds u_c^e: each u_c is inverted once per root, as
   (1/o) sum_{j<o} j zeta^(cj), with no Galois norm.  A value costs one
-  product per unit present; theta_inv_at (once per sorted triple) and
-  delta_inv_at read the inverse powers, so neither takes
-  CycNumber.inverse, and neither does global_constants;
+  product per unit present; theta_at and theta_inv_at are computed once
+  per sorted triple, and theta_inv_at and delta_inv_at read the inverse
+  powers, so neither takes CycNumber.inverse, and neither does
+  global_constants;
 * _tet_orbit_at holds one Tet value per _tet_key: the sorted vertex
   half-sums, square half-sums and edge colors, the only data the state sum
   reads.  Its classes are the orbits of the tetrahedral symmetry group (145
@@ -546,6 +547,9 @@ def twist_at(params: TheoryParams, i: Color) -> CycNumber:
 
 @lru_cache(maxsize=None)
 def theta_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
+    """Theta(a, b, c), symmetric in a, b, c: computed once per sorted triple."""
+    if not a <= b <= c:
+        return theta_at(params, *sorted((a, b, c)))
     check_admissible(params.level, a, b, c)
     return _factored_value(params, _theta_factored(a, b, c))
 

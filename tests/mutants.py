@@ -35,6 +35,8 @@ PERTURBED = TESTS + "test_relations_fast_path_on_perturbed_reps"
 # the diagonal, of each block of the fold
 S0_CHECK = ("            if (blk[0, at] * d[reps[a]] != (half if a < m else 1)\n"
             "                    or any(")
+S0_OFF_DIAGONAL = ("                    or any(any(blk.table[k]) "
+                   "for k in blk.index[0][at + 1:at + size - a])):")
 S0_BOTH = S0_CHECK + "any(blk.table[k]) for k in blk.index[0][at + 1:at + size - a])):"
 CUBE_ROOT = TESTS + "test_relations_fail_with_jtilde_times_a_cube_root_of_unity"
 # the descents of J~ and D into K, inside the try of _relations_hold
@@ -60,6 +62,9 @@ MUTANTS = [
     (GENUS2, S0_CHECK, "            if (any(", CUBE_ROOT + "[1-7]"),
     (GENUS2, S0_CHECK, "            if (any(", CUBE_ROOT + "[4-5]"),
     (GENUS2, S0_CHECK, "            if (any(", CUBE_ROOT + "[7-7]"),
+    # _s0_is_d_inverse, the zeros off the diagonal alone
+    (GENUS2, S0_OFF_DIAGONAL, "                    or False):",
+     TESTS + "test_s0_check_reads_the_off_diagonal_entries"),
     # _regrade: S2 graded by the middle label
     (GENUS2,
      "        if any(ix[t] in nz for k, (ix, nz) in enumerate(zip(index, nonzero)) if k != c):",

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 from decimal import MAX_PREC, Context, Decimal
 from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -793,6 +794,35 @@ def test_coefficients_evaluates_each_tet_orbit_once(capsys, monkeypatch, r):
     assert len(tv) == {6: 295, 8: 1138}[r]
 
 
+def test_coefficients_evaluates_each_theta_once_per_sorted_triple(capsys, monkeypatch):
+    # Theta is symmetric: a cold coefficients run evaluates it once per
+    # sorted admissible triple (23 at r = 6, against 84 ordered triples),
+    # and every permutation of a triple returns the same object
+    from itertools import permutations, product
+    from tljhecke import recoupling
+    theta_code = recoupling.theta_at.__wrapped__.__code__
+    calls = []
+    factored_value = recoupling._factored_value
+
+    def counted(params, f):
+        if sys._getframe(1).f_code is theta_code:
+            calls.append(1)
+        return factored_value(params, f)
+    monkeypatch.setattr(recoupling, "_factored_value", counted)
+    _clear_memos()
+    code, out = run(capsys, "--format", "json", "coefficients", "--level", "6")
+    assert code == 0
+    assert len(json.loads(out)["theta"]) == 84
+    assert len(calls) == 23
+    for r in range(1, 7):
+        P = TheoryParams(r)
+        cs = recoupling.color_set(r)
+        for t in product(cs, repeat=3):
+            if recoupling.admissible(r, *t):
+                x = recoupling.theta_at(P, *sorted(t))
+                assert all(recoupling.theta_at(P, *u) is x for u in permutations(t))
+
+
 # --------------------------------------------------------------------------
 # JSON output: the streaming writer against json.dumps(indent=2)
 
@@ -880,7 +910,15 @@ _json_leaves = st.one_of(
     st.booleans(), st.none(), st.integers(), st.integers(min_value=2 ** 64),
     st.integers(max_value=-1), st.sampled_from(_Flag), st.floats(),
     st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]), _json_text,
-    st.sampled_from([CycNumber(5, [1, -2, 0, 3]), CycNumber.zeta(12, 5)]))
+    st.sampled_from([CycNumber(5, [1, -2, 0, 3]), CycNumber.zeta(12, 5),
+                     # a denominator that only some coefficients share a factor with
+                     CycNumber(12, [1, 2, 3, 4], den=6),
+                     # a rational value: its imaginary part is 0.0
+                     CycNumber(8, [Fraction(7, 3), 0, 0, 0]),
+                     CycNumber(7, [0] * 6),
+                     CycNumber(5, [2 ** 70 + 1, -(3 ** 50), 0, 5], den=7),
+                     # a negative real value, 2 cos(4 pi / 5)
+                     CycNumber.zeta(5, 2) + CycNumber.zeta(5, 3)]))
 _json_keys = st.one_of(_json_text, st.integers(), st.floats(), st.booleans(), st.none(),
                        st.sampled_from(_Flag))
 _json_docs = st.recursive(
@@ -893,8 +931,8 @@ _json_docs = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_docs)
 def test_json_writer_matches_json_dumps(doc):
-    # the keys and int leaves written without json.dumps are byte for byte
-    # what json.dumps writes for them
+    # the keys, int leaves and CycNumber texts written without json.dumps
+    # are byte for byte what json.dumps writes for them
     from tljhecke.cli import _write_json
     parts = []
     _write_json(doc, parts.append)
@@ -1035,6 +1073,8 @@ _JSON_SHA256 = {
         "b183481851896683de468bc775a1937d35549f00bdf597a5622f5a77b6577089",
     "coefficients --level 8 --root 3":
         "7f83faa3ef12d240915de2ebe05d837bef52b8417a5d220334394407e14ffaf8",
+    "coefficients --level 10":
+        "66dc7702cbeb511201e01298979fa0fcb213f11e88006f2bd33a28393fd26cb4",
 }
 
 

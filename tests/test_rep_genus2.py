@@ -656,6 +656,20 @@ def test_swap_bumps_take_their_own_paths(monkeypatch, r):
     assert not rep_genus2._relations_hold(replace(rep, jcols=_d_moved(rep)))
 
 
+def test_s0_check_reads_the_off_diagonal_entries():
+    # J~ = [[4/5, 3/5], [3/5, 4/5]] with D = I and the identity swap:
+    # S0 = J~^2 = [[1, 24/25], [24/25, 1]] has D^-1's diagonal, so only the
+    # off-diagonal test of _s0_is_d_inverse can reject it
+    q = lambda x: CycNumber(5, [x, 0, 0, 0])
+    jt = ExactMatrix(5, [[q(Fraction(4, 5)), q(Fraction(3, 5))],
+                         [q(Fraction(3, 5)), q(Fraction(4, 5))]])
+    d = [q(1), q(1)]
+    s0 = jt.scale_cols(d) @ jt
+    assert [s0[i, i] for i in range(2)] == d
+    assert s0[0, 1] == q(Fraction(24, 25))
+    assert not rep_genus2._s0_is_d_inverse(jt, (0, 1), d)
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_relations_fast_path_on_phase_conjugated_rep(monkeypatch, r):
     # J' -> L J' L^-1 with L = diag(zeta^i) keeps J^2 = I and (TJ)^5 but
