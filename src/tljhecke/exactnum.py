@@ -44,17 +44,25 @@ class NonMonic(ValueError):
 # --------------------------------------------------------------------------
 # integer polynomials (dense, constant term first)
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """phi(n) = n prod_{p | n} (1 - 1/p), for n >= 0."""
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, in increasing order, by trial
+    division up to sqrt(n)."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 def power(x, n: int, one):
@@ -350,44 +358,21 @@ class LaurentPoly:
 
 
 def _int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive-PRS gcd of two primitive integer polynomials (dense lists)."""
-
-    def prim(p):
-        g = 0
-        for c in p:
-            g = math.gcd(g, c)
-        if g in (0, 1):
-            return list(p)
-        return [c // g for c in p]
-
+    """Primitive-PRS gcd of two primitive integer polynomials (dense lists),
+    with a positive leading coefficient."""
     a, b = _trim(list(a)), _trim(list(b))
-    if not a:
-        return prim(b)
-    if not b:
-        return prim(a)
     if len(a) < len(b):
         a, b = b, a
-    a, b = prim(a), prim(b)
     while b:
-        # pseudo-remainder of a by b
-        r = list(a)
+        # pseudo-remainder of a by b: lead^k a, k = deg a - deg b + 1, has an
+        # integral quotient; its content is divided out
         lead = b[-1]
-        db = len(b) - 1
-        while len(r) - 1 >= db and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            shift_e = len(r) - 1 - db
-            c = r[-1]
-            r = [x * lead for x in r]
-            for j, bc in enumerate(b):
-                r[shift_e + j] -= c * bc
-            r = _trim(r)
-        a, b = b, prim(r)
-    g = prim(a)
-    if g and g[-1] < 0:
-        g = [-c for c in g]
-    return g
+        _, r = _long_divide([c * lead ** (len(a) - len(b) + 1) for c in a], b,
+                            lambda c: c // lead, 0)
+        r = _trim(r)
+        g = math.gcd(*r)
+        a, b = b, [c // g for c in r] if g > 1 else r
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -1018,19 +1003,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, in increasing order, by trial
-    division up to sqrt(n)."""
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
 
 
 class SplitPrime:

@@ -11,10 +11,9 @@ state sum (Kauffman-Lins 1994).  Two evaluators consume the terms:
   into Phi_m(A) exponents (_qfact_factored) and materializes the terms
   into the fraction field of Q[A, A^-1];
 * the specialized path (qint_at, theta_at, tet_at, sixj_at and the values
-  built on them) evaluates each term at A = zeta_N^k with _factored_value
-  and _factored_inverse, which decide vanishing and poles at the root from
-  the net count of vanishing factors (_vanishing), and never builds a
-  Laurent fraction.
+  built on them) evaluates each term, or its inverse, at A = zeta_N^k with
+  _factored_at, which decides zeros and poles at the root from the net
+  count of vanishing factors, and never builds a Laurent fraction.
 
 exactnum.specialize takes a generic value to the same field element; the
 tests use it as the reference for the specialized path.  Specialized values
@@ -397,7 +396,7 @@ def sixj(r: int, i: Color, j: Color, k: Color, l: Color, m: Color, n: Color) -> 
 def _qfact_units(params: TheoryParams, n: int) -> tuple:
     """{n}! at the root as (shift, q, units): zeta^shift * q * prod u_c^e
     over units = {c: e}, u_c = zeta_N^c - 1 with 0 < c <= N/2, q rational,
-    its vanishing factors left out (_vanishing counts them).
+    its vanishing factors left out (_factored_at counts them).
 
     {n}! = {n-1}! (A^4n - 1)/(A^4 - 1), and A^4t - 1 is u_c for c = 4kt
     mod N, folded into 0 < c <= N/2 by u_c = -zeta^c u_(N-c), where
@@ -443,21 +442,27 @@ def _unit_power(params: TheoryParams, c: int, e: int) -> CycNumber:
     return CycNumber._raw(N, _power_sum(N, [0] * euler_phi(N), terms), o)
 
 
-def _vanishing(params: TheoryParams, f: _Factored) -> int:
-    """The net power of A^4p - 1 in f: {n}! holds floor(n/p) factors that
-    vanish at the root.  Phi_N divides A^4t - 1 exactly when p | t, and
-    once, so this is also the net power of Phi_N."""
-    p = params.p
-    return sum(e * (n // p) for n, e in f.facts.items())
+def _factored_at(params: TheoryParams, f: _Factored, s: int) -> CycNumber:
+    """f^s at A = zeta_N^k, for s = 1 (the value) or s = -1 (its inverse).
 
-
-def _units_value(params: TheoryParams, f: _Factored, s: int) -> CycNumber:
-    """f^s at A = zeta_N^k for s = 1 or -1, f with no net vanishing factor:
-    the unit exponents of its factorials (_qfact_units) are added up, one
-    memoized power is read per unit present (_unit_power), and the sign
+    The net power of A^4p - 1 in f decides zeros and poles before any power
+    is read: {n}! holds floor(n/p) factors that vanish at the root, and
+    Phi_N divides A^4t - 1 exactly when p | t, and once, so this is also the
+    net power of Phi_N.  A net negative power is a pole for either s; a net
+    positive one makes the value zero and its inverse a ZeroDivisionError,
+    as CycNumber.inverse raises.  Otherwise the unit exponents of the
+    factorials (_qfact_units) are added up, one memoized power is read per
+    unit present (_unit_power), with no Galois norm, and the sign
     (-1 = zeta^(N/2)) and the powers of zeta are one shift of their
     product, which q scales."""
-    N = params.root_order
+    N, p = params.root_order, params.p
+    net = sum(e * (n // p) for n, e in f.facts.items())
+    if net < 0:
+        raise PoleAtRoot(f"pole at zeta_{N}^{params.root_exponent}")
+    if net > 0:
+        if s < 0:
+            raise ZeroDivisionError(f"inverse of zero at zeta_{N}^{params.root_exponent}")
+        return CycNumber.zero(N)
     shift = params.root_exponent * f.apow + (N // 2 if f.sign < 0 else 0)
     q, units = 1, {}
     for n, e in f.facts.items():
@@ -473,34 +478,6 @@ def _units_value(params: TheoryParams, f: _Factored, s: int) -> CycNumber:
     return val if q == 1 else val / q ** -s
 
 
-def _factored_value(params: TheoryParams, f: _Factored) -> CycNumber:
-    """Specialize one factored term at A = zeta_N^k.
-
-    A net vanishing factor (_vanishing) makes the term zero, and a net
-    negative one is a pole; both are decided before any power is read.
-    """
-    net = _vanishing(params, f)
-    if net < 0:
-        raise PoleAtRoot(f"pole at zeta_{params.root_order}^{params.root_exponent}")
-    if net > 0:
-        return CycNumber.zero(params.root_order)
-    return _units_value(params, f, 1)
-
-
-def _factored_inverse(params: TheoryParams, f: _Factored) -> CycNumber:
-    """1 / _factored_value(params, f), from the inverse unit powers: no
-    Galois norm.  A zero value raises ZeroDivisionError, as
-    CycNumber.inverse does, and a pole raises PoleAtRoot, as the value
-    does."""
-    net = _vanishing(params, f)
-    if net > 0:
-        raise ZeroDivisionError(f"inverse of zero at zeta_{params.root_order}^"
-                                f"{params.root_exponent}")
-    if net < 0:
-        raise PoleAtRoot(f"pole at zeta_{params.root_order}^{params.root_exponent}")
-    return _units_value(params, f, -1)
-
-
 @lru_cache(maxsize=None)
 def qint_at(params: TheoryParams, n: int) -> CycNumber:
     """[n] at the root.  [n + p] = A^(2p) [n], and A^(2p) is 1 when N = 2p
@@ -514,7 +491,7 @@ def qint_at(params: TheoryParams, n: int) -> CycNumber:
         return -v if (n // p) % 2 and params.level % 2 == 0 else v
     if n == 0:
         return CycNumber.zero(params.root_order)
-    return _factored_value(params, _qint_factored(n))
+    return _factored_at(params, _qint_factored(n), 1)
 
 
 @lru_cache(maxsize=None)
@@ -529,7 +506,7 @@ def delta_inv_at(params: TheoryParams, i: Color) -> CycNumber:
     level with i <= r, as p = r + 2 divides no i + 1 <= r + 1."""
     if i < 0:
         raise ValueError(f"color {i} is negative")
-    v = _factored_inverse(params, _qint_factored(i + 1))
+    v = _factored_at(params, _qint_factored(i + 1), -1)
     return -v if i % 2 else v
 
 
@@ -551,7 +528,7 @@ def theta_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumber:
     if not a <= b <= c:
         return theta_at(params, *sorted((a, b, c)))
     check_admissible(params.level, a, b, c)
-    return _factored_value(params, _theta_factored(a, b, c))
+    return _factored_at(params, _theta_factored(a, b, c), 1)
 
 
 @lru_cache(maxsize=None)
@@ -560,7 +537,7 @@ def theta_inv_at(params: TheoryParams, a: Color, b: Color, c: Color) -> CycNumbe
     if not a <= b <= c:
         return theta_inv_at(params, *sorted((a, b, c)))
     check_admissible(params.level, a, b, c)
-    return _factored_inverse(params, _theta_factored(a, b, c))
+    return _factored_at(params, _theta_factored(a, b, c), -1)
 
 
 @lru_cache(maxsize=None)
@@ -576,7 +553,7 @@ def _tet_orbit_at(params: TheoryParams, av: tuple, bv: tuple, edges: tuple) -> C
     """The Tet value shared by every labeling with this _tet_key."""
     total = CycNumber.zero(params.root_order)
     for t in _tet_terms(av, bv, edges):
-        total = total + _factored_value(params, t)
+        total = total + _factored_at(params, t, 1)
     return total
 
 

@@ -28,8 +28,10 @@ EXACTNUM = "src/tljhecke/exactnum.py"
 MATRIX = "src/tljhecke/matrix.py"
 GENUS2 = "src/tljhecke/rep_genus2.py"
 CLI = "src/tljhecke/cli.py"
+RECOUPLING = "src/tljhecke/recoupling.py"
 TESTS = "tests/test_rep_genus2.py::"
 PERTURBED = TESTS + "test_relations_fast_path_on_perturbed_reps"
+ZERO_AND_POLE = "tests/test_evaluators.py::test_factored_inverse_of_zero_and_of_a_pole"
 
 # the S0 check of _s0_is_d_inverse: the diagonal values, then the zeros off
 # the diagonal, of each block of the fold
@@ -138,6 +140,11 @@ MUTANTS = [
      "        if False:\n"
      "            return None\n",
      "tests/test_cli.py::test_usage_error_exit_code"),
+    # _factored_at: a net negative power of A^4p - 1 is a pole
+    (RECOUPLING, "    if net < 0:", "    if False:", ZERO_AND_POLE),
+    # _factored_at: a net positive power is a zero, whose inverse is refused
+    (RECOUPLING, "    if net > 0:", "    if False:", ZERO_AND_POLE),
+    (RECOUPLING, "        if s < 0:", "        if False:", ZERO_AND_POLE),
 ]
 
 

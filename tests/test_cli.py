@@ -802,13 +802,13 @@ def test_coefficients_evaluates_each_theta_once_per_sorted_triple(capsys, monkey
     from tljhecke import recoupling
     theta_code = recoupling.theta_at.__wrapped__.__code__
     calls = []
-    factored_value = recoupling._factored_value
+    factored_at = recoupling._factored_at
 
-    def counted(params, f):
+    def counted(params, f, s):
         if sys._getframe(1).f_code is theta_code:
             calls.append(1)
-        return factored_value(params, f)
-    monkeypatch.setattr(recoupling, "_factored_value", counted)
+        return factored_at(params, f, s)
+    monkeypatch.setattr(recoupling, "_factored_at", counted)
     _clear_memos()
     code, out = run(capsys, "--format", "json", "coefficients", "--level", "6")
     assert code == 0

@@ -14,8 +14,7 @@ from tljhecke.exactnum import CycNumber, LaurentFraction, LaurentPoly, PoleAtRoo
 from tljhecke.recoupling import (
     TheoryParams,
     _Factored,
-    _factored_inverse,
-    _factored_value,
+    _factored_at,
     _qfact_ratio,
     _qfact_units,
     _sixj_pair_at,
@@ -196,7 +195,7 @@ def generic_factorial_ratios(nmax):
 def test_factorials_and_binomials_at_every_root():
     # [n]!^(+-1) and [n]!/([m]! [n-m]!) for n <= 3p: from n = p on the
     # factorials vanish at the root, so [n]!^-1 is a pole (PoleAtRoot), and
-    # from _factored_inverse [n]! is the inverse of zero (ZeroDivisionError);
+    # from _factored_at [n]! is the inverse of zero (ZeroDivisionError);
     # a binomial whose vanishing factors cancel keeps a rational limit (t/p)^e
     def at(f, *args):
         try:
@@ -220,14 +219,14 @@ def test_factorials_and_binomials_at_every_root():
             for (ups, downs), at_zeta in cases.items():
                 f = _qfact_ratio(1, ups, downs)
                 want = at_zeta.galois(k)
-                assert _factored_value(P, f) == want, (r, k, ups, downs)
-                inv = at(_factored_inverse, P, f)
+                assert _factored_at(P, f, 1) == want, (r, k, ups, downs)
+                inv = at(_factored_at, P, f, -1)
                 if want == 0:
                     assert inv is ZeroDivisionError, (r, k, ups, downs)
-                    assert at(_factored_value, P, _qfact_ratio(1, downs, ups)) is PoleAtRoot
+                    assert at(_factored_at, P, _qfact_ratio(1, downs, ups), 1) is PoleAtRoot
                 else:
                     assert inv * want == 1, (r, k, ups, downs)
-                    assert _factored_value(P, _qfact_ratio(1, downs, ups)) == inv
+                    assert _factored_at(P, _qfact_ratio(1, downs, ups), 1) == inv
 
 
 def test_inverses_come_from_the_factored_form(monkeypatch):
@@ -263,8 +262,8 @@ def test_factored_inverse_of_zero_and_of_a_pole():
     # raises); colors give neither
     P = TheoryParams(2)
     with pytest.raises(ZeroDivisionError):
-        _factored_inverse(P, _Factored(1, 0, {P.p: 1}))
+        _factored_at(P, _Factored(1, 0, {P.p: 1}), -1)
     with pytest.raises(PoleAtRoot):
-        _factored_inverse(P, _Factored(1, 0, {P.p: -1}))
+        _factored_at(P, _Factored(1, 0, {P.p: -1}), -1)
     with pytest.raises(ValueError):
         delta_inv_at(P, -1)

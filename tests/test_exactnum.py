@@ -30,6 +30,7 @@ from tljhecke.exactnum import (
     descent_step,
     euler_phi,
     is_cyclotomic,
+    laurent_gcd,
     shift_vector,
     specialize,
     split_primes,
@@ -70,6 +71,11 @@ def test_cyclotomic_poly_small():
 def test_cyclotomic_poly_degree_is_phi():
     for n in range(1, 41):
         assert cyclotomic_poly(n).degree == euler_phi(n)
+
+
+def test_euler_phi_counts_the_units():
+    for n in range(2000):
+        assert euler_phi(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1)), n
 
 
 def test_cyclotomic_product_is_x_pow_n_minus_one():
@@ -148,6 +154,33 @@ def test_fraction_bar_is_involution():
     q2 = q2_poly()
     f = LaurentFraction(q2, LaurentPoly(0, (1, 1)))
     assert f.bar().bar() == f
+
+
+def test_laurent_gcd_scales_by_a_non_monic_lead():
+    # the pseudo-remainder of a by b takes lead(b)^(deg a - deg b + 1) = 2^2
+    # times a: gcd((2x+1)(3x^2-1), (2x+1)(x+5)) = x + 1/2
+    common = LaurentPoly(0, (1, 2))
+    a = common * LaurentPoly(0, (-1, 0, 3))
+    b = common * LaurentPoly(0, (5, 1))
+    assert laurent_gcd(a, b) == LaurentPoly(0, (Fraction(1, 2), 1))
+
+
+_nonzero_polys = st.builds(LaurentPoly, st.integers(-3, 3),
+                           st.lists(st.integers(-5, 5), min_size=1, max_size=5)
+                           ).filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, _nonzero_polys)
+def test_laurent_gcd_of_a_common_factor(f, g, h):
+    # the gcd of f h and g h is monic, divides both exactly, and is divided
+    # by the monic part of h
+    d = laurent_gcd(f * h, g * h)
+    assert d.low == 0 and d.coeffs[-1] == 1
+    for x in (f * h, g * h):
+        assert x.exact_div(d) * d == x
+    m = h.shift(-h.low).scale(1 / h.coeffs[-1])
+    assert d.exact_div(m) * m == d
 
 
 @st.composite
