@@ -47,7 +47,9 @@ assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
 the same kernel.  A column where the diagonal is 0 drops out of its dots.
 A.fold_blocks(pi, x) folds a symmetric A fixed by an involution pi, so
 that A diag(x) A, for a diagonal x that pi fixes, is two half-products of
-about half the size.
+about half the size.  A.half_product(x, symmetries) is the upper triangle
+of A diag(x) A, dotted on one pair per orbit of signed permutations of A
+under which x has a character +-1, on the same kernel and split.
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -381,6 +383,24 @@ def _upper(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+@lru_cache(maxsize=None)
+def _pair_orbits(perms: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
+    """One representative (a, b), a <= b, per orbit of the unordered pairs
+    of range(n) under the identity and the permutations perms, and for each
+    pair of _upper(n), in that order, (its representative's number, h) with
+    {p_h a, p_h b} that pair: h = 0 is the identity, h >= 1 perms[h - 1]."""
+    n = len(perms[0])
+    group = (range(n), *perms)
+    at, reps = {}, []
+    for a, b in _upper(n):
+        if (a, b) not in at:
+            for h, p in enumerate(group):
+                x, y = p[a], p[b]
+                at.setdefault((x, y) if x <= y else (y, x), (len(reps), h))
+            reps.append((a, b))
+    return reps, [at[t] for t in _upper(n)]
+
+
 class ExactMatrix:
     """Immutable dense matrix over Q(zeta_N): entry (i, j) is
     table[index[i][j]] / den.  The table holds each distinct integer
@@ -598,6 +618,57 @@ class ExactMatrix:
         N = self.order
         table, out = _dots(N, euler_phi(N), (self.table, self.index), B, self.ncols, pairs)
         return ExactMatrix._of(N, table, [out], self.den * den)
+
+    def half_product(self, diag: Sequence[CycNumber], symmetries: Sequence = ()) -> "ExactMatrix":
+        """The upper triangle of S diag(x) S for a symmetric S = self, as
+        one row in _upper order: self.dots(self, _upper(n), diag), which it
+        returns when there is no symmetry.
+
+        Each symmetry (p, s, chi) is a permutation p of range(n) and signs
+        +-1 with S[pa, pb] = c s_a s_b S[a, b] for one c = +-1 and
+        x[pk] = chi_k x[k]; the caller checks both.  Then
+        (S x S)[pa, pb] = s_a s_b (U+ - U-)[a, b], U+- the dots over the
+        columns with chi = +-1.  So one representative pair per orbit
+        (_pair_orbits) is dotted, once per class of the kept columns with
+        equal chi under every symmetry, and each entry of the triangle is
+        a signed sum of its representative's packed residues, unpacked as
+        the plain dots would be, each distinct residue once.  The classes
+        cut each dot into parts, so a representative costs one plain dot,
+        the width rule covers every signed sum, and a call whose work is
+        above SPLIT_WORK is cut across the CPUs (_split)."""
+        n = self.nrows
+        _check_length(diag, n)
+        keep = [k for k in range(n) if diag[k]]
+        if not symmetries or not keep:
+            return self.dots(self, _upper(n), diag)
+        classes = {}
+        for q, k in enumerate(keep):
+            classes.setdefault(tuple(chi[k] for _, _, chi in symmetries), []).append(q)
+        A = self.submatrix(range(n), keep)
+        *B, den = A._scaled_cols([diag[k] for k in keep])
+        N, phi = self.order, euler_phi(self.order)
+        width = _width(N, phi * len(keep) * _max_abs(A.table) * _max_abs(B[0]))
+        M = _modulus(N, width)
+        out, unpack = _unpacker(M, width, phi)
+        Ap, Bp = _packed_rows(A.table, A.index, width), _packed_rows(*B, width)
+        parts = [([[row[q] for q in cols] for row in Ap], [[row[q] for q in cols] for row in Bp])
+                 for cols in classes.values()]
+
+        def residues(chunk):            # one tuple of class residues a pair
+            chunk = list(chunk)
+            return list(zip(*([sum(map(operator.mul, a[i], b[j])) % M for i, j in chunk]
+                              for a, b in parts)))
+        reps, cover = _pair_orbits(tuple(p for p, _, _ in symmetries))
+        k = _slices(len(reps), len(keep) * phi)
+        res = _split(residues, lambda x: x, reps, len(reps), k) if k > 1 else residues(reps)
+        chis = [(1,) * len(classes), *zip(*classes)]
+        signs = [(1,) * n, *(s for _, s, _ in symmetries)]
+        values = []
+        for r, h in cover:
+            a, b = reps[r]
+            v = sum(map(operator.mul, chis[h], res[r]))
+            values.append(unpack(v if signs[h][a] == signs[h][b] else -v))
+        return ExactMatrix._of(N, out, [values], A.den * den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:

@@ -87,6 +87,27 @@ class Genus2Basis:
         pos = {t: a for a, t in enumerate(self.triples)}
         return tuple(pos[i, k, j] for i, j, k in self.triples)
 
+    @cached_property
+    def flips(self) -> tuple[tuple[int, ...], ...]:
+        """At even r, the involutions (i, j, k) -> (i, r-j, r-k),
+        (r-i, j, r-k) and (r-i, r-j, k) of the basis, as indices; none at
+        odd r, where r - c is not a color.  Two colors replaced by r - c
+        keep a vertex admissible (the triangle and level bounds trade
+        places), and with the identity the three form a Klein four-group:
+        the simple-current action behind the spin refinement of
+        Blanchet-Habegger-Masbaum-Vogel.  In the Theta-scaled basis each
+        flip permutes J^ = Theta^-1 J~ Theta^-1 up to signs and multiplies
+        each diagonal part of E^ = Theta^2 D T by a character +-1 (the tests
+        pin both for r <= 6 at every root); _relations_hold checks them
+        before it uses them."""
+        r = self.level
+        if r % 2:
+            return ()
+        pos = {t: a for a, t in enumerate(self.triples)}
+        return tuple(tuple(pos[tuple(r - c if f else c for c, f in zip(t, mask))]
+                           for t in self.triples)
+                     for mask in ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+
 
 @lru_cache(maxsize=None)
 def _enumerate_basis_cached(level: int) -> Genus2Basis:
@@ -178,8 +199,8 @@ class Genus2Rep:
     pairs when the form is positive definite.  J~ is an ExactMatrix (a
     table of distinct values, an index, a denominator); D (jcols) and T
     (tdiag) are diagonals, tuples of CycNumbers, and so are E = D T and
-    E' = D T^-1 (e, e_inv).  The relation checks, the trace and the
-    quartic residue read J~, E and E' as they are held."""
+    E' = D T^-1 (e, e_inv).  The trace and the quartic residue read J~, E
+    and E' as they are held; the relation checks read J~, D and T."""
 
     params: TheoryParams
     basis: Genus2Basis
@@ -355,10 +376,13 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     J' = J~ D with J~ symmetric and D, T diagonal, so the relations are
     decided from symmetric half-products A diag(e) A over K = Q(A^2), the
     subfield that holds J~ and D (_relations_hold): at even r its vectors
-    have phi/2 coefficients.  S0 = J~ D J~ is folded over the swap
-    (i, j, k) -> (i, k, j), which fixes J~ and D; S2 = J~ E J~ and
-    S4 = S2 E S2 are two half-products each, one per twist parity (at
-    r = 6: 84k, 300k and 300k multiplications, all on 8 coefficients,
+    have phi/2 coefficients.  They run in the Theta-scaled basis, on
+    Theta^-1 J~ Theta^-1, which has fewer and smaller distinct values than
+    J~.  S0 = J~ D J~ is folded over the swap (i, j, k) -> (i, k, j), which
+    fixes J~ and D; S2 = J~ E J~ and S4 = S2 E S2 are two half-products
+    each, one per twist parity, at even r on one pair per orbit of the
+    color flips (Genus2Basis.flips) once their signs are checked (at
+    r = 6: 84k, 78k and 78k multiplications, all on 8 coefficients,
     against 300k on 16 for each unfolded product).  Only when that path
     cannot show that every relation holds (a J~ or D that the swap moves,
     or one outside K, included) are J'^2, (TJ')^5 and F bar(F) formed in
@@ -393,32 +417,51 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     power of zeta, or S2 is not graded as below, the reference chain
     decides.
 
-    (iv)  J~ = J~^T: ExactMatrix.fold_blocks, which folds J~ over pi for
-          S0, raises ValueError when it does not hold, or when pi moves J~.
-    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J~ D J~ is D^-1
+    The relations are decided in the Theta-scaled basis, Theta the diagonal
+    of the theta nets Theta(i, j, k): J^ = Theta^-1 J~ Theta^-1 and
+    D^ = Theta^2 D = Delta_i Delta_j Delta_k / D^2, E^ = D^ T.  Then
+    J~ D J~ = Theta J^ D^ J^ Theta, J~ E J~ = Theta J^ E^ J^ Theta, and
+    every step below holds for J~, D, E exactly when it holds for J^, D^,
+    E^, targets included (D^-1 becomes (D^)^-1, kappa^4 T^-1 J~ T^-1 becomes
+    kappa^4 T^-1 J^ T^-1).  J^ has fewer distinct values than J~, on
+    smaller coefficients (20 of 4 bits at r = 6, against 109 of 7).
+
+    (iv)  J~ = J~^T: ExactMatrix.fold_blocks, which folds J^ over pi for
+          S0, raises ValueError when it does not hold, or when pi moves J^.
+    (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J^ D^ J^ is (D^)^-1
           (_s0_is_d_inverse, on the two blocks of the fold; ValueError
-          when pi moves D).
-    (ii)  With E = D T (rep.e) = sum_c zeta^c E_c, S2 = J~ E J~ is the sum
-          of zeta^c J~ E_c J~, one half-product per c (its upper triangle,
-          over the columns where E_c is nonzero), as S4's are below.  S2
-          is graded by the middle label: S2_ab lies in zeta^(g_a + g_b) K,
-          g = j mod s, which _regrade checks on those s upper triangles as
-          it forms X = G^-1 S2 G^-1 over K, G = diag(zeta^g).  At odd r
-          (s = 1) X is S2.  Then S4 = S2 E S2 = G (sum_c
-          zeta^c X W_c X) G with W = G E G = sum_c zeta^c W_c, and X W_c X
-          is a half-product over the columns where W_c is nonzero, the
-          basis vectors of one twist parity.  (TJ')^5 = T S4 E J~ D, so if
-          J'^2 = I and S4 = kappa^4 T^-1 J~ T^-1, then (TJ')^5 = kappa^4
-          J~ D J~ D = kappa^4 I.  With kappa^4 = zeta^k and t_a =
-          zeta^tau_a, that is sum_c zeta^c (X W_c X)_ab = zeta^u J~_ab for
+          when pi moves D^).
+    (ii)  With E^ = D^ T = sum_c zeta^c E_c (_parts), S2 = J^ E^ J^ is the
+          sum of zeta^c J^ E_c J^, one half-product per c (its upper
+          triangle, over the columns where E_c is nonzero), as S4's are
+          below.  S2 is graded by the middle label: S2_ab lies in
+          zeta^(g_a + g_b) K, g = j mod s, which _regrade checks on those
+          s upper triangles as it forms X = G^-1 S2 G^-1 over K,
+          G = diag(zeta^g).  At odd r (s = 1) X is S2.  Then S4 = S2 E^ S2
+          = G (sum_c zeta^c X W_c X) G with W = G E^ G = sum_c zeta^c W_c,
+          and X W_c X is a half-product over the columns where W_c is
+          nonzero, the basis vectors of one twist parity.  (TJ')^5 =
+          T (Theta S4 Theta) E J~ D, so if J'^2 = I and S4 = kappa^4 T^-1
+          J^ T^-1, then (TJ')^5 = kappa^4 J~ D J~ D = kappa^4 I.  With
+          kappa^4 = zeta^k and t_a = zeta^tau_a, that is sum_c zeta^c
+          (X W_c X)_ab = zeta^u J^_ab for
           u = k - tau_a - tau_b - g_a - g_b: the upper triangle of X W_c X
-          is J~ shifted by floor(u/s) in K where c = u mod s and 0 elsewhere,
-          one ExactMatrix equality per c.  Each (J~ table index, shift)
-          pair is shifted once.
+          is J^ shifted by floor(u/s) in K where c = u mod s and 0
+          elsewhere, one ExactMatrix equality per c.  Each (J^ table
+          index, shift) pair is shifted once.
+          At even r each half-product runs on the orbits of the flips
+          (Genus2Basis.flips, _half_product) when every flip is a signed
+          permutation of J^ (of X for S4: _flip_signs) and multiplies the
+          diagonal part by a character +-1 (_flip_characters), each
+          checked entry by entry up to sign; else, and at odd r, it is the
+          plain half-product.  At r = 6 the S0 fold, S2 and S4 take 84k,
+          78k and 78k multiplications on 8 coefficients (S2 and S4 took
+          300k each on all pairs), against 300k on 16 for each unfolded
+          product.
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
-          conj(F) = F, which holds when J~, Theta and D are fixed by
+          conj(F) = F, which holds when J^, Theta and D^ are fixed by
           conjugation, a field automorphism.  ExactMatrix.conj conjugates
-          each table entry once: 109 of them at r = 6, against 7,056
+          each table entry once: 20 of them at r = 6, against 7,056
           entries.
     """
     params = rep.params
@@ -434,38 +477,115 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     try:
         jt = rep.jtilde.descend(M)
         d = [x.descend(M) for x in rep.jcols]
-        if not _s0_is_d_inverse(jt, rep.basis.swap, d):
+        th, th_inv, dhat = _theta_scaling(params, rep.basis.triples, d, M)
+        jhat = jt.scale_rows(th_inv).scale_cols(th_inv)
+        if not _s0_is_d_inverse(jhat, rep.basis.swap, dhat):
             return False
     except ValueError:
         return False
 
+    flips = rep.basis.flips
     grade = [j % s for _, j, _ in rep.basis.triples]
     upper = _upper(n)
-    e_parts = zip(*(y.components(M) for y in rep.e))
-    x = _regrade([jt.dots(jt, upper, ec) for ec in e_parts], upper, grade)
+    jsigns = _flip_signs(jhat, flips)
+    x = _regrade([_half_product(jhat, jsigns, ec, flips) for ec in _parts(dhat, tlog, s)],
+                 upper, grade)
     if x is None:
         return False
-    w_parts = zip(*(y.times_zeta(2 * g).components(M) for y, g in zip(rep.e, grade)))
-    halves = [x.dots(x, upper, wc) for wc in w_parts]
+    xsigns = _flip_signs(x, flips)
+    halves = [_half_product(x, xsigns, wc, flips)
+              for wc in _parts(dhat, [t + 2 * g for t, g in zip(tlog, grade)], s)]
 
     zero, shifted = (0,) * euler_phi(M), {}
     want = [[] for _ in range(s)]
     for a, b in upper:
         u = (k4 - tlog[a] - tlog[b] - grade[a] - grade[b]) % N
-        key = jt.index[a][b], u // s
+        key = jhat.index[a][b], u // s
         v = shifted.get(key)
         if v is None:
-            v = shifted[key] = shift_vector(M, jt.table[key[0]], key[1])
+            v = shifted[key] = shift_vector(M, jhat.table[key[0]], key[1])
         for c in range(s):
             want[c].append(v if c == u % s else zero)
-    if any(h != ExactMatrix.from_vectors(M, [t], jt.den) for h, t in zip(halves, want)):
+    if any(h != ExactMatrix.from_vectors(M, [t], jhat.den) for h, t in zip(halves, want)):
         return False
 
     if params.is_unitary_root:
-        th = [theta_at(params, *b) for b in rep.basis.triples]
-        if not all(y.is_real() for y in th + d) or jt.conj() != jt:
+        if not all(y.is_real() for y in th + dhat) or jhat.conj() != jhat:
             return False
     return True
+
+
+def _theta_scaling(params: TheoryParams, triples, d: list[CycNumber],
+                   M: int) -> tuple[list[CycNumber], list[CycNumber], list[CycNumber]]:
+    """Theta and Theta^-1 over K = Q(zeta_M) at each basis triple, read once
+    per sorted triple, and D^ = Theta^2 D: one pair of products per
+    distinct (sorted triple, D entry), so one per sorted triple for the
+    representation's D."""
+    seen, out = {}, ([], [], [])
+    for t, x in zip(map(tuple, map(sorted, triples)), d):
+        if (t, x) not in seen:
+            th = theta_at(params, *t).descend(M)
+            seen[t, x] = th, theta_inv_at(params, *t).descend(M), th * th * x
+        for col, y in zip(out, seen[t, x]):
+            col.append(y)
+    return out
+
+
+def _parts(xs: list[CycNumber], logs: list[int], s: int) -> list[list[CycNumber]]:
+    """The s parts over K of the diagonal x_k zeta_N^t_k, x_k in K: with
+    zeta_N^s = zeta_M, part c holds x_k zeta_M^(t_k div s) where
+    t_k = c mod s, and 0 elsewhere (CycNumber.components); shifts, no
+    product."""
+    zero = CycNumber.zero(xs[0].order)
+    return [[x.times_zeta(t // s) if t % s == c else zero for x, t in zip(xs, logs)]
+            for c in range(s)]
+
+
+def _flip_signs(m: ExactMatrix, flips) -> list[tuple[int, ...]] | None:
+    """For each flip p, signs s_a = +-1 with m[pa, pb] = c s_a s_b m[a, b]
+    for every a <= b and one c = +-1; None when some flip is not such a
+    signed permutation of m.  The signs are read off the first row a0 of
+    m without a zero entry, which gives c = s_a0, and then every entry of
+    the upper triangle is compared, as a table index up to sign: m is in
+    the unique form, so equal values are equal indices."""
+    n, idx = m.nrows, m.index
+    pos = {v: k for k, v in enumerate(m.table)}
+    neg = [pos.get(tuple(-c for c in v)) for v in m.table]
+    a0 = next((a for a in range(n) if all(map(any, map(m.table.__getitem__, idx[a])))), None)
+    if a0 is None:
+        return None
+    out = []
+    for p in flips:
+        row, image = idx[a0], idx[p[a0]]
+        s = [1 if image[p[b]] == row[b] else -1 if image[p[b]] == neg[row[b]] else 0
+             for b in range(n)]
+        c = s[a0]
+        if 0 in s or any(idx[p[a]][p[b]] != (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])
+                         for a in range(n) for b in range(a, n)):
+            return None
+        out.append(tuple(s))
+    return out
+
+
+def _flip_characters(w: list[CycNumber], flips) -> list[tuple[int, ...]] | None:
+    """For each flip p, chi_k = +-1 with w[pk] = chi_k w[k] (1 where both
+    are 0); None when some w[pk] is neither w[k] nor -w[k]."""
+    out = []
+    for p in flips:
+        chi = tuple(1 if w[p[k]] == x else -1 if w[p[k]] == -x else 0 for k, x in enumerate(w))
+        if 0 in chi:
+            return None
+        out.append(chi)
+    return out
+
+
+def _half_product(m: ExactMatrix, signs, w: list[CycNumber], flips) -> ExactMatrix:
+    """The upper triangle of m diag(w) m for a symmetric m, as one row
+    (ExactMatrix.half_product): on the orbits of the flips when signs
+    (_flip_signs of m) are known and w has a character under each flip,
+    else the plain half-product, as at odd r.  The output is the same."""
+    chis = _flip_characters(w, flips) if signs else None
+    return m.half_product(w, list(zip(flips, signs, chis)) if chis else ())
 
 
 def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],

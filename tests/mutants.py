@@ -41,6 +41,12 @@ S0_OFF_DIAGONAL = ("                    or any(any(blk.table[k]) "
                    "for k in blk.index[0][at + 1:at + size - a])):")
 S0_BOTH = S0_CHECK + "any(blk.table[k]) for k in blk.index[0][at + 1:at + size - a])):"
 CUBE_ROOT = TESTS + "test_relations_fail_with_jtilde_times_a_cube_root_of_unity"
+# the check of _flip_signs: every entry of the upper triangle against its
+# image under the flip, up to the signs read off one row
+FLIP_SIGNS = ("        if 0 in s or any(idx[p[a]][p[b]] != "
+              "(idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])\n"
+              "                         for a in range(n) for b in range(a, n)):")
+FLIP_CHECKS = TESTS + "test_half_products_match_plain_dots_when_a_check_fails"
 # the descents of J~ and D into K, inside the try of _relations_hold
 DESCENDS = ("    try:\n"
             "        jt = rep.jtilde.descend(M)\n"
@@ -72,16 +78,22 @@ MUTANTS = [
      "        if any(ix[t] in nz for k, (ix, nz) in enumerate(zip(index, nonzero)) if k != c):",
      "        if False:",
      TESTS + "test_regrade_checks_the_grading[2]"),
-    # _relations_hold: S4 against kappa^4 T^-1 J~ T^-1
+    # _relations_hold: S4 against kappa^4 T^-1 J^ T^-1
     (GENUS2,
-     "    if any(h != ExactMatrix.from_vectors(M, [t], jt.den) for h, t in zip(halves, want)):",
+     "    if any(h != ExactMatrix.from_vectors(M, [t], jhat.den) for h, t in zip(halves, want)):",
      "    if False:",
      TESTS + "test_relations_fail_with_conjugated_twist"),
-    # _relations_hold: J~ fixed by conjugation at the unitary root
+    # _relations_hold: J^ fixed by conjugation at the unitary root
     (GENUS2,
-     "        if not all(y.is_real() for y in th + d) or jt.conj() != jt:",
-     "        if not all(y.is_real() for y in th + d):",
+     "        if not all(y.is_real() for y in th + dhat) or jhat.conj() != jhat:",
+     "        if not all(y.is_real() for y in th + dhat):",
      TESTS + "test_unitarity_reads_every_distinct_jtilde_vector[2]"),
+    # _flip_signs: each flip a signed permutation, checked on J^ for S2 and
+    # on X for S4
+    (GENUS2, FLIP_SIGNS, "        if False:", FLIP_CHECKS + "[J-broken-2]"),
+    (GENUS2, FLIP_SIGNS, "        if False:", FLIP_CHECKS + "[X-broken-2]"),
+    # _flip_characters: each diagonal part has a character +-1
+    (GENUS2, "        if 0 in chi:", "        if False:", FLIP_CHECKS + "[E-broken-2]"),
     # minpoly_certificate: no cyclotomic factor in the designated polynomial
     (GENUS2,
      "    k = cyclotomic_factor(quartic)",

@@ -17,7 +17,7 @@ from tljhecke.exactnum import (
     split_primes,
     square_subfield_order,
 )
-from tljhecke.matrix import CycPoly, ExactMatrix, char_poly, residue_matrix
+from tljhecke.matrix import CycPoly, ExactMatrix, _upper, char_poly, residue_matrix
 from tljhecke.recoupling import (
     NotAdmissible,
     TheoryParams,
@@ -603,29 +603,50 @@ def _kappa_doubled(rep):
     return replace(rep, constants=replace(gc, kappa_squared=gc.kappa_squared * 2))
 
 
-@pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("change", [
-    lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(0, 1), (1, 0)])),
-    lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(1, 2)])),
-    lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(2, 2)])),
-    lambda rep: replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag)),
-    lambda rep: replace(rep, tdiag=_tscaled(rep, 1)),
-    lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=True)),
-    lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=False)),
-    lambda rep: replace(rep, jcols=_d_moved(rep)),
-    _kappa_doubled,
-    lambda rep: replace(rep, jtilde=rep.jtilde.scale(CycNumber.zeta(rep.params.root_order))),
-    lambda rep: replace(rep, jcols=tuple(c.times_zeta(1) for c in rep.jcols)),
-], ids=["symmetric", "asymmetric", "diagonal", "conj-T", "T-non-unit",
-        "swap-fixed", "swap-broken", "D-swap-broken", "kappa-non-unit",
-        "jtilde-not-in-K", "D-not-in-K"])
+_PERTURBATIONS = {
+    "symmetric": lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(0, 1), (1, 0)])),
+    "asymmetric": lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(1, 2)])),
+    "diagonal": lambda rep: replace(rep, jtilde=_bump(rep.jtilde, [(2, 2)])),
+    "conj-T": lambda rep: replace(rep, tdiag=tuple(t.conj() for t in rep.tdiag)),
+    "T-non-unit": lambda rep: replace(rep, tdiag=_tscaled(rep, 1)),
+    "swap-fixed": lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=True)),
+    "swap-broken": lambda rep: replace(rep, jtilde=_swap_bump(rep, keep=False)),
+    "D-swap-broken": lambda rep: replace(rep, jcols=_d_moved(rep)),
+    "kappa-non-unit": _kappa_doubled,
+    "jtilde-not-in-K": lambda rep: replace(
+        rep, jtilde=rep.jtilde.scale(CycNumber.zeta(rep.params.root_order))),
+    "D-not-in-K": lambda rep: replace(rep, jcols=tuple(c.times_zeta(1) for c in rep.jcols)),
+}
+
+
+def _flip_bump(rep, keep):
+    # J~ doubled on the orbit of one entry under the swap and the first flip,
+    # and with keep under every flip: symmetric and fixed by the swap
+    # either way; J^ keeps its signed permutations only with keep
+    pi, flips = rep.basis.swap, rep.basis.flips
+    a = _flip_moved_orbit(rep)[0]
+    return replace(rep, jtilde=_doubled_on_orbit(rep.jtilde, a, [pi, *(flips if keep else flips[:1])]))
+
+
+# at even levels only: odd levels have no flips
+_FLIP_PERTURBATIONS = {
+    "flip-broken": lambda rep: _flip_bump(rep, keep=False),
+    "flip-kept": lambda rep: _flip_bump(rep, keep=True),
+}
+
+
+@pytest.mark.parametrize("r, change", [
+    *(pytest.param(r, f, id=f"{name}-{r}") for name, f in _PERTURBATIONS.items() for r in (2, 3)),
+    *(pytest.param(2, f, id=f"{name}-2") for name, f in _FLIP_PERTURBATIONS.items())])
 def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
     # a broken representation falls through to the product chain: the
     # report, every witness included, is the reference one, and it fails
     # (at r = 4, conj(T) still satisfies the relations, so r <= 3 here).
     # _relations_hold refuses kappa^4 or a twist that is not a power of
     # zeta before any product, and so, at even r, J~ or D times zeta, which
-    # lies outside K = Q(A^2)
+    # lies outside K = Q(A^2).  The flip cases keep J~ symmetric and fixed
+    # by the swap, and break or keep the flips' signed permutations of J^
+    # (test_flip_bumps_keep_or_break_the_flips)
     for P in (TheoryParams(r), TheoryParams(r).with_root(1)):
         bad = change(genus2_rep(P))
         with monkeypatch.context() as m:
@@ -787,23 +808,244 @@ def test_regrade_checks_the_grading(r):
     assert rep_genus2._regrade(bumped, upper, grade) is None
 
 
+def test_basis_flips_are_the_color_flips():
+    # at even r, two colors c of each triple replaced by r - c, as indices:
+    # three involutions that compose as a Klein four-group; odd levels
+    # have none
+    for r in (1, 3, 5):
+        assert enumerate_basis(r).flips == ()
+    for r in (2, 4, 6):
+        ts = enumerate_basis(r).triples
+        flips = enumerate_basis(r).flips
+        for p, mask in zip(flips, ((0, 1, 1), (1, 0, 1), (1, 1, 0))):
+            assert [ts[b] for b in p] == [tuple(r - c if f else c for c, f in zip(t, mask))
+                                         for t in ts]
+            assert all(p[b] == a for a, b in enumerate(p))
+        f1, f2, f3 = flips
+        assert tuple(f1[b] for b in f2) == f3
+
+
+def _half_products(monkeypatch, rep):
+    """The verdict of _relations_hold(rep) and each half-product it forms,
+    as (m, signs, w, output): the two parts of S2, then the two halves of
+    S4 (none of S4 when the check stops before it)."""
+    calls, f = [], rep_genus2._half_product
+
+    def spy(m, signs, w, flips):
+        out = f(m, signs, w, flips)
+        calls.append((m, signs, w, out))
+        return out
+    with monkeypatch.context() as mp:
+        mp.setattr(rep_genus2, "_half_product", spy)
+        return rep_genus2._relations_hold(rep), calls
+
+
+@pytest.mark.parametrize("r", [2, 4, 6])
+def test_flips_are_signed_permutations_every_root(monkeypatch, r):
+    # the orbit path rests on this: each flip permutes J^ = Theta^-1 J~
+    # Theta^-1 and X = G^-1 S2 G^-1 up to signs, and multiplies each part
+    # of E^ = Theta^2 D T and of W = G E^ G by a character +-1; a root where
+    # it failed would still be decided, by the plain half-products, but
+    # about three times slower.  Every eighth row is compared entry by
+    # entry as well (all rows for n <= 14)
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        rep = genus2_rep(P.with_root(k))
+        flips = rep.basis.flips
+        held, calls = _half_products(monkeypatch, rep)
+        assert held and len(calls) == 4, (r, k)
+        for m, signs, w, _ in calls:
+            assert signs is not None and rep_genus2._flip_characters(w, flips), (r, k)
+        for m, signs, _, _ in calls[::2]:
+            n = m.nrows
+            for p, s in zip(flips, signs):
+                c = 1 if m[p[0], p[0]] == m[0, 0] else -1
+                assert all(m[p[a], p[b]] == c * s[a] * s[b] * m[a, b]
+                           for a in range(0, n, 1 if n <= 14 else 8) for b in range(n)), (r, k)
+
+
+@pytest.mark.parametrize("r", [2, 4, 6])
+def test_orbit_half_products_match_plain_dots_every_root(monkeypatch, r):
+    # each part of S2 and half of S4 that the orbit path forms against
+    # the plain dots of the same Theta-basis matrices
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        held, calls = _half_products(monkeypatch, genus2_rep(P.with_root(k)))
+        assert held, (r, k)
+        for m, _, w, out in calls:
+            assert out == m.dots(m, _upper(m.nrows), w), (r, k)
+
+
+def _flip_moved_orbit(rep):
+    # a swap orbit {a, pi a} that some flip moves elsewhere
+    pi, flips = rep.basis.swap, rep.basis.flips
+    a = next(a for a in range(len(pi)) if a < pi[a]
+             and any(p[a] not in (a, pi[a]) for p in flips))
+    return a, pi[a]
+
+
+def _l_scaled(rep):
+    # J' -> L J' L^-1, L = 2 on a swap orbit that a flip moves: J~ -> L J~ L
+    # and D -> L^-2 D keep every relation, the swap and K, but that flip
+    # no longer permutes J^ = Theta^-1 J~ Theta^-1 up to signs
+    N, orbit = rep.params.root_order, _flip_moved_orbit(rep)
+    lam = [CycNumber.from_rational(N, 2 if b in orbit else 1) for b in range(len(rep.basis))]
+    return replace(rep, jtilde=rep.jtilde.scale_rows(lam).scale_cols(lam),
+                   jcols=tuple(c / (x * x) for c, x in zip(rep.jcols, lam)))
+
+
+def _doubled_on_orbit(m, a, perms):
+    # m doubled on the orbit of the entry (a, b), b the first column outside
+    # {a} and the images of a with m[a, b] != 0, under perms and the
+    # transpose: symmetric, and each of perms that permuted m up to signs
+    # still does
+    b = next(b for b in range(m.ncols) if b != a and m[a, b]
+             and all(b != p[a] for p in perms))
+    orbit, todo = set(), [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if (x, y) not in orbit:
+            orbit.add((x, y))
+            todo += [(y, x)] + [(p[x], p[y]) for p in perms]
+    rows = [list(row) for row in m.rows]
+    for x, y in orbit:
+        rows[x][y] = 2 * rows[x][y]
+    return ExactMatrix(m.order, rows)
+
+
+def _t_shifted(rep, b):
+    # T times zeta^s at the basis vector b (s = N/M): a twist of the same
+    # parity, so the parts of E^ keep their support, but the flips that
+    # move b give the part of E^ that holds b no character
+    s = rep.params.root_order // square_subfield_order(rep.params.root_order)
+    return replace(rep, tdiag=tuple(t.times_zeta(s) if c == b else t
+                                    for c, t in enumerate(rep.tdiag)))
+
+
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("case", ["J-broken", "X-broken", "E-broken"])
+def test_half_products_match_plain_dots_when_a_check_fails(monkeypatch, r, case):
+    # J-broken: a J^ that a flip does not permute up to signs, while every
+    # relation holds (_l_scaled); E-broken: a part of E^ without a
+    # character (_t_shifted), where the relations fail; X-broken: X,
+    # formed by the check, doubled on an orbit of the first flip only, so
+    # the other two break.  The check refuses the flips, the plain
+    # half-product runs, and the verdict is the reference chain's
+    rep = genus2_rep(TheoryParams(r))
+    flips = rep.basis.flips
+    a = _flip_moved_orbit(rep)[0]
+    if case == "X-broken":
+        _, calls = _half_products(monkeypatch, rep)
+        x, _, w, _ = calls[2]
+        bad = _doubled_on_orbit(x, a, flips[:1])
+        signs = rep_genus2._flip_signs(bad, flips)
+        assert bad == bad.transpose() and signs is None
+        assert rep_genus2._half_product(bad, signs, w, flips) == bad.dots(bad, _upper(len(w)), w)
+        return
+    m = _l_scaled(rep) if case == "J-broken" else _t_shifted(rep, a)
+    held, calls = _half_products(monkeypatch, m)
+    assert held == all(d is None for d in rep_genus2._reference_differences(m))
+    assert held == (case == "J-broken")
+    for x, _, w, out in calls:
+        assert out == x.dots(x, _upper(x.nrows), w)
+    if case == "J-broken":
+        assert calls[0][1] is None
+    else:
+        assert calls[0][1] is not None
+        assert any(rep_genus2._flip_characters(w, flips) is None for _, _, w, _ in calls)
+
+
+def _jhat(rep):
+    """J^ = Theta^-1 J~ Theta^-1 over K, as _relations_hold forms it."""
+    M = square_subfield_order(rep.params.root_order)
+    d = [x.descend(M) for x in rep.jcols]
+    _, th_inv, _ = rep_genus2._theta_scaling(rep.params, rep.basis.triples, d, M)
+    return rep.jtilde.descend(M).scale_rows(th_inv).scale_cols(th_inv)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_flip_bumps_keep_or_break_the_flips(r):
+    # the flip-broken and flip-kept cases of the perturbed reps: both pass
+    # the fold's precondition, so S0 decides that they fail; only the kept
+    # one is still a signed permutation under every flip
+    rep = genus2_rep(TheoryParams(r))
+    pi, flips = rep.basis.swap, rep.basis.flips
+    assert rep_genus2._flip_signs(_jhat(rep), flips) is not None
+    for keep in (False, True):
+        bad = _flip_bump(rep, keep)
+        jhat = _jhat(bad)
+        jhat.fold_blocks(pi, [CycNumber.one(jhat.order)] * len(pi))
+        assert (rep_genus2._flip_signs(jhat, flips) is not None) == keep
+        assert not rep_genus2._relations_hold(bad)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7])
+def test_theta_basis_decides_as_the_jtilde_basis(monkeypatch, r):
+    # with Theta = 1 in _theta_scaling, _relations_hold takes the same steps
+    # on J~ and D themselves: the two decisions agree at every root, on the
+    # representation and on three perturbed copies (as in
+    # test_fast_path_holds_exactly_when_the_reference_finds_nothing)
+    P = TheoryParams(r)
+    one = CycNumber.one(P.root_order)           # K is the whole field at odd r
+
+    def unscaled(params, triples, d, M):
+        return [one] * len(d), [one] * len(d), list(d)
+    decided = set()
+    for k in _unit_roots(P.root_order):
+        rep = genus2_rep(P.with_root(k))
+        rng = random.Random(f"{r}:{k}")
+        for name, m in (("rep", rep), ("kappa", _kappa_times_zeta(rep)),
+                        ("T", _t_swapped(rep, rng)), ("J~", _table_entry_scaled(rep, rng))):
+            held = rep_genus2._relations_hold(m)
+            with monkeypatch.context() as mp:
+                mp.setattr(rep_genus2, "_theta_scaling", unscaled)
+                assert rep_genus2._relations_hold(m) == held, (r, k, name)
+            decided.add(held)
+    assert decided == {True, False}
+
+
+def _slices_work(monkeypatch):
+    """The phi-weighted multiplications of every call of the packed kernel
+    (_dots, ExactMatrix.half_product): each cuts its pairs with _slices."""
+    work, f = [0], matrix._slices
+
+    def counted(count, cost):
+        work[0] += count * cost
+        return f(count, cost)
+    monkeypatch.setattr(matrix, "_slices", counted)
+    return work
+
+
+@pytest.mark.parametrize("r, work", [(4, 77_380), (6, 1_937_456)])
+def test_passing_relation_check_work_is_pinned(monkeypatch, r, work):
+    # pairs x length x phi over the packed calls of one passing check, J~
+    # and D built: 206,912 at r = 4 and 5,516,376 at r = 6 in the J~ basis
+    # on every pair of the upper triangle
+    rep = genus2_rep(TheoryParams(r))
+    counted = _slices_work(monkeypatch)
+    assert rep_genus2._relations_hold(rep)
+    assert counted[0] == work
+
+
 def test_passing_relations_make_no_full_product(monkeypatch):
-    # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24);
-    # one fold of J~ over the swap (one call of fold_blocks, which checks
-    # the symmetry once) decides S0 = J~ D J~, and S2 and S4 are
-    # half-products, one per part E_c and one per part W_c, over the
-    # columns where that part is nonzero.  Every packed dot runs on
-    # phi(12) = 4 digits, and the phi-weighted multiplications are at most
-    # those of the two S0 blocks (n+ = |R| + |F| and n- = |R|) and of
-    # n(n+1)/2 dots over the kept columns of each half-product, with the
-    # products that scale the columns of each right operand.  The product
-    # chain runs only when some relation fails
+    # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24)
+    # and scaled to J^ = Theta^-1 J~ Theta^-1 and D^ = Theta^2 D; one fold of
+    # J^ over the swap (one call of fold_blocks, which checks the symmetry
+    # once) decides S0, and S2 and S4 are half-products, one per part E_c
+    # and one per part W_c, over the columns where that part is nonzero,
+    # each on one pair per orbit of the flips.  Every packed call runs on
+    # phi(12) = 4 digits (its modulus is Phi_12(2**W)), and the
+    # phi-weighted multiplications (_slices_work) are at most those of the
+    # two S0 blocks (n+ = |R| + |F| and n- = |R|), of the two diagonal
+    # scalings that form J^, and of one dot per orbit over the kept columns
+    # of each half-product, with the products that scale the columns of
+    # each right operand.  The product chain runs only when some relation
+    # fails
     P = TheoryParams(4)
     rep = genus2_rep(P)
     calls = {"matmul": 0}
-    folded_over = []
-    digits, work = set(), [0]
-    matmul, fold_blocks, dots = ExactMatrix.__matmul__, ExactMatrix.fold_blocks, matrix._dots
+    folded_over, orders = [], set()
+    matmul, fold_blocks, modulus = ExactMatrix.__matmul__, ExactMatrix.fold_blocks, matrix._modulus
 
     def counting_matmul(self, other):
         calls["matmul"] += 1
@@ -813,24 +1055,25 @@ def test_passing_relations_make_no_full_product(monkeypatch):
         folded_over.append(tuple(pi))
         return fold_blocks(self, pi, diag)
 
-    def counting_dots(N, phi, A, B, length, pairs):
-        pairs = list(pairs)
-        digits.add(phi)
-        work[0] += phi * length * len(pairs)
-        return dots(N, phi, A, B, length, pairs)
+    def recording_modulus(N, width):
+        orders.add(N)
+        return modulus(N, width)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(ExactMatrix, "fold_blocks", recording_fold_blocks)
-    monkeypatch.setattr(matrix, "_dots", counting_dots)
+    monkeypatch.setattr(matrix, "_modulus", recording_modulus)
+    work = _slices_work(monkeypatch)
     assert verify_genus2_relations(P).all_pass
     assert calls == {"matmul": 0}
 
     pi = enumerate_basis(4).swap
     n = len(pi)
     assert folded_over == [pi]
-    assert digits == {4}
+    assert orders == {12}
     n_plus = sum(i <= p for i, p in enumerate(pi))
     n_minus = sum(i < p for i, p in enumerate(pi))
     assert (n, n_plus, n_minus) == (35, 22, 13)
+    orbits = len(matrix._pair_orbits(enumerate_basis(4).flips)[0])
+    assert orbits == 174
     grade = [j % 2 for _, j, _ in rep.basis.triples]
     e_parts = zip(*(y.components(12) for y in rep.e))
     w_parts = zip(*(y.times_zeta(2 * g).components(12) for y, g in zip(rep.e, grade)))
@@ -840,7 +1083,7 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     def half(k):  # a symmetric half-product of k x k matrices
         return k * (k + 1) // 2 * k
     s0 = half(n_plus) + half(n_minus) + n_plus ** 2 + n_minus ** 2
-    assert work[0] <= 4 * (s0 + (n * (n + 1) // 2 + n) * sum(kept))
+    assert work[0] <= 4 * (s0 + 2 * n * n + (orbits + n) * sum(kept))
 
 
 def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
