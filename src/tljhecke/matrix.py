@@ -45,11 +45,10 @@ ExactMatrix.dots(B, pairs, diag) is the one entry point for dot products
 of rows, returning one row; A @ B slices _dots' output into rows, and J~
 assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
 the same kernel.  A column where the diagonal is 0 drops out of its dots.
-A.fold_blocks(pi, x) folds a symmetric A fixed by an involution pi, so
-that A diag(x) A, for a diagonal x that pi fixes, is two half-products of
-about half the size.  A.half_product(x, symmetries) is the upper triangle
-of A diag(x) A, dotted on one pair per orbit of signed permutations of A
-under which x has a character +-1, on the same kernel and split.
+A.half_product(x, symmetries) is the upper triangle of A diag(x) A for a
+symmetric A, the one symmetric product: dotted on one pair per orbit of
+signed permutations of A under which x has a character +-1, on the same
+kernel and split, or on every pair when there is none.
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -388,7 +387,10 @@ def _pair_orbits(perms: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
     """One representative (a, b), a <= b, per orbit of the unordered pairs
     of range(n) under the identity and the permutations perms, and for each
     pair of _upper(n), in that order, (its representative's number, h) with
-    {p_h a, p_h b} that pair: h = 0 is the identity, h >= 1 perms[h - 1]."""
+    {p_h a, p_h b} that pair: h = 0 is the identity, h >= 1 perms[h - 1].
+    Each pair is covered by the first representative that reaches it in
+    one step, so perms need not be closed under composition: a set that is
+    not a group only leaves more representatives."""
     n = len(perms[0])
     group = (range(n), *perms)
     at, reps = {}, []
@@ -681,49 +683,6 @@ class ExactMatrix:
                             product(range(m), range(n)), m * n)
         return ExactMatrix._of(N, table, (flat[i * n:(i + 1) * n] for i in range(m)),
                                self.den * other.den)
-
-    def fold_blocks(self, pi: Sequence[int], diag: Sequence[CycNumber]) -> tuple:
-        """The blocks of S diag(x) S for S = self, symmetric and fixed by an
-        involution pi, and a diagonal x that pi fixes, with the rows of S
-        folded over pi: (alpha, beta, reps, m).
-
-        R holds the m pair representatives (i < pi i), F the fixed points,
-        and reps = R + F.  Row r of P is p_r[k] = S[r][k] + S[r][pi k] on
-        reps (so 2 S[r][k] on F); row r of Q (r in R) is q_r[k] = S[r][k] -
-        S[r][pi k] on R.  With w = x_k/2 on R and x_k/4 on F, each block is
-        one row of an ExactMatrix:
-            alpha = P diag(w) P^T   (reps x reps, upper triangle),
-            beta  = Q diag(w) Q^T   (R x R, upper triangle; None when R is empty).
-        For r, c in reps, S[r][c] = S[pi r][pi c] = alpha + beta and
-        S[r][pi c] = S[pi r][c] = alpha - beta, where beta drops out when r
-        or c is a fixed point.  They cost n+^3/2 + n-^3/2 multiplications,
-        n+ = |R| + |F| and n- = |R|, against n^3/2 unfolded; with pi the
-        identity, alpha is the half-product.  ValueError unless pi is an
-        involution of range(n) and S is symmetric and fixed by pi
-        (S[i, j] = S[j, i] = S[pi i, pi j], compared as table indices), and
-        when pi moves x: S diag(x) S then has a third block, which alpha and
-        beta do not give.
-        """
-        n, idx = self.nrows, self.index
-        if sorted(pi) != list(range(n)) or any(pi[pi[i]] != i for i in range(n)):
-            raise ValueError("pi must be an involution of the rows")
-        if not self.is_square() or any(idx[i][j] != idx[j][i] or idx[i][j] != idx[pi[i]][pi[j]]
-                                       for i in range(n) for j in range(i, n)):
-            raise ValueError("folding needs a symmetric matrix fixed by pi")
-        _check_length(diag, n)
-        R = [i for i in range(n) if i < pi[i]]
-        if any(diag[k] != diag[pi[k]] for k in R):
-            raise ValueError("the diagonal must be fixed by pi")
-        reps = R + [i for i in range(n) if i == pi[i]]
-        images = [pi[k] for k in reps]
-        m = len(R)
-        P = self.submatrix(reps, reps) + self.submatrix(reps, images)
-        w = [diag[k] / (2 if a < m else 4) for a, k in enumerate(reps)]
-        alpha = P.dots(P, _upper(len(reps)), w)
-        if not m:
-            return alpha, None, reps, m
-        Q = self.submatrix(R, R) - self.submatrix(R, images[:m])
-        return alpha, Q.dots(Q, _upper(m), w[:m]), reps, m
 
     def __repr__(self):
         return f"ExactMatrix(order={self.order}, {self.nrows}x{self.ncols})"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, product
 
@@ -83,7 +82,7 @@ class Genus2Basis:
         """The involution (i, j, k) -> (i, k, j) of the basis, as indices.
         D is fixed by it (its entries are symmetric in j and k) and so is
         J~ (the tests pin it for r <= 6 at every root); T is not, as it acts
-        by theta_i theta_j."""
+        by theta_i theta_j.  It is the first of symmetries."""
         pos = {t: a for a, t in enumerate(self.triples)}
         return tuple(pos[i, k, j] for i, j, k in self.triples)
 
@@ -98,8 +97,7 @@ class Genus2Basis:
         Blanchet-Habegger-Masbaum-Vogel.  In the Theta-scaled basis each
         flip permutes J^ = Theta^-1 J~ Theta^-1 up to signs and multiplies
         each diagonal part of E^ = Theta^2 D T by a character +-1 (the tests
-        pin both for r <= 6 at every root); _relations_hold checks them
-        before it uses them."""
+        pin both for r <= 6 at every root)."""
         r = self.level
         if r % 2:
             return ()
@@ -107,6 +105,19 @@ class Genus2Basis:
         return tuple(tuple(pos[tuple(r - c if f else c for c, f in zip(t, mask))]
                            for t in self.triples)
                      for mask in ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+
+    @cached_property
+    def symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """The elements other than the identity of the group that the swap
+        and the flips generate, as indices: the swap alone at odd r; at even
+        r the swap, the three flips and the swap after each flip.  The swap
+        commutes with the first flip and conjugates the second into the
+        third, so with the identity these eight form a dihedral group.  Each
+        permutes J^ = Theta^-1 J~ Theta^-1 up to signs and multiplies
+        D^ = Theta^2 D by a character +-1 (the tests pin both for r <= 6 at
+        every root); _relations_hold checks each one before it uses it."""
+        pi = self.swap
+        return (pi, *self.flips, *(tuple(pi[b] for b in p) for p in self.flips))
 
 
 @lru_cache(maxsize=None)
@@ -378,16 +389,18 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     subfield that holds J~ and D (_relations_hold): at even r its vectors
     have phi/2 coefficients.  They run in the Theta-scaled basis, on
     Theta^-1 J~ Theta^-1, which has fewer and smaller distinct values than
-    J~.  S0 = J~ D J~ is folded over the swap (i, j, k) -> (i, k, j), which
-    fixes J~ and D; S2 = J~ E J~ and S4 = S2 E S2 are two half-products
-    each, one per twist parity, at even r on one pair per orbit of the
-    color flips (Genus2Basis.flips) once their signs are checked (at
-    r = 6: 84k, 78k and 78k multiplications, all on 8 coefficients,
-    against 300k on 16 for each unfolded product).  Only when that path
-    cannot show that every relation holds (a J~ or D that the swap moves,
-    or one outside K, included) are J'^2, (TJ')^5 and F bar(F) formed in
-    full (_reference_differences), and the report names the first
-    offending entry of each, as the products give it.
+    J~.  S0 = J~ D J~ is one half-product and S2 = J~ E J~ and S4 = S2 E S2
+    are two each, one per twist parity, all on one kernel
+    (ExactMatrix.half_product): each is dotted on one pair per orbit of the
+    symmetries of the basis (Genus2Basis.symmetries: the swap
+    (i, j, k) -> (i, k, j) and at even r the color flips) that are checked
+    to permute its matrix up to signs and to give its diagonal a character
+    (at r = 6: about 43k, 78k and 78k multiplications, all on 8
+    coefficients, against 300k on 16 for each unfolded product).  Only when
+    that path cannot show that every relation holds (a J~ or D outside K
+    included) are J'^2, (TJ')^5 and F bar(F) formed in full
+    (_reference_differences), and the report names the first offending
+    entry of each, as the products give it.
     """
     rep = genus2_rep(params)
     names = ["J^2 = I", "(TJ)^5 = (P+/P-)^2 I"]
@@ -412,10 +425,9 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     odd r, where K is the whole field.  With s = N/M, Q(zeta_N) is the sum
     of the zeta^c K, c < s (CycNumber.components).  J~ and D are moved into
     K (descend) and every product below runs on vectors of phi(M) = phi/s
-    coefficients.  When J~ or D is not in K or not fixed by the swap pi:
-    (i, j, k) -> (i, k, j) (Genus2Basis.swap), a twist or kappa^4 is not a
-    power of zeta, or S2 is not graded as below, the reference chain
-    decides.
+    coefficients.  When J~ or D is not in K or J~ is not symmetric, a
+    twist or kappa^4 is not a power of zeta, or S2 is not graded as below,
+    the reference chain decides.
 
     The relations are decided in the Theta-scaled basis, Theta the diagonal
     of the theta nets Theta(i, j, k): J^ = Theta^-1 J~ Theta^-1 and
@@ -426,11 +438,21 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     kappa^4 T^-1 J^ T^-1).  J^ has fewer distinct values than J~, on
     smaller coefficients (20 of 4 bits at r = 6, against 109 of 7).
 
-    (iv)  J~ = J~^T: ExactMatrix.fold_blocks, which folds J^ over pi for
-          S0, raises ValueError when it does not hold, or when pi moves J^.
+    Every symmetric product below is one ExactMatrix.half_product, its
+    upper triangle as one row, dotted on one pair per orbit of the
+    symmetries p of the basis (Genus2Basis.symmetries) that it may use
+    (_half_product): p must permute its matrix up to signs (_flip_signs)
+    and multiply its diagonal by a character +-1 (_flip_characters), each
+    checked entry by entry up to sign.  A symmetry that fails either check
+    is dropped on its own, and with none left the half-product dots every
+    pair; the output is the same either way.  The signs of J^ are read once.
+
+    (iv)  J~ = J~^T iff J^ = J^^T: one comparison of J^'s index with its
+          transpose (the unique form makes equal values equal indices).
     (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J^ D^ J^ is (D^)^-1
-          (_s0_is_d_inverse, on the two blocks of the fold; ValueError
-          when pi moves D^).
+          (_s0_is_d_inverse).  D^ is symmetric in i, j and k, so every
+          symmetry that permutes J^ up to signs is used: at r = 6 S0 takes
+          about 43k multiplications on 8 coefficients.
     (ii)  With E^ = D^ T = sum_c zeta^c E_c (_parts), S2 = J^ E^ J^ is the
           sum of zeta^c J^ E_c J^, one half-product per c (its upper
           triangle, over the columns where E_c is nonzero), as S4's are
@@ -449,15 +471,9 @@ def _relations_hold(rep: Genus2Rep) -> bool:
           is J^ shifted by floor(u/s) in K where c = u mod s and 0
           elsewhere, one ExactMatrix equality per c.  Each (J^ table
           index, shift) pair is shifted once.
-          At even r each half-product runs on the orbits of the flips
-          (Genus2Basis.flips, _half_product) when every flip is a signed
-          permutation of J^ (of X for S4: _flip_signs) and multiplies the
-          diagonal part by a character +-1 (_flip_characters), each
-          checked entry by entry up to sign; else, and at odd r, it is the
-          plain half-product.  At r = 6 the S0 fold, S2 and S4 take 84k,
-          78k and 78k multiplications on 8 coefficients (S2 and S4 took
-          300k each on all pairs), against 300k on 16 for each unfolded
-          product.
+          The swap moves T, so no part of E^ or W has a character under
+          it: the parts of S2 and S4 keep the flips alone, at even r, and
+          at r = 6 take 78k multiplications each (300k on all pairs).
     (iii) F = Theta J' Theta^-1 has F^2 = I by (i), so F conj(F) = I iff
           conj(F) = F, which holds when J^, Theta and D^ are fixed by
           conjugation, a field automorphism.  ExactMatrix.conj conjugates
@@ -477,23 +493,25 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     try:
         jt = rep.jtilde.descend(M)
         d = [x.descend(M) for x in rep.jcols]
-        th, th_inv, dhat = _theta_scaling(params, rep.basis.triples, d, M)
-        jhat = jt.scale_rows(th_inv).scale_cols(th_inv)
-        if not _s0_is_d_inverse(jhat, rep.basis.swap, dhat):
-            return False
     except ValueError:
         return False
+    th, th_inv, dhat = _theta_scaling(params, rep.basis.triples, d, M)
+    jhat = jt.scale_rows(th_inv).scale_cols(th_inv)
+    if tuple(zip(*jhat.index)) != jhat.index:
+        return False
+    syms = rep.basis.symmetries
+    jsigns = _flip_signs(jhat, syms)
+    if not _s0_is_d_inverse(_half_product(jhat, jsigns, dhat, syms), dhat):
+        return False
 
-    flips = rep.basis.flips
     grade = [j % s for _, j, _ in rep.basis.triples]
     upper = _upper(n)
-    jsigns = _flip_signs(jhat, flips)
-    x = _regrade([_half_product(jhat, jsigns, ec, flips) for ec in _parts(dhat, tlog, s)],
+    x = _regrade([_half_product(jhat, jsigns, ec, syms) for ec in _parts(dhat, tlog, s)],
                  upper, grade)
     if x is None:
         return False
-    xsigns = _flip_signs(x, flips)
-    halves = [_half_product(x, xsigns, wc, flips)
+    xsigns = _flip_signs(x, syms)
+    halves = [_half_product(x, xsigns, wc, syms)
               for wc in _parts(dhat, [t + 2 * g for t, g in zip(tlog, grade)], s)]
 
     zero, shifted = (0,) * euler_phi(M), {}
@@ -541,51 +559,58 @@ def _parts(xs: list[CycNumber], logs: list[int], s: int) -> list[list[CycNumber]
             for c in range(s)]
 
 
-def _flip_signs(m: ExactMatrix, flips) -> list[tuple[int, ...]] | None:
-    """For each flip p, signs s_a = +-1 with m[pa, pb] = c s_a s_b m[a, b]
-    for every a <= b and one c = +-1; None when some flip is not such a
-    signed permutation of m.  The signs are read off the first row a0 of
-    m without a zero entry, which gives c = s_a0, and then every entry of
-    the upper triangle is compared, as a table index up to sign: m is in
-    the unique form, so equal values are equal indices."""
+def _flip_signs(m: ExactMatrix, perms) -> list[tuple[int, ...] | None]:
+    """For each permutation p, signs s_a = +-1 with m[pa, pb] = c s_a s_b
+    m[a, b] for every a <= b and one c = +-1, or None when p is not such a
+    signed permutation of m (every entry None when each row of m has a
+    zero).  The signs are read off the first row a0 of m without a zero
+    entry, which gives c = s_a0, and then every entry of the upper triangle
+    is compared, as a table index up to sign: m is in the unique form, so
+    equal values are equal indices."""
     n, idx = m.nrows, m.index
     pos = {v: k for k, v in enumerate(m.table)}
     neg = [pos.get(tuple(-c for c in v)) for v in m.table]
     a0 = next((a for a in range(n) if all(map(any, map(m.table.__getitem__, idx[a])))), None)
     if a0 is None:
-        return None
+        return [None] * len(perms)
     out = []
-    for p in flips:
+    for p in perms:
         row, image = idx[a0], idx[p[a0]]
         s = [1 if image[p[b]] == row[b] else -1 if image[p[b]] == neg[row[b]] else 0
              for b in range(n)]
         c = s[a0]
-        if 0 in s or any(idx[p[a]][p[b]] != (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])
-                         for a in range(n) for b in range(a, n)):
-            return None
-        out.append(tuple(s))
+        signed = 0 not in s and all(
+            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])
+            for a in range(n) for b in range(a, n))
+        out.append(tuple(s) if signed else None)
     return out
 
 
-def _flip_characters(w: list[CycNumber], flips) -> list[tuple[int, ...]] | None:
-    """For each flip p, chi_k = +-1 with w[pk] = chi_k w[k] (1 where both
-    are 0); None when some w[pk] is neither w[k] nor -w[k]."""
+def _flip_characters(w: list[CycNumber], perms) -> list[tuple[int, ...] | None]:
+    """For each permutation p, chi_k = +-1 with w[pk] = chi_k w[k] (1 where
+    both are 0), or None when some w[pk] is neither w[k] nor -w[k].  The
+    entries are compared as numbers of their distinct values, each value
+    negated once."""
+    pos = {}
+    ids = [pos.setdefault(x, len(pos)) for x in w]
+    neg = [pos.get(-x) for x in pos]
     out = []
-    for p in flips:
-        chi = tuple(1 if w[p[k]] == x else -1 if w[p[k]] == -x else 0 for k, x in enumerate(w))
-        if 0 in chi:
-            return None
-        out.append(chi)
+    for p in perms:
+        chi = tuple(1 if ids[p[k]] == i else -1 if ids[p[k]] == neg[i] else 0
+                    for k, i in enumerate(ids))
+        out.append(None if 0 in chi else chi)
     return out
 
 
-def _half_product(m: ExactMatrix, signs, w: list[CycNumber], flips) -> ExactMatrix:
+def _half_product(m: ExactMatrix, signs, w: list[CycNumber], perms) -> ExactMatrix:
     """The upper triangle of m diag(w) m for a symmetric m, as one row
-    (ExactMatrix.half_product): on the orbits of the flips when signs
-    (_flip_signs of m) are known and w has a character under each flip,
-    else the plain half-product, as at odd r.  The output is the same."""
-    chis = _flip_characters(w, flips) if signs else None
-    return m.half_product(w, list(zip(flips, signs, chis)) if chis else ())
+    (ExactMatrix.half_product), on the orbits of the permutations p of
+    perms that it may use: those whose signs (_flip_signs of m) are known
+    and under which w has a character (_flip_characters), each dropped on
+    its own.  With none of them, it is the plain half-product; the output
+    is the same."""
+    return m.half_product(w, [(p, sg, chi) for p, sg, chi
+                              in zip(perms, signs, _flip_characters(w, perms)) if sg and chi])
 
 
 def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],
@@ -617,26 +642,16 @@ def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],
     return ExactMatrix.from_vectors(M, rows, den)
 
 
-def _s0_is_d_inverse(jt: ExactMatrix, pi: tuple[int, ...], d: list[CycNumber]) -> bool:
-    """S0 = J~ D J~ = D^-1, decided on the blocks of J~ folded over pi;
-    ValueError (ExactMatrix.fold_blocks) when J~ is not symmetric and fixed
-    by pi, or when pi moves D.
-
-    S0[r, v] = alpha + beta and S0[r, pi v] = alpha - beta for r, v in R,
-    and S0[r, v] = alpha when r or v is fixed.  So S0 = D^-1 iff the
-    off-diagonal entries of alpha and beta are zero, with alpha_rr d_r = 1/2
-    (r in R) or 1 (r in F) and beta_rr d_r = 1/2: the n diagonal entries
-    times d against those values.
-    """
-    *blocks, reps, m = jt.fold_blocks(pi, d)
-    half = Fraction(1, 2)
-    for blk, size in zip(blocks, (len(reps), m)):
-        at = 0                          # the position of (a, a) in the upper triangle
-        for a in range(size):
-            if (blk[0, at] * d[reps[a]] != (half if a < m else 1)
-                    or any(any(blk.table[k]) for k in blk.index[0][at + 1:at + size - a])):
-                return False
-            at += size - a
+def _s0_is_d_inverse(s0: ExactMatrix, d: list[CycNumber]) -> bool:
+    """S0 = D^-1, for a symmetric S0 given as its upper triangle (one row in
+    _upper order): each diagonal entry times d_a is 1, and every other
+    entry is 0."""
+    n, at = len(d), 0                   # at: the position of (a, a) in the row
+    for a in range(n):
+        if (s0[0, at] * d[a] != 1
+                or any(any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):
+            return False
+        at += n - a
     return True
 
 

@@ -34,18 +34,20 @@ PERTURBED = TESTS + "test_relations_fast_path_on_perturbed_reps"
 ZERO_AND_POLE = "tests/test_evaluators.py::test_factored_inverse_of_zero_and_of_a_pole"
 
 # the S0 check of _s0_is_d_inverse: the diagonal values, then the zeros off
-# the diagonal, of each block of the fold
-S0_CHECK = ("            if (blk[0, at] * d[reps[a]] != (half if a < m else 1)\n"
-            "                    or any(")
-S0_OFF_DIAGONAL = ("                    or any(any(blk.table[k]) "
-                   "for k in blk.index[0][at + 1:at + size - a])):")
-S0_BOTH = S0_CHECK + "any(blk.table[k]) for k in blk.index[0][at + 1:at + size - a])):"
+# the diagonal, of the upper triangle of S0
+S0_CHECK = ("        if (s0[0, at] * d[a] != 1\n"
+            "                or any(")
+S0_OFF_DIAGONAL = "                or any(any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):"
+S0_BOTH = S0_CHECK + "any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):"
 CUBE_ROOT = TESTS + "test_relations_fail_with_jtilde_times_a_cube_root_of_unity"
 # the check of _flip_signs: every entry of the upper triangle against its
-# image under the flip, up to the signs read off one row
-FLIP_SIGNS = ("        if 0 in s or any(idx[p[a]][p[b]] != "
-              "(idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])\n"
-              "                         for a in range(n) for b in range(a, n)):")
+# image under the symmetry, up to the signs read off one row
+FLIP_SIGNS = ("        signed = 0 not in s and all(\n"
+              "            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])\n"
+              "            for a in range(n) for b in range(a, n))\n")
+# the check of _flip_characters: a symmetry under which the diagonal has no
+# character +-1 is dropped, on its own
+CHARACTER_DROP = "        out.append(None if 0 in chi else chi)"
 FLIP_CHECKS = TESTS + "test_half_products_match_plain_dots_when_a_check_fails"
 # the descents of J~ and D into K, inside the try of _relations_hold
 DESCENDS = ("    try:\n"
@@ -53,25 +55,21 @@ DESCENDS = ("    try:\n"
             "        d = [x.descend(M) for x in rep.jcols]\n")
 
 MUTANTS = [
-    # ExactMatrix.fold_blocks: J~ symmetric and fixed by the swap
-    (MATRIX,
-     "        if not self.is_square() or any(idx[i][j] != idx[j][i]",
-     "        if not self.is_square() or False and any(idx[i][j] != idx[j][i]",
-     TESTS + "test_swap_bumps_take_their_own_paths[2]"),
-    # ExactMatrix.fold_blocks: D fixed by the swap
-    (MATRIX,
-     "        if any(diag[k] != diag[pi[k]] for k in R):",
-     "        if False:",
+    # _relations_hold: (iv), J^ symmetric, one comparison of indices
+    (GENUS2, "    if tuple(zip(*jhat.index)) != jhat.index:", "    if False:",
+     TESTS + "test_asymmetric_jtilde_is_refused_before_any_product[2]"),
+    # _flip_characters: a D that the swap moves drops the swap from S0
+    (GENUS2, CHARACTER_DROP, "        out.append(chi)",
      TESTS + "test_swap_bumps_take_their_own_paths[2]"),
     # _s0_is_d_inverse, both halves
-    (GENUS2, S0_BOTH, "            if False:", TESTS + "test_swap_bumps_take_their_own_paths[2]"),
-    (GENUS2, S0_BOTH, "            if False:", TESTS + "test_swap_bumps_take_their_own_paths[3]"),
+    (GENUS2, S0_BOTH, "        if False:", TESTS + "test_swap_bumps_take_their_own_paths[2]"),
+    (GENUS2, S0_BOTH, "        if False:", TESTS + "test_swap_bumps_take_their_own_paths[3]"),
     # _s0_is_d_inverse, the diagonal values alone, at each root of the case
-    (GENUS2, S0_CHECK, "            if (any(", CUBE_ROOT + "[1-7]"),
-    (GENUS2, S0_CHECK, "            if (any(", CUBE_ROOT + "[4-5]"),
-    (GENUS2, S0_CHECK, "            if (any(", CUBE_ROOT + "[7-7]"),
+    (GENUS2, S0_CHECK, "        if (any(", CUBE_ROOT + "[1-7]"),
+    (GENUS2, S0_CHECK, "        if (any(", CUBE_ROOT + "[4-5]"),
+    (GENUS2, S0_CHECK, "        if (any(", CUBE_ROOT + "[7-7]"),
     # _s0_is_d_inverse, the zeros off the diagonal alone
-    (GENUS2, S0_OFF_DIAGONAL, "                    or False):",
+    (GENUS2, S0_OFF_DIAGONAL, "                or False):",
      TESTS + "test_s0_check_reads_the_off_diagonal_entries"),
     # _regrade: S2 graded by the middle label
     (GENUS2,
@@ -90,10 +88,10 @@ MUTANTS = [
      TESTS + "test_unitarity_reads_every_distinct_jtilde_vector[2]"),
     # _flip_signs: each flip a signed permutation, checked on J^ for S2 and
     # on X for S4
-    (GENUS2, FLIP_SIGNS, "        if False:", FLIP_CHECKS + "[J-broken-2]"),
-    (GENUS2, FLIP_SIGNS, "        if False:", FLIP_CHECKS + "[X-broken-2]"),
-    # _flip_characters: each diagonal part has a character +-1
-    (GENUS2, "        if 0 in chi:", "        if False:", FLIP_CHECKS + "[E-broken-2]"),
+    (GENUS2, FLIP_SIGNS, "        signed = True\n", FLIP_CHECKS + "[J-broken-2]"),
+    (GENUS2, FLIP_SIGNS, "        signed = True\n", FLIP_CHECKS + "[X-broken-2]"),
+    # _flip_characters: each diagonal part of S2 has a character +-1
+    (GENUS2, CHARACTER_DROP, "        out.append(chi)", FLIP_CHECKS + "[E-broken-2]"),
     # minpoly_certificate: no cyclotomic factor in the designated polynomial
     (GENUS2,
      "    k = cyclotomic_factor(quartic)",

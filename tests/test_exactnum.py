@@ -53,6 +53,7 @@ from tljhecke.matrix import (
     _products,
     _tabulate,
     _unpack_digits,
+    _upper,
     _width,
 )
 from tljhecke import matrix
@@ -927,36 +928,20 @@ def sandwich_cases(draw):
 
 def _symmetric(N, n, upper):
     """The symmetric n x n ExactMatrix whose upper triangle is the one row
-    upper, row by row, as ExactMatrix.fold_blocks gives alpha and beta
-    (None when n = 0)."""
-    it = iter(upper.rows[0] if upper is not None else ())
+    upper, row by row, as ExactMatrix.half_product gives it."""
+    it = iter(upper.rows[0])
     entries = {(i, j): next(it) for i in range(n) for j in range(i, n)}
     return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
 
 
-def _unfolded(S, pi, x):
-    """S diag(x) S read from the blocks of S folded over pi, entry by entry:
-    S[r, c] = S[pi r, pi c] = alpha + beta and S[r, pi c] = S[pi r, c] =
-    alpha - beta for r, c in reps, beta 0 unless both are in R."""
-    *blocks, reps, m = S.fold_blocks(pi, x)
-    N = S.order
-    alpha, beta = (_symmetric(N, k, b) for k, b in zip((len(reps), m), blocks))
-    rows = [[None] * len(pi) for _ in pi]
-    for a, r in enumerate(reps):
-        for b, c in enumerate(reps):
-            al, be = alpha[a, b], beta[a, b] if a < m and b < m else 0
-            rows[r][c] = rows[pi[r]][pi[c]] = al + be
-            rows[r][pi[c]] = rows[pi[r]][c] = al - be
-    return ExactMatrix(N, rows)
-
-
 def _sandwich(A, pi, d, *later):
-    """A diag(d) A from the blocks of A folded over pi, then S diag(x) S
-    for each x of later, with S the previous result folded over the
-    identity."""
-    S = _unfolded(A, pi, d)
+    """A diag(d) A from its half-product on the orbits of a permutation pi
+    that fixes A and d, then S diag(x) S for each x of later, S the previous
+    result, from its plain half-product."""
+    n, ones = A.nrows, (1,) * A.nrows
+    S = _symmetric(A.order, n, A.half_product(d, [(tuple(pi), ones, ones)]))
     for x in later:
-        S = _unfolded(S, range(A.nrows), x)
+        S = _symmetric(A.order, n, S.half_product(x))
     return S
 
 
@@ -1072,35 +1057,26 @@ def test_folded_sandwich_matches_products(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(folded_cases())
-def test_fold_blocks_give_every_entry(case):
-    # alpha and beta give every entry of A diag(x) A for a diagonal that pi
-    # fixes (_unfolded); a diagonal that pi moves is a ValueError
+@given(folded_cases(), st.data())
+def test_half_product_on_a_signed_involution_matches_plain_dots(case, data):
+    # A conjugated by random signs u is a signed permutation under pi,
+    # S[pa, pb] = t_a t_b S[a, b] with t_a = u_a u_pa, and the diagonal that
+    # pi fixes times random signs e has the character chi_k = e_k e_pk: the
+    # half-product on the orbits of pi is the plain dots of the upper
+    # triangle; so is the one on the orbits of the identity, under which
+    # any diagonal, the one pi moves too, has the character 1
     A, pi, moved, fixed_by_pi, _ = case
-    _, beta, reps, m = A.fold_blocks(pi, fixed_by_pi)
-    assert sorted(reps) == sorted(i for i in range(A.nrows) if i <= pi[i])
-    assert all(i < pi[i] for i in reps[:m]) and all(i == pi[i] for i in reps[m:])
-    assert (beta is None) == (m == 0)
-    assert _unfolded(A, pi, fixed_by_pi) == _product(A, fixed_by_pi)
-    if any(moved[k] != moved[pi[k]] for k in range(A.nrows)):
-        with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
-            A.fold_blocks(pi, moved)
-
-
-@settings(max_examples=60, deadline=None)
-@given(folded_cases())
-def test_identity_folding_blocks_are_the_upper_triangle(case):
-    # folded over the identity, alpha is the upper triangle of the
-    # half-product, row by row, j from i to n - 1, and beta is None
-    A, pi, moved, fixed_by_pi, y = case
-    n = A.nrows
-    for d in (moved, fixed_by_pi):
-        S = _product(A, d)
-        alpha, beta, reps, m = S.fold_blocks(range(n), y)
-        assert (reps, m) == (list(range(n)), 0)
-        Sy = _product(S, y)
-        assert _as_cyc(alpha) == [Sy[i, j] for i in range(n) for j in range(i, n)]
-        assert beta is None
+    N, n = A.order, A.nrows
+    signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+    u, e = data.draw(signs), data.draw(signs)
+    S = A.scale_rows([CycNumber.from_rational(N, c) for c in u]).scale_cols(
+        [CycNumber.from_rational(N, c) for c in u])
+    x = [w if c > 0 else -w for w, c in zip(fixed_by_pi, e)]
+    t = tuple(u[a] * u[pi[a]] for a in range(n))
+    chi = tuple(e[k] * e[pi[k]] for k in range(n))
+    assert S.half_product(x, [(tuple(pi), t, chi)]) == S.dots(S, _upper(n), x)
+    ones = (1,) * n
+    assert S.half_product(moved, [(tuple(range(n)), ones, ones)]) == S.dots(S, _upper(n), moved)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1144,31 +1120,6 @@ def test_vector_results_match_cycnumber_references(case):
     assert residue_matrix(A, sp) == [[sp.residue(x) for x in row] for row in E]
 
 
-def test_fold_rejects_what_pi_does_not_fix():
-    z = CycNumber.zeta(12)
-    one = CycNumber.one(12)
-    A = ExactMatrix(12, [[z, one, z], [one, z, z], [z, z, one]])
-    swap = [1, 0, 2]
-    assert A.fold_blocks(swap, [z, z, one])[3] == 1
-    assert _sandwich(A, swap, [z, z, one]) == _product(A, [z, z, one])
-    with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
-        A.fold_blocks(swap, [z, one, z])
-    B = ExactMatrix(12, [[z, one, z], [one, z, one], [z, one, one]])
-    with pytest.raises(ValueError, match="symmetric matrix fixed by pi"):
-        B.fold_blocks(swap, [z, z, one])
-    assert _sandwich(B, range(3), [z] * 3) == _product(B, [z] * 3)
-    for bad in ([1, 2, 0], [0, 1], [0, 0, 2]):
-        with pytest.raises(ValueError, match="pi must be"):
-            A.fold_blocks(bad, [z, z, one])
-
-
-def test_sandwich_rejects_asymmetric_matrix():
-    z = CycNumber.zeta(12)
-    A = ExactMatrix(12, [[z, z + 1], [z - 1, z]])
-    with pytest.raises(ValueError, match="symmetric"):
-        A.fold_blocks(range(2), [z, z])
-
-
 @pytest.mark.parametrize("length", [1, 3])
 def test_diagonal_length_must_match(length):
     # a longer diagonal is not truncated and a shorter one is no IndexError:
@@ -1177,7 +1128,7 @@ def test_diagonal_length_must_match(length):
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
     chained = _sandwich(A, range(2), [z, z])
-    for call in (lambda: A.fold_blocks(range(2), d), lambda: chained.fold_blocks(range(2), d),
+    for call in (lambda: A.half_product(d), lambda: chained.half_product(d),
                  lambda: A.scale_cols(d), lambda: A.scale_rows(d),
                  lambda: A.dots(A, [(0, 0)], d)):
         with pytest.raises(ValueError, match=f"length {length} where 2 "):
@@ -1551,7 +1502,9 @@ def test_equal_matrices_have_one_form(case):
                   A - A, A.transpose()):
             assert _unique_form(X)
     S = ExactMatrix(N, sym)
-    assert _unique_form(S.fold_blocks(range(len(sym)), d)[0])
+    ones = (1,) * len(sym)
+    assert _unique_form(S.half_product(d)) and _unique_form(
+        S.half_product(d, [(tuple(range(len(sym))), ones, ones)]))
 
 
 @settings(max_examples=40, deadline=None)

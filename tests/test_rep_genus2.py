@@ -165,9 +165,10 @@ def test_basis_swap_is_the_strand_involution():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_jtilde_and_d_are_fixed_by_the_swap_every_root(r):
-    # the relation check folds J~ X J~ over (i, j, k) -> (i, k, j); a J~ or D
-    # that the swap moves is still decided, by the product chain, but
-    # several times slower, so the fact the fold rests on is pinned here
+    # the relation check dots J^ D^ J^ on the orbits of the swap
+    # (i, j, k) -> (i, k, j) among its symmetries; a J~ or D that the swap
+    # moves is still decided, on the other symmetries alone, and more
+    # slowly, so the fact the swap's use rests on is pinned here
     P = TheoryParams(r)
     for k in _unit_roots(P.root_order):
         rep = genus2_rep(P.with_root(k))
@@ -497,7 +498,7 @@ def test_relations_fail_with_jtilde_times_a_cube_root_of_unity(monkeypatch, r, k
 
 
 def _reference_report(monkeypatch, P):
-    """The report of the full product chain, with the folded path off."""
+    """The report of the full product chain, with the fast path off."""
     with monkeypatch.context() as m:
         m.setattr(rep_genus2, "_relations_hold", lambda rep: False)
         return verify_genus2_relations(P)
@@ -523,45 +524,20 @@ def test_relations_fast_path_matches_reference_r6(monkeypatch):
         assert _fast_vs_reference(monkeypatch, Pk).all_pass
 
 
-def _folded_vs_half_product(rep):
-    # over K = Q(zeta_M), as _relations_hold forms them: the blocks of S0 =
-    # J~ D J~ folded over the swap against its half-product (alpha is the
-    # mean of S0[r, c] and S0[r, pi c], beta half their difference), and X
-    # regraded from the half-products J~ E_c J~ against S2 = J~ E J~ formed
-    # in full over Q(zeta_N), times G^-1 = diag(zeta^-g) on both sides
+def _regrade_matches_full_s2(rep):
+    # over K = Q(zeta_M), as _relations_hold forms it: X regraded from the
+    # half-products J~ E_c J~ against S2 = J~ E J~ formed in full over
+    # Q(zeta_N), times G^-1 = diag(zeta^-g) on both sides
     N = rep.params.root_order
     M = square_subfield_order(N)
-    jt, pi = rep.jtilde.descend(M), rep.basis.swap
-    n = len(pi)
-    upper = [(a, b) for a in range(n) for b in range(a, n)]
-    d = [x.descend(M) for x in rep.jcols]
-    s0 = dict(zip(upper, jt.dots(jt, upper, d).rows[0]))
-    s0.update({(b, a): v for (a, b), v in s0.items()})
-    alpha, beta, reps, m = jt.fold_blocks(pi, d)
-    R = reps[:m]
-    assert list(alpha.rows[0]) == [(s0[r, c] + s0[r, pi[c]]) / 2
-                                   for a, r in enumerate(reps) for c in reps[a:]], rep.params
-    assert list(beta.rows[0] if R else ()) == [(s0[r, c] - s0[r, pi[c]]) / 2
-                                               for a, r in enumerate(R) for c in R[a:]]
+    jt, n = rep.jtilde.descend(M), len(rep.basis)
+    upper = _upper(n)
     grade = [j % (N // M) for _, j, _ in rep.basis.triples]
     parts = [jt.dots(jt, upper, e) for e in zip(*(y.components(M) for y in rep.e))]
     x = rep_genus2._regrade(parts, upper, grade)
     g_inv = [CycNumber.zeta(N, -g) for g in grade]
     s2 = rep.jtilde.scale_cols(rep.e) @ rep.jtilde
     assert x == s2.scale_rows(g_inv).scale_cols(g_inv).descend(M), rep.params
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_folded_products_match_half_products_every_root(r):
-    P = TheoryParams(r)
-    for k in _unit_roots(P.root_order):
-        _folded_vs_half_product(genus2_rep(P.with_root(k)))
-
-
-def test_folded_products_match_half_products_r6():
-    P = TheoryParams(6)
-    for Pk in (P, P.with_root(1)):
-        _folded_vs_half_product(genus2_rep(Pk))
 
 
 def _bump(M, cells):
@@ -656,29 +632,44 @@ def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_swap_bumps_take_their_own_paths(monkeypatch, r):
-    # a bump that the swap fixes passes the fold's precondition and the
-    # folded S0 itself rejects it, before S2 is formed; one that the swap
-    # does not fix is refused by the fold, and so is a D that the swap
-    # moves (ExactMatrix.fold_blocks), so the product chain decides
+    # a bump that the swap keeps is rejected by S0 itself, before S2 is
+    # formed; a bump that breaks the swap, and a D that the swap moves,
+    # lose the swap alone: S0 runs on the other symmetries and rejects them
     rep = genus2_rep(TheoryParams(r))
-    pi, d = rep.basis.swap, rep.jcols
-    kept = _swap_bump(rep, keep=True)
-    kept.fold_blocks(pi, d)
+    pi = rep.basis.swap
     with monkeypatch.context() as m:
         m.setattr(rep_genus2, "_regrade", lambda *a: pytest.fail("S0 decides"))
-        assert not rep_genus2._relations_hold(replace(rep, jtilde=kept))
+        assert not rep_genus2._relations_hold(replace(rep, jtilde=_swap_bump(rep, keep=True)))
     broken = _swap_bump(rep, keep=False)
     assert broken == broken.transpose()
-    with pytest.raises(ValueError, match="symmetric matrix fixed by pi"):
-        broken.fold_blocks(pi, d)
-    assert not rep_genus2._relations_hold(replace(rep, jtilde=broken))
-    with pytest.raises(ValueError, match="diagonal must be fixed by pi"):
-        rep.jtilde.fold_blocks(pi, _d_moved(rep))
-    assert not rep_genus2._relations_hold(replace(rep, jcols=_d_moved(rep)))
+    for bad in (replace(rep, jtilde=broken), replace(rep, jcols=_d_moved(rep))):
+        with monkeypatch.context() as m:
+            m.setattr(rep_genus2, "_regrade", lambda *a: pytest.fail("S0 decides"))
+            held, calls = _half_products(m, bad)
+        assert not held and len(calls) == 1
+        assert pi not in [p for p, _, _ in calls[0][2]]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_asymmetric_jtilde_is_refused_before_any_product(monkeypatch, r):
+    # J' -> L J' L^-1, L = 2 at one basis vector: J~ -> L J~ L^-1 keeps
+    # J^2 = I, (TJ)^5 and unitarity but not J~ = J~^T, which one
+    # comparison of indices refuses before any half-product; the report
+    # is the reference one
+    P = TheoryParams(r)
+    rep = genus2_rep(P)
+    lam = [CycNumber.from_rational(P.root_order, 2 if b == 0 else 1) for b in range(len(rep.basis))]
+    bad = replace(rep, jtilde=rep.jtilde.scale_rows(lam).scale_cols([x.inverse() for x in lam]))
+    with monkeypatch.context() as m:
+        m.setattr(ExactMatrix, "half_product", lambda *a: pytest.fail("a product ran"))
+        assert not rep_genus2._relations_hold(bad)
+    monkeypatch.setattr(rep_genus2, "genus2_rep", lambda params: bad)
+    rpt = _fast_vs_reference(monkeypatch, P)
+    assert [it.passed for it in rpt.items] == [True, True, True, False]
 
 
 def test_s0_check_reads_the_off_diagonal_entries():
-    # J~ = [[4/5, 3/5], [3/5, 4/5]] with D = I and the identity swap:
+    # J~ = [[4/5, 3/5], [3/5, 4/5]] with D = I:
     # S0 = J~^2 = [[1, 24/25], [24/25, 1]] has D^-1's diagonal, so only the
     # off-diagonal test of _s0_is_d_inverse can reject it
     q = lambda x: CycNumber(5, [x, 0, 0, 0])
@@ -688,7 +679,7 @@ def test_s0_check_reads_the_off_diagonal_entries():
     s0 = jt.scale_cols(d) @ jt
     assert [s0[i, i] for i in range(2)] == d
     assert s0[0, 1] == q(Fraction(24, 25))
-    assert not rep_genus2._s0_is_d_inverse(jt, (0, 1), d)
+    assert not rep_genus2._s0_is_d_inverse(jt.half_product(d), d)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -792,7 +783,7 @@ def test_fast_path_decides_at_every_root(monkeypatch, r):
 @pytest.mark.parametrize("r", [2, 4])
 def test_regrade_checks_the_grading(r):
     # X = G^-1 S2 G^-1 over K from the upper triangles of the two parts
-    # J~ E_c J~ of S2 (_folded_vs_half_product diffs it with S2), and None
+    # J~ E_c J~ of S2 (_regrade_matches_full_s2 diffs it with S2), and None
     # once a part is nonzero where the grading by the middle label puts 0
     rep = genus2_rep(TheoryParams(r))
     N, n = rep.params.root_order, len(rep.basis)
@@ -827,53 +818,75 @@ def test_basis_flips_are_the_color_flips():
 
 def _half_products(monkeypatch, rep):
     """The verdict of _relations_hold(rep) and each half-product it forms,
-    as (m, signs, w, output): the two parts of S2, then the two halves of
-    S4 (none of S4 when the check stops before it)."""
-    calls, f = [], rep_genus2._half_product
+    as (m, w, symmetries, output), symmetries the (p, signs, chi) whose
+    orbits it was dotted on: S0, the parts of S2, then the halves of S4
+    (fewer when the check stops before them)."""
+    calls, f = [], ExactMatrix.half_product
 
-    def spy(m, signs, w, flips):
-        out = f(m, signs, w, flips)
-        calls.append((m, signs, w, out))
+    def spy(m, w, symmetries=()):
+        out = f(m, w, symmetries)
+        calls.append((m, w, list(symmetries), out))
         return out
     with monkeypatch.context() as mp:
-        mp.setattr(rep_genus2, "_half_product", spy)
+        mp.setattr(ExactMatrix, "half_product", spy)
         return rep_genus2._relations_hold(rep), calls
+
+
+def _signed_permutations_hold(m, w, symmetries, step):
+    """Each (p, signs, chi) has w[pk] = chi_k w[k], and with step, also
+    m[pa, pb] = c s_a s_b m[a, b] on every step-th row a, c read off
+    m[p0, p0]."""
+    n = m.nrows
+    for p, s, chi in symmetries:
+        if not all(w[p[k]] == chi[k] * w[k] for k in range(n)):
+            return False
+        c = 1 if m[p[0], p[0]] == m[0, 0] else -1
+        if step and not all(m[p[a], p[b]] == c * s[a] * s[b] * m[a, b]
+                            for a in range(0, n, step) for b in range(n)):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("r", [2, 4, 6])
 def test_flips_are_signed_permutations_every_root(monkeypatch, r):
-    # the orbit path rests on this: each flip permutes J^ = Theta^-1 J~
-    # Theta^-1 and X = G^-1 S2 G^-1 up to signs, and multiplies each part
-    # of E^ = Theta^2 D T and of W = G E^ G by a character +-1; a root where
-    # it failed would still be decided, by the plain half-products, but
-    # about three times slower.  Every eighth row is compared entry by
-    # entry as well (all rows for n <= 14)
+    # the orbit path rests on this: every symmetry of the basis (the swap,
+    # the flips, the swap after each flip) permutes J^ = Theta^-1 J~
+    # Theta^-1 up to signs and gives D^ a character +-1, and each flip
+    # permutes X = G^-1 S2 G^-1 up to signs and multiplies each part of
+    # E^ = Theta^2 D T and of W = G E^ G by a character +-1; a root where
+    # it failed would still be decided, on fewer symmetries, more slowly.
+    # J^ (read by S0) and X (by the first half of S4) are compared entry
+    # by entry on every eighth row (all rows for n <= 14)
     P = TheoryParams(r)
     for k in _unit_roots(P.root_order):
         rep = genus2_rep(P.with_root(k))
-        flips = rep.basis.flips
         held, calls = _half_products(monkeypatch, rep)
-        assert held and len(calls) == 4, (r, k)
-        for m, signs, w, _ in calls:
-            assert signs is not None and rep_genus2._flip_characters(w, flips), (r, k)
-        for m, signs, _, _ in calls[::2]:
-            n = m.nrows
-            for p, s in zip(flips, signs):
-                c = 1 if m[p[0], p[0]] == m[0, 0] else -1
-                assert all(m[p[a], p[b]] == c * s[a] * s[b] * m[a, b]
-                           for a in range(0, n, 1 if n <= 14 else 8) for b in range(n)), (r, k)
+        assert held and len(calls) == 5, (r, k)
+        used = [[p for p, _, _ in syms] for _, _, syms, _ in calls]
+        assert used == [list(rep.basis.symmetries)] + [list(rep.basis.flips)] * 4, (r, k)
+        step = 1 if len(rep.basis) <= 14 else 8
+        for t, (m, w, syms, _) in enumerate(calls):
+            assert _signed_permutations_hold(m, w, syms, step if t in (0, 3) else 0), (r, k)
 
 
-@pytest.mark.parametrize("r", [2, 4, 6])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7])
 def test_orbit_half_products_match_plain_dots_every_root(monkeypatch, r):
-    # each part of S2 and half of S4 that the orbit path forms against
-    # the plain dots of the same Theta-basis matrices
+    # S0, each part of S2 and each half of S4 that the orbit path forms,
+    # against the plain dots of the same Theta-basis matrices: on the swap
+    # alone at odd r, where S0 keeps it and S2 and S4 keep nothing.  X,
+    # regraded from the parts of S2, against S2 formed in full at r <= 5,
+    # and at two roots at r = 6
     P = TheoryParams(r)
+    s = P.root_order // square_subfield_order(P.root_order)
     for k in _unit_roots(P.root_order):
-        held, calls = _half_products(monkeypatch, genus2_rep(P.with_root(k)))
-        assert held, (r, k)
-        for m, _, w, out in calls:
+        rep = genus2_rep(P.with_root(k))
+        held, calls = _half_products(monkeypatch, rep)
+        assert held and len(calls) == 1 + 2 * s, (r, k)
+        assert calls[0][2][0][0] == rep.basis.swap, (r, k)
+        for m, w, _, out in calls:
             assert out == m.dots(m, _upper(m.nrows), w), (r, k)
+        if r < 6 or r == 6 and k in (P.root_exponent, 1):
+            _regrade_matches_full_s2(rep)
 
 
 def _flip_moved_orbit(rep):
@@ -932,27 +945,30 @@ def test_half_products_match_plain_dots_when_a_check_fails(monkeypatch, r, case)
     # the other two break.  The check refuses the flips, the plain
     # half-product runs, and the verdict is the reference chain's
     rep = genus2_rep(TheoryParams(r))
-    flips = rep.basis.flips
+    flips, syms = rep.basis.flips, rep.basis.symmetries
     a = _flip_moved_orbit(rep)[0]
     if case == "X-broken":
         _, calls = _half_products(monkeypatch, rep)
-        x, _, w, _ = calls[2]
+        x, w, _, _ = calls[3]
         bad = _doubled_on_orbit(x, a, flips[:1])
-        signs = rep_genus2._flip_signs(bad, flips)
-        assert bad == bad.transpose() and signs is None
-        assert rep_genus2._half_product(bad, signs, w, flips) == bad.dots(bad, _upper(len(w)), w)
+        signs = rep_genus2._flip_signs(bad, syms)
+        assert bad == bad.transpose() and signs[1] is not None and None in signs[2:4]
+        assert rep_genus2._half_product(bad, signs, w, syms) == bad.dots(bad, _upper(len(w)), w)
         return
     m = _l_scaled(rep) if case == "J-broken" else _t_shifted(rep, a)
     held, calls = _half_products(monkeypatch, m)
     assert held == all(d is None for d in rep_genus2._reference_differences(m))
     assert held == (case == "J-broken")
-    for x, _, w, out in calls:
+    for x, w, _, out in calls:
         assert out == x.dots(x, _upper(x.nrows), w)
+    used = [[p for p, _, _ in syms] for _, _, syms, _ in calls]
     if case == "J-broken":
-        assert calls[0][1] is None
+        # the flip that moves the scaled orbit is dropped, the swap kept
+        assert used[0][0] == rep.basis.swap and len(used[0]) < len(syms)
     else:
-        assert calls[0][1] is not None
-        assert any(rep_genus2._flip_characters(w, flips) is None for _, _, w, _ in calls)
+        # S0 keeps every symmetry, and a part of E^ loses a flip
+        assert used[0] == list(syms)
+        assert any(len(u) < len(flips) for u in used[1:])
 
 
 def _jhat(rep):
@@ -965,17 +981,18 @@ def _jhat(rep):
 
 @pytest.mark.parametrize("r", [2, 4])
 def test_flip_bumps_keep_or_break_the_flips(r):
-    # the flip-broken and flip-kept cases of the perturbed reps: both pass
-    # the fold's precondition, so S0 decides that they fail; only the kept
-    # one is still a signed permutation under every flip
+    # the flip-broken and flip-kept cases of the perturbed reps: both keep
+    # J^ symmetric and a signed permutation under the swap, so S0 decides
+    # that they fail; only the kept one is still a signed permutation under
+    # every flip
     rep = genus2_rep(TheoryParams(r))
     pi, flips = rep.basis.swap, rep.basis.flips
-    assert rep_genus2._flip_signs(_jhat(rep), flips) is not None
+    assert None not in rep_genus2._flip_signs(_jhat(rep), flips)
     for keep in (False, True):
         bad = _flip_bump(rep, keep)
         jhat = _jhat(bad)
-        jhat.fold_blocks(pi, [CycNumber.one(jhat.order)] * len(pi))
-        assert (rep_genus2._flip_signs(jhat, flips) is not None) == keep
+        assert jhat == jhat.transpose() and rep_genus2._flip_signs(jhat, [pi]) != [None]
+        assert (None not in rep_genus2._flip_signs(jhat, flips)) == keep
         assert not rep_genus2._relations_hold(bad)
 
 
@@ -1016,11 +1033,12 @@ def _slices_work(monkeypatch):
     return work
 
 
-@pytest.mark.parametrize("r, work", [(4, 77_380), (6, 1_937_456)])
+@pytest.mark.parametrize("r, work", [(4, 64_436), (6, 1_604_720)])
 def test_passing_relation_check_work_is_pinned(monkeypatch, r, work):
     # pairs x length x phi over the packed calls of one passing check, J~
     # and D built: 206,912 at r = 4 and 5,516,376 at r = 6 in the J~ basis
-    # on every pair of the upper triangle
+    # on every pair of the upper triangle, and 77,380 and 1,937,456 with
+    # S0 folded over the swap and S2 and S4 on the flip orbits
     rep = genus2_rep(TheoryParams(r))
     counted = _slices_work(monkeypatch)
     assert rep_genus2._relations_hold(rep)
@@ -1029,61 +1047,54 @@ def test_passing_relation_check_work_is_pinned(monkeypatch, r, work):
 
 def test_passing_relations_make_no_full_product(monkeypatch):
     # J~ and D are moved into K = Q(A^2) = Q(zeta_12) at r = 4 (N = 24)
-    # and scaled to J^ = Theta^-1 J~ Theta^-1 and D^ = Theta^2 D; one fold of
-    # J^ over the swap (one call of fold_blocks, which checks the symmetry
-    # once) decides S0, and S2 and S4 are half-products, one per part E_c
-    # and one per part W_c, over the columns where that part is nonzero,
-    # each on one pair per orbit of the flips.  Every packed call runs on
-    # phi(12) = 4 digits (its modulus is Phi_12(2**W)), and the
-    # phi-weighted multiplications (_slices_work) are at most those of the
-    # two S0 blocks (n+ = |R| + |F| and n- = |R|), of the two diagonal
-    # scalings that form J^, and of one dot per orbit over the kept columns
-    # of each half-product, with the products that scale the columns of
-    # each right operand.  The product chain runs only when some relation
-    # fails
+    # and scaled to J^ = Theta^-1 J~ Theta^-1 and D^ = Theta^2 D.  S0 is one
+    # half-product of J^ on the orbits of every symmetry of the basis (the
+    # swap, the flips and the swap after each flip), and S2 and S4 are
+    # half-products, one per part E_c and one per part W_c, over the
+    # columns where that part is nonzero, each on the orbits of the flips.
+    # Every packed call runs on phi(12) = 4 digits (its modulus is
+    # Phi_12(2**W)), and the phi-weighted multiplications (_slices_work)
+    # are at most those of the two diagonal scalings that form J^ and of
+    # one dot per orbit over the kept columns of each half-product, with
+    # the products that scale the columns of each right operand.  The
+    # product chain runs only when some relation fails
     P = TheoryParams(4)
     rep = genus2_rep(P)
     calls = {"matmul": 0}
-    folded_over, orders = [], set()
-    matmul, fold_blocks, modulus = ExactMatrix.__matmul__, ExactMatrix.fold_blocks, matrix._modulus
+    orbits_of, orders = [], set()
+    matmul, half_product, modulus = ExactMatrix.__matmul__, ExactMatrix.half_product, matrix._modulus
 
     def counting_matmul(self, other):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    def recording_fold_blocks(self, pi, diag):
-        folded_over.append(tuple(pi))
-        return fold_blocks(self, pi, diag)
+    def recording_half_product(self, diag, symmetries=()):
+        orbits_of.append(tuple(p for p, _, _ in symmetries))
+        return half_product(self, diag, symmetries)
 
     def recording_modulus(N, width):
         orders.add(N)
         return modulus(N, width)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(ExactMatrix, "fold_blocks", recording_fold_blocks)
+    monkeypatch.setattr(ExactMatrix, "half_product", recording_half_product)
     monkeypatch.setattr(matrix, "_modulus", recording_modulus)
     work = _slices_work(monkeypatch)
     assert verify_genus2_relations(P).all_pass
     assert calls == {"matmul": 0}
 
-    pi = enumerate_basis(4).swap
-    n = len(pi)
-    assert folded_over == [pi]
+    basis = enumerate_basis(4)
+    n = len(basis)
+    assert orbits_of == [basis.symmetries] + [basis.flips] * 4
     assert orders == {12}
-    n_plus = sum(i <= p for i, p in enumerate(pi))
-    n_minus = sum(i < p for i, p in enumerate(pi))
-    assert (n, n_plus, n_minus) == (35, 22, 13)
-    orbits = len(matrix._pair_orbits(enumerate_basis(4).flips)[0])
-    assert orbits == 174
+    orbits = [len(matrix._pair_orbits(perms)[0]) for perms in (basis.symmetries, basis.flips)]
+    assert (n, orbits) == (35, [102, 174])
     grade = [j % 2 for _, j, _ in rep.basis.triples]
     e_parts = zip(*(y.components(12) for y in rep.e))
     w_parts = zip(*(y.times_zeta(2 * g).components(12) for y, g in zip(rep.e, grade)))
-    kept = [sum(map(bool, part)) for part in (*e_parts, *w_parts)]
-    assert kept == [19, 16, 19, 16]
-
-    def half(k):  # a symmetric half-product of k x k matrices
-        return k * (k + 1) // 2 * k
-    s0 = half(n_plus) + half(n_minus) + n_plus ** 2 + n_minus ** 2
-    assert work[0] <= 4 * (s0 + 2 * n * n + (orbits + n) * sum(kept))
+    kept = [sum(map(bool, part)) for part in (rep.jcols, *e_parts, *w_parts)]
+    assert kept == [35, 19, 16, 19, 16]
+    s0 = (orbits[0] + n) * kept[0]
+    assert work[0] <= 4 * (s0 + 2 * n * n + (orbits[1] + n) * sum(kept[1:]))
 
 
 def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
