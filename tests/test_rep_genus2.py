@@ -540,6 +540,37 @@ def _regrade_matches_full_s2(rep):
     assert x == s2.scale_rows(g_inv).scale_cols(g_inv).descend(M), rep.params
 
 
+def _folded_vs_half_product(monkeypatch, rep):
+    # over K = Q(zeta_M): S0 = J^ D^ J^ as _relations_hold forms it, folded
+    # on the pair orbits of the basis symmetries, against the half-product
+    # J~ D J~ of plain dots in the unscaled basis, times Theta^-1 on both
+    # sides; then X regraded from the parts of S2 against S2 formed in full
+    M = square_subfield_order(rep.params.root_order)
+    held, calls = _half_products(monkeypatch, rep)
+    assert held and calls[0][2], rep.params
+    jt, upper = rep.jtilde.descend(M), _upper(len(rep.basis))
+    d = [x.descend(M) for x in rep.jcols]
+    _, th_inv, _ = rep_genus2._theta_scaling(rep.params, rep.basis.triples, d, M)
+    s0 = jt.dots(jt, upper, d).rows[0]
+    assert calls[0][3].rows[0] == tuple(th_inv[a] * v * th_inv[b]
+                                        for (a, b), v in zip(upper, s0)), rep.params
+    _regrade_matches_full_s2(rep)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_folded_products_match_half_products_every_root(monkeypatch, r):
+    P = TheoryParams(r)
+    for k in _unit_roots(P.root_order):
+        _folded_vs_half_product(monkeypatch, genus2_rep(P.with_root(k)))
+
+
+def test_folded_products_match_half_products_r6(monkeypatch):
+    # the unitary root and one other, as S2 formed in full costs about 2 s
+    P = TheoryParams(6)
+    for Pk in (P, P.with_root(1)):
+        _folded_vs_half_product(monkeypatch, genus2_rep(Pk))
+
+
 def _bump(M, cells):
     rows = [list(row) for row in M.rows]
     for i, j in cells:
@@ -873,9 +904,9 @@ def test_flips_are_signed_permutations_every_root(monkeypatch, r):
 def test_orbit_half_products_match_plain_dots_every_root(monkeypatch, r):
     # S0, each part of S2 and each half of S4 that the orbit path forms,
     # against the plain dots of the same Theta-basis matrices: on the swap
-    # alone at odd r, where S0 keeps it and S2 and S4 keep nothing.  X,
-    # regraded from the parts of S2, against S2 formed in full at r <= 5,
-    # and at two roots at r = 6
+    # alone at odd r, where S0 keeps it and S2 and S4 keep nothing
+    # (test_folded_products_match_half_products_* diffs S0 and X with
+    # products in the unscaled basis)
     P = TheoryParams(r)
     s = P.root_order // square_subfield_order(P.root_order)
     for k in _unit_roots(P.root_order):
@@ -885,8 +916,6 @@ def test_orbit_half_products_match_plain_dots_every_root(monkeypatch, r):
         assert calls[0][2][0][0] == rep.basis.swap, (r, k)
         for m, w, _, out in calls:
             assert out == m.dots(m, _upper(m.nrows), w), (r, k)
-        if r < 6 or r == 6 and k in (P.root_exponent, 1):
-            _regrade_matches_full_s2(rep)
 
 
 def _flip_moved_orbit(rep):
