@@ -41,14 +41,15 @@ on the split.  A slice whose worker fails is computed here.  With one
 usable CPU, without os.fork, or with a second thread running, nothing
 forks; no option selects the path.
 
-ExactMatrix.dots(B, pairs, diag) is the one entry point for dot products
-of rows, returning one row; A @ B slices _dots' output into rows, and J~
-assembly, the trace of J T J T^-1 and the genus-2 relation checks run on
-the same kernel.  A column where the diagonal is 0 drops out of its dots.
-A.half_product(x, symmetries) is the upper triangle of A diag(x) A for a
-symmetric A, the one symmetric product: dotted on one pair per orbit of
-signed permutations of A under which x has a character +-1, on the same
-kernel and split, or on every pair when there is none.
+ExactMatrix.dots(B, pairs) is the one entry point for dot products of
+rows, returning one row; A @ B slices _dots' output into rows, and J~
+assembly and the trace of J T J T^-1 run on the same kernel.
+A.half_products(diags, perms) is the one symmetric product, on which the
+genus-2 relation checks run: for each w of diags, the upper triangle of
+A diag(w) A for a symmetric A, dotted on one pair per orbit of the perms
+that it checks to permute A up to signs and to give w a character +-1
+(of the identity alone when none does), on the same kernel and split.
+A column where w is 0 drops out of its dots.
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -383,24 +384,69 @@ def _upper(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pair_orbits(perms: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
+def _pair_orbits(n: int, perms: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
     """One representative (a, b), a <= b, per orbit of the unordered pairs
     of range(n) under the identity and the permutations perms, and for each
     pair of _upper(n), in that order, (its representative's number, h) with
     {p_h a, p_h b} that pair: h = 0 is the identity, h >= 1 perms[h - 1].
     Each pair is covered by the first representative that reaches it in
     one step, so perms need not be closed under composition: a set that is
-    not a group only leaves more representatives."""
-    n = len(perms[0])
-    group = (range(n), *perms)
-    at, reps = {}, []
-    for a, b in _upper(n):
-        if (a, b) not in at:
-            for h, p in enumerate(group):
+    not a group only leaves more representatives, and with no perms every
+    pair is its own."""
+    at, reps, cover = {}, [], []
+    for t in _upper(n):
+        hit = at.get(t)
+        if hit is None:
+            hit, (a, b) = (len(reps), 0), t
+            for h, p in enumerate(perms, 1):
                 x, y = p[a], p[b]
                 at.setdefault((x, y) if x <= y else (y, x), (len(reps), h))
-            reps.append((a, b))
-    return reps, [at[t] for t in _upper(n)]
+            reps.append(t)
+        cover.append(hit)
+    return reps, cover
+
+
+def _perm_signs(m: "ExactMatrix", perms) -> list[tuple[int, ...] | None]:
+    """For each permutation p, signs s_a = +-1 with m[pa, pb] = c s_a s_b
+    m[a, b] for every a <= b and one c = +-1, or None when p is not such a
+    signed permutation of the symmetric m (every entry None when each row
+    of m has a zero).  The signs are read off the first row a0 of m without
+    a zero entry, which gives c = s_a0, and then every entry of the upper
+    triangle is compared, as a table index up to sign: m is in the unique
+    form, so equal values are equal indices."""
+    n, idx = m.nrows, m.index
+    pos = {v: k for k, v in enumerate(m.table)}
+    neg = [pos.get(tuple(-c for c in v)) for v in m.table]
+    a0 = next((a for a in range(n) if all(map(any, map(m.table.__getitem__, idx[a])))), None)
+    if a0 is None:
+        return [None] * len(perms)
+    out = []
+    for p in perms:
+        row, image = idx[a0], idx[p[a0]]
+        s = [1 if image[p[b]] == row[b] else -1 if image[p[b]] == neg[row[b]] else 0
+             for b in range(n)]
+        c = s[a0]
+        signed = 0 not in s and all(
+            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])
+            for a in range(n) for b in range(a, n))
+        out.append(tuple(s) if signed else None)
+    return out
+
+
+def _characters(w: Sequence[CycNumber], perms) -> list[tuple[int, ...] | None]:
+    """For each permutation p, chi_k = +-1 with w[pk] = chi_k w[k] (1 where
+    both are 0), or None when some w[pk] is neither w[k] nor -w[k].  The
+    entries are compared as numbers of their distinct values, each value
+    negated once."""
+    pos = {}
+    ids = [pos.setdefault(x, len(pos)) for x in w]
+    neg = [pos.get(-x) for x in pos]
+    out = []
+    for p in perms:
+        chi = tuple(1 if ids[p[k]] == i else -1 if ids[p[k]] == neg[i] else 0
+                    for k, i in enumerate(ids))
+        out.append(None if 0 in chi else chi)
+    return out
 
 
 class ExactMatrix:
@@ -596,58 +642,56 @@ class ExactMatrix:
                      if any(diff.table[k])), None)
 
     # -- packed-integer products
-    def dots(self, other: "ExactMatrix", pairs: Iterable[tuple[int, int]],
-             diag: Sequence[CycNumber] | None = None) -> "ExactMatrix":
-        """Row i of self dotted with row j of other diag(diag) (of other when
-        diag is None), for each (i, j) in pairs, on the packed kernel (the
-        diagonal by _scaled_cols), as one row.  A column where the diagonal
-        is 0 drops out of every dot (one submatrix when other is self)."""
+    def dots(self, other: "ExactMatrix", pairs: Iterable[tuple[int, int]]) -> "ExactMatrix":
+        """Row i of self dotted with row j of other, for each (i, j) in
+        pairs, on the packed kernel, as one row."""
         if self.order != other.order:
             raise ValueError("field order mismatch")
         if self.ncols != other.ncols:
             raise ValueError("row length mismatch")
-        if diag is not None:
-            _check_length(diag, self.ncols)
-            keep = [k for k in range(self.ncols) if diag[k]]
-            if len(keep) < self.ncols:
-                cut = self.submatrix(range(self.nrows), keep)
-                other = cut if other is self else other.submatrix(range(other.nrows), keep)
-                self = cut
-                diag = [diag[k] for k in keep]
-            *B, den = other._scaled_cols(diag)
-        else:
-            B, den = (other.table, other.index), other.den
         N = self.order
-        table, out = _dots(N, euler_phi(N), (self.table, self.index), B, self.ncols, pairs)
-        return ExactMatrix._of(N, table, [out], self.den * den)
+        table, out = _dots(N, euler_phi(N), (self.table, self.index),
+                           (other.table, other.index), self.ncols, pairs)
+        return ExactMatrix._of(N, table, [out], self.den * other.den)
 
-    def half_product(self, diag: Sequence[CycNumber], symmetries: Sequence = ()) -> "ExactMatrix":
-        """The upper triangle of S diag(x) S for a symmetric S = self, as
-        one row in _upper order: self.dots(self, _upper(n), diag), which it
-        returns when there is no symmetry.
+    def half_products(self, diags: Iterable[Sequence[CycNumber]],
+                      perms: Sequence[Sequence[int]] = ()) -> list["ExactMatrix"]:
+        """For each w of diags, the upper triangle of S diag(w) S for a
+        symmetric S = self (ValueError if not), as one row in _upper order:
+        self.dots(self.scale_cols(w), _upper(n)) on fewer dots.  A p of
+        perms is kept for w when it permutes S up to signs (_perm_signs,
+        once a call) and w has a character +-1 under it (_characters, once
+        a w); the product runs on the pair orbits of the ones kept
+        (_orbit_product), of the identity alone when none is."""
+        if tuple(zip(*self.index)) != self.index:
+            raise ValueError(f"half_products of a non-symmetric {self!r}")
+        signs, out = _perm_signs(self, perms), []
+        for w in diags:
+            _check_length(w, self.nrows)
+            out.append(self._orbit_product(w, [
+                (p, s, chi) for p, s, chi in zip(perms, signs, _characters(w, perms)) if s and chi]))
+        return out
 
-        Each symmetry (p, s, chi) is a permutation p of range(n) and signs
-        +-1 with S[pa, pb] = c s_a s_b S[a, b] for one c = +-1 and
-        x[pk] = chi_k x[k]; the caller checks both.  Then
-        (S x S)[pa, pb] = s_a s_b (U+ - U-)[a, b], U+- the dots over the
-        columns with chi = +-1.  So one representative pair per orbit
-        (_pair_orbits) is dotted, once per class of the kept columns with
-        equal chi under every symmetry, and each entry of the triangle is
-        a signed sum of its representative's packed residues, unpacked as
-        the plain dots would be, each distinct residue once.  The classes
-        cut each dot into parts, so a representative costs one plain dot,
-        the width rule covers every signed sum, and a call whose work is
-        above SPLIT_WORK is cut across the CPUs (_split)."""
+    def _orbit_product(self, w: Sequence[CycNumber], symmetries: list) -> "ExactMatrix":
+        """half_products for one w on the orbits of symmetries (p, s, chi):
+        S[pa, pb] = c s_a s_b S[a, b] for one c = +-1, w[pk] = chi_k w[k].
+        Then (S w S)[pa, pb] = s_a s_b (U+ - U-)[a, b], U+- the dots over
+        the columns with chi = +-1.  So one representative pair per orbit
+        (_pair_orbits) is dotted, once per class of the columns where w is
+        not 0 with equal chi under every symmetry, and each entry of the
+        triangle is a signed sum of its representative's packed residues,
+        unpacked as the plain dots would be, each distinct residue once.
+        The classes cut each dot into parts, so a representative costs one
+        plain dot, the width rule covers every signed sum, and a call whose
+        work is above SPLIT_WORK is cut across the CPUs (_split).  An
+        all-zero w keeps column 0, whose dots are 0."""
         n = self.nrows
-        _check_length(diag, n)
-        keep = [k for k in range(n) if diag[k]]
-        if not symmetries or not keep:
-            return self.dots(self, _upper(n), diag)
+        keep = [k for k in range(n) if w[k]] or [0]
         classes = {}
         for q, k in enumerate(keep):
             classes.setdefault(tuple(chi[k] for _, _, chi in symmetries), []).append(q)
         A = self.submatrix(range(n), keep)
-        *B, den = A._scaled_cols([diag[k] for k in keep])
+        *B, den = A._scaled_cols([w[k] for k in keep])
         N, phi = self.order, euler_phi(self.order)
         width = _width(N, phi * len(keep) * _max_abs(A.table) * _max_abs(B[0]))
         M = _modulus(N, width)
@@ -660,7 +704,7 @@ class ExactMatrix:
             chunk = list(chunk)
             return list(zip(*([sum(map(operator.mul, a[i], b[j])) % M for i, j in chunk]
                               for a, b in parts)))
-        reps, cover = _pair_orbits(tuple(p for p, _, _ in symmetries))
+        reps, cover = _pair_orbits(n, tuple(p for p, _, _ in symmetries))
         k = _slices(len(reps), len(keep) * phi)
         res = _split(residues, lambda x: x, reps, len(reps), k) if k > 1 else residues(reps)
         chis = [(1,) * len(classes), *zip(*classes)]

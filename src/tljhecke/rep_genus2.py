@@ -115,7 +115,8 @@ class Genus2Basis:
         third, so with the identity these eight form a dihedral group.  Each
         permutes J^ = Theta^-1 J~ Theta^-1 up to signs and multiplies
         D^ = Theta^2 D by a character +-1 (the tests pin both for r <= 6 at
-        every root); _relations_hold checks each one before it uses it."""
+        every root); ExactMatrix.half_products checks each one before it
+        uses it."""
         pi = self.swap
         return (pi, *self.flips, *(tuple(pi[b] for b in p) for p in self.flips))
 
@@ -391,7 +392,7 @@ def verify_genus2_relations(params: TheoryParams) -> VerifyReport:
     Theta^-1 J~ Theta^-1, which has fewer and smaller distinct values than
     J~.  S0 = J~ D J~ is one half-product and S2 = J~ E J~ and S4 = S2 E S2
     are two each, one per twist parity, all on one kernel
-    (ExactMatrix.half_product): each is dotted on one pair per orbit of the
+    (ExactMatrix.half_products): each is dotted on one pair per orbit of the
     symmetries of the basis (Genus2Basis.symmetries: the swap
     (i, j, k) -> (i, k, j) and at even r the color flips) that are checked
     to permute its matrix up to signs and to give its diagonal a character
@@ -438,21 +439,20 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     kappa^4 T^-1 J^ T^-1).  J^ has fewer distinct values than J~, on
     smaller coefficients (20 of 4 bits at r = 6, against 109 of 7).
 
-    Every symmetric product below is one ExactMatrix.half_product, its
-    upper triangle as one row, dotted on one pair per orbit of the
-    symmetries p of the basis (Genus2Basis.symmetries) that it may use
-    (_half_product): p must permute its matrix up to signs (_flip_signs)
-    and multiply its diagonal by a character +-1 (_flip_characters), each
-    checked entry by entry up to sign.  A symmetry that fails either check
-    is dropped on its own, and with none left the half-product dots every
-    pair; the output is the same either way.  The signs of J^ are read once.
+    The symmetric products below are two ExactMatrix.half_products calls,
+    S0 with the parts of S2 on J^, then the halves of S4 on X: each
+    product is an upper triangle as one row, dotted on one pair per orbit
+    of the symmetries of the basis (Genus2Basis.symmetries) that the call
+    checks to permute its matrix up to signs and to give that diagonal a
+    character +-1; the output is the same whichever it keeps.
 
     (iv)  J~ = J~^T iff J^ = J^^T: one comparison of J^'s index with its
           transpose (the unique form makes equal values equal indices).
     (i)   J'^2 = (J~ D J~) D, so J'^2 = I iff S0 = J^ D^ J^ is (D^)^-1
           (_s0_is_d_inverse).  D^ is symmetric in i, j and k, so every
           symmetry that permutes J^ up to signs is used: at r = 6 S0 takes
-          about 43k multiplications on 8 coefficients.
+          about 43k multiplications on 8 coefficients.  The parts of S2
+          are formed in the same call, before S0 is read.
     (ii)  With E^ = D^ T = sum_c zeta^c E_c (_parts), S2 = J^ E^ J^ is the
           sum of zeta^c J^ E_c J^, one half-product per c (its upper
           triangle, over the columns where E_c is nonzero), as S4's are
@@ -500,19 +500,15 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     if tuple(zip(*jhat.index)) != jhat.index:
         return False
     syms = rep.basis.symmetries
-    jsigns = _flip_signs(jhat, syms)
-    if not _s0_is_d_inverse(_half_product(jhat, jsigns, dhat, syms), dhat):
-        return False
-
     grade = [j % s for _, j, _ in rep.basis.triples]
     upper = _upper(n)
-    x = _regrade([_half_product(jhat, jsigns, ec, syms) for ec in _parts(dhat, tlog, s)],
-                 upper, grade)
+    s0, *s2 = jhat.half_products([dhat, *_parts(dhat, tlog, s)], syms)
+    if not _s0_is_d_inverse(s0, dhat):
+        return False
+    x = _regrade(s2, upper, grade)
     if x is None:
         return False
-    xsigns = _flip_signs(x, syms)
-    halves = [_half_product(x, xsigns, wc, syms)
-              for wc in _parts(dhat, [t + 2 * g for t, g in zip(tlog, grade)], s)]
+    halves = x.half_products(_parts(dhat, [t + 2 * g for t, g in zip(tlog, grade)], s), syms)
 
     zero, shifted = (0,) * euler_phi(M), {}
     want = [[] for _ in range(s)]
@@ -557,60 +553,6 @@ def _parts(xs: list[CycNumber], logs: list[int], s: int) -> list[list[CycNumber]
     zero = CycNumber.zero(xs[0].order)
     return [[x.times_zeta(t // s) if t % s == c else zero for x, t in zip(xs, logs)]
             for c in range(s)]
-
-
-def _flip_signs(m: ExactMatrix, perms) -> list[tuple[int, ...] | None]:
-    """For each permutation p, signs s_a = +-1 with m[pa, pb] = c s_a s_b
-    m[a, b] for every a <= b and one c = +-1, or None when p is not such a
-    signed permutation of m (every entry None when each row of m has a
-    zero).  The signs are read off the first row a0 of m without a zero
-    entry, which gives c = s_a0, and then every entry of the upper triangle
-    is compared, as a table index up to sign: m is in the unique form, so
-    equal values are equal indices."""
-    n, idx = m.nrows, m.index
-    pos = {v: k for k, v in enumerate(m.table)}
-    neg = [pos.get(tuple(-c for c in v)) for v in m.table]
-    a0 = next((a for a in range(n) if all(map(any, map(m.table.__getitem__, idx[a])))), None)
-    if a0 is None:
-        return [None] * len(perms)
-    out = []
-    for p in perms:
-        row, image = idx[a0], idx[p[a0]]
-        s = [1 if image[p[b]] == row[b] else -1 if image[p[b]] == neg[row[b]] else 0
-             for b in range(n)]
-        c = s[a0]
-        signed = 0 not in s and all(
-            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])
-            for a in range(n) for b in range(a, n))
-        out.append(tuple(s) if signed else None)
-    return out
-
-
-def _flip_characters(w: list[CycNumber], perms) -> list[tuple[int, ...] | None]:
-    """For each permutation p, chi_k = +-1 with w[pk] = chi_k w[k] (1 where
-    both are 0), or None when some w[pk] is neither w[k] nor -w[k].  The
-    entries are compared as numbers of their distinct values, each value
-    negated once."""
-    pos = {}
-    ids = [pos.setdefault(x, len(pos)) for x in w]
-    neg = [pos.get(-x) for x in pos]
-    out = []
-    for p in perms:
-        chi = tuple(1 if ids[p[k]] == i else -1 if ids[p[k]] == neg[i] else 0
-                    for k, i in enumerate(ids))
-        out.append(None if 0 in chi else chi)
-    return out
-
-
-def _half_product(m: ExactMatrix, signs, w: list[CycNumber], perms) -> ExactMatrix:
-    """The upper triangle of m diag(w) m for a symmetric m, as one row
-    (ExactMatrix.half_product), on the orbits of the permutations p of
-    perms that it may use: those whose signs (_flip_signs of m) are known
-    and under which w has a character (_flip_characters), each dropped on
-    its own.  With none of them, it is the plain half-product; the output
-    is the same."""
-    return m.half_product(w, [(p, sg, chi) for p, sg, chi
-                              in zip(perms, signs, _flip_characters(w, perms)) if sg and chi])
 
 
 def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],

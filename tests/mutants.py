@@ -40,15 +40,17 @@ S0_CHECK = ("        if (s0[0, at] * d[a] != 1\n"
 S0_OFF_DIAGONAL = "                or any(any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):"
 S0_BOTH = S0_CHECK + "any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):"
 CUBE_ROOT = TESTS + "test_relations_fail_with_jtilde_times_a_cube_root_of_unity"
-# the check of _flip_signs: every entry of the upper triangle against its
-# image under the symmetry, up to the signs read off one row
+# the check of matrix._perm_signs: every entry of the upper triangle against
+# its image under the symmetry, up to the signs read off one row
 FLIP_SIGNS = ("        signed = 0 not in s and all(\n"
               "            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])\n"
               "            for a in range(n) for b in range(a, n))\n")
-# the check of _flip_characters: a symmetry under which the diagonal has no
-# character +-1 is dropped, on its own
+# the check of matrix._characters: a symmetry under which the diagonal has
+# no character +-1 is dropped, on its own
 CHARACTER_DROP = "        out.append(None if 0 in chi else chi)"
 FLIP_CHECKS = TESTS + "test_half_products_match_plain_dots_when_a_check_fails"
+FIRST_ROW_ONLY = ("tests/test_exactnum.py::"
+                  "test_half_products_drop_a_perm_that_fits_only_the_first_full_row")
 # the descents of J~ and D into K, inside the try of _relations_hold
 DESCENDS = ("    try:\n"
             "        jt = rep.jtilde.descend(M)\n"
@@ -58,8 +60,8 @@ MUTANTS = [
     # _relations_hold: (iv), J^ symmetric, one comparison of indices
     (GENUS2, "    if tuple(zip(*jhat.index)) != jhat.index:", "    if False:",
      TESTS + "test_asymmetric_jtilde_is_refused_before_any_product[2]"),
-    # _flip_characters: a D that the swap moves drops the swap from S0
-    (GENUS2, CHARACTER_DROP, "        out.append(chi)",
+    # _characters: a D that the swap moves drops the swap from S0
+    (MATRIX, CHARACTER_DROP, "        out.append(chi)",
      TESTS + "test_swap_bumps_take_their_own_paths[2]"),
     # _s0_is_d_inverse, both halves
     (GENUS2, S0_BOTH, "        if False:", TESTS + "test_swap_bumps_take_their_own_paths[2]"),
@@ -86,12 +88,15 @@ MUTANTS = [
      "        if not all(y.is_real() for y in th + dhat) or jhat.conj() != jhat:",
      "        if not all(y.is_real() for y in th + dhat):",
      TESTS + "test_unitarity_reads_every_distinct_jtilde_vector[2]"),
-    # _flip_signs: each flip a signed permutation, checked on J^ for S2 and
+    # _perm_signs: each flip a signed permutation, checked on J^ for S2 and
     # on X for S4
-    (GENUS2, FLIP_SIGNS, "        signed = True\n", FLIP_CHECKS + "[J-broken-2]"),
-    (GENUS2, FLIP_SIGNS, "        signed = True\n", FLIP_CHECKS + "[X-broken-2]"),
-    # _flip_characters: each diagonal part of S2 has a character +-1
-    (GENUS2, CHARACTER_DROP, "        out.append(chi)", FLIP_CHECKS + "[E-broken-2]"),
+    (MATRIX, FLIP_SIGNS, "        signed = True\n", FLIP_CHECKS + "[J-broken-2]"),
+    (MATRIX, FLIP_SIGNS, "        signed = True\n", FLIP_CHECKS + "[X-broken-2]"),
+    # _perm_signs: the upper triangle compared beyond the row the signs are
+    # read off
+    (MATRIX, FLIP_SIGNS, "        signed = 0 not in s\n", FIRST_ROW_ONLY),
+    # _characters: each diagonal part of S2 has a character +-1
+    (MATRIX, CHARACTER_DROP, "        out.append(chi)", FLIP_CHECKS + "[E-broken-2]"),
     # minpoly_certificate: no cyclotomic factor in the designated polynomial
     (GENUS2,
      "    k = cyclotomic_factor(quartic)",

@@ -928,7 +928,7 @@ def sandwich_cases(draw):
 
 def _symmetric(N, n, upper):
     """The symmetric n x n ExactMatrix whose upper triangle is the one row
-    upper, row by row, as ExactMatrix.half_product gives it."""
+    upper, row by row, as ExactMatrix.half_products gives it."""
     it = iter(upper.rows[0])
     entries = {(i, j): next(it) for i in range(n) for j in range(i, n)}
     return ExactMatrix(N, [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
@@ -938,10 +938,10 @@ def _sandwich(A, pi, d, *later):
     """A diag(d) A from its half-product on the orbits of a permutation pi
     that fixes A and d, then S diag(x) S for each x of later, S the previous
     result, from its plain half-product."""
-    n, ones = A.nrows, (1,) * A.nrows
-    S = _symmetric(A.order, n, A.half_product(d, [(tuple(pi), ones, ones)]))
+    n = A.nrows
+    S = _symmetric(A.order, n, A.half_products([d], [tuple(pi)])[0])
     for x in later:
-        S = _symmetric(A.order, n, S.half_product(x))
+        S = _symmetric(A.order, n, S.half_products([x])[0])
     return S
 
 
@@ -976,29 +976,52 @@ def test_dots_with_diagonals_match_products(case):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     want = (A.scale_cols(d1).scale_cols(d2) @ A.transpose())
     d12 = [x * y for x, y in zip(d1, d2)]
-    assert _as_cyc(A.dots(A, pairs, d12)) == [want[i, j] for i, j in pairs]
+    assert _as_cyc(A.dots(A.scale_cols(d12), pairs)) == [want[i, j] for i, j in pairs]
     assert _as_cyc(A.dots(A, pairs)) == [(A @ A.transpose())[i, j] for i, j in pairs]
 
 
-def test_dots_cut_zero_columns_once_when_other_is_self(monkeypatch):
-    # a column where the diagonal is 0 drops out of both operands; when
-    # they are one matrix, that is one submatrix, not two
-    z, one, zero = CycNumber.zeta(12), CycNumber.one(12), CycNumber.zero(12)
-    A = ExactMatrix(12, [[z, one, z + 1], [one, z, one], [z + 1, one, z]])
-    d = [z, zero, z - 1]
-    pairs = [(i, j) for i in range(3) for j in range(3)]
-    want = A.scale_cols(d) @ A.transpose()
-    calls, submatrix = [0], ExactMatrix.submatrix
+@settings(max_examples=60, deadline=None)
+@given(sandwich_cases(), st.data())
+def test_half_products_match_plain_dots_under_random_involutions(case, data):
+    # random involutions, nearly never a signed permutation of S or w: each
+    # is checked and dropped on its own, and the half-products are the plain
+    # dots, for a diagonal with zeros, an all-zero one, and all ones
+    S, w, _ = case
+    N, n = S.order, S.nrows
+    perms = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        order, p = data.draw(st.permutations(range(n))), list(range(n))
+        for a in range(0, data.draw(st.integers(0, n // 2)) * 2, 2):
+            p[order[a]], p[order[a + 1]] = order[a + 1], order[a]
+        perms.append(tuple(p))
+    diags = [w, [CycNumber.zero(N)] * n, [CycNumber.one(N)] * n]
+    assert S.half_products(diags, perms) == [
+        S.dots(S.scale_cols(x), _upper(n)) for x in diags]
 
-    def counting(self, *args):
-        calls[0] += 1
-        return submatrix(self, *args)
-    monkeypatch.setattr(ExactMatrix, "submatrix", counting)
-    assert _as_cyc(A.dots(A, pairs, d)) == [want[i, j] for i, j in pairs]
-    assert calls == [1]
-    copied = ExactMatrix(12, A.rows)
-    assert A.dots(copied, pairs, d) == A.dots(A, pairs, d)
-    assert calls == [4]
+
+def test_half_products_drop_a_perm_that_fits_only_the_first_full_row():
+    # row 0 of S has no zero and p = (1 2) maps it onto itself, so p passes
+    # the signs read off that row; S[1, 1] != +-S[2, 2], so the comparison
+    # of the rest of the upper triangle drops it
+    q = lambda x: CycNumber.from_rational(12, x)
+    S = ExactMatrix(12, [[q(1), q(2), q(2)], [q(2), q(3), q(5)], [q(2), q(5), q(7)]])
+    p, w = (0, 2, 1), [q(1)] * 3
+    assert matrix._perm_signs(S, [p]) == [None]
+    with pytest.MonkeyPatch.context() as m:
+        kept, f = [], ExactMatrix._orbit_product
+        m.setattr(ExactMatrix, "_orbit_product",
+                  lambda self, w, syms: kept.append(syms) or f(self, w, syms))
+        assert S.half_products([w], [p]) == [S.dots(S.scale_cols(w), _upper(3))]
+    assert kept == [[]]
+
+
+def test_half_products_refuse_a_non_symmetric_matrix():
+    # the orbit kernel reads the upper triangle alone, so a matrix that is
+    # not its own transpose is refused before any product
+    q = lambda x: CycNumber.from_rational(12, x)
+    A = ExactMatrix(12, [[q(1), q(2)], [q(3), q(1)]])
+    with pytest.raises(ValueError, match="non-symmetric"):
+        A.half_products([[q(1), q(1)]])
 
 
 def _as_cyc(row):
@@ -1061,10 +1084,10 @@ def test_folded_sandwich_matches_products(case):
 def test_half_product_on_a_signed_involution_matches_plain_dots(case, data):
     # A conjugated by random signs u is a signed permutation under pi,
     # S[pa, pb] = t_a t_b S[a, b] with t_a = u_a u_pa, and the diagonal that
-    # pi fixes times random signs e has the character chi_k = e_k e_pk: the
-    # half-product on the orbits of pi is the plain dots of the upper
-    # triangle; so is the one on the orbits of the identity, under which
-    # any diagonal, the one pi moves too, has the character 1
+    # pi fixes times random signs e has the character chi_k = e_k e_pk, as
+    # any diagonal, the one pi moves too, has under the identity: both are
+    # kept (when some row of S, whence the signs are read, has no zero), and
+    # the half-products on their orbits are the plain dots
     A, pi, moved, fixed_by_pi, _ = case
     N, n = A.order, A.nrows
     signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
@@ -1072,11 +1095,16 @@ def test_half_product_on_a_signed_involution_matches_plain_dots(case, data):
     S = A.scale_rows([CycNumber.from_rational(N, c) for c in u]).scale_cols(
         [CycNumber.from_rational(N, c) for c in u])
     x = [w if c > 0 else -w for w, c in zip(fixed_by_pi, e)]
-    t = tuple(u[a] * u[pi[a]] for a in range(n))
-    chi = tuple(e[k] * e[pi[k]] for k in range(n))
-    assert S.half_product(x, [(tuple(pi), t, chi)]) == S.dots(S, _upper(n), x)
-    ones = (1,) * n
-    assert S.half_product(moved, [(tuple(range(n)), ones, ones)]) == S.dots(S, _upper(n), moved)
+    perms = [tuple(pi), tuple(range(n))]
+    with pytest.MonkeyPatch.context() as m:
+        kept, f = [], ExactMatrix._orbit_product
+        m.setattr(ExactMatrix, "_orbit_product",
+                  lambda self, w, syms: kept.append([p for p, _, _ in syms]) or f(self, w, syms))
+        assert S.half_products([x, moved], perms) == [
+            S.dots(S.scale_cols(w), _upper(n)) for w in (x, moved)]
+    full_row = any(all(row) for row in S.rows)
+    assert kept[0] == (perms if full_row else [])
+    assert perms[1] in kept[1] or not full_row
 
 
 @settings(max_examples=30, deadline=None)
@@ -1108,7 +1136,7 @@ def test_vector_results_match_cycnumber_references(case):
     C = ExactMatrix(N, E[:-1] + [E[-1][:-1] + [E[-1][-1] + Fraction(1, 7)]])
     assert A.first_difference(C) == (n - 1, n - 1)
     dy = [a * b for a, b in zip(d, y)]
-    assert _as_cyc(A.dots(A, [(i, j) for i in range(n) for j in range(n)], dy)) == [
+    assert _as_cyc(A.dots(A.scale_cols(dy), [(i, j) for i in range(n) for j in range(n)])) == [
         dot(E[i], Eyd[j]) for i in range(n) for j in range(n)]
     yc = [list(c) for c in zip(*Ey)]
     assert [[(A @ B)[i, j] for j in range(n)] for i in range(n)] == [
@@ -1128,9 +1156,8 @@ def test_diagonal_length_must_match(length):
     A = ExactMatrix(12, [[z, z + 1], [z + 1, z]])
     d = [z] * length
     chained = _sandwich(A, range(2), [z, z])
-    for call in (lambda: A.half_product(d), lambda: chained.half_product(d),
-                 lambda: A.scale_cols(d), lambda: A.scale_rows(d),
-                 lambda: A.dots(A, [(0, 0)], d)):
+    for call in (lambda: A.half_products([d]), lambda: chained.half_products([[z, z], d]),
+                 lambda: A.scale_cols(d), lambda: A.scale_rows(d)):
         with pytest.raises(ValueError, match=f"length {length} where 2 "):
             call()
 
@@ -1429,7 +1456,7 @@ def test_aliased_vectors_give_cycnumber_results(case):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     one = [CycNumber.one(N)] * n
     for _ in range(2):                  # a second pass reads what the first left
-        out = A.dots(A, pairs, d)
+        out = A.dots(A.scale_cols(d), pairs)
         assert _as_cyc(out) == [dot(i, j, d) for i, j in pairs]
         # equal outputs of one call are one table entry
         assert len(out.table) == len(set(out.vecs[0]))
@@ -1440,7 +1467,7 @@ def test_aliased_vectors_give_cycnumber_results(case):
         S = _sandwich(A, range(n), d)
         assert [[S[i, j] for j in range(n)] for i in range(n)] == [
             [dot(i, j, d) for j in range(n)] for i in range(n)]
-        assert A.dots(B, pairs) == A.dots(A, pairs, d)
+        assert A.half_products([d]) == [A.dots(B, _upper(n))]
         assert _sandwich(A, range(n), one) == A @ A
     assert pool == before and A.vecs == vecs
 
@@ -1498,13 +1525,12 @@ def test_equal_matrices_have_one_form(case):
         assert [list(row) for row in A.rows] == E
         x = d[:A.ncols] + d[:1] * (A.ncols - len(d))
         pairs = [(i, j) for i in range(A.nrows) for j in range(A.nrows)]
-        for X in (A.dots(A, pairs, x), A.scale_cols(x), A.galois(N - 1), A + A.scale_cols(x),
+        for X in (A.dots(A.scale_cols(x), pairs), A.scale_cols(x), A.galois(N - 1), A + A.scale_cols(x),
                   A - A, A.transpose()):
             assert _unique_form(X)
     S = ExactMatrix(N, sym)
-    ones = (1,) * len(sym)
-    assert _unique_form(S.half_product(d)) and _unique_form(
-        S.half_product(d, [(tuple(range(len(sym))), ones, ones)]))
+    assert all(map(_unique_form, S.half_products([d], [tuple(range(len(sym)))])
+                   + S.half_products([d])))
 
 
 @settings(max_examples=40, deadline=None)

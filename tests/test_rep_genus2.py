@@ -247,7 +247,7 @@ def test_genus2_vectors_match_cycnumber_references(r):
                                               for i, row in enumerate(J)], (r, k)
         JD = jt @ rep.j_field
         pairs = [(i, j) for i in some for j in range(n)]
-        S0 = dict(zip(pairs, jt.dots(jt, pairs, d).rows[0]))
+        S0 = dict(zip(pairs, jt.dots(jt.scale_cols(d), pairs).rows[0]))
         for i in some:
             Jd = [x * y for x, y in zip(J[i], d)]
             for j in range(n):
@@ -533,7 +533,7 @@ def _regrade_matches_full_s2(rep):
     jt, n = rep.jtilde.descend(M), len(rep.basis)
     upper = _upper(n)
     grade = [j % (N // M) for _, j, _ in rep.basis.triples]
-    parts = [jt.dots(jt, upper, e) for e in zip(*(y.components(M) for y in rep.e))]
+    parts = [jt.dots(jt.scale_cols(e), upper) for e in zip(*(y.components(M) for y in rep.e))]
     x = rep_genus2._regrade(parts, upper, grade)
     g_inv = [CycNumber.zeta(N, -g) for g in grade]
     s2 = rep.jtilde.scale_cols(rep.e) @ rep.jtilde
@@ -551,7 +551,7 @@ def _folded_vs_half_product(monkeypatch, rep):
     jt, upper = rep.jtilde.descend(M), _upper(len(rep.basis))
     d = [x.descend(M) for x in rep.jcols]
     _, th_inv, _ = rep_genus2._theta_scaling(rep.params, rep.basis.triples, d, M)
-    s0 = jt.dots(jt, upper, d).rows[0]
+    s0 = jt.dots(jt.scale_cols(d), upper).rows[0]
     assert calls[0][3].rows[0] == tuple(th_inv[a] * v * th_inv[b]
                                         for (a, b), v in zip(upper, s0)), rep.params
     _regrade_matches_full_s2(rep)
@@ -663,11 +663,13 @@ def test_relations_fast_path_on_perturbed_reps(monkeypatch, r, change):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_swap_bumps_take_their_own_paths(monkeypatch, r):
-    # a bump that the swap keeps is rejected by S0 itself, before S2 is
-    # formed; a bump that breaks the swap, and a D that the swap moves,
-    # lose the swap alone: S0 runs on the other symmetries and rejects them
+    # a bump that the swap keeps is rejected by S0 itself, before X is
+    # regraded from the parts of S2 formed in the same call; a bump that
+    # breaks the swap, and a D that the swap moves, lose the swap alone: S0
+    # runs on the other symmetries and rejects them
     rep = genus2_rep(TheoryParams(r))
     pi = rep.basis.swap
+    s = rep.params.root_order // square_subfield_order(rep.params.root_order)
     with monkeypatch.context() as m:
         m.setattr(rep_genus2, "_regrade", lambda *a: pytest.fail("S0 decides"))
         assert not rep_genus2._relations_hold(replace(rep, jtilde=_swap_bump(rep, keep=True)))
@@ -677,7 +679,7 @@ def test_swap_bumps_take_their_own_paths(monkeypatch, r):
         with monkeypatch.context() as m:
             m.setattr(rep_genus2, "_regrade", lambda *a: pytest.fail("S0 decides"))
             held, calls = _half_products(m, bad)
-        assert not held and len(calls) == 1
+        assert not held and len(calls) == 1 + s
         assert pi not in [p for p, _, _ in calls[0][2]]
 
 
@@ -692,7 +694,7 @@ def test_asymmetric_jtilde_is_refused_before_any_product(monkeypatch, r):
     lam = [CycNumber.from_rational(P.root_order, 2 if b == 0 else 1) for b in range(len(rep.basis))]
     bad = replace(rep, jtilde=rep.jtilde.scale_rows(lam).scale_cols([x.inverse() for x in lam]))
     with monkeypatch.context() as m:
-        m.setattr(ExactMatrix, "half_product", lambda *a: pytest.fail("a product ran"))
+        m.setattr(ExactMatrix, "half_products", lambda *a: pytest.fail("a product ran"))
         assert not rep_genus2._relations_hold(bad)
     monkeypatch.setattr(rep_genus2, "genus2_rep", lambda params: bad)
     rpt = _fast_vs_reference(monkeypatch, P)
@@ -710,7 +712,7 @@ def test_s0_check_reads_the_off_diagonal_entries():
     s0 = jt.scale_cols(d) @ jt
     assert [s0[i, i] for i in range(2)] == d
     assert s0[0, 1] == q(Fraction(24, 25))
-    assert not rep_genus2._s0_is_d_inverse(jt.half_product(d), d)
+    assert not rep_genus2._s0_is_d_inverse(jt.half_products([d])[0], d)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -822,7 +824,7 @@ def test_regrade_checks_the_grading(r):
     jt = rep.jtilde.descend(M)
     grade = [j % 2 for _, j, _ in rep.basis.triples]
     upper = [(a, b) for a in range(n) for b in range(a, n)]
-    parts = [jt.dots(jt, upper, e) for e in zip(*(y.components(M) for y in rep.e))]
+    parts = [jt.dots(jt.scale_cols(e), upper) for e in zip(*(y.components(M) for y in rep.e))]
     assert rep_genus2._regrade(parts, upper, grade) is not None
     t = next(t for t, (a, b) in enumerate(upper) if a < b and grade[a] == grade[b])
     assert not parts[1][0, t]
@@ -849,17 +851,18 @@ def test_basis_flips_are_the_color_flips():
 
 def _half_products(monkeypatch, rep):
     """The verdict of _relations_hold(rep) and each half-product it forms,
-    as (m, w, symmetries, output), symmetries the (p, signs, chi) whose
-    orbits it was dotted on: S0, the parts of S2, then the halves of S4
-    (fewer when the check stops before them)."""
-    calls, f = [], ExactMatrix.half_product
+    as (m, w, symmetries, output), symmetries the (p, signs, chi) that
+    ExactMatrix.half_products kept and whose orbits it was dotted on
+    (ExactMatrix._orbit_product): S0, the parts of S2, then the halves of
+    S4 (none of S4 when the check stops before them)."""
+    calls, f = [], ExactMatrix._orbit_product
 
-    def spy(m, w, symmetries=()):
+    def spy(m, w, symmetries):
         out = f(m, w, symmetries)
         calls.append((m, w, list(symmetries), out))
         return out
     with monkeypatch.context() as mp:
-        mp.setattr(ExactMatrix, "half_product", spy)
+        mp.setattr(ExactMatrix, "_orbit_product", spy)
         return rep_genus2._relations_hold(rep), calls
 
 
@@ -915,7 +918,7 @@ def test_orbit_half_products_match_plain_dots_every_root(monkeypatch, r):
         assert held and len(calls) == 1 + 2 * s, (r, k)
         assert calls[0][2][0][0] == rep.basis.swap, (r, k)
         for m, w, _, out in calls:
-            assert out == m.dots(m, _upper(m.nrows), w), (r, k)
+            assert out == m.dots(m.scale_cols(w), _upper(m.nrows)), (r, k)
 
 
 def _flip_moved_orbit(rep):
@@ -980,16 +983,16 @@ def test_half_products_match_plain_dots_when_a_check_fails(monkeypatch, r, case)
         _, calls = _half_products(monkeypatch, rep)
         x, w, _, _ = calls[3]
         bad = _doubled_on_orbit(x, a, flips[:1])
-        signs = rep_genus2._flip_signs(bad, syms)
+        signs = matrix._perm_signs(bad, syms)
         assert bad == bad.transpose() and signs[1] is not None and None in signs[2:4]
-        assert rep_genus2._half_product(bad, signs, w, syms) == bad.dots(bad, _upper(len(w)), w)
+        assert bad.half_products([w], syms) == [bad.dots(bad.scale_cols(w), _upper(len(w)))]
         return
     m = _l_scaled(rep) if case == "J-broken" else _t_shifted(rep, a)
     held, calls = _half_products(monkeypatch, m)
     assert held == all(d is None for d in rep_genus2._reference_differences(m))
     assert held == (case == "J-broken")
     for x, w, _, out in calls:
-        assert out == x.dots(x, _upper(x.nrows), w)
+        assert out == x.dots(x.scale_cols(w), _upper(x.nrows))
     used = [[p for p, _, _ in syms] for _, _, syms, _ in calls]
     if case == "J-broken":
         # the flip that moves the scaled orbit is dropped, the swap kept
@@ -1016,12 +1019,12 @@ def test_flip_bumps_keep_or_break_the_flips(r):
     # every flip
     rep = genus2_rep(TheoryParams(r))
     pi, flips = rep.basis.swap, rep.basis.flips
-    assert None not in rep_genus2._flip_signs(_jhat(rep), flips)
+    assert None not in matrix._perm_signs(_jhat(rep), flips)
     for keep in (False, True):
         bad = _flip_bump(rep, keep)
         jhat = _jhat(bad)
-        assert jhat == jhat.transpose() and rep_genus2._flip_signs(jhat, [pi]) != [None]
-        assert (None not in rep_genus2._flip_signs(jhat, flips)) == keep
+        assert jhat == jhat.transpose() and matrix._perm_signs(jhat, [pi]) != [None]
+        assert (None not in matrix._perm_signs(jhat, flips)) == keep
         assert not rep_genus2._relations_hold(bad)
 
 
@@ -1052,7 +1055,7 @@ def test_theta_basis_decides_as_the_jtilde_basis(monkeypatch, r):
 
 def _slices_work(monkeypatch):
     """The phi-weighted multiplications of every call of the packed kernel
-    (_dots, ExactMatrix.half_product): each cuts its pairs with _slices."""
+    (_dots, ExactMatrix._orbit_product): each cuts its pairs with _slices."""
     work, f = [0], matrix._slices
 
     def counted(count, cost):
@@ -1091,21 +1094,21 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     rep = genus2_rep(P)
     calls = {"matmul": 0}
     orbits_of, orders = [], set()
-    matmul, half_product, modulus = ExactMatrix.__matmul__, ExactMatrix.half_product, matrix._modulus
+    matmul, orbit_product, modulus = ExactMatrix.__matmul__, ExactMatrix._orbit_product, matrix._modulus
 
     def counting_matmul(self, other):
         calls["matmul"] += 1
         return matmul(self, other)
 
-    def recording_half_product(self, diag, symmetries=()):
+    def recording_orbit_product(self, w, symmetries):
         orbits_of.append(tuple(p for p, _, _ in symmetries))
-        return half_product(self, diag, symmetries)
+        return orbit_product(self, w, symmetries)
 
     def recording_modulus(N, width):
         orders.add(N)
         return modulus(N, width)
     monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(ExactMatrix, "half_product", recording_half_product)
+    monkeypatch.setattr(ExactMatrix, "_orbit_product", recording_orbit_product)
     monkeypatch.setattr(matrix, "_modulus", recording_modulus)
     work = _slices_work(monkeypatch)
     assert verify_genus2_relations(P).all_pass
@@ -1115,7 +1118,7 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     n = len(basis)
     assert orbits_of == [basis.symmetries] + [basis.flips] * 4
     assert orders == {12}
-    orbits = [len(matrix._pair_orbits(perms)[0]) for perms in (basis.symmetries, basis.flips)]
+    orbits = [len(matrix._pair_orbits(n, perms)[0]) for perms in (basis.symmetries, basis.flips)]
     assert (n, orbits) == (35, [102, 174])
     grade = [j % 2 for _, j, _ in rep.basis.triples]
     e_parts = zip(*(y.components(12) for y in rep.e))
