@@ -49,7 +49,9 @@ genus-2 relation checks run: for each w of diags, the upper triangle of
 A diag(w) A for a symmetric A, dotted on one pair per orbit of the perms
 that it checks to permute A up to signs and to give w a character +-1
 (of the identity alone when none does), on the same kernel and split.
-A column where w is 0 drops out of its dots.
+A column where w is 0 drops out of its dots.  Its operands are A's own
+table and index, and A diag(w) is one packed product per distinct (table
+entry, w value) pair: only the output is brought to the unique form.
 A.descend(M) moves a matrix into the subfield Q(zeta_M), where its products
 run on phi(M) digits (exactnum.descent_step).
 
@@ -384,51 +386,61 @@ def _upper(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pair_orbits(n: int, perms: tuple[tuple[int, ...], ...]) -> tuple[list, list]:
+def _pair_orbits(n: int, perms: tuple[tuple[int, ...], ...]) -> tuple[list, list[int], list[int]]:
     """One representative (a, b), a <= b, per orbit of the unordered pairs
     of range(n) under the identity and the permutations perms, and for each
-    pair of _upper(n), in that order, (its representative's number, h) with
-    {p_h a, p_h b} that pair: h = 0 is the identity, h >= 1 perms[h - 1].
-    Each pair is covered by the first representative that reaches it in
-    one step, so perms need not be closed under composition: a set that is
-    not a group only leaves more representatives, and with no perms every
-    pair is its own."""
-    at, reps, cover = {}, [], []
-    for t in _upper(n):
-        hit = at.get(t)
-        if hit is None:
-            hit, (a, b) = (len(reps), 0), t
-            for h, p in enumerate(perms, 1):
-                x, y = p[a], p[b]
-                at.setdefault((x, y) if x <= y else (y, x), (len(reps), h))
-            reps.append(t)
-        cover.append(hit)
-    return reps, cover
+    pair of _upper(n), in that order, its representative's number (rep_of)
+    and h (sym_of) with {p_h a, p_h b} that pair: h = 0 is the identity,
+    h >= 1 perms[h - 1].  Each pair is covered by the first representative
+    that reaches it in one step, so perms need not be closed under
+    composition: a set that is not a group only leaves more
+    representatives, and with no perms every pair is its own.  Pairs are
+    numbered by their place in _upper(n), so the cover is two flat lists."""
+    off = [a * (2 * n - a - 1) // 2 for a in range(n)]     # (a, b) is pair off[a] + b
+    size = n * (n + 1) // 2
+    reps, rep_of, sym_of = [], [-1] * size, [0] * size
+    t = 0
+    for a in range(n):
+        for b in range(a, n):
+            if rep_of[t] < 0:
+                rep_of[t] = r = len(reps)
+                for h, p in enumerate(perms, 1):
+                    x, y = p[a], p[b]
+                    u = off[x] + y if x <= y else off[y] + x
+                    if rep_of[u] < 0:
+                        rep_of[u], sym_of[u] = r, h
+                reps.append((a, b))
+            t += 1
+    return reps, rep_of, sym_of
 
 
 def _perm_signs(m: "ExactMatrix", perms) -> list[tuple[int, ...] | None]:
     """For each permutation p, signs s_a = +-1 with m[pa, pb] = c s_a s_b
-    m[a, b] for every a <= b and one c = +-1, or None when p is not such a
+    m[a, b] for every a, b and one c = +-1, or None when p is not such a
     signed permutation of the symmetric m (every entry None when each row
     of m has a zero).  The signs are read off the first row a0 of m without
-    a zero entry, which gives c = s_a0, and then every entry of the upper
-    triangle is compared, as a table index up to sign: m is in the unique
-    form, so equal values are equal indices."""
+    a zero entry, which gives c = s_a0, and then every row is compared, as
+    table indices up to sign: m is in the unique form, so equal values are
+    equal indices.  Row pa permuted by p is one operator.itemgetter call,
+    and so is row a with the entries where c s_a s_b = -1 negated, read off
+    row a beside its negation."""
     n, idx = m.nrows, m.index
     pos = {v: k for k, v in enumerate(m.table)}
     neg = [pos.get(tuple(-c for c in v)) for v in m.table]
     a0 = next((a for a in range(n) if all(map(any, map(m.table.__getitem__, idx[a])))), None)
     if a0 is None:
         return [None] * len(perms)
+    both = [row + tuple(map(neg.__getitem__, row)) for row in idx]
     out = []
     for p in perms:
         row, image = idx[a0], idx[p[a0]]
         s = [1 if image[p[b]] == row[b] else -1 if image[p[b]] == neg[row[b]] else 0
              for b in range(n)]
-        c = s[a0]
+        c, permuted = s[a0], operator.itemgetter(*p)
+        want = {t: operator.itemgetter(*(b if t * sb > 0 else n + b for b, sb in enumerate(s)))
+                for t in (1, -1)}
         signed = 0 not in s and all(
-            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])
-            for a in range(n) for b in range(a, n))
+            permuted(idx[p[a]]) == want[c * s[a]](both[a]) for a in range(n))
         out.append(tuple(s) if signed else None)
     return out
 
@@ -588,26 +600,15 @@ class ExactMatrix:
         return ExactMatrix._of(N, *_products(N, self.table, w.table, grid), self.den * w.den)
 
     def scale_cols(self, factors: Sequence[CycNumber]) -> "ExactMatrix":
-        """self diag(factors) (_scaled_cols) in the unique form."""
-        return ExactMatrix._of(self.order, *self._scaled_cols(factors))
-
-    def _scaled_cols(self, factors: Sequence[CycNumber]) -> tuple[list, list, int]:
-        """self diag(factors) as an output table, rows of indices and a
-        denominator, one packed product per distinct (entry, factor) pair
-        (_products); dots reads them as they are."""
+        """self diag(factors), one packed product per distinct (entry,
+        factor) pair (_products)."""
         _check_length(factors, self.ncols)
         N, w = self.order, ExactMatrix(self.order, [factors])
         grid = map(zip, self.index, repeat(w.index[0]))
-        return (*_products(N, self.table, w.table, grid), self.den * w.den)
+        return ExactMatrix._of(N, *_products(N, self.table, w.table, grid), self.den * w.den)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.order, self.table, zip(*self.index), self.den)
-
-    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
-        """The entries (i, j) for i in rows and j in cols, in that order."""
-        cols = list(cols)
-        return ExactMatrix._of(self.order, self.table,
-                               [[self.index[i][j] for j in cols] for i in rows], self.den)
 
     def descend(self, order: int) -> "ExactMatrix":
         """Entrywise CycNumber.descend, once per table entry: self over
@@ -679,42 +680,66 @@ class ExactMatrix:
         the columns with chi = +-1.  So one representative pair per orbit
         (_pair_orbits) is dotted, once per class of the columns where w is
         not 0 with equal chi under every symmetry, and each entry of the
-        triangle is a signed sum of its representative's packed residues,
-        unpacked as the plain dots would be, each distinct residue once.
-        The classes cut each dot into parts, so a representative costs one
-        plain dot, the width rule covers every signed sum, and a call whose
-        work is above SPLIT_WORK is cut across the CPUs (_split).  An
-        all-zero w keeps column 0, whose dots are 0."""
-        n = self.nrows
+        triangle is a signed sum of its representative's packed residues
+        (with one class, the residue or its negation), unpacked as the
+        plain dots would be, each distinct residue once.  The classes cut
+        each dot into parts, so a representative costs one plain dot, the
+        width rule covers every signed sum, and a call whose work is above
+        SPLIT_WORK is cut across the CPUs (_split).  An all-zero w keeps
+        column 0, whose dots are 0.  The operands are S's own table and
+        index, kept column k being row k: S diag(w) takes one packed
+        product per distinct (table entry, w value) pair, found per group
+        of the kept columns that share a w value."""
+        n, idx, table = self.nrows, self.index, self.table
         keep = [k for k in range(n) if w[k]] or [0]
         classes = {}
-        for q, k in enumerate(keep):
-            classes.setdefault(tuple(chi[k] for _, _, chi in symmetries), []).append(q)
-        A = self.submatrix(range(n), keep)
-        *B, den = A._scaled_cols([w[k] for k in keep])
+        for k in keep:
+            classes.setdefault(tuple(chi[k] for _, _, chi in symmetries), []).append(k)
+        weights = ExactMatrix(self.order, [[w[k] for k in keep]])
+        value_of = dict(zip(keep, weights.index[0]))     # kept column -> its w value's number
+        groups = {}
+        for k, v in value_of.items():
+            groups.setdefault(v, []).append(k)
+        pairs = [(t, v) for v, cols in groups.items()
+                 for t in dict.fromkeys(chain.from_iterable(map(idx.__getitem__, cols)))]
         N, phi = self.order, euler_phi(self.order)
-        width = _width(N, phi * len(keep) * _max_abs(A.table) * _max_abs(B[0]))
+        prod_table, prods = _dots(N, phi, _column(table), _column(weights.table), 1, pairs)
+        used = map(table.__getitem__, {t for t, _ in pairs})
+        width = _width(N, phi * len(keep) * _max_abs(used) * _max_abs(prod_table))
         M = _modulus(N, width)
         out, unpack = _unpacker(M, width, phi)
-        Ap, Bp = _packed_rows(A.table, A.index, width), _packed_rows(*B, width)
-        parts = [([[row[q] for q in cols] for row in Ap], [[row[q] for q in cols] for row in Bp])
+        packed = [_pack_digits(v, width) for v in table]
+        packed_prods = [_pack_digits(v, width) for v in prod_table]
+        times = {v: [0] * len(table) for v in groups}      # times[v][t]: table[t] w_v, packed
+        for (t, v), x in zip(pairs, prods):
+            times[v][t] = packed_prods[x]
+        parts = [(list(zip(*(map(packed.__getitem__, idx[k]) for k in cols))),
+                  list(zip(*(map(times[value_of[k]].__getitem__, idx[k]) for k in cols))))
                  for cols in classes.values()]
+        reps, rep_of, sym_of = _pair_orbits(n, tuple(p for p, _, _ in symmetries))
 
         def residues(chunk):            # one tuple of class residues a pair
             chunk = list(chunk)
             return list(zip(*([sum(map(operator.mul, a[i], b[j])) % M for i, j in chunk]
                               for a, b in parts)))
-        reps, cover = _pair_orbits(n, tuple(p for p, _, _ in symmetries))
         k = _slices(len(reps), len(keep) * phi)
         res = _split(residues, lambda x: x, reps, len(reps), k) if k > 1 else residues(reps)
         chis = [(1,) * len(classes), *zip(*classes)]
         signs = [(1,) * n, *(s for _, s, _ in symmetries)]
         values = []
-        for r, h in cover:
-            a, b = reps[r]
-            v = sum(map(operator.mul, chis[h], res[r]))
-            values.append(unpack(v if signs[h][a] == signs[h][b] else -v))
-        return ExactMatrix._of(N, out, [values], A.den * den)
+        if len(parts) == 1:
+            plus = [unpack(x) for x, in res]
+            for r, h in zip(rep_of, sym_of):
+                a, b = reps[r]
+                chi = chis[h][0]
+                same = (signs[h][a] == signs[h][b]) == (chi > 0)
+                values.append(plus[r] if same else unpack(-res[r][0]))
+        else:
+            for r, h in zip(rep_of, sym_of):
+                a, b = reps[r]
+                v = sum(map(operator.mul, chis[h], res[r]))
+                values.append(unpack(v if signs[h][a] == signs[h][b] else -v))
+        return ExactMatrix._of(N, out, [values], self.den * self.den * weights.den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.order != other.order:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import compress, islice, product
 
 from .exactnum import (
     CycNumber,
@@ -437,7 +437,10 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     every step below holds for J~, D, E exactly when it holds for J^, D^,
     E^, targets included (D^-1 becomes (D^)^-1, kappa^4 T^-1 J~ T^-1 becomes
     kappa^4 T^-1 J^ T^-1).  J^ has fewer distinct values than J~, on
-    smaller coefficients (20 of 4 bits at r = 6, against 109 of 7).
+    smaller coefficients (20 of 4 bits at r = 6, against 109 of 7).  It is
+    one pass of packed products (matrix._products), one per distinct (J~
+    entry, Theta^-1_a Theta^-1_b) pair, after one per ordered pair of
+    distinct Theta^-1 values.
 
     The symmetric products below are two ExactMatrix.half_products calls,
     S0 with the parts of S2 on J^, then the halves of S4 on X: each
@@ -470,7 +473,8 @@ def _relations_hold(rep: Genus2Rep) -> bool:
           u = k - tau_a - tau_b - g_a - g_b: the upper triangle of X W_c X
           is J^ shifted by floor(u/s) in K where c = u mod s and 0
           elsewhere, one ExactMatrix equality per c.  Each (J^ table
-          index, shift) pair is shifted once.
+          index, shift) pair is numbered and shifted once, and each target
+          is one index row over those shifts.
           The swap moves T, so no part of E^ or W has a character under
           it: the parts of S2 and S4 keep the flips alone, at even r, and
           at r = 6 take 78k multiplications each (300k on all pairs).
@@ -496,7 +500,11 @@ def _relations_hold(rep: Genus2Rep) -> bool:
     except ValueError:
         return False
     th, th_inv, dhat = _theta_scaling(params, rep.basis.triples, d, M)
-    jhat = jt.scale_rows(th_inv).scale_cols(th_inv)
+    w = ExactMatrix(M, [th_inv])
+    (wi,), m = w.index, len(w.table)
+    ww, rows = _products(M, w.table, w.table, [[(u, v) for v in range(m)] for u in range(m)])
+    grid = (zip(row, map(rows[wi[a]].__getitem__, wi)) for a, row in enumerate(jt.index))
+    jhat = ExactMatrix._of(M, *_products(M, jt.table, ww, grid), jt.den * w.den * w.den)
     if tuple(zip(*jhat.index)) != jhat.index:
         return False
     syms = rep.basis.symmetries
@@ -510,17 +518,14 @@ def _relations_hold(rep: Genus2Rep) -> bool:
         return False
     halves = x.half_products(_parts(dhat, [t + 2 * g for t, g in zip(tlog, grade)], s), syms)
 
-    zero, shifted = (0,) * euler_phi(M), {}
-    want = [[] for _ in range(s)]
+    keys, want = {}, [[] for _ in range(s)]
     for a, b in upper:
         u = (k4 - tlog[a] - tlog[b] - grade[a] - grade[b]) % N
-        key = jhat.index[a][b], u // s
-        v = shifted.get(key)
-        if v is None:
-            v = shifted[key] = shift_vector(M, jhat.table[key[0]], key[1])
+        key = keys.setdefault((jhat.index[a][b], u // s), len(keys) + 1)    # 0: the zero vector
         for c in range(s):
-            want[c].append(v if c == u % s else zero)
-    if any(h != ExactMatrix.from_vectors(M, [t], jhat.den) for h, t in zip(halves, want)):
+            want[c].append(key if c == u % s else 0)
+    table = [(0,) * euler_phi(M), *(shift_vector(M, jhat.table[t], e) for t, e in keys)]
+    if any(h != ExactMatrix._of(M, table, [t], jhat.den) for h, t in zip(halves, want)):
         return False
 
     if params.is_unitary_root:
@@ -562,26 +567,26 @@ def _regrade(parts: list[ExactMatrix], upper: list[tuple[int, int]],
     one row, entry t at the position upper[t]), and G = diag(zeta^g), when
     S_ab lies in zeta^(g_a + g_b) K for every a, b; else None.  That holds
     iff S_c,ab = 0 for every c other than (g_a + g_b) mod s, and then X_ab
-    is S_c,ab times zeta^(c - g_a - g_b), a power of zeta^s = zeta_M: one
-    shift per distinct (c, table entry, shift).  With s = 1 (K the whole
-    field, g = 0) X is S."""
+    is S_c,ab times zeta^(c - g_a - g_b), a power of zeta^s = zeta_M: X's
+    index numbers the distinct (c, table index, shift) keys, each shifted
+    once into X's table, brought to the unique form once.  With s = 1 (K
+    the whole field, g = 0) X is S."""
     s, M, n = len(parts), parts[0].order, len(grade)
     den = math.lcm(*(p.den for p in parts))
     index = [p.index[0] for p in parts]
-    nonzero = [{k for k, v in enumerate(p.table) if any(v)} for p in parts]
-    shifted, rows = {}, [[None] * n for _ in range(n)]
-    for t, (a, b) in enumerate(upper):
-        ga, gb = grade[a], grade[b]
-        c = (ga + gb) % s
-        if any(ix[t] in nz for k, (ix, nz) in enumerate(zip(index, nonzero)) if k != c):
+    cs = [(grade[a] + grade[b]) % s for a, b in upper]
+    for c, (ix, p) in enumerate(zip(index, parts)):
+        nonzero = {k for k, v in enumerate(p.table) if any(v)}
+        if not nonzero.isdisjoint(compress(ix, [x != c for x in cs])):
             return None
-        key = c, index[c][t], (c - ga - gb) // s
-        v = shifted.get(key)
-        if v is None:
-            f = den // parts[c].den
-            v = shifted[key] = shift_vector(M, [y * f for y in parts[c].table[key[1]]], key[2])
-        rows[a][b] = rows[b][a] = v
-    return ExactMatrix.from_vectors(M, rows, den)
+    keys, rows = {}, [[0] * n for _ in range(n)]
+    for t, (a, b) in enumerate(upper):
+        c = cs[t]
+        rows[a][b] = rows[b][a] = keys.setdefault((c, index[c][t], (c - grade[a] - grade[b]) // s),
+                                                  len(keys))
+    table = [shift_vector(M, [y * (den // parts[c].den) for y in parts[c].table[k]], e)
+             for c, k, e in keys]
+    return ExactMatrix._of(M, table, rows, den)
 
 
 def _s0_is_d_inverse(s0: ExactMatrix, d: list[CycNumber]) -> bool:

@@ -40,11 +40,10 @@ S0_CHECK = ("        if (s0[0, at] * d[a] != 1\n"
 S0_OFF_DIAGONAL = "                or any(any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):"
 S0_BOTH = S0_CHECK + "any(s0.table[k]) for k in s0.index[0][at + 1:at + n - a])):"
 CUBE_ROOT = TESTS + "test_relations_fail_with_jtilde_times_a_cube_root_of_unity"
-# the check of matrix._perm_signs: every entry of the upper triangle against
-# its image under the symmetry, up to the signs read off one row
+# the check of matrix._perm_signs: every row against its image under the
+# symmetry, up to the signs read off one row
 FLIP_SIGNS = ("        signed = 0 not in s and all(\n"
-              "            idx[p[a]][p[b]] == (idx[a][b] if c * s[a] == s[b] else neg[idx[a][b]])\n"
-              "            for a in range(n) for b in range(a, n))\n")
+              "            permuted(idx[p[a]]) == want[c * s[a]](both[a]) for a in range(n))\n")
 # the check of matrix._characters: a symmetry under which the diagonal has
 # no character +-1 is dropped, on its own
 CHARACTER_DROP = "        out.append(None if 0 in chi else chi)"
@@ -73,16 +72,22 @@ MUTANTS = [
     # _s0_is_d_inverse, the zeros off the diagonal alone
     (GENUS2, S0_OFF_DIAGONAL, "                or False):",
      TESTS + "test_s0_check_reads_the_off_diagonal_entries"),
-    # _regrade: S2 graded by the middle label
+    # _regrade: S2 graded by the middle label, each part 0 off its grade
     (GENUS2,
-     "        if any(ix[t] in nz for k, (ix, nz) in enumerate(zip(index, nonzero)) if k != c):",
+     "        if not nonzero.isdisjoint(compress(ix, [x != c for x in cs])):",
      "        if False:",
      TESTS + "test_regrade_checks_the_grading[2]"),
     # _relations_hold: S4 against kappa^4 T^-1 J^ T^-1
     (GENUS2,
-     "    if any(h != ExactMatrix.from_vectors(M, [t], jhat.den) for h, t in zip(halves, want)):",
+     "    if any(h != ExactMatrix._of(M, table, [t], jhat.den) for h, t in zip(halves, want)):",
      "    if False:",
      TESTS + "test_relations_fail_with_conjugated_twist"),
+    # ExactMatrix._orbit_product: with one column class, an entry is its
+    # representative's residue negated when its sign and chi disagree
+    (MATRIX,
+     "                same = (signs[h][a] == signs[h][b]) == (chi > 0)",
+     "                same = signs[h][a] == signs[h][b]",
+     "tests/test_exactnum.py::test_half_product_on_a_signed_involution_matches_plain_dots"),
     # _relations_hold: J^ fixed by conjugation at the unitary root
     (GENUS2,
      "        if not all(y.is_real() for y in th + dhat) or jhat.conj() != jhat:",

@@ -1085,9 +1085,11 @@ def test_half_product_on_a_signed_involution_matches_plain_dots(case, data):
     # A conjugated by random signs u is a signed permutation under pi,
     # S[pa, pb] = t_a t_b S[a, b] with t_a = u_a u_pa, and the diagonal that
     # pi fixes times random signs e has the character chi_k = e_k e_pk, as
-    # any diagonal, the one pi moves too, has under the identity: both are
-    # kept (when some row of S, whence the signs are read, has no zero), and
-    # the half-products on their orbits are the plain dots
+    # any diagonal, the one pi moves too, has under the identity; the
+    # diagonal negated by pi, 0 where pi fixes k, has chi = -1 on every
+    # column it keeps, one class.  Each is kept (when some row of S, whence
+    # the signs are read, has no zero), and the half-products on their
+    # orbits are the plain dots
     A, pi, moved, fixed_by_pi, _ = case
     N, n = A.order, A.nrows
     signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
@@ -1095,15 +1097,17 @@ def test_half_product_on_a_signed_involution_matches_plain_dots(case, data):
     S = A.scale_rows([CycNumber.from_rational(N, c) for c in u]).scale_cols(
         [CycNumber.from_rational(N, c) for c in u])
     x = [w if c > 0 else -w for w, c in zip(fixed_by_pi, e)]
+    odd = [CycNumber.zero(N) if pi[k] == k else w if k < pi[k] else -w
+           for k, w in enumerate(fixed_by_pi)]
     perms = [tuple(pi), tuple(range(n))]
     with pytest.MonkeyPatch.context() as m:
         kept, f = [], ExactMatrix._orbit_product
         m.setattr(ExactMatrix, "_orbit_product",
                   lambda self, w, syms: kept.append([p for p, _, _ in syms]) or f(self, w, syms))
-        assert S.half_products([x, moved], perms) == [
-            S.dots(S.scale_cols(w), _upper(n)) for w in (x, moved)]
+        assert S.half_products([x, moved, odd], perms) == [
+            S.dots(S.scale_cols(w), _upper(n)) for w in (x, moved, odd)]
     full_row = any(all(row) for row in S.rows)
-    assert kept[0] == (perms if full_row else [])
+    assert kept[0] == kept[2] == (perms if full_row else [])
     assert perms[1] in kept[1] or not full_row
 
 

@@ -1065,16 +1065,42 @@ def _slices_work(monkeypatch):
     return work
 
 
-@pytest.mark.parametrize("r, work", [(4, 64_436), (6, 1_604_720)])
+@pytest.mark.parametrize("r, work", [(4, 64_384), (6, 1_603_728)])
 def test_passing_relation_check_work_is_pinned(monkeypatch, r, work):
     # pairs x length x phi over the packed calls of one passing check, J~
     # and D built: 206,912 at r = 4 and 5,516,376 at r = 6 in the J~ basis
-    # on every pair of the upper triangle, and 77,380 and 1,937,456 with
-    # S0 folded over the swap and S2 and S4 on the flip orbits
+    # on every pair of the upper triangle.  Here S0 on the pair orbits of
+    # every basis symmetry, the parts of S2 and the halves of S4 on the
+    # flip orbits take 64,040 and 1,601,008, and J^ = Theta^-1 J~ Theta^-1
+    # the rest, 344 and 2,720: one product per ordered pair of distinct
+    # Theta^-1 values, then one per distinct (J~ entry, Theta^-1_a
+    # Theta^-1_b) pair
     rep = genus2_rep(TheoryParams(r))
     counted = _slices_work(monkeypatch)
     assert rep_genus2._relations_hold(rep)
     assert counted[0] == work
+
+
+@pytest.mark.parametrize("r, entries", [(4, 9_310), (6, 53_214)])
+def test_passing_relation_check_interns_no_intermediate(monkeypatch, r, entries):
+    # index entries that ExactMatrix._of brings to the unique form in one
+    # passing check, J~ and D built: J~ moved into K, J^, X and conj(J^),
+    # n x n each, and seven upper triangles, n(n + 1)/2 each: S0, the parts
+    # of S2, the halves of S4 and their two targets.  The operands of the
+    # half-products are read as they are, so an n x n matrix interned on
+    # the way (a column-scaled or cut-down operand, J^ formed in two passes)
+    # shows up here
+    rep = genus2_rep(TheoryParams(r))
+    n = len(rep.basis)
+    count, of = [0], ExactMatrix._of.__func__
+
+    def counted(cls, order, table, index, den):
+        index = [tuple(row) for row in index]
+        count[0] += sum(map(len, index))
+        return of(cls, order, table, index, den)
+    monkeypatch.setattr(ExactMatrix, "_of", classmethod(counted))
+    assert rep_genus2._relations_hold(rep)
+    assert count[0] == entries == 4 * n * n + 7 * n * (n + 1) // 2
 
 
 def test_passing_relations_make_no_full_product(monkeypatch):
@@ -1086,9 +1112,9 @@ def test_passing_relations_make_no_full_product(monkeypatch):
     # columns where that part is nonzero, each on the orbits of the flips.
     # Every packed call runs on phi(12) = 4 digits (its modulus is
     # Phi_12(2**W)), and the phi-weighted multiplications (_slices_work)
-    # are at most those of the two diagonal scalings that form J^ and of
-    # one dot per orbit over the kept columns of each half-product, with
-    # the products that scale the columns of each right operand.  The
+    # are at most 2 n^2 for the products that form J^ and one dot per
+    # orbit over the kept columns of each half-product, with the products
+    # that scale the columns of each right operand.  The
     # product chain runs only when some relation fails
     P = TheoryParams(4)
     rep = genus2_rep(P)
@@ -1141,8 +1167,10 @@ def test_reference_chain_compares_with_kappa4_i_without_products(monkeypatch):
 
 def test_passing_relations_make_few_field_products(monkeypatch):
     # with J~ and D built, a passing check multiplies field elements only
-    # for S0_ii d_i, e = D T and kappa^4: the fold and the half-products
-    # run on packed integers and the S4 target is a zeta-shift of J~
+    # for S0_ii d_i, kappa^4, the theta nets and D^ = Theta^2 D (once per
+    # distinct (sorted triple, D entry)): J^ and the half-products run on
+    # packed integers, the parts of E^ = D^ T are zeta-shifts of D^ and the
+    # S4 target is a zeta-shift of J^
     P = TheoryParams(6)
     rep = genus2_rep(P)
     n = len(rep.basis)
